@@ -26,8 +26,7 @@ import numpy as np
 
 from . import moments
 from .errors import DomainError
-from .oscillatory import (_CorrectionProfile, correction_terms, principal_sqrt,
-                          remainder_gauge)
+from .oscillatory import _CorrectionProfile, principal_sqrt
 from .potential import PI, PotentialSpec
 
 
@@ -99,9 +98,9 @@ def eigenvalue_asym(pot: PotentialSpec, n: int, sup_grid: int = 256) -> Spectral
     if n < 1:
         raise ValueError("index n must be >= 1")
     m = n - 0.5
-    v_pi = correction_terms(pot, PI, m * m).total
-    mu = -v_pi / PI
-    gamma = remainder_gauge(pot, m * m, sup_grid=sup_grid).value
+    prof = _CorrectionProfile(pot, m * m)
+    mu = -prof.v(PI) / PI
+    gamma = prof.gauge(sup_grid).value
     return SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu,
                          phase_correction=mu, gamma_at_m2=gamma)
 

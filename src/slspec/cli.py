@@ -22,6 +22,7 @@ from .errors import (DomainError, PotentialFormatError, SingularArgumentError,
                      SpectralError)
 from .oscillatory import SpectralDomain, remainder_gauge
 from .potential import load_potential
+from .validation import _fmt
 
 SPECTRUM_SCHEMA = "slspec-spectrum/1"
 TABLE_SCHEMA = "slspec-table/1"
@@ -39,7 +40,6 @@ class RunConfig:
     kind: str = "asym"              # asym | biorth | oracle
     alpha: float = 2.0
     tol_root: float = 1e-12
-    tol_quad: float = 1e-10
     fmt: str = "csv"
     out: str | None = None
     jobs: int = 0                   # 0: SLSPEC_JOBS or cpu count
@@ -51,8 +51,8 @@ class RunConfig:
             raise ValueError("index range is empty; need 1 <= n-min <= n-max")
         if self.grid < 16:
             raise ValueError("--grid must be at least 16")
-        if not (self.tol_root > 0 and self.tol_quad > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_root > 0:
+            raise ValueError("--tol-root must be positive")
         if self.alpha <= 0:
             raise ValueError("--alpha must be positive")
 
@@ -85,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="asym")
         p.add_argument("--alpha", type=float, default=2.0)
         p.add_argument("--tol-root", type=float, default=1e-12)
-        p.add_argument("--tol-quad", type=float, default=1e-10)
         p.add_argument("--format", dest="fmt", choices=["csv", "json"],
                        default="csv")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -117,11 +116,6 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _fmt(x) -> str:
-    # + 0.0 folds negative zero so equal tables print identically
-    return repr(float(x) + 0.0)
 
 
 def _json_text(payload: dict) -> str:
@@ -165,14 +159,14 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     pot = load_potential(cfg.potential)
     n = cfg.n if cfg.n is not None else cfg.n_min
     grid = asymptotics.default_grid(cfg.grid)
-    if cfg.kind == "asym":
-        table = asymptotics.eigenfunction_asym(pot, n, grid)
-    elif cfg.kind == "biorth":
+    if cfg.kind == "biorth":
         table = asymptotics.biorthogonal_asym(pot, n, grid)
     else:
+        table = asymptotics.eigenfunction_asym(pot, n, grid)
+    if cfg.kind == "oracle":
         res = oracle.solve_eigenvalue(pot, n, domain=SpectralDomain(cfg.alpha),
                                       tol_root=cfg.tol_root)
-        table = oracle.eigenfunction_numeric(pot, res.lam, grid, n=n)
+        table = oracle.eigenfunction_numeric(pot, res.lam, grid, align_to=table)
     rows = [[_fmt(x), _fmt(v.real), _fmt(v.imag)]
             for x, v in zip(table.grid, table.values)]
     if cfg.fmt == "csv":
@@ -239,8 +233,7 @@ def main(argv=None) -> int:
                     n_min=args.n_min, n_max=args.n_max, n=args.n,
                     grid=args.grid, method=args.method, kind=args.kind,
                     alpha=args.alpha, tol_root=args.tol_root,
-                    tol_quad=args.tol_quad, fmt=args.fmt, out=args.out,
-                    jobs=args.jobs)
+                    fmt=args.fmt, out=args.out, jobs=args.jobs)
     try:
         cfg.validate()
         pot_path = cfg.potential

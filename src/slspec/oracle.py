@@ -1,6 +1,7 @@
 """Independent ground truth for the spectral problem.
 
-Nothing in this module uses the asymptotic expansions except as root seeds.
+Nothing in this module evaluates the asymptotic expansions except for root
+seeds; eigenfunction phases are aligned to a table the caller supplies.
 Three routes are provided and cross-checked against each other in the test
 suite:
 
@@ -35,13 +36,15 @@ from scipy.optimize import brentq
 
 from . import asymptotics, moments
 from .errors import (IndexingError, IntegrationBlowupError, InternalError,
-                     NonconvergenceError, SingularArgumentError)
-from .oscillatory import SpectralDomain, principal_sqrt
+                     NonconvergenceError)
+from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
 _DEFAULT_STEP_SCALE = 0.004     # phase advance |sqrt(lam)| * h per RK4 step
 _PRUFER_STEP_SCALE = 0.02
-_DEFAULT_H_MAX = 0.05
+_H_MAX = 0.05                   # longest step whatever the phase advance
+_MAX_SECANT_ITER = 80
+_NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
 
 
 @dataclass(frozen=True)
@@ -99,13 +102,6 @@ class SecularResult:
     multiplicity_hint: int
     iterations: int
     method: str
-
-
-def _require_lambda(lam) -> complex:
-    s = principal_sqrt(lam)
-    if abs(s) < 1e-12:
-        raise SingularArgumentError("lambda = 0 is a singular argument")
-    return s
 
 
 def _piece_constant(pe: moments.PiecewiseExp, i: int):
@@ -176,15 +172,15 @@ def _chain(mats: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
-def _n_sub(span, s_mag, step_scale, h_max) -> int:
-    need = max(span * max(1.0, s_mag) / step_scale, span / h_max)
+def _n_sub(span, s_mag, step_scale) -> int:
+    need = max(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
     return max(1, int(math.ceil(need - 1e-12)))
 
 
-def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, h_max,
+def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
                   force_rk4=False, init=None):
     """(y1, y2) at every node of a sorted unique array in [0, pi]."""
-    s = _require_lambda(lam)
+    s = _require_regular(lam)
     lamc = complex(lam)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
@@ -218,7 +214,7 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, h_max,
             prev = a
             count = 0
             for t in stops:
-                nsub = _n_sub(t - prev, abs(s), step_scale, h_max)
+                nsub = _n_sub(t - prev, abs(s), step_scale)
                 h = (t - prev) / nsub
                 lefts.append(prev + h * np.arange(nsub))
                 hs.append(np.full(nsub, h))
@@ -255,7 +251,6 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, h_max,
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
                            step_scale: float = _DEFAULT_STEP_SCALE,
-                           h_max: float = _DEFAULT_H_MAX,
                            force_rk4: bool = False,
                            init=None) -> QuasiTrajectory:
     """Trajectory of (y1, y2) = (y, y' - u y) from (0, sqrt(lam)) at x = 0.
@@ -264,7 +259,7 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     evolution conjugated by the u-shear) unless force_rk4 is set; smooth
     pieces use fixed-step RK4 with phase advance <= step_scale per step.
     """
-    s = _require_lambda(lam)
+    s = _require_regular(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(grid < -1e-12) or np.any(grid > PI + 1e-9):
         raise ValueError("grid must lie in [0, pi]")
@@ -273,7 +268,7 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     nodes = np.union1d(np.union1d(grid, np.asarray([0.0])),
                        np.asarray([b for b in pot.breaks if b < grid.max()]))
     y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
-                             h_max=h_max, force_rk4=force_rk4, init=init)
+                             force_rk4=force_rk4, init=init)
     idx = np.searchsorted(nodes, grid)
     return QuasiTrajectory(x=grid.copy(), y1=y1n[idx], y2=y2n[idx], sqrt_lambda=s)
 
@@ -314,48 +309,45 @@ def secular_step_exact(pot: PotentialSpec, lam) -> complex:
     """
     if pot.kind != "step":
         raise ValueError("secular_step_exact requires a step-kind potential")
-    s = _require_lambda(lam)
-    lamc = complex(lam)
-    y, yp = 0j, complex(s)
-    heights = [c[0] for c in pot.coeffs]
-    for i, (a, b) in enumerate(zip(pot.breaks, pot.breaks[1:])):
-        if i > 0:
-            yp = yp + (heights[i] - heights[i - 1]) * y
-        d = b - a
-        cd, sd = cmath.cos(s * d), complex(_sinc_s(s, d))
-        y, yp = cd * y + sd * yp, -lamc * sd * y + cd * yp
-    return yp - heights[-1] * y
+    _, _, y, yp = _step_states_classical(pot, lam)
+    return yp - pot.coeffs[-1][0] * y
 
 
-def _step_states_classical(pot: PotentialSpec, lam, nodes):
-    """(y, y') of the transfer-matrix solution at sorted unique nodes."""
-    s = _require_lambda(lam)
+def _step_states_classical(pot: PotentialSpec, lam, nodes=None):
+    """Transfer-matrix solution (y, y') for piecewise-constant u.
+
+    Returns (y, y') at sorted unique nodes as two arrays (None without
+    nodes), then the end state (y, y')(pi) as two scalars.
+    """
+    s = _require_regular(lam)
     lamc = complex(lam)
-    nodes = np.asarray(nodes, dtype=float)
     heights = [c[0] for c in pot.coeffs]
-    yv = np.empty(len(nodes), dtype=complex)
-    ypv = np.empty(len(nodes), dtype=complex)
+    yv = ypv = None
+    if nodes is not None:
+        nodes = np.asarray(nodes, dtype=float)
+        yv = np.empty(len(nodes), dtype=complex)
+        ypv = np.empty(len(nodes), dtype=complex)
     y, yp = 0j, complex(s)
     pos = 0
     for i, (a, b) in enumerate(zip(pot.breaks, pot.breaks[1:])):
         if i > 0:
             yp = yp + (heights[i] - heights[i - 1]) * y
-        hi = b + 1e-12 if i == len(pot.coeffs) - 1 else b - 1e-15
-        j1 = pos + int(np.searchsorted(nodes[pos:], hi))
-        d = nodes[pos:j1] - a
-        cd, sd = np.cos(s * d), _sinc_s(s, d)
-        yv[pos:j1] = cd * y + sd * yp
-        ypv[pos:j1] = -lamc * sd * y + cd * yp
-        pos = j1
+        if nodes is not None:
+            hi = b + 1e-12 if i == len(pot.coeffs) - 1 else b - 1e-15
+            j1 = pos + int(np.searchsorted(nodes[pos:], hi))
+            d = nodes[pos:j1] - a
+            cd, sd = np.cos(s * d), _sinc_s(s, d)
+            yv[pos:j1] = cd * y + sd * yp
+            ypv[pos:j1] = -lamc * sd * y + cd * yp
+            pos = j1
         d = b - a
-        cd1, sd1 = cmath.cos(s * d), complex(_sinc_s(s, d))
-        y, yp = cd1 * y + sd1 * yp, -lamc * sd1 * y + cd1 * yp
-    return yv, ypv
+        cd, sd = cmath.cos(s * d), complex(_sinc_s(s, d))
+        y, yp = cd * y + sd * yp, -lamc * sd * y + cd * yp
+    return yv, ypv, y, yp
 
 
 def integrate_prufer(pot: PotentialSpec, lam, grid, *,
-                     step_scale: float = _PRUFER_STEP_SCALE,
-                     h_max: float = _DEFAULT_H_MAX) -> PruferTrajectory:
+                     step_scale: float = _PRUFER_STEP_SCALE) -> PruferTrajectory:
     """Phase and log-modulus trajectories with theta(0) = 0, log r(0) = 0.
 
     Integrates theta' = s + u^2 sin^2(theta)/s + u sin(2 theta) and
@@ -363,7 +355,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
     steps; the log-modulus rather than r itself is integrated so complex
     lam cannot overflow.
     """
-    s = _require_lambda(lam)
+    s = _require_regular(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -383,7 +375,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
 
     for x0, x1 in zip(nodes, nodes[1:]):
         i = int(pe._piece_index(0.5 * (x0 + x1)))
-        nsub = _n_sub(x1 - x0, abs(s), step_scale, h_max)
+        nsub = _n_sub(x1 - x0, abs(s), step_scale)
         h = (x1 - x0) / nsub
         offs = (x0 - pe.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
         uu = list(moments._eval_atoms(pe.pieces[i], offs))
@@ -420,8 +412,7 @@ def _count_zero_crossings(pot: PotentialSpec, lam, *, step_scale) -> int:
     s = abs(principal_sqrt(lam))
     nodes = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
                        np.asarray(pot.breaks))
-    y1, _ = _dense_states(pot, lam, nodes, step_scale=max(step_scale, 0.02),
-                          h_max=_DEFAULT_H_MAX)
+    y1, _ = _dense_states(pot, lam, nodes, step_scale=max(step_scale, 0.02))
     vals = y1.real[1:]
     signs = np.sign(vals[np.abs(vals) > 0])
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
@@ -463,8 +454,6 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, s_seed: float) -> float:
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                      domain: SpectralDomain | None = None,
                      tol_root: float = 1e-12,
-                     max_iter: int = 80,
-                     verify_index: bool = True,
                      method: str = "auto",
                      step_scale: float = _DEFAULT_STEP_SCALE) -> SecularResult:
     """Locate the n-th eigenvalue starting from the asymptotic seed.
@@ -535,12 +524,11 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
             residual = abs(secular_step_exact(pot, lam_root))
         else:
             residual = abs(characteristic(pot, lam_root, step_scale=step_scale))
-        if verify_index:
-            k = _count_zero_crossings(pot, lam_root, step_scale=step_scale)
-            if k != n - 1:
-                raise IndexingError(
-                    f"root at lambda = {lam_root:.9g} has {k} interior zeros, "
-                    f"expected {n - 1}")
+        k = _count_zero_crossings(pot, lam_root, step_scale=step_scale)
+        if k != n - 1:
+            raise IndexingError(
+                f"root at lambda = {lam_root:.9g} has {k} interior zeros, "
+                f"expected {n - 1}")
         return SecularResult(n=n, lam=lam_root, sqrt_lambda=s_root,
                              residual=float(residual), multiplicity_hint=1,
                              iterations=calls[0], method=how)
@@ -565,7 +553,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     deriv = (F(s_cur + fd) - F(s_cur - fd)) / (2 * fd)
     best = (abs(f_cur), s_cur)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_MAX_SECANT_ITER):
         if deriv == 0:
             break
         step = -f_cur / deriv
@@ -584,20 +572,18 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
             break
     if not converged:
         raise NonconvergenceError(
-            f"no convergence for index {n} within {max_iter} iterations",
+            f"no convergence for index {n} within {_MAX_SECANT_ITER} iterations",
             best=best[1] ** 2, residual=best[0])
     s_root = s_cur
     lam_root = s_root * s_root
     residual = abs(s_root * f_cur)
-    mult = 1
-    if verify_index:
-        if abs(s_root - s0) > 0.5:
-            raise IndexingError(
-                f"converged sqrt(lambda) {s_root:.6g} drifted from seed {s0:.6g}")
-        mult = _winding(F, s_root, radius=0.2)
-        if mult < 1:
-            raise IndexingError(
-                f"argument-principle count {mult} around lambda = {lam_root:.6g}")
+    if abs(s_root - s0) > 0.5:
+        raise IndexingError(
+            f"converged sqrt(lambda) {s_root:.6g} drifted from seed {s0:.6g}")
+    mult = _winding(F, s_root, radius=0.2)
+    if mult < 1:
+        raise IndexingError(
+            f"argument-principle count {mult} around lambda = {lam_root:.6g}")
     return SecularResult(n=n, lam=complex(lam_root), sqrt_lambda=complex(s_root),
                          residual=float(residual), multiplicity_hint=int(mult),
                          iterations=calls[0], method="secant")
@@ -631,39 +617,41 @@ def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
 # -- numeric eigenfunctions ---------------------------------------------------
 
 
-def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *, n: int | None = None,
-                          step_scale: float = _DEFAULT_STEP_SCALE,
-                          norm_intervals: int = 32768):
+def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
+                          align_to: asymptotics.EigenfunctionTable | None = None,
+                          step_scale: float = _DEFAULT_STEP_SCALE):
     """Normalized y1 trajectory at a converged eigenvalue.
 
     The norm is a composite Simpson integral of |y|^2 on a dense uniform
-    grid (norm_intervals intervals), so tables on different grids share one
-    normalization.  When n is given the sign (unimodular phase in the
-    complex case) is aligned to the asymptotic table of the same index.
+    grid of _NORM_INTERVALS intervals, so tables on different grids share
+    one normalization.  When the caller passes a table on the same grid as
+    align_to, the sign (unimodular phase in the complex case) is aligned to
+    it and the result takes its index; this module never builds such a
+    table itself.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    dense = np.linspace(0.0, PI, int(norm_intervals) + 1)
+    if align_to is not None and not np.array_equal(align_to.grid, grid):
+        raise ValueError("align_to table lives on a different grid")
+    dense = np.linspace(0.0, PI, _NORM_INTERVALS + 1)
     nodes = np.union1d(np.union1d(dense, grid), np.asarray(pot.breaks))
-    y1n, _ = _dense_states(pot, lam, nodes, step_scale=step_scale,
-                           h_max=_DEFAULT_H_MAX)
+    y1n, _ = _dense_states(pot, lam, nodes, step_scale=step_scale)
     dense_vals = y1n[np.searchsorted(nodes, dense)]
     nrm2 = float(simpson(np.abs(dense_vals) ** 2, x=dense))
     if not nrm2 > 0:
         raise InternalError("zero-norm trajectory cannot be an eigenfunction")
     vals = y1n[np.searchsorted(nodes, grid)] / math.sqrt(nrm2)
-    note = f"unit L2 norm (Simpson, {int(norm_intervals)} intervals)"
-    if n is not None:
-        ref = asymptotics.eigenfunction_asym(pot, n, grid)
-        z = complex(np.sum(ref.values * np.conj(vals)))
+    note = f"unit L2 norm (Simpson, {_NORM_INTERVALS} intervals)"
+    if align_to is not None:
+        z = complex(np.sum(align_to.values * np.conj(vals)))
         if abs(z) > 0:
             phase = z / abs(z)
             if pot.is_real and abs(phase.imag) < 1e-6:
                 phase = math.copysign(1.0, phase.real)
             vals = vals * phase
-        note += "; aligned to asymptotic table"
+        note += f"; aligned to {align_to.kind} table"
     return asymptotics.EigenfunctionTable(
-        index=n if n is not None else 0, grid=grid, values=vals, kind="oracle",
-        normalization=note)
+        index=align_to.index if align_to is not None else 0, grid=grid,
+        values=vals, kind="oracle", normalization=note)
 
 
 def table_norm_sq(table) -> float:

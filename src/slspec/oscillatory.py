@@ -47,10 +47,9 @@ def _require_regular(lam) -> complex:
 
 @dataclass(frozen=True)
 class SpectralDomain:
-    """Parabolic region |Im sqrt(lam)| < alpha with a lower cutoff on Re lam."""
+    """Parabolic region |Im sqrt(lam)| < alpha."""
 
     alpha: float = 2.0
-    re_cutoff: float = 1.0
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -96,6 +95,7 @@ class _CorrectionProfile:
     """Closed-form x-profiles of every integral entering v and gamma at fixed lam."""
 
     def __init__(self, pot: PotentialSpec, lam):
+        self.pot, self.lam = pot, lam
         self.sqrt_lam = _require_regular(lam)
         s2 = 2 * self.sqrt_lam
         u = pot.piecewise
@@ -122,13 +122,47 @@ class _CorrectionProfile:
         t = self.terms(x)
         return t.term_single_sin + t.term_l2 + t.term_double + t.term_u2_cos
 
-    def gauge_bracket(self, x):
-        """|int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|."""
+    def gauge(self, sup_grid: int = 256) -> GaugeValue:
+        """Sampled remainder gauge at this lambda (see ``remainder_gauge``)."""
         s = self.sqrt_lam
-        return (np.abs(self.single_sin.eval(x))
-                + np.abs(self.single_cos.eval(x))
-                + 2 * np.abs(self.double.eval(x))
-                + 0.5 * np.abs(self.square_cos.eval(x) / s))
+        comp = (self.single_sin, self.single_cos, self.double, self.square_cos)
+        pot = self.pot
+
+        def sample(xs):
+            ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
+            # |int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|
+            bracket = (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
+                       + 0.5 * np.abs(sqc / s))
+            return bracket, (ss, sc, dbl, sqc)
+
+        xs = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
+                        np.asarray(pot.breaks))
+        vals, comp_vals = sample(xs)
+        for _ in range(2):
+            order = np.argsort(vals)[-3:]
+            extra = []
+            for i in order:
+                lo = xs[max(int(i) - 1, 0)]
+                hi = xs[min(int(i) + 1, len(xs) - 1)]
+                extra.append(np.linspace(lo, hi, 15))
+            xs = np.union1d(xs, np.concatenate(extra))
+            vals, comp_vals = sample(xs)
+        tail = float(pot.l2_norm_sq / abs(complex(self.lam)) ** 0.5)
+        best = float(vals.max())
+        gaps = np.diff(xs)
+        slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
+        upper = best + float(slopes.max() * gaps.max() / 2) if len(xs) > 1 else best
+        sups = [float(np.abs(v).max()) for v in comp_vals]
+        return GaugeValue(
+            value=best + tail,
+            sup_single_sin=sups[0],
+            sup_single_cos=sups[1],
+            sup_double=2 * sups[2],
+            sup_square_cos=0.5 * sups[3] / abs(s),
+            tail=tail,
+            upper_estimate=upper + tail,
+            sup_grid=int(sup_grid),
+        )
 
 
 def correction_terms(pot: PotentialSpec, x, lam) -> CorrectionTerms:
@@ -149,33 +183,4 @@ def remainder_gauge(pot: PotentialSpec, lam, sup_grid: int = 256) -> GaugeValue:
     maxima.  The reported value is a lower bound of the true supremum plus
     the exact tail; upper_estimate adds max-slope * gap / 2.
     """
-    prof = _CorrectionProfile(pot, lam)
-    xs = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
-                    np.asarray(pot.breaks))
-    vals = prof.gauge_bracket(xs)
-    for _ in range(2):
-        order = np.argsort(vals)[-3:]
-        extra = []
-        for i in order:
-            lo = xs[max(int(i) - 1, 0)]
-            hi = xs[min(int(i) + 1, len(xs) - 1)]
-            extra.append(np.linspace(lo, hi, 15))
-        xs = np.union1d(xs, np.concatenate(extra))
-        vals = prof.gauge_bracket(xs)
-    tail = float(pot.l2_norm_sq / abs(complex(lam)) ** 0.5)
-    best = float(vals.max())
-    gaps = np.diff(xs)
-    slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
-    upper = best + float(slopes.max() * gaps.max() / 2) if len(xs) > 1 else best
-    comp = [prof.single_sin, prof.single_cos, prof.double, prof.square_cos]
-    sups = [float(np.abs(c.eval(xs)).max()) for c in comp]
-    return GaugeValue(
-        value=best + tail,
-        sup_single_sin=sups[0],
-        sup_single_cos=sups[1],
-        sup_double=2 * sups[2],
-        sup_square_cos=0.5 * sups[3] / abs(prof.sqrt_lam),
-        tail=tail,
-        upper_estimate=upper + tail,
-        sup_grid=int(sup_grid),
-    )
+    return _CorrectionProfile(pot, lam).gauge(sup_grid)

@@ -283,7 +283,11 @@ def load_potential(source) -> PotentialSpec:
     if isinstance(source, dict):
         doc = source
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
+        try:
+            is_file = Path(str(source)).exists()
+        except (OSError, ValueError):       # text too long for a path name
+            is_file = False
+        text = Path(source).read_text() if is_file else str(source)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -301,9 +305,9 @@ def load_potential(source) -> PotentialSpec:
         try:
             a, b = float(row["from"]), float(row["to"])
             re = [float(v) for v in row["coeffs_re"]]
+            im = [float(v) for v in row.get("coeffs_im", [0.0] * len(re))]
         except (KeyError, TypeError, ValueError) as exc:
             raise PotentialFormatError(f"malformed piece {row!r}: {exc}")
-        im = [float(v) for v in row.get("coeffs_im", [0.0] * len(re))]
         if len(im) != len(re):
             raise PotentialFormatError(
                 f"coeffs_re and coeffs_im lengths differ in piece starting at {a!r}")

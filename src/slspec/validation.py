@@ -44,6 +44,11 @@ _THRESHOLDS = {
 }
 
 
+def _fmt(x) -> str:
+    # + 0.0 folds negative zero so equal tables print identically
+    return repr(float(x) + 0.0)
+
+
 @dataclass
 class RemainderRecord:
     n: int
@@ -101,21 +106,18 @@ class ComparisonReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        def fmt(x):
-            return repr(float(x) + 0.0)     # folds negative zero
-
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for rec, pt in zip(self.records, self.points):
                 num = pt.sqrt_lambda_numeric
                 writer.writerow([
-                    rec.n, fmt(pt.m),
-                    fmt(pt.sqrt_lambda_asym.real), fmt(pt.sqrt_lambda_asym.imag),
-                    fmt(num.real) if num is not None else "",
-                    fmt(num.imag) if num is not None else "",
-                    fmt(rec.eig_error), fmt(rec.gamma), fmt(rec.gamma_sq),
-                    fmt(rec.ratio), fmt(rec.eigfun_sup_error),
+                    rec.n, _fmt(pt.m),
+                    _fmt(pt.sqrt_lambda_asym.real), _fmt(pt.sqrt_lambda_asym.imag),
+                    _fmt(num.real) if num is not None else "",
+                    _fmt(num.imag) if num is not None else "",
+                    _fmt(rec.eig_error), _fmt(rec.gamma), _fmt(rec.gamma_sq),
+                    _fmt(rec.ratio), _fmt(rec.eigfun_sup_error),
                 ])
 
 
@@ -142,7 +144,8 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
         eig_err = abs(point.rho)
         if eigfun:
             asym_tab = asymptotics.eigenfunction_asym(pot, n, grid)
-            num_tab = oracle.eigenfunction_numeric(pot, res.lam, grid, n=n)
+            num_tab = oracle.eigenfunction_numeric(pot, res.lam, grid,
+                                                   align_to=asym_tab)
             sup_err = asym_tab.sup_distance(num_tab)
     except (NonconvergenceError, IndexingError,
             IntegrationBlowupError) as exc:

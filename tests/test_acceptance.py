@@ -42,8 +42,9 @@ def test_criterion_1_free_operator_exactness(free_pot):
     grid = default_grid(513)
     fun_err = 0.0
     for p in points:
-        tab = eigenfunction_numeric(free_pot, p.sqrt_lambda_numeric ** 2,
-                                    grid, n=p.n)
+        tab = eigenfunction_numeric(
+            free_pot, p.sqrt_lambda_numeric ** 2, grid,
+            align_to=eigenfunction_asym(free_pot, p.n, grid))
         ref = np.sqrt(2 / PI) * np.sin(p.m * grid)
         fun_err = max(fun_err, float(np.abs(tab.values - ref).max()))
     ok = lam_err <= 1e-8 and asym_err <= 1e-12 and fun_err <= 1e-8

@@ -47,7 +47,7 @@ def test_quasi_system_matches_classical_transfer(step_pot):
     from slspec.oracle import _step_states_classical
     grid = np.linspace(0, PI, 97)
     tr = integrate_quasi_system(step_pot, 90.0, grid)
-    yv, ypv = _step_states_classical(step_pot, 90.0, grid)
+    yv, ypv, _, _ = _step_states_classical(step_pot, 90.0, grid)
     u = np.where(grid < PI / 2, 0.0, 2.0)
     assert np.abs(tr.y1 - yv).max() < 1e-10
     assert np.abs(tr.y2 - (ypv - u * yv)).max() < 1e-9
@@ -311,14 +311,16 @@ def test_default_step_accuracy_at_large_lambda():
 
 def test_numeric_eigenfunction_free(free_pot):
     grid = default_grid(129)
-    tab = eigenfunction_numeric(free_pot, 6.25, grid, n=3)
+    tab = eigenfunction_numeric(free_pot, 6.25, grid,
+                                align_to=eigenfunction_asym(free_pot, 3, grid))
     assert np.abs(tab.values - np.sqrt(2 / PI) * np.sin(2.5 * grid)).max() < 1e-9
 
 
 def test_numeric_eigenfunction_matches_transfer_closed_form(step_pot):
     res = solve_eigenvalue(step_pot, 10)
     grid = default_grid(513)
-    tab = eigenfunction_numeric(step_pot, res.lam, grid, n=10)
+    tab = eigenfunction_numeric(step_pot, res.lam, grid,
+                                align_to=eigenfunction_asym(step_pot, 10, grid))
     s = res.sqrt_lambda.real
     c, x0 = 2.0, PI / 2
     y = np.where(grid < x0, np.sin(s * grid), 0.0)
@@ -337,7 +339,9 @@ def test_numeric_eigenfunction_matches_transfer_closed_form(step_pot):
 
 def test_numeric_norm_postcondition(step_pot):
     res = solve_eigenvalue(step_pot, 10)
-    tab = eigenfunction_numeric(step_pot, res.lam, default_grid(4097), n=10)
+    grid = default_grid(4097)
+    tab = eigenfunction_numeric(step_pot, res.lam, grid,
+                                align_to=eigenfunction_asym(step_pot, 10, grid))
     assert abs(table_norm_sq(tab) - 1.0) < 1e-8
 
 
@@ -345,7 +349,10 @@ def test_numeric_alignment_to_asymptotic_table(step_pot):
     res = solve_eigenvalue(step_pot, 7)
     grid = default_grid(257)
     asym = eigenfunction_asym(step_pot, 7, grid)
-    num = eigenfunction_numeric(step_pot, res.lam, grid, n=7)
+    num = eigenfunction_numeric(step_pot, res.lam, grid, align_to=asym)
     # aligned: the inner product is positive real
     ip = np.sum(asym.values * np.conj(num.values))
     assert ip.real > 0 and abs(ip.imag) < 1e-9
+    assert num.index == 7
+    with pytest.raises(ValueError):
+        eigenfunction_numeric(step_pot, res.lam, default_grid(129), align_to=asym)

@@ -169,7 +169,10 @@ def test_loader_roundtrip_dict(step_pot):
 def test_loader_file_and_text(tmp_path, step_pot):
     path = tmp_path / "pot.json"
     path.write_text(json.dumps(_step_doc()))
-    for source in (path, json.dumps(_step_doc())):
+    # indented JSON text is longer than a file name may be
+    long_text = json.dumps(_step_doc(), indent=64)
+    assert len(long_text) > 1024
+    for source in (path, json.dumps(_step_doc()), long_text):
         p = load_potential(source)
         assert p.eval_u(3.0) == 2
 
@@ -209,5 +212,8 @@ def test_loader_rejects_bad_endpoints_and_coeffs():
     with pytest.raises(PotentialFormatError):
         load_potential({"kind": "poly", "pieces": [
             {"from": 0.0, "to": PI, "coeffs_re": []}]})
+    with pytest.raises(PotentialFormatError):
+        load_potential({"kind": "step", "pieces": [
+            {"from": 0.0, "to": PI, "coeffs_re": [1.0], "coeffs_im": ["x"]}]})
     with pytest.raises(PotentialFormatError):
         load_potential("not json at all {")

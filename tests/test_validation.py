@@ -62,6 +62,37 @@ def test_sweep_jobs_match_serial(step_pot):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
+    from collections import Counter
+
+    import slspec.asymptotics as A
+    from slspec.oscillatory import _CorrectionProfile
+
+    tables, profile_lams = Counter(), []
+    real_table = A.eigenfunction_asym
+    real_init = _CorrectionProfile.__init__
+
+    def counting_table(pot, n, grid):
+        tables[n] += 1
+        return real_table(pot, n, grid)
+
+    def counting_init(self, pot, lam):
+        profile_lams.append(complex(lam))
+        real_init(self, pot, lam)
+
+    monkeypatch.setattr(A, "eigenfunction_asym", counting_table)
+    monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
+    rep = remainder_sweep(step_pot, 12, jobs=1)
+    assert rep.degraded == []
+    assert tables == Counter(range(1, 13))
+    assert len(profile_lams) == 2 * 12
+    for pt in rep.points:
+        lam_n = pt.sqrt_lambda_numeric ** 2
+        assert profile_lams.count(pt.m ** 2) == 1
+        assert sum(abs(lam - lam_n) <= 1e-9 * abs(lam_n)
+                   for lam in profile_lams) == 1
+
+
 def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     import slspec.validation as V
 
