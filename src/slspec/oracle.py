@@ -45,6 +45,7 @@ _PRUFER_STEP_SCALE = 0.02
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
+_SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 
 
 @dataclass(frozen=True)
@@ -172,9 +173,10 @@ def _chain(mats: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
-def _n_sub(span, s_mag, step_scale) -> int:
-    need = max(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
-    return max(1, int(math.ceil(need - 1e-12)))
+def _n_sub(span, s_mag, step_scale):
+    """RK4 steps per span (scalar or array): phase advance and length capped."""
+    need = np.maximum(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
+    return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
 def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
@@ -205,41 +207,37 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             ye = _const_advance(y, const, lamc, s, end - a)
             y = (complex(ye[0]), complex(ye[1]))
         else:
-            stops = list(sel)
-            record = [True] * len(sel)
-            if not stops or end - stops[-1] > 1e-15:
-                stops.append(end)
-                record.append(False)
-            lefts, hs, bnd = [], [], []
-            prev = a
-            count = 0
-            for t in stops:
-                nsub = _n_sub(t - prev, abs(s), step_scale)
-                h = (t - prev) / nsub
-                lefts.append(prev + h * np.arange(nsub))
-                hs.append(np.full(nsub, h))
-                count += nsub
-                bnd.append(count)
-                prev = t
-            lefts = np.concatenate(lefts)
-            hs = np.concatenate(hs)
+            # RK4 step table: each gap between stops is cut into nsub equal
+            # steps; the states at the recorded stops are kept
+            stops = sel
+            if not len(sel) or end - sel[-1] > 1e-15:
+                stops = np.append(sel, end)
+            prevs = np.concatenate(([a], stops[:-1]))
+            spans = stops - prevs
+            nsub = _n_sub(spans, abs(s), step_scale)
+            h = spans / nsub
+            ends = np.cumsum(nsub)
+            local_k = np.arange(ends[-1]) - np.repeat(ends - nsub, nsub)
+            hs = np.repeat(h, nsub)
+            lefts = np.repeat(prevs, nsub) + hs * local_k
             u_lo = moments._eval_atoms(pe.pieces[i], lefts - a)
             u_mid = moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a)
             u_hi = moments._eval_atoms(pe.pieces[i], lefts + hs - a)
             mats = _rk4_matrices(u_lo, u_mid, u_hi, lamc, hs)
-            if not any(record):
+            if not len(sel):
                 p = _chain(mats)
                 y = (complex(p[0, 0] * y[0] + p[0, 1] * y[1]),
                      complex(p[1, 0] * y[0] + p[1, 1] * y[1]))
             else:
                 flat = mats.reshape(len(mats), 4).tolist()
-                marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
+                marks = iter((ends[:len(sel)] - 1).tolist() + [-1])
+                mark, k = next(marks), pos
                 a1, a2 = y
                 for j, (m00, m01, m10, m11) in enumerate(flat):
                     a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
-                    k = marks.get(j)
-                    if k is not None:
-                        y1[pos + k], y2[pos + k] = a1, a2
+                    if j == mark:
+                        y1[k], y2[k] = a1, a2
+                        mark, k = next(marks), k + 1
                 y = (a1, a2)
         if not (math.isfinite(y[0].real) and math.isfinite(y[0].imag)
                 and math.isfinite(y[1].real) and math.isfinite(y[1].imag)):
@@ -375,7 +373,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
 
     for x0, x1 in zip(nodes, nodes[1:]):
         i = int(pe._piece_index(0.5 * (x0 + x1)))
-        nsub = _n_sub(x1 - x0, abs(s), step_scale)
+        nsub = int(_n_sub(x1 - x0, abs(s), step_scale))
         h = (x1 - x0) / nsub
         offs = (x0 - pe.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
         uu = list(moments._eval_atoms(pe.pieces[i], offs))
@@ -407,48 +405,74 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
 # -- eigenvalue location ------------------------------------------------------
 
 
-def _count_zero_crossings(pot: PotentialSpec, lam, *, step_scale) -> int:
-    """Number of interior zeros of y1 for real lam and real potential."""
+def _sturm_count(pot: PotentialSpec, lam, *, step_scale) -> tuple[int, int]:
+    """(interior zeros of y1, eigenvalues below lam) for real lam and u.
+
+    Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0.  The
+    Prufer angle of (y1, y2) rises through every multiple of pi, so the
+    sign changes of y1 on a grid of about 16 nodes per half-wave count its
+    interior zeros; an eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies
+    below lam exactly once more when the end angle is past it, that is when
+    y1(pi) y2(pi) < 0.
+    """
     s = abs(principal_sqrt(lam))
-    nodes = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
-                       np.asarray(pot.breaks))
-    y1, _ = _dense_states(pot, lam, nodes, step_scale=max(step_scale, 0.02))
-    vals = y1.real[1:]
-    signs = np.sign(vals[np.abs(vals) > 0])
-    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+    grid = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
+                      np.asarray(pot.breaks))
+    tr = integrate_quasi_system(pot, lam, grid, step_scale=max(step_scale, 0.02),
+                                init=(0.0, 1.0))
+    vals = tr.y1.real[1:]
+    signs = np.sign(vals[vals != 0])
+    zeros = int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+    return zeros, zeros + int(tr.y1[-1].real * tr.y2[-1].real < 0)
 
 
-def _scan_real_root(pot: PotentialSpec, n: int, g, s_seed: float) -> float:
+def _verified_floor(below, lam_lo: float) -> float:
+    """lam_lo, doubled until below(lam_lo) == 0 shows nothing lies under it."""
+    for _ in range(16):
+        if below(lam_lo) == 0:
+            return lam_lo
+        lam_lo *= 2.0
+    raise NonconvergenceError(
+        f"eigenvalues remain below lambda = {lam_lo / 2:.4g}", best=None)
+
+
+def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> float:
     """n-th root of the reduced secular function counted from the bottom.
 
     Fallback for low indices where the asymptotic seed is useless.  The
-    lower end of the scan sits below the spectrum (Robin-type bound states
-    included) via a crude sup|u| bound; the upper end safely above the
-    expected n-th root.
+    lambda grid runs from below the spectrum (Robin-type bound states
+    included: a crude sup|u| bound, doubled until below() reports no
+    eigenvalue under it) to safely above the expected n-th root.  Bisection
+    over grid indices on below(lam), the number of eigenvalues under lam,
+    finds the first grid cell that holds the n-th one; Brent then refines
+    the sign change of g on that cell, the cell a linear scan of g over the
+    grid would stop in.
     """
     sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
-    lam_lo = -4.0 * (1.0 + sup_u) ** 2
+    lam_lo = _verified_floor(below, -4.0 * (1.0 + sup_u) ** 2)
     lam_hi = max((abs(s_seed) + 1.5) ** 2, (n + 1.0) ** 2)
     neg = np.linspace(lam_lo, 0.0, max(64, int(abs(lam_lo) / 0.05)))
     pos = np.linspace(0.05, math.sqrt(lam_hi), int(math.sqrt(lam_hi) / 0.05)) ** 2
     lams = np.concatenate([neg, pos])
-    roots = []
-    lam_prev = float(lams[0])
-    f_prev = g(lam_prev)
-    for lam in lams[1:]:
-        lam = float(lam)
-        f_cur = g(lam)
-        if f_cur == 0.0:
-            roots.append(lam)
-        elif f_prev * f_cur < 0:
-            roots.append(brentq(g, lam_prev, lam, xtol=1e-13, rtol=8.9e-16,
-                                maxiter=200))
-        if len(roots) >= n:
-            return roots[n - 1]
-        lam_prev, f_prev = lam, f_cur
-    raise NonconvergenceError(
-        f"scan found only {len(roots)} roots below lambda = {lam_hi:.4g}, "
-        f"needed {n}", best=roots[-1] if roots else None)
+    lo, hi = 0, len(lams) - 1
+    top = below(float(lams[hi]))
+    if top < n:
+        raise NonconvergenceError(
+            f"scan found only {top} roots below lambda = {lam_hi:.4g}, "
+            f"needed {n}", best=None)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(float(lams[mid])) >= n:
+            hi = mid
+        else:
+            lo = mid
+    try:
+        return brentq(g, float(lams[lo]), float(lams[hi]), xtol=1e-13,
+                      rtol=8.9e-16, maxiter=200)
+    except ValueError:
+        raise NonconvergenceError(
+            f"no sign change of the secular function on [{lams[lo]:.6g}, "
+            f"{lams[hi]:.6g}], where the count puts index {n}", best=None)
 
 
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
@@ -459,10 +483,16 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     """Locate the n-th eigenvalue starting from the asymptotic seed.
 
     Real potentials: a sign bracket of the reduced secular function around
-    the seed plus Brent refinement; ``method="phase"`` instead brackets and
-    bisects g(lam) = theta(pi, lam) - pi (n - 1/2) on the Prufer phase,
-    which follows the oscillation count directly but costs more.  The
-    converged root is verified by counting interior zeros of y1.
+    the seed plus Brent refinement ("bracket").  Where no bracket around the
+    seed changes sign (low indices, bound states) the "scan" route bisects
+    a lambda grid on the Sturm count of eigenvalues below lambda and runs
+    Brent on the one grid cell that holds the n-th root.
+    ``method="phase"`` instead brackets and bisects
+    g(lam) = theta(pi, lam) - pi (n - 1/2) on the Prufer phase, which
+    follows the oscillation count directly but costs more.  The converged
+    root is verified by counting interior zeros of y1 from (0, 1).
+    ``iterations`` counts the secular-function evaluations and Sturm counts
+    of the search, not the verifying count.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
@@ -494,6 +524,11 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 if lam == 0.0:
                     lam = 1e-24
                 return float(_char_reduced(pot, lam, step_scale=step_scale).real)
+        def below(lam):
+            calls[0] += 1
+            if lam == 0.0:
+                lam = 1e-24
+            return _sturm_count(pot, lam, step_scale=step_scale)[1]
         s0r = s0.real
         root = None
         for w in (0.35, 0.45, 0.49):
@@ -512,7 +547,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 break
         how = "phase" if method == "phase" else "bracket"
         if root is None and method != "phase":
-            root = _scan_real_root(pot, n, g, s0r)
+            root = _scan_real_root(pot, n, g, below, s0r)
             how = "scan"
         if root is None:
             raise NonconvergenceError(
@@ -524,7 +559,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
             residual = abs(secular_step_exact(pot, lam_root))
         else:
             residual = abs(characteristic(pot, lam_root, step_scale=step_scale))
-        k = _count_zero_crossings(pot, lam_root, step_scale=step_scale)
+        k, _ = _sturm_count(pot, lam_root, step_scale=step_scale)
         if k != n - 1:
             raise IndexingError(
                 f"root at lambda = {lam_root:.9g} has {k} interior zeros, "
@@ -600,7 +635,11 @@ def _winding(F, center: complex, radius: float = 0.2, points: int = 16) -> int:
 
 
 def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
-    """solve_eigenvalue over a range, collecting failures as flagged points."""
+    """solve_eigenvalue over a range, collecting failures as flagged points.
+
+    Two indices whose sqrt(lam) agree to _SHARED_ROOT_RTOL have converged to
+    one root; both lose it and are flagged.
+    """
     points = []
     for n in n_values:
         point = asymptotics.eigenvalue_asym(pot, n)
@@ -611,6 +650,16 @@ def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
         except (NonconvergenceError, IndexingError, IntegrationBlowupError) as exc:
             point.flag = f"degraded: {exc}"
         points.append(point)
+    solved = [p for p in points if p.sqrt_lambda_numeric is not None]
+    roots = np.array([complex(p.sqrt_lambda_numeric) for p in solved])
+    mag = np.maximum(1.0, np.abs(roots))
+    close = (np.abs(roots[:, None] - roots[None, :])
+             <= _SHARED_ROOT_RTOL * np.maximum(mag[:, None], mag[None, :]))
+    np.fill_diagonal(close, False)
+    for p, row in zip(solved, close):
+        if row.any():
+            p.flag = f"degraded: shared root with index {solved[row.argmax()].n}"
+            p.sqrt_lambda_numeric = p.residual = None
     return points
 
 

@@ -10,9 +10,21 @@ from slspec import (PotentialSpec, SingularArgumentError,
                     eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
                     integrate_quasi_system, secular_step_exact,
                     solve_eigenvalue, solve_spectrum, table_norm_sq)
+from slspec import moments, oracle
 from slspec.oracle import QuasiDerivState, _char_reduced
 
 PI = math.pi
+
+# Literal copy of a real 6-piece step with two negative eigenvalues
+# (lambda_1 ~ -2.562, lambda_2 ~ -0.348); its second index used to be
+# rejected because the zero count started from (0, sqrt(lam)).
+TWO_BOUND_STEP = PotentialSpec.step([
+    (0.0, 0.5986234000034831, 1.2524967736634278),
+    (0.5986234000034831, 1.0251510961888821, -0.02970619259865437),
+    (1.0251510961888821, 1.7932933658347754, -1.5253434676620181),
+    (1.7932933658347754, 1.9649682636305876, -1.3319199388682383),
+    (1.9649682636305876, 2.1406780306487327, 0.06176675379436425),
+    (2.1406780306487327, PI, 1.655029004143449)])
 
 
 # -- quasi-derivative system -------------------------------------------------
@@ -307,7 +319,205 @@ def test_default_step_accuracy_at_large_lambda():
     assert abs(d1 - d2) <= 1e-9 * abs(d1)
 
 
+# -- Sturm counts and the scan route --------------------------------------------------
+
+def _reduced_g(pot):
+    """The real secular function solve_eigenvalue brackets, as a closure."""
+    def g(lam):
+        if lam == 0.0:
+            lam = 1e-24
+        if pot.kind == "step":
+            return float((secular_step_exact(pot, lam)
+                          / oracle.principal_sqrt(lam)).real)
+        return float(_char_reduced(pot, lam).real)
+    return g
+
+
+def _linear_scan_root(pot, n, g, s_seed):
+    """Reference: the linear lambda-grid scan the count bisection replaced."""
+    from scipy.optimize import brentq
+    sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
+    lam_lo = -4.0 * (1.0 + sup_u) ** 2
+    lam_hi = max((abs(s_seed) + 1.5) ** 2, (n + 1.0) ** 2)
+    neg = np.linspace(lam_lo, 0.0, max(64, int(abs(lam_lo) / 0.05)))
+    pos = np.linspace(0.05, math.sqrt(lam_hi), int(math.sqrt(lam_hi) / 0.05)) ** 2
+    lams = np.concatenate([neg, pos])
+    roots = []
+    lam_prev = float(lams[0])
+    f_prev = g(lam_prev)
+    for lam in lams[1:]:
+        lam = float(lam)
+        f_cur = g(lam)
+        if f_cur == 0.0:
+            roots.append(lam)
+        elif f_prev * f_cur < 0:
+            roots.append(brentq(g, lam_prev, lam, xtol=1e-13, rtol=8.9e-16,
+                                maxiter=200))
+        if len(roots) >= n:
+            return roots[n - 1]
+        lam_prev, f_prev = lam, f_cur
+    raise AssertionError("reference scan found too few roots")
+
+
+def test_sturm_count_free_spectrum(free_pot):
+    # eigenvalues (n - 1/2)^2, so floor(s + 1/2) of them lie below s^2;
+    # y1 = sin(s x) has floor(s) interior zeros
+    for lam, zeros, below in ((-3.0, 0, 0), (0.2, 0, 0), (0.3, 0, 1),
+                              (2.0, 1, 1), (2.3, 1, 2), (30.0, 5, 5),
+                              (31.0, 5, 6)):
+        assert oracle._sturm_count(free_pot, lam, step_scale=0.004) \
+            == (zeros, below), lam
+
+
+def test_negative_second_eigenvalue_is_indexed():
+    pts = solve_spectrum(TWO_BOUND_STEP, range(1, 4))
+    assert [p.flag for p in pts] == ["", "", ""]
+    lams = [solve_eigenvalue(TWO_BOUND_STEP, n).lam for n in (1, 2, 3)]
+    assert lams[0] < lams[1] < 0 < lams[2]
+    assert abs(lams[1] + 0.348164529) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["poly-1", "step-1", "step-2"])
+def test_count_bisection_matches_linear_scan(case, poly_pot):
+    kind, n = case.split("-")
+    pot, n = (poly_pot if kind == "poly" else TWO_BOUND_STEP), int(n)
+    res = solve_eigenvalue(pot, n)
+    assert res.method == "scan"
+    assert res.iterations <= 30            # g and count evaluations together
+    s_seed = eigenvalue_asym(pot, n).sqrt_lambda_asym.real
+    assert res.lam == _linear_scan_root(pot, n, _reduced_g(pot), s_seed)
+
+
+def test_verified_floor_doubles_until_count_is_zero():
+    seen = []
+
+    def below(lam):
+        seen.append(lam)
+        return 0 if lam <= -50.0 else 2
+
+    assert oracle._verified_floor(below, -10.0) == -80.0
+    assert seen == [-10.0, -20.0, -40.0, -80.0]
+    with pytest.raises(oracle.NonconvergenceError):
+        oracle._verified_floor(lambda lam: 1, -1.0)
+
+
+def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
+    # u = 3 has a Robin bound state lam_1 = -beta^2, beta = 3 tanh(beta pi),
+    # below the floor -4 that a sampled sup|u| of 0 would give
+    pot = PotentialSpec.constant(3.0)
+    seed = eigenvalue_asym(pot, 1)
+    monkeypatch.setattr(PotentialSpec, "eval_u",
+                        lambda self, x: np.zeros_like(np.asarray(x, float)))
+    assert oracle._sturm_count(pot, -4.0, step_scale=0.004)[1] == 1
+    res = solve_eigenvalue(pot, 1, seed=seed)
+    lo, hi = 2.5, 3.5
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if (lo - 3 * math.tanh(lo * PI)) * (mid - 3 * math.tanh(mid * PI)) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    beta = 0.5 * (lo + hi)
+    assert res.method == "scan"
+    assert abs(res.lam + beta * beta) < 1e-9
+
+
+def test_solve_spectrum_flags_shared_root():
+    # literal complex 2-mode trig on which the secant sends indices 1 and 2
+    # to one root
+    pot = PotentialSpec.trig([(0.0, PI, [-0.9016119370042602 + 0.723816463551145j,
+                                         -0.18491425128013936 + 0.7930903869151645j])])
+    s1 = solve_eigenvalue(pot, 1).sqrt_lambda
+    s2 = solve_eigenvalue(pot, 2).sqrt_lambda
+    assert abs(s1 - s2) <= 1e-6 * abs(s1)
+    pts = solve_spectrum(pot, range(1, 4))
+    assert pts[0].flag == "degraded: shared root with index 2"
+    assert pts[1].flag == "degraded: shared root with index 1"
+    assert pts[0].sqrt_lambda_numeric is None and pts[1].residual is None
+    assert pts[2].flag == "" and pts[2].sqrt_lambda_numeric is not None
+
+
 # -- numeric eigenfunctions ----------------------------------------------------------
+
+def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
+    """Reference: the per-stop step-table loop _dense_states replaced.
+
+    Covers smooth pieces only; the poly fixture has no constant piece.
+    """
+    s = complex(oracle.principal_sqrt(lam))
+    pe = pot.piecewise
+    y1 = np.empty(len(nodes), dtype=complex)
+    y2 = np.empty(len(nodes), dtype=complex)
+    y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
+    pos = 0
+    while pos < len(nodes) and nodes[pos] <= 1e-15:
+        y1[pos], y2[pos] = y
+        pos += 1
+    maxnode = float(nodes[-1])
+    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
+        if pos >= len(nodes) or a >= maxnode - 1e-15:
+            break
+        assert oracle._piece_constant(pe, i) is None
+        end = min(b, maxnode)
+        j1 = pos + int(np.searchsorted(nodes[pos:], end + 1e-15))
+        stops = list(nodes[pos:j1])
+        record = [True] * len(stops)
+        if not stops or end - stops[-1] > 1e-15:
+            stops.append(end)
+            record.append(False)
+        lefts, hs, bnd = [], [], []
+        prev, count = a, 0
+        for t in stops:
+            need = max((t - prev) * max(1.0, abs(s)) / step_scale,
+                       (t - prev) / oracle._H_MAX)
+            nsub = max(1, int(math.ceil(need - 1e-12)))
+            h = (t - prev) / nsub
+            lefts.append(prev + h * np.arange(nsub))
+            hs.append(np.full(nsub, h))
+            count += nsub
+            bnd.append(count)
+            prev = t
+        lefts, hs = np.concatenate(lefts), np.concatenate(hs)
+        mats = oracle._rk4_matrices(
+            moments._eval_atoms(pe.pieces[i], lefts - a),
+            moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a),
+            moments._eval_atoms(pe.pieces[i], lefts + hs - a), complex(lam), hs)
+        if not any(record):
+            p = oracle._chain(mats)
+            y = (complex(p[0, 0] * y[0] + p[0, 1] * y[1]),
+                 complex(p[1, 0] * y[0] + p[1, 1] * y[1]))
+        else:
+            marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
+            a1, a2 = y
+            for j, (m00, m01, m10, m11) in enumerate(
+                    mats.reshape(len(mats), 4).tolist()):
+                a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
+                k = marks.get(j)
+                if k is not None:
+                    y1[pos + k], y2[pos + k] = a1, a2
+            y = (a1, a2)
+        pos = j1
+    return y1, y2
+
+
+def test_dense_states_step_tables_bit_identical(poly_pot):
+    breaks = np.asarray(poly_pot.breaks)
+    node_sets = {
+        "norm grid": np.union1d(np.linspace(0.0, PI, 32769), breaks),
+        "513 grid": np.union1d(np.linspace(0.0, PI, 513), breaks),
+        "sparse, no node in the first piece": np.asarray([0.0, 2.0, 3.0]),
+        "ends before pi": np.linspace(0.0, 2.0, 77),
+    }
+    # s ~ 9.5 puts RK4 steps (~4e-4) between the two grid spacings
+    for lam, init in ((90.0, None), (-3.1, (0.0, 1.0)), (400.0 + 3.0j, None)):
+        for name, nodes in node_sets.items():
+            got = oracle._dense_states(poly_pot, lam, nodes, step_scale=0.004,
+                                       init=init)
+            ref = _dense_states_per_stop(poly_pot, lam, nodes,
+                                         step_scale=0.004, init=init)
+            assert np.array_equal(got[0], ref[0]), (lam, name)
+            assert np.array_equal(got[1], ref[1]), (lam, name)
+
 
 def test_numeric_eigenfunction_free(free_pot):
     grid = default_grid(129)
