@@ -18,8 +18,8 @@ from .asymptotics import (EigenfunctionTable, SpectralPoint, biorthogonal_asym,
 from .oracle import (PruferState, PruferTrajectory, QuasiDerivState,
                      QuasiTrajectory, SecularResult, characteristic,
                      eigenfunction_numeric, integrate_prufer,
-                     integrate_quasi_system, secular_step_exact,
-                     solve_eigenvalue, solve_spectrum, table_norm_sq)
+                     integrate_quasi_system, solve_eigenvalue,
+                     solve_spectrum, table_norm_sq)
 from .validation import (ComparisonReport, RemainderRecord,
                          biorthogonality_check, phase_modulus_ratio_profile,
                          remainder_sweep)
@@ -35,8 +35,8 @@ __all__ = [
     "normalization_factor", "prufer_modulus_asym", "prufer_phase_asym",
     "PruferState", "PruferTrajectory", "QuasiDerivState", "QuasiTrajectory",
     "SecularResult", "characteristic", "eigenfunction_numeric",
-    "integrate_prufer", "integrate_quasi_system", "secular_step_exact",
-    "solve_eigenvalue", "solve_spectrum", "table_norm_sq",
+    "integrate_prufer", "integrate_quasi_system", "solve_eigenvalue",
+    "solve_spectrum", "table_norm_sq",
     "ComparisonReport", "RemainderRecord", "biorthogonality_check",
     "phase_modulus_ratio_profile", "remainder_sweep",
     "DomainError", "IndexingError", "IntegrationBlowupError", "InternalError",

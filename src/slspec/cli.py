@@ -11,7 +11,6 @@ potential-file error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from .errors import (DomainError, PotentialFormatError, SingularArgumentError,
                      SpectralError)
 from .oscillatory import SpectralDomain, remainder_gauge
 from .potential import load_potential
-from .validation import _fmt
+from .validation import _csv_text, _fmt
 
 SPECTRUM_SCHEMA = "slspec-spectrum/1"
 TABLE_SCHEMA = "slspec-table/1"
@@ -107,15 +106,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _csv_text(header, rows) -> str:
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _json_text(payload: dict) -> str:

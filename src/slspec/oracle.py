@@ -2,16 +2,16 @@
 
 Nothing in this module evaluates the asymptotic expansions except for root
 seeds; eigenfunction phases are aligned to a table the caller supplies.
-Three routes are provided and cross-checked against each other in the test
+Two routes are provided and cross-checked against each other in the test
 suite:
 
-* the first-order quasi-derivative system for (y, y' - u y), integrated with
-  a fixed-step 4th-order scheme inside smooth pieces and with the exact
-  constant-coefficient propagator inside constant pieces;
+* one propagator for the first-order quasi-derivative system in
+  (y, y' - u y): the exact constant-coefficient exponential inside constant
+  pieces and fixed-step 4th-order RK4 inside smooth ones.  The pair stays
+  continuous across the point interactions of q = u' (the jumps of a step
+  u), so piecewise-constant u is solved exactly with no jump rule;
 * the phase/log-modulus equations obtained from the modified Prufer
-  substitution y = r sin(theta), y' - u y = sqrt(lam) r cos(theta);
-* exact transfer matrices in the classical (y, y') variables for piecewise
-  constant u, where q = u' is a finite sum of point interactions.
+  substitution y = r sin(theta), y' - u y = sqrt(lam) r cos(theta).
 
 Eigenvalues solve Delta(lam) = (y' - u y)(pi) = 0 for the solution vanishing
 at 0.  The classical Neumann condition y'(pi) = 0 is ill-defined for
@@ -115,23 +115,31 @@ def _piece_constant(pe: moments.PiecewiseExp, i: int):
     return None
 
 
-def _sinc_s(s: complex, d):
-    """sin(s d)/s, stable for small |s d|."""
-    z = s * np.asarray(d, dtype=complex)
-    out = np.where(np.abs(z) < 1e-6,
-                   np.asarray(d, dtype=complex) * (1 - z * z / 6),
-                   np.sin(np.where(np.abs(z) < 1e-6, 1.0, z)) / s)
-    return out
+def _cos_sinc(s: complex, d):
+    """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
+
+    A float d (the end state of a piece) takes scalar cmath arithmetic; an
+    array d (the nodes inside a piece) takes numpy.
+    """
+    if isinstance(d, float):
+        z = s * d
+        if abs(z) < 1e-6:
+            return cmath.cos(z), d * (1 - z * z / 6)
+        return cmath.cos(z), cmath.sin(z) / s
+    d = np.asarray(d, dtype=complex)
+    z = s * d
+    small = np.abs(z) < 1e-6
+    return np.cos(z), np.where(small, d * (1 - z * z / 6),
+                               np.sin(np.where(small, 1.0, z)) / s)
 
 
 def _const_advance(y, const, lamc, s, d):
     """Exact propagation over distance d in a piece where u == const.
 
     The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
-    so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d may be an array.
+    so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d is a float or an array.
     """
-    cd = np.cos(s * np.asarray(d, dtype=complex))
-    sd = _sinc_s(s, d)
+    cd, sd = _cos_sinc(s, d)
     y1 = cd * y[0] + sd * (const * y[0] + y[1])
     y2 = sd * ((-lamc - const * const) * y[0] - const * y[1]) + cd * y[1]
     return y1, y2
@@ -194,21 +202,25 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
         y1[pos], y2[pos] = y
         pos += 1
     maxnode = float(nodes[-1])
-    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
+    piece_ends = [min(b, maxnode) for b in pe.breaks[1:]]
+    cuts = np.searchsorted(nodes, np.asarray(piece_ends) + 1e-15).tolist()
+    for i, (a, end, j1) in enumerate(zip(pe.breaks, piece_ends, cuts)):
         if pos >= len(nodes) or a >= maxnode - 1e-15:
             break
-        end = min(b, maxnode)
-        j1 = pos + int(np.searchsorted(nodes[pos:], end + 1e-15))
-        sel = nodes[pos:j1]
         const = None if force_rk4 else _piece_constant(pe, i)
         if const is not None:
-            vals = _const_advance(y, const, lamc, s, sel - a)
-            y1[pos:j1], y2[pos:j1] = vals
-            ye = _const_advance(y, const, lamc, s, end - a)
-            y = (complex(ye[0]), complex(ye[1]))
+            y_end = _const_advance(y, const, lamc, s, end - a)
+            # a node at the end of the piece takes the end state
+            k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
+            if k > pos:
+                y1[pos:k], y2[pos:k] = _const_advance(y, const, lamc, s,
+                                                      nodes[pos:k] - a)
+            y1[k:j1], y2[k:j1] = y_end
+            y = y_end
         else:
             # RK4 step table: each gap between stops is cut into nsub equal
             # steps; the states at the recorded stops are kept
+            sel = nodes[pos:j1]
             stops = sel
             if not len(sel) or end - sel[-1] > 1e-15:
                 stops = np.append(sel, end)
@@ -259,12 +271,12 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     """
     s = _require_regular(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(grid < -1e-12) or np.any(grid > PI + 1e-9):
-        raise ValueError("grid must lie in [0, pi]")
-    if np.any(np.diff(grid) <= 0):
+    if (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be strictly increasing")
-    nodes = np.union1d(np.union1d(grid, np.asarray([0.0])),
-                       np.asarray([b for b in pot.breaks if b < grid.max()]))
+    if not (grid.size and grid[0] >= -1e-12 and grid[-1] <= PI + 1e-9):
+        raise ValueError("grid must be a nonempty subset of [0, pi]")
+    nodes = np.unique(np.concatenate(
+        (grid, [0.0], [b for b in pot.breaks if b < grid[-1]])))
     y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
                              force_rk4=force_rk4, init=init)
     idx = np.searchsorted(nodes, grid)
@@ -295,53 +307,6 @@ def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE,
                                   step_scale=step_scale, force_rk4=force_rk4,
                                   init=(0.0, 1.0))
     return complex(traj.y2[0])
-
-
-def secular_step_exact(pot: PotentialSpec, lam) -> complex:
-    """Exact quasi-derivative boundary value for piecewise-constant u.
-
-    Propagates the classical pair (y, y') with free 2x2 blocks between
-    breakpoints and applies the jump y' -> y' + c_k y at each interior
-    breakpoint x_k, c_k being the height jump of u (the weight of the point
-    interaction).  Returns y'(pi) - u(pi) y(pi).
-    """
-    if pot.kind != "step":
-        raise ValueError("secular_step_exact requires a step-kind potential")
-    _, _, y, yp = _step_states_classical(pot, lam)
-    return yp - pot.coeffs[-1][0] * y
-
-
-def _step_states_classical(pot: PotentialSpec, lam, nodes=None):
-    """Transfer-matrix solution (y, y') for piecewise-constant u.
-
-    Returns (y, y') at sorted unique nodes as two arrays (None without
-    nodes), then the end state (y, y')(pi) as two scalars.
-    """
-    s = _require_regular(lam)
-    lamc = complex(lam)
-    heights = [c[0] for c in pot.coeffs]
-    yv = ypv = None
-    if nodes is not None:
-        nodes = np.asarray(nodes, dtype=float)
-        yv = np.empty(len(nodes), dtype=complex)
-        ypv = np.empty(len(nodes), dtype=complex)
-    y, yp = 0j, complex(s)
-    pos = 0
-    for i, (a, b) in enumerate(zip(pot.breaks, pot.breaks[1:])):
-        if i > 0:
-            yp = yp + (heights[i] - heights[i - 1]) * y
-        if nodes is not None:
-            hi = b + 1e-12 if i == len(pot.coeffs) - 1 else b - 1e-15
-            j1 = pos + int(np.searchsorted(nodes[pos:], hi))
-            d = nodes[pos:j1] - a
-            cd, sd = np.cos(s * d), _sinc_s(s, d)
-            yv[pos:j1] = cd * y + sd * yp
-            ypv[pos:j1] = -lamc * sd * y + cd * yp
-            pos = j1
-        d = b - a
-        cd, sd = cmath.cos(s * d), complex(_sinc_s(s, d))
-        y, yp = cd * y + sd * yp, -lamc * sd * y + cd * yp
-    return yv, ypv, y, yp
 
 
 def integrate_prufer(pot: PotentialSpec, lam, grid, *,
@@ -511,13 +476,6 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 calls[0] += 1
                 th = integrate_prufer(pot, lam, np.asarray([PI])).theta[0]
                 return float(th.real) - PI * m
-        elif pot.kind == "step":
-            def g(lam):
-                calls[0] += 1
-                if lam == 0.0:
-                    lam = 1e-24
-                return float((secular_step_exact(pot, lam)
-                              / principal_sqrt(lam)).real)
         else:
             def g(lam):
                 calls[0] += 1
@@ -555,10 +513,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 best=s0r * s0r)
         lam_root = float(root)
         s_root = principal_sqrt(lam_root)
-        if pot.kind == "step":
-            residual = abs(secular_step_exact(pot, lam_root))
-        else:
-            residual = abs(characteristic(pot, lam_root, step_scale=step_scale))
+        residual = abs(characteristic(pot, lam_root, step_scale=step_scale))
         k, _ = _sturm_count(pot, lam_root, step_scale=step_scale)
         if k != n - 1:
             raise IndexingError(
@@ -569,14 +524,9 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                              iterations=calls[0], method=how)
 
     # complex potential: damped secant in the sqrt(lam) plane
-    if pot.kind == "step":
-        def F(s):
-            calls[0] += 1
-            return secular_step_exact(pot, s * s) / s
-    else:
-        def F(s):
-            calls[0] += 1
-            return _char_reduced(pot, s * s, step_scale=step_scale)
+    def F(s):
+        calls[0] += 1
+        return _char_reduced(pot, s * s, step_scale=step_scale)
 
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
@@ -634,11 +584,31 @@ def _winding(F, center: complex, radius: float = 0.2, points: int = 16) -> int:
     return int(round((phases[-1] - phases[0]) / (2 * PI)))
 
 
+def _flag_shared_roots(points) -> list:
+    """Flag the solved points that share a root; return them.
+
+    Two indices whose sqrt(lam) agree to _SHARED_ROOT_RTOL have converged to
+    one root; both lose it (root and residual cleared) and are flagged.
+    """
+    solved = [p for p in points if p.sqrt_lambda_numeric is not None]
+    roots = np.array([complex(p.sqrt_lambda_numeric) for p in solved])
+    mag = np.maximum(1.0, np.abs(roots))
+    close = (np.abs(roots[:, None] - roots[None, :])
+             <= _SHARED_ROOT_RTOL * np.maximum(mag[:, None], mag[None, :]))
+    np.fill_diagonal(close, False)
+    flagged = []
+    for p, row in zip(solved, close):
+        if row.any():
+            p.flag = f"degraded: shared root with index {solved[row.argmax()].n}"
+            p.sqrt_lambda_numeric = p.residual = None
+            flagged.append(p)
+    return flagged
+
+
 def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
     """solve_eigenvalue over a range, collecting failures as flagged points.
 
-    Two indices whose sqrt(lam) agree to _SHARED_ROOT_RTOL have converged to
-    one root; both lose it and are flagged.
+    Indices that converged to one shared root are flagged as well.
     """
     points = []
     for n in n_values:
@@ -650,16 +620,7 @@ def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
         except (NonconvergenceError, IndexingError, IntegrationBlowupError) as exc:
             point.flag = f"degraded: {exc}"
         points.append(point)
-    solved = [p for p in points if p.sqrt_lambda_numeric is not None]
-    roots = np.array([complex(p.sqrt_lambda_numeric) for p in solved])
-    mag = np.maximum(1.0, np.abs(roots))
-    close = (np.abs(roots[:, None] - roots[None, :])
-             <= _SHARED_ROOT_RTOL * np.maximum(mag[:, None], mag[None, :]))
-    np.fill_diagonal(close, False)
-    for p, row in zip(solved, close):
-        if row.any():
-            p.flag = f"degraded: shared root with index {solved[row.argmax()].n}"
-            p.sqrt_lambda_numeric = p.residual = None
+    _flag_shared_roots(points)
     return points
 
 

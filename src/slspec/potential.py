@@ -322,7 +322,14 @@ def load_potential(source) -> PotentialSpec:
             if len(coeffs) != 1:
                 raise PotentialFormatError(
                     f"step piece starting at {a!r} must have exactly one coefficient")
-        return PotentialSpec.step([(a, b, c[0]) for a, b, c in assembled])
-    if kind == "poly":
-        return PotentialSpec.poly(assembled)
-    return PotentialSpec.trig(assembled)
+        spec = PotentialSpec.step([(a, b, c[0]) for a, b, c in assembled])
+    elif kind == "poly":
+        spec = PotentialSpec.poly(assembled)
+    else:
+        spec = PotentialSpec.trig(assembled)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = spec.l2_norm_sq
+    if not math.isfinite(norm_sq):
+        raise PotentialFormatError(
+            "coefficients too large: the L2 norm of u is not finite")
+    return spec

@@ -16,6 +16,7 @@ index failed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +48,14 @@ _THRESHOLDS = {
 def _fmt(x) -> str:
     # + 0.0 folds negative zero so equal tables print identically
     return repr(float(x) + 0.0)
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -106,19 +115,19 @@ class ComparisonReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
+        rows = []
+        for rec, pt in zip(self.records, self.points):
+            num = pt.sqrt_lambda_numeric
+            rows.append([
+                rec.n, _fmt(pt.m),
+                _fmt(pt.sqrt_lambda_asym.real), _fmt(pt.sqrt_lambda_asym.imag),
+                _fmt(num.real) if num is not None else "",
+                _fmt(num.imag) if num is not None else "",
+                _fmt(rec.eig_error), _fmt(rec.gamma), _fmt(rec.gamma_sq),
+                _fmt(rec.ratio), _fmt(rec.eigfun_sup_error),
+            ])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for rec, pt in zip(self.records, self.points):
-                num = pt.sqrt_lambda_numeric
-                writer.writerow([
-                    rec.n, _fmt(pt.m),
-                    _fmt(pt.sqrt_lambda_asym.real), _fmt(pt.sqrt_lambda_asym.imag),
-                    _fmt(num.real) if num is not None else "",
-                    _fmt(num.imag) if num is not None else "",
-                    _fmt(rec.eig_error), _fmt(rec.gamma), _fmt(rec.gamma_sq),
-                    _fmt(rec.ratio), _fmt(rec.eigfun_sup_error),
-                ])
+            fh.write(_csv_text(CSV_COLUMNS, rows))
 
 
 def _guarded_ratio(err: float, gamma_sq: float) -> float:
@@ -151,11 +160,16 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
             IntegrationBlowupError) as exc:
         flag = f"degraded: {exc}"
         point.flag = flag
-    rec = RemainderRecord(n=n, gamma=gamma, gamma_sq=gamma * gamma,
-                          eig_error=eig_err, eigfun_sup_error=sup_err,
-                          ratio=_guarded_ratio(eig_err, gamma * gamma),
-                          flag=flag)
-    return rec, point
+    return _record(n, gamma, eig_err, sup_err, flag), point
+
+
+def _record(n: int, gamma: float, eig_err: float, sup_err: float,
+            flag: str) -> RemainderRecord:
+    """One sweep record; gamma_sq and the guarded ratio follow from gamma."""
+    return RemainderRecord(n=n, gamma=gamma, gamma_sq=gamma * gamma,
+                           eig_error=eig_err, eigfun_sup_error=sup_err,
+                           ratio=_guarded_ratio(eig_err, gamma * gamma),
+                           flag=flag)
 
 
 def _sweep_chunk(args):
@@ -202,8 +216,11 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     ns = list(range(n_min, n_max + 1))
     results = _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid,
                            jobs)
-    records = [r for r, _ in results]
     points = [p for _, p in results]
+    # indices that converged to one root are degraded like a failed solve
+    shared = {p.n for p in oracle._flag_shared_roots(points)}
+    records = [_record(p.n, p.gamma_at_m2, 0.0, 0.0, p.flag) if p.n in shared
+               else r for r, p in results]
 
     good = [r for r in records if not r.flag]
     n_good = [r.n for r in good]

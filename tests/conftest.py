@@ -43,6 +43,15 @@ def poly_pot():
 
 
 @pytest.fixture(scope="session")
+def shared_root_trig():
+    # literal complex 2-mode trig on which the secant sends indices 1 and 2
+    # to one root
+    return PotentialSpec.trig([(0.0, PI, [
+        -0.9016119370042602 + 0.723816463551145j,
+        -0.18491425128013936 + 0.7930903869151645j])])
+
+
+@pytest.fixture(scope="session")
 def all_pots(free_pot, const_pot, step_pot, trig_pot, poly_pot):
     return {"free": free_pot, "const": const_pot, "step": step_pot,
             "trig": trig_pot, "poly": poly_pot}

@@ -194,6 +194,13 @@ def test_exit_code_bad_potential(tmp_path, capsys):
                         capsys)
     assert code == 2
     assert "gap" in err
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"kind": "step", "pieces": [
+        {"from": 0.0, "to": PI, "coeffs_re": [1e200]}]}))
+    code, out, err = _run(["gamma", "--potential", str(huge), "--n-max", "3"],
+                          capsys)
+    assert code == 2 and out == ""
+    assert "not finite" in err
 
 
 def test_exit_code_bad_config(pot_files, capsys):

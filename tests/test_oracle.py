@@ -1,5 +1,6 @@
 """Oracle integrators, secular functions, root location, eigenfunctions."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from slspec import (PotentialSpec, SingularArgumentError,
                     characteristic, default_grid, eigenfunction_asym,
                     eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
-                    integrate_quasi_system, secular_step_exact,
-                    solve_eigenvalue, solve_spectrum, table_norm_sq)
+                    integrate_quasi_system, solve_eigenvalue, solve_spectrum,
+                    table_norm_sq)
 from slspec import moments, oracle
 from slspec.oracle import QuasiDerivState, _char_reduced
 
@@ -55,14 +56,48 @@ def test_step_exact_vs_rk4(step_pot):
     assert np.abs(exact.y2 - rk4.y2).max() < 1e-9
 
 
+def _classical_transfer(pot, lam, nodes):
+    """Reference: (y, y') of a step potential by classical transfer matrices.
+
+    Propagates the classical pair with free 2x2 blocks between breaks and
+    applies the jump y' += c_k y at each interior break x_k, c_k being the
+    height jump of u.  Returns (y, y') at the sorted nodes (a node on a break
+    takes the state after the jump), then (y, y')(pi).
+    """
+    s = complex(oracle.principal_sqrt(lam))
+    heights = [c[0] for c in pot.coeffs]
+    yv = np.empty(len(nodes), dtype=complex)
+    ypv = np.empty(len(nodes), dtype=complex)
+    y, yp = 0j, s
+    pos = 0
+    for i, (a, b) in enumerate(zip(pot.breaks, pot.breaks[1:])):
+        if i > 0:
+            yp = yp + (heights[i] - heights[i - 1]) * y
+        hi = b + 1e-12 if i == len(heights) - 1 else b - 1e-15
+        j1 = pos + int(np.searchsorted(nodes[pos:], hi))
+        d = nodes[pos:j1] - a
+        yv[pos:j1] = np.cos(s * d) * y + np.sin(s * d) / s * yp
+        ypv[pos:j1] = -s * np.sin(s * d) * y + np.cos(s * d) * yp
+        pos = j1
+        c, sn = cmath.cos(s * (b - a)), cmath.sin(s * (b - a))
+        y, yp = c * y + sn / s * yp, -s * sn * y + c * yp
+    return yv, ypv, y, yp
+
+
 def test_quasi_system_matches_classical_transfer(step_pot):
-    from slspec.oracle import _step_states_classical
-    grid = np.linspace(0, PI, 97)
-    tr = integrate_quasi_system(step_pot, 90.0, grid)
-    yv, ypv, _, _ = _step_states_classical(step_pot, 90.0, grid)
-    u = np.where(grid < PI / 2, 0.0, 2.0)
-    assert np.abs(tr.y1 - yv).max() < 1e-10
-    assert np.abs(tr.y2 - (ypv - u * yv)).max() < 1e-9
+    # (y, y' - u y) needs no jump rule: the quasi propagator alone must
+    # reproduce the classical pair with its jumps, nodes on breaks included
+    for pot in (step_pot, TWO_BOUND_STEP):
+        grid = np.union1d(np.linspace(0, PI, 97), pot.breaks)
+        u = pot.eval_u(grid)
+        for lam in (-2.0, 90.0, 150.0 + 4.0j):
+            tr = integrate_quasi_system(pot, lam, grid)
+            yv, ypv, y_pi, yp_pi = _classical_transfer(pot, lam, grid)
+            scale = max(np.abs(yv).max(), np.abs(ypv).max())
+            assert np.abs(tr.y1 - yv).max() <= 1e-13 * scale, lam
+            assert np.abs(tr.y2 - (ypv - u * yv)).max() <= 1e-13 * scale, lam
+            expect = yp_pi - pot.coeffs[-1][0] * y_pi
+            assert abs(characteristic(pot, lam) - expect) <= 1e-13 * scale, lam
 
 
 # -- Prufer route ---------------------------------------------------------------
@@ -143,7 +178,7 @@ def test_characteristic_analytic_in_lambda(trig_pot):
 def test_secular_reduces_to_free(free_pot):
     for n in (1, 3, 7):
         m = n - 0.5
-        assert abs(secular_step_exact(free_pot, m * m)) < 1e-10
+        assert abs(characteristic(free_pot, m * m)) < 1e-10
 
 
 def test_secular_single_step_closed_form():
@@ -160,13 +195,7 @@ def test_secular_single_step_closed_form():
         y_pi = y * math.cos(s * dx) + yp * math.sin(s * dx) / s
         yp_pi = -s * y * math.sin(s * dx) + yp * math.cos(s * dx)
         expect = yp_pi - c * y_pi
-        assert abs(secular_step_exact(pot, lam) - expect) < 1e-10 * max(1, abs(expect))
         assert abs(characteristic(pot, lam) - expect) < 1e-10 * max(1, abs(expect))
-
-
-def test_secular_requires_step_kind(trig_pot):
-    with pytest.raises(ValueError):
-        secular_step_exact(trig_pot, 10.0)
 
 
 def test_small_jump_limit_linear_in_height():
@@ -239,7 +268,7 @@ def test_solve_complex_potential(trig_pot):
 
 
 def test_solve_complex_step_potential():
-    # complex jump height drives the secant path through the exact secular
+    # complex jump height drives the secant path through the exact propagator
     pot = PotentialSpec.step([(0, PI / 2, 0.0), (PI / 2, PI, 1.0 + 0.8j)])
     from slspec import eigenvalue_asym
     for n in (6, 11):
@@ -247,7 +276,7 @@ def test_solve_complex_step_potential():
         res = solve_eigenvalue(pot, n, seed=point)
         assert res.method == "secant"
         assert res.residual < 1e-9
-        assert abs(secular_step_exact(pot, res.lam)) < 1e-9
+        assert abs(characteristic(pot, res.lam)) < 1e-9
         assert abs(res.sqrt_lambda - point.sqrt_lambda_asym) \
             <= 2.0 * point.gamma_at_m2 ** 2
 
@@ -256,7 +285,7 @@ def test_characteristic_vs_transfer_matrix_roots(step_pot):
     # the two independent secular formulations share roots to 1e-9
     from scipy.optimize import brentq
     for n in range(2, 51, 7):
-        res = solve_eigenvalue(step_pot, n)       # transfer-matrix route
+        res = solve_eigenvalue(step_pot, n)       # exact propagator route
         lam0 = res.lam.real
         f = lambda lam: _char_reduced(step_pot, lam, force_rk4=True).real
         lo, hi = lam0 - 0.4 * math.sqrt(abs(lam0)), lam0 + 0.4 * math.sqrt(abs(lam0))
@@ -326,9 +355,6 @@ def _reduced_g(pot):
     def g(lam):
         if lam == 0.0:
             lam = 1e-24
-        if pot.kind == "step":
-            return float((secular_step_exact(pot, lam)
-                          / oracle.principal_sqrt(lam)).real)
         return float(_char_reduced(pot, lam).real)
     return g
 
@@ -422,11 +448,8 @@ def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
     assert abs(res.lam + beta * beta) < 1e-9
 
 
-def test_solve_spectrum_flags_shared_root():
-    # literal complex 2-mode trig on which the secant sends indices 1 and 2
-    # to one root
-    pot = PotentialSpec.trig([(0.0, PI, [-0.9016119370042602 + 0.723816463551145j,
-                                         -0.18491425128013936 + 0.7930903869151645j])])
+def test_solve_spectrum_flags_shared_root(shared_root_trig):
+    pot = shared_root_trig
     s1 = solve_eigenvalue(pot, 1).sqrt_lambda
     s2 = solve_eigenvalue(pot, 2).sqrt_lambda
     assert abs(s1 - s2) <= 1e-6 * abs(s1)

@@ -217,3 +217,6 @@ def test_loader_rejects_bad_endpoints_and_coeffs():
             {"from": 0.0, "to": PI, "coeffs_re": [1.0], "coeffs_im": ["x"]}]})
     with pytest.raises(PotentialFormatError):
         load_potential("not json at all {")
+    with pytest.raises(PotentialFormatError):
+        load_potential({"kind": "step", "pieces": [
+            {"from": 0.0, "to": PI, "coeffs_re": [1e200]}]})

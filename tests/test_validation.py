@@ -113,6 +113,21 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     assert 3 not in rep.partial_sums["n"]
 
 
+def test_sweep_flags_shared_root(shared_root_trig):
+    # the secant sends indices 1 and 2 to one root; the sweep solves index
+    # by index and must still flag both, like solve_spectrum
+    rep = remainder_sweep(shared_root_trig, 3, eigfun_up_to=0)
+    assert rep.degraded == [1, 2]
+    assert not rep.verdicts["all_converged"]
+    assert rep.records[0].flag == "degraded: shared root with index 2"
+    assert rep.records[1].flag == "degraded: shared root with index 1"
+    for rec, pt in zip(rep.records[:2], rep.points):
+        assert pt.flag == rec.flag
+        assert pt.sqrt_lambda_numeric is None and pt.residual is None
+        assert rec.eig_error == 0.0 and rec.gamma == pt.gamma_at_m2
+    assert rep.records[2].flag == "" and rep.points[2].sqrt_lambda_numeric is not None
+
+
 def test_report_serialization(tmp_path, step_pot):
     rep = remainder_sweep(step_pot, 12)
     jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
