@@ -174,7 +174,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     pot = load_potential(cfg.potential)
     report = validation.remainder_sweep(
         pot, cfg.n_max, grid_size=cfg.grid, n_min=cfg.n_min,
-        jobs=cfg.effective_jobs())
+        jobs=cfg.effective_jobs(), domain=SpectralDomain(alpha=cfg.alpha))
     if cfg.n_max <= 20:
         report.biorthogonality = validation.biorthogonality_check(
             pot, cfg.n_max, n_min=cfg.n_min)

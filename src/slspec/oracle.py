@@ -22,6 +22,13 @@ potential module).
 Fixed deterministic steps are used on purpose: the trajectories are
 oscillatory, and deterministic grids keep cross-method and step-halving
 comparisons exact.
+
+The characteristic needs only the end state.  There a smooth piece is not
+stepped state by state: its RK4 step matrices are multiplied pairwise, in
+chunks of _FOLD_CHUNK steps, and the product is applied once.  The same
+kernel takes a 1-D batch of lambda in one call; each smooth piece then cuts
+its step table for the largest |sqrt(lambda)| of the batch, and the
+argument-principle check evaluates its 16-point contour that way.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
+_FOLD_CHUNK = 512               # RK4 steps per chunk of an end-state fold
 
 
 @dataclass(frozen=True)
@@ -115,13 +123,14 @@ def _piece_constant(pe: moments.PiecewiseExp, i: int):
     return None
 
 
-def _cos_sinc(s: complex, d):
+def _cos_sinc(s, d):
     """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
 
-    A float d (the end state of a piece) takes scalar cmath arithmetic; an
-    array d (the nodes inside a piece) takes numpy.
+    A scalar s with a float d (the end state of a piece) takes scalar cmath
+    arithmetic; an array d (the nodes inside a piece) or an array s (a
+    batch of lambda) takes numpy.
     """
-    if isinstance(d, float):
+    if isinstance(d, float) and not isinstance(s, np.ndarray):
         z = s * d
         if abs(z) < 1e-6:
             return cmath.cos(z), d * (1 - z * z / 6)
@@ -137,7 +146,8 @@ def _const_advance(y, const, lamc, s, d):
     """Exact propagation over distance d in a piece where u == const.
 
     The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
-    so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d is a float or an array.
+    so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d is a float or an array;
+    lamc and s are scalars or arrays over a batch of lambda.
     """
     cd, sd = _cos_sinc(s, d)
     y1 = cd * y[0] + sd * (const * y[0] + y[1])
@@ -145,40 +155,93 @@ def _const_advance(y, const, lamc, s, d):
     return y1, y2
 
 
+def _mul(a, b):
+    """a @ b for 2x2 matrices given as (m00, m01, m10, m11) components."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
 def _rk4_matrices(u0, um, u1, lam, h):
-    """Batched RK4 one-step propagators for Y' = A(x) Y; h scalar or array."""
-    n = len(u0)
+    """Batched RK4 one-step propagators for Y' = A(x) Y.
+
+    A(u) = [[u, 1], [-lam - u^2, -u]].  u0, um, u1 (u at the left end, the
+    middle and the right end of each step) have one entry per step and h
+    one per step or one for all.  lam is a scalar or a 1-D batch, which
+    leads the result: shape lam.shape + (steps, 2, 2).  The 2x2 products
+    are written out component by component.
+    """
+    lam = np.asarray(lam, dtype=complex)[..., None]
     h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h[:, None, None]
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+    h2 = h / 2
 
-    def amat(u):
-        a = np.empty((n, 2, 2), dtype=complex)
-        a[:, 0, 0] = u
-        a[:, 0, 1] = 1.0
-        a[:, 1, 0] = -lam - u * u
-        a[:, 1, 1] = -u
-        return a
+    def times_a(u, x):
+        # A(u) @ X with the first row of A equal to (u, 1)
+        c = -lam - u * u
+        return (u * x[0] + x[2], u * x[1] + x[3],
+                c * x[0] - u * x[2], c * x[1] - u * x[3])
 
-    a0, am, a1 = amat(np.asarray(u0)), amat(np.asarray(um)), amat(np.asarray(u1))
-    k1 = a0
-    k2 = np.einsum("nij,njk->nik", am, eye + (h / 2) * k1)
-    k3 = np.einsum("nij,njk->nik", am, eye + (h / 2) * k2)
-    k4 = np.einsum("nij,njk->nik", a1, eye + h * k3)
-    return eye + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    c0 = -lam - u0 * u0
+    k2 = times_a(um, (1.0 + h2 * u0, h2, h2 * c0, 1.0 - h2 * u0))
+    k3 = times_a(um, (1.0 + h2 * k2[0], h2 * k2[1], h2 * k2[2], 1.0 + h2 * k2[3]))
+    k4 = times_a(u1, (1.0 + h * k3[0], h * k3[1], h * k3[2], 1.0 + h * k3[3]))
+    h6 = h / 6
+    out = np.empty(lam.shape[:-1] + (len(u0), 2, 2), dtype=complex)
+    out[..., 0, 0] = 1.0 + h6 * (u0 + 2 * k2[0] + 2 * k3[0] + k4[0])
+    out[..., 0, 1] = h6 * (1.0 + 2 * k2[1] + 2 * k3[1] + k4[1])
+    out[..., 1, 0] = h6 * (c0 + 2 * k2[2] + 2 * k3[2] + k4[2])
+    out[..., 1, 1] = 1.0 + h6 * (-u0 + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return out
 
 
 def _chain(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    cur = mats
-    while cur.shape[0] > 1:
-        k = cur.shape[0] // 2
-        prod = np.einsum("nij,njk->nik", cur[1:2 * k:2], cur[0:2 * k:2])
-        if cur.shape[0] % 2:
-            prod = np.concatenate([prod, cur[-1:]], axis=0)
+    """Ordered product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :].
+
+    Pairwise reduction along the step axis, each 2x2 product written out
+    component by component; leading axes (a batch of lambda) ride along.
+    """
+    cur = [mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]]
+    while cur[0].shape[-1] > 1:
+        k = cur[0].shape[-1] // 2
+        prod = _mul([x[..., 1:2 * k:2] for x in cur],
+                    [x[..., 0:2 * k:2] for x in cur])
+        if cur[0].shape[-1] % 2:
+            prod = [np.concatenate((p, x[..., -1:]), axis=-1)
+                    for p, x in zip(prod, cur)]
         cur = prod
-    return cur[0]
+    out = np.empty(mats.shape[:-3] + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = (
+        x[..., 0] for x in cur)
+    return out
+
+
+def _fold(u_lo, u_mid, u_hi, lam, hs, y):
+    """y carried across a smooth piece by the product of its RK4 steps.
+
+    The step matrices are built and multiplied pairwise (_chain) in chunks
+    of _FOLD_CHUNK steps counted from the start of the piece, and the chunk
+    products are then multiplied pairwise in turn.  Because the chunk is a
+    power of two this is the pairwise tree of one _chain over the whole
+    table, bit for bit, without holding the whole table at once.  The
+    product is applied to y in scalar complex arithmetic, one lambda at a
+    time: numpy's array products of complex numbers can fuse multiply and
+    add (SIMD loops on FMA hardware) where its scalar products do not, and
+    the scalar form keeps a member of a batch equal to the same lambda
+    evaluated alone.
+    """
+    p = _chain(np.stack([
+        _chain(_rk4_matrices(u_lo[c:c + _FOLD_CHUNK], u_mid[c:c + _FOLD_CHUNK],
+                             u_hi[c:c + _FOLD_CHUNK], lam, hs[c:c + _FOLD_CHUNK]))
+        for c in range(0, len(hs), _FOLD_CHUNK)], axis=-3))
+    if p.ndim == 2:
+        (p00, p01), (p10, p11) = p.tolist()
+        return p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1]
+    rows = zip(p.tolist(), np.broadcast_to(y[0], len(p)).tolist(),
+               np.broadcast_to(y[1], len(p)).tolist())
+    out = np.array([(p00 * a + p01 * b, p10 * a + p11 * b)
+                    for ((p00, p01), (p10, p11)), a, b in rows])
+    return out[:, 0], out[:, 1]
 
 
 def _n_sub(span, s_mag, step_scale):
@@ -187,21 +250,41 @@ def _n_sub(span, s_mag, step_scale):
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
+def _regular_root(lam):
+    """sqrt(lam) away from 0, of a scalar or of each member of a 1-D array."""
+    if isinstance(lam, np.ndarray) and lam.ndim:
+        return np.array([_require_regular(v) for v in lam])
+    return _require_regular(lam)
+
+
 def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
                   force_rk4=False, init=None):
-    """(y1, y2) at every node of a sorted unique array in [0, pi]."""
-    s = _require_regular(lam)
-    lamc = complex(lam)
+    """(y1, y2) at every node of a sorted unique array in [0, pi].
+
+    lam is a scalar or a 1-D batch.  A batch gives arrays of shape
+    (nodes, batch) and takes states only at 0, at piece ends and at the
+    last node; each smooth piece cuts one step table for the largest
+    |sqrt(lam)| of the batch, so every member advances at most step_scale
+    in phase per step, and samples u once.  A smooth piece whose only
+    recorded stop is its own end is folded (_fold); one with stops inside
+    runs the step recurrence and records the states at the stops.
+    """
+    s = _regular_root(lam)
+    batch = isinstance(s, np.ndarray)
+    lamc = np.asarray(lam, dtype=complex) if batch else complex(lam)
+    s_mag = float(np.abs(s).max()) if batch else abs(s)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
-    y1 = np.empty(len(nodes), dtype=complex)
-    y2 = np.empty(len(nodes), dtype=complex)
-    y = (0j, complex(s)) if init is None else (complex(init[0]), complex(init[1]))
+    maxnode = float(nodes[-1])
+    if batch and not np.isin(nodes[nodes > 1e-15], pe.breaks + (maxnode,)).all():
+        raise ValueError("a batch of lambda is integrated to piece ends only")
+    y1 = np.empty((len(nodes),) + (s.shape if batch else ()), dtype=complex)
+    y2 = np.empty_like(y1)
+    y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
     pos = 0
     while pos < len(nodes) and nodes[pos] <= 1e-15:
         y1[pos], y2[pos] = y
         pos += 1
-    maxnode = float(nodes[-1])
     piece_ends = [min(b, maxnode) for b in pe.breaks[1:]]
     cuts = np.searchsorted(nodes, np.asarray(piece_ends) + 1e-15).tolist()
     for i, (a, end, j1) in enumerate(zip(pe.breaks, piece_ends, cuts)):
@@ -226,7 +309,7 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
                 stops = np.append(sel, end)
             prevs = np.concatenate(([a], stops[:-1]))
             spans = stops - prevs
-            nsub = _n_sub(spans, abs(s), step_scale)
+            nsub = _n_sub(spans, s_mag, step_scale)
             h = spans / nsub
             ends = np.cumsum(nsub)
             local_k = np.arange(ends[-1]) - np.repeat(ends - nsub, nsub)
@@ -235,12 +318,11 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             u_lo = moments._eval_atoms(pe.pieces[i], lefts - a)
             u_mid = moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a)
             u_hi = moments._eval_atoms(pe.pieces[i], lefts + hs - a)
-            mats = _rk4_matrices(u_lo, u_mid, u_hi, lamc, hs)
-            if not len(sel):
-                p = _chain(mats)
-                y = (complex(p[0, 0] * y[0] + p[0, 1] * y[1]),
-                     complex(p[1, 0] * y[0] + p[1, 1] * y[1]))
+            if len(stops) == 1:
+                y = _fold(u_lo, u_mid, u_hi, lamc, hs, y)
+                y1[pos:j1], y2[pos:j1] = y
             else:
+                mats = _rk4_matrices(u_lo, u_mid, u_hi, lamc, hs)
                 flat = mats.reshape(len(mats), 4).tolist()
                 marks = iter((ends[:len(sel)] - 1).tolist() + [-1])
                 mark, k = next(marks), pos
@@ -251,12 +333,35 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
                         y1[k], y2[k] = a1, a2
                         mark, k = next(marks), k + 1
                 y = (a1, a2)
-        if not (math.isfinite(y[0].real) and math.isfinite(y[0].imag)
-                and math.isfinite(y[1].real) and math.isfinite(y[1].imag)):
+        if not (np.isfinite(y).all() if batch
+                else cmath.isfinite(y[0]) and cmath.isfinite(y[1])):
             raise IntegrationBlowupError(f"non-finite state at x = {end}",
                                          location=float(end))
         pos = j1
     return y1, y2
+
+
+def _node_set(grid: np.ndarray, breaks) -> np.ndarray:
+    """grid, 0 and the breaks below grid[-1], sorted and without repeats.
+
+    The few breaks are merged into the sorted grid: each run of breaks that
+    falls between two grid points goes in as one block, and a break equal
+    to a grid point is dropped.
+    """
+    last = float(grid[-1])
+    extra = sorted({0.0, *[b for b in breaks if b < last]})
+    parts, prev = [], 0
+    for c, b in zip(grid.searchsorted(extra).tolist(), extra):
+        if c < grid.size and grid[c] == b:
+            continue
+        if not parts or c != prev:
+            parts += [grid[prev:c], []]
+            prev = c
+        parts[-1].append(b)
+    if not parts:
+        return grid
+    parts.append(grid[prev:])
+    return np.concatenate(parts)
 
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
@@ -268,15 +373,16 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     Constant pieces propagate with the exact matrix exponential (the free
     evolution conjugated by the u-shear) unless force_rk4 is set; smooth
     pieces use fixed-step RK4 with phase advance <= step_scale per step.
+    lam may be a 1-D batch when the grid holds only piece ends (the
+    characteristic's [pi]); y1 and y2 then have shape (grid, batch).
     """
-    s = _require_regular(lam)
+    s = _regular_root(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be strictly increasing")
     if not (grid.size and grid[0] >= -1e-12 and grid[-1] <= PI + 1e-9):
         raise ValueError("grid must be a nonempty subset of [0, pi]")
-    nodes = np.unique(np.concatenate(
-        (grid, [0.0], [b for b in pot.breaks if b < grid[-1]])))
+    nodes = _node_set(grid, pot.breaks)
     y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
                              force_rk4=force_rk4, init=init)
     idx = np.searchsorted(nodes, grid)
@@ -285,28 +391,35 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
 
 def characteristic(pot: PotentialSpec, lam, *,
                    step_scale: float = _DEFAULT_STEP_SCALE,
-                   force_rk4: bool = False) -> complex:
+                   force_rk4: bool = False):
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
-    Neumann problem.
+    Neumann problem.  A 1-D batch of lam gives an array, in one call.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
                                   step_scale=step_scale, force_rk4=force_rk4)
-    return complex(traj.y2[0])
+    return _end_value(traj)
 
 
 def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE,
-                  force_rk4=False) -> complex:
+                  force_rk4=False):
     """The characteristic function for initial slope one instead of sqrt(lam).
 
     Same zeros, but real-valued for real potentials at every real lam
     including lam <= 0, which makes it the right object for sign brackets.
+    A 1-D batch of lam gives an array, in one call.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
                                   step_scale=step_scale, force_rk4=force_rk4,
                                   init=(0.0, 1.0))
-    return complex(traj.y2[0])
+    return _end_value(traj)
+
+
+def _end_value(traj: QuasiTrajectory):
+    """y2(pi) of a trajectory on [pi]: a complex, or an array over a batch."""
+    end = traj.y2[0]
+    return end if end.ndim else complex(end)
 
 
 def integrate_prufer(pot: PotentialSpec, lam, grid, *,
@@ -462,7 +575,9 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
     clamped to the parabolic domain; verified by an argument-principle
-    winding count on a small circle.
+    winding count over 16 points of a small circle, evaluated as one batch
+    (_winding).  ``iterations`` counts every lambda evaluated, the 16
+    contour points included.
     """
     domain = domain or SpectralDomain()
     point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)
@@ -525,7 +640,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
 
     # complex potential: damped secant in the sqrt(lam) plane
     def F(s):
-        calls[0] += 1
+        calls[0] += np.size(s)
         return _char_reduced(pot, s * s, step_scale=step_scale)
 
     def clamp(s):
@@ -575,12 +690,17 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
 
 
 def _winding(F, center: complex, radius: float = 0.2, points: int = 16) -> int:
-    """Zero count of F inside the circle via a trapezoid winding number."""
-    angles = 2 * PI * np.arange(points + 1) / points
-    vals = np.array([F(center + radius * cmath.exp(1j * a)) for a in angles])
+    """Zero count of F inside the circle via a trapezoid winding number.
+
+    F takes the whole contour at once: the points distinct points on the
+    circle go to the kernel as one batch, and the phase is closed by the
+    first value again.
+    """
+    vals = np.asarray(F(center + radius * np.exp(2j * PI * np.arange(points)
+                                                 / points)))
     if np.any(vals == 0):
         return 1
-    phases = np.unwrap(np.angle(vals))
+    phases = np.unwrap(np.angle(np.append(vals, vals[0])))
     return int(round((phases[-1] - phases[0]) / (2 * PI)))
 
 

@@ -28,7 +28,7 @@ from scipy.integrate import simpson
 from . import asymptotics, oracle
 from .errors import (IndexingError, IntegrationBlowupError,
                      NonconvergenceError)
-from .oscillatory import remainder_gauge
+from .oscillatory import SpectralDomain, remainder_gauge
 from .potential import PI, PotentialSpec
 
 REPORT_SCHEMA = "slspec-report/1"
@@ -139,14 +139,15 @@ def _guarded_ratio(err: float, gamma_sq: float) -> float:
 
 
 def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
-               sup_grid: int):
+               sup_grid: int, domain: SpectralDomain | None):
     point = asymptotics.eigenvalue_asym(pot, n, sup_grid=sup_grid)
     flag = ""
     gamma = point.gamma_at_m2
     eig_err = 0.0
     sup_err = 0.0
     try:
-        res = oracle.solve_eigenvalue(pot, n, seed=point, method=method)
+        res = oracle.solve_eigenvalue(pot, n, seed=point, method=method,
+                                      domain=domain)
         point.sqrt_lambda_numeric = res.sqrt_lambda
         point.residual = res.residual
         gamma = remainder_gauge(pot, res.lam, sup_grid=sup_grid).value
@@ -173,12 +174,12 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
 
 
 def _sweep_chunk(args):
-    pot, ns, grid_size, eigfun_up_to, method, sup_grid = args
+    pot, ns, grid_size, eigfun_up_to, method, sup_grid, domain = args
     grid = asymptotics.default_grid(grid_size)
     out = []
     for n in ns:
         out.append(_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
-                              method=method, sup_grid=sup_grid))
+                              method=method, sup_grid=sup_grid, domain=domain))
     return out
 
 
@@ -202,20 +203,23 @@ def _partial(sums: list, n_values: list, at: int) -> float:
 def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
                     n_min: int = 1, eigfun_up_to: int | None = None,
                     method: str = "auto", sup_grid: int = 256,
-                    jobs: int = 1) -> ComparisonReport:
+                    jobs: int = 1,
+                    domain: SpectralDomain | None = None) -> ComparisonReport:
     """Asymptotic-versus-oracle sweep over n_min..n_max with verdicts.
 
     For each index: eigenvalue remainder |rho_n|, eigenfunction sup error on
     the shared grid (up to eigfun_up_to, default all), the gauge at the
     converged eigenvalue and its square, and the guarded ratio.  Partial-sum
     tables and boundedness/Cauchy verdicts summarize the remainder claims.
+    domain is the search region of the complex root finder (default
+    SpectralDomain()).
     """
     if n_max < max(n_min, 2):
         raise ValueError("n_max too small for a sweep")
     eigfun_up_to = n_max if eigfun_up_to is None else int(eigfun_up_to)
     ns = list(range(n_min, n_max + 1))
     results = _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid,
-                           jobs)
+                           domain, jobs)
     points = [p for _, p in results]
     # indices that converged to one root are degraded like a failed solve
     shared = {p.n for p in oracle._flag_shared_roots(points)}
@@ -242,18 +246,21 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
         degraded=[r.n for r in records if r.flag])
 
 
-def _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid, jobs):
+def _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid, domain,
+                 jobs):
     jobs = max(1, int(jobs))
     if jobs == 1 or len(ns) < 4:
-        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid))
+        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid,
+                             domain))
     chunks = [ns[i::jobs] for i in range(jobs)]
-    args = [(pot, chunk, grid_size, eigfun_up_to, method, sup_grid)
+    args = [(pot, chunk, grid_size, eigfun_up_to, method, sup_grid, domain)
             for chunk in chunks if chunk]
     try:
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             parts = list(pool.map(_sweep_chunk, args))
     except (OSError, RuntimeError):
-        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid))
+        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid,
+                             domain))
     merged = [item for part in parts for item in part]
     merged.sort(key=lambda pair: pair[0].n)
     return merged

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import slspec
 from slspec.cli import main
 
 PI = math.pi
@@ -169,6 +171,21 @@ def test_validate_jobs_bytes_identical(pot_files, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+def test_validate_alpha_reaches_root_finder(pot_files, tmp_path, capsys):
+    # sqrt(lam_1) of u = (1+i) sin t has imaginary part -0.72: the secant
+    # cannot reach it inside |Im sqrt(lam)| < 0.05
+    degraded = {}
+    for alpha, tag in (("2.0", "wide"), ("0.05", "narrow")):
+        base = str(tmp_path / f"rep_{tag}")
+        code, _, _ = _run(["validate", "--potential", pot_files["trig"],
+                           "--n-max", "3", "--alpha", alpha, "--out", base,
+                           "--jobs", "1"], capsys)
+        assert code == 0
+        doc = json.loads((tmp_path / f"rep_{tag}.json").read_text())
+        degraded[tag] = doc["degraded"]
+    assert degraded == {"wide": [], "narrow": [1]}
+
+
 def test_gamma_profile_scaling(pot_files, capsys):
     code, out, _ = _run(["gamma", "--potential", pot_files["const"],
                          "--n-min", "5", "--n-max", "40"], capsys)
@@ -236,9 +253,13 @@ def test_env_jobs_fallback(pot_files, tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_smoke(pot_files):
+    # the child imports the same slspec tree as this test, installed or not
+    src = os.path.dirname(os.path.dirname(slspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "slspec.cli", "spectrum", "--potential",
          pot_files["free"], "--n-max", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,")

@@ -173,6 +173,74 @@ def test_characteristic_analytic_in_lambda(trig_pot):
         assert abs(d_re - d_im) / scale < 1e-6
 
 
+# -- batched end-state kernel ------------------------------------------------------
+
+COMPLEX_STEP = PotentialSpec.step([(0, PI / 2, 0.0), (PI / 2, PI, 1.0 + 0.8j)])
+
+
+def _contour(center, points=16):
+    return center + 0.2 * np.exp(2j * PI * np.arange(points) / points)
+
+
+@pytest.mark.parametrize("name", ["trig", "poly", "complex step"])
+def test_batch_matches_scalar_evaluations(name, trig_pot, poly_pot):
+    pot = {"trig": trig_pot, "poly": poly_pot, "complex step": COMPLEX_STEP}[name]
+    # one |sqrt(lam)| for every member, so each takes the step table it
+    # takes alone; at |s| = 16.5 a piece needs more steps than a fold chunk
+    assert oracle._n_sub(1.3, 16.5, 0.004) > oracle._FOLD_CHUNK
+    lam = (16.5 * np.exp(1j * np.linspace(-0.02, 0.02, 5))) ** 2
+    for f in (characteristic, _char_reduced):
+        batch = f(pot, lam)
+        alone = np.array([f(pot, complex(v)) for v in lam])
+        assert batch.shape == (5,)
+        assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), f
+    with pytest.raises(ValueError):
+        integrate_quasi_system(pot, lam, np.linspace(0, PI, 5))
+
+
+@pytest.mark.parametrize("name", ["trig", "poly"])
+def test_batch_steps_for_its_largest_root(name, trig_pot, poly_pot):
+    # every member takes the step table of the largest |s|: that member is
+    # its own evaluation bit for bit in any batch (so the chunks do not
+    # depend on the batch size), the others get a finer table than alone
+    # and agree to the accuracy of the default RK4 step
+    pot = trig_pot if name == "trig" else poly_pot
+    lam = _contour(16.5 + 0.1j) ** 2
+    top = int(np.argmax(np.abs(lam)))
+    alone = np.array([_char_reduced(pot, complex(v)) for v in lam])
+    batch = _char_reduced(pot, lam)
+    assert batch[top] == alone[top]
+    assert _char_reduced(pot, lam[[0, top, 5]])[1] == alone[top]
+    assert np.abs(batch - alone).max() <= 1e-9 * np.abs(alone).max()
+
+
+def test_winding_one_kernel_call_on_distinct_points(free_pot):
+    seen = []
+
+    def F(s):
+        seen.append(np.asarray(s))
+        return _char_reduced(free_pot, s * s)
+
+    assert oracle._winding(F, 3.5) == 1        # free root s = k - 1/2
+    assert oracle._winding(F, 3.0) == 0
+    assert [v.shape for v in seen] == [(16,), (16,)]
+    assert all(len(np.unique(v)) == 16 for v in seen)
+
+
+def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
+    sizes = []
+    real = oracle._char_reduced
+
+    def counted(pot, lam, **kw):
+        sizes.append(np.size(lam))
+        return real(pot, lam, **kw)
+
+    monkeypatch.setattr(oracle, "_char_reduced", counted)
+    res = solve_eigenvalue(trig_pot, 5)
+    assert sizes[-1] == 16 and sizes.count(16) == 1
+    assert res.iterations == sum(sizes)
+
+
 # -- exact secular function for steps ----------------------------------------------
 
 def test_secular_reduces_to_free(free_pot):
