@@ -20,7 +20,8 @@ normalizations that would swamp the biorthogonality diagnostics for low n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +39,12 @@ class SpectralPoint:
     m: float
     sqrt_lambda_asym: complex
     phase_correction: complex       # mu_n = -v(pi, m^2)/pi
-    gamma_at_m2: float
     sqrt_lambda_numeric: complex | None = None
     residual: float | None = None
     flag: str = ""
+    # what gamma_at_m2 is sampled from: the potential and the sample count
+    _pot: PotentialSpec | None = field(default=None, repr=False, compare=False)
+    _sup_grid: int = field(default=256, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -59,6 +62,22 @@ class SpectralPoint:
     @property
     def lambda_asym(self) -> complex:
         return self.sqrt_lambda_asym ** 2
+
+    @cached_property
+    def gamma_at_m2(self) -> float:
+        """Sampled remainder gauge at m^2, computed on first read.
+
+        Few callers read it (the sweep, for an index without a usable
+        root), and sampling the gauge costs more than the prediction itself,
+        so the point keeps only a reference to its potential, not the
+        correction profile.  A point built without one can be given the
+        value by assignment.
+        """
+        if self._pot is None:
+            raise ValueError("gamma_at_m2 needs the potential; points from "
+                             "eigenvalue_asym carry it")
+        prof = _CorrectionProfile(self._pot, self.m * self.m)
+        return prof.gauge(self._sup_grid).value
 
 
 @dataclass
@@ -94,15 +113,18 @@ def default_grid(size: int = 513) -> np.ndarray:
 
 
 def eigenvalue_asym(pot: PotentialSpec, n: int, sup_grid: int = 256) -> SpectralPoint:
-    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi with the gauge attached."""
+    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi.
+
+    The gauge at m^2 (``gamma_at_m2``) is sampled on sup_grid points when
+    it is first read.
+    """
     if n < 1:
         raise ValueError("index n must be >= 1")
     m = n - 0.5
     prof = _CorrectionProfile(pot, m * m)
     mu = -prof.v(PI) / PI
-    gamma = prof.gauge(sup_grid).value
     return SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu,
-                         phase_correction=mu, gamma_at_m2=gamma)
+                         phase_correction=mu, _pot=pot, _sup_grid=sup_grid)
 
 
 def prufer_phase_asym(pot: PotentialSpec, x, lam):

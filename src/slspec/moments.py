@@ -139,6 +139,17 @@ def _merge_atoms(atoms):
     return tuple(out)
 
 
+def _derivative_atoms(atoms) -> tuple:
+    """Atoms of the derivative: (p' + i nu p) exp(i nu s) for each atom."""
+    out = []
+    for nu, coeffs in atoms:
+        d = [1j * nu * c for c in coeffs]
+        for j in range(1, len(coeffs)):
+            d[j - 1] += j * coeffs[j]
+        out.append((nu, _trim(d)))
+    return tuple(out)
+
+
 def _eval_atoms(atoms, s):
     scalar = not isinstance(s, np.ndarray)
     val = np.zeros_like(s, dtype=complex) if not scalar else 0j

@@ -7,7 +7,7 @@ suite:
 
 * one propagator for the first-order quasi-derivative system in
   (y, y' - u y): the exact constant-coefficient exponential inside constant
-  pieces and fixed-step 4th-order RK4 inside smooth ones.  The pair stays
+  pieces and 4th-order Magnus cells inside smooth ones.  The pair stays
   continuous across the point interactions of q = u' (the jumps of a step
   u), so piecewise-constant u is solved exactly with no jump rule;
 * the phase/log-modulus equations obtained from the modified Prufer
@@ -19,21 +19,34 @@ distributional q; the quasi-derivative condition is the correct reading, and
 it makes a constant shift of u act as a Robin parameter (documented in the
 potential module).
 
-Fixed deterministic steps are used on purpose: the trajectories are
-oscillatory, and deterministic grids keep cross-method and step-halving
-comparisons exact.
+Inside a smooth piece q = u' is an ordinary function, so the classical pair
+(y, y') is carried across the cells of a uniform mesh, at most step_scale
+long, that depends neither on lambda nor on the nodes; the pair is turned
+into (y, y' - u y) and back at the ends of the piece.  Each cell is one
+exponential of its 4th-order Magnus exponent with two Gauss points (Iserles
+& Norsett 1999), in closed form because the exponent is a traceless 2x2
+matrix, like the exact constant cell.  The commutator of two classical
+system matrices, (q1 - q2) diag(1, -1), holds no lambda, so the error of a
+cell does not grow with lambda; the commutator of the quasi-derivative
+matrices carries 2 lambda (a - b), and cells built from those lose accuracy
+as lambda grows.  The characteristic needs only the end state: the cell
+matrices of each smooth piece are multiplied pairwise and the product is
+applied once, for a scalar or a 1-D batch of lambda (the
+argument-principle check evaluates its 16-point contour that way).  States
+at nodes inside a piece (eigenfunctions, Sturm counts) come from a prefix
+scan of the cells and one partial Magnus step per node.
 
-The characteristic needs only the end state.  There a smooth piece is not
-stepped state by state: its RK4 step matrices are multiplied pairwise, in
-chunks of _FOLD_CHUNK steps, and the product is applied once.  The same
-kernel takes a 1-D batch of lambda in one call; each smooth piece then cuts
-its step table for the largest |sqrt(lambda)| of the batch, and the
-argument-principle check evaluates its 16-point contour that way.
+force_rk4 swaps every piece, constant ones too, for fixed-step classical
+RK4 on the quasi system with phase advance at most step_scale per step,
+the independent route the test suite checks the cells against.
+Deterministic meshes and steps keep cross-method and step-halving
+comparisons exact.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,13 +60,15 @@ from .errors import (IndexingError, IntegrationBlowupError, InternalError,
 from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
-_DEFAULT_STEP_SCALE = 0.004     # phase advance |sqrt(lam)| * h per RK4 step
+_DEFAULT_STEP_SCALE = 0.004     # Magnus cell length; RK4 phase advance per step
 _PRUFER_STEP_SCALE = 0.02
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
-_FOLD_CHUNK = 512               # RK4 steps per chunk of an end-state fold
+_GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
+_GAUSS_HI = 0.5 + math.sqrt(3) / 6
+_MAGNUS_C = math.sqrt(3) / 12           # weight of the Magnus commutator term
 
 
 @dataclass(frozen=True)
@@ -155,22 +170,14 @@ def _const_advance(y, const, lamc, s, d):
     return y1, y2
 
 
-def _mul(a, b):
-    """a @ b for 2x2 matrices given as (m00, m01, m10, m11) components."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
 def _rk4_matrices(u0, um, u1, lam, h):
     """Batched RK4 one-step propagators for Y' = A(x) Y.
 
     A(u) = [[u, 1], [-lam - u^2, -u]].  u0, um, u1 (u at the left end, the
     middle and the right end of each step) have one entry per step and h
-    one per step or one for all.  lam is a scalar or a 1-D batch, which
-    leads the result: shape lam.shape + (steps, 2, 2).  The 2x2 products
-    are written out component by component.
+    one per step or one for all.  lam is a scalar or a 1-D batch: the
+    result has shape (2, 2) + lam.shape + (steps,).  The 2x2 products are
+    written out component by component.
     """
     lam = np.asarray(lam, dtype=complex)[..., None]
     h = np.asarray(h, dtype=float)
@@ -187,65 +194,145 @@ def _rk4_matrices(u0, um, u1, lam, h):
     k3 = times_a(um, (1.0 + h2 * k2[0], h2 * k2[1], h2 * k2[2], 1.0 + h2 * k2[3]))
     k4 = times_a(u1, (1.0 + h * k3[0], h * k3[1], h * k3[2], 1.0 + h * k3[3]))
     h6 = h / 6
-    out = np.empty(lam.shape[:-1] + (len(u0), 2, 2), dtype=complex)
-    out[..., 0, 0] = 1.0 + h6 * (u0 + 2 * k2[0] + 2 * k3[0] + k4[0])
-    out[..., 0, 1] = h6 * (1.0 + 2 * k2[1] + 2 * k3[1] + k4[1])
-    out[..., 1, 0] = h6 * (c0 + 2 * k2[2] + 2 * k3[2] + k4[2])
-    out[..., 1, 1] = 1.0 + h6 * (-u0 + 2 * k2[3] + 2 * k3[3] + k4[3])
+    out = np.empty((2, 2) + lam.shape[:-1] + (len(u0),), dtype=complex)
+    out[0, 0] = 1.0 + h6 * (u0 + 2 * k2[0] + 2 * k3[0] + k4[0])
+    out[0, 1] = h6 * (1.0 + 2 * k2[1] + 2 * k3[1] + k4[1])
+    out[1, 0] = h6 * (c0 + 2 * k2[2] + 2 * k3[2] + k4[2])
+    out[1, 1] = 1.0 + h6 * (-u0 + 2 * k2[3] + 2 * k3[3] + k4[3])
     return out
+
+
+def _matmul(a, b):
+    """a @ b for stacks of 2x2 matrices with the matrix axes in front."""
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
 
 
 def _chain(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :].
+    """Ordered product mats[..., -1] @ ... @ mats[..., 0], shape (2, 2, ...).
 
-    Pairwise reduction along the step axis, each 2x2 product written out
-    component by component; leading axes (a batch of lambda) ride along.
+    mats has shape (2, 2, ..., steps): the matrix axes lead, so one pass
+    of the pairwise reduction along the step axis forms every entry as
+    a[i, 0] b[0, j] + a[i, 1] b[1, j] in three array operations.  Middle
+    axes (a batch of lambda) ride along.
     """
-    cur = [mats[..., 0, 0], mats[..., 0, 1], mats[..., 1, 0], mats[..., 1, 1]]
-    while cur[0].shape[-1] > 1:
-        k = cur[0].shape[-1] // 2
-        prod = _mul([x[..., 1:2 * k:2] for x in cur],
-                    [x[..., 0:2 * k:2] for x in cur])
-        if cur[0].shape[-1] % 2:
-            prod = [np.concatenate((p, x[..., -1:]), axis=-1)
-                    for p, x in zip(prod, cur)]
+    cur = mats
+    while cur.shape[-1] > 1:
+        k = cur.shape[-1] // 2
+        prod = _matmul(cur[..., 1:2 * k:2], cur[..., 0:2 * k:2])
+        if cur.shape[-1] % 2:
+            prod = np.concatenate((prod, cur[..., -1:]), axis=-1)
         cur = prod
-    out = np.empty(mats.shape[:-3] + (2, 2), dtype=complex)
-    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = (
-        x[..., 0] for x in cur)
-    return out
+    return cur[..., 0]
 
 
-def _fold(u_lo, u_mid, u_hi, lam, hs, y):
-    """y carried across a smooth piece by the product of its RK4 steps.
+def _apply(p, y):
+    """p @ y for a product matrix p, (2, 2) or (2, 2, batch).
 
-    The step matrices are built and multiplied pairwise (_chain) in chunks
-    of _FOLD_CHUNK steps counted from the start of the piece, and the chunk
-    products are then multiplied pairwise in turn.  Because the chunk is a
-    power of two this is the pairwise tree of one _chain over the whole
-    table, bit for bit, without holding the whole table at once.  The
-    product is applied to y in scalar complex arithmetic, one lambda at a
-    time: numpy's array products of complex numbers can fuse multiply and
-    add (SIMD loops on FMA hardware) where its scalar products do not, and
-    the scalar form keeps a member of a batch equal to the same lambda
-    evaluated alone.
+    Applied in scalar complex arithmetic, one lambda at a time: numpy's
+    array products of complex numbers can fuse multiply and add (SIMD loops
+    on FMA hardware) where its scalar products do not, and the scalar form
+    keeps a member of a batch equal to the same lambda evaluated alone.
     """
-    p = _chain(np.stack([
-        _chain(_rk4_matrices(u_lo[c:c + _FOLD_CHUNK], u_mid[c:c + _FOLD_CHUNK],
-                             u_hi[c:c + _FOLD_CHUNK], lam, hs[c:c + _FOLD_CHUNK]))
-        for c in range(0, len(hs), _FOLD_CHUNK)], axis=-3))
     if p.ndim == 2:
         (p00, p01), (p10, p11) = p.tolist()
         return p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1]
-    rows = zip(p.tolist(), np.broadcast_to(y[0], len(p)).tolist(),
-               np.broadcast_to(y[1], len(p)).tolist())
+    n = p.shape[-1]
+    rows = zip(*(x.tolist() for x in p.reshape(4, n)),
+               np.broadcast_to(y[0], n).tolist(),
+               np.broadcast_to(y[1], n).tolist())
     out = np.array([(p00 * a + p01 * b, p10 * a + p11 * b)
-                    for ((p00, p01), (p10, p11)), a, b in rows])
+                    for p00, p01, p10, p11, a, b in rows])
     return out[:, 0], out[:, 1]
 
 
+def _magnus_parts(q_atoms, lefts, h):
+    """The lambda-free parts (delta, gamma) of each cell's Magnus exponent.
+
+    Inside a smooth piece q = u' is an ordinary function and the classical
+    pair (y, y') solves Y' = A(q) Y with A(q) = [[0, 1], [q - lam, 0]].
+    Cell k is [lefts[k], lefts[k] + h] (h a scalar or one per cell) in the
+    local coordinate of the piece, q_atoms are the atoms of q, and q is
+    sampled at the two Gauss points of the cell, q1 and q2.  The 4th-order
+    exponent Omega = h/2 (A(q1) + A(q2)) + (sqrt(3)/12) h^2 [A(q2), A(q1)]
+    has [A(q2), A(q1)] = (q1 - q2) diag(1, -1), free of lambda, so
+    Omega = [[delta, h], [gamma - lam h, -delta]].
+    """
+    q1 = moments._eval_atoms(q_atoms, lefts + _GAUSS_LO * h)
+    q2 = moments._eval_atoms(q_atoms, lefts + _GAUSS_HI * h)
+    return _MAGNUS_C * h * h * (q1 - q2), (h / 2) * (q1 + q2)
+
+
+@functools.lru_cache(maxsize=64)
+def _mesh(atoms, span: float, step_scale: float):
+    """The lambda-free data of the uniform cell mesh of one smooth piece.
+
+    Returns (h, parts, q_atoms, u_a, u_b): the cell length (at most
+    step_scale and _H_MAX), the Magnus parts of every cell, the atoms of
+    q = u' and u at both ends of the piece.  The mesh depends on neither
+    lambda nor the nodes, so it is built once per piece and step scale;
+    its arrays are read-only because callers share them.
+    """
+    ncell = int(_n_sub(span, 1.0, step_scale))
+    h = span / ncell
+    q_atoms = moments._derivative_atoms(atoms)
+    parts = _magnus_parts(q_atoms, h * np.arange(ncell), h)
+    for p in parts:
+        p.setflags(write=False)
+    u_a, u_b = moments._eval_atoms(atoms, np.array([0.0, span])).tolist()
+    return h, parts, q_atoms, u_a, u_b
+
+
+def _magnus_matrices(delta, gamma, h, lam):
+    """exp(Omega) of each cell, shape (2, 2) + lam.shape + (cells,).
+
+    Omega = [[delta, h], [gamma - lam h, -delta]] is traceless, so
+    Omega^2 = -z^2 I with z^2 = -(delta^2 + h (gamma - lam h)), and
+    exp(Omega) = cos(z) I + (sin(z)/z) Omega; both are even in z, so the
+    branch of the square root does not matter, and an imaginary z (a
+    cell below its potential) gives cosh and sinh.  lam is a scalar or a
+    1-D batch (the middle axis of the result).
+    """
+    lam = np.asarray(lam, dtype=complex)[..., None]
+    o10 = gamma - lam * h
+    z2 = -(delta * delta + h * o10)
+    z = np.sqrt(z2)
+    small = np.abs(z) < 1e-6
+    if small.any():
+        sz = np.where(small, 1 - z2 / 6, np.sin(z) / np.where(small, 1.0, z))
+    else:
+        sz = np.sin(z) / z
+    cz = np.cos(z)
+    out = np.empty((2, 2) + o10.shape, dtype=complex)
+    sd = sz * delta
+    out[0, 0] = cz + sd
+    out[0, 1] = sz * h
+    out[1, 0] = sz * o10
+    out[1, 1] = cz - sd
+    return out
+
+
+def _prefix(mats: np.ndarray) -> np.ndarray:
+    """mats[..., k] @ ... @ mats[..., 0] for every k, shape (2, 2, cells).
+
+    An inclusive scan in log2(cells) passes: each pass multiplies every
+    entry by the one d places before it, d doubling.  The matrix axes lead,
+    as in _chain.
+    """
+    cur = mats
+    d = 1
+    while d < cur.shape[-1]:
+        prod = _matmul(cur[..., d:], cur[..., :-d])
+        cur = np.concatenate((cur[..., :d], prod), axis=-1)
+        d *= 2
+    return cur
+
+
 def _n_sub(span, s_mag, step_scale):
-    """RK4 steps per span (scalar or array): phase advance and length capped."""
+    """RK4 steps per span (scalar or array): phase advance and length capped.
+
+    With s_mag = 1 it gives the cells of a smooth piece, which are at most
+    step_scale long whatever lambda.
+    """
     need = np.maximum(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
@@ -263,16 +350,25 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
 
     lam is a scalar or a 1-D batch.  A batch gives arrays of shape
     (nodes, batch) and takes states only at 0, at piece ends and at the
-    last node; each smooth piece cuts one step table for the largest
-    |sqrt(lam)| of the batch, so every member advances at most step_scale
-    in phase per step, and samples u once.  A smooth piece whose only
-    recorded stop is its own end is folded (_fold); one with stops inside
-    runs the step recurrence and records the states at the stops.
+    last node.  A constant piece propagates exactly (_const_advance).  A
+    smooth piece is cut into the cells of a uniform mesh, at most
+    step_scale long, that depends on neither lambda nor the nodes (_mesh);
+    each cell propagates by the exponential of its 4th-order Magnus
+    exponent (_magnus_matrices).  Where only the end state of a piece is
+    needed, its cells are multiplied pairwise in one product (_chain); a
+    node inside a piece takes the state at the start of its cell (_prefix)
+    and one partial Magnus step over the rest.
+
+    With force_rk4 every piece, constant ones too, is stepped by RK4
+    instead: each piece cuts one step table for the largest |sqrt(lam)| of
+    the batch, so every member advances at most step_scale in phase per
+    step; a piece with no stop inside multiplies its step matrices
+    pairwise, one with stops inside runs the step recurrence and records
+    the states at the stops.
     """
     s = _regular_root(lam)
     batch = isinstance(s, np.ndarray)
     lamc = np.asarray(lam, dtype=complex) if batch else complex(lam)
-    s_mag = float(np.abs(s).max()) if batch else abs(s)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
     maxnode = float(nodes[-1])
@@ -287,22 +383,51 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
         pos += 1
     piece_ends = [min(b, maxnode) for b in pe.breaks[1:]]
     cuts = np.searchsorted(nodes, np.asarray(piece_ends) + 1e-15).tolist()
-    for i, (a, end, j1) in enumerate(zip(pe.breaks, piece_ends, cuts)):
+    for i, (a, b, end, j1) in enumerate(zip(pe.breaks, pe.breaks[1:],
+                                            piece_ends, cuts)):
         if pos >= len(nodes) or a >= maxnode - 1e-15:
             break
+        # nodes[pos:k] lie inside the piece, nodes[k:j1] on its end
+        k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
         const = None if force_rk4 else _piece_constant(pe, i)
-        if const is not None:
+        magnus = const is None and not force_rk4
+        if magnus:
+            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
+            h, parts, q_atoms, u_a, u_b = _mesh(pe.pieces[i], b - a,
+                                                step_scale)
+            cells = _magnus_matrices(*parts, h, lamc)
+            yc = (y[0], y[1] + u_a * y[0])
+        if magnus and k == pos and end == b:
+            # only the end state is needed: one product of the cells
+            e1, e2 = _apply(_chain(cells), yc)
+            y_end = (e1, e2 - u_b * e1)
+        elif const is not None:
             y_end = _const_advance(y, const, lamc, s, end - a)
-            # a node at the end of the piece takes the end state
-            k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
             if k > pos:
                 y1[pos:k], y2[pos:k] = _const_advance(y, const, lamc, s,
                                                       nodes[pos:k] - a)
-            y1[k:j1], y2[k:j1] = y_end
-            y = y_end
+        elif magnus:
+            if end < b:
+                k = j1          # the last node stops inside the piece
+            # classical states at the cell starts and the end, then one
+            # partial cell per node
+            (p00, p01), (p10, p11) = _prefix(cells)
+            c1 = np.concatenate(([yc[0]], p00 * yc[0] + p01 * yc[1]))
+            c2 = np.concatenate(([yc[1]], p10 * yc[0] + p11 * yc[1]))
+            x = nodes[pos:k] - a
+            cell = np.minimum(np.floor(x / h), len(p00) - 1)
+            d = x - cell * h
+            part = _magnus_matrices(*_magnus_parts(q_atoms, cell * h, d), d,
+                                    lamc)
+            cell = cell.astype(np.int64)
+            y1[pos:k] = part[0, 0] * c1[cell] + part[0, 1] * c2[cell]
+            y2[pos:k] = (part[1, 0] * c1[cell] + part[1, 1] * c2[cell]
+                         - moments._eval_atoms(pe.pieces[i], x) * y1[pos:k])
+            y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         else:
             # RK4 step table: each gap between stops is cut into nsub equal
             # steps; the states at the recorded stops are kept
+            s_mag = float(np.abs(s).max()) if batch else abs(s)
             sel = nodes[pos:j1]
             stops = sel
             if not len(sel) or end - sel[-1] > 1e-15:
@@ -315,53 +440,32 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             local_k = np.arange(ends[-1]) - np.repeat(ends - nsub, nsub)
             hs = np.repeat(h, nsub)
             lefts = np.repeat(prevs, nsub) + hs * local_k
-            u_lo = moments._eval_atoms(pe.pieces[i], lefts - a)
-            u_mid = moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a)
-            u_hi = moments._eval_atoms(pe.pieces[i], lefts + hs - a)
+            mats = _rk4_matrices(
+                moments._eval_atoms(pe.pieces[i], lefts - a),
+                moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a),
+                moments._eval_atoms(pe.pieces[i], lefts + hs - a), lamc, hs)
             if len(stops) == 1:
-                y = _fold(u_lo, u_mid, u_hi, lamc, hs, y)
-                y1[pos:j1], y2[pos:j1] = y
+                y_end = _apply(_chain(mats), y)
+                k = pos
             else:
-                mats = _rk4_matrices(u_lo, u_mid, u_hi, lamc, hs)
-                flat = mats.reshape(len(mats), 4).tolist()
+                flat = mats.reshape(4, -1).T.tolist()
                 marks = iter((ends[:len(sel)] - 1).tolist() + [-1])
-                mark, k = next(marks), pos
+                mark, n = next(marks), pos
                 a1, a2 = y
                 for j, (m00, m01, m10, m11) in enumerate(flat):
                     a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
                     if j == mark:
-                        y1[k], y2[k] = a1, a2
-                        mark, k = next(marks), k + 1
-                y = (a1, a2)
+                        y1[n], y2[n] = a1, a2
+                        mark, n = next(marks), n + 1
+                y_end = (a1, a2)
+        y1[k:j1], y2[k:j1] = y_end
+        y = y_end
         if not (np.isfinite(y).all() if batch
                 else cmath.isfinite(y[0]) and cmath.isfinite(y[1])):
             raise IntegrationBlowupError(f"non-finite state at x = {end}",
                                          location=float(end))
         pos = j1
     return y1, y2
-
-
-def _node_set(grid: np.ndarray, breaks) -> np.ndarray:
-    """grid, 0 and the breaks below grid[-1], sorted and without repeats.
-
-    The few breaks are merged into the sorted grid: each run of breaks that
-    falls between two grid points goes in as one block, and a break equal
-    to a grid point is dropped.
-    """
-    last = float(grid[-1])
-    extra = sorted({0.0, *[b for b in breaks if b < last]})
-    parts, prev = [], 0
-    for c, b in zip(grid.searchsorted(extra).tolist(), extra):
-        if c < grid.size and grid[c] == b:
-            continue
-        if not parts or c != prev:
-            parts += [grid[prev:c], []]
-            prev = c
-        parts[-1].append(b)
-    if not parts:
-        return grid
-    parts.append(grid[prev:])
-    return np.concatenate(parts)
 
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
@@ -371,10 +475,12 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     """Trajectory of (y1, y2) = (y, y' - u y) from (0, sqrt(lam)) at x = 0.
 
     Constant pieces propagate with the exact matrix exponential (the free
-    evolution conjugated by the u-shear) unless force_rk4 is set; smooth
-    pieces use fixed-step RK4 with phase advance <= step_scale per step.
-    lam may be a 1-D batch when the grid holds only piece ends (the
-    characteristic's [pi]); y1 and y2 then have shape (grid, batch).
+    evolution conjugated by the u-shear); smooth pieces by 4th-order
+    Magnus cells at most step_scale long, on a mesh that does not depend
+    on lambda or on the grid.  force_rk4 steps every piece by fixed-step
+    RK4 with phase advance <= step_scale per step instead.  lam may be a
+    1-D batch when the grid holds only piece ends (the characteristic's
+    [pi]); y1 and y2 then have shape (grid, batch).
     """
     s = _regular_root(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -382,7 +488,9 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
         raise ValueError("grid must be strictly increasing")
     if not (grid.size and grid[0] >= -1e-12 and grid[-1] <= PI + 1e-9):
         raise ValueError("grid must be a nonempty subset of [0, pi]")
-    nodes = _node_set(grid, pot.breaks)
+    c = int(grid.searchsorted(0.0))     # the initial state is a node too
+    nodes = grid if c < grid.size and grid[c] == 0.0 else np.concatenate(
+        (grid[:c], [0.0], grid[c:]))
     y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
                              force_rk4=force_rk4, init=init)
     idx = np.searchsorted(nodes, grid)
@@ -395,7 +503,10 @@ def characteristic(pot: PotentialSpec, lam, *,
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
-    Neumann problem.  A 1-D batch of lam gives an array, in one call.
+    Neumann problem.  Only the end state is formed: one product of the
+    Magnus cells of each smooth piece, the exact
+    exponential of each constant piece (the RK4 steps under force_rk4).  A
+    1-D batch of lam gives an array, in one call.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
                                   step_scale=step_scale, force_rk4=force_rk4)

@@ -142,7 +142,7 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
                sup_grid: int, domain: SpectralDomain | None):
     point = asymptotics.eigenvalue_asym(pot, n, sup_grid=sup_grid)
     flag = ""
-    gamma = point.gamma_at_m2
+    gamma = None
     eig_err = 0.0
     sup_err = 0.0
     try:
@@ -161,6 +161,8 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
             IntegrationBlowupError) as exc:
         flag = f"degraded: {exc}"
         point.flag = flag
+    if gamma is None:               # no root: the gauge at m^2 stands in
+        gamma = point.gamma_at_m2
     return _record(n, gamma, eig_err, sup_err, flag), point
 
 

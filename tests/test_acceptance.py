@@ -195,12 +195,12 @@ def test_criterion_8_oracle_self_consistency(all_pots, step_pot):
             for k in (1.0, 0.5, 0.25)]
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     halving_ok = 12.0 <= ratio <= 20.0
-    # root sets of the two secular formulations agree pairwise
+    # roots of the exact constant-piece propagator, re-rooted on RK4 steps
     root_dev = 0.0
     for n in range(1, 51):
-        res = solve_eigenvalue(step_pot, n)       # transfer-matrix route
+        res = solve_eigenvalue(step_pot, n)       # exact propagator route
         lam0 = float(res.lam.real)
-        f = lambda lam: float(_char_reduced(step_pot, lam).real)
+        f = lambda lam: float(_char_reduced(step_pot, lam, force_rk4=True).real)
         w = 0.2 * max(1.0, math.sqrt(abs(lam0)))
         r2 = brentq(f, lam0 - w, lam0 + w, xtol=1e-12, rtol=8.9e-16)
         root_dev = max(root_dev, abs(r2 - lam0) / max(1.0, abs(lam0)))

@@ -185,32 +185,35 @@ def _contour(center, points=16):
 @pytest.mark.parametrize("name", ["trig", "poly", "complex step"])
 def test_batch_matches_scalar_evaluations(name, trig_pot, poly_pot):
     pot = {"trig": trig_pot, "poly": poly_pot, "complex step": COMPLEX_STEP}[name]
-    # one |sqrt(lam)| for every member, so each takes the step table it
-    # takes alone; at |s| = 16.5 a piece needs more steps than a fold chunk
-    assert oracle._n_sub(1.3, 16.5, 0.004) > oracle._FOLD_CHUNK
+    # one |sqrt(lam)| for every member, so under force_rk4 each takes the
+    # step table it takes alone; the Magnus cells never depend on lambda
     lam = (16.5 * np.exp(1j * np.linspace(-0.02, 0.02, 5))) ** 2
-    for f in (characteristic, _char_reduced):
-        batch = f(pot, lam)
-        alone = np.array([f(pot, complex(v)) for v in lam])
-        assert batch.shape == (5,)
-        assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), f
+    for force_rk4 in (False, True):
+        for f in (characteristic, _char_reduced):
+            batch = f(pot, lam, force_rk4=force_rk4)
+            alone = np.array([f(pot, complex(v), force_rk4=force_rk4)
+                              for v in lam])
+            assert batch.shape == (5,)
+            assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), \
+                (f, force_rk4)
     with pytest.raises(ValueError):
         integrate_quasi_system(pot, lam, np.linspace(0, PI, 5))
 
 
 @pytest.mark.parametrize("name", ["trig", "poly"])
 def test_batch_steps_for_its_largest_root(name, trig_pot, poly_pot):
-    # every member takes the step table of the largest |s|: that member is
-    # its own evaluation bit for bit in any batch (so the chunks do not
-    # depend on the batch size), the others get a finer table than alone
-    # and agree to the accuracy of the default RK4 step
+    # under force_rk4 every member takes the step table of the largest |s|:
+    # that member is its own evaluation bit for bit in any batch, the others
+    # get a finer table than alone and agree to the accuracy of the default
+    # RK4 step
     pot = trig_pot if name == "trig" else poly_pot
     lam = _contour(16.5 + 0.1j) ** 2
     top = int(np.argmax(np.abs(lam)))
-    alone = np.array([_char_reduced(pot, complex(v)) for v in lam])
-    batch = _char_reduced(pot, lam)
+    alone = np.array([_char_reduced(pot, complex(v), force_rk4=True)
+                      for v in lam])
+    batch = _char_reduced(pot, lam, force_rk4=True)
     assert batch[top] == alone[top]
-    assert _char_reduced(pot, lam[[0, top, 5]])[1] == alone[top]
+    assert _char_reduced(pot, lam[[0, top, 5]], force_rk4=True)[1] == alone[top]
     assert np.abs(batch - alone).max() <= 1e-9 * np.abs(alone).max()
 
 
@@ -416,6 +419,94 @@ def test_default_step_accuracy_at_large_lambda():
     assert abs(d1 - d2) <= 1e-9 * abs(d1)
 
 
+# -- Magnus cells on smooth pieces ----------------------------------------------------
+
+# smooth, constant and smooth again, with jumps of u at both breaks
+MIXED = PotentialSpec.poly([(0.0, 1.0, [0.0, 1.0]), (1.0, 2.0, [1.5]),
+                            (2.0, PI, [1.0, 0.0, -0.3])])
+
+
+def _fine_rk4_root(pot, lam):
+    """Reference: lam moved by one Newton step on RK4 at step scale 0.002."""
+    f = lambda l: _char_reduced(pot, l, step_scale=0.002, force_rk4=True).real
+    h = 1e-6 * max(1.0, abs(lam))
+    return lam - f(lam) * 2 * h / (f(lam + h) - f(lam - h))
+
+
+@pytest.mark.parametrize("name", ["poly", "real trig"])
+def test_cell_roots_match_fine_rk4(name, poly_pot):
+    pot = poly_pot if name == "poly" else PotentialSpec.trig([(0.0, PI, [1.0])])
+    for n in (1, 2, 5, 20, 50, 200):
+        lam = solve_eigenvalue(pot, n).lam
+        s = oracle.principal_sqrt(lam)
+        s_ref = oracle.principal_sqrt(_fine_rk4_root(pot, lam))
+        assert abs(s - s_ref) <= 1e-10 * abs(s_ref), n
+
+
+def _chunked_rk4_reduced(pot, lam, chunk=1 << 16):
+    """_char_reduced by RK4 at the default step scale, one chunk of the step
+    table at a time: the forced end state builds the whole table at once,
+    which at n = 1000 takes hundreds of MB."""
+    s = abs(oracle.principal_sqrt(lam))
+    pe = pot.piecewise
+    y = (0j, 1 + 0j)
+    for atoms, a, b in zip(pe.pieces, pe.breaks, pe.breaks[1:]):
+        steps = int(oracle._n_sub(b - a, s, oracle._DEFAULT_STEP_SCALE))
+        h = (b - a) / steps
+        for lo in range(0, steps, chunk):
+            x = h * np.arange(lo, min(steps, lo + chunk))
+            mats = oracle._rk4_matrices(moments._eval_atoms(atoms, x),
+                                        moments._eval_atoms(atoms, x + h / 2),
+                                        moments._eval_atoms(atoms, x + h),
+                                        lam, h)
+            y = oracle._apply(oracle._chain(mats), y)
+    return y[1].real
+
+
+@pytest.mark.parametrize("name", ["poly", "real trig"])
+def test_cell_root_matches_rk4_at_large_index(name, poly_pot):
+    # a default cell spans about 4 radians of phase at n = 1000; the cell
+    # error still does not grow with lambda
+    pot = poly_pot if name == "poly" else PotentialSpec.trig([(0.0, PI, [1.0])])
+    lam = solve_eigenvalue(pot, 1000).lam.real
+    h = 1e-6 * lam
+    f = [_chunked_rk4_reduced(pot, v) for v in (lam, lam + h, lam - h)]
+    ref = lam - f[0] * 2 * h / (f[1] - f[2])
+    assert abs(math.sqrt(lam) - math.sqrt(ref)) <= 1e-10 * math.sqrt(ref)
+
+
+def test_cell_characteristic_matches_fine_rk4_complex(trig_pot):
+    # |s| <= 50: above that RK4 at 0.002 is itself no better than 1e-10
+    for s in (3.5 + 0.4j, 10.5 + 0.3j, 50.3 - 0.2j):
+        ref = characteristic(trig_pot, s * s, step_scale=0.002, force_rk4=True)
+        assert abs(characteristic(trig_pot, s * s) - ref) <= 1e-10 * abs(ref), s
+
+
+def test_cell_halving_fourth_order(trig_pot):
+    # step_scale = pi / 2^j cuts the one piece into exactly 2^j cells
+    for pot in (PotentialSpec.trig([(0.0, PI, [1.0])]), trig_pot):
+        vals = [characteristic(pot, 90.0, step_scale=PI / 2 ** j)
+                for j in (6, 7, 8, 9)]
+        d = [abs(v - w) for v, w in zip(vals, vals[1:])]
+        assert 12.0 <= d[0] / d[1] <= 20.0 and 12.0 <= d[1] / d[2] <= 20.0
+
+
+@pytest.mark.parametrize("name", ["poly", "trig", "mixed"])
+def test_cell_node_states_match_fine_rk4(name, poly_pot, trig_pot):
+    pot = {"poly": poly_pot, "trig": trig_pot, "mixed": MIXED}[name]
+    grid = np.linspace(0, PI, 513)
+    for lam in (-2.0, 90.0, 400.0 + 3.0j, 2500.0):
+        tr = integrate_quasi_system(pot, lam, grid)
+        ref = integrate_quasi_system(pot, lam, grid, step_scale=0.002,
+                                     force_rk4=True)
+        scale = max(np.abs(ref.y1).max(), np.abs(ref.y2).max())
+        assert np.abs(tr.y1 - ref.y1).max() <= 1e-9 * scale, lam
+        assert np.abs(tr.y2 - ref.y2).max() <= 1e-9 * scale, lam
+        # the last node comes from the prefix states, Delta from one
+        # product over the cells of each smooth piece
+        assert abs(tr.y2[-1] - characteristic(pot, lam)) <= 1e-13 * scale, lam
+
+
 # -- Sturm counts and the scan route --------------------------------------------------
 
 def _reduced_g(pot):
@@ -581,7 +672,7 @@ def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
             marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
             a1, a2 = y
             for j, (m00, m01, m10, m11) in enumerate(
-                    mats.reshape(len(mats), 4).tolist()):
+                    mats.reshape(4, -1).T.tolist()):
                 a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
                 k = marks.get(j)
                 if k is not None:
@@ -592,6 +683,7 @@ def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
 
 
 def test_dense_states_step_tables_bit_identical(poly_pot):
+    # the RK4 route (force_rk4) against the per-stop loop it replaced
     breaks = np.asarray(poly_pot.breaks)
     node_sets = {
         "norm grid": np.union1d(np.linspace(0.0, PI, 32769), breaks),
@@ -603,7 +695,7 @@ def test_dense_states_step_tables_bit_identical(poly_pot):
     for lam, init in ((90.0, None), (-3.1, (0.0, 1.0)), (400.0 + 3.0j, None)):
         for name, nodes in node_sets.items():
             got = oracle._dense_states(poly_pot, lam, nodes, step_scale=0.004,
-                                       init=init)
+                                       force_rk4=True, init=init)
             ref = _dense_states_per_stop(poly_pot, lam, nodes,
                                          step_scale=0.004, init=init)
             assert np.array_equal(got[0], ref[0]), (lam, name)

@@ -62,6 +62,42 @@ def test_sweep_jobs_match_serial(step_pot):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
+    import slspec.oracle as om
+    from slspec import solve_spectrum
+    from slspec.oscillatory import _CorrectionProfile
+
+    gauge_lams = []
+    real_gauge = _CorrectionProfile.gauge
+    real_solve = om.solve_eigenvalue
+
+    def counting_gauge(self, sup_grid=256):
+        gauge_lams.append(complex(self.lam))
+        return real_gauge(self, sup_grid)
+
+    def flaky(pot, n, seed=None, **kw):
+        if n == 5:
+            raise om.NonconvergenceError("synthetic failure", best=None)
+        return real_solve(pot, n, seed=seed, **kw)
+
+    monkeypatch.setattr(_CorrectionProfile, "gauge", counting_gauge)
+    pts = solve_spectrum(step_pot, range(1, 9))
+    assert all(not p.flag for p in pts)
+    assert gauge_lams == []
+    # a sweep samples the gauge at each solved lambda_n, and at m^2 only
+    # for the index that has no root
+    monkeypatch.setattr(om, "solve_eigenvalue", flaky)
+    rep = remainder_sweep(step_pot, 12, jobs=1)
+    assert rep.degraded == [5]
+    assert len(gauge_lams) == 12
+    assert gauge_lams.count(4.5 ** 2) == 1
+    for pt in rep.points:
+        if pt.n != 5:
+            lam_n = pt.sqrt_lambda_numeric ** 2
+            assert sum(abs(lam - lam_n) <= 1e-9 * abs(lam_n)
+                       for lam in gauge_lams) == 1
+
+
 def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
     from collections import Counter
 
