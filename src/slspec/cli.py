@@ -2,10 +2,13 @@
 
 Thin shell over the library: every command's output is reproducible from
 library calls with the same configuration, and per-index determinism makes
-the output independent of the parallelism degree.
+the output independent of the parallelism degree.  Each subcommand
+registers only the flags it reads (_FLAGS, _COMMAND_FLAGS); a field of
+RunConfig that a subcommand does not register keeps its default.
 
-Exit codes: 0 success (possibly with flagged rows), 2 configuration or
-potential-file error, 3 internal invariant violation.
+Exit codes: 0 success (possibly with flagged rows); 2 a usage error (from
+argparse, RunConfig.validate, the potential file, or an unreadable or
+unwritable path); 3 an error raised inside the library.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import sys
 from dataclasses import dataclass, asdict
 
 from . import asymptotics, oracle, validation
-from .errors import (DomainError, PotentialFormatError, SingularArgumentError,
-                     SpectralError)
+from .errors import PotentialFormatError, SpectralError
 from .oscillatory import SpectralDomain, remainder_gauge
-from .potential import load_potential
+from .potential import PotentialSpec, load_potential
 from .validation import _csv_text, _fmt
 
 SPECTRUM_SCHEMA = "slspec-spectrum/1"
@@ -48,6 +50,8 @@ class RunConfig:
             raise ValueError("--n must be >= 1")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("index range is empty; need 1 <= n-min <= n-max")
+        if self.command == "validate" and self.n_max < 2:
+            raise ValueError("a sweep needs n-max >= 2")
         if self.grid < 16:
             raise ValueError("--grid must be at least 16")
         if not self.tol_root > 0:
@@ -64,39 +68,53 @@ class RunConfig:
         return os.cpu_count() or 1
 
 
+# Every flag, declared once; the destination is the RunConfig field it
+# sets, and the default is that field's default.
+_FLAGS = {
+    "--potential": dict(required=True,
+                        help="JSON potential file (kind step|poly|trig)"),
+    "--n-min": dict(type=int),
+    "--n-max": dict(type=int),
+    "--n": dict(type=int, help="the index (default 1)"),
+    "--grid": dict(type=int),
+    "--method": dict(choices=["asym", "shoot", "both"]),
+    "--kind": dict(choices=["asym", "biorth", "oracle"]),
+    "--alpha": dict(type=float, help="complex roots are searched in "
+                                     "|Im sqrt(lambda)| < alpha"),
+    "--tol-root": dict(type=float,
+                       help="secant tolerance, complex potentials only"),
+    "--format": dict(dest="fmt", choices=["csv", "json"]),
+    "--out": dict(help="output path (default stdout)"),
+    "--jobs": dict(type=int,
+                   help="parallel workers (default: SLSPEC_JOBS or cores)"),
+}
+
+_COMMAND_FLAGS = {
+    "spectrum": ("eigenvalue table over an index range",
+                 ("--potential", "--n-min", "--n-max", "--method", "--alpha",
+                  "--tol-root", "--format", "--out", "--jobs")),
+    "eigenfunction": ("sampled eigenfunction table for one index",
+                      ("--potential", "--n", "--grid", "--kind", "--alpha",
+                       "--tol-root", "--format", "--out")),
+    "validate": ("asymptotics-versus-oracle remainder report",
+                 ("--potential", "--n-min", "--n-max", "--grid", "--alpha",
+                  "--out", "--jobs")),
+    "gamma": ("remainder-gauge profile over an index range",
+              ("--potential", "--n-min", "--n-max", "--format", "--out")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slspec",
         description="Spectral tables for -y'' + u'(x) y on [0, pi] with "
                     "Dirichlet/regularized-Neumann conditions.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--potential", required=True,
-                       help="JSON potential file (kind step|poly|trig)")
-        p.add_argument("--n-min", type=int, default=1)
-        p.add_argument("--n-max", type=int, default=10)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--grid", type=int, default=513)
-        p.add_argument("--method", choices=["asym", "shoot", "both"],
-                       default="asym")
-        p.add_argument("--kind", choices=["asym", "biorth", "oracle"],
-                       default="asym")
-        p.add_argument("--alpha", type=float, default=2.0)
-        p.add_argument("--tol-root", type=float, default=1e-12)
-        p.add_argument("--format", dest="fmt", choices=["csv", "json"],
-                       default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=0,
-                       help="parallel workers (default: SLSPEC_JOBS or cores)")
-
-    for name, doc in [
-        ("spectrum", "eigenvalue table over an index range"),
-        ("eigenfunction", "sampled eigenfunction table for one index"),
-        ("validate", "asymptotics-versus-oracle remainder report"),
-        ("gamma", "remainder-gauge profile over an index range"),
-    ]:
-        common(sub.add_parser(name, help=doc))
+    for name, (doc, flags) in _COMMAND_FLAGS.items():
+        # an absent flag stays out of the namespace: RunConfig's default holds
+        p = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -112,15 +130,14 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    pot = load_potential(cfg.potential)
+def cmd_spectrum(cfg: RunConfig, pot: PotentialSpec) -> int:
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     if cfg.method == "asym":
         points = [asymptotics.eigenvalue_asym(pot, n) for n in ns]
     else:
         points = oracle.solve_spectrum(
-            pot, ns, domain=SpectralDomain(alpha=cfg.alpha),
-            tol_root=cfg.tol_root)
+            pot, ns, jobs=cfg.effective_jobs(),
+            domain=SpectralDomain(alpha=cfg.alpha), tol_root=cfg.tol_root)
     header = ["n", "m", "sqrt_lambda_asym_re", "sqrt_lambda_asym_im"]
     if cfg.method in ("shoot", "both"):
         header += ["sqrt_lambda_num_re", "sqrt_lambda_num_im", "abs_rho",
@@ -145,9 +162,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_eigenfunction(cfg: RunConfig) -> int:
-    pot = load_potential(cfg.potential)
-    n = cfg.n if cfg.n is not None else cfg.n_min
+def cmd_eigenfunction(cfg: RunConfig, pot: PotentialSpec) -> int:
+    n = 1 if cfg.n is None else cfg.n
     grid = asymptotics.default_grid(cfg.grid)
     if cfg.kind == "biorth":
         table = asymptotics.biorthogonal_asym(pot, n, grid)
@@ -170,8 +186,7 @@ def cmd_eigenfunction(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    pot = load_potential(cfg.potential)
+def cmd_validate(cfg: RunConfig, pot: PotentialSpec) -> int:
     report = validation.remainder_sweep(
         pot, cfg.n_max, grid_size=cfg.grid, n_min=cfg.n_min,
         jobs=cfg.effective_jobs(), domain=SpectralDomain(alpha=cfg.alpha))
@@ -191,8 +206,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gamma(cfg: RunConfig) -> int:
-    pot = load_potential(cfg.potential)
+def cmd_gamma(cfg: RunConfig, pot: PotentialSpec) -> int:
     header = ["n", "m", "gamma", "gamma_sq", "tail", "upper_estimate"]
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
@@ -216,24 +230,26 @@ _COMMANDS = {
 }
 
 
+def _config_error(exc) -> int:
+    sys.stderr.write(f"slspec: configuration error: {exc}\n")
+    return 2
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, potential=args.potential,
-                    n_min=args.n_min, n_max=args.n_max, n=args.n,
-                    grid=args.grid, method=args.method, kind=args.kind,
-                    alpha=args.alpha, tol_root=args.tol_root,
-                    fmt=args.fmt, out=args.out, jobs=args.jobs)
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
     try:
         cfg.validate()
-        pot_path = cfg.potential
-        if not os.path.exists(pot_path):
-            raise PotentialFormatError(f"potential file not found: {pot_path}")
-        return _COMMANDS[cfg.command](cfg)
+        if not os.path.exists(cfg.potential):
+            raise PotentialFormatError(
+                f"potential file not found: {cfg.potential}")
+        pot = load_potential(cfg.potential)
     except (PotentialFormatError, ValueError, OSError) as exc:
-        sys.stderr.write(f"slspec: configuration error: {exc}\n")
-        return 2
-    except (DomainError, SingularArgumentError, SpectralError) as exc:
+        return _config_error(exc)
+    try:
+        return _COMMANDS[cfg.command](cfg, pot)
+    except OSError as exc:          # the --out path
+        return _config_error(exc)
+    except (SpectralError, ValueError) as exc:
         sys.stderr.write(f"slspec: internal error: {exc}\n")
         return 3
     except Exception as exc:   # pragma: no cover - last resort

@@ -48,6 +48,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
+_WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
+_WINDING_POINTS = 16
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
 _GAUSS_HI = 0.5 + math.sqrt(3) / 6
 _MAGNUS_C = math.sqrt(3) / 12           # weight of the Magnus commutator term
@@ -533,14 +536,14 @@ def _end_value(traj: QuasiTrajectory):
     return end if end.ndim else complex(end)
 
 
-def integrate_prufer(pot: PotentialSpec, lam, grid, *,
-                     step_scale: float = _PRUFER_STEP_SCALE) -> PruferTrajectory:
+def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
     """Phase and log-modulus trajectories with theta(0) = 0, log r(0) = 0.
 
     Integrates theta' = s + u^2 sin^2(theta)/s + u sin(2 theta) and
     (log r)' = -(u cos(2 theta) + u^2 sin(2 theta)/(2 s)) with fixed RK4
-    steps; the log-modulus rather than r itself is integrated so complex
-    lam cannot overflow.
+    steps, phase advance at most _PRUFER_STEP_SCALE per step; the
+    log-modulus rather than r itself is integrated so complex lam cannot
+    overflow.
     """
     s = _require_regular(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -562,7 +565,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
 
     for x0, x1 in zip(nodes, nodes[1:]):
         i = int(pe._piece_index(0.5 * (x0 + x1)))
-        nsub = int(_n_sub(x1 - x0, abs(s), step_scale))
+        nsub = int(_n_sub(x1 - x0, abs(s), _PRUFER_STEP_SCALE))
         h = (x1 - x0) / nsub
         offs = (x0 - pe.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
         uu = list(moments._eval_atoms(pe.pieces[i], offs))
@@ -594,7 +597,8 @@ def integrate_prufer(pot: PotentialSpec, lam, grid, *,
 # -- eigenvalue location ------------------------------------------------------
 
 
-def _sturm_count(pot: PotentialSpec, lam, *, step_scale) -> tuple[int, int]:
+def _sturm_count(pot: PotentialSpec, lam, *,
+                 step_scale=_DEFAULT_STEP_SCALE) -> tuple[int, int]:
     """(interior zeros of y1, eigenvalues below lam) for real lam and u.
 
     Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0.  The
@@ -667,8 +671,7 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> floa
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                      domain: SpectralDomain | None = None,
                      tol_root: float = 1e-12,
-                     method: str = "auto",
-                     step_scale: float = _DEFAULT_STEP_SCALE) -> SecularResult:
+                     method: str = "auto") -> SecularResult:
     """Locate the n-th eigenvalue starting from the asymptotic seed.
 
     Real potentials: a sign bracket of the reduced secular function around
@@ -681,7 +684,8 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     follows the oscillation count directly but costs more.  The converged
     root is verified by counting interior zeros of y1 from (0, 1).
     ``iterations`` counts the secular-function evaluations and Sturm counts
-    of the search, not the verifying count.
+    of the search, not the verifying count.  Every characteristic
+    evaluation runs at the default step scale _DEFAULT_STEP_SCALE.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
@@ -707,12 +711,12 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 calls[0] += 1
                 if lam == 0.0:
                     lam = 1e-24
-                return float(_char_reduced(pot, lam, step_scale=step_scale).real)
+                return float(_char_reduced(pot, lam).real)
         def below(lam):
             calls[0] += 1
             if lam == 0.0:
                 lam = 1e-24
-            return _sturm_count(pot, lam, step_scale=step_scale)[1]
+            return _sturm_count(pot, lam)[1]
         s0r = s0.real
         root = None
         for w in (0.35, 0.45, 0.49):
@@ -739,8 +743,8 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 best=s0r * s0r)
         lam_root = float(root)
         s_root = principal_sqrt(lam_root)
-        residual = abs(characteristic(pot, lam_root, step_scale=step_scale))
-        k, _ = _sturm_count(pot, lam_root, step_scale=step_scale)
+        residual = abs(characteristic(pot, lam_root))
+        k, _ = _sturm_count(pot, lam_root)
         if k != n - 1:
             raise IndexingError(
                 f"root at lambda = {lam_root:.9g} has {k} interior zeros, "
@@ -752,7 +756,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     # complex potential: damped secant in the sqrt(lam) plane
     def F(s):
         calls[0] += np.size(s)
-        return _char_reduced(pot, s * s, step_scale=step_scale)
+        return _char_reduced(pot, s * s)
 
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
@@ -791,7 +795,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     if abs(s_root - s0) > 0.5:
         raise IndexingError(
             f"converged sqrt(lambda) {s_root:.6g} drifted from seed {s0:.6g}")
-    mult = _winding(F, s_root, radius=0.2)
+    mult = _winding(F, s_root)
     if mult < 1:
         raise IndexingError(
             f"argument-principle count {mult} around lambda = {lam_root:.6g}")
@@ -800,15 +804,15 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                          iterations=calls[0], method="secant")
 
 
-def _winding(F, center: complex, radius: float = 0.2, points: int = 16) -> int:
-    """Zero count of F inside the circle via a trapezoid winding number.
+def _winding(F, center: complex) -> int:
+    """Zero count of F inside a circle via a trapezoid winding number.
 
-    F takes the whole contour at once: the points distinct points on the
-    circle go to the kernel as one batch, and the phase is closed by the
-    first value again.
+    The circle has radius _WINDING_RADIUS around center.  F takes the whole
+    contour at once: its _WINDING_POINTS distinct points go to the kernel
+    as one batch, and the phase is closed by the first value again.
     """
-    vals = np.asarray(F(center + radius * np.exp(2j * PI * np.arange(points)
-                                                 / points)))
+    ring = np.exp(2j * PI * np.arange(_WINDING_POINTS) / _WINDING_POINTS)
+    vals = np.asarray(F(center + _WINDING_RADIUS * ring))
     if np.any(vals == 0):
         return 1
     phases = np.unwrap(np.angle(np.append(vals, vals[0])))
@@ -836,13 +840,34 @@ def _flag_shared_roots(points) -> list:
     return flagged
 
 
-def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
-    """solve_eigenvalue over a range, collecting failures as flagged points.
+def _pmap_chunks(fn, items: list, jobs: int, *args) -> list:
+    """fn(chunk, *args) over strided chunks of items, results in item order.
 
-    Indices that converged to one shared root are flagged as well.
+    fn returns one result per item of its chunk, in chunk order.  With
+    jobs > 1 and at least 4 items, chunk i holds items i, i + jobs, ... and
+    the chunks run in a process pool; a pool that cannot start falls back
+    to one call in this process, which is also the jobs == 1 path.
+    Per-item determinism makes the result independent of jobs.
     """
+    jobs = max(1, int(jobs))
+    if jobs == 1 or len(items) < 4:
+        return fn(items, *args)
+    chunks = [c for c in (items[i::jobs] for i in range(jobs)) if c]
+    try:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futures = [pool.submit(fn, chunk, *args) for chunk in chunks]
+            parts = [f.result() for f in futures]
+    except (OSError, RuntimeError):
+        return fn(items, *args)
+    merged = [None] * len(items)
+    for i, part in enumerate(parts):
+        merged[i::jobs] = part
+    return merged
+
+
+def _spectrum_chunk(ns, pot: PotentialSpec, kwargs: dict) -> list:
     points = []
-    for n in n_values:
+    for n in ns:
         point = asymptotics.eigenvalue_asym(pot, n)
         try:
             res = solve_eigenvalue(pot, n, seed=point, **kwargs)
@@ -851,6 +876,19 @@ def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
         except (NonconvergenceError, IndexingError, IntegrationBlowupError) as exc:
             point.flag = f"degraded: {exc}"
         points.append(point)
+    return points
+
+
+def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
+                   **kwargs) -> list:
+    """solve_eigenvalue over a range, collecting failures as flagged points.
+
+    jobs > 1 solves strided chunks of the indices in worker processes
+    (_pmap_chunks); the points are the same for any jobs.  Indices that
+    converged to one shared root are flagged as well, once, over the
+    merged list, so a pair split across chunks is found.
+    """
+    points = _pmap_chunks(_spectrum_chunk, list(n_values), jobs, pot, kwargs)
     _flag_shared_roots(points)
     return points
 
@@ -859,23 +897,23 @@ def solve_spectrum(pot: PotentialSpec, n_values, **kwargs) -> list:
 
 
 def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
-                          align_to: asymptotics.EigenfunctionTable | None = None,
-                          step_scale: float = _DEFAULT_STEP_SCALE):
+                          align_to: asymptotics.EigenfunctionTable | None = None):
     """Normalized y1 trajectory at a converged eigenvalue.
 
-    The norm is a composite Simpson integral of |y|^2 on a dense uniform
-    grid of _NORM_INTERVALS intervals, so tables on different grids share
-    one normalization.  When the caller passes a table on the same grid as
-    align_to, the sign (unimodular phase in the complex case) is aligned to
-    it and the result takes its index; this module never builds such a
-    table itself.
+    The trajectory runs on Magnus cells of the default length
+    _DEFAULT_STEP_SCALE, as in the root search.  The norm is a composite
+    Simpson integral of |y|^2 on a dense uniform grid of _NORM_INTERVALS
+    intervals, so tables on different grids share one normalization.  When
+    the caller passes a table on the same grid as align_to, the sign
+    (unimodular phase in the complex case) is aligned to it and the result
+    takes its index; this module never builds such a table itself.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if align_to is not None and not np.array_equal(align_to.grid, grid):
         raise ValueError("align_to table lives on a different grid")
     dense = np.linspace(0.0, PI, _NORM_INTERVALS + 1)
-    nodes = np.union1d(np.union1d(dense, grid), np.asarray(pot.breaks))
-    y1n, _ = _dense_states(pot, lam, nodes, step_scale=step_scale)
+    nodes = np.union1d(dense, grid)
+    y1n, _ = _dense_states(pot, lam, nodes, step_scale=_DEFAULT_STEP_SCALE)
     dense_vals = y1n[np.searchsorted(nodes, dense)]
     nrm2 = float(simpson(np.abs(dense_vals) ** 2, x=dense))
     if not nrm2 > 0:

@@ -19,7 +19,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,8 @@ _THRESHOLDS = {
     "doubling_decrease_factor": 1.5,
     "zero_floor": 1e-12,
 }
+_BIORTH_GRID = 16385            # Simpson nodes of the pairing matrix
+_BIORTH_TOL = 5e-3              # largest deviation from the identity that passes
 
 
 def _fmt(x) -> str:
@@ -138,7 +139,7 @@ def _guarded_ratio(err: float, gamma_sq: float) -> float:
     return err / gamma_sq
 
 
-def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
+def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
                sup_grid: int, domain: SpectralDomain | None):
     point = asymptotics.eigenvalue_asym(pot, n, sup_grid=sup_grid)
     flag = ""
@@ -146,8 +147,7 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool, method: str,
     eig_err = 0.0
     sup_err = 0.0
     try:
-        res = oracle.solve_eigenvalue(pot, n, seed=point, method=method,
-                                      domain=domain)
+        res = oracle.solve_eigenvalue(pot, n, seed=point, domain=domain)
         point.sqrt_lambda_numeric = res.sqrt_lambda
         point.residual = res.residual
         gamma = remainder_gauge(pot, res.lam, sup_grid=sup_grid).value
@@ -175,14 +175,10 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
                            flag=flag)
 
 
-def _sweep_chunk(args):
-    pot, ns, grid_size, eigfun_up_to, method, sup_grid, domain = args
+def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain):
     grid = asymptotics.default_grid(grid_size)
-    out = []
-    for n in ns:
-        out.append(_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
-                              method=method, sup_grid=sup_grid, domain=domain))
-    return out
+    return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
+                       sup_grid=sup_grid, domain=domain) for n in ns]
 
 
 def _cumulative(values) -> list:
@@ -204,8 +200,7 @@ def _partial(sums: list, n_values: list, at: int) -> float:
 
 def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
                     n_min: int = 1, eigfun_up_to: int | None = None,
-                    method: str = "auto", sup_grid: int = 256,
-                    jobs: int = 1,
+                    sup_grid: int = 256, jobs: int = 1,
                     domain: SpectralDomain | None = None) -> ComparisonReport:
     """Asymptotic-versus-oracle sweep over n_min..n_max with verdicts.
 
@@ -213,15 +208,18 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     the shared grid (up to eigfun_up_to, default all), the gauge at the
     converged eigenvalue and its square, and the guarded ratio.  Partial-sum
     tables and boundedness/Cauchy verdicts summarize the remainder claims.
-    domain is the search region of the complex root finder (default
-    SpectralDomain()).
+    Roots come from oracle.solve_eigenvalue's default ("auto") route, which
+    the report's config records as its method.  jobs > 1 sweeps strided
+    chunks of the indices in worker processes (oracle._pmap_chunks) with
+    the same result.  domain is the search region of the complex root
+    finder (default SpectralDomain()).
     """
     if n_max < max(n_min, 2):
         raise ValueError("n_max too small for a sweep")
     eigfun_up_to = n_max if eigfun_up_to is None else int(eigfun_up_to)
     ns = list(range(n_min, n_max + 1))
-    results = _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid,
-                           domain, jobs)
+    results = oracle._pmap_chunks(_sweep_chunk, ns, jobs, pot, grid_size,
+                                  eigfun_up_to, sup_grid, domain)
     points = [p for _, p in results]
     # indices that converged to one root are degraded like a failed solve
     shared = {p.n for p in oracle._flag_shared_roots(points)}
@@ -243,29 +241,9 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
         potential=pot.describe(), n_min=n_min, n_max=n_max, records=records,
         points=points, partial_sums=sums, verdicts=verdicts,
         thresholds=dict(_THRESHOLDS),
-        config={"grid_size": grid_size, "method": method, "sup_grid": sup_grid,
+        config={"grid_size": grid_size, "method": "auto", "sup_grid": sup_grid,
                 "eigfun_up_to": eigfun_up_to, "n_min": n_min, "n_max": n_max},
         degraded=[r.n for r in records if r.flag])
-
-
-def _pmap_chunks(pot, ns, grid_size, eigfun_up_to, method, sup_grid, domain,
-                 jobs):
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(ns) < 4:
-        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid,
-                             domain))
-    chunks = [ns[i::jobs] for i in range(jobs)]
-    args = [(pot, chunk, grid_size, eigfun_up_to, method, sup_grid, domain)
-            for chunk in chunks if chunk]
-    try:
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            parts = list(pool.map(_sweep_chunk, args))
-    except (OSError, RuntimeError):
-        return _sweep_chunk((pot, ns, grid_size, eigfun_up_to, method, sup_grid,
-                             domain))
-    merged = [item for part in parts for item in part]
-    merged.sort(key=lambda pair: pair[0].n)
-    return merged
 
 
 def _verdicts(records, sums, n_max, eigfun_up_to) -> dict:
@@ -313,17 +291,18 @@ def _verdicts(records, sums, n_max, eigfun_up_to) -> dict:
     }
 
 
-def biorthogonality_check(pot: PotentialSpec, n_max: int, *, n_min: int = 1,
-                          grid_size: int = 16385, tol: float = 5e-3) -> dict:
+def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
+                          n_min: int = 1) -> dict:
     """Pairing matrix (y_n, w_k) of the asymptotic tables by quadrature.
 
     The pairing is the Hermitian one, integral of y_n * conj(w_k) over
-    [0, pi], evaluated by composite Simpson on a shared uniform grid.
-    Quadratic cost limits n_max to 24.
+    [0, pi], evaluated by composite Simpson on a shared uniform grid of
+    _BIORTH_GRID nodes.  The verdict passes when no entry deviates from the
+    identity by more than _BIORTH_TOL.  Quadratic cost limits n_max to 24.
     """
     if n_max > 24:
         raise ValueError("biorthogonality_check is quadratic; n_max <= 24")
-    grid = asymptotics.default_grid(grid_size)
+    grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
     ys = {n: asymptotics.eigenfunction_asym(pot, n, grid).values for n in ns}
     ws = {k: asymptotics.biorthogonal_asym(pot, k, grid).values for k in ns}
@@ -340,24 +319,25 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *, n_min: int = 1,
         "matrix_im": mat.imag.tolist(),
         "max_offdiag": max_offdiag,
         "max_diag_deviation": max_diag,
-        "tolerance": tol,
-        "verdict": bool(max(max_offdiag, max_diag) <= tol),
+        "tolerance": _BIORTH_TOL,
+        "verdict": bool(max(max_offdiag, max_diag) <= _BIORTH_TOL),
     }
 
 
-def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *, n_min: int = 10,
-                        method: str = "auto", sup_grid: int = 256) -> dict:
+def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
+                                n_min: int = 10) -> dict:
     """Phase and modulus remainder ratios against gamma^2 at the true roots.
 
     For each n: sup over x of |theta_oracle - (sqrt(lam) x + v)| and of
-    |r_oracle - r_leading|, both divided by gamma^2(lambda_n).  A 0/0 is
-    reported as 0.
+    |r_oracle - r_leading|, both divided by gamma^2(lambda_n), the gauge
+    at its default sampling.  Roots come from oracle.solve_eigenvalue's
+    default route.  A 0/0 is reported as 0.
     """
     ns, th_ratios, r_ratios = [], [], []
     degraded = []
     for n in range(n_min, n_max + 1):
         try:
-            res = oracle.solve_eigenvalue(pot, n, method=method)
+            res = oracle.solve_eigenvalue(pot, n)
             lam = res.lam
             s = res.sqrt_lambda
             xs = np.union1d(np.linspace(0.0, PI, max(512, int(24 * abs(s)))),
@@ -371,7 +351,7 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *, n_min: int = 
         r_lead = asymptotics.prufer_modulus_asym(pot, xs, lam)
         dth = float(np.abs(traj.theta - theta_lead).max())
         dr = float(np.abs(np.exp(traj.log_r) - r_lead).max())
-        g2 = remainder_gauge(pot, lam, sup_grid=sup_grid).value ** 2
+        g2 = remainder_gauge(pot, lam).value ** 2
         ns.append(n)
         th_ratios.append(_guarded_ratio(dth, g2))
         r_ratios.append(_guarded_ratio(dr, g2))

@@ -63,7 +63,7 @@ def test_spectrum_free_both(pot_files, capsys):
 
 def test_spectrum_constant_row(pot_files, capsys):
     code, out, _ = _run(["spectrum", "--potential", pot_files["const"],
-                         "--n", "5", "--n-min", "5", "--n-max", "5",
+                         "--n-min", "5", "--n-max", "5",
                          "--method", "both"], capsys)
     assert code == 0
     row = _rows(out)[1]
@@ -229,6 +229,41 @@ def test_exit_code_bad_config(pot_files, capsys):
     assert code == 2
 
 
+def test_exit_code_library_value_error(pot_files, capsys, monkeypatch):
+    # a ValueError raised inside the library is not a usage error
+    import slspec.cli as cli
+
+    def broken(*a, **kw):
+        raise ValueError("synthetic library failure")
+
+    monkeypatch.setattr(cli.oracle, "solve_eigenvalue", broken)
+    code, _, err = _run(["eigenfunction", "--potential", pot_files["step"],
+                         "--n", "4", "--kind", "oracle"], capsys)
+    assert code == 3
+    assert "internal error" in err
+
+
+def test_exit_code_validate_range_checked_first(pot_files, capsys,
+                                                monkeypatch):
+    import slspec.cli as cli
+    calls = []
+    monkeypatch.setattr(cli.validation, "remainder_sweep",
+                        lambda *a, **kw: calls.append(a))
+    code, _, err = _run(["validate", "--potential", pot_files["free"],
+                         "--n-max", "1", "--jobs", "1"], capsys)
+    assert code == 2 and calls == []
+    assert "configuration error" in err
+
+
+def test_exit_code_unwritable_out(pot_files, tmp_path, capsys):
+    code, out, err = _run(["gamma", "--potential", pot_files["const"],
+                           "--n-max", "3",
+                           "--out", str(tmp_path / "no" / "such.csv")],
+                          capsys)
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
 def test_exit_code_internal_error(pot_files, capsys, monkeypatch):
     import slspec.cli as cli
     from slspec import NonconvergenceError
@@ -263,3 +298,75 @@ def test_console_script_smoke(pot_files):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,m,")
+
+
+# the flags each subcommand registers; every other pair is a usage error
+KEPT_FLAGS = {
+    "spectrum": {"--n-min", "--n-max", "--method", "--alpha", "--tol-root",
+                 "--format", "--out", "--jobs"},
+    "eigenfunction": {"--n", "--grid", "--kind", "--alpha", "--tol-root",
+                      "--format", "--out"},
+    "validate": {"--n-min", "--n-max", "--grid", "--alpha", "--out",
+                 "--jobs"},
+    "gamma": {"--n-min", "--n-max", "--format", "--out"},
+}
+FLAG_VALUES = {      # flag: (argument, RunConfig field, parsed value)
+    "--n-min": ("2", "n_min", 2), "--n-max": ("3", "n_max", 3),
+    "--n": ("2", "n", 2), "--grid": ("32", "grid", 32),
+    "--method": ("both", "method", "both"),
+    "--kind": ("oracle", "kind", "oracle"), "--alpha": ("1.5", "alpha", 1.5),
+    "--tol-root": ("1e-10", "tol_root", 1e-10),
+    "--format": ("json", "fmt", "json"), "--out": ("o", "out", "o"),
+    "--jobs": ("1", "jobs", 1),
+}
+
+
+def test_flag_table_count():
+    from slspec.cli import _COMMAND_FLAGS
+    pairs = {(cmd, f) for cmd, (_, flags) in _COMMAND_FLAGS.items()
+             for f in flags}
+    assert pairs == {(cmd, f) for cmd, flags in KEPT_FLAGS.items()
+                     for f in flags | {"--potential"}}
+    assert len(pairs) == 29
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_flag_table(command, flag):
+    from slspec.cli import RunConfig, _build_parser
+    arg, field, value = FLAG_VALUES[flag]
+    argv = [command, "--potential", "p.json", flag, arg]
+    if flag not in KEPT_FLAGS[command]:
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        return
+    cfg = RunConfig(**vars(_build_parser().parse_args(argv)))
+    # the flag sets its field; every other field keeps its default
+    assert cfg == RunConfig(command=command, potential="p.json",
+                            **{field: value})
+
+
+def _spectrum_bytes(path, n_max, jobs, capsys):
+    code, out, _ = _run(["spectrum", "--potential", path, "--n-max", n_max,
+                         "--method", "both", "--jobs", jobs], capsys)
+    assert code == 0
+    return out
+
+
+def test_spectrum_jobs_bytes_identical(pot_files, tmp_path, capsys):
+    assert (_spectrum_bytes(pot_files["step"], "12", "2", capsys)
+            == _spectrum_bytes(pot_files["step"], "12", "1", capsys))
+    # indices 1 and 2 share a root; with two jobs they fall into the
+    # chunks [1, 3] and [2, 4], and the merged list must still flag both
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"kind": "trig", "pieces": [
+        {"from": 0.0, "to": PI,
+         "coeffs_re": [-0.9016119370042602, -0.18491425128013936],
+         "coeffs_im": [0.723816463551145, 0.7930903869151645]}]}))
+    two = _spectrum_bytes(str(shared), "4", "2", capsys)
+    assert two == _spectrum_bytes(str(shared), "4", "1", capsys)
+    flags = [row[8] for row in _rows(two)[1:]]
+    assert flags[:2] == ["degraded: shared root with index 2",
+                         "degraded: shared root with index 1"]
+    assert flags[2:] == ["", ""]
