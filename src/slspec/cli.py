@@ -43,7 +43,7 @@ class RunConfig:
     tol_root: float = 1e-12
     fmt: str = "csv"
     out: str | None = None
-    jobs: int = 0                   # 0: SLSPEC_JOBS or cpu count
+    jobs: int = 0                   # 0: see effective_jobs
 
     def validate(self) -> None:
         if self.n is not None and self.n < 1:
@@ -60,8 +60,15 @@ class RunConfig:
             raise ValueError("--alpha must be positive")
 
     def effective_jobs(self) -> int:
+        """--jobs if given; else 1 (spectrum) or SLSPEC_JOBS or cores.
+
+        spectrum starts its pool only on an explicit --jobs above 1: on a
+        cheap potential the pool's start-up costs more than it saves.
+        """
         if self.jobs > 0:
             return self.jobs
+        if self.command == "spectrum":
+            return 1
         env = os.environ.get("SLSPEC_JOBS", "")
         if env.isdigit() and int(env) > 0:
             return int(env)
@@ -86,7 +93,8 @@ _FLAGS = {
     "--format": dict(dest="fmt", choices=["csv", "json"]),
     "--out": dict(help="output path (default stdout)"),
     "--jobs": dict(type=int,
-                   help="parallel workers (default: SLSPEC_JOBS or cores)"),
+                   help="parallel workers (default: 1 for spectrum, "
+                        "SLSPEC_JOBS or cores for validate)"),
 }
 
 _COMMAND_FLAGS = {

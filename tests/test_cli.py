@@ -354,6 +354,20 @@ def _spectrum_bytes(path, n_max, jobs, capsys):
     return out
 
 
+def test_spectrum_default_jobs_in_process(pot_files, capsys, monkeypatch):
+    # without --jobs, spectrum solves in this process whatever SLSPEC_JOBS says
+    from slspec import oracle
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("spectrum started a process pool")
+    monkeypatch.setenv("SLSPEC_JOBS", "2")
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    code, out, _ = _run(["spectrum", "--potential", pot_files["step"],
+                         "--n-max", "8", "--method", "both"], capsys)
+    assert code == 0
+    assert len(_rows(out)) == 9
+
+
 def test_spectrum_jobs_bytes_identical(pot_files, tmp_path, capsys):
     assert (_spectrum_bytes(pot_files["step"], "12", "2", capsys)
             == _spectrum_bytes(pot_files["step"], "12", "1", capsys))
