@@ -191,14 +191,19 @@ class _BracketAssembly:
         return float((self.func * self.func.conj()).integral().real)
 
 
+def _unit_table(asm: _BracketAssembly, grid, kind: str,
+                normalization: str) -> EigenfunctionTable:
+    """The assembly's values on grid, divided by its closed-form norm."""
+    values = asm.values(grid) / np.sqrt(asm.norm_sq())
+    return EigenfunctionTable(index=asm.n, grid=grid, values=values,
+                              kind=kind, normalization=normalization)
+
+
 def eigenfunction_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
     """First-order eigenfunction table, exact unit L2 norm, index n."""
-    grid = np.asarray(grid, dtype=float)
-    asm = _BracketAssembly(pot, n, conjugated=False)
-    nrm = np.sqrt(asm.norm_sq())
-    return EigenfunctionTable(
-        index=n, grid=grid, values=asm.values(grid) / nrm, kind="asymptotic",
-        normalization="unit L2 norm (closed-form integral)")
+    return _unit_table(_BracketAssembly(pot, n, conjugated=False),
+                       np.asarray(grid, dtype=float), "asymptotic",
+                       "unit L2 norm (closed-form integral)")
 
 
 def biorthogonal_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
@@ -208,24 +213,21 @@ def biorthogonal_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
     (u_R + 2i u_I)-weighted constants) and then rescaled by the closed-form
     pairing with the normalized eigenfunction table, which realizes the
     construction w_n = conj(y_n) / (y_n, conj(y_n)) without its second-order
-    truncation error.  For real potentials this reduces exactly to the
-    eigenfunction table.
+    truncation error.  For real potentials the conjugated expansion is the
+    eigenfunction's own, and its pairing the norm: the table is the
+    eigenfunction table, bit for bit, from one assembly.
     """
     grid = np.asarray(grid, dtype=float)
+    note = "pairing with eigenfunction table equals one (closed form)"
     asm_y = _BracketAssembly(pot, n, conjugated=False)
+    if pot.is_real:
+        return _unit_table(asm_y, grid, "biorthogonal", note)
     asm_w = _BracketAssembly(pot, n, conjugated=True)
     nrm_y = np.sqrt(asm_y.norm_sq())
-    if pot.is_real:
-        # the pairing collapses to the norm; using it verbatim keeps the
-        # degenerate table bit-identical to the eigenfunction table
-        scale = complex(nrm_y)
-    else:
-        pairing = complex((asm_y.func * asm_w.func.conj()).integral()) / nrm_y
-        scale = np.conj(pairing)
+    pairing = complex((asm_y.func * asm_w.func.conj()).integral()) / nrm_y
     return EigenfunctionTable(
-        index=n, grid=grid, values=asm_w.values(grid) / scale,
-        kind="biorthogonal",
-        normalization="pairing with eigenfunction table equals one (closed form)")
+        index=n, grid=grid, values=asm_w.values(grid) / np.conj(pairing),
+        kind="biorthogonal", normalization=note)
 
 
 def normalization_factor(pot: PotentialSpec, n: int) -> complex:

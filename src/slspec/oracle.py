@@ -56,8 +56,8 @@ from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from . import asymptotics, moments
-from .errors import (IndexingError, IntegrationBlowupError, InternalError,
-                     NonconvergenceError)
+from .errors import (DomainError, IndexingError, IntegrationBlowupError,
+                     InternalError, NonconvergenceError)
 from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
@@ -65,7 +65,6 @@ _DEFAULT_STEP_SCALE = 0.004     # Magnus cell length; RK4 phase advance per step
 _PRUFER_STEP_SCALE = 0.02
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
-_NORM_INTERVALS = 32768         # Simpson intervals of the eigenfunction norm
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
@@ -314,6 +313,60 @@ def _magnus_matrices(delta, gamma, h, lam):
     return out
 
 
+# Taylor coefficients in w^2 of (1 - sin(w)/w)/w^2 = 1/3! - w^2/5! + ...
+_DEFECT_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(9))
+
+
+def _sinc_defect(w):
+    """sin(w)/w and the defect (1 - sin(w)/w)/w^2 of a complex array w.
+
+    Below |w| = 1 the defect is its Taylor series (nine terms, truncation
+    below one ulp); above, the closed forms, whose cancellation then costs
+    a few ulps at most.  Each branch is evaluated on masked arguments only.
+    """
+    small = np.abs(w) < 1.0
+    w2 = np.where(small, w * w, 0.0)
+    series = np.zeros_like(w2)
+    for c in reversed(_DEFECT_SERIES):
+        series = series * w2 + c
+    big = np.where(small, 1.0, w)
+    sinc = np.where(small, 1 - w2 * series, np.sin(big) / big)
+    return sinc, np.where(small, series, (1 - sinc) / (big * big))
+
+
+def _cell_norms(y0, slope, z):
+    """Integral over tau in [0, 1] of |y0 cos(z tau) + slope sin(z tau)/z|^2.
+
+    This is |y1|^2 over a cell of unit length on which (y1, y2) follows
+    exp(tau Omega) with Omega traceless: y0 is y1 at the start of the cell,
+    slope the first entry of Omega applied to the start state, and
+    z^2 = det Omega.  Elementwise over arrays.  With z = p + iq,
+    sigma = z + conj(z) = 2p and delta = z - conj(z) = 2iq, the three
+    integrals of the products of cos(z tau) and sin(z tau)/z are
+        |cos|^2:            (sinc sigma + sinc delta) / 2,
+        |sin/z|^2:          2 (p^2 D(sigma) + q^2 D(delta)) / |z|^2,
+        cos conj(sin/z):    (p^2 K(sigma) + q^2 K(delta)
+                             + i p q (K(sigma) - K(delta))) / |z|^2,
+    with D the sinc defect and K(w) = (1 - cos w)/w^2 = sinc(w/2)^2 / 2.
+    The weights p^2/|z|^2 and q^2/|z|^2 lie in [0, 1] (z = 0 takes p^2
+    alone), D(sigma), D(delta) >= 0, and the sincs of an imaginary
+    argument are sinh ratios, so no term cancels another.
+    """
+    p, q = z.real, z.imag
+    sinc, defect = _sinc_defect(np.stack((2 * p, 2j * q, p, 1j * q)))
+    r2 = p * p + q * q
+    zero = r2 == 0
+    r2 = np.where(zero, 1.0, r2)
+    wp = np.where(zero, 1.0, p * p / r2)
+    wq, wpq = q * q / r2, p * q / r2
+    k_sig, k_dlt = sinc[2].real ** 2 / 2, sinc[3].real ** 2 / 2
+    i_cc = (sinc[0].real + sinc[1].real) / 2
+    i_ss = 2 * (wp * defect[0].real + wq * defect[1].real)
+    i_cs = wp * k_sig + wq * k_dlt + 1j * wpq * (k_sig - k_dlt)
+    return (np.abs(y0) ** 2 * i_cc + np.abs(slope) ** 2 * i_ss
+            + 2 * (y0 * np.conj(slope) * i_cs).real)
+
+
 def _prefix(mats: np.ndarray) -> np.ndarray:
     """mats[..., k] @ ... @ mats[..., 0] for every k, shape (2, 2, cells).
 
@@ -348,7 +401,7 @@ def _regular_root(lam):
 
 
 def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
-                  force_rk4=False, init=None):
+                  force_rk4=False, init=None, norm=False):
     """(y1, y2) at every node of a sorted unique array in [0, pi].
 
     lam is a scalar or a 1-D batch.  A batch gives arrays of shape
@@ -368,12 +421,22 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
     step; a piece with no stop inside multiplies its step matrices
     pairwise, one with stops inside runs the step recurrence and records
     the states at the stops.
+
+    With norm, a scalar lambda and nodes that end at pi, the result gains a
+    third entry: the integral of |y1|^2 over [0, pi], summed in closed form
+    over the cells of the walk (_cell_norms), each constant piece one cell.
+    Every smooth piece then takes the prefix states of its cells, so the
+    states at the nodes do not depend on the other nodes.
     """
     s = _regular_root(lam)
     batch = isinstance(s, np.ndarray)
     lamc = np.asarray(lam, dtype=complex) if batch else complex(lam)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
+    if norm and (batch or force_rk4 or nodes[-1] != PI):
+        raise ValueError("norm takes one lambda, no force_rk4 and a last "
+                         "node at pi")
+    cell_terms = []     # (y1 at the cell starts, slopes, z, lengths) per piece
     maxnode = float(nodes[-1])
     if batch and not np.isin(nodes[nodes > 1e-15], pe.breaks + (maxnode,)).all():
         raise ValueError("a batch of lambda is integrated to piece ends only")
@@ -400,12 +463,16 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
                                                 step_scale)
             cells = _magnus_matrices(*parts, h, lamc)
             yc = (y[0], y[1] + u_a * y[0])
-        if magnus and k == pos and end == b:
+        if magnus and k == pos and end == b and not norm:
             # only the end state is needed: one product of the cells
             e1, e2 = _apply(_chain(cells), yc)
             y_end = (e1, e2 - u_b * e1)
         elif const is not None:
             y_end = _const_advance(y, const, lamc, s, end - a)
+            if norm:
+                d = end - a
+                cell_terms.append(([y[0]], [d * (const * y[0] + y[1])],
+                                   [s * d], [d]))
             if k > pos:
                 y1[pos:k], y2[pos:k] = _const_advance(y, const, lamc, s,
                                                       nodes[pos:k] - a)
@@ -417,14 +484,24 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             (p00, p01), (p10, p11) = _prefix(cells)
             c1 = np.concatenate(([yc[0]], p00 * yc[0] + p01 * yc[1]))
             c2 = np.concatenate(([yc[1]], p10 * yc[0] + p11 * yc[1]))
+            if norm:
+                delta, gamma = parts
+                z = np.sqrt(-(delta * delta + h * (gamma - lamc * h)))
+                cell_terms.append((c1[:-1], delta * c1[:-1] + h * c2[:-1],
+                                   z, np.full(len(z), h)))
             x = nodes[pos:k] - a
             cell = np.minimum(np.floor(x / h), len(p00) - 1)
             d = x - cell * h
             part = _magnus_matrices(*_magnus_parts(q_atoms, cell * h, d), d,
                                     lamc)
+            # named operands: numpy multiplies a large temporary in place
+            # (temporary elision), which rounds complex products
+            # differently, and a node's state must not depend on how many
+            # nodes there are
             cell = cell.astype(np.int64)
-            y1[pos:k] = part[0, 0] * c1[cell] + part[0, 1] * c2[cell]
-            y2[pos:k] = (part[1, 0] * c1[cell] + part[1, 1] * c2[cell]
+            g1, g2 = c1[cell], c2[cell]
+            y1[pos:k] = part[0, 0] * g1 + part[0, 1] * g2
+            y2[pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
                          - moments._eval_atoms(pe.pieces[i], x) * y1[pos:k])
             y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         else:
@@ -468,7 +545,10 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             raise IntegrationBlowupError(f"non-finite state at x = {end}",
                                          location=float(end))
         pos = j1
-    return y1, y2
+    if not norm:
+        return y1, y2
+    y0, slope, z, length = (np.concatenate(c) for c in zip(*cell_terms))
+    return y1, y2, float(np.sum(length * _cell_norms(y0, slope, z)))
 
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
@@ -896,30 +976,48 @@ def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
 # -- numeric eigenfunctions ---------------------------------------------------
 
 
+def _unit_trajectory(pot: PotentialSpec, lam, grid) -> np.ndarray:
+    """y1 at each grid point (any order, repeats allowed), unit L2 norm.
+
+    The states are taken at the distinct grid points and pi only; the norm
+    integrates |y1|^2 over [0, pi] in closed form cell by cell during the
+    same walk (_dense_states with norm).
+    """
+    if grid.max() > PI:
+        raise DomainError("eigenfunction grid reaches past pi")
+    nodes, back = np.unique(np.append(grid, PI), return_inverse=True)
+    y1n, _, nrm2 = _dense_states(pot, lam, nodes,
+                                 step_scale=_DEFAULT_STEP_SCALE, norm=True)
+    if not math.isfinite(nrm2):
+        raise IntegrationBlowupError("|y1|^2 overflows on [0, pi]",
+                                     location=PI)
+    if not nrm2 > 0:
+        raise InternalError("zero-norm trajectory cannot be an eigenfunction")
+    return y1n[back[:-1]] / math.sqrt(nrm2)
+
+
 def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
                           align_to: asymptotics.EigenfunctionTable | None = None):
     """Normalized y1 trajectory at a converged eigenvalue.
 
     The trajectory runs on Magnus cells of the default length
-    _DEFAULT_STEP_SCALE, as in the root search.  The norm is a composite
-    Simpson integral of |y|^2 on a dense uniform grid of _NORM_INTERVALS
-    intervals, so tables on different grids share one normalization.  When
-    the caller passes a table on the same grid as align_to, the sign
-    (unimodular phase in the complex case) is aligned to it and the result
-    takes its index; this module never builds such a table itself.
+    _DEFAULT_STEP_SCALE, as in the root search, and is evaluated at the
+    grid only.  On each constant piece and each Magnus cell the computed
+    y1 is a cos + b sin, and |y1|^2 is integrated in closed form
+    (_unit_trajectory), so tables on different grids share one
+    normalization.  It is exact on constant pieces; inside a Magnus cell
+    exp(tau Omega) differs from the partial steps that give the node
+    states by the cell's local error, about 1e-10 of the norm at n = 200
+    on the test suite's quadratic.  When the caller passes a table on the
+    same grid as align_to, the sign (unimodular phase in the complex case)
+    is aligned to it and the result takes its index; this module never
+    builds such a table itself.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if align_to is not None and not np.array_equal(align_to.grid, grid):
         raise ValueError("align_to table lives on a different grid")
-    dense = np.linspace(0.0, PI, _NORM_INTERVALS + 1)
-    nodes = np.union1d(dense, grid)
-    y1n, _ = _dense_states(pot, lam, nodes, step_scale=_DEFAULT_STEP_SCALE)
-    dense_vals = y1n[np.searchsorted(nodes, dense)]
-    nrm2 = float(simpson(np.abs(dense_vals) ** 2, x=dense))
-    if not nrm2 > 0:
-        raise InternalError("zero-norm trajectory cannot be an eigenfunction")
-    vals = y1n[np.searchsorted(nodes, grid)] / math.sqrt(nrm2)
-    note = f"unit L2 norm (Simpson, {_NORM_INTERVALS} intervals)"
+    vals = _unit_trajectory(pot, lam, grid)
+    note = "unit L2 norm (closed form per cell)"
     if align_to is not None:
         z = complex(np.sum(align_to.values * np.conj(vals)))
         if abs(z) > 0:

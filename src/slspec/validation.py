@@ -297,7 +297,8 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
 
     The pairing is the Hermitian one, integral of y_n * conj(w_k) over
     [0, pi], evaluated by composite Simpson on a shared uniform grid of
-    _BIORTH_GRID nodes.  The verdict passes when no entry deviates from the
+    _BIORTH_GRID nodes; a real potential's tables are built once and serve
+    as both systems.  The verdict passes when no entry deviates from the
     identity by more than _BIORTH_TOL.  Quadratic cost limits n_max to 24.
     """
     if n_max > 24:
@@ -305,7 +306,8 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
     grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
     ys = {n: asymptotics.eigenfunction_asym(pot, n, grid).values for n in ns}
-    ws = {k: asymptotics.biorthogonal_asym(pot, k, grid).values for k in ns}
+    ws = ys if pot.is_real else {
+        k: asymptotics.biorthogonal_asym(pot, k, grid).values for k in ns}
     mat = np.empty((len(ns), len(ns)), dtype=complex)
     for i, n in enumerate(ns):
         for j, k in enumerate(ns):

@@ -134,6 +134,25 @@ def test_real_potential_degeneration(step_pot, const_pot):
             assert np.abs(y.values - w.values).max() < 1e-14
 
 
+def test_real_biorthogonal_table_is_eigenfunction_table(poly_pot):
+    # the conjugated assembly rounds differently from the plain one on
+    # some polys (here a literal copy of a bench quadratic, where 16 of
+    # the 20 tables differed by up to 3e-16), so the real tables must come
+    # from one assembly to coincide
+    quadratic = PotentialSpec.poly([
+        (0.0, 1.3044947547868515,
+         [0.1606588577869131, -0.16075700730768822, -0.30481862480947525]),
+        (1.3044947547868515, PI,
+         [-0.17431223003739588, 0.22139468090938771, 0.09917118125226723])])
+    g = default_grid(16385)
+    for pot in (poly_pot, quadratic):
+        for n in range(1, 21):
+            y = eigenfunction_asym(pot, n, g)
+            w = biorthogonal_asym(pot, n, g)
+            assert w.kind == "biorthogonal" and w.index == n
+            assert np.array_equal(w.values, y.values), n
+
+
 def test_step_eigenfunction_close_to_oracle(step_pot):
     g = default_grid(513)
     res = solve_eigenvalue(step_pot, 10)

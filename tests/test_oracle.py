@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
-from slspec import (PotentialSpec, SingularArgumentError,
-                    characteristic, default_grid, eigenfunction_asym,
-                    eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
+from slspec import (DomainError, IntegrationBlowupError, PotentialSpec,
+                    SingularArgumentError, characteristic, default_grid,
+                    eigenfunction_asym, eigenfunction_numeric,
+                    eigenvalue_asym, integrate_prufer,
                     integrate_quasi_system, solve_eigenvalue, solve_spectrum,
                     table_norm_sq)
 from slspec import moments, oracle
@@ -749,3 +751,98 @@ def test_numeric_alignment_to_asymptotic_table(step_pot):
     assert num.index == 7
     with pytest.raises(ValueError):
         eigenfunction_numeric(step_pot, res.lam, default_grid(129), align_to=asym)
+
+
+def _closed_form_norm(pot, lam):
+    return oracle._dense_states(pot, lam, np.asarray([PI]),
+                                step_scale=oracle._DEFAULT_STEP_SCALE,
+                                norm=True)[2]
+
+
+def _piecewise_simpson_norm(pot, lam, intervals=2 ** 17):
+    """|y1|^2 over [0, pi] by Simpson on each piece, the breaks as nodes.
+
+    |y1|^2 has a kink at every jump of u, where Simpson across the break
+    is only second order; inside a piece it is smooth.
+    """
+    total = 0.0
+    for a, b in zip(pot.breaks, pot.breaks[1:]):
+        m = 2 * max(1, round(intervals * (b - a) / (2 * PI)))
+        x = np.linspace(a, b, m + 1)
+        total += simpson(np.abs(integrate_quasi_system(pot, lam, x).y1) ** 2,
+                         x=x)
+    return total
+
+
+def test_closed_form_norm_matches_piecewise_simpson(step_pot, poly_pot,
+                                                    trig_pot):
+    cstep = PotentialSpec.step([(0.0, PI / 2, 1j), (PI / 2, PI, 1 - 1j)])
+    # the two-bound step has irregular breaks and two negative eigenvalues,
+    # so its constant pieces take imaginary z at n = 1, 2
+    pots = {"step": step_pot, "two-bound step": TWO_BOUND_STEP,
+            "poly": poly_pot, "trig": trig_pot, "complex step": cstep}
+    for name, pot in pots.items():
+        for n in (1, 2, 10, 100, 200):
+            lam = solve_eigenvalue(pot, n).lam
+            got, ref = _closed_form_norm(pot, lam), _piecewise_simpson_norm(
+                pot, lam)
+            assert abs(got - ref) <= 1e-9 * ref, (name, n, got, ref)
+
+
+def test_closed_form_norm_small_and_large_cells(poly_pot):
+    # lambda equal to the cell average of q = u' on one Magnus cell puts
+    # that cell at a turning point: z^2 = -delta^2, far below the series
+    # threshold of _sinc_defect
+    h, (delta, gamma), *_ = oracle._mesh(poly_pot.piecewise.pieces[0], 1.3,
+                                         oracle._DEFAULT_STEP_SCALE)
+    k = len(gamma) // 2
+    lam = (gamma[k] / h).real
+    z = np.sqrt(-(delta * delta + h * (gamma - lam * h)))
+    assert abs(z[k]) < 1e-6
+    got, ref = _closed_form_norm(poly_pot, lam), _piecewise_simpson_norm(
+        poly_pot, lam)
+    assert abs(got - ref) <= 1e-9 * ref
+    # a constant piece with s d = 47.1 + 9.4i: |y1| grows by e^9.4 across it
+    pot = PotentialSpec.step([(0.0, 1.0, 0.5), (1.0, PI, -1.0 + 0.5j)])
+    lam = (22.0 + 4.4j) ** 2
+    got, ref = _closed_form_norm(pot, lam), _piecewise_simpson_norm(pot, lam)
+    assert abs(got - ref) <= 1e-9 * ref
+
+
+def test_numeric_grid_past_pi_rejected(step_pot):
+    # a table takes a last node within 1e-9 of pi; the trajectory stops at pi
+    grid = default_grid(65)
+    grid[-1] = PI + 5e-10
+    lam = solve_eigenvalue(step_pot, 3).lam
+    with pytest.raises(DomainError):
+        eigenfunction_numeric(step_pot, lam, grid)
+
+
+def test_norm_overflow_is_typed(free_pot):
+    # Im sqrt(lam) pi = 377: y1 stays finite (about 1e163), |y1|^2 does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationBlowupError):
+            eigenfunction_numeric(free_pot, (1 + 120j) ** 2, default_grid(33))
+
+
+def test_node_states_independent_of_other_nodes(step_pot, poly_pot, trig_pot):
+    grid = default_grid(513)
+    dense = np.linspace(0.0, PI, 32769)
+    nodes = np.union1d(grid, dense)
+    at = np.searchsorted(nodes, grid)
+    cstep = PotentialSpec.step([(0.0, PI / 2, 1j), (PI / 2, PI, 1 - 1j)])
+    for pot, n in ((step_pot, 7), (poly_pot, 5), (trig_pot, 4), (cstep, 6)):
+        lam = solve_eigenvalue(pot, n).lam
+        for norm in (False, True):
+            few = oracle._dense_states(pot, lam, grid, step_scale=0.004,
+                                       norm=norm)
+            many = oracle._dense_states(pot, lam, nodes, step_scale=0.004,
+                                        norm=norm)
+            assert np.array_equal(few[0], many[0][at]), (n, norm)
+            assert np.array_equal(few[1], many[1][at]), (n, norm)
+        # an unsorted grid with a repeated node maps back node by node
+        order = np.random.default_rng(n).permutation(len(grid))
+        idx = np.append(order, order[3])
+        vals = oracle._unit_trajectory(pot, lam, grid)
+        assert np.array_equal(oracle._unit_trajectory(pot, lam, grid[idx]),
+                              vals[idx])
