@@ -20,6 +20,7 @@ normalizations that would swamp the biorthogonality diagnostics for low n.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,8 +77,7 @@ class SpectralPoint:
         if self._pot is None:
             raise ValueError("gamma_at_m2 needs the potential; points from "
                              "eigenvalue_asym carry it")
-        prof = _CorrectionProfile(self._pot, self.m * self.m)
-        return prof.gauge(self._sup_grid).value
+        return _m2_profile(self._pot, self.n).gauge(self._sup_grid).value
 
 
 @dataclass
@@ -112,6 +112,40 @@ def default_grid(size: int = 513) -> np.ndarray:
     return np.linspace(0.0, PI, int(size))
 
 
+# {(pot, n): profile at m^2} of the current index while m^2 profiles are
+# shared (see _sharing_m2_profiles), else None
+_m2_shared: dict | None = None
+
+
+@contextmanager
+def _sharing_m2_profiles():
+    """Within the block, index n's prediction, its gauge at m^2 and its
+    eigenfunction bracket read one correction profile at m^2.
+
+    A sweep handles one index at a time, so only the latest profile is kept,
+    and none outlives the block.
+    """
+    global _m2_shared
+    saved, _m2_shared = _m2_shared, {}
+    try:
+        yield
+    finally:
+        _m2_shared = saved
+
+
+def _m2_profile(pot: PotentialSpec, n: int) -> _CorrectionProfile:
+    """The correction profile at m^2 = (n - 1/2)^2."""
+    key = (pot, n)
+    if _m2_shared is not None and key in _m2_shared:
+        return _m2_shared[key]
+    m = n - 0.5
+    prof = _CorrectionProfile(pot, m * m)
+    if _m2_shared is not None:
+        _m2_shared.clear()
+        _m2_shared[key] = prof
+    return prof
+
+
 def eigenvalue_asym(pot: PotentialSpec, n: int, sup_grid: int = 256) -> SpectralPoint:
     """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi.
 
@@ -121,8 +155,7 @@ def eigenvalue_asym(pot: PotentialSpec, n: int, sup_grid: int = 256) -> Spectral
     if n < 1:
         raise ValueError("index n must be >= 1")
     m = n - 0.5
-    prof = _CorrectionProfile(pot, m * m)
-    mu = -prof.v(PI) / PI
+    mu = -_m2_profile(pot, n).v(PI) / PI
     return SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu,
                          phase_correction=mu, _pot=pot, _sup_grid=sup_grid)
 
@@ -137,41 +170,44 @@ def prufer_modulus_asym(pot: PotentialSpec, x, lam):
     """Leading modulus 1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st)."""
     s = principal_sqrt(lam)
     prof = _CorrectionProfile(pot, lam)
-    u2_sin = (pot.piecewise * pot.piecewise
+    u2_sin = (pot.piecewise_sq
               * moments.sin_kernel(2 * s, pot.breaks)).antiderivative()
     return 1.0 - prof.single_cos.eval(x) - u2_sin.eval(x) / (2 * s)
 
 
 class _BracketAssembly:
-    """Closed-form assembly of the first-order eigenfunction brackets."""
+    """Closed-form assembly of the first-order eigenfunction brackets.
+
+    The eigenfunction's brackets (not conjugated) take their moments at 2m
+    from the correction profile at m^2, whose kernels are the same
+    2 sqrt(m^2) = 2m; only the u^2 sin moment is built here.
+    """
 
     def __init__(self, pot: PotentialSpec, n: int, conjugated: bool):
         self.n = int(n)
         self.m = m = n - 0.5
         breaks = pot.breaks
-        u = pot.piecewise.conj() if conjugated else pot.piecewise
-        u2 = u * u
-        uR = pot.real_part().piecewise
-        uI = pot.imag_part().piecewise
         sin2m = moments.sin_kernel(2 * m, breaks)
         cos2m = moments.cos_kernel(2 * m, breaks)
-        w_lin = moments.linear(breaks, slope=-1.0, intercept=PI)   # (pi - t)
+        w_cos, w_sin = pot.bracket_weights(conjugated)
+        k_cos = (w_cos * cos2m).integral() / PI
+        k_sin = (w_sin * sin2m).integral() / PI
 
         if conjugated:
-            cos_weight = uR + uI.scale(2j)
-            sin_weight = uR * uR - uI * uI + (uR * uI).scale(4j)
+            u = pot.piecewise.conj()
+            u2 = u * u
+            u_cos = (u * cos2m).antiderivative()
+            u_sin = (u * sin2m).antiderivative()
+            u2_cos = (u2 * cos2m).antiderivative()
+            u2_int = u2.antiderivative()
+            double = (u * cos2m * u_sin).antiderivative()
         else:
-            cos_weight = uR
-            sin_weight = uR * uR - uI * uI
-        k_cos = (w_lin * cos_weight * cos2m).integral() / PI
-        k_sin = (w_lin * sin_weight * sin2m).integral() / PI
-
-        u_cos = (u * cos2m).antiderivative()
-        u_sin = (u * sin2m).antiderivative()
+            u2 = pot.piecewise_sq
+            prof = _m2_profile(pot, self.n)
+            u_cos, u_sin = prof.single_cos, prof.single_sin
+            u2_cos, u2_int = prof.square_cos, prof.square_plain
+            double = prof.double
         u2_sin = (u2 * sin2m).antiderivative()
-        u2_cos = (u2 * cos2m).antiderivative()
-        u2_int = u2.antiderivative()
-        double = (u * cos2m * u_sin).antiderivative()
 
         one = moments.constant(1.0, breaks)
         xs = moments.linear(breaks)                                 # t
@@ -240,7 +276,7 @@ def normalization_factor(pot: PotentialSpec, n: int) -> complex:
     m = n - 0.5
     breaks = pot.breaks
     u = pot.piecewise
-    u2 = u * u
+    u2 = pot.piecewise_sq
     sin2m = moments.sin_kernel(2 * m, breaks)
     cos2m = moments.cos_kernel(2 * m, breaks)
     w_lin = moments.linear(breaks, slope=-1.0, intercept=PI)

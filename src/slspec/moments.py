@@ -15,6 +15,7 @@ grows with the degree so that neither branch loses more than a few ulps.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,7 @@ def _merge_atoms(atoms):
             acc[key] = coeffs
     out = []
     for nu in sorted(acc, key=lambda w: (w.real, w.imag)):
-        coeffs = _trim(acc[nu])
+        coeffs = acc[nu]            # trimmed already, by _trim or _polyadd
         if len(coeffs) == 1 and coeffs[0] == 0:
             continue
         out.append((nu, coeffs))
@@ -260,12 +261,17 @@ class PiecewiseExp:
     __rmul__ = __mul__
 
     def scale(self, c):
+        # scaling keeps frequencies apart, so atoms need trimming, not merging
         c = complex(c)
-        pieces = tuple(
-            _merge_atoms([(nu, tuple(c * x for x in coeffs)) for nu, coeffs in pc])
-            for pc in self.pieces
-        )
-        return PiecewiseExp(self.breaks, pieces)
+        pieces = []
+        for pc in self.pieces:
+            atoms = []
+            for nu, coeffs in pc:
+                coeffs = _trim([c * x for x in coeffs])
+                if len(coeffs) > 1 or coeffs[0] != 0:
+                    atoms.append((nu, coeffs))
+            pieces.append(tuple(atoms))
+        return PiecewiseExp(self.breaks, tuple(pieces))
 
     def conj(self):
         pieces = tuple(
@@ -300,14 +306,35 @@ class PiecewiseExp:
         return PiecewiseExp(self.breaks, tuple(pieces))
 
     def integral(self, a=None, b=None):
-        """Exact integral over [a, b] (defaults to the full domain)."""
+        """Exact integral over [a, b] (defaults to the full domain).
+
+        Sums the definite integrals of the atoms over each piece that
+        [a, b] meets; no antiderivative object is built.
+        """
         lo = self.lo if a is None else float(a)
         hi = self.hi if b is None else float(b)
         if lo < self.lo - 1e-12 or hi > self.hi + 1e-12:
             raise DomainError(f"integration interval [{lo}, {hi}] leaves "
                               f"[{self.lo}, {self.hi}]")
-        F = self.antiderivative()
-        return complex(F.eval(hi) - F.eval(lo))
+        if hi < lo:
+            return -self.integral(hi, lo)
+        last = len(self.pieces) - 1
+        first = min(max(bisect.bisect_right(self.breaks, lo) - 1, 0), last)
+        stop = min(max(bisect.bisect_left(self.breaks, hi) - 1, first), last)
+        total = 0j
+        for i in range(first, stop + 1):
+            a_i = self.breaks[i]
+            h = self.breaks[i + 1] - a_i
+            s0 = lo - a_i if i == first else 0.0
+            s1 = hi - a_i if i == stop else h
+            if s1 == s0:
+                continue
+            for nu, coeffs in self.pieces[i]:
+                prim = _mode_antiderivative(nu, coeffs, h)
+                total += _eval_atoms(prim, s1)
+                if s0 != 0:
+                    total -= _eval_atoms(prim, s0)
+        return complex(total)
 
 
 def constant(value, breaks):

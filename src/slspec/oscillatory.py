@@ -99,7 +99,7 @@ class _CorrectionProfile:
         self.sqrt_lam = _require_regular(lam)
         s2 = 2 * self.sqrt_lam
         u = pot.piecewise
-        u2 = u * u
+        u2 = pot.piecewise_sq
         sin_k = moments.sin_kernel(s2, u.breaks)
         cos_k = moments.cos_kernel(s2, u.breaks)
         self.single_sin = (u * sin_k).antiderivative()
@@ -145,8 +145,15 @@ class _CorrectionProfile:
                 lo = xs[max(int(i) - 1, 0)]
                 hi = xs[min(int(i) + 1, len(xs) - 1)]
                 extra.append(np.linspace(lo, hi, 15))
-            xs = np.union1d(xs, np.concatenate(extra))
-            vals, comp_vals = sample(xs)
+            # sampling is pointwise: evaluate the new points only and merge
+            # them into the sorted grid
+            new = np.setdiff1d(np.concatenate(extra), xs)
+            new_vals, new_comp = sample(new)
+            at = np.searchsorted(xs, new)
+            xs = np.insert(xs, at, new)
+            vals = np.insert(vals, at, new_vals)
+            comp_vals = tuple(np.insert(old, at, add)
+                              for old, add in zip(comp_vals, new_comp))
         tail = float(pot.l2_norm_sq / abs(complex(self.lam)) ** 0.5)
         best = float(vals.max())
         gaps = np.diff(xs)

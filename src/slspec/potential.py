@@ -57,6 +57,10 @@ class PotentialSpec:
     breaks: tuple
     coeffs: tuple
 
+    def __reduce__(self):
+        # pickle the description only, never the cached closed-form objects
+        return (PotentialSpec, (self.kind, self.breaks, self.coeffs))
+
     def __post_init__(self):
         if self.kind not in ("step", "poly", "trig"):
             raise PotentialFormatError(f"unknown potential kind {self.kind!r}")
@@ -129,6 +133,37 @@ class PotentialSpec:
             pieces.append(moments._merge_atoms(atoms))
         return moments.PiecewiseExp(self.breaks, tuple(pieces))
 
+    @cached_property
+    def piecewise_sq(self) -> moments.PiecewiseExp:
+        """u^2 as a polynomial-exponential object."""
+        return self.piecewise * self.piecewise
+
+    def bracket_weights(self, conjugated: bool) -> tuple:
+        """((pi - t) * c(t), (pi - t) * s(t)), the weights of the bracket constants.
+
+        c and s weight the cos and sin moments of the first-order
+        eigenfunction brackets: c = u_R and s = u_R^2 - u_I^2, or, for the
+        conjugated (biorthogonal) expansion, c = u_R + 2i u_I and
+        s = u_R^2 - u_I^2 + 4i u_R u_I.  Neither depends on the index, so
+        each is built once per potential.
+        """
+        return self._bracket_weights_conj if conjugated else self._bracket_weights_plain
+
+    @cached_property
+    def _bracket_weights_plain(self) -> tuple:
+        uR, uI = self.real_part().piecewise, self.imag_part().piecewise
+        return self._weighted(uR, uR * uR - uI * uI)
+
+    @cached_property
+    def _bracket_weights_conj(self) -> tuple:
+        uR, uI = self.real_part().piecewise, self.imag_part().piecewise
+        return self._weighted(uR + uI.scale(2j),
+                              uR * uR - uI * uI + (uR * uI).scale(4j))
+
+    def _weighted(self, cos_weight, sin_weight) -> tuple:
+        w_lin = moments.linear(self.breaks, slope=-1.0, intercept=PI)  # (pi - t)
+        return w_lin * cos_weight, w_lin * sin_weight
+
     def eval_u(self, x):
         """u(x) for x in [0, pi], right-continuous at breakpoints."""
         arr = np.asarray(x, dtype=float)
@@ -142,12 +177,16 @@ class PotentialSpec:
         return PotentialSpec(self.kind, self.breaks, _map_coeffs(self, np.conj))
 
     def real_part(self) -> "PotentialSpec":
-        return PotentialSpec(self.kind, self.breaks,
-                             _map_coeffs(self, lambda c: complex(c.real)))
+        return self._parts[0]
 
     def imag_part(self) -> "PotentialSpec":
-        return PotentialSpec(self.kind, self.breaks,
-                             _map_coeffs(self, lambda c: complex(c.imag)))
+        return self._parts[1]
+
+    @cached_property
+    def _parts(self) -> tuple:
+        return tuple(PotentialSpec(self.kind, self.breaks, _map_coeffs(self, fn))
+                     for fn in (lambda c: complex(c.real),
+                                lambda c: complex(c.imag)))
 
     def square(self) -> "PotentialSpec":
         """u^2, re-expanded inside the same piece family."""

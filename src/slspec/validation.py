@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import asymptotics, oracle
 from .errors import (IndexingError, IntegrationBlowupError,
@@ -177,8 +176,9 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
 
 def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain):
     grid = asymptotics.default_grid(grid_size)
-    return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
-                       sup_grid=sup_grid, domain=domain) for n in ns]
+    with asymptotics._sharing_m2_profiles():
+        return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
+                           sup_grid=sup_grid, domain=domain) for n in ns]
 
 
 def _cumulative(values) -> list:
@@ -297,21 +297,32 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
 
     The pairing is the Hermitian one, integral of y_n * conj(w_k) over
     [0, pi], evaluated by composite Simpson on a shared uniform grid of
-    _BIORTH_GRID nodes; a real potential's tables are built once and serve
-    as both systems.  The verdict passes when no entry deviates from the
-    identity by more than _BIORTH_TOL.  Quadratic cost limits n_max to 24.
+    _BIORTH_GRID nodes, one weighted matrix-vector product per row; a real
+    potential's tables are built once and serve as both systems.  The
+    verdict passes when no entry deviates from the identity by more than
+    _BIORTH_TOL.  Quadratic cost limits n_max to 24.
     """
     if n_max > 24:
         raise ValueError("biorthogonality_check is quadratic; n_max <= 24")
     grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
-    ys = {n: asymptotics.eigenfunction_asym(pot, n, grid).values for n in ns}
-    ws = ys if pot.is_real else {
-        k: asymptotics.biorthogonal_asym(pot, k, grid).values for k in ns}
-    mat = np.empty((len(ns), len(ns)), dtype=complex)
-    for i, n in enumerate(ns):
-        for j, k in enumerate(ns):
-            mat[i, j] = simpson(ys[n] * np.conj(ws[k]), x=grid)
+
+    def tables(build):
+        out = np.empty((len(ns), _BIORTH_GRID), dtype=complex)
+        for i, n in enumerate(ns):
+            out[i] = build(pot, n, grid).values
+        return out
+
+    ys = tables(asymptotics.eigenfunction_asym)
+    ws = ys if pot.is_real else tables(asymptotics.biorthogonal_asym)
+    # composite Simpson weights h/3 * [1, 4, 2, ..., 2, 4, 1]
+    weights = np.full(_BIORTH_GRID, 2.0)
+    weights[1::2] = 4.0
+    weights[[0, -1]] = 1.0
+    weights *= (grid[-1] - grid[0]) / (_BIORTH_GRID - 1) / 3
+    # row n: sum of y_n w conj(w_k) = conj(w_k . conj(y_n w)) for every k,
+    # one matrix-vector product without a conjugated copy of the tables
+    mat = np.array([np.conj(ws @ np.conj(y * weights)) for y in ys])
     dev = np.abs(mat - np.eye(len(ns)))
     max_offdiag = float((dev - np.diag(np.diag(dev))).max())
     max_diag = float(np.abs(np.diag(mat) - 1).max())

@@ -256,3 +256,78 @@ def test_half_integer_moment_identity():
         m = n - 0.5
         val = (x_poly * moments.sin_kernel(2 * m, breaks)).integral()
         assert abs(val - PI / (2 * m)) < 1e-12, n
+
+
+# -- shared m^2 profile ----------------------------------------------------------
+
+_CSTEP = PotentialSpec.step([(0.0, 1.0, 0.5 + 1.0j), (1.0, 2.2, -1.0 - 0.5j),
+                             (2.2, PI, 2.0)])
+
+
+def _bracket_from_scratch(pot, n, conjugated):
+    """The bracket function with every moment built afresh from u."""
+    m = n - 0.5
+    breaks = pot.breaks
+    u = pot.piecewise.conj() if conjugated else pot.piecewise
+    u2 = u * u
+    uR = pot.real_part().piecewise
+    uI = pot.imag_part().piecewise
+    sin2m = moments.sin_kernel(2 * m, breaks)
+    cos2m = moments.cos_kernel(2 * m, breaks)
+    w_lin = moments.linear(breaks, slope=-1.0, intercept=PI)
+    if conjugated:
+        cos_weight = uR + uI.scale(2j)
+        sin_weight = uR * uR - uI * uI + (uR * uI).scale(4j)
+    else:
+        cos_weight = uR
+        sin_weight = uR * uR - uI * uI
+    k_cos = (w_lin * cos_weight * cos2m).integral() / PI
+    k_sin = (w_lin * sin_weight * sin2m).integral() / PI
+    u_cos = (u * cos2m).antiderivative()
+    u_sin = (u * sin2m).antiderivative()
+    u2_sin = (u2 * sin2m).antiderivative()
+    u2_cos = (u2 * cos2m).antiderivative()
+    u2_int = u2.antiderivative()
+    double = (u * cos2m * u_sin).antiderivative()
+    one = moments.constant(1.0, breaks)
+    xs = moments.linear(breaks)
+    sin_bracket = (one.scale(1.0 + k_cos + k_sin / (2 * m)) - u_cos
+                   - u2_sin.scale(1 / (2 * m)))
+    tail1 = complex(u_sin.eval(PI) + 2 * double.eval(PI))
+    tail2 = complex(u2_int.eval(PI) - u2_cos.eval(PI))
+    cos_bracket = (u_sin + double.scale(2) - xs.scale(tail1 / PI)
+                   + (u2_int - u2_cos - xs.scale(tail2 / PI)).scale(1 / (2 * m)))
+    return (moments.sin_kernel(m, breaks) * sin_bracket
+            + moments.cos_kernel(m, breaks) * cos_bracket)
+
+
+@pytest.mark.parametrize("name", ["step", "poly", "trig", "cstep"])
+def test_bracket_from_shared_profile_is_bitwise_fresh(all_pots, name, monkeypatch):
+    import slspec.asymptotics as A
+    from slspec.oscillatory import _CorrectionProfile
+
+    pot = _CSTEP if name == "cstep" else all_pots[name]
+    # a fresh copy, so no cached product of another test is read
+    pot = PotentialSpec(pot.kind, pot.breaks, pot.coeffs)
+    ns = (1, 2, 10, 57)
+    for n in ns:
+        for conjugated in (False, True):
+            ref = _bracket_from_scratch(pot, n, conjugated)
+            assert A._BracketAssembly(pot, n, conjugated).func.pieces == ref.pieces
+    # inside a sweep the bracket reads the m^2 profile of the prediction
+    profile_lams = []
+    real_init = _CorrectionProfile.__init__
+
+    def counting_init(self, pot, lam):
+        profile_lams.append(lam)
+        real_init(self, pot, lam)
+
+    monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
+    with A._sharing_m2_profiles():
+        for n in ns:
+            eigenvalue_asym(pot, n)
+            asm = A._BracketAssembly(pot, n, conjugated=False)
+            assert asm.func.pieces == _bracket_from_scratch(pot, n, False).pieces
+    assert A._m2_shared is None
+    # one profile per index: the prediction's, which the bracket reads
+    assert profile_lams == [(n - 0.5) ** 2 for n in ns]

@@ -110,3 +110,62 @@ def test_integral_subinterval_and_domain_guard():
     assert abs(f.integral(0.0, 1.1) + f.integral(1.1, PI) - full) < 1e-13
     with pytest.raises(Exception):
         f.integral(-0.5, 1.0)
+
+
+def _antiderivative_difference(f, a, b):
+    """The integral the way it was taken before: F(b) - F(a) from f's antiderivative."""
+    F = f.antiderivative()
+    return complex(F.eval(b) - F.eval(a))
+
+
+def _integral_cases():
+    base = _sample_pe()
+    # |nu| h below the series threshold on every piece: series-branch atoms
+    slow = moments.poly_global([(1.0, -0.5, 0.25), (0.3, 2.0)], (0.0, 1.1, PI)) \
+        * moments.sin_kernel(0.2, (0.0, 1.1, PI))
+    # complex frequencies, decaying and growing, on three pieces
+    brk = (0.0, 0.7, 2.3, PI)
+    cplx = moments.poly_global([(0.5j, 1.0), (2.0, -1j, 0.3), (1.0 - 1j,)], brk) \
+        * moments.cos_kernel(7.3 + 1.9j, brk)
+    return {"sample": base, "series": slow, "complex": cplx}
+
+
+@pytest.mark.parametrize("name", ["sample", "series", "complex"])
+@pytest.mark.parametrize("a, b", [
+    (None, None),          # full domain
+    (0.2, 0.9),            # inside one piece
+    (0.4, 2.9),            # across breaks
+    (1.1, PI),             # from a break to the end
+    (1.7, 1.7),            # empty
+    (2.9, 0.4),            # reversed
+])
+def test_integral_sums_atom_integrals(name, a, b):
+    f = _integral_cases()[name]
+    lo = f.lo if a is None else a
+    hi = f.hi if b is None else b
+    got = f.integral(a, b)
+    ref = _antiderivative_difference(f, lo, hi)
+    if lo == hi:
+        assert got == 0
+    else:
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
+def test_integral_series_branch_is_exercised():
+    f = _integral_cases()["series"]
+    for i, piece in enumerate(f.pieces):
+        h = f.breaks[i + 1] - f.breaks[i]
+        for nu, coeffs in piece:
+            thr = moments._series_threshold(len(coeffs) - 1)
+            assert nu == 0 or abs(nu) * h <= thr
+
+
+@pytest.mark.parametrize("c", [0, 1, -1, 2 + 3j])
+def test_scale_matches_merged_route(c):
+    zero_step = moments.PiecewiseExp((0.0, 1.0, PI), (((0j, (0j,)),), ((0j, (2.0,)),)))
+    for f in [*_integral_cases().values(), zero_step, moments.constant(0.0, (0.0, PI))]:
+        merged = tuple(
+            moments._merge_atoms([(nu, tuple(complex(c) * x for x in coeffs))
+                                  for nu, coeffs in pc])
+            for pc in f.pieces)
+        assert f.scale(c).pieces == merged

@@ -220,3 +220,21 @@ def test_loader_rejects_bad_endpoints_and_coeffs():
     with pytest.raises(PotentialFormatError):
         load_potential({"kind": "step", "pieces": [
             {"from": 0.0, "to": PI, "coeffs_re": [1e200]}]})
+
+
+def test_pickle_carries_the_description_only(trig_pot):
+    import pickle
+
+    from slspec import eigenfunction_asym, eigenvalue_asym
+
+    fresh = PotentialSpec(trig_pot.kind, trig_pot.breaks, trig_pot.coeffs)
+    size = len(pickle.dumps(fresh))
+    point_size = len(pickle.dumps(eigenvalue_asym(fresh, 3)))
+    # fill every cached closed-form product
+    eigenfunction_asym(fresh, 3, np.linspace(0.0, PI, 9))
+    fresh.bracket_weights(True)
+    assert fresh.l2_norm_sq > 0 and "piecewise_sq" in vars(fresh)
+    assert len(pickle.dumps(fresh)) == size
+    assert len(pickle.dumps(eigenvalue_asym(fresh, 3))) == point_size
+    back = pickle.loads(pickle.dumps(fresh))
+    assert back == fresh and "piecewise" not in vars(back)

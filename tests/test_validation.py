@@ -189,6 +189,23 @@ def test_biorthogonality_free_is_kronecker(free_pot):
     assert out["verdict"]
 
 
+@pytest.mark.parametrize("name", ["poly", "trig"])
+def test_biorthogonality_matrix_is_simpson_pairing(all_pots, name):
+    from scipy.integrate import simpson
+
+    from slspec import biorthogonal_asym, default_grid, eigenfunction_asym
+
+    pot = all_pots[name]
+    out = biorthogonality_check(pot, 6, n_min=2)
+    mat = np.asarray(out["matrix_re"]) + 1j * np.asarray(out["matrix_im"])
+    grid = default_grid(16385)
+    for i, n in enumerate(out["n_values"]):
+        y = eigenfunction_asym(pot, n, grid).values
+        for j, k in enumerate(out["n_values"]):
+            w = biorthogonal_asym(pot, k, grid).values
+            assert abs(mat[i, j] - simpson(y * np.conj(w), x=grid)) <= 1e-14
+
+
 def test_biorthogonality_real_step(step_pot):
     out = biorthogonality_check(step_pot, 15, n_min=5)
     ns = out["n_values"]
