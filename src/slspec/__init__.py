@@ -19,7 +19,7 @@ from .oracle import (PruferState, PruferTrajectory, QuasiDerivState,
                      QuasiTrajectory, SecularResult, characteristic,
                      eigenfunction_numeric, integrate_prufer,
                      integrate_quasi_system, solve_eigenvalue,
-                     solve_spectrum, table_norm_sq)
+                     solve_spectrum)
 from .validation import (ComparisonReport, RemainderRecord,
                          biorthogonality_check, phase_modulus_ratio_profile,
                          remainder_sweep)
@@ -36,7 +36,7 @@ __all__ = [
     "PruferState", "PruferTrajectory", "QuasiDerivState", "QuasiTrajectory",
     "SecularResult", "characteristic", "eigenfunction_numeric",
     "integrate_prufer", "integrate_quasi_system", "solve_eigenvalue",
-    "solve_spectrum", "table_norm_sq",
+    "solve_spectrum",
     "ComparisonReport", "RemainderRecord", "biorthogonality_check",
     "phase_modulus_ratio_profile", "remainder_sweep",
     "DomainError", "IndexingError", "IntegrationBlowupError", "InternalError",

@@ -20,9 +20,8 @@ normalizations that would swamp the biorthogonality diagnostics for low n.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cached_property
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +42,6 @@ class SpectralPoint:
     sqrt_lambda_numeric: complex | None = None
     residual: float | None = None
     flag: str = ""
-    # what gamma_at_m2 is sampled from: the potential and the sample count
-    _pot: PotentialSpec | None = field(default=None, repr=False, compare=False)
-    _sup_grid: int = field(default=256, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -63,21 +59,6 @@ class SpectralPoint:
     @property
     def lambda_asym(self) -> complex:
         return self.sqrt_lambda_asym ** 2
-
-    @cached_property
-    def gamma_at_m2(self) -> float:
-        """Sampled remainder gauge at m^2, computed on first read.
-
-        Few callers read it (the sweep, for an index without a usable
-        root), and sampling the gauge costs more than the prediction itself,
-        so the point keeps only a reference to its potential, not the
-        correction profile.  A point built without one can be given the
-        value by assignment.
-        """
-        if self._pot is None:
-            raise ValueError("gamma_at_m2 needs the potential; points from "
-                             "eigenvalue_asym carry it")
-        return _m2_profile(self._pot, self.n).gauge(self._sup_grid).value
 
 
 @dataclass
@@ -112,52 +93,25 @@ def default_grid(size: int = 513) -> np.ndarray:
     return np.linspace(0.0, PI, int(size))
 
 
-# {(pot, n): profile at m^2} of the current index while m^2 profiles are
-# shared (see _sharing_m2_profiles), else None
-_m2_shared: dict | None = None
-
-
-@contextmanager
-def _sharing_m2_profiles():
-    """Within the block, index n's prediction, its gauge at m^2 and its
-    eigenfunction bracket read one correction profile at m^2.
-
-    A sweep handles one index at a time, so only the latest profile is kept,
-    and none outlives the block.
-    """
-    global _m2_shared
-    saved, _m2_shared = _m2_shared, {}
-    try:
-        yield
-    finally:
-        _m2_shared = saved
-
-
+@functools.lru_cache(maxsize=1)
 def _m2_profile(pot: PotentialSpec, n: int) -> _CorrectionProfile:
-    """The correction profile at m^2 = (n - 1/2)^2."""
-    key = (pot, n)
-    if _m2_shared is not None and key in _m2_shared:
-        return _m2_shared[key]
-    m = n - 0.5
-    prof = _CorrectionProfile(pot, m * m)
-    if _m2_shared is not None:
-        _m2_shared.clear()
-        _m2_shared[key] = prof
-    return prof
+    """The correction profile at m^2 = (n - 1/2)^2.
 
-
-def eigenvalue_asym(pot: PotentialSpec, n: int, sup_grid: int = 256) -> SpectralPoint:
-    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi.
-
-    The gauge at m^2 (``gamma_at_m2``) is sampled on sup_grid points when
-    it is first read.
+    Index n's prediction and its eigenfunction bracket read one profile;
+    callers handle one index at a time, so only the latest is kept.
     """
+    m = n - 0.5
+    return _CorrectionProfile(pot, m * m)
+
+
+def eigenvalue_asym(pot: PotentialSpec, n: int) -> SpectralPoint:
+    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi."""
     if n < 1:
         raise ValueError("index n must be >= 1")
     m = n - 0.5
     mu = -_m2_profile(pot, n).v(PI) / PI
     return SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu,
-                         phase_correction=mu, _pot=pot, _sup_grid=sup_grid)
+                         phase_correction=mu)
 
 
 def prufer_phase_asym(pot: PotentialSpec, x, lam):
@@ -178,9 +132,10 @@ def prufer_modulus_asym(pot: PotentialSpec, x, lam):
 class _BracketAssembly:
     """Closed-form assembly of the first-order eigenfunction brackets.
 
-    The eigenfunction's brackets (not conjugated) take their moments at 2m
-    from the correction profile at m^2, whose kernels are the same
-    2 sqrt(m^2) = 2m; only the u^2 sin moment is built here.
+    Both expansions take their moments at 2m from the correction profile at
+    m^2, of u for the eigenfunction and of conj(u) for the biorthogonal
+    partner; its kernels are the same 2 sqrt(m^2) = 2m.  Only the u^2 sin
+    moment is built here.
     """
 
     def __init__(self, pot: PotentialSpec, n: int, conjugated: bool):
@@ -193,21 +148,11 @@ class _BracketAssembly:
         k_cos = (w_cos * cos2m).integral() / PI
         k_sin = (w_sin * sin2m).integral() / PI
 
-        if conjugated:
-            u = pot.piecewise.conj()
-            u2 = u * u
-            u_cos = (u * cos2m).antiderivative()
-            u_sin = (u * sin2m).antiderivative()
-            u2_cos = (u2 * cos2m).antiderivative()
-            u2_int = u2.antiderivative()
-            double = (u * cos2m * u_sin).antiderivative()
-        else:
-            u2 = pot.piecewise_sq
-            prof = _m2_profile(pot, self.n)
-            u_cos, u_sin = prof.single_cos, prof.single_sin
-            u2_cos, u2_int = prof.square_cos, prof.square_plain
-            double = prof.double
-        u2_sin = (u2 * sin2m).antiderivative()
+        prof = _m2_profile(pot.conjugate() if conjugated else pot, self.n)
+        u_cos, u_sin = prof.single_cos, prof.single_sin
+        u2_cos, u2_int = prof.square_cos, prof.square_plain
+        double = prof.double
+        u2_sin = (prof.pot.piecewise_sq * sin2m).antiderivative()
 
         one = moments.constant(1.0, breaks)
         xs = moments.linear(breaks)                                 # t

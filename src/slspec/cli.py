@@ -37,7 +37,7 @@ class RunConfig:
     n_max: int = 10
     n: int | None = None
     grid: int = 513
-    method: str = "asym"            # asym | shoot | both
+    method: str = "asym"            # asym | both
     kind: str = "asym"              # asym | biorth | oracle
     alpha: float = 2.0
     tol_root: float = 1e-12
@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError("--tol-root must be positive")
         if self.alpha <= 0:
             raise ValueError("--alpha must be positive")
+        if self.jobs < 0:
+            raise ValueError("--jobs must be >= 0")
 
     def effective_jobs(self) -> int:
         """--jobs if given; else 1 (spectrum) or SLSPEC_JOBS or cores.
@@ -84,7 +86,7 @@ _FLAGS = {
     "--n-max": dict(type=int),
     "--n": dict(type=int, help="the index (default 1)"),
     "--grid": dict(type=int),
-    "--method": dict(choices=["asym", "shoot", "both"]),
+    "--method": dict(choices=["asym", "both"]),
     "--kind": dict(choices=["asym", "biorth", "oracle"]),
     "--alpha": dict(type=float, help="complex roots are searched in "
                                      "|Im sqrt(lambda)| < alpha"),
@@ -147,14 +149,14 @@ def cmd_spectrum(cfg: RunConfig, pot: PotentialSpec) -> int:
             pot, ns, jobs=cfg.effective_jobs(),
             domain=SpectralDomain(alpha=cfg.alpha), tol_root=cfg.tol_root)
     header = ["n", "m", "sqrt_lambda_asym_re", "sqrt_lambda_asym_im"]
-    if cfg.method in ("shoot", "both"):
+    if cfg.method == "both":
         header += ["sqrt_lambda_num_re", "sqrt_lambda_num_im", "abs_rho",
                    "residual", "flag"]
     rows = []
     for p in points:
         row = [p.n, _fmt(p.m), _fmt(p.sqrt_lambda_asym.real),
                _fmt(p.sqrt_lambda_asym.imag)]
-        if cfg.method in ("shoot", "both"):
+        if cfg.method == "both":
             if p.sqrt_lambda_numeric is not None:
                 row += [_fmt(p.sqrt_lambda_numeric.real),
                         _fmt(p.sqrt_lambda_numeric.imag),

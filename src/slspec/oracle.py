@@ -52,7 +52,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.optimize import brentq
 
 from . import asymptotics, moments
@@ -1029,8 +1028,3 @@ def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
     return asymptotics.EigenfunctionTable(
         index=align_to.index if align_to is not None else 0, grid=grid,
         values=vals, kind="oracle", normalization=note)
-
-
-def table_norm_sq(table) -> float:
-    """Composite Simpson norm of a table on its own grid (diagnostic)."""
-    return float(simpson(np.abs(table.values) ** 2, x=table.grid))

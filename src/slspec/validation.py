@@ -140,7 +140,7 @@ def _guarded_ratio(err: float, gamma_sq: float) -> float:
 
 def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
                sup_grid: int, domain: SpectralDomain | None):
-    point = asymptotics.eigenvalue_asym(pot, n, sup_grid=sup_grid)
+    point = asymptotics.eigenvalue_asym(pot, n)
     flag = ""
     gamma = None
     eig_err = 0.0
@@ -161,8 +161,14 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
         flag = f"degraded: {exc}"
         point.flag = flag
     if gamma is None:               # no root: the gauge at m^2 stands in
-        gamma = point.gamma_at_m2
+        gamma = _gauge_at_m2(pot, n, sup_grid)
     return _record(n, gamma, eig_err, sup_err, flag), point
+
+
+def _gauge_at_m2(pot: PotentialSpec, n: int, sup_grid: int) -> float:
+    """The gauge at m^2 = (n - 1/2)^2, for an index without a usable root."""
+    m = n - 0.5
+    return remainder_gauge(pot, m * m, sup_grid=sup_grid).value
 
 
 def _record(n: int, gamma: float, eig_err: float, sup_err: float,
@@ -176,9 +182,8 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
 
 def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain):
     grid = asymptotics.default_grid(grid_size)
-    with asymptotics._sharing_m2_profiles():
-        return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
-                           sup_grid=sup_grid, domain=domain) for n in ns]
+    return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
+                       sup_grid=sup_grid, domain=domain) for n in ns]
 
 
 def _cumulative(values) -> list:
@@ -223,8 +228,8 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     points = [p for _, p in results]
     # indices that converged to one root are degraded like a failed solve
     shared = {p.n for p in oracle._flag_shared_roots(points)}
-    records = [_record(p.n, p.gamma_at_m2, 0.0, 0.0, p.flag) if p.n in shared
-               else r for r, p in results]
+    records = [_record(p.n, _gauge_at_m2(pot, p.n, sup_grid), 0.0, 0.0, p.flag)
+               if p.n in shared else r for r, p in results]
 
     good = [r for r in records if not r.flag]
     n_good = [r.n for r in good]

@@ -11,9 +11,16 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from slspec import PotentialSpec
+from slspec import PotentialSpec, asymptotics
 
 PI = math.pi
+
+
+@pytest.fixture(autouse=True)
+def _fresh_m2_profile():
+    # PotentialSpec compares by value, so a profile another test left in the
+    # process-wide m^2 cache would be read by a fresh copy of its potential
+    asymptotics._m2_profile.cache_clear()
 
 
 @pytest.fixture(scope="session")

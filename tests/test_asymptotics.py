@@ -33,7 +33,7 @@ def test_free_eigenvalue_is_exact(free_pot):
     p = eigenvalue_asym(free_pot, 7)
     assert p.sqrt_lambda_asym == 6.5
     assert p.phase_correction == 0
-    assert p.gamma_at_m2 == 0.0
+    assert remainder_gauge(free_pot, p.m * p.m).value == 0.0
     assert p.m == 6.5
     assert p.rho is None
 
@@ -102,7 +102,8 @@ def test_phase_consistency_at_pi(const_pot, step_pot):
             p = eigenvalue_asym(pot, n)
             th = prufer_phase_asym(pot, PI, p.lambda_asym)
             dev = abs(th - PI * p.m)
-            assert dev <= 2.0 * p.gamma_at_m2 ** 2, (n, dev)
+            gamma = remainder_gauge(pot, p.m * p.m).value
+            assert dev <= 2.0 * gamma ** 2, (n, dev)
 
 
 # -- eigenfunction tables ---------------------------------------------------------
@@ -323,11 +324,10 @@ def test_bracket_from_shared_profile_is_bitwise_fresh(all_pots, name, monkeypatc
         real_init(self, pot, lam)
 
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
-    with A._sharing_m2_profiles():
-        for n in ns:
-            eigenvalue_asym(pot, n)
-            asm = A._BracketAssembly(pot, n, conjugated=False)
-            assert asm.func.pieces == _bracket_from_scratch(pot, n, False).pieces
-    assert A._m2_shared is None
+    A._m2_profile.cache_clear()     # the loop above left a profile there
+    for n in ns:
+        eigenvalue_asym(pot, n)
+        asm = A._BracketAssembly(pot, n, conjugated=False)
+        assert asm.func.pieces == _bracket_from_scratch(pot, n, False).pieces
     # one profile per index: the prediction's, which the bracket reads
     assert profile_lams == [(n - 0.5) ** 2 for n in ns]

@@ -86,7 +86,7 @@ def test_spectrum_step_csv_monotone(pot_files, capsys):
 
 def test_spectrum_shoot_method(pot_files, capsys):
     code, out, _ = _run(["spectrum", "--potential", pot_files["trig"],
-                         "--n-min", "8", "--n-max", "10", "--method", "shoot"],
+                         "--n-min", "8", "--n-max", "10", "--method", "both"],
                         capsys)
     assert code == 0
     rows = _rows(out)[1:]
@@ -227,6 +227,10 @@ def test_exit_code_bad_config(pot_files, capsys):
     code, _, _ = _run(["eigenfunction", "--potential", pot_files["free"],
                        "--n", "1", "--grid", "4"], capsys)
     assert code == 2
+    code, _, err = _run(["spectrum", "--potential", pot_files["free"],
+                         "--jobs", "-3"], capsys)
+    assert code == 2
+    assert "--jobs" in err
 
 
 def test_exit_code_library_value_error(pot_files, capsys, monkeypatch):

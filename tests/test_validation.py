@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from slspec import (NonconvergenceError, biorthogonality_check,
-                    phase_modulus_ratio_profile, remainder_sweep)
+                    phase_modulus_ratio_profile, remainder_gauge,
+                    remainder_sweep)
 from slspec.validation import CSV_COLUMNS, REPORT_SCHEMA
 
 PI = math.pi
@@ -151,17 +152,23 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
 
 def test_sweep_flags_shared_root(shared_root_trig):
     # the secant sends indices 1 and 2 to one root; the sweep solves index
-    # by index and must still flag both, like solve_spectrum
-    rep = remainder_sweep(shared_root_trig, 3, eigfun_up_to=0)
-    assert rep.degraded == [1, 2]
-    assert not rep.verdicts["all_converged"]
-    assert rep.records[0].flag == "degraded: shared root with index 2"
-    assert rep.records[1].flag == "degraded: shared root with index 1"
-    for rec, pt in zip(rep.records[:2], rep.points):
-        assert pt.flag == rec.flag
-        assert pt.sqrt_lambda_numeric is None and pt.residual is None
-        assert rec.eig_error == 0.0 and rec.gamma == pt.gamma_at_m2
-    assert rep.records[2].flag == "" and rep.points[2].sqrt_lambda_numeric is not None
+    # by index and must still flag both, like solve_spectrum; a flagged
+    # index reads the gauge at m^2 with the sweep's own sample count
+    for sup_grid in (256, 128):
+        rep = remainder_sweep(shared_root_trig, 3, eigfun_up_to=0,
+                              sup_grid=sup_grid)
+        assert rep.degraded == [1, 2]
+        assert not rep.verdicts["all_converged"]
+        assert rep.records[0].flag == "degraded: shared root with index 2"
+        assert rep.records[1].flag == "degraded: shared root with index 1"
+        for rec, pt in zip(rep.records[:2], rep.points):
+            assert pt.flag == rec.flag
+            assert pt.sqrt_lambda_numeric is None and pt.residual is None
+            gauge = remainder_gauge(shared_root_trig, pt.m * pt.m,
+                                    sup_grid=sup_grid)
+            assert rec.eig_error == 0.0 and rec.gamma == gauge.value
+        assert (rep.records[2].flag == ""
+                and rep.points[2].sqrt_lambda_numeric is not None)
 
 
 def test_report_serialization(tmp_path, step_pot):
