@@ -15,11 +15,9 @@ from .asymptotics import (EigenfunctionTable, SpectralPoint, biorthogonal_asym,
                           default_grid, eigenfunction_asym, eigenvalue_asym,
                           normalization_factor, prufer_modulus_asym,
                           prufer_phase_asym)
-from .oracle import (PruferState, PruferTrajectory, QuasiDerivState,
-                     QuasiTrajectory, SecularResult, characteristic,
-                     eigenfunction_numeric, integrate_prufer,
-                     integrate_quasi_system, solve_eigenvalue,
-                     solve_spectrum)
+from .oracle import (PruferTrajectory, QuasiTrajectory, SecularResult,
+                     characteristic, eigenfunction_numeric, integrate_prufer,
+                     integrate_quasi_system, solve_eigenvalue, solve_spectrum)
 from .validation import (ComparisonReport, RemainderRecord,
                          biorthogonality_check, phase_modulus_ratio_profile,
                          remainder_sweep)
@@ -33,10 +31,9 @@ __all__ = [
     "EigenfunctionTable", "SpectralPoint", "biorthogonal_asym",
     "default_grid", "eigenfunction_asym", "eigenvalue_asym",
     "normalization_factor", "prufer_modulus_asym", "prufer_phase_asym",
-    "PruferState", "PruferTrajectory", "QuasiDerivState", "QuasiTrajectory",
-    "SecularResult", "characteristic", "eigenfunction_numeric",
-    "integrate_prufer", "integrate_quasi_system", "solve_eigenvalue",
-    "solve_spectrum",
+    "PruferTrajectory", "QuasiTrajectory", "SecularResult", "characteristic",
+    "eigenfunction_numeric", "integrate_prufer", "integrate_quasi_system",
+    "solve_eigenvalue", "solve_spectrum",
     "ComparisonReport", "RemainderRecord", "biorthogonality_check",
     "phase_modulus_ratio_profile", "remainder_sweep",
     "DomainError", "IndexingError", "IntegrationBlowupError", "InternalError",

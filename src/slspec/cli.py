@@ -200,7 +200,7 @@ def cmd_validate(cfg: RunConfig, pot: PotentialSpec) -> int:
     report = validation.remainder_sweep(
         pot, cfg.n_max, grid_size=cfg.grid, n_min=cfg.n_min,
         jobs=cfg.effective_jobs(), domain=SpectralDomain(alpha=cfg.alpha))
-    if cfg.n_max <= 20:
+    if cfg.n_max <= validation.BIORTH_N_MAX:
         report.biorthogonality = validation.biorthogonality_check(
             pot, cfg.n_max, n_min=cfg.n_min)
     base = cfg.out or "slspec_report"

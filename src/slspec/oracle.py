@@ -62,6 +62,7 @@ from .potential import PI, PotentialSpec
 
 _DEFAULT_STEP_SCALE = 0.004     # Magnus cell length; RK4 phase advance per step
 _PRUFER_STEP_SCALE = 0.02
+_STURM_STEP_SCALE = 0.02        # Magnus cell length of a zero count
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
@@ -72,31 +73,12 @@ _GAUSS_HI = 0.5 + math.sqrt(3) / 6
 _MAGNUS_C = math.sqrt(3) / 12           # weight of the Magnus commutator term
 
 
-@dataclass(frozen=True)
-class QuasiDerivState:
-    y1: complex
-    y2: complex
-
-    @property
-    def trivial(self) -> bool:
-        return self.y1 == 0 and self.y2 == 0
-
-
-@dataclass(frozen=True)
-class PruferState:
-    theta: complex
-    log_r: complex
-
-
 @dataclass
 class QuasiTrajectory:
     x: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
     sqrt_lambda: complex
-
-    def state(self, i: int) -> QuasiDerivState:
-        return QuasiDerivState(complex(self.y1[i]), complex(self.y2[i]))
 
 
 @dataclass
@@ -113,9 +95,6 @@ class PruferTrajectory:
     @property
     def y2(self) -> np.ndarray:
         return self.sqrt_lambda * np.exp(self.log_r) * np.cos(self.theta)
-
-    def state(self, i: int) -> PruferState:
-        return PruferState(complex(self.theta[i]), complex(self.log_r[i]))
 
 
 @dataclass
@@ -676,8 +655,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
 # -- eigenvalue location ------------------------------------------------------
 
 
-def _sturm_count(pot: PotentialSpec, lam, *,
-                 step_scale=_DEFAULT_STEP_SCALE) -> tuple[int, int]:
+def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     """(interior zeros of y1, eigenvalues below lam) for real lam and u.
 
     Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0.  The
@@ -690,7 +668,7 @@ def _sturm_count(pot: PotentialSpec, lam, *,
     s = abs(principal_sqrt(lam))
     grid = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
                       np.asarray(pot.breaks))
-    tr = integrate_quasi_system(pot, lam, grid, step_scale=max(step_scale, 0.02),
+    tr = integrate_quasi_system(pot, lam, grid, step_scale=_STURM_STEP_SCALE,
                                 init=(0.0, 1.0))
     vals = tr.y1.real[1:]
     signs = np.sign(vals[vals != 0])
@@ -711,14 +689,14 @@ def _verified_floor(below, lam_lo: float) -> float:
 def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> float:
     """n-th root of the reduced secular function counted from the bottom.
 
-    Fallback for low indices where the asymptotic seed is useless.  The
-    lambda grid runs from below the spectrum (Robin-type bound states
-    included: a crude sup|u| bound, doubled until below() reports no
-    eigenvalue under it) to safely above the expected n-th root.  Bisection
-    over grid indices on below(lam), the number of eigenvalues under lam,
-    finds the first grid cell that holds the n-th one; Brent then refines
-    the sign change of g on that cell, the cell a linear scan of g over the
-    grid would stop in.
+    The route for an index whose seed bracket has no sign change or whose
+    bracket root has the wrong zero count.  The lambda grid runs from below
+    the spectrum (Robin-type bound states included: a crude sup|u| bound,
+    doubled until below() reports no eigenvalue under it) to safely above
+    the expected n-th root.  Bisection over grid indices on below(lam), the
+    number of eigenvalues under lam, finds the first grid cell that holds
+    the n-th one; Brent then refines the sign change of g on that cell, the
+    cell a linear scan of g over the grid would stop in.
     """
     sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
     lam_lo = _verified_floor(below, -4.0 * (1.0 + sup_u) ** 2)
@@ -753,18 +731,22 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                      method: str = "auto") -> SecularResult:
     """Locate the n-th eigenvalue starting from the asymptotic seed.
 
-    Real potentials: a sign bracket of the reduced secular function around
-    the seed plus Brent refinement ("bracket").  Where no bracket around the
-    seed changes sign (low indices, bound states) the "scan" route bisects
-    a lambda grid on the Sturm count of eigenvalues below lambda and runs
-    Brent on the one grid cell that holds the n-th root.
-    ``method="phase"`` instead brackets and bisects
-    g(lam) = theta(pi, lam) - pi (n - 1/2) on the Prufer phase, which
-    follows the oscillation count directly but costs more.  The converged
-    root is verified by counting interior zeros of y1 from (0, 1).
-    ``iterations`` counts the secular-function evaluations and Sturm counts
-    of the search, not the verifying count.  Every characteristic
-    evaluation runs at the default step scale _DEFAULT_STEP_SCALE.
+    Real potentials: one Brent call on the seed bracket sqrt(lam) =
+    s0 -+ 0.35 of the reduced secular function ("bracket").  The count of
+    interior zeros of y1 from (0, 1) at that root decides: n - 1 zeros
+    accept it.  A bracket whose ends share a sign, or a root with another
+    count, goes to the "scan" route, which bisects a lambda grid on the
+    Sturm count of eigenvalues below lambda and runs Brent on the one grid
+    cell that holds the n-th root; the same zero count verifies that root.
+    IndexingError then means the cell held two roots, or the root is a
+    bound state so deep that rounding in its tail adds a zero.
+    ``method="phase"``
+    takes the same path with g(lam) = theta(pi, lam) - pi (n - 1/2) on the
+    Prufer phase, which follows the oscillation count directly but costs
+    more.  ``iterations`` counts the secular-function evaluations and Sturm
+    counts of the search, not the zero counts at the roots.  Every
+    characteristic evaluation runs at the default step scale
+    _DEFAULT_STEP_SCALE.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
@@ -797,37 +779,24 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                 lam = 1e-24
             return _sturm_count(pot, lam)[1]
         s0r = s0.real
-        root = None
-        for w in (0.35, 0.45, 0.49):
-            lo_s, hi_s = s0r - w, s0r + w
-            lo, hi = lo_s * abs(lo_s), hi_s * abs(hi_s)
-            f_lo, f_hi = g(lo), g(hi)
-            if f_lo == 0.0:
-                root = lo
-                break
-            if f_hi == 0.0:
-                root = hi
-                break
-            if f_lo * f_hi < 0:
-                root = brentq(g, lo, hi, xtol=1e-13, rtol=8.9e-16,
-                              maxiter=200)
-                break
+        lo_s, hi_s = s0r - 0.35, s0r + 0.35
         how = "phase" if method == "phase" else "bracket"
-        if root is None and method != "phase":
+        try:
+            root = brentq(g, lo_s * abs(lo_s), hi_s * abs(hi_s), xtol=1e-13,
+                          rtol=8.9e-16, maxiter=200)
+        except ValueError:      # the seed bracket does not change sign
+            root = None
+        if root is None or _sturm_count(pot, root)[0] != n - 1:
             root = _scan_real_root(pot, n, g, below, s0r)
             how = "scan"
-        if root is None:
-            raise NonconvergenceError(
-                f"no sign bracket for index {n} near sqrt(lambda) = {s0r:.6g}",
-                best=s0r * s0r)
+            k, _ = _sturm_count(pot, root)
+            if k != n - 1:
+                raise IndexingError(
+                    f"root at lambda = {root:.9g} has {k} interior zeros, "
+                    f"expected {n - 1}")
         lam_root = float(root)
         s_root = principal_sqrt(lam_root)
         residual = abs(characteristic(pot, lam_root))
-        k, _ = _sturm_count(pot, lam_root)
-        if k != n - 1:
-            raise IndexingError(
-                f"root at lambda = {lam_root:.9g} has {k} interior zeros, "
-                f"expected {n - 1}")
         return SecularResult(n=n, lam=lam_root, sqrt_lambda=s_root,
                              residual=float(residual), multiplicity_hint=1,
                              iterations=calls[0], method=how)

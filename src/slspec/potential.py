@@ -169,7 +169,20 @@ class PotentialSpec:
         arr = np.asarray(x, dtype=float)
         if np.any(arr < -1e-12) or np.any(arr > PI + 1e-12):
             raise DomainError(f"coordinate {x} outside [0, pi]")
-        return self.piecewise.eval(x)
+        if self.kind != "poly":
+            return self.piecewise.eval(x)
+        # the global coefficients are the exact description; evaluating them
+        # directly skips the rounding of the shift to piece-local coordinates
+        flat = np.atleast_1d(arr)
+        idx = np.clip(np.searchsorted(self.breaks, flat, side="right") - 1,
+                      0, len(self.coeffs) - 1)
+        out = np.zeros(flat.shape, dtype=complex)
+        for i, coeffs in enumerate(self.coeffs):
+            mask = idx == i
+            if mask.any():
+                out[mask] = (_comp_horner([c.real for c in coeffs], flat[mask])
+                             + 1j * _comp_horner([c.imag for c in coeffs], flat[mask]))
+        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     # -- algebra (closed within the representation) -------------------------
 
@@ -233,14 +246,42 @@ class PotentialSpec:
             abs(complex(c).imag) == 0.0
             for piece in self.coeffs for c in _flatten(self.kind, piece))
 
-    @property
-    def is_zero(self) -> bool:
-        return all(
-            complex(c) == 0
-            for piece in self.coeffs for c in _flatten(self.kind, piece))
-
     def describe(self) -> str:
         return f"{self.kind} potential, {len(self.coeffs)} piece(s) on [0, pi]"
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+def _two_prod(a, b):
+    """a * b as (product, exact rounding error)."""
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _two_sum(a, b):
+    """a + b as (sum, exact rounding error)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _comp_horner(coeffs, x):
+    """Compensated Horner (Graillat, Langlois, Louvet) for real ascending
+    coefficients at real ndarray x: as accurate as Horner in twice the
+    working precision, then rounded once."""
+    s = np.full_like(x, coeffs[-1])
+    r = np.zeros_like(x)
+    for c in reversed(coeffs[:-1]):
+        p, pe = _two_prod(s, x)
+        s, se = _two_sum(p, c)
+        r = r * x + (pe + se)
+    return s + r
 
 
 def _flatten(kind, piece):

@@ -43,6 +43,7 @@ _THRESHOLDS = {
 }
 _BIORTH_GRID = 16385            # Simpson nodes of the pairing matrix
 _BIORTH_TOL = 5e-3              # largest deviation from the identity that passes
+BIORTH_N_MAX = 20               # the pairing matrix grows quadratically in n_max
 
 
 def _fmt(x) -> str:
@@ -167,8 +168,7 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
 
 def _gauge_at_m2(pot: PotentialSpec, n: int, sup_grid: int) -> float:
     """The gauge at m^2 = (n - 1/2)^2, for an index without a usable root."""
-    m = n - 0.5
-    return remainder_gauge(pot, m * m, sup_grid=sup_grid).value
+    return asymptotics._m2_profile(pot, n).gauge(sup_grid).value
 
 
 def _record(n: int, gamma: float, eig_err: float, sup_err: float,
@@ -305,10 +305,11 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
     _BIORTH_GRID nodes, one weighted matrix-vector product per row; a real
     potential's tables are built once and serve as both systems.  The
     verdict passes when no entry deviates from the identity by more than
-    _BIORTH_TOL.  Quadratic cost limits n_max to 24.
+    _BIORTH_TOL.  Quadratic cost limits n_max to BIORTH_N_MAX.
     """
-    if n_max > 24:
-        raise ValueError("biorthogonality_check is quadratic; n_max <= 24")
+    if n_max > BIORTH_N_MAX:
+        raise ValueError("biorthogonality_check is quadratic; "
+                         f"n_max <= {BIORTH_N_MAX}")
     grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
 

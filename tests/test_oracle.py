@@ -14,7 +14,7 @@ from slspec import (DomainError, IntegrationBlowupError, PotentialSpec,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
 from slspec import moments, oracle
-from slspec.oracle import QuasiDerivState, _char_reduced
+from slspec.oracle import _char_reduced
 
 PI = math.pi
 
@@ -29,6 +29,25 @@ TWO_BOUND_STEP = PotentialSpec.step([
     (1.9649682636305876, 2.1406780306487327, 0.06176675379436425),
     (2.1406780306487327, PI, 1.655029004143449)])
 
+# Real potentials whose seed bracket s0 -+ 0.35 holds the root of another
+# index at some n <= 12: the validate-step bench potential at seed 29
+# (n = 2), a 3-piece quadratic (n = 3, 4, 6, 10) and a 3-mode sine series
+# (n = 2, 3).  Their zero counts send those indices to the scan.
+MISBRACKETED = {
+    "step": PotentialSpec.step([
+        (0.0, 0.27490262637385793, 1.9192737057181657),
+        (0.27490262637385793, 0.44247654327162617, 0.635785222226942),
+        (0.44247654327162617, 1.0177133245142973, -1.8705164987887626),
+        (1.0177133245142973, 1.85851612083082, 0.7405450355258822),
+        (1.85851612083082, 2.7546293204154177, -0.474092961414617),
+        (2.7546293204154177, PI, -1.2203830377599498)]),
+    "poly": PotentialSpec.poly([
+        (0.0, 0.6374587884061049, [-0.531, 0.042, 1.579]),
+        (0.6374587884061049, 2.7469986032369986, [-0.275, -1.143, -1.455]),
+        (2.7469986032369986, PI, [-0.333, -1.125, 2.821])]),
+    "trig": PotentialSpec.trig([(0.0, PI, [-4.568, 7.03, -0.282])]),
+}
+
 
 # -- quasi-derivative system -------------------------------------------------
 
@@ -37,8 +56,6 @@ def test_free_trajectory(free_pot):
     assert np.abs(tr.y1 - np.sin(5 * tr.x)).max() < 1e-12
     assert np.abs(tr.y2 - 5 * np.cos(5 * tr.x)).max() < 1e-12
     assert abs(tr.y1[-1]) < 1e-12          # sin(5 pi) = 0
-    assert not tr.state(1).trivial
-    assert QuasiDerivState(0, 0).trivial
 
 
 def test_constant_potential_is_sheared_free_solution(const_pot):
@@ -331,6 +348,14 @@ def test_solve_phase_method_agrees(step_pot, const_pot):
         assert b.method == "phase"
 
 
+def test_phase_method_takes_the_scan_when_its_bracket_misses():
+    pot = MISBRACKETED["trig"]
+    a = solve_eigenvalue(pot, 3)
+    b = solve_eigenvalue(pot, 3, method="phase")
+    assert b.method == "scan"
+    assert abs(b.lam - a.lam) <= 1e-6 * abs(a.lam)
+
+
 def test_solve_complex_potential(trig_pot):
     point = eigenvalue_asym(trig_pot, 12)
     res = solve_eigenvalue(trig_pot, 12, seed=point)
@@ -552,8 +577,7 @@ def test_sturm_count_free_spectrum(free_pot):
     for lam, zeros, below in ((-3.0, 0, 0), (0.2, 0, 0), (0.3, 0, 1),
                               (2.0, 1, 1), (2.3, 1, 2), (30.0, 5, 5),
                               (31.0, 5, 6)):
-        assert oracle._sturm_count(free_pot, lam, step_scale=0.004) \
-            == (zeros, below), lam
+        assert oracle._sturm_count(free_pot, lam) == (zeros, below), lam
 
 
 def test_negative_second_eigenvalue_is_indexed():
@@ -562,6 +586,19 @@ def test_negative_second_eigenvalue_is_indexed():
     lams = [solve_eigenvalue(TWO_BOUND_STEP, n).lam for n in (1, 2, 3)]
     assert lams[0] < lams[1] < 0 < lams[2]
     assert abs(lams[1] + 0.348164529) < 1e-8
+
+
+@pytest.mark.parametrize("kind", sorted(MISBRACKETED))
+def test_zero_count_decides_the_index(kind):
+    pot = MISBRACKETED[kind]
+    res = [solve_eigenvalue(pot, n) for n in range(1, 13)]
+    for n, r in enumerate(res, 1):
+        assert oracle._sturm_count(pot, r.lam)[0] == n - 1, n
+    lams = [r.lam for r in res]
+    assert lams == sorted(lams) and len(set(lams)) == len(lams)
+    if kind == "step":      # the row n = 2 of validate-step at seed 29
+        assert res[1].method == "scan"
+        assert abs(res[1].lam - 0.954149668) < 1e-9
 
 
 @pytest.mark.parametrize("case", ["poly-1", "step-1", "step-2"])
@@ -595,7 +632,7 @@ def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
     seed = eigenvalue_asym(pot, 1)
     monkeypatch.setattr(PotentialSpec, "eval_u",
                         lambda self, x: np.zeros_like(np.asarray(x, float)))
-    assert oracle._sturm_count(pot, -4.0, step_scale=0.004)[1] == 1
+    assert oracle._sturm_count(pot, -4.0)[1] == 1
     res = solve_eigenvalue(pot, 1, seed=seed)
     lo, hi = 2.5, 3.5
     for _ in range(80):

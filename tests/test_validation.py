@@ -132,15 +132,23 @@ def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
 
 def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     import slspec.validation as V
+    from slspec.oscillatory import _CorrectionProfile
 
     real_solve = V.oracle.solve_eigenvalue
+    real_init = _CorrectionProfile.__init__
+    profiles = []
 
     def flaky(pot, n, seed=None, **kw):
         if n == 3:
             raise NonconvergenceError("synthetic", best=None)
         return real_solve(pot, n, seed=seed, **kw)
 
+    def counting_init(self, pot, lam):
+        profiles.append(lam)
+        real_init(self, pot, lam)
+
     monkeypatch.setattr(V.oracle, "solve_eigenvalue", flaky)
+    monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
     rep = remainder_sweep(step_pot, 6)
     assert rep.degraded == [3]
     rec3 = next(r for r in rep.records if r.n == 3)
@@ -148,6 +156,10 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     assert not rep.verdicts["all_converged"]
     # degraded index excluded from partial sums
     assert 3 not in rep.partial_sums["n"]
+    # the index without a root reads the gauge from the m^2 profile its
+    # prediction built: one profile for it, two for each solved index
+    assert len(profiles) == 11
+    assert rec3.gamma == remainder_gauge(step_pot, 2.5 * 2.5).value
 
 
 def test_sweep_flags_shared_root(shared_root_trig):
@@ -231,8 +243,10 @@ def test_biorthogonality_complex(trig_pot):
 
 
 def test_biorthogonality_cost_guard(step_pot):
-    with pytest.raises(ValueError):
-        biorthogonality_check(step_pot, 30)
+    # one limit, the one `validate` gates its block on
+    for n_max in (21, 30):
+        with pytest.raises(ValueError):
+            biorthogonality_check(step_pot, n_max)
 
 
 def test_phase_modulus_ratio_profile_free(free_pot):
