@@ -7,10 +7,9 @@ interactions) while staying square integrable.
 from .errors import (DomainError, IndexingError, IntegrationBlowupError,
                      InternalError, NonconvergenceError, PotentialFormatError,
                      SingularArgumentError, SpectralError)
-from .potential import PI, PotentialSpec, load_potential, trig_moment
+from .potential import PI, PotentialSpec, load_potential
 from .oscillatory import (CorrectionTerms, GaugeValue, SpectralDomain,
-                          correction_terms, correction_total, principal_sqrt,
-                          remainder_gauge)
+                          correction_terms, principal_sqrt, remainder_gauge)
 from .asymptotics import (EigenfunctionTable, SpectralPoint, biorthogonal_asym,
                           default_grid, eigenfunction_asym, eigenvalue_asym,
                           normalization_factor, prufer_modulus_asym,
@@ -25,9 +24,9 @@ from .validation import (ComparisonReport, RemainderRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PI", "PotentialSpec", "load_potential", "trig_moment",
+    "PI", "PotentialSpec", "load_potential",
     "CorrectionTerms", "GaugeValue", "SpectralDomain", "correction_terms",
-    "correction_total", "principal_sqrt", "remainder_gauge",
+    "principal_sqrt", "remainder_gauge",
     "EigenfunctionTable", "SpectralPoint", "biorthogonal_asym",
     "default_grid", "eigenfunction_asym", "eigenvalue_asym",
     "normalization_factor", "prufer_modulus_asym", "prufer_phase_asym",

@@ -19,7 +19,8 @@ class PotentialFormatError(SpectralError):
 
 
 class IntegrationBlowupError(SpectralError):
-    """The ODE integrator produced a non-finite state."""
+    """An integration produced a non-finite state, or the Prufer
+    substitution degenerated.  location is where, when known."""
 
     def __init__(self, message, location=None):
         super().__init__(message)
@@ -36,7 +37,11 @@ class NonconvergenceError(SpectralError):
 
 
 class IndexingError(SpectralError):
-    """A converged root failed the eigenvalue-index verification."""
+    """A converged root failed the eigenvalue-index verification.
+
+    On a real potential: the lambda cell where the Sturm counts put the
+    index held another eigenvalue too.  On a complex one: the root drifted
+    from its seed or no zero winds around it."""
 
 
 class InternalError(SpectralError):

@@ -2,16 +2,16 @@
 
 Nothing in this module evaluates the asymptotic expansions except for root
 seeds; eigenfunction phases are aligned to a table the caller supplies.
-Two routes are provided and cross-checked against each other in the test
-suite:
-
-* one propagator for the first-order quasi-derivative system in
-  (y, y' - u y): the exact constant-coefficient exponential inside constant
-  pieces and 4th-order Magnus cells inside smooth ones.  The pair stays
-  continuous across the point interactions of q = u' (the jumps of a step
-  u), so piecewise-constant u is solved exactly with no jump rule;
-* the phase/log-modulus equations obtained from the modified Prufer
-  substitution y = r sin(theta), y' - u y = sqrt(lam) r cos(theta).
+Every number comes from one propagator for the first-order quasi-derivative
+system in (y, y' - u y): the exact constant-coefficient exponential inside
+constant pieces and 4th-order Magnus cells inside smooth ones.  The pair
+stays continuous across the point interactions of q = u' (the jumps of a
+step u), so piecewise-constant u is solved exactly with no jump rule.  The
+phase and log-modulus of the modified Prufer substitution
+y = r sin(theta), y' - u y = sqrt(lam) r cos(theta) are read off its
+trajectory (_prufer_from_quasi).  integrate_prufer integrates the
+phase/log-modulus equations themselves by RK4; the library does not call
+it, it is the test suite's independent reference for that reading.
 
 Eigenvalues solve Delta(lam) = (y' - u y)(pi) = 0 for the solution vanishing
 at 0.  The classical Neumann condition y'(pi) = 0 is ill-defined for
@@ -601,7 +601,8 @@ def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
     (log r)' = -(u cos(2 theta) + u^2 sin(2 theta)/(2 s)) with fixed RK4
     steps, phase advance at most _PRUFER_STEP_SCALE per step; the
     log-modulus rather than r itself is integrated so complex lam cannot
-    overflow.
+    overflow.  The library does not call it (see _prufer_from_quasi).  It
+    cannot integrate at real lam < 0, where the phase equation blows up.
     """
     s = _require_regular(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -652,6 +653,34 @@ def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
     return PruferTrajectory(x=grid.copy(), theta=theta, log_r=log_r, sqrt_lambda=s)
 
 
+def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:
+    """Phase and log-modulus of a trajectory from (0, sqrt(lam)) at x = 0.
+
+    With y1 = r sin(theta) and y2 = sqrt(lam) r cos(theta), the numbers
+    w+- = y2/sqrt(lam) +- i y1 equal r exp(+-i theta).  Their logarithms
+    L+- = log|w+-| + i arg(w+-), the argument unwrapped along the grid
+    from 0 at x = 0, give theta = (L+ - L-)/(2i) and
+    log r = (L+ + L-)/2.  Where |w+-| is 0 or not finite, or one argument
+    step exceeds pi/2, the substitution degenerates (the Prufer equations
+    blow up there too) and IntegrationBlowupError names the first such
+    node.  The grid must start at x = 0.
+    """
+    s = traj.sqrt_lambda
+    w = np.stack((traj.y2 / s + 1j * traj.y1, traj.y2 / s - 1j * traj.y1))
+    mod = np.abs(w)
+    bad = ~(np.isfinite(mod) & (mod > 0)).all(axis=0)
+    if not bad.any():
+        arg = np.unwrap(np.angle(w), axis=1)
+        bad[1:] = (np.abs(np.diff(arg, axis=1)) > PI / 2).any(axis=0)
+    if bad.any():
+        x = float(traj.x[bad.argmax()])
+        raise IntegrationBlowupError(
+            f"Prufer substitution degenerates at x = {x}", location=x)
+    lp, lm = np.log(mod) + 1j * arg
+    return PruferTrajectory(x=traj.x.copy(), theta=(lp - lm) / 2j,
+                            log_r=(lp + lm) / 2, sqrt_lambda=s)
+
+
 # -- eigenvalue location ------------------------------------------------------
 
 
@@ -696,7 +725,9 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> floa
     the expected n-th root.  Bisection over grid indices on below(lam), the
     number of eigenvalues under lam, finds the first grid cell that holds
     the n-th one; Brent then refines the sign change of g on that cell, the
-    cell a linear scan of g over the grid would stop in.
+    cell a linear scan of g over the grid would stop in.  The counts at the
+    cell ends, n - 1 and n, prove the root is index n; any other pair
+    means the cell holds another index too and raises IndexingError.
     """
     sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
     lam_lo = _verified_floor(below, -4.0 * (1.0 + sup_u) ** 2)
@@ -705,17 +736,22 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> floa
     pos = np.linspace(0.05, math.sqrt(lam_hi), int(math.sqrt(lam_hi) / 0.05)) ** 2
     lams = np.concatenate([neg, pos])
     lo, hi = 0, len(lams) - 1
-    top = below(float(lams[hi]))
-    if top < n:
+    n_lo, n_hi = 0, below(float(lams[hi]))     # the floor holds none below
+    if n_hi < n:
         raise NonconvergenceError(
-            f"scan found only {top} roots below lambda = {lam_hi:.4g}, "
+            f"scan found only {n_hi} roots below lambda = {lam_hi:.4g}, "
             f"needed {n}", best=None)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if below(float(lams[mid])) >= n:
-            hi = mid
+        count = below(float(lams[mid]))
+        if count >= n:
+            hi, n_hi = mid, count
         else:
-            lo = mid
+            lo, n_lo = mid, count
+    if (n_lo, n_hi) != (n - 1, n):
+        raise IndexingError(
+            f"scan cell [{lams[lo]:.6g}, {lams[hi]:.6g}] holds eigenvalues "
+            f"{n_lo + 1} to {n_hi}, not index {n} alone")
     try:
         return brentq(g, float(lams[lo]), float(lams[hi]), xtol=1e-13,
                       rtol=8.9e-16, maxiter=200)
@@ -727,8 +763,7 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> floa
 
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
                      domain: SpectralDomain | None = None,
-                     tol_root: float = 1e-12,
-                     method: str = "auto") -> SecularResult:
+                     tol_root: float = 1e-12) -> SecularResult:
     """Locate the n-th eigenvalue starting from the asymptotic seed.
 
     Real potentials: one Brent call on the seed bracket sqrt(lam) =
@@ -737,14 +772,11 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     accept it.  A bracket whose ends share a sign, or a root with another
     count, goes to the "scan" route, which bisects a lambda grid on the
     Sturm count of eigenvalues below lambda and runs Brent on the one grid
-    cell that holds the n-th root; the same zero count verifies that root.
-    IndexingError then means the cell held two roots, or the root is a
-    bound state so deep that rounding in its tail adds a zero.
-    ``method="phase"``
-    takes the same path with g(lam) = theta(pi, lam) - pi (n - 1/2) on the
-    Prufer phase, which follows the oscillation count directly but costs
-    more.  ``iterations`` counts the secular-function evaluations and Sturm
-    counts of the search, not the zero counts at the roots.  Every
+    cell that holds the n-th root; the counts n - 1 and n at the cell ends
+    prove its index.  IndexingError then means the cell held another
+    eigenvalue too (two roots closer than the grid step).
+    ``iterations`` counts the secular-function evaluations and Sturm
+    counts of the search, not the zero count at the bracket root.  Every
     characteristic evaluation runs at the default step scale
     _DEFAULT_STEP_SCALE.
 
@@ -758,21 +790,15 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     domain = domain or SpectralDomain()
     point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)
     s0 = complex(point.sqrt_lambda_asym)
-    m = n - 0.5
     calls = [0]
 
     if pot.is_real and abs(s0.imag) < 1e-9:
-        if method == "phase":
-            def g(lam):
-                calls[0] += 1
-                th = integrate_prufer(pot, lam, np.asarray([PI])).theta[0]
-                return float(th.real) - PI * m
-        else:
-            def g(lam):
-                calls[0] += 1
-                if lam == 0.0:
-                    lam = 1e-24
-                return float(_char_reduced(pot, lam).real)
+        def g(lam):
+            calls[0] += 1
+            if lam == 0.0:
+                lam = 1e-24
+            return float(_char_reduced(pot, lam).real)
+
         def below(lam):
             calls[0] += 1
             if lam == 0.0:
@@ -780,7 +806,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
             return _sturm_count(pot, lam)[1]
         s0r = s0.real
         lo_s, hi_s = s0r - 0.35, s0r + 0.35
-        how = "phase" if method == "phase" else "bracket"
+        how = "bracket"
         try:
             root = brentq(g, lo_s * abs(lo_s), hi_s * abs(hi_s), xtol=1e-13,
                           rtol=8.9e-16, maxiter=200)
@@ -789,11 +815,6 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
         if root is None or _sturm_count(pot, root)[0] != n - 1:
             root = _scan_real_root(pot, n, g, below, s0r)
             how = "scan"
-            k, _ = _sturm_count(pot, root)
-            if k != n - 1:
-                raise IndexingError(
-                    f"root at lambda = {root:.9g} has {k} interior zeros, "
-                    f"expected {n - 1}")
         lam_root = float(root)
         s_root = principal_sqrt(lam_root)
         residual = abs(characteristic(pot, lam_root))

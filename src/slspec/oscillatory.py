@@ -177,11 +177,6 @@ def correction_terms(pot: PotentialSpec, x, lam) -> CorrectionTerms:
     return _CorrectionProfile(pot, lam).terms(x)
 
 
-def correction_total(pot: PotentialSpec, x, lam):
-    """The correction function itself; x may be an array."""
-    return _CorrectionProfile(pot, lam).v(x)
-
-
 def remainder_gauge(pot: PotentialSpec, lam, sup_grid: int = 256) -> GaugeValue:
     """Sample the remainder gauge at lam.
 

@@ -201,37 +201,6 @@ class PotentialSpec:
                      for fn in (lambda c: complex(c.real),
                                 lambda c: complex(c.imag)))
 
-    def square(self) -> "PotentialSpec":
-        """u^2, re-expanded inside the same piece family."""
-        if self.kind == "step":
-            return PotentialSpec("step", self.breaks,
-                                 tuple((c[0] * c[0],) for c in self.coeffs))
-        if self.kind == "poly":
-            return PotentialSpec("poly", self.breaks,
-                                 tuple(moments._polymul(c, c) for c in self.coeffs))
-        out = []
-        for triples in self.coeffs:
-            acc: dict[int, list] = {}
-
-            def add(k, ac, bc):
-                ent = acc.setdefault(k, [0j, 0j])
-                ent[0] += ac
-                ent[1] += bc
-
-            for k1, a1, b1 in triples:
-                for k2, a2, b2 in triples:
-                    # (a1 cos k1t + b1 sin k1t)(a2 cos k2t + b2 sin k2t)
-                    ks, kd = k1 + k2, k1 - k2
-                    sgn = 0.0 if kd == 0 else math.copysign(1.0, kd)
-                    add(ks, (a1 * a2 - b1 * b2) / 2, (b1 * a2 + a1 * b2) / 2)
-                    add(abs(kd), (a1 * a2 + b1 * b2) / 2,
-                        sgn * (b1 * a2 - a1 * b2) / 2)
-            cleaned = tuple(
-                (k, acc[k][0], acc[k][1]) for k in sorted(acc)
-                if acc[k][0] != 0 or acc[k][1] != 0)
-            out.append(cleaned if cleaned else ((0, 0j, 0j),))
-        return PotentialSpec("trig", self.breaks, tuple(out))
-
     # -- derived quantities --------------------------------------------------
 
     @cached_property
@@ -322,27 +291,6 @@ def _assemble(pieces):
         breaks.append(b)
         payload.append(data)
     return tuple(breaks), payload
-
-
-# -- oscillatory moments ----------------------------------------------------
-
-def trig_moment(spec: PotentialSpec, omega, a, b, weight: str) -> complex:
-    """Exact integral of u(t) * trig(2*omega*t) over [a, b] in [0, pi].
-
-    weight selects ``sin`` or ``cos``.  Closed-form antiderivatives are used
-    piece by piece; frequencies small enough to cancel catastrophically are
-    integrated by a truncated power series instead.
-    """
-    a, b = float(a), float(b)
-    if a < -1e-12 or b > PI + 1e-12 or b < a:
-        raise DomainError(f"moment interval [{a}, {b}] outside [0, pi]")
-    if weight == "sin":
-        kern = moments.sin_kernel(2 * omega, spec.breaks)
-    elif weight == "cos":
-        kern = moments.cos_kernel(2 * omega, spec.breaks)
-    else:
-        raise ValueError(f"weight must be 'sin' or 'cos', got {weight!r}")
-    return (spec.piecewise * kern).integral(a, b)
 
 
 # -- JSON loader --------------------------------------------------------------

@@ -349,8 +349,9 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
 
     For each n: sup over x of |theta_oracle - (sqrt(lam) x + v)| and of
     |r_oracle - r_leading|, both divided by gamma^2(lambda_n), the gauge
-    at its default sampling.  Roots come from oracle.solve_eigenvalue's
-    default route.  A 0/0 is reported as 0.
+    at its default sampling.  Roots come from oracle.solve_eigenvalue;
+    theta and r are read off the quasi-system trajectory at the root
+    (oracle._prufer_from_quasi).  A 0/0 is reported as 0.
     """
     ns, th_ratios, r_ratios = [], [], []
     degraded = []
@@ -361,7 +362,8 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
             s = res.sqrt_lambda
             xs = np.union1d(np.linspace(0.0, PI, max(512, int(24 * abs(s)))),
                             np.asarray(pot.breaks))
-            traj = oracle.integrate_prufer(pot, lam, xs)
+            traj = oracle._prufer_from_quasi(
+                oracle.integrate_quasi_system(pot, lam, xs))
         except (NonconvergenceError, IndexingError,
                 IntegrationBlowupError) as exc:
             degraded.append((n, str(exc)))

@@ -2,14 +2,15 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from slspec import (DomainError, IntegrationBlowupError, PotentialSpec,
-                    SingularArgumentError, characteristic, default_grid,
-                    eigenfunction_asym, eigenfunction_numeric,
+from slspec import (DomainError, IndexingError, IntegrationBlowupError,
+                    PotentialSpec, SingularArgumentError, characteristic,
+                    default_grid, eigenfunction_asym, eigenfunction_numeric,
                     eigenvalue_asym, integrate_prufer,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
@@ -47,6 +48,17 @@ MISBRACKETED = {
         (2.7469986032369986, PI, [-0.333, -1.125, 2.821])]),
     "trig": PotentialSpec.trig([(0.0, PI, [-4.568, 7.03, -0.282])]),
 }
+
+# Real step whose first eigenvalue is a deep bound state (fuzz steps, numpy
+# default_rng(5), potential 24): the zero count at its root reads 1 from a
+# tail where |y1| is 1e-10 of its peak, so only the scan's cell counts
+# index it.
+DEEP_BOUND_STEP = PotentialSpec.step([
+    (0.0, 0.5142603723773005, 10.770212589547427),
+    (0.5142603723773005, 0.7751812050766056, -3.9189785327709488),
+    (0.7751812050766056, 2.166513294503461, -2.2936080715688045),
+    (2.166513294503461, 2.705736044129607, 0.14632603739495262),
+    (2.705736044129607, PI, 1.9329849765809353)])
 
 
 # -- quasi-derivative system -------------------------------------------------
@@ -157,6 +169,39 @@ def test_prufer_blowup_is_typed(step_pot):
 def test_prufer_rejects_lambda_zero(step_pot):
     with pytest.raises(SingularArgumentError):
         integrate_prufer(step_pot, 0.0, np.asarray([PI]))
+
+
+def test_prufer_from_quasi_matches_the_ode(all_pots, trig_pot):
+    # the library reads theta and log r off the quasi system; the Prufer
+    # ODE is the independent reference
+    grid = np.linspace(0, PI, 401)
+    cases = [(name, pot, lam) for name, pot in all_pots.items()
+             for lam in (10.0, 50.0, 250.0)]
+    cases.append(("trig", trig_pot, complex(250.0, 2.0)))
+    for name, pot, lam in cases:
+        tp = integrate_prufer(pot, lam, grid)
+        tq = oracle._prufer_from_quasi(integrate_quasi_system(pot, lam, grid))
+        assert np.abs(tq.theta - tp.theta).max() < 1e-7, (name, lam)
+        assert np.abs(tq.log_r - tp.log_r).max() < 1e-7, (name, lam)
+
+
+def test_prufer_degeneracy_is_typed_on_both_routes(poly_pot):
+    # below zero on the poly fixture (its n = 1 root) and near a complex
+    # zero of y1^2 + y2^2/lam on the +-3i step the substitution degenerates:
+    # the ODE and the quasi reading both raise the typed error, no warning
+    pm_step = PotentialSpec.step([(0.0, 1.0, 3j), (1.0, PI, -3j)])
+    s = 3.6931297043368225 + 0.3411991033170673j
+    for pot, lam in ((poly_pot, solve_eigenvalue(poly_pot, 1).lam),
+                     (pm_step, s * s)):
+        xs = np.union1d(np.linspace(0.0, PI, 512), np.asarray(pot.breaks))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationBlowupError) as ode:
+                integrate_prufer(pot, lam, xs)
+            with pytest.raises(IntegrationBlowupError) as quasi:
+                oracle._prufer_from_quasi(integrate_quasi_system(pot, lam, xs))
+        assert 0.0 < ode.value.location <= PI
+        assert 0.0 < quasi.value.location <= PI
 
 
 # -- characteristic function ------------------------------------------------------
@@ -340,20 +385,22 @@ def test_solve_low_index_bound_states(const_pot, step_pot):
     assert res1.residual < 1e-9
 
 
-def test_solve_phase_method_agrees(step_pot, const_pot):
-    for pot, n in ((step_pot, 4), (const_pot, 6)):
-        a = solve_eigenvalue(pot, n)
-        b = solve_eigenvalue(pot, n, method="phase")
-        assert abs(a.lam - b.lam) < 1e-6
-        assert b.method == "phase"
+def test_prufer_phase_agrees_at_solved_root(step_pot, const_pot):
+    # the Prufer ODE is independent of the root search: at the n-th root
+    # y2(pi) = 0, so theta(pi) = pi (n - 1/2) up to the ODE's RK4 error;
+    # one Newton step on that condition moves the root by less than 1e-6
+    # (relative on the strong trig, whose theta(pi) is 3e-5 off there)
+    for pot, n, rel in ((step_pot, 4, False), (const_pot, 6, False),
+                        (MISBRACKETED["trig"], 3, True)):
+        res = solve_eigenvalue(pot, n)
 
+        def theta(lam):
+            return integrate_prufer(pot, lam, np.asarray([PI])).theta[0].real
 
-def test_phase_method_takes_the_scan_when_its_bracket_misses():
-    pot = MISBRACKETED["trig"]
-    a = solve_eigenvalue(pot, 3)
-    b = solve_eigenvalue(pot, 3, method="phase")
-    assert b.method == "scan"
-    assert abs(b.lam - a.lam) <= 1e-6 * abs(a.lam)
+        h = 1e-4 * res.lam
+        slope = (theta(res.lam + h) - theta(res.lam - h)) / (2 * h)
+        step = (theta(res.lam) - PI * (n - 0.5)) / slope
+        assert abs(step) < 1e-6 * (abs(res.lam) if rel else 1.0), (n, step)
 
 
 def test_solve_complex_potential(trig_pot):
@@ -610,6 +657,24 @@ def test_count_bisection_matches_linear_scan(case, poly_pot):
     assert res.iterations <= 30            # g and count evaluations together
     s_seed = eigenvalue_asym(pot, n).sqrt_lambda_asym.real
     assert res.lam == _linear_scan_root(pot, n, _reduced_g(pot), s_seed)
+
+
+def test_deep_bound_state_indexed_by_the_scan_cell_counts():
+    res = [solve_eigenvalue(DEEP_BOUND_STEP, n) for n in (1, 2, 3)]
+    assert res[0].method == "scan"
+    assert abs(res[0].lam + 53.65030889754281) < 1e-9
+    assert abs(res[1].lam + 2.5124318015266556) < 1e-9
+    assert abs(res[2].lam - 3.0753004683262386) < 1e-9
+
+
+def test_scan_cell_holding_two_indices_raises():
+    def below(lam):
+        return 0 if lam < 1.0 else 2
+
+    for n in (1, 2):
+        with pytest.raises(IndexingError, match="not index"):
+            oracle._scan_real_root(PotentialSpec.constant(0.25), n,
+                                   lambda lam: lam - 1.0, below, float(n))
 
 
 def test_verified_floor_doubles_until_count_is_zero():

@@ -8,10 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slspec import (DomainError, PotentialFormatError, PotentialSpec,
-                    load_potential, trig_moment)
+                    load_potential, moments)
 from conftest import RAW_PIECES, piecewise_quad
 
 PI = math.pi
+
+
+def _moment(pot, omega, a, b, kernel):
+    """Integral of u(t) kernel(2 omega t) over [a, b], in closed form."""
+    return (pot.piecewise * kernel(2 * omega, pot.breaks)).integral(a, b)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -84,7 +89,7 @@ def test_conjugation_involution_and_recomposition(kind, seed):
 def test_square_is_pointwise_square(kind, seed):
     p = _random_spec(kind, seed)
     xs = np.linspace(0.0, PI, 37)
-    assert np.abs(p.square().eval_u(xs) - p.eval_u(xs) ** 2).max() < 5e-12
+    assert np.abs(p.piecewise_sq.eval(xs) - p.eval_u(xs) ** 2).max() < 5e-12
 
 
 def test_real_potential_has_zero_imag_part(step_pot):
@@ -93,7 +98,7 @@ def test_real_potential_has_zero_imag_part(step_pot):
 
 
 def test_square_of_step(step_pot):
-    assert step_pot.square().eval_u(3.0) == 4
+    assert step_pot.piecewise_sq.eval(3.0) == 4
 
 
 def test_conjugate_of_constant():
@@ -108,13 +113,14 @@ def test_constant_moment_closed_forms():
     p = PotentialSpec.constant(a)
     for n in (1, 3, 10, 33):
         m = n - 0.5
-        assert abs(trig_moment(p, m, 0.0, PI, "sin") - a / m) < 1e-13
-        assert abs(trig_moment(PotentialSpec.constant(1.0), m, 0.0, PI, "cos")) < 1e-13
+        assert abs(_moment(p, m, 0.0, PI, moments.sin_kernel) - a / m) < 1e-13
+        assert abs(_moment(PotentialSpec.constant(1.0), m, 0.0, PI,
+                           moments.cos_kernel)) < 1e-13
 
 
 def test_moment_small_frequency_limit(step_pot, trig_pot):
     for p in (step_pot, trig_pot):
-        val = trig_moment(p, 1e-9, 0.0, PI, "sin")
+        val = _moment(p, 1e-9, 0.0, PI, moments.sin_kernel)
         assert abs(val) < 1e-7   # kernel sin(2 omega t) -> 0
 
 
@@ -129,7 +135,7 @@ def test_moment_against_quadrature_random_samples(all_pots):
             b = min(PI, a + 0.1)
         weight = "sin" if rng.integers(2) else "cos"
         kern = np.sin if weight == "sin" else np.cos
-        got = trig_moment(pot, omega, a, b, weight)
+        got = _moment(pot, omega, a, b, getattr(moments, f"{weight}_kernel"))
         ref = piecewise_quad(RAW_PIECES[name],
                              lambda u, t: u * kern(2 * omega * t), a, b)
         assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref)), (name, omega, a, b)
@@ -141,15 +147,14 @@ def test_l2_norm_and_zero_frequency_moment(all_pots):
         assert abs(pot.l2_norm_sq - ref.real) < 1e-11, name
         if pot.is_real:
             # for real u the squared norm equals the omega = 0 cosine moment of u^2
-            assert abs(pot.l2_norm_sq
-                       - trig_moment(pot.square(), 0.0, 0.0, PI, "cos").real) < 1e-11
+            zero_cos = (pot.piecewise_sq
+                        * moments.cos_kernel(0.0, pot.breaks)).integral(0.0, PI)
+            assert abs(pot.l2_norm_sq - zero_cos.real) < 1e-11
 
 
 def test_moment_domain_guard(step_pot):
     with pytest.raises(DomainError):
-        trig_moment(step_pot, 1.0, -0.1, 1.0, "sin")
-    with pytest.raises(ValueError):
-        trig_moment(step_pot, 1.0, 0.0, 1.0, "tan")
+        _moment(step_pot, 1.0, -0.1, 1.0, moments.sin_kernel)
 
 
 # -- loader ---------------------------------------------------------------------
