@@ -52,7 +52,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import asymptotics, moments
 from .errors import (DomainError, IndexingError, IntegrationBlowupError,
@@ -705,6 +704,73 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     return zeros, zeros + int(tr.y1[-1].real * tr.y2[-1].real < 0)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A statement-by-statement port of SciPy's C brentq
+    (optimize/Zeros/brentq.c): its iterates, evaluations and result bits
+    are those of SciPy's optimize.brentq with the same xtol, rtol and
+    maxiter, which the test suite checks.  It stops when half the bracket
+    is under (xtol + rtol |x|) / 2 or f(x) == 0; a zero value at an end
+    returns that end.  Ends whose values have the same sign bit, and a NaN
+    value, raise ValueError.  After maxiter iterations without convergence
+    it raises NonconvergenceError whose ``best`` is the last iterate.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed den to inf or nan, and bisects
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise NonconvergenceError(
+        f"Brent's method did not converge in {maxiter} iterations", best=xcur)
+
+
 def _verified_floor(below, lam_lo: float) -> float:
     """lam_lo, doubled until below(lam_lo) == 0 shows nothing lies under it."""
     for _ in range(16):
@@ -753,8 +819,8 @@ def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> floa
             f"scan cell [{lams[lo]:.6g}, {lams[hi]:.6g}] holds eigenvalues "
             f"{n_lo + 1} to {n_hi}, not index {n} alone")
     try:
-        return brentq(g, float(lams[lo]), float(lams[hi]), xtol=1e-13,
-                      rtol=8.9e-16, maxiter=200)
+        return _brentq(g, float(lams[lo]), float(lams[hi]), xtol=1e-13,
+                       rtol=8.9e-16, maxiter=200)
     except ValueError:
         raise NonconvergenceError(
             f"no sign change of the secular function on [{lams[lo]:.6g}, "
@@ -808,8 +874,8 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
         lo_s, hi_s = s0r - 0.35, s0r + 0.35
         how = "bracket"
         try:
-            root = brentq(g, lo_s * abs(lo_s), hi_s * abs(hi_s), xtol=1e-13,
-                          rtol=8.9e-16, maxiter=200)
+            root = _brentq(g, lo_s * abs(lo_s), hi_s * abs(hi_s), xtol=1e-13,
+                           rtol=8.9e-16, maxiter=200)
         except ValueError:      # the seed bracket does not change sign
             root = None
         if root is None or _sturm_count(pot, root)[0] != n - 1:

@@ -304,6 +304,25 @@ def test_console_script_smoke(pot_files):
     assert proc.stdout.startswith("n,m,")
 
 
+def test_cli_loads_no_scipy():
+    # scipy is a test dependency only: importing the package and running
+    # the command line must not load it
+    src = os.path.dirname(os.path.dirname(slspec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, slspec, slspec.cli\n"
+             "try:\n"
+             "    slspec.cli.main(['--help'])\n"
+             "except SystemExit:\n"
+             "    pass\n"
+             "print(sorted(m for m in sys.modules\n"
+             "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 # the flags each subcommand registers; every other pair is a usage error
 KEPT_FLAGS = {
     "spectrum": {"--n-min", "--n-max", "--method", "--alpha", "--tol-root",

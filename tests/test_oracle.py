@@ -6,15 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
+from scipy.optimize import brentq
 
 from slspec import (DomainError, IndexingError, IntegrationBlowupError,
-                    PotentialSpec, SingularArgumentError, characteristic,
-                    default_grid, eigenfunction_asym, eigenfunction_numeric,
-                    eigenvalue_asym, integrate_prufer,
+                    NonconvergenceError, PotentialSpec, SingularArgumentError,
+                    characteristic, default_grid, eigenfunction_asym,
+                    eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
-from slspec import moments, oracle
+from slspec import moments, oracle, validation
 from slspec.oracle import _char_reduced
 
 PI = math.pi
@@ -59,6 +61,43 @@ DEEP_BOUND_STEP = PotentialSpec.step([
     (0.7751812050766056, 2.166513294503461, -2.2936080715688045),
     (2.166513294503461, 2.705736044129607, 0.14632603739495262),
     (2.705736044129607, PI, 1.9329849765809353)])
+
+# Real potentials of the seeded fuzz (numpy default_rng; steps, seed 5: 2-5
+# pieces with breaks uniform on (0, pi) and heights N(0, 4^2); polys, seed
+# 9: 1-3 quadratic pieces with coefficients N(0, 1.5^2); trig, seed 11: 3
+# modes N(0, 3^2)), named kind-seed-potential, with the index range the
+# fuzz solved.  On each, some indices take the scan route and the others
+# the seed bracket, so both Brent calls run.
+FUZZ_SCANNED = {
+    "step-5-27": (PotentialSpec.step([
+        (0.0, 0.29147435453598486, -8.417864040342241),
+        (0.29147435453598486, 0.6076344353144891, -2.322798821957826),
+        (0.6076344353144891, 1.0173902719009524, 6.039932517248423e-05),
+        (1.0173902719009524, 2.9385650062157995, 4.755322714149481),
+        (2.9385650062157995, PI, -4.057872550409708)]), 30),
+    "step-5-31": (PotentialSpec.step([
+        (0.0, 1.1759284017720226, 3.4290455978651715),
+        (1.1759284017720226, 2.763404005478871, -9.59146109071248),
+        (2.763404005478871, 2.976632870042956, -4.636684792992392),
+        (2.976632870042956, PI, 4.224294469493967)]), 30),
+    "poly-9-3": (PotentialSpec.poly([
+        (0.0, 1.74200331604952,
+         [-1.7568606072451014, 0.8178626572429676, -1.5661893588237037]),
+        (1.74200331604952, 2.9004383719868096,
+         [-2.755602163377708, -0.8906513765004048, -2.1958716232486717]),
+        (2.9004383719868096, PI,
+         [0.8299173453309507, 0.032506675499013885, 0.7641697442534287])]),
+        20),
+    "poly-9-11": (PotentialSpec.poly([
+        (0.0, 1.039963713852653,
+         [2.168017348222803, 1.3690096503566038, 1.502468305458267]),
+        (1.039963713852653, PI,
+         [-0.08239736722366503, -1.74719332992891, 3.281671733136604])]), 20),
+    "trig-11-6": (PotentialSpec.trig([(0.0, PI, [
+        -0.45835853571059126, 2.057095832427774, -2.6110219258415137])]), 20),
+    "trig-11-15": (PotentialSpec.trig([(0.0, PI, [
+        -2.514500882147024, -5.202044538698555, 0.3793036655909886])]), 20),
+}
 
 
 # -- quasi-derivative system -------------------------------------------------
@@ -428,7 +467,6 @@ def test_solve_complex_step_potential():
 
 def test_characteristic_vs_transfer_matrix_roots(step_pot):
     # the two independent secular formulations share roots to 1e-9
-    from scipy.optimize import brentq
     for n in range(2, 51, 7):
         res = solve_eigenvalue(step_pot, n)       # exact propagator route
         lam0 = res.lam.real
@@ -594,7 +632,6 @@ def _reduced_g(pot):
 
 def _linear_scan_root(pot, n, g, s_seed):
     """Reference: the linear lambda-grid scan the count bisection replaced."""
-    from scipy.optimize import brentq
     sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
     lam_lo = -4.0 * (1.0 + sup_u) ** 2
     lam_hi = max((abs(s_seed) + 1.5) ** 2, (n + 1.0) ** 2)
@@ -618,6 +655,94 @@ def _linear_scan_root(pot, n, g, s_seed):
     raise AssertionError("reference scan found too few roots")
 
 
+# -- Brent root finder: bit for bit the reference brentq ----------------------
+
+_LIBRARY_TOLS = {"xtol": 1e-13, "rtol": 8.9e-16, "maxiter": 200}
+
+_ANALYTIC = {
+    "cubic": lambda x: x ** 3 - 2 * x - 5,
+    "sin": math.sin,
+    "exp": lambda x: math.exp(x) - 3.0,
+    "atan": lambda x: math.atan(x - 0.3),
+    "fifth power": lambda x: (x - 1.1) ** 5,
+    "cos": lambda x: math.cos(3 * x) - x,
+    "steep tanh": lambda x: math.tanh(50 * (x - 0.7)),
+}
+
+
+def _brent_outcome(solver, f, a, b):
+    """(root bits or "ValueError", the points f was evaluated at)."""
+    seen = []
+
+    def counted(x):
+        seen.append(x.hex())
+        return f(x)
+    try:
+        root = solver(counted, a, b, **_LIBRARY_TOLS)
+    except ValueError:
+        return "ValueError", seen
+    return root.hex(), seen
+
+
+def _assert_same_as_reference(f, a, b):
+    outcome = _brent_outcome(oracle._brentq, f, a, b)
+    assert outcome == _brent_outcome(brentq, f, a, b)
+    return outcome[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(_ANALYTIC)), a=st.floats(-5.0, 5.0),
+       b=st.floats(-5.0, 5.0))
+def test_brent_matches_reference_on_analytic_brackets(name, a, b):
+    _assert_same_as_reference(_ANALYTIC[name], a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["step", "poly", "trig"]), n=st.integers(1, 12),
+       below=st.floats(0.05, 0.6), above=st.floats(0.05, 0.6))
+def test_brent_matches_reference_on_the_secular_function(kind, n, below, above,
+                                                         step_pot, poly_pot):
+    # the conftest trig is complex; its real counterpart is the literal one
+    pot = {"step": step_pot, "poly": poly_pot,
+           "trig": MISBRACKETED["trig"]}[kind]
+    lo, hi = n - 0.5 - below, n - 0.5 + above
+    _assert_same_as_reference(_reduced_g(pot), lo * abs(lo), hi * abs(hi))
+
+
+def test_brent_edge_cases_match_reference():
+    for end in (1.0, 3.0):                                     # a zero end
+        root = _assert_same_as_reference(lambda x: x - end, 1.0, 3.0)
+        assert root == end.hex()
+    for f, a, b in ((lambda x: x * x + 1.0, -1.0, 2.0),        # same sign
+                    (lambda x: -x * x - 1.0, -1.0, 2.0),
+                    (lambda x: math.nan, 0.0, 1.0),            # NaN at an end
+                    (lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                     0.0, 1.0)):                               # NaN inside
+        assert _assert_same_as_reference(f, a, b) == "ValueError"
+
+
+def test_brent_exhaustion_is_a_nonconvergence_error():
+    f = _ANALYTIC["cubic"]
+    last, info = brentq(f, 2.0, 3.0, xtol=1e-13, rtol=8.9e-16, maxiter=2,
+                        full_output=True, disp=False)
+    assert not info.converged
+    with pytest.raises(NonconvergenceError) as exc:
+        oracle._brentq(f, 2.0, 3.0, 1e-13, 8.9e-16, 2)
+    assert exc.value.best == last
+
+
+def test_brent_exhaustion_flags_the_index(step_pot, monkeypatch):
+    # an exhausted Brent search degrades its index; the run goes on
+    brent = oracle._brentq
+    monkeypatch.setattr(oracle, "_brentq", lambda f, a, b, xtol, rtol, maxiter:
+                        brent(f, a, b, xtol, rtol, 1))
+    flags = [p.flag for p in solve_spectrum(step_pot, range(1, 4))]
+    flags += [r.flag for r in validation.remainder_sweep(step_pot, 3).records]
+    assert len(flags) == 6
+    assert all(f.startswith("degraded: Brent's method did not converge")
+               for f in flags)
+
+
 def test_sturm_count_free_spectrum(free_pot):
     # eigenvalues (n - 1/2)^2, so floor(s + 1/2) of them lie below s^2;
     # y1 = sin(s x) has floor(s) interior zeros
@@ -635,14 +760,15 @@ def test_negative_second_eigenvalue_is_indexed():
     assert abs(lams[1] + 0.348164529) < 1e-8
 
 
-@pytest.mark.parametrize("kind", sorted(MISBRACKETED))
+@pytest.mark.parametrize("kind", sorted(MISBRACKETED) + sorted(FUZZ_SCANNED))
 def test_zero_count_decides_the_index(kind):
-    pot = MISBRACKETED[kind]
-    res = [solve_eigenvalue(pot, n) for n in range(1, 13)]
+    pot, n_max = FUZZ_SCANNED.get(kind, (MISBRACKETED.get(kind), 12))
+    res = [solve_eigenvalue(pot, n) for n in range(1, n_max + 1)]
     for n, r in enumerate(res, 1):
         assert oracle._sturm_count(pot, r.lam)[0] == n - 1, n
     lams = [r.lam for r in res]
     assert lams == sorted(lams) and len(set(lams)) == len(lams)
+    assert {r.method for r in res} == {"bracket", "scan"}
     if kind == "step":      # the row n = 2 of validate-step at seed 29
         assert res[1].method == "scan"
         assert abs(res[1].lam - 0.954149668) < 1e-9
