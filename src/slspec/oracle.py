@@ -65,6 +65,7 @@ _STURM_STEP_SCALE = 0.02        # Magnus cell length of a zero count
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
+_WALK_COUNTS = 64               # Sturm counts one count walk may spend
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -445,7 +446,11 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             e1, e2 = _apply(_chain(cells), yc)
             y_end = (e1, e2 - u_b * e1)
         elif const is not None:
-            y_end = _const_advance(y, const, lamc, s, end - a)
+            try:
+                y_end = _const_advance(y, const, lamc, s, end - a)
+            except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
+                raise IntegrationBlowupError(f"non-finite state at x = {end}",
+                                             location=float(end))
             if norm:
                 d = end - a
                 cell_terms.append(([y[0]], [d * (const * y[0] + y[1])],
@@ -691,7 +696,7 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     sign changes of y1 on a grid of about 16 nodes per half-wave count its
     interior zeros; an eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies
     below lam exactly once more when the end angle is past it, that is when
-    y1(pi) y2(pi) < 0.
+    y1(pi) and y2(pi) differ in sign (far below, their product overflows).
     """
     s = abs(principal_sqrt(lam))
     grid = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
@@ -701,7 +706,8 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     vals = tr.y1.real[1:]
     signs = np.sign(vals[vals != 0])
     zeros = int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
-    return zeros, zeros + int(tr.y1[-1].real * tr.y2[-1].real < 0)
+    return zeros, zeros + int(np.sign(tr.y1[-1].real)
+                              * np.sign(tr.y2[-1].real) < 0)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -771,60 +777,53 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
         f"Brent's method did not converge in {maxiter} iterations", best=xcur)
 
 
-def _verified_floor(below, lam_lo: float) -> float:
-    """lam_lo, doubled until below(lam_lo) == 0 shows nothing lies under it."""
-    for _ in range(16):
-        if below(lam_lo) == 0:
-            return lam_lo
-        lam_lo *= 2.0
-    raise NonconvergenceError(
-        f"eigenvalues remain below lambda = {lam_lo / 2:.4g}", best=None)
+def _count_walk(n: int, g, below, s0: float) -> float:
+    """n-th root of g, located by below(lam), the eigenvalues under lam.
 
-
-def _scan_real_root(pot: PotentialSpec, n: int, g, below, s_seed: float) -> float:
-    """n-th root of the reduced secular function counted from the bottom.
-
-    The route for an index whose seed bracket has no sign change or whose
-    bracket root has the wrong zero count.  The lambda grid runs from below
-    the spectrum (Robin-type bound states included: a crude sup|u| bound,
-    doubled until below() reports no eigenvalue under it) to safely above
-    the expected n-th root.  Bisection over grid indices on below(lam), the
-    number of eigenvalues under lam, finds the first grid cell that holds
-    the n-th one; Brent then refines the sign change of g on that cell, the
-    cell a linear scan of g over the grid would stop in.  The counts at the
-    cell ends, n - 1 and n, prove the root is index n; any other pair
-    means the cell holds another index too and raises IndexingError.
+    The ends of the seed bracket s0 -+ 0.35 move in the signed root s
+    (lam = s |s|), so bound states are reached like any other root: the
+    lower end steps down while below reads n or more there, the upper end
+    up while it reads less, by steps from 0.7 that double.  Bisection in s
+    then leaves a cell whose counts n - 1 and n prove that it holds index
+    n alone, and Brent finds the root there.  IndexingError: no such cell
+    after _WALK_COUNTS counts.
     """
-    sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
-    lam_lo = _verified_floor(below, -4.0 * (1.0 + sup_u) ** 2)
-    lam_hi = max((abs(s_seed) + 1.5) ** 2, (n + 1.0) ** 2)
-    neg = np.linspace(lam_lo, 0.0, max(64, int(abs(lam_lo) / 0.05)))
-    pos = np.linspace(0.05, math.sqrt(lam_hi), int(math.sqrt(lam_hi) / 0.05)) ** 2
-    lams = np.concatenate([neg, pos])
-    lo, hi = 0, len(lams) - 1
-    n_lo, n_hi = 0, below(float(lams[hi]))     # the floor holds none below
+    budget = iter(range(_WALK_COUNTS))
+
+    def count(s):
+        if next(budget, None) is None:
+            raise IndexingError(f"after {_WALK_COUNTS} counts the cell holds "
+                                f"eigenvalues {n_lo + 1} to {n_hi}, not "
+                                f"index {n} alone")
+        return below(s * abs(s))
+
+    lo, hi, step = s0 - 0.35, s0 + 0.35, 0.7
+    n_lo = n_hi = count(lo)
+    while n_lo >= n:
+        hi, n_hi = lo, n_lo
+        lo, step = lo - step, 2 * step
+        n_lo = count(lo)
     if n_hi < n:
-        raise NonconvergenceError(
-            f"scan found only {n_hi} roots below lambda = {lam_hi:.4g}, "
-            f"needed {n}", best=None)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        count = below(float(lams[mid]))
-        if count >= n:
-            hi, n_hi = mid, count
+        n_hi = count(hi)
+    while n_hi < n:
+        lo, n_lo = hi, n_hi
+        hi, step = hi + step, 2 * step
+        n_hi = count(hi)
+    while (n_lo, n_hi) != (n - 1, n):
+        mid = 0.5 * (lo + hi)
+        c = count(mid)
+        if c >= n:
+            hi, n_hi = mid, c
         else:
-            lo, n_lo = mid, count
-    if (n_lo, n_hi) != (n - 1, n):
-        raise IndexingError(
-            f"scan cell [{lams[lo]:.6g}, {lams[hi]:.6g}] holds eigenvalues "
-            f"{n_lo + 1} to {n_hi}, not index {n} alone")
+            lo, n_lo = mid, c
+    lam_lo, lam_hi = lo * abs(lo), hi * abs(hi)
     try:
-        return _brentq(g, float(lams[lo]), float(lams[hi]), xtol=1e-13,
-                       rtol=8.9e-16, maxiter=200)
+        return _brentq(g, lam_lo, lam_hi, xtol=1e-13, rtol=8.9e-16,
+                       maxiter=200)
     except ValueError:
         raise NonconvergenceError(
-            f"no sign change of the secular function on [{lams[lo]:.6g}, "
-            f"{lams[hi]:.6g}], where the count puts index {n}", best=None)
+            f"no sign change of the secular function on [{lam_lo:.6g}, "
+            f"{lam_hi:.6g}], where the count puts index {n}", best=None)
 
 
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
@@ -836,15 +835,12 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     s0 -+ 0.35 of the reduced secular function ("bracket").  The count of
     interior zeros of y1 from (0, 1) at that root decides: n - 1 zeros
     accept it.  A bracket whose ends share a sign, or a root with another
-    count, goes to the "scan" route, which bisects a lambda grid on the
-    Sturm count of eigenvalues below lambda and runs Brent on the one grid
-    cell that holds the n-th root; the counts n - 1 and n at the cell ends
-    prove its index.  IndexingError then means the cell held another
-    eigenvalue too (two roots closer than the grid step).
-    ``iterations`` counts the secular-function evaluations and Sturm
-    counts of the search, not the zero count at the bracket root.  Every
-    characteristic evaluation runs at the default step scale
-    _DEFAULT_STEP_SCALE.
+    count, goes to the "scan" route: the count walk of _count_walk from the
+    same bracket, whose Sturm counts n - 1 and n at the ends of its cell
+    prove the index.  ``iterations`` counts the secular-function
+    evaluations and Sturm counts of the search, not the zero count at the
+    bracket root.  Every characteristic evaluation runs at the default
+    step scale _DEFAULT_STEP_SCALE.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
@@ -859,17 +855,13 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     calls = [0]
 
     if pot.is_real and abs(s0.imag) < 1e-9:
-        def g(lam):
-            calls[0] += 1
-            if lam == 0.0:
-                lam = 1e-24
-            return float(_char_reduced(pot, lam).real)
-
-        def below(lam):
-            calls[0] += 1
-            if lam == 0.0:
-                lam = 1e-24
-            return _sturm_count(pot, lam)[1]
+        def counted(f):
+            def at(lam):            # lam = 0 is singular for the propagator
+                calls[0] += 1
+                return f(1e-24 if lam == 0.0 else lam)
+            return at
+        g = counted(lambda lam: float(_char_reduced(pot, lam).real))
+        below = counted(lambda lam: _sturm_count(pot, lam)[1])
         s0r = s0.real
         lo_s, hi_s = s0r - 0.35, s0r + 0.35
         how = "bracket"
@@ -879,7 +871,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
         except ValueError:      # the seed bracket does not change sign
             root = None
         if root is None or _sturm_count(pot, root)[0] != n - 1:
-            root = _scan_real_root(pot, n, g, below, s0r)
+            root = _count_walk(n, g, below, s0r)
             how = "scan"
         lam_root = float(root)
         s_root = principal_sqrt(lam_root)

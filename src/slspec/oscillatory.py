@@ -82,10 +82,6 @@ class GaugeValue:
     """
 
     value: float
-    sup_single_sin: float
-    sup_single_cos: float
-    sup_double: float
-    sup_square_cos: float
     tail: float
     upper_estimate: float
     sup_grid: int
@@ -131,13 +127,12 @@ class _CorrectionProfile:
         def sample(xs):
             ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
             # |int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|
-            bracket = (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
-                       + 0.5 * np.abs(sqc / s))
-            return bracket, (ss, sc, dbl, sqc)
+            return (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
+                    + 0.5 * np.abs(sqc / s))
 
         xs = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
                         np.asarray(pot.breaks))
-        vals, comp_vals = sample(xs)
+        vals = sample(xs)
         for _ in range(2):
             order = np.argsort(vals)[-3:]
             extra = []
@@ -148,28 +143,16 @@ class _CorrectionProfile:
             # sampling is pointwise: evaluate the new points only and merge
             # them into the sorted grid
             new = np.setdiff1d(np.concatenate(extra), xs)
-            new_vals, new_comp = sample(new)
             at = np.searchsorted(xs, new)
+            vals = np.insert(vals, at, sample(new))
             xs = np.insert(xs, at, new)
-            vals = np.insert(vals, at, new_vals)
-            comp_vals = tuple(np.insert(old, at, add)
-                              for old, add in zip(comp_vals, new_comp))
         tail = float(pot.l2_norm_sq / abs(complex(self.lam)) ** 0.5)
         best = float(vals.max())
         gaps = np.diff(xs)
         slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
         upper = best + float(slopes.max() * gaps.max() / 2) if len(xs) > 1 else best
-        sups = [float(np.abs(v).max()) for v in comp_vals]
-        return GaugeValue(
-            value=best + tail,
-            sup_single_sin=sups[0],
-            sup_single_cos=sups[1],
-            sup_double=2 * sups[2],
-            sup_square_cos=0.5 * sups[3] / abs(s),
-            tail=tail,
-            upper_estimate=upper + tail,
-            sup_grid=int(sup_grid),
-        )
+        return GaugeValue(value=best + tail, tail=tail,
+                          upper_estimate=upper + tail, sup_grid=int(sup_grid))
 
 
 def correction_terms(pot: PotentialSpec, x, lam) -> CorrectionTerms:

@@ -407,3 +407,17 @@ def test_spectrum_jobs_bytes_identical(pot_files, tmp_path, capsys):
     assert flags[:2] == ["degraded: shared root with index 2",
                          "degraded: shared root with index 1"]
     assert flags[2:] == ["", ""]
+
+
+def test_spectrum_strong_constant_bound_state(tmp_path, capsys):
+    # u = 120 binds lam_1 = -beta^2 with beta = 120 tanh(120 pi) = 120
+    path = tmp_path / "u120.json"
+    path.write_text(json.dumps({"kind": "step", "pieces": [
+        {"from": 0.0, "to": PI, "coeffs_re": [120.0]}]}))
+    code, out, _ = _run(["spectrum", "--potential", str(path), "--n-max", "3",
+                         "--method", "both"], capsys)
+    assert code == 0
+    rows = _rows(out)[1:]
+    assert [r[0] for r in rows] == ["1", "2", "3"]
+    assert [r[8] for r in rows] == ["", "", ""]
+    assert float(rows[0][4]) == 0.0 and abs(float(rows[0][5]) - 120.0) < 1e-9

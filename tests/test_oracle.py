@@ -782,7 +782,9 @@ def test_count_bisection_matches_linear_scan(case, poly_pot):
     assert res.method == "scan"
     assert res.iterations <= 30            # g and count evaluations together
     s_seed = eigenvalue_asym(pot, n).sqrt_lambda_asym.real
-    assert res.lam == _linear_scan_root(pot, n, _reduced_g(pot), s_seed)
+    ref = _linear_scan_root(pot, n, _reduced_g(pot), s_seed)
+    # the walk's cell is not the grid cell, so only Brent's tolerance holds
+    assert abs(res.lam - ref) <= 2 * (1e-13 + 8.9e-16 * abs(ref))
 
 
 def test_deep_bound_state_indexed_by_the_scan_cell_counts():
@@ -794,26 +796,25 @@ def test_deep_bound_state_indexed_by_the_scan_cell_counts():
 
 
 def test_scan_cell_holding_two_indices_raises():
+    # the count jumps from 0 to 2 at lambda = 1: bisection never parts them
     def below(lam):
         return 0 if lam < 1.0 else 2
 
     for n in (1, 2):
         with pytest.raises(IndexingError, match="not index"):
-            oracle._scan_real_root(PotentialSpec.constant(0.25), n,
-                                   lambda lam: lam - 1.0, below, float(n))
+            oracle._count_walk(n, lambda lam: lam - 1.0, below, float(n))
 
 
-def test_verified_floor_doubles_until_count_is_zero():
-    seen = []
-
-    def below(lam):
-        seen.append(lam)
-        return 0 if lam <= -50.0 else 2
-
-    assert oracle._verified_floor(below, -10.0) == -80.0
-    assert seen == [-10.0, -20.0, -40.0, -80.0]
-    with pytest.raises(oracle.NonconvergenceError):
-        oracle._verified_floor(lambda lam: 1, -1.0)
+def _robin_beta(c):
+    """beta = c tanh(beta pi) by bisection: u = c > 1/pi has lam_1 = -beta^2."""
+    lo, hi = 0.5 * c, 1.5 * c
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if (lo - c * math.tanh(lo * PI)) * (mid - c * math.tanh(mid * PI)) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
@@ -825,16 +826,57 @@ def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
                         lambda self, x: np.zeros_like(np.asarray(x, float)))
     assert oracle._sturm_count(pot, -4.0)[1] == 1
     res = solve_eigenvalue(pot, 1, seed=seed)
-    lo, hi = 2.5, 3.5
-    for _ in range(80):
+    beta = _robin_beta(3.0)
+    assert res.method == "scan"
+    assert abs(res.lam + beta * beta) < 1e-9
+
+
+def _robin_root(c, k):
+    """s in (k, k + 1/2) with c sin(s pi) = s cos(s pi): u = c at lam = s^2."""
+    lo, hi = float(k), k + 0.5
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if (lo - 3 * math.tanh(lo * PI)) * (mid - 3 * math.tanh(mid * PI)) <= 0:
+        f_lo = c * math.sin(lo * PI) - lo * math.cos(lo * PI)
+        if f_lo * (c * math.sin(mid * PI) - mid * math.cos(mid * PI)) <= 0:
             hi = mid
         else:
             lo = mid
-    beta = 0.5 * (lo + hi)
-    assert res.method == "scan"
-    assert abs(res.lam + beta * beta) < 1e-9
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("c", [60.0, 120.0, 150.0])
+def test_strong_constant_bound_state_reached_by_the_walk(c):
+    # the walk reaches lam_1 = -beta^2 ~ -c^2 from a seed near 0, and every
+    # count on the way stays finite (RuntimeWarnings are errors here)
+    pot = PotentialSpec.constant(c)
+    res = [solve_eigenvalue(pot, n) for n in (1, 2, 3)]
+    beta = _robin_beta(c)
+    assert abs(res[0].lam + beta * beta) <= 1e-9 * beta * beta
+    for r, k in zip(res[1:], (1, 2)):
+        s = _robin_root(c, k)
+        assert abs(r.lam - s * s) <= 1e-9 * s * s
+
+
+@pytest.mark.parametrize("c", [220.0, 300.0])
+def test_constant_too_strong_for_the_exact_step_flags_its_bound_state(c):
+    # cosh(sqrt|lam| pi) overflows on the way to lam_1 ~ -c^2; only that
+    # index is flagged, with the end of the piece as the location
+    pts = solve_spectrum(PotentialSpec.constant(c), range(1, 4))
+    assert pts[0].flag == f"degraded: non-finite state at x = {PI}"
+    assert pts[0].sqrt_lambda_numeric is None
+    for p, k in zip(pts[1:], (1, 2)):
+        assert p.flag == ""
+        assert abs(p.sqrt_lambda_numeric - _robin_root(c, k)) <= 1e-9
+    with pytest.raises(IntegrationBlowupError) as exc:
+        solve_eigenvalue(PotentialSpec.constant(c), 1)
+    assert exc.value.location == PI
+
+
+def test_exact_step_overflow_is_a_blowup_error():
+    # cmath.cos(sqrt(-1e5) pi) overflows: a SpectralError, not OverflowError
+    with pytest.raises(IntegrationBlowupError) as exc:
+        _char_reduced(PotentialSpec.zero(), -1e5)
+    assert exc.value.location == PI
 
 
 def test_solve_spectrum_flags_shared_root(shared_root_trig):

@@ -178,29 +178,25 @@ def _gauge_resampling_whole_grid(prof, sup_grid=256):
 
     def sample(xs):
         ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
-        bracket = (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
-                   + 0.5 * np.abs(sqc / s))
-        return bracket, (ss, sc, dbl, sqc)
+        return (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
+                + 0.5 * np.abs(sqc / s))
 
     xs = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
                     np.asarray(prof.pot.breaks))
-    vals, comp_vals = sample(xs)
+    vals = sample(xs)
     for _ in range(2):
         order = np.argsort(vals)[-3:]
         extra = [np.linspace(xs[max(int(i) - 1, 0)],
                              xs[min(int(i) + 1, len(xs) - 1)], 15)
                  for i in order]
         xs = np.union1d(xs, np.concatenate(extra))
-        vals, comp_vals = sample(xs)
+        vals = sample(xs)
     tail = float(prof.pot.l2_norm_sq / abs(complex(prof.lam)) ** 0.5)
     best = float(vals.max())
     gaps = np.diff(xs)
     slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
     upper = best + float(slopes.max() * gaps.max() / 2)
-    sups = [float(np.abs(v).max()) for v in comp_vals]
-    return GaugeValue(value=best + tail, sup_single_sin=sups[0],
-                      sup_single_cos=sups[1], sup_double=2 * sups[2],
-                      sup_square_cos=0.5 * sups[3] / abs(s), tail=tail,
+    return GaugeValue(value=best + tail, tail=tail,
                       upper_estimate=upper + tail, sup_grid=int(sup_grid))
 
 
