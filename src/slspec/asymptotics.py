@@ -104,6 +104,26 @@ def _m2_profile(pot: PotentialSpec, n: int) -> _CorrectionProfile:
     return _CorrectionProfile(pot, m * m)
 
 
+@functools.lru_cache(maxsize=8)
+def _bracket_weights(pot: PotentialSpec, conjugated: bool) -> tuple:
+    """((pi - t) * c(t), (pi - t) * s(t)), the weights of the bracket constants.
+
+    c and s weight the cos and sin moments of the first-order
+    eigenfunction brackets: c = u_R and s = u_R^2 - u_I^2, or, for the
+    conjugated (biorthogonal) expansion, c = u_R + 2i u_I and
+    s = u_R^2 - u_I^2 + 4i u_R u_I.  Neither depends on the index, so
+    each is built once per potential.
+    """
+    uR, uI = pot.real_part().piecewise, pot.imag_part().piecewise
+    if conjugated:
+        cos_weight = uR + uI.scale(2j)
+        sin_weight = uR * uR - uI * uI + (uR * uI).scale(4j)
+    else:
+        cos_weight, sin_weight = uR, uR * uR - uI * uI
+    w_lin = moments.linear(pot.breaks, slope=-1.0, intercept=PI)  # (pi - t)
+    return w_lin * cos_weight, w_lin * sin_weight
+
+
 def eigenvalue_asym(pot: PotentialSpec, n: int) -> SpectralPoint:
     """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi."""
     if n < 1:
@@ -144,7 +164,7 @@ class _BracketAssembly:
         breaks = pot.breaks
         sin2m = moments.sin_kernel(2 * m, breaks)
         cos2m = moments.cos_kernel(2 * m, breaks)
-        w_cos, w_sin = pot.bracket_weights(conjugated)
+        w_cos, w_sin = _bracket_weights(pot, conjugated)
         k_cos = (w_cos * cos2m).integral() / PI
         k_sin = (w_sin * sin2m).integral() / PI
 

@@ -46,3 +46,8 @@ class IndexingError(SpectralError):
 
 class InternalError(SpectralError):
     """An internal invariant was violated (reported as CLI exit code 3)."""
+
+
+# A root search that raises one of these flags its index and leaves the
+# other indices to run; any other error stops the whole computation.
+INDEX_FAILURES = (NonconvergenceError, IndexingError, IntegrationBlowupError)

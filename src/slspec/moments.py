@@ -167,7 +167,9 @@ class PiecewiseExp:
     """A piecewise sum of polynomial-exponential atoms on [breaks[0], breaks[-1]].
 
     pieces[i] is a tuple of (nu, coeffs) atoms in the local coordinate
-    s = x - breaks[i].  Evaluation is right-continuous at interior breaks.
+    s = x - breaks[i]; no other module reads them.  Evaluation is
+    right-continuous at interior breaks.  Sums and products take two
+    objects on the same breaks.
     """
 
     breaks: tuple
@@ -189,7 +191,7 @@ class PiecewiseExp:
         """Evaluate at scalar or array x (right-continuous at breaks)."""
         if np.isscalar(x) or isinstance(x, (int, float, complex)):
             i = int(self._piece_index(float(x)))
-            return complex(_eval_atoms(self.pieces[i], float(x) - self.breaks[i]))
+            return complex(self._local(i, float(x) - self.breaks[i]))
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
         idx = self._piece_index(x)
@@ -197,68 +199,56 @@ class PiecewiseExp:
             mask = idx == i
             if not mask.any():
                 continue
-            out[mask] = _eval_atoms(self.pieces[i], x[mask] - self.breaks[i])
+            out[mask] = self._local(i, x[mask] - self.breaks[i])
         return out
 
-    def __call__(self, x):
-        return self.eval(x)
+    # -- piece access (the oracle's propagators read u through these) ------
 
-    # -- algebra ---------------------------------------------------------
+    def _local(self, i, s):
+        """Piece i at the local coordinate s = x - breaks[i], scalar or array."""
+        return _eval_atoms(self.pieces[i], s)
 
-    def with_breaks(self, new_breaks):
-        """Re-express on a refinement of the current breakpoints."""
-        new_breaks = tuple(new_breaks)
-        pieces = []
-        for a in new_breaks[:-1]:
-            i = int(self._piece_index(a))
-            delta = a - self.breaks[i]
-            atoms = []
-            for nu, coeffs in self.pieces[i]:
-                shifted = _polyshift(coeffs, delta)
-                if nu != 0:
-                    phase = np.exp(1j * nu * delta)
-                    shifted = tuple(c * phase for c in shifted)
-                atoms.append((nu, shifted))
-            pieces.append(_merge_atoms(atoms))
-        return PiecewiseExp(new_breaks, tuple(pieces))
+    def _constant_height(self, i):
+        """Height of piece i if it is a constant, else None."""
+        atoms = self.pieces[i]
+        if len(atoms) == 0:
+            return 0j
+        if len(atoms) == 1 and atoms[0][0] == 0 and len(atoms[0][1]) == 1:
+            return complex(atoms[0][1][0])
+        return None
 
-    def _aligned(self, other):
-        if self.breaks == other.breaks:
-            return self, other
-        merged = np.union1d(np.asarray(self.breaks), np.asarray(other.breaks))
-        merged = tuple(float(b) for b in merged)
-        return self.with_breaks(merged), other.with_breaks(merged)
+    def _derivative(self):
+        """The derivative inside every piece (jumps at the breaks dropped)."""
+        return PiecewiseExp(self.breaks,
+                            tuple(_derivative_atoms(pc) for pc in self.pieces))
+
+    # -- algebra: both operands live on the same breaks ----------------------
+
+    def _same_breaks(self, other):
+        if self.breaks != other.breaks:
+            raise ValueError(f"operands live on different breaks: "
+                             f"{self.breaks} and {other.breaks}")
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = constant(other, self.breaks)
-        a, b = self._aligned(other)
+        self._same_breaks(other)
         pieces = tuple(
-            _merge_atoms(pa + pb) for pa, pb in zip(a.pieces, b.pieces)
+            _merge_atoms(pa + pb) for pa, pb in zip(self.pieces, other.pieces)
         )
-        return PiecewiseExp(a.breaks, pieces)
-
-    __radd__ = __add__
+        return PiecewiseExp(self.breaks, pieces)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self + (-other)
         return self + other.scale(-1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.scale(other)
-        a, b = self._aligned(other)
+        self._same_breaks(other)
         pieces = []
-        for pa, pb in zip(a.pieces, b.pieces):
+        for pa, pb in zip(self.pieces, other.pieces):
             atoms = []
             for nu1, c1 in pa:
                 for nu2, c2 in pb:
                     atoms.append((nu1 + nu2, _polymul(c1, c2)))
             pieces.append(_merge_atoms(atoms))
-        return PiecewiseExp(a.breaks, tuple(pieces))
-
-    __rmul__ = __mul__
+        return PiecewiseExp(self.breaks, tuple(pieces))
 
     def scale(self, c):
         # scaling keeps frequencies apart, so atoms need trimming, not merging
@@ -281,12 +271,6 @@ class PiecewiseExp:
             for pc in self.pieces
         )
         return PiecewiseExp(self.breaks, pieces)
-
-    def real_part(self):
-        return (self + self.conj()).scale(0.5)
-
-    def imag_part(self):
-        return (self - self.conj()).scale(-0.5j)
 
     # -- calculus --------------------------------------------------------
 
@@ -337,10 +321,14 @@ class PiecewiseExp:
         return complex(total)
 
 
-def constant(value, breaks):
-    value = complex(value)
-    pieces = tuple(((0j, (value,)),) for _ in range(len(breaks) - 1))
+def step(heights, breaks):
+    """Piecewise constant: heights[i] on piece i."""
+    pieces = tuple(((0j, (complex(h),)),) for h in heights)
     return PiecewiseExp(tuple(breaks), pieces)
+
+
+def constant(value, breaks):
+    return step([value] * (len(breaks) - 1), breaks)
 
 
 def poly_global(coeffs_per_piece, breaks):
@@ -351,6 +339,29 @@ def poly_global(coeffs_per_piece, breaks):
         coeffs = tuple(complex(c) for c in coeffs)
         shifted = _polyshift(coeffs, breaks[i])  # p(a + s)
         pieces.append(_merge_atoms([(0j, shifted)]))
+    return PiecewiseExp(breaks, tuple(pieces))
+
+
+def trig_global(triples_per_piece, breaks):
+    """Piecewise finite Fourier blocks in the global coordinate x.
+
+    Piece i is sum over its (k, a, b) triples of a cos(kx) + b sin(kx),
+    with integer k >= 0; k = 0 contributes the constant a alone.
+    """
+    breaks = tuple(breaks)
+    pieces = []
+    for a, triples in zip(breaks, triples_per_piece):
+        atoms = []
+        for k, ac, bc in triples:
+            if k == 0:
+                atoms.append((0j, (complex(ac),)))
+                continue
+            up = np.exp(1j * k * a)
+            dn = np.exp(-1j * k * a)
+            # a cos(kx) + b sin(kx) in the piece-local coordinate
+            atoms.append((complex(k), ((ac / 2 - 1j * bc / 2) * up,)))
+            atoms.append((complex(-k), ((ac / 2 + 1j * bc / 2) * dn,)))
+        pieces.append(_merge_atoms(atoms))
     return PiecewiseExp(breaks, tuple(pieces))
 
 

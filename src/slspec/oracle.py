@@ -53,9 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, moments
-from .errors import (DomainError, IndexingError, IntegrationBlowupError,
-                     InternalError, NonconvergenceError)
+from . import asymptotics
+from .errors import (INDEX_FAILURES, DomainError, IndexingError,
+                     IntegrationBlowupError, InternalError,
+                     NonconvergenceError)
 from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
@@ -106,16 +107,6 @@ class SecularResult:
     multiplicity_hint: int
     iterations: int
     method: str
-
-
-def _piece_constant(pe: moments.PiecewiseExp, i: int):
-    """Height of piece i if it is a constant, else None."""
-    atoms = pe.pieces[i]
-    if len(atoms) == 0:
-        return 0j
-    if len(atoms) == 1 and atoms[0][0] == 0 and len(atoms[0][1]) == 1:
-        return complex(atoms[0][1][0])
-    return None
 
 
 def _cos_sinc(s, d):
@@ -225,41 +216,42 @@ def _apply(p, y):
     return out[:, 0], out[:, 1]
 
 
-def _magnus_parts(q_atoms, lefts, h):
+def _magnus_parts(q, i, lefts, h):
     """The lambda-free parts (delta, gamma) of each cell's Magnus exponent.
 
     Inside a smooth piece q = u' is an ordinary function and the classical
     pair (y, y') solves Y' = A(q) Y with A(q) = [[0, 1], [q - lam, 0]].
     Cell k is [lefts[k], lefts[k] + h] (h a scalar or one per cell) in the
-    local coordinate of the piece, q_atoms are the atoms of q, and q is
-    sampled at the two Gauss points of the cell, q1 and q2.  The 4th-order
-    exponent Omega = h/2 (A(q1) + A(q2)) + (sqrt(3)/12) h^2 [A(q2), A(q1)]
+    local coordinate of piece i of q, which is sampled at the two Gauss
+    points of the cell, q1 and q2.  The 4th-order exponent
+    Omega = h/2 (A(q1) + A(q2)) + (sqrt(3)/12) h^2 [A(q2), A(q1)]
     has [A(q2), A(q1)] = (q1 - q2) diag(1, -1), free of lambda, so
     Omega = [[delta, h], [gamma - lam h, -delta]].
     """
-    q1 = moments._eval_atoms(q_atoms, lefts + _GAUSS_LO * h)
-    q2 = moments._eval_atoms(q_atoms, lefts + _GAUSS_HI * h)
+    q1 = q._local(i, lefts + _GAUSS_LO * h)
+    q2 = q._local(i, lefts + _GAUSS_HI * h)
     return _MAGNUS_C * h * h * (q1 - q2), (h / 2) * (q1 + q2)
 
 
 @functools.lru_cache(maxsize=64)
-def _mesh(atoms, span: float, step_scale: float):
-    """The lambda-free data of the uniform cell mesh of one smooth piece.
+def _mesh(u, i: int, step_scale: float):
+    """The lambda-free data of the uniform cell mesh of smooth piece i of u.
 
-    Returns (h, parts, q_atoms, u_a, u_b): the cell length (at most
-    step_scale and _H_MAX), the Magnus parts of every cell, the atoms of
-    q = u' and u at both ends of the piece.  The mesh depends on neither
-    lambda nor the nodes, so it is built once per piece and step scale;
-    its arrays are read-only because callers share them.
+    Returns (h, parts, q, u_a, u_b): the cell length (at most step_scale
+    and _H_MAX), the Magnus parts of every cell, q = u' and u at both
+    ends of the piece.  The mesh depends on neither lambda nor the nodes,
+    so it is built once per piece and step scale; its arrays are
+    read-only because callers share them.
     """
+    span = u.breaks[i + 1] - u.breaks[i]
     ncell = int(_n_sub(span, 1.0, step_scale))
     h = span / ncell
-    q_atoms = moments._derivative_atoms(atoms)
-    parts = _magnus_parts(q_atoms, h * np.arange(ncell), h)
+    q = u._derivative()
+    parts = _magnus_parts(q, i, h * np.arange(ncell), h)
     for p in parts:
         p.setflags(write=False)
-    u_a, u_b = moments._eval_atoms(atoms, np.array([0.0, span])).tolist()
-    return h, parts, q_atoms, u_a, u_b
+    u_a, u_b = u._local(i, np.array([0.0, span])).tolist()
+    return h, parts, q, u_a, u_b
 
 
 def _magnus_matrices(delta, gamma, h, lam):
@@ -433,12 +425,11 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             break
         # nodes[pos:k] lie inside the piece, nodes[k:j1] on its end
         k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
-        const = None if force_rk4 else _piece_constant(pe, i)
+        const = None if force_rk4 else pe._constant_height(i)
         magnus = const is None and not force_rk4
         if magnus:
             # the cells carry the classical pair (y, y') = (y1, y2 + u y)
-            h, parts, q_atoms, u_a, u_b = _mesh(pe.pieces[i], b - a,
-                                                step_scale)
+            h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
             cells = _magnus_matrices(*parts, h, lamc)
             yc = (y[0], y[1] + u_a * y[0])
         if magnus and k == pos and end == b and not norm:
@@ -474,7 +465,7 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             x = nodes[pos:k] - a
             cell = np.minimum(np.floor(x / h), len(p00) - 1)
             d = x - cell * h
-            part = _magnus_matrices(*_magnus_parts(q_atoms, cell * h, d), d,
+            part = _magnus_matrices(*_magnus_parts(q, i, cell * h, d), d,
                                     lamc)
             # named operands: numpy multiplies a large temporary in place
             # (temporary elision), which rounds complex products
@@ -484,7 +475,7 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             g1, g2 = c1[cell], c2[cell]
             y1[pos:k] = part[0, 0] * g1 + part[0, 1] * g2
             y2[pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
-                         - moments._eval_atoms(pe.pieces[i], x) * y1[pos:k])
+                         - pe._local(i, x) * y1[pos:k])
             y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         else:
             # RK4 step table: each gap between stops is cut into nsub equal
@@ -503,9 +494,8 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             hs = np.repeat(h, nsub)
             lefts = np.repeat(prevs, nsub) + hs * local_k
             mats = _rk4_matrices(
-                moments._eval_atoms(pe.pieces[i], lefts - a),
-                moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a),
-                moments._eval_atoms(pe.pieces[i], lefts + hs - a), lamc, hs)
+                pe._local(i, lefts - a), pe._local(i, lefts + hs / 2 - a),
+                pe._local(i, lefts + hs - a), lamc, hs)
             if len(stops) == 1:
                 y_end = _apply(_chain(mats), y)
                 k = pos
@@ -617,6 +607,7 @@ def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
     pe = pot.piecewise
     sc = complex(s)
     th, lr = 0j, 0j
+    i = 0           # the piece of the current node interval
     rec = {0.0: (0j, 0j)}
 
     def rhs(u, theta):
@@ -627,11 +618,13 @@ def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
                 -(u * c2 + (u2 / (2 * sc)) * s2))
 
     for x0, x1 in zip(nodes, nodes[1:]):
-        i = int(pe._piece_index(0.5 * (x0 + x1)))
+        # every break below the last grid point is a node
+        while i + 2 < len(pot.breaks) and x0 >= pot.breaks[i + 1]:
+            i += 1
         nsub = int(_n_sub(x1 - x0, abs(s), _PRUFER_STEP_SCALE))
         h = (x1 - x0) / nsub
-        offs = (x0 - pe.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
-        uu = list(moments._eval_atoms(pe.pieces[i], offs))
+        offs = (x0 - pot.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
+        uu = list(pe._local(i, offs))
         h2, h6 = h / 2, h / 6
         try:
             for j in range(nsub):
@@ -1000,7 +993,7 @@ def _spectrum_chunk(ns, pot: PotentialSpec, kwargs: dict) -> list:
             res = solve_eigenvalue(pot, n, seed=point, **kwargs)
             point.sqrt_lambda_numeric = res.sqrt_lambda
             point.residual = res.residual
-        except (NonconvergenceError, IndexingError, IntegrationBlowupError) as exc:
+        except INDEX_FAILURES as exc:
             point.flag = f"degraded: {exc}"
         points.append(point)
     return points

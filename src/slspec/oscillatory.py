@@ -31,10 +31,14 @@ from .potential import PI, PotentialSpec
 
 
 def principal_sqrt(lam) -> complex:
-    """sqrt(lam) with Re >= 0 (and Im >= 0 on the negative real axis)."""
+    """sqrt(lam) with Re >= 0 (and Im >= 0 on the negative real axis).
+
+    cmath.sqrt already gives Re >= 0, but on the negative real axis it
+    follows the sign of a zero imaginary part: sqrt(-4 - 0j) is -2j.
+    """
     s = cmath.sqrt(complex(lam))
-    if s.real < 0:
-        s = -s
+    if s.real == 0 and s.imag < 0:
+        s = complex(0.0, -s.imag)
     return s
 
 

@@ -113,56 +113,15 @@ class PotentialSpec:
     def piecewise(self) -> moments.PiecewiseExp:
         """The potential as a polynomial-exponential object."""
         if self.kind == "step":
-            pieces = tuple(((0j, (c[0],)),) for c in self.coeffs)
-            return moments.PiecewiseExp(self.breaks, pieces)
+            return moments.step([c[0] for c in self.coeffs], self.breaks)
         if self.kind == "poly":
             return moments.poly_global(self.coeffs, self.breaks)
-        pieces = []
-        for i, triples in enumerate(self.coeffs):
-            a = self.breaks[i]
-            atoms = []
-            for k, ac, bc in triples:
-                if k == 0:
-                    atoms.append((0j, (complex(ac),)))
-                    continue
-                up = np.exp(1j * k * a)
-                dn = np.exp(-1j * k * a)
-                # a cos(kt) + b sin(kt) in the piece-local coordinate
-                atoms.append((complex(k), ((ac / 2 - 1j * bc / 2) * up,)))
-                atoms.append((complex(-k), ((ac / 2 + 1j * bc / 2) * dn,)))
-            pieces.append(moments._merge_atoms(atoms))
-        return moments.PiecewiseExp(self.breaks, tuple(pieces))
+        return moments.trig_global(self.coeffs, self.breaks)
 
     @cached_property
     def piecewise_sq(self) -> moments.PiecewiseExp:
         """u^2 as a polynomial-exponential object."""
         return self.piecewise * self.piecewise
-
-    def bracket_weights(self, conjugated: bool) -> tuple:
-        """((pi - t) * c(t), (pi - t) * s(t)), the weights of the bracket constants.
-
-        c and s weight the cos and sin moments of the first-order
-        eigenfunction brackets: c = u_R and s = u_R^2 - u_I^2, or, for the
-        conjugated (biorthogonal) expansion, c = u_R + 2i u_I and
-        s = u_R^2 - u_I^2 + 4i u_R u_I.  Neither depends on the index, so
-        each is built once per potential.
-        """
-        return self._bracket_weights_conj if conjugated else self._bracket_weights_plain
-
-    @cached_property
-    def _bracket_weights_plain(self) -> tuple:
-        uR, uI = self.real_part().piecewise, self.imag_part().piecewise
-        return self._weighted(uR, uR * uR - uI * uI)
-
-    @cached_property
-    def _bracket_weights_conj(self) -> tuple:
-        uR, uI = self.real_part().piecewise, self.imag_part().piecewise
-        return self._weighted(uR + uI.scale(2j),
-                              uR * uR - uI * uI + (uR * uI).scale(4j))
-
-    def _weighted(self, cos_weight, sin_weight) -> tuple:
-        w_lin = moments.linear(self.breaks, slope=-1.0, intercept=PI)  # (pi - t)
-        return w_lin * cos_weight, w_lin * sin_weight
 
     def eval_u(self, x):
         """u(x) for x in [0, pi], right-continuous at breakpoints."""

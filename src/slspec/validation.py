@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, oracle
-from .errors import (IndexingError, IntegrationBlowupError,
-                     NonconvergenceError)
+from .errors import INDEX_FAILURES
 from .oscillatory import SpectralDomain, remainder_gauge
 from .potential import PI, PotentialSpec
 
@@ -157,8 +156,7 @@ def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
             num_tab = oracle.eigenfunction_numeric(pot, res.lam, grid,
                                                    align_to=asym_tab)
             sup_err = asym_tab.sup_distance(num_tab)
-    except (NonconvergenceError, IndexingError,
-            IntegrationBlowupError) as exc:
+    except INDEX_FAILURES as exc:
         flag = f"degraded: {exc}"
         point.flag = flag
     if gamma is None:               # no root: the gauge at m^2 stands in
@@ -364,8 +362,7 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
                             np.asarray(pot.breaks))
             traj = oracle._prufer_from_quasi(
                 oracle.integrate_quasi_system(pot, lam, xs))
-        except (NonconvergenceError, IndexingError,
-                IntegrationBlowupError) as exc:
+        except INDEX_FAILURES as exc:
             degraded.append((n, str(exc)))
             continue
         theta_lead = asymptotics.prufer_phase_asym(pot, xs, lam)

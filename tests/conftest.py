@@ -17,10 +17,12 @@ PI = math.pi
 
 
 @pytest.fixture(autouse=True)
-def _fresh_m2_profile():
-    # PotentialSpec compares by value, so a profile another test left in the
-    # process-wide m^2 cache would be read by a fresh copy of its potential
+def _fresh_asymptotic_caches():
+    # PotentialSpec compares by value, so a profile or bracket weights
+    # another test left in a process-wide cache would be read by a fresh
+    # copy of its potential
     asymptotics._m2_profile.cache_clear()
+    asymptotics._bracket_weights.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
 """Unit checks for the polynomial-exponential integration engine."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,17 +86,17 @@ def test_algebra_pointwise():
     xs = np.linspace(0.0, PI, 41)
     assert np.abs(g.eval(xs) - f.eval(xs) ** 2).max() < 1e-12
     assert np.abs(f.conj().eval(xs) - np.conj(f.eval(xs))).max() < 1e-13
-    rec = f.real_part().eval(xs) + 1j * f.imag_part().eval(xs)
-    assert np.abs(rec - f.eval(xs)).max() < 1e-13
     assert np.abs((f - f).eval(xs)).max() == 0.0
 
 
-def test_with_breaks_preserves_values_and_integral():
+def test_operands_on_different_breaks_raise():
     f = _sample_pe()
-    refined = f.with_breaks((0.0, 0.4, 1.1, 2.0, PI))
-    xs = np.linspace(0.0, PI, 57)
-    assert np.abs(refined.eval(xs) - f.eval(xs)).max() < 1e-12
-    assert abs(refined.integral() - f.integral()) < 1e-12
+    g = moments.constant(1.0, (0.0, 0.4, 1.1, PI))
+    for combine in (lambda a, b: a + b, lambda a, b: a - b,
+                    lambda a, b: a * b):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="different breaks"):
+                combine(a, b)
 
 
 def test_right_continuity_at_breaks():
@@ -169,3 +171,25 @@ def test_scale_matches_merged_route(c):
                                   for nu, coeffs in pc])
             for pc in f.pieces)
         assert f.scale(c).pieces == merged
+
+
+def test_atom_format_stays_inside_moments():
+    # the (nu, coeffs) atoms are private to the engine: no other library
+    # module names a moments._* helper or reads PiecewiseExp.pieces
+    offences = []
+    for path in sorted(Path(moments.__file__).parent.glob("*.py")):
+        if path.name == "moments.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "moments"):
+                offences += [(path.name, node.lineno, alias.name)
+                             for alias in node.names
+                             if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "pieces"
+                    or (node.attr.startswith("_")
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "moments")):
+                offences.append((path.name, node.lineno, node.attr))
+    assert offences == []

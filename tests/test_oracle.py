@@ -16,7 +16,7 @@ from slspec import (DomainError, IndexingError, IntegrationBlowupError,
                     eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
-from slspec import moments, oracle, validation
+from slspec import oracle, validation
 from slspec.oracle import _char_reduced
 
 PI = math.pi
@@ -493,6 +493,93 @@ def test_solve_spectrum_flags_instead_of_raising(step_pot, monkeypatch):
     assert flags[2] == "" and flags[4] == ""
 
 
+def _sabotage_index(monkeypatch, k, fake_char):
+    """Inside solve_spectrum, index k reads fake_char(lam) as its secular
+    function; every other index reads the real one."""
+    solve, char = oracle.solve_eigenvalue, oracle._char_reduced
+    current = [None]
+
+    def solve_one(pot, n, **kw):
+        current[0] = n
+        return solve(pot, n, **kw)
+
+    def secular(pot, lam, **kw):
+        return fake_char(lam) if current[0] == k else char(pot, lam, **kw)
+
+    monkeypatch.setattr(oracle, "solve_eigenvalue", solve_one)
+    monkeypatch.setattr(oracle, "_char_reduced", secular)
+
+
+def _flags(points) -> dict:
+    assert all(p.sqrt_lambda_numeric is not None or p.flag for p in points)
+    return {p.n: p.flag for p in points if p.flag}
+
+
+def test_secant_out_of_iterations_flags_its_index(trig_pot, monkeypatch):
+    # s^2 - 1e4 has its root 100 away: clamped steps of 0.25 cannot reach it
+    _sabotage_index(monkeypatch, 3, lambda lam: lam - 1e4)
+    flags = _flags(solve_spectrum(trig_pot, range(1, 6)))
+    assert list(flags) == [3]
+    assert flags[3] == (f"degraded: no convergence for index 3 within "
+                        f"{oracle._MAX_SECANT_ITER} iterations")
+
+
+def test_argument_principle_count_below_one_flags_its_index(trig_pot,
+                                                            monkeypatch):
+    # a zero at the seed and a pole 0.01 from it inside the winding
+    # circle: the secant stops on the zero, the winding number is 0
+    r = complex(eigenvalue_asym(trig_pot, 3).sqrt_lambda_asym)
+    _sabotage_index(monkeypatch, 3,
+                    lambda lam: (lam - r * r) / (lam - (r + 0.01) ** 2))
+    flags = _flags(solve_spectrum(trig_pot, range(1, 6)))
+    assert list(flags) == [3]
+    assert flags[3].startswith("degraded: argument-principle count 0 around")
+
+
+def test_contour_value_exactly_zero_counts_one_root(trig_pot, monkeypatch):
+    # the secular function vanishes exactly on the whole winding circle:
+    # its phase is undefined there, and the root counts once
+    r = complex(eigenvalue_asym(trig_pot, 3).sqrt_lambda_asym)
+
+    def fake(lam):
+        return np.where(np.abs(lam - r * r) < 0.2 * abs(r), lam - r * r, 0.0)
+
+    _sabotage_index(monkeypatch, 3, fake)
+    points = solve_spectrum(trig_pot, range(1, 6))
+    assert _flags(points) == {}
+    assert points[2].sqrt_lambda_numeric == r and points[2].residual == 0.0
+    ring = np.exp(2j * PI * np.arange(oracle._WINDING_POINTS)
+                  / oracle._WINDING_POINTS)
+    assert np.all(fake((r + oracle._WINDING_RADIUS * ring) ** 2) == 0)
+
+
+def test_walk_cell_without_sign_change_flags_its_index(step_pot, monkeypatch):
+    # the Sturm counts still prove a cell for index 2, but the secular
+    # function read there never changes sign
+    _sabotage_index(monkeypatch, 2, lambda lam: 1.0)
+    flags = _flags(solve_spectrum(step_pot, range(1, 5)))
+    assert list(flags) == [2]
+    assert flags[2].startswith("degraded: no sign change of the secular "
+                               "function on [")
+    assert flags[2].endswith("where the count puts index 2")
+
+
+def test_grid_ending_inside_a_smooth_piece(poly_pot):
+    # the last node, 2.0, lies inside the second piece (1.3, pi)
+    short = np.linspace(0.0, 2.0, 41)
+    whole = np.append(short, PI)
+    for lam in (-2.0, 90.0, 400.0 + 3.0j):
+        tr = integrate_quasi_system(poly_pot, lam, short)
+        to_pi = integrate_quasi_system(poly_pot, lam, whole)
+        assert np.array_equal(tr.y1, to_pi.y1[:-1]), lam
+        assert np.array_equal(tr.y2, to_pi.y2[:-1]), lam
+        ref = integrate_quasi_system(poly_pot, lam, short, step_scale=0.002,
+                                     force_rk4=True)
+        scale = max(np.abs(ref.y1).max(), np.abs(ref.y2).max())
+        assert np.abs(tr.y1 - ref.y1).max() <= 1e-9 * scale, lam
+        assert np.abs(tr.y2 - ref.y2).max() <= 1e-9 * scale, lam
+
+
 # -- eigenvalue counting and step policy --------------------------------------------
 
 def test_phase_at_pi_crosses_each_half_integer_once():
@@ -562,15 +649,14 @@ def _chunked_rk4_reduced(pot, lam, chunk=1 << 16):
     s = abs(oracle.principal_sqrt(lam))
     pe = pot.piecewise
     y = (0j, 1 + 0j)
-    for atoms, a, b in zip(pe.pieces, pe.breaks, pe.breaks[1:]):
+    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
         steps = int(oracle._n_sub(b - a, s, oracle._DEFAULT_STEP_SCALE))
         h = (b - a) / steps
         for lo in range(0, steps, chunk):
             x = h * np.arange(lo, min(steps, lo + chunk))
-            mats = oracle._rk4_matrices(moments._eval_atoms(atoms, x),
-                                        moments._eval_atoms(atoms, x + h / 2),
-                                        moments._eval_atoms(atoms, x + h),
-                                        lam, h)
+            mats = oracle._rk4_matrices(pe._local(i, x),
+                                        pe._local(i, x + h / 2),
+                                        pe._local(i, x + h), lam, h)
             y = oracle._apply(oracle._chain(mats), y)
     return y[1].real
 
@@ -911,7 +997,7 @@ def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
     for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
         if pos >= len(nodes) or a >= maxnode - 1e-15:
             break
-        assert oracle._piece_constant(pe, i) is None
+        assert pe._constant_height(i) is None
         end = min(b, maxnode)
         j1 = pos + int(np.searchsorted(nodes[pos:], end + 1e-15))
         stops = list(nodes[pos:j1])
@@ -933,9 +1019,8 @@ def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
             prev = t
         lefts, hs = np.concatenate(lefts), np.concatenate(hs)
         mats = oracle._rk4_matrices(
-            moments._eval_atoms(pe.pieces[i], lefts - a),
-            moments._eval_atoms(pe.pieces[i], lefts + hs / 2 - a),
-            moments._eval_atoms(pe.pieces[i], lefts + hs - a), complex(lam), hs)
+            pe._local(i, lefts - a), pe._local(i, lefts + hs / 2 - a),
+            pe._local(i, lefts + hs - a), complex(lam), hs)
         if not any(record):
             p = oracle._chain(mats)
             y = (complex(p[0, 0] * y[0] + p[0, 1] * y[1]),
@@ -1063,7 +1148,7 @@ def test_closed_form_norm_small_and_large_cells(poly_pot):
     # lambda equal to the cell average of q = u' on one Magnus cell puts
     # that cell at a turning point: z^2 = -delta^2, far below the series
     # threshold of _sinc_defect
-    h, (delta, gamma), *_ = oracle._mesh(poly_pot.piecewise.pieces[0], 1.3,
+    h, (delta, gamma), *_ = oracle._mesh(poly_pot.piecewise, 0,
                                          oracle._DEFAULT_STEP_SCALE)
     k = len(gamma) // 2
     lam = (gamma[k] / h).real

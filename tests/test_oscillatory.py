@@ -1,5 +1,6 @@
 """Correction-function and remainder-gauge checks against brute force."""
 
+import cmath
 import math
 
 import numpy as np
@@ -161,6 +162,19 @@ def test_gauge_squares_summable(all_pots):
                        for n in range(1, 201)])
         sums = np.cumsum(gs ** 2)
         assert sums[199] - sums[99] <= 0.01 * sums[99], name
+
+
+def test_principal_sqrt_on_both_sides_of_the_real_axis():
+    from slspec.oscillatory import principal_sqrt
+
+    # the negative real axis gives Im > 0 whatever the sign of the zero
+    for lam in (complex(-4.0, 0.0), complex(-4.0, -0.0), -4.0):
+        s = principal_sqrt(lam)
+        assert s == 2j and math.copysign(1.0, s.real) == 1.0, lam
+    # the positive axis keeps cmath's root, signed zero included
+    for lam in (complex(4.0, 0.0), complex(4.0, -0.0), 4.0):
+        s = principal_sqrt(lam)
+        assert s == 2 and repr(s) == repr(cmath.sqrt(lam)), lam
 
 
 def test_spectral_domain_validation():

@@ -235,10 +235,10 @@ def test_pickle_carries_the_description_only(trig_pot):
     fresh = PotentialSpec(trig_pot.kind, trig_pot.breaks, trig_pot.coeffs)
     size = len(pickle.dumps(fresh))
     point_size = len(pickle.dumps(eigenvalue_asym(fresh, 3)))
-    # fill every cached closed-form product
+    # fill every closed-form product cached on the potential
     eigenfunction_asym(fresh, 3, np.linspace(0.0, PI, 9))
-    fresh.bracket_weights(True)
     assert fresh.l2_norm_sq > 0 and "piecewise_sq" in vars(fresh)
+    assert "piecewise" in vars(fresh.imag_part())
     assert len(pickle.dumps(fresh)) == size
     assert len(pickle.dumps(eigenvalue_asym(fresh, 3))) == point_size
     back = pickle.loads(pickle.dumps(fresh))
