@@ -36,11 +36,11 @@ argument-principle check evaluates its 16-point contour that way).  States
 at nodes inside a piece (eigenfunctions, Sturm counts) come from a prefix
 scan of the cells and one partial Magnus step per node.
 
-force_rk4 swaps every piece, constant ones too, for fixed-step classical
-RK4 on the quasi system with phase advance at most step_scale per step,
-the independent route the test suite checks the cells against.
-Deterministic meshes and steps keep cross-method and step-halving
-comparisons exact.
+The walk never lets a numpy warning out: an overflowing state reaches the
+finiteness check at the end of its piece and raises IntegrationBlowupError.
+Deterministic meshes keep cross-method and step-halving comparisons exact;
+the test suite holds the fixed-step RK4 reference the cells are checked
+against.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (INDEX_FAILURES, DomainError, IndexingError,
 from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
-_DEFAULT_STEP_SCALE = 0.004     # Magnus cell length; RK4 phase advance per step
+_DEFAULT_STEP_SCALE = 0.004     # longest Magnus cell of a smooth piece
 _PRUFER_STEP_SCALE = 0.02
 _STURM_STEP_SCALE = 0.02        # Magnus cell length of a zero count
 _H_MAX = 0.05                   # longest step whatever the phase advance
@@ -139,38 +139,6 @@ def _const_advance(y, const, lamc, s, d):
     y1 = cd * y[0] + sd * (const * y[0] + y[1])
     y2 = sd * ((-lamc - const * const) * y[0] - const * y[1]) + cd * y[1]
     return y1, y2
-
-
-def _rk4_matrices(u0, um, u1, lam, h):
-    """Batched RK4 one-step propagators for Y' = A(x) Y.
-
-    A(u) = [[u, 1], [-lam - u^2, -u]].  u0, um, u1 (u at the left end, the
-    middle and the right end of each step) have one entry per step and h
-    one per step or one for all.  lam is a scalar or a 1-D batch: the
-    result has shape (2, 2) + lam.shape + (steps,).  The 2x2 products are
-    written out component by component.
-    """
-    lam = np.asarray(lam, dtype=complex)[..., None]
-    h = np.asarray(h, dtype=float)
-    h2 = h / 2
-
-    def times_a(u, x):
-        # A(u) @ X with the first row of A equal to (u, 1)
-        c = -lam - u * u
-        return (u * x[0] + x[2], u * x[1] + x[3],
-                c * x[0] - u * x[2], c * x[1] - u * x[3])
-
-    c0 = -lam - u0 * u0
-    k2 = times_a(um, (1.0 + h2 * u0, h2, h2 * c0, 1.0 - h2 * u0))
-    k3 = times_a(um, (1.0 + h2 * k2[0], h2 * k2[1], h2 * k2[2], 1.0 + h2 * k2[3]))
-    k4 = times_a(u1, (1.0 + h * k3[0], h * k3[1], h * k3[2], 1.0 + h * k3[3]))
-    h6 = h / 6
-    out = np.empty((2, 2) + lam.shape[:-1] + (len(u0),), dtype=complex)
-    out[0, 0] = 1.0 + h6 * (u0 + 2 * k2[0] + 2 * k3[0] + k4[0])
-    out[0, 1] = h6 * (1.0 + 2 * k2[1] + 2 * k3[1] + k4[1])
-    out[1, 0] = h6 * (c0 + 2 * k2[2] + 2 * k3[2] + k4[2])
-    out[1, 1] = 1.0 + h6 * (-u0 + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return out
 
 
 def _matmul(a, b):
@@ -354,10 +322,10 @@ def _prefix(mats: np.ndarray) -> np.ndarray:
 
 
 def _n_sub(span, s_mag, step_scale):
-    """RK4 steps per span (scalar or array): phase advance and length capped.
+    """Steps per span: phase advance s_mag h <= step_scale, h <= _H_MAX.
 
     With s_mag = 1 it gives the cells of a smooth piece, which are at most
-    step_scale long whatever lambda.
+    step_scale long whatever lambda; integrate_prufer passes |sqrt(lam)|.
     """
     need = np.maximum(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
@@ -370,8 +338,9 @@ def _regular_root(lam):
     return _require_regular(lam)
 
 
-def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
-                  force_rk4=False, init=None, norm=False):
+@np.errstate(over="ignore", invalid="ignore")
+def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
+                  norm=False):
     """(y1, y2) at every node of a sorted unique array in [0, pi].
 
     lam is a scalar or a 1-D batch.  A batch gives arrays of shape
@@ -383,14 +352,11 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
     exponent (_magnus_matrices).  Where only the end state of a piece is
     needed, its cells are multiplied pairwise in one product (_chain); a
     node inside a piece takes the state at the start of its cell (_prefix)
-    and one partial Magnus step over the rest.
-
-    With force_rk4 every piece, constant ones too, is stepped by RK4
-    instead: each piece cuts one step table for the largest |sqrt(lam)| of
-    the batch, so every member advances at most step_scale in phase per
-    step; a piece with no stop inside multiplies its step matrices
-    pairwise, one with stops inside runs the step recurrence and records
-    the states at the stops.
+    and one partial Magnus step over the rest.  numpy's overflow and
+    invalid warnings are off for the walk: a state that overflows is
+    caught by the finiteness check at the end of its piece
+    (IntegrationBlowupError), and an overflowing norm comes back
+    non-finite for the caller to reject.
 
     With norm, a scalar lambda and nodes that end at pi, the result gains a
     third entry: the integral of |y1|^2 over [0, pi], summed in closed form
@@ -403,9 +369,8 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
     lamc = np.asarray(lam, dtype=complex) if batch else complex(lam)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
-    if norm and (batch or force_rk4 or nodes[-1] != PI):
-        raise ValueError("norm takes one lambda, no force_rk4 and a last "
-                         "node at pi")
+    if norm and (batch or nodes[-1] != PI):
+        raise ValueError("norm takes one lambda and a last node at pi")
     cell_terms = []     # (y1 at the cell starts, slopes, z, lengths) per piece
     maxnode = float(nodes[-1])
     if batch and not np.isin(nodes[nodes > 1e-15], pe.breaks + (maxnode,)).all():
@@ -425,18 +390,8 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             break
         # nodes[pos:k] lie inside the piece, nodes[k:j1] on its end
         k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
-        const = None if force_rk4 else pe._constant_height(i)
-        magnus = const is None and not force_rk4
-        if magnus:
-            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
-            h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
-            cells = _magnus_matrices(*parts, h, lamc)
-            yc = (y[0], y[1] + u_a * y[0])
-        if magnus and k == pos and end == b and not norm:
-            # only the end state is needed: one product of the cells
-            e1, e2 = _apply(_chain(cells), yc)
-            y_end = (e1, e2 - u_b * e1)
-        elif const is not None:
+        const = pe._constant_height(i)
+        if const is not None:
             try:
                 y_end = _const_advance(y, const, lamc, s, end - a)
             except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
@@ -449,67 +404,43 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
             if k > pos:
                 y1[pos:k], y2[pos:k] = _const_advance(y, const, lamc, s,
                                                       nodes[pos:k] - a)
-        elif magnus:
-            if end < b:
-                k = j1          # the last node stops inside the piece
-            # classical states at the cell starts and the end, then one
-            # partial cell per node
-            (p00, p01), (p10, p11) = _prefix(cells)
-            c1 = np.concatenate(([yc[0]], p00 * yc[0] + p01 * yc[1]))
-            c2 = np.concatenate(([yc[1]], p10 * yc[0] + p11 * yc[1]))
-            if norm:
-                delta, gamma = parts
-                z = np.sqrt(-(delta * delta + h * (gamma - lamc * h)))
-                cell_terms.append((c1[:-1], delta * c1[:-1] + h * c2[:-1],
-                                   z, np.full(len(z), h)))
-            x = nodes[pos:k] - a
-            cell = np.minimum(np.floor(x / h), len(p00) - 1)
-            d = x - cell * h
-            part = _magnus_matrices(*_magnus_parts(q, i, cell * h, d), d,
-                                    lamc)
-            # named operands: numpy multiplies a large temporary in place
-            # (temporary elision), which rounds complex products
-            # differently, and a node's state must not depend on how many
-            # nodes there are
-            cell = cell.astype(np.int64)
-            g1, g2 = c1[cell], c2[cell]
-            y1[pos:k] = part[0, 0] * g1 + part[0, 1] * g2
-            y2[pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
-                         - pe._local(i, x) * y1[pos:k])
-            y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         else:
-            # RK4 step table: each gap between stops is cut into nsub equal
-            # steps; the states at the recorded stops are kept
-            s_mag = float(np.abs(s).max()) if batch else abs(s)
-            sel = nodes[pos:j1]
-            stops = sel
-            if not len(sel) or end - sel[-1] > 1e-15:
-                stops = np.append(sel, end)
-            prevs = np.concatenate(([a], stops[:-1]))
-            spans = stops - prevs
-            nsub = _n_sub(spans, s_mag, step_scale)
-            h = spans / nsub
-            ends = np.cumsum(nsub)
-            local_k = np.arange(ends[-1]) - np.repeat(ends - nsub, nsub)
-            hs = np.repeat(h, nsub)
-            lefts = np.repeat(prevs, nsub) + hs * local_k
-            mats = _rk4_matrices(
-                pe._local(i, lefts - a), pe._local(i, lefts + hs / 2 - a),
-                pe._local(i, lefts + hs - a), lamc, hs)
-            if len(stops) == 1:
-                y_end = _apply(_chain(mats), y)
-                k = pos
+            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
+            h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
+            cells = _magnus_matrices(*parts, h, lamc)
+            yc = (y[0], y[1] + u_a * y[0])
+            if k == pos and end == b and not norm:
+                # only the end state is needed: one product of the cells
+                e1, e2 = _apply(_chain(cells), yc)
+                y_end = (e1, e2 - u_b * e1)
             else:
-                flat = mats.reshape(4, -1).T.tolist()
-                marks = iter((ends[:len(sel)] - 1).tolist() + [-1])
-                mark, n = next(marks), pos
-                a1, a2 = y
-                for j, (m00, m01, m10, m11) in enumerate(flat):
-                    a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
-                    if j == mark:
-                        y1[n], y2[n] = a1, a2
-                        mark, n = next(marks), n + 1
-                y_end = (a1, a2)
+                if end < b:
+                    k = j1      # the last node stops inside the piece
+                # classical states at the cell starts and the end, then
+                # one partial cell per node
+                (p00, p01), (p10, p11) = _prefix(cells)
+                c1 = np.concatenate(([yc[0]], p00 * yc[0] + p01 * yc[1]))
+                c2 = np.concatenate(([yc[1]], p10 * yc[0] + p11 * yc[1]))
+                if norm:
+                    delta, gamma = parts
+                    z = np.sqrt(-(delta * delta + h * (gamma - lamc * h)))
+                    cell_terms.append((c1[:-1], delta * c1[:-1] + h * c2[:-1],
+                                       z, np.full(len(z), h)))
+                x = nodes[pos:k] - a
+                cell = np.minimum(np.floor(x / h), len(p00) - 1)
+                d = x - cell * h
+                part = _magnus_matrices(*_magnus_parts(q, i, cell * h, d), d,
+                                        lamc)
+                # named operands: numpy multiplies a large temporary in
+                # place (temporary elision), which rounds complex products
+                # differently, and a node's state must not depend on how
+                # many nodes there are
+                cell = cell.astype(np.int64)
+                g1, g2 = c1[cell], c2[cell]
+                y1[pos:k] = part[0, 0] * g1 + part[0, 1] * g2
+                y2[pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
+                             - pe._local(i, x) * y1[pos:k])
+                y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         y1[k:j1], y2[k:j1] = y_end
         y = y_end
         if not (np.isfinite(y).all() if batch
@@ -525,17 +456,15 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale,
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
                            step_scale: float = _DEFAULT_STEP_SCALE,
-                           force_rk4: bool = False,
                            init=None) -> QuasiTrajectory:
     """Trajectory of (y1, y2) = (y, y' - u y) from (0, sqrt(lam)) at x = 0.
 
     Constant pieces propagate with the exact matrix exponential (the free
     evolution conjugated by the u-shear); smooth pieces by 4th-order
     Magnus cells at most step_scale long, on a mesh that does not depend
-    on lambda or on the grid.  force_rk4 steps every piece by fixed-step
-    RK4 with phase advance <= step_scale per step instead.  lam may be a
-    1-D batch when the grid holds only piece ends (the characteristic's
-    [pi]); y1 and y2 then have shape (grid, batch).
+    on lambda or on the grid.  lam may be a 1-D batch when the grid holds
+    only piece ends (the characteristic's [pi]); y1 and y2 then have shape
+    (grid, batch).
     """
     s = _regular_root(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -547,29 +476,26 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     nodes = grid if c < grid.size and grid[c] == 0.0 else np.concatenate(
         (grid[:c], [0.0], grid[c:]))
     y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
-                             force_rk4=force_rk4, init=init)
+                             init=init)
     idx = np.searchsorted(nodes, grid)
     return QuasiTrajectory(x=grid.copy(), y1=y1n[idx], y2=y2n[idx], sqrt_lambda=s)
 
 
 def characteristic(pot: PotentialSpec, lam, *,
-                   step_scale: float = _DEFAULT_STEP_SCALE,
-                   force_rk4: bool = False):
+                   step_scale: float = _DEFAULT_STEP_SCALE):
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
     Neumann problem.  Only the end state is formed: one product of the
-    Magnus cells of each smooth piece, the exact
-    exponential of each constant piece (the RK4 steps under force_rk4).  A
-    1-D batch of lam gives an array, in one call.
+    Magnus cells of each smooth piece, the exact exponential of each
+    constant piece.  A 1-D batch of lam gives an array, in one call.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
-                                  step_scale=step_scale, force_rk4=force_rk4)
+                                  step_scale=step_scale)
     return _end_value(traj)
 
 
-def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE,
-                  force_rk4=False):
+def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE):
     """The characteristic function for initial slope one instead of sqrt(lam).
 
     Same zeros, but real-valued for real potentials at every real lam
@@ -577,8 +503,7 @@ def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE,
     A 1-D batch of lam gives an array, in one call.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
-                                  step_scale=step_scale, force_rk4=force_rk4,
-                                  init=(0.0, 1.0))
+                                  step_scale=step_scale, init=(0.0, 1.0))
     return _end_value(traj)
 
 

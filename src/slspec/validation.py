@@ -211,8 +211,9 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     the shared grid (up to eigfun_up_to, default all), the gauge at the
     converged eigenvalue and its square, and the guarded ratio.  Partial-sum
     tables and boundedness/Cauchy verdicts summarize the remainder claims.
-    Roots come from oracle.solve_eigenvalue's default ("auto") route, which
-    the report's config records as its method.  jobs > 1 sweeps strided
+    Roots come from oracle.solve_eigenvalue, which has one route per kind
+    of potential; the config's "method": "auto" is a fixed label, kept
+    because it is part of the report bytes.  jobs > 1 sweeps strided
     chunks of the indices in worker processes (oracle._pmap_chunks) with
     the same result.  domain is the search region of the complex root
     finder (default SpectralDomain()).

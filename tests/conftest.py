@@ -1,17 +1,22 @@
-"""Shared test potentials plus raw closures for independent oracles.
+"""Shared test potentials plus independent oracles.
 
-The closures deliberately do not go through PotentialSpec: brute-force
+The raw closures deliberately do not go through PotentialSpec: brute-force
 quadrature checks must not share code with the exact path they verify.
 Each closure is integrated piece by piece so that breakpoint values never
 leak across pieces.
+
+rk4_states is the suite's one fixed-step RK4 propagator for the quasi
+system, the reference the library's exact constant steps and Magnus cells
+are checked against; it shares only the product helpers of slspec.oracle.
 """
 
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slspec import PotentialSpec, asymptotics
+from slspec import PotentialSpec, asymptotics, oracle
 
 PI = math.pi
 
@@ -105,3 +110,118 @@ def raw_u_eval(pieces, t):
         if lo <= t < hi:
             return complex(u(t))
     return complex(pieces[-1][2](t))
+
+
+# -- fixed-step RK4 reference -------------------------------------------------
+
+RK4_CHUNK = 1 << 16     # steps per block of an end-state product
+
+
+def _rk4_matrices(u0, um, u1, lam, h):
+    """One-step RK4 propagators of Y' = A(x) Y, shape (2, 2, steps).
+
+    A(u) = [[u, 1], [-lam - u^2, -u]].  u0, um, u1 (u at the left end, the
+    middle and the right end of each step) have one entry per step and h
+    one per step or one for all.  The 2x2 products are written out
+    component by component.
+    """
+    lam = complex(lam)
+    h = np.asarray(h, dtype=float)
+    h2 = h / 2
+
+    def times_a(u, x):
+        # A(u) @ X with the first row of A equal to (u, 1)
+        c = -lam - u * u
+        return (u * x[0] + x[2], u * x[1] + x[3],
+                c * x[0] - u * x[2], c * x[1] - u * x[3])
+
+    c0 = -lam - u0 * u0
+    k2 = times_a(um, (1.0 + h2 * u0, h2, h2 * c0, 1.0 - h2 * u0))
+    k3 = times_a(um, (1.0 + h2 * k2[0], h2 * k2[1], h2 * k2[2],
+                      1.0 + h2 * k2[3]))
+    k4 = times_a(u1, (1.0 + h * k3[0], h * k3[1], h * k3[2], 1.0 + h * k3[3]))
+    h6 = h / 6
+    out = np.empty((2, 2, len(u0)), dtype=complex)
+    out[0, 0] = 1.0 + h6 * (u0 + 2 * k2[0] + 2 * k3[0] + k4[0])
+    out[0, 1] = h6 * (1.0 + 2 * k2[1] + 2 * k3[1] + k4[1])
+    out[1, 0] = h6 * (c0 + 2 * k2[2] + 2 * k3[2] + k4[2])
+    out[1, 1] = 1.0 + h6 * (-u0 + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return out
+
+
+def rk4_states(pot, lam, nodes, *, step_scale=0.004, init=None):
+    """(y1, y2) at sorted nodes in [0, pi] by fixed-step classical RK4.
+
+    Steps (y1, y2)' = A(u) (y1, y2) from (0, sqrt(lam)), or from init, on
+    every piece, constant ones too.  Each gap between the stops of a piece
+    (its nodes and its end) is cut into equal steps that advance
+    |sqrt(lam)| h <= step_scale in phase and are at most oracle._H_MAX
+    long.  A piece whose one stop is its end multiplies its steps pairwise,
+    RK4_CHUNK at a time, and the chunk products in turn (oracle._chain), so
+    no table of more than RK4_CHUNK steps is held; any other piece runs the
+    step recurrence and records the states at its nodes.
+    """
+    s = complex(oracle.principal_sqrt(lam))
+    pe = pot.piecewise
+    nodes = np.asarray(nodes, dtype=float)
+    y1 = np.empty(len(nodes), dtype=complex)
+    y2 = np.empty(len(nodes), dtype=complex)
+    y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
+    pos = 0
+    while pos < len(nodes) and nodes[pos] <= 1e-15:
+        y1[pos], y2[pos] = y
+        pos += 1
+    maxnode = float(nodes[-1])
+    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
+        if pos >= len(nodes) or a >= maxnode - 1e-15:
+            break
+        end = min(b, maxnode)
+        j1 = pos + int(np.searchsorted(nodes[pos:], end + 1e-15))
+        stops = list(nodes[pos:j1])
+        record = [True] * len(stops)
+        if not stops or end - stops[-1] > 1e-15:
+            stops.append(end)
+            record.append(False)
+        lefts, hs, bnd = [], [], []
+        prev, count = a, 0
+        for t in stops:
+            need = max((t - prev) * max(1.0, abs(s)) / step_scale,
+                       (t - prev) / oracle._H_MAX)
+            nsub = max(1, int(math.ceil(need - 1e-12)))
+            h = (t - prev) / nsub
+            lefts.append(prev + h * np.arange(nsub))
+            hs.append(np.full(nsub, h))
+            count += nsub
+            bnd.append(count)
+            prev = t
+        lefts, hs = np.concatenate(lefts), np.concatenate(hs)
+
+        def mats(lo=0, hi=count):
+            x, h = lefts[lo:hi], hs[lo:hi]
+            return _rk4_matrices(pe._local(i, x - a),
+                                 pe._local(i, x + h / 2 - a),
+                                 pe._local(i, x + h - a), lam, h)
+
+        if len(stops) == 1:
+            blocks = [oracle._chain(mats(lo, lo + RK4_CHUNK))
+                      for lo in range(0, count, RK4_CHUNK)]
+            y = oracle._apply(oracle._chain(np.stack(blocks, axis=-1)), y)
+            y1[pos:j1], y2[pos:j1] = y
+        else:
+            marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
+            a1, a2 = y
+            for j, (m00, m01, m10, m11) in enumerate(
+                    mats().reshape(4, -1).T.tolist()):
+                a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
+                k = marks.get(j)
+                if k is not None:
+                    y1[pos + k], y2[pos + k] = a1, a2
+            y = (a1, a2)
+        pos = j1
+    return y1, y2
+
+
+def rk4_end(pot, lam, *, step_scale=0.004, init=None):
+    """y2(pi) of rk4_states: Delta(lam), or the reduced one from (0, 1)."""
+    return complex(rk4_states(pot, lam, np.asarray([0.0, PI]),
+                              step_scale=step_scale, init=init)[1][-1])

@@ -18,8 +18,7 @@ from slspec import (PotentialSpec, biorthogonal_asym, biorthogonality_check,
                     integrate_quasi_system, phase_modulus_ratio_profile, moments,
                     remainder_sweep, solve_eigenvalue,
                     solve_spectrum)
-from slspec.oracle import _char_reduced
-from conftest import RAW_PIECES, piecewise_quad
+from conftest import RAW_PIECES, piecewise_quad, rk4_end
 
 PI = math.pi
 
@@ -190,17 +189,16 @@ def test_criterion_8_oracle_self_consistency(all_pots, step_pot):
             recon = max(recon, float(np.abs(tp.y1 - tq.y1).max()))
     # step halving on a smooth potential in the clean h^4 regime
     pot = PotentialSpec.trig([(0.0, PI, [1.0])])
-    from slspec import characteristic
-    vals = [characteristic(pot, 90.0, step_scale=0.08 * k, force_rk4=True)
-            for k in (1.0, 0.5, 0.25)]
+    vals = [rk4_end(pot, 90.0, step_scale=0.08 * k) for k in (1.0, 0.5, 0.25)]
     ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
     halving_ok = 12.0 <= ratio <= 20.0
-    # roots of the exact constant-piece propagator, re-rooted on RK4 steps
+    # roots of the exact constant-piece propagator, re-rooted on the RK4
+    # reference of conftest (rk4_end from (0, 1))
     root_dev = 0.0
     for n in range(1, 51):
         res = solve_eigenvalue(step_pot, n)       # exact propagator route
         lam0 = float(res.lam.real)
-        f = lambda lam: float(_char_reduced(step_pot, lam, force_rk4=True).real)
+        f = lambda lam: rk4_end(step_pot, lam, init=(0.0, 1.0)).real
         w = 0.2 * max(1.0, math.sqrt(abs(lam0)))
         r2 = brentq(f, lam0 - w, lam0 + w, xtol=1e-12, rtol=8.9e-16)
         root_dev = max(root_dev, abs(r2 - lam0) / max(1.0, abs(lam0)))

@@ -421,3 +421,27 @@ def test_spectrum_strong_constant_bound_state(tmp_path, capsys):
     assert [r[0] for r in rows] == ["1", "2", "3"]
     assert [r[8] for r in rows] == ["", "", ""]
     assert float(rows[0][4]) == 0.0 and abs(float(rows[0][5]) - 120.0) < 1e-9
+
+
+@pytest.mark.parametrize("a, n_max, flagged", [(-30.0, 3, [1, 2]),
+                                               (-3000.0, 5, [1, 2, 3, 4, 5])])
+def test_spectrum_overflow_flags_not_warns(a, n_max, flagged, tmp_path,
+                                           capsys):
+    # u = a x^2 seeds its low indices far below the spectrum, where the
+    # propagator overflows: under the suite's error::RuntimeWarning filter a
+    # numpy warning would end the run with "unexpected failure" (exit 3);
+    # the walk raises the typed blow-up instead, and the index is flagged
+    path = tmp_path / "well.json"
+    path.write_text(json.dumps({"kind": "poly", "pieces": [
+        {"from": 0.0, "to": PI, "coeffs_re": [0.0, 0.0, a]}]}))
+    code, out, err = _run(["spectrum", "--potential", str(path), "--n-max",
+                           str(n_max), "--method", "both"], capsys)
+    assert code == 0, err
+    rows = _rows(out)[1:]
+    assert [int(r[0]) for r in rows] == list(range(1, n_max + 1))
+    assert [int(r[0]) for r in rows if r[8]] == flagged
+    for r in rows:
+        if r[8]:
+            assert r[8] == f"degraded: non-finite state at x = {PI}"
+        else:
+            assert r[4] != ""

@@ -19,6 +19,8 @@ from slspec import (DomainError, IndexingError, IntegrationBlowupError,
 from slspec import oracle, validation
 from slspec.oracle import _char_reduced
 
+from conftest import rk4_end, rk4_states
+
 PI = math.pi
 
 # Literal copy of a real 6-piece step with two negative eigenvalues
@@ -119,11 +121,12 @@ def test_constant_potential_is_sheared_free_solution(const_pot):
 
 
 def test_step_exact_vs_rk4(step_pot):
+    # the exact constant steps against the RK4 reference of conftest
     grid = np.linspace(0, PI, 65)
     exact = integrate_quasi_system(step_pot, 90.0, grid)
-    rk4 = integrate_quasi_system(step_pot, 90.0, grid, force_rk4=True)
-    assert np.abs(exact.y1 - rk4.y1).max() < 1e-9
-    assert np.abs(exact.y2 - rk4.y2).max() < 1e-9
+    rk4_y1, rk4_y2 = rk4_states(step_pot, 90.0, grid)
+    assert np.abs(exact.y1 - rk4_y1).max() < 1e-9
+    assert np.abs(exact.y2 - rk4_y2).max() < 1e-9
 
 
 def _classical_transfer(pot, lam, nodes):
@@ -288,36 +291,16 @@ def _contour(center, points=16):
 @pytest.mark.parametrize("name", ["trig", "poly", "complex step"])
 def test_batch_matches_scalar_evaluations(name, trig_pot, poly_pot):
     pot = {"trig": trig_pot, "poly": poly_pot, "complex step": COMPLEX_STEP}[name]
-    # one |sqrt(lam)| for every member, so under force_rk4 each takes the
-    # step table it takes alone; the Magnus cells never depend on lambda
+    # the Magnus cells and the exact constant steps never depend on lambda,
+    # so a member of a batch is its own evaluation
     lam = (16.5 * np.exp(1j * np.linspace(-0.02, 0.02, 5))) ** 2
-    for force_rk4 in (False, True):
-        for f in (characteristic, _char_reduced):
-            batch = f(pot, lam, force_rk4=force_rk4)
-            alone = np.array([f(pot, complex(v), force_rk4=force_rk4)
-                              for v in lam])
-            assert batch.shape == (5,)
-            assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), \
-                (f, force_rk4)
+    for f in (characteristic, _char_reduced):
+        batch = f(pot, lam)
+        alone = np.array([f(pot, complex(v)) for v in lam])
+        assert batch.shape == (5,)
+        assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), f
     with pytest.raises(ValueError):
         integrate_quasi_system(pot, lam, np.linspace(0, PI, 5))
-
-
-@pytest.mark.parametrize("name", ["trig", "poly"])
-def test_batch_steps_for_its_largest_root(name, trig_pot, poly_pot):
-    # under force_rk4 every member takes the step table of the largest |s|:
-    # that member is its own evaluation bit for bit in any batch, the others
-    # get a finer table than alone and agree to the accuracy of the default
-    # RK4 step
-    pot = trig_pot if name == "trig" else poly_pot
-    lam = _contour(16.5 + 0.1j) ** 2
-    top = int(np.argmax(np.abs(lam)))
-    alone = np.array([_char_reduced(pot, complex(v), force_rk4=True)
-                      for v in lam])
-    batch = _char_reduced(pot, lam, force_rk4=True)
-    assert batch[top] == alone[top]
-    assert _char_reduced(pot, lam[[0, top, 5]], force_rk4=True)[1] == alone[top]
-    assert np.abs(batch - alone).max() <= 1e-9 * np.abs(alone).max()
 
 
 def test_winding_one_kernel_call_on_distinct_points(free_pot):
@@ -466,11 +449,12 @@ def test_solve_complex_step_potential():
 
 
 def test_characteristic_vs_transfer_matrix_roots(step_pot):
-    # the two independent secular formulations share roots to 1e-9
+    # the library's exact constant steps and the RK4 reference of conftest
+    # (rk4_end from (0, 1)) share roots to 1e-9
     for n in range(2, 51, 7):
         res = solve_eigenvalue(step_pot, n)       # exact propagator route
         lam0 = res.lam.real
-        f = lambda lam: _char_reduced(step_pot, lam, force_rk4=True).real
+        f = lambda lam: rk4_end(step_pot, lam, init=(0.0, 1.0)).real
         lo, hi = lam0 - 0.4 * math.sqrt(abs(lam0)), lam0 + 0.4 * math.sqrt(abs(lam0))
         root = brentq(f, lo, hi, xtol=1e-11)
         assert abs(root - lam0) < 1e-9 * max(1.0, abs(lam0)), n
@@ -573,11 +557,10 @@ def test_grid_ending_inside_a_smooth_piece(poly_pot):
         to_pi = integrate_quasi_system(poly_pot, lam, whole)
         assert np.array_equal(tr.y1, to_pi.y1[:-1]), lam
         assert np.array_equal(tr.y2, to_pi.y2[:-1]), lam
-        ref = integrate_quasi_system(poly_pot, lam, short, step_scale=0.002,
-                                     force_rk4=True)
-        scale = max(np.abs(ref.y1).max(), np.abs(ref.y2).max())
-        assert np.abs(tr.y1 - ref.y1).max() <= 1e-9 * scale, lam
-        assert np.abs(tr.y2 - ref.y2).max() <= 1e-9 * scale, lam
+        ref1, ref2 = rk4_states(poly_pot, lam, short, step_scale=0.002)
+        scale = max(np.abs(ref1).max(), np.abs(ref2).max())
+        assert np.abs(tr.y1 - ref1).max() <= 1e-9 * scale, lam
+        assert np.abs(tr.y2 - ref2).max() <= 1e-9 * scale, lam
 
 
 # -- eigenvalue counting and step policy --------------------------------------------
@@ -598,9 +581,10 @@ def test_phase_at_pi_crosses_each_half_integer_once():
 
 
 def test_step_halving_fourth_order():
+    # the RK4 reference of conftest converges at 4th order
     pot = PotentialSpec.trig([(0.0, PI, [1.0])])
     lam = 90.0
-    vals = [characteristic(pot, lam, step_scale=0.08 * k, force_rk4=True)
+    vals = [rk4_end(pot, lam, step_scale=0.08 * k)
             for k in (1.0, 0.5, 0.25, 0.125)]
     d1 = abs(vals[0] - vals[1])
     d2 = abs(vals[1] - vals[2])
@@ -626,8 +610,9 @@ MIXED = PotentialSpec.poly([(0.0, 1.0, [0.0, 1.0]), (1.0, 2.0, [1.5]),
 
 
 def _fine_rk4_root(pot, lam):
-    """Reference: lam moved by one Newton step on RK4 at step scale 0.002."""
-    f = lambda l: _char_reduced(pot, l, step_scale=0.002, force_rk4=True).real
+    """Reference: lam moved by one Newton step on conftest's rk4_end at
+    step scale 0.002, from (0, 1)."""
+    f = lambda l: rk4_end(pot, l, step_scale=0.002, init=(0.0, 1.0)).real
     h = 1e-6 * max(1.0, abs(lam))
     return lam - f(lam) * 2 * h / (f(lam + h) - f(lam - h))
 
@@ -642,41 +627,25 @@ def test_cell_roots_match_fine_rk4(name, poly_pot):
         assert abs(s - s_ref) <= 1e-10 * abs(s_ref), n
 
 
-def _chunked_rk4_reduced(pot, lam, chunk=1 << 16):
-    """_char_reduced by RK4 at the default step scale, one chunk of the step
-    table at a time: the forced end state builds the whole table at once,
-    which at n = 1000 takes hundreds of MB."""
-    s = abs(oracle.principal_sqrt(lam))
-    pe = pot.piecewise
-    y = (0j, 1 + 0j)
-    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
-        steps = int(oracle._n_sub(b - a, s, oracle._DEFAULT_STEP_SCALE))
-        h = (b - a) / steps
-        for lo in range(0, steps, chunk):
-            x = h * np.arange(lo, min(steps, lo + chunk))
-            mats = oracle._rk4_matrices(pe._local(i, x),
-                                        pe._local(i, x + h / 2),
-                                        pe._local(i, x + h), lam, h)
-            y = oracle._apply(oracle._chain(mats), y)
-    return y[1].real
-
-
 @pytest.mark.parametrize("name", ["poly", "real trig"])
 def test_cell_root_matches_rk4_at_large_index(name, poly_pot):
     # a default cell spans about 4 radians of phase at n = 1000; the cell
-    # error still does not grow with lambda
+    # error still does not grow with lambda.  conftest's rk4_end takes
+    # about 785000 RK4 steps at the default step scale, in chunked products
     pot = poly_pot if name == "poly" else PotentialSpec.trig([(0.0, PI, [1.0])])
     lam = solve_eigenvalue(pot, 1000).lam.real
     h = 1e-6 * lam
-    f = [_chunked_rk4_reduced(pot, v) for v in (lam, lam + h, lam - h)]
+    f = [rk4_end(pot, v, init=(0.0, 1.0)).real
+         for v in (lam, lam + h, lam - h)]
     ref = lam - f[0] * 2 * h / (f[1] - f[2])
     assert abs(math.sqrt(lam) - math.sqrt(ref)) <= 1e-10 * math.sqrt(ref)
 
 
 def test_cell_characteristic_matches_fine_rk4_complex(trig_pot):
-    # |s| <= 50: above that RK4 at 0.002 is itself no better than 1e-10
+    # |s| <= 50: above that conftest's RK4 at 0.002 is itself no better
+    # than 1e-10
     for s in (3.5 + 0.4j, 10.5 + 0.3j, 50.3 - 0.2j):
-        ref = characteristic(trig_pot, s * s, step_scale=0.002, force_rk4=True)
+        ref = rk4_end(trig_pot, s * s, step_scale=0.002)
         assert abs(characteristic(trig_pot, s * s) - ref) <= 1e-10 * abs(ref), s
 
 
@@ -695,11 +664,10 @@ def test_cell_node_states_match_fine_rk4(name, poly_pot, trig_pot):
     grid = np.linspace(0, PI, 513)
     for lam in (-2.0, 90.0, 400.0 + 3.0j, 2500.0):
         tr = integrate_quasi_system(pot, lam, grid)
-        ref = integrate_quasi_system(pot, lam, grid, step_scale=0.002,
-                                     force_rk4=True)
-        scale = max(np.abs(ref.y1).max(), np.abs(ref.y2).max())
-        assert np.abs(tr.y1 - ref.y1).max() <= 1e-9 * scale, lam
-        assert np.abs(tr.y2 - ref.y2).max() <= 1e-9 * scale, lam
+        ref1, ref2 = rk4_states(pot, lam, grid, step_scale=0.002)
+        scale = max(np.abs(ref1).max(), np.abs(ref2).max())
+        assert np.abs(tr.y1 - ref1).max() <= 1e-9 * scale, lam
+        assert np.abs(tr.y2 - ref2).max() <= 1e-9 * scale, lam
         # the last node comes from the prefix states, Delta from one
         # product over the cells of each smooth piece
         assert abs(tr.y2[-1] - characteristic(pot, lam)) <= 1e-13 * scale, lam
@@ -979,86 +947,6 @@ def test_solve_spectrum_flags_shared_root(shared_root_trig):
 
 # -- numeric eigenfunctions ----------------------------------------------------------
 
-def _dense_states_per_stop(pot, lam, nodes, *, step_scale, init=None):
-    """Reference: the per-stop step-table loop _dense_states replaced.
-
-    Covers smooth pieces only; the poly fixture has no constant piece.
-    """
-    s = complex(oracle.principal_sqrt(lam))
-    pe = pot.piecewise
-    y1 = np.empty(len(nodes), dtype=complex)
-    y2 = np.empty(len(nodes), dtype=complex)
-    y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
-    pos = 0
-    while pos < len(nodes) and nodes[pos] <= 1e-15:
-        y1[pos], y2[pos] = y
-        pos += 1
-    maxnode = float(nodes[-1])
-    for i, (a, b) in enumerate(zip(pe.breaks, pe.breaks[1:])):
-        if pos >= len(nodes) or a >= maxnode - 1e-15:
-            break
-        assert pe._constant_height(i) is None
-        end = min(b, maxnode)
-        j1 = pos + int(np.searchsorted(nodes[pos:], end + 1e-15))
-        stops = list(nodes[pos:j1])
-        record = [True] * len(stops)
-        if not stops or end - stops[-1] > 1e-15:
-            stops.append(end)
-            record.append(False)
-        lefts, hs, bnd = [], [], []
-        prev, count = a, 0
-        for t in stops:
-            need = max((t - prev) * max(1.0, abs(s)) / step_scale,
-                       (t - prev) / oracle._H_MAX)
-            nsub = max(1, int(math.ceil(need - 1e-12)))
-            h = (t - prev) / nsub
-            lefts.append(prev + h * np.arange(nsub))
-            hs.append(np.full(nsub, h))
-            count += nsub
-            bnd.append(count)
-            prev = t
-        lefts, hs = np.concatenate(lefts), np.concatenate(hs)
-        mats = oracle._rk4_matrices(
-            pe._local(i, lefts - a), pe._local(i, lefts + hs / 2 - a),
-            pe._local(i, lefts + hs - a), complex(lam), hs)
-        if not any(record):
-            p = oracle._chain(mats)
-            y = (complex(p[0, 0] * y[0] + p[0, 1] * y[1]),
-                 complex(p[1, 0] * y[0] + p[1, 1] * y[1]))
-        else:
-            marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
-            a1, a2 = y
-            for j, (m00, m01, m10, m11) in enumerate(
-                    mats.reshape(4, -1).T.tolist()):
-                a1, a2 = m00 * a1 + m01 * a2, m10 * a1 + m11 * a2
-                k = marks.get(j)
-                if k is not None:
-                    y1[pos + k], y2[pos + k] = a1, a2
-            y = (a1, a2)
-        pos = j1
-    return y1, y2
-
-
-def test_dense_states_step_tables_bit_identical(poly_pot):
-    # the RK4 route (force_rk4) against the per-stop loop it replaced
-    breaks = np.asarray(poly_pot.breaks)
-    node_sets = {
-        "norm grid": np.union1d(np.linspace(0.0, PI, 32769), breaks),
-        "513 grid": np.union1d(np.linspace(0.0, PI, 513), breaks),
-        "sparse, no node in the first piece": np.asarray([0.0, 2.0, 3.0]),
-        "ends before pi": np.linspace(0.0, 2.0, 77),
-    }
-    # s ~ 9.5 puts RK4 steps (~4e-4) between the two grid spacings
-    for lam, init in ((90.0, None), (-3.1, (0.0, 1.0)), (400.0 + 3.0j, None)):
-        for name, nodes in node_sets.items():
-            got = oracle._dense_states(poly_pot, lam, nodes, step_scale=0.004,
-                                       force_rk4=True, init=init)
-            ref = _dense_states_per_stop(poly_pot, lam, nodes,
-                                         step_scale=0.004, init=init)
-            assert np.array_equal(got[0], ref[0]), (lam, name)
-            assert np.array_equal(got[1], ref[1]), (lam, name)
-
-
 def test_numeric_eigenfunction_free(free_pot):
     grid = default_grid(129)
     tab = eigenfunction_numeric(free_pot, 6.25, grid,
@@ -1174,10 +1062,10 @@ def test_numeric_grid_past_pi_rejected(step_pot):
 
 
 def test_norm_overflow_is_typed(free_pot):
-    # Im sqrt(lam) pi = 377: y1 stays finite (about 1e163), |y1|^2 does not
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationBlowupError):
-            eigenfunction_numeric(free_pot, (1 + 120j) ** 2, default_grid(33))
+    # Im sqrt(lam) pi = 377: y1 stays finite (about 1e163), |y1|^2 does not;
+    # the overflow is the typed error alone, no numpy warning
+    with pytest.raises(IntegrationBlowupError):
+        eigenfunction_numeric(free_pot, (1 + 120j) ** 2, default_grid(33))
 
 
 def test_node_states_independent_of_other_nodes(step_pot, poly_pot, trig_pot):
