@@ -27,7 +27,7 @@ import numpy as np
 
 from . import moments
 from .errors import DomainError
-from .oscillatory import _CorrectionProfile, principal_sqrt
+from .oscillatory import _CorrectionProfile
 from .potential import PI, PotentialSpec
 
 
@@ -93,15 +93,27 @@ def default_grid(size: int = 513) -> np.ndarray:
     return np.linspace(0.0, PI, int(size))
 
 
-@functools.lru_cache(maxsize=1)
-def _m2_profile(pot: PotentialSpec, n: int) -> _CorrectionProfile:
-    """The correction profile at m^2 = (n - 1/2)^2.
+# Indices per block of the closed-form layer.  A block's objects are as
+# wide as its widest member: low indices carry series polynomials of degree
+# 30 and more, so one block per request would widen every member.
+_BLOCK = 32
 
-    Index n's prediction and its eigenfunction bracket read one profile;
-    callers handle one index at a time, so only the latest is kept.
+
+def _blocks(ns) -> list:
+    """Runs of at most _BLOCK consecutive entries of ns, in order."""
+    ns = [int(n) for n in ns]
+    return [tuple(ns[i:i + _BLOCK]) for i in range(0, len(ns), _BLOCK)]
+
+
+@functools.lru_cache(maxsize=2)
+def _m2_profile(pot: PotentialSpec, ns: tuple) -> _CorrectionProfile:
+    """The correction profile at m^2 = (n - 1/2)^2 for each n of a block.
+
+    A block's predictions and its eigenfunction brackets read one profile;
+    callers handle one block at a time, so only the latest two (of u and
+    of conj(u)) are kept.
     """
-    m = n - 0.5
-    return _CorrectionProfile(pot, m * m)
+    return _CorrectionProfile(pot, [(n - 0.5) * (n - 0.5) for n in ns])
 
 
 @functools.lru_cache(maxsize=8)
@@ -124,51 +136,66 @@ def _bracket_weights(pot: PotentialSpec, conjugated: bool) -> tuple:
     return w_lin * cos_weight, w_lin * sin_weight
 
 
+def _predictions(pot: PotentialSpec, ns) -> list:
+    """eigenvalue_asym for every n of ns, one m^2 profile per block."""
+    ns = list(ns)
+    if any(n < 1 for n in ns):
+        raise ValueError("index n must be >= 1")
+    points = []
+    for block in _blocks(ns):
+        mu = -_m2_profile(pot, block).v(PI) / PI
+        for n, mu_n in zip(block, mu):
+            m = n - 0.5
+            mu_n = complex(mu_n)
+            points.append(SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu_n,
+                                        phase_correction=mu_n))
+    return points
+
+
 def eigenvalue_asym(pot: PotentialSpec, n: int) -> SpectralPoint:
     """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi."""
-    if n < 1:
-        raise ValueError("index n must be >= 1")
-    m = n - 0.5
-    mu = -_m2_profile(pot, n).v(PI) / PI
-    return SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu,
-                         phase_correction=mu)
+    return _predictions(pot, [n])[0]
 
 
 def prufer_phase_asym(pot: PotentialSpec, x, lam):
     """Leading phase sqrt(lam)*x + v(x, lam); x may be an array."""
-    prof = _CorrectionProfile(pot, lam)
-    return prof.sqrt_lam * np.asarray(x, dtype=float) + prof.v(x)
+    prof = _CorrectionProfile(pot, [lam])
+    return prof.sqrt_lam[0] * np.asarray(x, dtype=float) + prof.v(x)[0]
 
 
 def prufer_modulus_asym(pot: PotentialSpec, x, lam):
     """Leading modulus 1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st)."""
-    s = principal_sqrt(lam)
-    prof = _CorrectionProfile(pot, lam)
-    u2_sin = (pot.piecewise_sq
-              * moments.sin_kernel(2 * s, pot.breaks)).antiderivative()
-    return 1.0 - prof.single_cos.eval(x) - u2_sin.eval(x) / (2 * s)
+    prof = _CorrectionProfile(pot, [lam])
+    u2_sin = (pot.piecewise_sq * prof.sin_k).antiderivative()
+    s = prof.sqrt_lam[0]
+    return 1.0 - prof.single_cos.eval(x)[0] - u2_sin.eval(x)[0] / (2 * s)
+
+
+# Points per evaluation of a block of brackets: a temporary holds at most
+# _EVAL_CELLS complex values (256 KB).
+_EVAL_CELLS = 1 << 14
 
 
 class _BracketAssembly:
     """Closed-form assembly of the first-order eigenfunction brackets.
 
-    Both expansions take their moments at 2m from the correction profile at
-    m^2, of u for the eigenfunction and of conj(u) for the biorthogonal
-    partner; its kernels are the same 2 sqrt(m^2) = 2m.  Only the u^2 sin
-    moment is built here.
+    One assembly serves a block of indices.  Both expansions take their
+    moments at 2m from the correction profile at m^2, of u for the
+    eigenfunction and of conj(u) for the biorthogonal partner, kernels
+    included: 2 sqrt(m^2) is exactly 2m.  Only the u^2 sin moment is built
+    here.
     """
 
-    def __init__(self, pot: PotentialSpec, n: int, conjugated: bool):
-        self.n = int(n)
-        self.m = m = n - 0.5
+    def __init__(self, pot: PotentialSpec, ns, conjugated: bool):
+        self.ns = tuple(int(n) for n in ns)
+        m = np.array([n - 0.5 for n in self.ns])
         breaks = pot.breaks
-        sin2m = moments.sin_kernel(2 * m, breaks)
-        cos2m = moments.cos_kernel(2 * m, breaks)
+        prof = _m2_profile(pot.conjugate() if conjugated else pot, self.ns)
+        sin2m, cos2m = prof.sin_k, prof.cos_k
         w_cos, w_sin = _bracket_weights(pot, conjugated)
         k_cos = (w_cos * cos2m).integral() / PI
         k_sin = (w_sin * sin2m).integral() / PI
 
-        prof = _m2_profile(pot.conjugate() if conjugated else pot, self.n)
         u_cos, u_sin = prof.single_cos, prof.single_sin
         u2_cos, u2_int = prof.square_cos, prof.square_plain
         double = prof.double
@@ -178,33 +205,64 @@ class _BracketAssembly:
         xs = moments.linear(breaks)                                 # t
         c_sin = one.scale(1.0 + k_cos + k_sin / (2 * m))
         sin_bracket = c_sin - u_cos - u2_sin.scale(1 / (2 * m))
-        tail1 = complex(u_sin.eval(PI) + 2 * double.eval(PI))
-        tail2 = complex(u2_int.eval(PI) - u2_cos.eval(PI))
+        tail1 = u_sin.eval(PI) + 2 * double.eval(PI)
+        tail2 = u2_int.eval(PI) - u2_cos.eval(PI)
         cos_bracket = (u_sin + double.scale(2) - xs.scale(tail1 / PI)
                        + (u2_int - u2_cos - xs.scale(tail2 / PI)).scale(1 / (2 * m)))
-        self.func = (moments.sin_kernel(m, breaks) * sin_bracket
-                     + moments.cos_kernel(m, breaks) * cos_bracket)
+        sin_m, cos_m = moments.harmonic_kernels(prof.sqrt_lam, 1, breaks)
+        self.func = sin_m * sin_bracket + cos_m * cos_bracket
 
     def values(self, grid):
-        return self.func.eval(grid)
+        """Every member on grid, shape (members, len(grid)), in chunks."""
+        out = np.empty((len(self.ns), len(grid)), dtype=complex)
+        step = max(1, _EVAL_CELLS // len(self.ns))
+        for i in range(0, len(grid), step):
+            out[:, i:i + step] = self.func.eval(grid[i:i + step])
+        return out
 
-    def norm_sq(self) -> float:
-        return float((self.func * self.func.conj()).integral().real)
+    def norm_sq(self) -> np.ndarray:
+        return (self.func * self.func.conj()).integral().real
 
 
-def _unit_table(asm: _BracketAssembly, grid, kind: str,
-                normalization: str) -> EigenfunctionTable:
-    """The assembly's values on grid, divided by its closed-form norm."""
-    values = asm.values(grid) / np.sqrt(asm.norm_sq())
-    return EigenfunctionTable(index=asm.n, grid=grid, values=values,
-                              kind=kind, normalization=normalization)
+_NORMALIZATIONS = {
+    "asymptotic": "unit L2 norm (closed-form integral)",
+    "biorthogonal": "pairing with eigenfunction table equals one (closed form)",
+}
+
+
+def _table_values(pot: PotentialSpec, ns, grid, kind: str) -> np.ndarray:
+    """Rows of the eigenfunction ("asymptotic") or "biorthogonal" tables of ns.
+
+    One assembly (two for a complex potential's partners) per block; the
+    normalizations are those of eigenfunction_asym and biorthogonal_asym.
+    """
+    parts = []
+    for block in _blocks(ns):
+        asm_y = _BracketAssembly(pot, block, conjugated=False)
+        nrm_y = np.sqrt(asm_y.norm_sq())
+        if kind == "asymptotic" or pot.is_real:
+            values = asm_y.values(grid)
+            values /= nrm_y[:, None]
+        else:
+            asm_w = _BracketAssembly(pot, block, conjugated=True)
+            pairing = (asm_y.func * asm_w.func.conj()).integral() / nrm_y
+            values = asm_w.values(grid)
+            values /= np.conj(pairing)[:, None]
+        parts.append(values)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _tables(pot: PotentialSpec, ns, grid, kind: str) -> list:
+    """The tables of _table_values, one per n; their values share one array."""
+    grid = np.asarray(grid, dtype=float)
+    return [EigenfunctionTable(index=n, grid=grid, values=row, kind=kind,
+                               normalization=_NORMALIZATIONS[kind])
+            for n, row in zip(ns, _table_values(pot, ns, grid, kind))]
 
 
 def eigenfunction_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
     """First-order eigenfunction table, exact unit L2 norm, index n."""
-    return _unit_table(_BracketAssembly(pot, n, conjugated=False),
-                       np.asarray(grid, dtype=float), "asymptotic",
-                       "unit L2 norm (closed-form integral)")
+    return _tables(pot, [n], grid, "asymptotic")[0]
 
 
 def biorthogonal_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
@@ -218,17 +276,7 @@ def biorthogonal_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:
     eigenfunction's own, and its pairing the norm: the table is the
     eigenfunction table, bit for bit, from one assembly.
     """
-    grid = np.asarray(grid, dtype=float)
-    note = "pairing with eigenfunction table equals one (closed form)"
-    asm_y = _BracketAssembly(pot, n, conjugated=False)
-    if pot.is_real:
-        return _unit_table(asm_y, grid, "biorthogonal", note)
-    asm_w = _BracketAssembly(pot, n, conjugated=True)
-    nrm_y = np.sqrt(asm_y.norm_sq())
-    pairing = complex((asm_y.func * asm_w.func.conj()).integral()) / nrm_y
-    return EigenfunctionTable(
-        index=n, grid=grid, values=asm_w.values(grid) / np.conj(pairing),
-        kind="biorthogonal", normalization=note)
+    return _tables(pot, [n], grid, "biorthogonal")[0]
 
 
 def normalization_factor(pot: PotentialSpec, n: int) -> complex:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 
 from . import asymptotics, oracle, validation
 from .errors import PotentialFormatError, SpectralError
-from .oscillatory import SpectralDomain, remainder_gauge
+from .oscillatory import SpectralDomain
 from .potential import PotentialSpec, load_potential
 from .validation import _csv_text, _fmt
 
@@ -143,7 +143,7 @@ def _json_text(payload: dict) -> str:
 def cmd_spectrum(cfg: RunConfig, pot: PotentialSpec) -> int:
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     if cfg.method == "asym":
-        points = [asymptotics.eigenvalue_asym(pot, n) for n in ns]
+        points = asymptotics._predictions(pot, ns)
     else:
         points = oracle.solve_spectrum(
             pot, ns, jobs=cfg.effective_jobs(),
@@ -219,11 +219,11 @@ def cmd_validate(cfg: RunConfig, pot: PotentialSpec) -> int:
 def cmd_gamma(cfg: RunConfig, pot: PotentialSpec) -> int:
     header = ["n", "m", "gamma", "gamma_sq", "tail", "upper_estimate"]
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        m = n - 0.5
-        g = remainder_gauge(pot, m * m)
-        rows.append([n, _fmt(m), _fmt(g.value), _fmt(g.value ** 2),
-                     _fmt(g.tail), _fmt(g.upper_estimate)])
+    # one m^2 profile per block; a row is remainder_gauge(pot, m * m)
+    for block in asymptotics._blocks(range(cfg.n_min, cfg.n_max + 1)):
+        for n, g in zip(block, asymptotics._m2_profile(pot, block).gauge()):
+            rows.append([n, _fmt(n - 0.5), _fmt(g.value), _fmt(g.value ** 2),
+                         _fmt(g.tail), _fmt(g.upper_estimate)])
     if cfg.fmt == "csv":
         _emit(_csv_text(header, rows), cfg.out)
     else:

@@ -911,16 +911,14 @@ def _pmap_chunks(fn, items: list, jobs: int, *args) -> list:
 
 
 def _spectrum_chunk(ns, pot: PotentialSpec, kwargs: dict) -> list:
-    points = []
-    for n in ns:
-        point = asymptotics.eigenvalue_asym(pot, n)
+    points = asymptotics._predictions(pot, ns)
+    for point in points:
         try:
-            res = solve_eigenvalue(pot, n, seed=point, **kwargs)
+            res = solve_eigenvalue(pot, point.n, seed=point, **kwargs)
             point.sqrt_lambda_numeric = res.sqrt_lambda
             point.residual = res.residual
         except INDEX_FAILURES as exc:
             point.flag = f"degraded: {exc}"
-        points.append(point)
     return points
 
 

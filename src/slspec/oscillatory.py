@@ -16,12 +16,19 @@ pieces.
 
 The principal branch Re sqrt(lam) >= 0 is used throughout; lam = 0 is
 rejected because the formulas are large-lambda statements.
+
+The profile behind v and gamma takes a block of lambdas at once: its
+objects are moments blocks on the kernel frequency vector s = sqrt(lam),
+and its gauge refines each member around that member's own maxima.  A
+member's numbers are those of its lambda alone; the public functions here
+evaluate one lambda as a block of one.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -92,25 +99,36 @@ class GaugeValue:
 
 
 class _CorrectionProfile:
-    """Closed-form x-profiles of every integral entering v and gamma at fixed lam."""
+    """Closed-form x-profiles of every integral entering v and gamma.
 
-    def __init__(self, pot: PotentialSpec, lam):
-        self.pot, self.lam = pot, lam
-        self.sqrt_lam = _require_regular(lam)
-        s2 = 2 * self.sqrt_lam
+    One profile serves a block of lambdas, one member each: its objects
+    are moments blocks whose kernel frequency vector is s = sqrt(lam), and
+    member k's numbers are those of lams[k] alone.
+    """
+
+    def __init__(self, pot: PotentialSpec, lams):
+        self.pot = pot
+        self.lam = np.array([complex(lam) for lam in lams])
+        self.sqrt_lam = np.array([_require_regular(lam) for lam in lams])
         u = pot.piecewise
-        u2 = pot.piecewise_sq
-        sin_k = moments.sin_kernel(s2, u.breaks)
-        cos_k = moments.cos_kernel(s2, u.breaks)
-        self.single_sin = (u * sin_k).antiderivative()
-        self.single_cos = (u * cos_k).antiderivative()
-        self.square_plain = u2.antiderivative()
-        self.square_cos = (u2 * cos_k).antiderivative()
+        # sin(2 s x) and cos(2 s x); the brackets at m^2 read them as well
+        self.sin_k, self.cos_k = moments.harmonic_kernels(self.sqrt_lam, 2,
+                                                           u.breaks)
+        self.single_sin = (u * self.sin_k).antiderivative()
+        self.square_plain = pot.square_antiderivative
+        self.square_cos = (pot.piecewise_sq * self.cos_k).antiderivative()
         # inner antiderivative S(t) composed per piece, then the outer moment
-        self.double = (u * cos_k * self.single_sin).antiderivative()
+        self._u_cos = u * self.cos_k
+        self.double = (self._u_cos * self.single_sin).antiderivative()
+
+    @cached_property
+    def single_cos(self):
+        """int_0^x u cos(2 s t) dt; predictions never read it."""
+        return self._u_cos.antiderivative()
 
     def terms(self, x) -> CorrectionTerms:
-        s = self.sqrt_lam
+        """The four terms at x, shape (members,) + shape of x."""
+        s = self.sqrt_lam.reshape((-1,) + (1,) * np.ndim(x))
         return CorrectionTerms(
             term_single_sin=self.single_sin.eval(x),
             term_l2=self.square_plain.eval(x) / (2 * s),
@@ -122,11 +140,18 @@ class _CorrectionProfile:
         t = self.terms(x)
         return t.term_single_sin + t.term_l2 + t.term_double + t.term_u2_cos
 
-    def gauge(self, sup_grid: int = 256) -> GaugeValue:
-        """Sampled remainder gauge at this lambda (see ``remainder_gauge``)."""
-        s = self.sqrt_lam
+    def gauge(self, sup_grid: int = 256, members=None) -> list:
+        """Sampled remainder gauge of each member (see ``remainder_gauge``).
+
+        members (positions in the block) limits the sampling to those
+        members; a member's value does not depend on the others.
+        """
         comp = (self.single_sin, self.single_cos, self.double, self.square_cos)
-        pot = self.pot
+        s, lams = self.sqrt_lam, self.lam
+        if members is not None:
+            comp = tuple(c.take(members) for c in comp)
+            s, lams = s[members], lams[members]
+        s = s[:, None]
 
         def sample(xs):
             ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
@@ -134,23 +159,35 @@ class _CorrectionProfile:
             return (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
                     + 0.5 * np.abs(sqc / s))
 
-        xs = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
-                        np.asarray(pot.breaks))
-        vals = sample(xs)
+        grid = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
+                          np.asarray(self.pot.breaks))
+        xs = [grid] * len(lams)
+        vals = list(sample(grid))
         for _ in range(2):
-            order = np.argsort(vals)[-3:]
-            extra = []
-            for i in order:
-                lo = xs[max(int(i) - 1, 0)]
-                hi = xs[min(int(i) + 1, len(xs) - 1)]
-                extra.append(np.linspace(lo, hi, 15))
-            # sampling is pointwise: evaluate the new points only and merge
-            # them into the sorted grid
-            new = np.setdiff1d(np.concatenate(extra), xs)
-            at = np.searchsorted(xs, new)
-            vals = np.insert(vals, at, sample(new))
-            xs = np.insert(xs, at, new)
-        tail = float(pot.l2_norm_sq / abs(complex(self.lam)) ** 0.5)
+            new = []
+            for x, val in zip(xs, vals):
+                extra = []
+                for i in np.argsort(val)[-3:]:
+                    lo = x[max(int(i) - 1, 0)]
+                    hi = x[min(int(i) + 1, len(x) - 1)]
+                    extra.append(np.linspace(lo, hi, 15))
+                new.append(np.setdiff1d(np.concatenate(extra), x))
+            # sampling is pointwise: evaluate the new points only, each
+            # member's in its own row (padded with pi), and merge them into
+            # the member's sorted grid
+            rows = np.full((len(new), max(len(p) for p in new)), PI)
+            for row, p in zip(rows, new):
+                row[:len(p)] = p
+            got = sample(rows) if rows.size else rows
+            for k, p in enumerate(new):
+                at = np.searchsorted(xs[k], p)
+                vals[k] = np.insert(vals[k], at, got[k, :len(p)])
+                xs[k] = np.insert(xs[k], at, p)
+        return [self._gauge_value(x, val, lam, sup_grid)
+                for x, val, lam in zip(xs, vals, lams)]
+
+    def _gauge_value(self, xs, vals, lam, sup_grid) -> GaugeValue:
+        tail = float(self.pot.l2_norm_sq / abs(complex(lam)) ** 0.5)
         best = float(vals.max())
         gaps = np.diff(xs)
         slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
@@ -159,9 +196,16 @@ class _CorrectionProfile:
                           upper_estimate=upper + tail, sup_grid=int(sup_grid))
 
 
+def _member(values):
+    """The first member of a block of one: a complex, or an array over x."""
+    first = values[0]
+    return complex(first) if np.ndim(first) == 0 else first
+
+
 def correction_terms(pot: PotentialSpec, x, lam) -> CorrectionTerms:
     """Evaluate the four correction terms at coordinate x (scalar or array)."""
-    return _CorrectionProfile(pot, lam).terms(x)
+    t = _CorrectionProfile(pot, [lam]).terms(x)
+    return CorrectionTerms(*(_member(getattr(t, f.name)) for f in fields(t)))
 
 
 def remainder_gauge(pot: PotentialSpec, lam, sup_grid: int = 256) -> GaugeValue:
@@ -172,4 +216,4 @@ def remainder_gauge(pot: PotentialSpec, lam, sup_grid: int = 256) -> GaugeValue:
     maxima.  The reported value is a lower bound of the true supremum plus
     the exact tail; upper_estimate adds max-slope * gap / 2.
     """
-    return _CorrectionProfile(pot, lam).gauge(sup_grid)
+    return _CorrectionProfile(pot, [lam]).gauge(sup_grid)[0]

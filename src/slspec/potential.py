@@ -123,6 +123,11 @@ class PotentialSpec:
         """u^2 as a polynomial-exponential object."""
         return self.piecewise * self.piecewise
 
+    @cached_property
+    def square_antiderivative(self) -> moments.PiecewiseExp:
+        """The antiderivative of u^2 from 0, free of lambda."""
+        return self.piecewise_sq.antiderivative()
+
     def eval_u(self, x):
         """u(x) for x in [0, pi], right-continuous at breakpoints."""
         arr = np.asarray(x, dtype=float)

@@ -11,6 +11,13 @@ the summability statements).
 Degraded indices (oracle failures) are flagged and excluded from the ratio
 statistics, never silently dropped; a sweep does not abort because one
 index failed.
+
+A sweep walks its indices in the blocks of the closed-form layer
+(asymptotics._blocks): per block one profile gives the predictions, one
+the gauges at the solved eigenvalues and one assembly the eigenfunction
+tables, while the roots and the numeric eigenfunctions are found index by
+index.  The biorthogonality check takes its tables from one assembly per
+block too.  No record depends on how the indices were blocked.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import asymptotics, oracle
 from .errors import INDEX_FAILURES
-from .oscillatory import SpectralDomain, remainder_gauge
+from .oscillatory import SpectralDomain, _CorrectionProfile, remainder_gauge
 from .potential import PI, PotentialSpec
 
 REPORT_SCHEMA = "slspec-report/1"
@@ -138,35 +145,52 @@ def _guarded_ratio(err: float, gamma_sq: float) -> float:
     return err / gamma_sq
 
 
-def _sweep_one(pot: PotentialSpec, n: int, grid, eigfun: bool,
-               sup_grid: int, domain: SpectralDomain | None):
-    point = asymptotics.eigenvalue_asym(pot, n)
-    flag = ""
-    gamma = None
-    eig_err = 0.0
-    sup_err = 0.0
-    try:
-        res = oracle.solve_eigenvalue(pot, n, seed=point, domain=domain)
+def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
+                 sup_grid: int, domain: SpectralDomain | None) -> list:
+    """(record, point) of each index of one block of the closed-form layer.
+
+    The predictions, the gauges at the solved lambda_n (at m^2 for an index
+    without a root) and the eigenfunction brackets are one profile each
+    for the block; the solves and the numeric eigenfunctions run index by
+    index.
+    """
+    points = asymptotics._predictions(pot, ns)
+    roots = {}
+    flags = dict.fromkeys(ns, "")
+    for point in points:
+        try:
+            res = oracle.solve_eigenvalue(pot, point.n, seed=point,
+                                          domain=domain)
+        except INDEX_FAILURES as exc:
+            flags[point.n] = point.flag = f"degraded: {exc}"
+            continue
         point.sqrt_lambda_numeric = res.sqrt_lambda
         point.residual = res.residual
-        gamma = remainder_gauge(pot, res.lam, sup_grid=sup_grid).value
-        eig_err = abs(point.rho)
-        if eigfun:
-            asym_tab = asymptotics.eigenfunction_asym(pot, n, grid)
-            num_tab = oracle.eigenfunction_numeric(pot, res.lam, grid,
-                                                   align_to=asym_tab)
-            sup_err = asym_tab.sup_distance(num_tab)
-    except INDEX_FAILURES as exc:
-        flag = f"degraded: {exc}"
-        point.flag = flag
-    if gamma is None:               # no root: the gauge at m^2 stands in
-        gamma = _gauge_at_m2(pot, n, sup_grid)
-    return _record(n, gamma, eig_err, sup_err, flag), point
-
-
-def _gauge_at_m2(pot: PotentialSpec, n: int, sup_grid: int) -> float:
-    """The gauge at m^2 = (n - 1/2)^2, for an index without a usable root."""
-    return asymptotics._m2_profile(pot, n).gauge(sup_grid).value
+        roots[point.n] = res.lam
+    gammas = {}
+    if roots:
+        lam_prof = _CorrectionProfile(pot, list(roots.values()))
+        gammas = {n: g.value for n, g in zip(roots, lam_prof.gauge(sup_grid))}
+    sup_errs = dict.fromkeys(ns, 0.0)
+    if any(n in roots and n <= eigfun_up_to for n in ns):
+        tables = asymptotics._tables(pot, ns, grid, "asymptotic")
+        for point, asym_tab in zip(points, tables):
+            n = point.n
+            if n not in roots or n > eigfun_up_to:
+                continue
+            try:
+                num_tab = oracle.eigenfunction_numeric(pot, roots[n], grid,
+                                                       align_to=asym_tab)
+            except INDEX_FAILURES as exc:
+                flags[n] = point.flag = f"degraded: {exc}"
+                continue
+            sup_errs[n] = asym_tab.sup_distance(num_tab)
+    rootless = [k for k, n in enumerate(ns) if n not in roots]
+    if rootless:                    # no root: the gauge at m^2 stands in
+        m2_gauges = asymptotics._m2_profile(pot, ns).gauge(sup_grid, rootless)
+        gammas.update((ns[k], g.value) for k, g in zip(rootless, m2_gauges))
+    return [(_record(p.n, gammas[p.n], abs(p.rho) if p.n in roots else 0.0,
+                     sup_errs[p.n], flags[p.n]), p) for p in points]
 
 
 def _record(n: int, gamma: float, eig_err: float, sup_err: float,
@@ -180,8 +204,9 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
 
 def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain):
     grid = asymptotics.default_grid(grid_size)
-    return [_sweep_one(pot, n, grid, eigfun=n <= eigfun_up_to,
-                       sup_grid=sup_grid, domain=domain) for n in ns]
+    return [pair for block in asymptotics._blocks(ns)
+            for pair in _sweep_block(pot, block, grid, eigfun_up_to,
+                                     sup_grid, domain)]
 
 
 def _cumulative(values) -> list:
@@ -227,7 +252,8 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     points = [p for _, p in results]
     # indices that converged to one root are degraded like a failed solve
     shared = {p.n for p in oracle._flag_shared_roots(points)}
-    records = [_record(p.n, _gauge_at_m2(pot, p.n, sup_grid), 0.0, 0.0, p.flag)
+    records = [_record(p.n, remainder_gauge(pot, p.m * p.m, sup_grid).value,
+                       0.0, 0.0, p.flag)
                if p.n in shared else r for r, p in results]
 
     good = [r for r in records if not r.flag]
@@ -312,14 +338,14 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
     grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
 
-    def tables(build):
-        out = np.empty((len(ns), _BIORTH_GRID), dtype=complex)
-        for i, n in enumerate(ns):
-            out[i] = build(pot, n, grid).values
-        return out
+    def tables(kind):
+        values = asymptotics._table_values(pot, ns, grid, kind)
+        if not np.all(np.isfinite(values.view(float))):
+            raise ValueError("table contains non-finite values")
+        return values
 
-    ys = tables(asymptotics.eigenfunction_asym)
-    ws = ys if pot.is_real else tables(asymptotics.biorthogonal_asym)
+    ys = tables("asymptotic")
+    ws = ys if pot.is_real else tables("biorthogonal")
     # composite Simpson weights h/3 * [1, 4, 2, ..., 2, 4, 1]
     weights = np.full(_BIORTH_GRID, 2.0)
     weights[1::2] = 4.0

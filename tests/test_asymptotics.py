@@ -266,15 +266,16 @@ _CSTEP = PotentialSpec.step([(0.0, 1.0, 0.5 + 1.0j), (1.0, 2.2, -1.0 - 0.5j),
 
 
 def _bracket_from_scratch(pot, n, conjugated):
-    """The bracket function with every moment built afresh from u."""
-    m = n - 0.5
+    """Index n's bracket function, a block of one, with every moment built
+    afresh from u."""
+    m = np.array([n - 0.5])
+    omega = m.astype(complex)
     breaks = pot.breaks
     u = pot.piecewise.conj() if conjugated else pot.piecewise
     u2 = u * u
     uR = pot.real_part().piecewise
     uI = pot.imag_part().piecewise
-    sin2m = moments.sin_kernel(2 * m, breaks)
-    cos2m = moments.cos_kernel(2 * m, breaks)
+    sin2m, cos2m = moments.harmonic_kernels(omega, 2, breaks)
     w_lin = moments.linear(breaks, slope=-1.0, intercept=PI)
     if conjugated:
         cos_weight = uR + uI.scale(2j)
@@ -294,12 +295,12 @@ def _bracket_from_scratch(pot, n, conjugated):
     xs = moments.linear(breaks)
     sin_bracket = (one.scale(1.0 + k_cos + k_sin / (2 * m)) - u_cos
                    - u2_sin.scale(1 / (2 * m)))
-    tail1 = complex(u_sin.eval(PI) + 2 * double.eval(PI))
-    tail2 = complex(u2_int.eval(PI) - u2_cos.eval(PI))
+    tail1 = u_sin.eval(PI) + 2 * double.eval(PI)
+    tail2 = u2_int.eval(PI) - u2_cos.eval(PI)
     cos_bracket = (u_sin + double.scale(2) - xs.scale(tail1 / PI)
                    + (u2_int - u2_cos - xs.scale(tail2 / PI)).scale(1 / (2 * m)))
-    return (moments.sin_kernel(m, breaks) * sin_bracket
-            + moments.cos_kernel(m, breaks) * cos_bracket)
+    sin_m, cos_m = moments.harmonic_kernels(omega, 1, breaks)
+    return sin_m * sin_bracket + cos_m * cos_bracket
 
 
 @pytest.mark.parametrize("name", ["step", "poly", "trig", "cstep"])
@@ -314,20 +315,21 @@ def test_bracket_from_shared_profile_is_bitwise_fresh(all_pots, name, monkeypatc
     for n in ns:
         for conjugated in (False, True):
             ref = _bracket_from_scratch(pot, n, conjugated)
-            assert A._BracketAssembly(pot, n, conjugated).func.pieces == ref.pieces
+            asm = A._BracketAssembly(pot, (n,), conjugated)
+            assert asm.func.pieces == ref.pieces
     # inside a sweep the bracket reads the m^2 profile of the prediction
     profile_lams = []
     real_init = _CorrectionProfile.__init__
 
-    def counting_init(self, pot, lam):
-        profile_lams.append(lam)
-        real_init(self, pot, lam)
+    def counting_init(self, pot, lams):
+        profile_lams.extend(lams)
+        real_init(self, pot, lams)
 
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
     A._m2_profile.cache_clear()     # the loop above left a profile there
     for n in ns:
         eigenvalue_asym(pot, n)
-        asm = A._BracketAssembly(pot, n, conjugated=False)
+        asm = A._BracketAssembly(pot, (n,), conjugated=False)
         assert asm.func.pieces == _bracket_from_scratch(pot, n, False).pieces
-    # one profile per index: the prediction's, which the bracket reads
+    # one profile member per index: the prediction's, which the bracket reads
     assert profile_lams == [(n - 0.5) ** 2 for n in ns]

@@ -157,14 +157,15 @@ def test_integral_series_branch_is_exercised():
     f = _integral_cases()["series"]
     for i, piece in enumerate(f.pieces):
         h = f.breaks[i + 1] - f.breaks[i]
-        for nu, coeffs in piece:
+        for (nu, b), coeffs in piece:
             thr = moments._series_threshold(len(coeffs) - 1)
-            assert nu == 0 or abs(nu) * h <= thr
+            assert b == 0 and (nu == 0 or abs(nu) * h <= thr)
 
 
 @pytest.mark.parametrize("c", [0, 1, -1, 2 + 3j])
 def test_scale_matches_merged_route(c):
-    zero_step = moments.PiecewiseExp((0.0, 1.0, PI), (((0j, (0j,)),), ((0j, (2.0,)),)))
+    zero_step = moments.PiecewiseExp((0.0, 1.0, PI), ((((0j, 0), (0j,)),),
+                                                      (((0j, 0), (2.0,)),)))
     for f in [*_integral_cases().values(), zero_step, moments.constant(0.0, (0.0, PI))]:
         merged = tuple(
             moments._merge_atoms([(nu, tuple(complex(c) * x for x in coeffs))

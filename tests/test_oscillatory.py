@@ -183,15 +183,15 @@ def test_spectral_domain_validation():
         SpectralDomain(alpha=0.0)
 
 
-def _gauge_resampling_whole_grid(prof, sup_grid=256):
-    """The gauge with every refinement pass sampling its whole grid again."""
+def _gauge_resampling_whole_grid(prof, k, sup_grid=256):
+    """Member k's gauge with every refinement pass sampling its whole grid again."""
     from slspec.oscillatory import GaugeValue
 
-    s = prof.sqrt_lam
+    s = prof.sqrt_lam[k]
     comp = (prof.single_sin, prof.single_cos, prof.double, prof.square_cos)
 
     def sample(xs):
-        ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
+        ss, sc, dbl, sqc = (c.eval(xs)[k] for c in comp)
         return (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
                 + 0.5 * np.abs(sqc / s))
 
@@ -205,7 +205,7 @@ def _gauge_resampling_whole_grid(prof, sup_grid=256):
                  for i in order]
         xs = np.union1d(xs, np.concatenate(extra))
         vals = sample(xs)
-    tail = float(prof.pot.l2_norm_sq / abs(complex(prof.lam)) ** 0.5)
+    tail = float(prof.pot.l2_norm_sq / abs(complex(prof.lam[k])) ** 0.5)
     best = float(vals.max())
     gaps = np.diff(xs)
     slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
@@ -216,11 +216,14 @@ def _gauge_resampling_whole_grid(prof, sup_grid=256):
 
 @pytest.mark.parametrize("name", ["step", "poly", "trig", "cstep"])
 def test_gauge_refinement_equals_whole_grid_sampling(all_pots, name):
+    # one block of six lambdas: each member refines around its own maxima
     from slspec.oscillatory import _CorrectionProfile
 
     pot = all_pots.get(name) or PotentialSpec.step(
         [(0.0, 1.0, 0.5 + 1.0j), (1.0, 2.2, -1.0 - 0.5j), (2.2, PI, 2.0)])
-    for lam in (0.81, 30.25, 4.0e4, 12.0 + 5.0j, 900.0 - 40.0j, -3.0):
-        for sup_grid in (16, 256):
-            prof = _CorrectionProfile(pot, lam)
-            assert prof.gauge(sup_grid) == _gauge_resampling_whole_grid(prof, sup_grid)
+    lams = (0.81, 30.25, 4.0e4, 12.0 + 5.0j, 900.0 - 40.0j, -3.0)
+    prof = _CorrectionProfile(pot, lams)
+    for sup_grid in (16, 256):
+        gauges = prof.gauge(sup_grid)
+        for k in range(len(lams)):
+            assert gauges[k] == _gauge_resampling_whole_grid(prof, k, sup_grid)

@@ -72,9 +72,10 @@ def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
     real_gauge = _CorrectionProfile.gauge
     real_solve = om.solve_eigenvalue
 
-    def counting_gauge(self, sup_grid=256):
-        gauge_lams.append(complex(self.lam))
-        return real_gauge(self, sup_grid)
+    def counting_gauge(self, sup_grid=256, members=None):
+        lams = self.lam if members is None else self.lam[members]
+        gauge_lams.extend(complex(lam) for lam in lams)
+        return real_gauge(self, sup_grid, members)
 
     def flaky(pot, n, seed=None, **kw):
         if n == 5:
@@ -86,7 +87,7 @@ def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
     assert all(not p.flag for p in pts)
     assert gauge_lams == []
     # a sweep samples the gauge at each solved lambda_n, and at m^2 only
-    # for the index that has no root
+    # for the index that has no root: one block member each
     monkeypatch.setattr(om, "solve_eigenvalue", flaky)
     rep = remainder_sweep(step_pot, 12, jobs=1)
     assert rep.degraded == [5]
@@ -97,6 +98,8 @@ def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
             lam_n = pt.sqrt_lambda_numeric ** 2
             assert sum(abs(lam - lam_n) <= 1e-9 * abs(lam_n)
                        for lam in gauge_lams) == 1
+    # the member's value is index 5's gauge on its own
+    assert rep.records[4].gamma == remainder_gauge(step_pot, 4.5 ** 2).value
 
 
 def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
@@ -106,21 +109,22 @@ def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
     from slspec.oscillatory import _CorrectionProfile
 
     tables, profile_lams = Counter(), []
-    real_table = A.eigenfunction_asym
+    real_tables = A._tables
     real_init = _CorrectionProfile.__init__
 
-    def counting_table(pot, n, grid):
-        tables[n] += 1
-        return real_table(pot, n, grid)
+    def counting_tables(pot, ns, grid, kind):
+        tables.update(ns)
+        return real_tables(pot, ns, grid, kind)
 
-    def counting_init(self, pot, lam):
-        profile_lams.append(complex(lam))
-        real_init(self, pot, lam)
+    def counting_init(self, pot, lams):
+        profile_lams.extend(complex(lam) for lam in lams)
+        real_init(self, pot, lams)
 
-    monkeypatch.setattr(A, "eigenfunction_asym", counting_table)
+    monkeypatch.setattr(A, "_tables", counting_tables)
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
     rep = remainder_sweep(step_pot, 12, jobs=1)
     assert rep.degraded == []
+    # one table per index, one m^2 member and one lambda_n member per index
     assert tables == Counter(range(1, 13))
     assert len(profile_lams) == 2 * 12
     for pt in rep.points:
@@ -143,9 +147,9 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
             raise NonconvergenceError("synthetic", best=None)
         return real_solve(pot, n, seed=seed, **kw)
 
-    def counting_init(self, pot, lam):
-        profiles.append(lam)
-        real_init(self, pot, lam)
+    def counting_init(self, pot, lams):
+        profiles.extend(lams)
+        real_init(self, pot, lams)
 
     monkeypatch.setattr(V.oracle, "solve_eigenvalue", flaky)
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
@@ -157,7 +161,7 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     # degraded index excluded from partial sums
     assert 3 not in rep.partial_sums["n"]
     # the index without a root reads the gauge from the m^2 profile its
-    # prediction built: one profile for it, two for each solved index
+    # prediction built: one profile member for it, two for each solved index
     assert len(profiles) == 11
     assert rec3.gamma == remainder_gauge(step_pot, 2.5 * 2.5).value
 
