@@ -27,7 +27,7 @@ import numpy as np
 
 from . import moments
 from .errors import DomainError
-from .oscillatory import _CorrectionProfile
+from .oscillatory import _CorrectionProfile, _member
 from .potential import PI, PotentialSpec
 
 
@@ -153,22 +153,36 @@ def _predictions(pot: PotentialSpec, ns) -> list:
 
 
 def eigenvalue_asym(pot: PotentialSpec, n: int) -> SpectralPoint:
-    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi."""
+    """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi.
+
+    Each call builds its own m^2 profile; for many indices use
+    ``oracle.solve_spectrum``, which batches 32 at a time.
+    """
     return _predictions(pot, [n])[0]
+
+
+def _leading(prof: _CorrectionProfile, x) -> tuple:
+    """Leading Prufer phase and modulus of each member of prof at x.
+
+    x is as in ``_CorrectionProfile.terms``.  The phase is
+    sqrt(lam) x + v(x, lam), the modulus
+    1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st).
+    """
+    v = prof.v(x)
+    s = prof.sqrt_lam.reshape((-1,) + (1,) * (v.ndim - 1))
+    modulus = (1.0 - prof.single_cos.eval(x)
+               - prof.square_sin.eval(x) / (2 * s))
+    return s * np.asarray(x, dtype=float) + v, modulus
 
 
 def prufer_phase_asym(pot: PotentialSpec, x, lam):
     """Leading phase sqrt(lam)*x + v(x, lam); x may be an array."""
-    prof = _CorrectionProfile(pot, [lam])
-    return prof.sqrt_lam[0] * np.asarray(x, dtype=float) + prof.v(x)[0]
+    return _member(_leading(_CorrectionProfile(pot, [lam]), x)[0])
 
 
 def prufer_modulus_asym(pot: PotentialSpec, x, lam):
     """Leading modulus 1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st)."""
-    prof = _CorrectionProfile(pot, [lam])
-    u2_sin = (pot.piecewise_sq * prof.sin_k).antiderivative()
-    s = prof.sqrt_lam[0]
-    return 1.0 - prof.single_cos.eval(x)[0] - u2_sin.eval(x)[0] / (2 * s)
+    return _member(_leading(_CorrectionProfile(pot, [lam]), x)[1])
 
 
 # Points per evaluation of a block of brackets: a temporary holds at most
@@ -182,8 +196,7 @@ class _BracketAssembly:
     One assembly serves a block of indices.  Both expansions take their
     moments at 2m from the correction profile at m^2, of u for the
     eigenfunction and of conj(u) for the biorthogonal partner, kernels
-    included: 2 sqrt(m^2) is exactly 2m.  Only the u^2 sin moment is built
-    here.
+    included: 2 sqrt(m^2) is exactly 2m.
     """
 
     def __init__(self, pot: PotentialSpec, ns, conjugated: bool):
@@ -198,8 +211,7 @@ class _BracketAssembly:
 
         u_cos, u_sin = prof.single_cos, prof.single_sin
         u2_cos, u2_int = prof.square_cos, prof.square_plain
-        double = prof.double
-        u2_sin = (prof.pot.piecewise_sq * sin2m).antiderivative()
+        double, u2_sin = prof.double, prof.square_sin
 
         one = moments.constant(1.0, breaks)
         xs = moments.linear(breaks)                                 # t

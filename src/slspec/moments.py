@@ -13,7 +13,7 @@ by a truncated power series in (i*nu) otherwise.  The crossover threshold
 grows with the degree so that neither branch loses more than a few ulps.
 
 The index axis.  The asymptotic layer evaluates the same closed forms for
-many indices.  A block object serves a block of K indices (its members) at
+many indices.  An object serves a block of K indices (its members) at
 once: every coefficient of an atom is a numpy vector over the members, so
 one Python-level operation does the work of K.  A frequency is kept
 symbolically as nu = a + b*omega, where a is a constant (it comes from the
@@ -22,12 +22,15 @@ entry per member (``harmonic_kernels``).  An atom is ((a, b), coeffs);
 atoms merge and sort by that key, never by numeric equality of
 frequencies, and each member takes its own branch of the antiderivative.
 So a member's numbers do not depend on which other members share its
-block, and a block of one gives them too.  Block arithmetic is numpy's,
-which rounds complex products and quotients differently from CPython's.
+block.
 
-Scalar objects, the potential's own among them, keep Python scalars, b = 0
-and the arithmetic they always had.  A sum or product of a scalar object
-and a block is a block.
+A plain object (the potential and u^2, ``constant``, ``linear``,
+``sin_kernel``, ``cos_kernel``) is a block of one: its coefficients have
+shape (1,), its omega is None, and numpy broadcasting pairs it with a block
+of any width.  There is one arithmetic, numpy's, so a plain object computes
+exactly what member k of any block computes.  The one difference is at the
+output: a plain object's ``eval`` and ``integral`` drop the member axis and
+give a complex, or an array shaped like x.
 """
 
 from __future__ import annotations
@@ -48,15 +51,14 @@ _ZERO_KEY = (0j, 0)             # the frequency-free atom: a = 0, b = 0
 _NARROW = 8                     # coefficients every block member evaluates
 
 
-def _series_threshold(degree: int) -> float:
-    return max(_SERIES_BASE, _SERIES_SLOPE * degree + 0.5)
+def _series_threshold(degree):
+    """|nu|*h up to which an atom of this degree (one per member) takes the series."""
+    return np.maximum(_SERIES_BASE, _SERIES_SLOPE * degree + 0.5)
 
 
 def _vanishes(c) -> bool:
-    """c == 0: a scalar coefficient, or a block one for every member."""
-    if isinstance(c, np.ndarray):
-        return not np.count_nonzero(c)      # a third of the time of c.any()
-    return c == 0
+    """c == 0 for every member."""
+    return not np.count_nonzero(c)      # a third of the time of c.any()
 
 
 def _trim(coeffs):
@@ -67,19 +69,12 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
-def _polyval(coeffs, s):
-    """Horner evaluation, ascending coefficients; s scalar or ndarray."""
-    acc = np.zeros_like(s, dtype=complex) if isinstance(s, np.ndarray) else 0j
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
+def _polyint(coeffs):
+    return (np.zeros_like(coeffs[0]),) + tuple(c / (j + 1)
+                                               for j, c in enumerate(coeffs))
 
 
-def _polyint(coeffs, zero=0j):
-    return (zero,) + tuple(c / (j + 1) for j, c in enumerate(coeffs))
-
-
-# Sums below are written out[j] = out[j] + c, never out[j] += c: a block
+# Sums below are written out[j] = out[j] + c, never out[j] += c: a
 # coefficient is an array that other atoms may share.
 
 def _polyadd(a, b):
@@ -91,18 +86,16 @@ def _polyadd(a, b):
     return _trim(out)
 
 
-def _polymul(a, b, zero=0j):
-    out = [zero] * (len(a) + len(b) - 1)
+def _polymul(a, b):
+    out = [0j] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if _vanishes(ca):
-            continue
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
     return _trim(out)
 
 
 def _polyshift(coeffs, delta):
-    """Coefficients of p(s + delta) from those of p(s)."""
+    """Coefficients of p(s + delta) from those of p(s), Python numbers."""
     out = [0j] * len(coeffs)
     for c in reversed(coeffs):
         # multiply accumulated polynomial by (s + delta), add constant c
@@ -138,27 +131,6 @@ def _series_poly(coeffs, z, h):
     return _trim(out)
 
 
-def _mode_antiderivative(nu, coeffs, h):
-    """Atoms of A(s) = integral_0^s p(t) exp(i nu t) dt on a piece of length h.
-
-    nu is a number (a scalar atom).  Returns a list of (key, coeffs') atoms
-    with A(0) = 0 exactly.
-    """
-    coeffs = _trim(coeffs)
-    d = len(coeffs) - 1
-    if nu == 0:
-        return [(_ZERO_KEY, _polyint(coeffs))]
-    z = 1j * nu
-    if abs(z) * h <= _series_threshold(d):
-        return [(_ZERO_KEY, _series_poly(coeffs, z, h))]
-    # descending recursion: q_d = p_d / z, q_j = (p_j - (j+1) q_{j+1}) / z
-    q = [0j] * (d + 1)
-    q[d] = coeffs[d] / z
-    for j in range(d - 1, -1, -1):
-        q[j] = (coeffs[j] - (j + 1) * q[j + 1]) / z
-    return [((complex(nu), 0), tuple(q)), (_ZERO_KEY, (-q[0],))]
-
-
 def _frequency(key, omega):
     """a + b*omega: one number when b = 0, else one per member."""
     a, b = key
@@ -166,20 +138,21 @@ def _frequency(key, omega):
 
 
 def _block_antiderivative(key, coeffs, h, omega):
-    """_mode_antiderivative for a block atom, each member on its own branch.
+    """Atoms of A(s) = integral_0^s p(t) exp(i nu t) dt on a piece of length h.
 
-    A member takes nu = 0, the series or the recursion from its own
-    frequency and its own trimmed degree, as it would alone.  The
-    recursion and the nu = 0 rule run on the whole block; the series runs
-    one member at a time on Python scalars, and its polynomial is
-    scattered into the frequency-free atom, whose other members hold the
-    recursion's constant -q_0.  The recursion divides by z of its own
-    members only (1 elsewhere) and its rows are zero outside them.
+    nu is the key's frequency; A(0) = 0 exactly.  A member takes nu = 0,
+    the series or the recursion from its own frequency and its own
+    trimmed degree, as it would alone.  The recursion and the nu = 0 rule
+    run on the whole block; the series runs one member at a time on
+    Python scalars, and its polynomial is scattered into the
+    frequency-free atom, whose other members hold the recursion's
+    constant -q_0.  The recursion divides by z of its own members only
+    (1 elsewhere) and its rows are zero outside them.
     """
     width = len(coeffs[0])
     top = len(coeffs) - 1
     if key == _ZERO_KEY:
-        return [(_ZERO_KEY, _polyint(coeffs, np.zeros(width, complex)))]
+        return [(_ZERO_KEY, _polyint(coeffs))]
     nu = np.broadcast_to(_frequency(key, omega), (width,))
     z = 1j * nu
     table = np.array(coeffs)
@@ -187,9 +160,7 @@ def _block_antiderivative(key, coeffs, h, omega):
     live = nonzero.any(axis=0)
     degree = top - np.argmax(nonzero[::-1], axis=0)
     zero = nu == 0
-    series = (~zero & live
-              & (np.abs(z) * h <= np.maximum(_SERIES_BASE,
-                                             _SERIES_SLOPE * degree + 0.5)))
+    series = ~zero & live & (np.abs(z) * h <= _series_threshold(degree))
     rec = ~zero & ~series
     atoms = []
     const = [np.zeros(width, complex)]
@@ -205,7 +176,7 @@ def _block_antiderivative(key, coeffs, h, omega):
         atoms.append((key, tuple(q)))
         const = [-q[0]]
     if zero.any():
-        prim = _polyint(coeffs, np.zeros(width, complex))
+        prim = _polyint(coeffs)
         const += [np.zeros(width, complex)] * (len(prim) - len(const))
         const = [np.where(zero, p, c) for p, c in zip(prim, const)]
     polys = {k: _series_poly(tuple(complex(c) for c in table[:d + 1, k]),
@@ -243,32 +214,20 @@ def _merge_atoms(atoms):
     return tuple(out)
 
 
-def _derivative_atoms(atoms) -> tuple:
-    """Atoms of the derivative: (p' + i nu p) exp(i nu s) per scalar atom."""
+def _derivative_atoms(atoms, omega) -> tuple:
+    """Atoms of the derivative: (p' + i nu p) exp(i nu s) per atom."""
     out = []
     for key, coeffs in atoms:
-        nu = key[0]
-        d = [1j * nu * c for c in coeffs]
+        z = 1j * _frequency(key, omega)
+        d = [z * c for c in coeffs]
         for j in range(1, len(coeffs)):
-            d[j - 1] += j * coeffs[j]
+            d[j - 1] = d[j - 1] + j * coeffs[j]
         out.append((key, _trim(d)))
     return tuple(out)
 
 
-def _eval_atoms(atoms, s):
-    """Scalar atoms at the local coordinate s, scalar or ndarray."""
-    scalar = not isinstance(s, np.ndarray)
-    val = np.zeros_like(s, dtype=complex) if not scalar else 0j
-    for (nu, _), coeffs in atoms:
-        term = _polyval(coeffs, s)
-        if nu != 0:
-            term = term * np.exp(1j * nu * s)
-        val = val + term
-    return val
-
-
 def _eval_block(atoms, omega, width, s, rows=None):
-    """Block atoms at the local coordinates s, a 1-D array.
+    """Atoms at the local coordinates s, a 1-D array.
 
     With rows None every member is evaluated at every s, shape
     (width, len(s)); otherwise member rows[p] at s[p], shape (len(s),).
@@ -278,6 +237,10 @@ def _eval_block(atoms, omega, width, s, rows=None):
         def pick(v):
             return v[:, None] if np.ndim(v) else v
         val = np.zeros((width, len(s)), complex)
+        # every operand 2-D: numpy multiplies a (1, 1) array by a (1,) one
+        # in a loop that rounds complex products like CPython, unlike
+        # every other shape, so a block of one at one point would differ
+        s = s[None, :]
     else:
         def pick(v):
             return v[rows] if np.ndim(v) else v
@@ -294,7 +257,7 @@ def _eval_block(atoms, omega, width, s, rows=None):
                 top = 0j
                 for c in reversed(coeffs[_NARROW:]):
                     top = top * s + c[wide][:, None]
-                term = np.zeros((width, len(s)), complex)
+                term = np.zeros_like(val)
                 term[wide] = top
                 coeffs = coeffs[:_NARROW]
         for c in reversed(coeffs):
@@ -313,18 +276,20 @@ class PiecewiseExp:
     """A piecewise sum of polynomial-exponential atoms on [breaks[0], breaks[-1]].
 
     pieces[i] is a tuple of ((a, b), coeffs) atoms in the local coordinate
-    s = x - breaks[i], of frequency a + b*omega; no other module reads
-    them.  width is 0 for a scalar object, else the number of members of
-    the block, and omega the block's kernel frequency vector (None while
-    no atom has b != 0).  Evaluation is right-continuous at interior
-    breaks; a block's values carry the member axis first.  Sums and
-    products take two objects on the same breaks.
+    s = x - breaks[i], of frequency a + b*omega; each coefficient is a
+    numpy vector over the width members, and no other module reads them.
+    omega is the block's kernel frequency vector (None while no atom has
+    b != 0).  A plain object (block False) is a block of one whose values
+    come without the member axis.  Evaluation is right-continuous at
+    interior breaks; a block's values carry the member axis first.  Sums
+    and products take two objects on the same breaks.
     """
 
     breaks: tuple
     pieces: tuple
-    width: int = 0
+    width: int = 1
     omega: np.ndarray | None = None
+    block: bool = False
 
     @property
     def lo(self):
@@ -338,30 +303,22 @@ class PiecewiseExp:
         idx = np.searchsorted(self.breaks, x, side="right") - 1
         return np.clip(idx, 0, len(self.pieces) - 1)
 
+    def _output(self, values):
+        """values, member axis first; a plain object's without that axis."""
+        if self.block:
+            return values
+        return values.item() if values.ndim == 1 else values[0]
+
     def eval(self, x):
         """Evaluate at scalar or array x (right-continuous at breaks).
 
         A block gives shape (width,) + x.shape, or, for a 2-D x with one
-        row per member, each member at its own row of points.
+        row per member, each member at its own row of points; a plain
+        object gives a complex, or an array shaped like x.
         """
-        if self.width:
-            return self._eval_members(np.asarray(x, dtype=float))
-        if np.isscalar(x) or isinstance(x, (int, float, complex)):
-            i = int(self._piece_index(float(x)))
-            return complex(self._local(i, float(x) - self.breaks[i]))
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
         idx = self._piece_index(x)
-        for i in range(len(self.pieces)):
-            mask = idx == i
-            if not mask.any():
-                continue
-            out[mask] = self._local(i, x[mask] - self.breaks[i])
-        return out
-
-    def _eval_members(self, x):
-        idx = self._piece_index(x)
-        if x.ndim == 2:
+        if self.block and x.ndim == 2:
             if x.shape[0] != self.width:
                 raise ValueError(f"{x.shape[0]} rows of points for a block "
                                  f"of {self.width}")
@@ -380,7 +337,7 @@ class PiecewiseExp:
             if mask.any():
                 out[:, mask] = _eval_block(pc, self.omega, self.width,
                                            flat[mask] - self.breaks[i])
-        return out.reshape((self.width,) + x.shape)
+        return self._output(out.reshape((self.width,) + x.shape))
 
     def take(self, members):
         """The block of the given members (positions along the member axis)."""
@@ -388,37 +345,38 @@ class PiecewiseExp:
         pieces = tuple(tuple((key, tuple(c[members] for c in coeffs))
                              for key, coeffs in pc) for pc in self.pieces)
         omega = None if self.omega is None else self.omega[members]
-        return PiecewiseExp(self.breaks, pieces, len(members), omega)
+        return PiecewiseExp(self.breaks, pieces, len(members), omega, True)
 
     # -- piece access (the oracle's propagators read u through these) ------
 
     def _local(self, i, s):
-        """Piece i at the local coordinate s = x - breaks[i], scalar or array."""
-        return _eval_atoms(self.pieces[i], s)
+        """Piece i of a plain object at the local coordinates s, a 1-D array."""
+        return _eval_block(self.pieces[i], self.omega, 1, s)[0]
 
     def _constant_height(self, i):
-        """Height of piece i if it is a constant, else None."""
+        """Height of piece i of a plain object if it is a constant, else None."""
         atoms = self.pieces[i]
         if len(atoms) == 0:
             return 0j
         if (len(atoms) == 1 and atoms[0][0] == _ZERO_KEY
                 and len(atoms[0][1]) == 1):
-            return complex(atoms[0][1][0])
+            return atoms[0][1][0].item()
         return None
 
     def _derivative(self):
         """The derivative inside every piece (jumps at the breaks dropped)."""
-        return PiecewiseExp(self.breaks,
-                            tuple(_derivative_atoms(pc) for pc in self.pieces))
+        pieces = tuple(_derivative_atoms(pc, self.omega) for pc in self.pieces)
+        return PiecewiseExp(self.breaks, pieces, self.width, self.omega,
+                            self.block)
 
     # -- algebra: both operands live on the same breaks ----------------------
 
     def _join(self, other):
-        """(width, omega) of a sum or product of self and other."""
+        """(width, omega, block) of a sum or product of self and other."""
         if self.breaks != other.breaks:
             raise ValueError(f"operands live on different breaks: "
                              f"{self.breaks} and {other.breaks}")
-        if self.width and other.width and self.width != other.width:
+        if self.block and other.block and self.width != other.width:
             raise ValueError(f"operands are blocks of {self.width} and "
                              f"{other.width} members")
         omega = self.omega
@@ -427,47 +385,47 @@ class PiecewiseExp:
         elif not (other.omega is None or other.omega is omega
                   or np.array_equal(other.omega, omega)):
             raise ValueError("operands live on different frequency vectors")
-        return self.width or other.width, omega
+        return max(self.width, other.width), omega, self.block or other.block
 
     def _widened(self, width):
-        """The pieces, with scalar coefficients spread over width members."""
-        if self.width or not width:
+        """The pieces, with a plain object's coefficients spread over width.
+
+        A sum keeps an atom only one operand has as it is: without this a
+        block would hold coefficients of two shapes, and every reader that
+        indexes members would have to broadcast them.
+        """
+        if self.width == width:
             return self.pieces
         return tuple(tuple((key, tuple(np.full(width, c, dtype=complex)
                                        for c in coeffs)) for key, coeffs in pc)
                      for pc in self.pieces)
 
     def __add__(self, other):
-        width, omega = self._join(other)
+        width, omega, block = self._join(other)
         pieces = tuple(
             _merge_atoms(pa + pb)
             for pa, pb in zip(self._widened(width), other._widened(width))
         )
-        return PiecewiseExp(self.breaks, pieces, width, omega)
+        return PiecewiseExp(self.breaks, pieces, width, omega, block)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def __mul__(self, other):
-        width, omega = self._join(other)
-        zero = np.zeros(width, complex) if width else 0j
+        width, omega, block = self._join(other)
         pieces = []
         for pa, pb in zip(self.pieces, other.pieces):
             atoms = []
             for (a1, b1), c1 in pa:
                 for (a2, b2), c2 in pb:
-                    atoms.append(((a1 + a2, b1 + b2), _polymul(c1, c2, zero)))
+                    atoms.append(((a1 + a2, b1 + b2), _polymul(c1, c2)))
             pieces.append(_merge_atoms(atoms))
-        return PiecewiseExp(self.breaks, tuple(pieces), width, omega)
+        return PiecewiseExp(self.breaks, tuple(pieces), width, omega, block)
 
     def scale(self, c):
         """c times self; c is a number, or one number per member (a block)."""
         # scaling keeps frequencies apart, so atoms need trimming, not merging
-        if np.ndim(c):
-            c = np.asarray(c, dtype=complex)
-            width = self.width or len(c)
-        else:
-            c, width = complex(c), self.width
+        c = np.asarray(c, dtype=complex)
         pieces = []
         for pc in self.pieces:
             atoms = []
@@ -476,7 +434,8 @@ class PiecewiseExp:
                 if len(coeffs) > 1 or not _vanishes(coeffs[0]):
                     atoms.append((key, coeffs))
             pieces.append(tuple(atoms))
-        return PiecewiseExp(self.breaks, tuple(pieces), width, self.omega)
+        return PiecewiseExp(self.breaks, tuple(pieces), max(self.width, c.size),
+                            self.omega, self.block or c.ndim > 0)
 
     def conj(self):
         """The complex conjugate; a block's omega must be real."""
@@ -489,43 +448,37 @@ class PiecewiseExp:
             )
             for pc in self.pieces
         )
-        return PiecewiseExp(self.breaks, pieces, self.width, self.omega)
+        return PiecewiseExp(self.breaks, pieces, self.width, self.omega,
+                            self.block)
 
     # -- calculus --------------------------------------------------------
 
-    def _atom_antiderivative(self, key, coeffs, h):
-        if self.width:
-            return _block_antiderivative(key, coeffs, h, self.omega)
-        return _mode_antiderivative(key[0], coeffs, h)
-
     def _piece_value(self, atoms, s):
         """Atoms of one piece at the local coordinate s, per member."""
-        if self.width:
-            return _eval_block(atoms, self.omega, self.width,
-                               np.array([s]))[:, 0]
-        return complex(_eval_atoms(atoms, s))
+        return _eval_block(atoms, self.omega, self.width, np.array([s]))[:, 0]
 
     def antiderivative(self):
         """F with F' = self and F(breaks[0]) = 0, continuous across breaks."""
         pieces = []
-        offset = np.zeros(self.width, complex) if self.width else 0j
+        offset = np.zeros(self.width, complex)
         for i, pc in enumerate(self.pieces):
             h = self.breaks[i + 1] - self.breaks[i]
             atoms = []
             for key, coeffs in pc:
-                atoms.extend(self._atom_antiderivative(key, coeffs, h))
+                atoms.extend(_block_antiderivative(key, coeffs, h, self.omega))
             atoms.append((_ZERO_KEY, (offset,)))
             merged = _merge_atoms(atoms)
             pieces.append(merged)
             offset = self._piece_value(merged, h)
-        return PiecewiseExp(self.breaks, tuple(pieces), self.width, self.omega)
+        return PiecewiseExp(self.breaks, tuple(pieces), self.width, self.omega,
+                            self.block)
 
     def integral(self, a=None, b=None):
         """Exact integral over [a, b] (defaults to the full domain).
 
         Sums the definite integrals of the atoms over each piece that
         [a, b] meets; no antiderivative object is built.  A block gives
-        one value per member.
+        one value per member, a plain object a complex.
         """
         lo = self.lo if a is None else float(a)
         hi = self.hi if b is None else float(b)
@@ -537,7 +490,7 @@ class PiecewiseExp:
         last = len(self.pieces) - 1
         first = min(max(bisect.bisect_right(self.breaks, lo) - 1, 0), last)
         stop = min(max(bisect.bisect_left(self.breaks, hi) - 1, first), last)
-        total = np.zeros(self.width, complex) if self.width else 0j
+        total = np.zeros(self.width, complex)
         for i in range(first, stop + 1):
             a_i = self.breaks[i]
             h = self.breaks[i + 1] - a_i
@@ -546,16 +499,21 @@ class PiecewiseExp:
             if s1 == s0:
                 continue
             for key, coeffs in self.pieces[i]:
-                prim = self._atom_antiderivative(key, coeffs, h)
+                prim = _block_antiderivative(key, coeffs, h, self.omega)
                 total = total + self._piece_value(prim, s1)
                 if s0 != 0:
                     total = total - self._piece_value(prim, s0)
-        return total if self.width else complex(total)
+        return self._output(total)
+
+
+def _plain(values):
+    """Shape-(1,) coefficients of a plain object from Python numbers."""
+    return tuple(np.array([v], dtype=complex) for v in values)
 
 
 def step(heights, breaks):
     """Piecewise constant: heights[i] on piece i."""
-    pieces = tuple(((_ZERO_KEY, (complex(h),)),) for h in heights)
+    pieces = tuple(((_ZERO_KEY, _plain([h])),) for h in heights)
     return PiecewiseExp(tuple(breaks), pieces)
 
 
@@ -570,7 +528,7 @@ def poly_global(coeffs_per_piece, breaks):
     for i, coeffs in enumerate(coeffs_per_piece):
         coeffs = tuple(complex(c) for c in coeffs)
         shifted = _polyshift(coeffs, breaks[i])  # p(a + s)
-        pieces.append(_merge_atoms([(_ZERO_KEY, shifted)]))
+        pieces.append(_merge_atoms([(_ZERO_KEY, _plain(shifted))]))
     return PiecewiseExp(breaks, tuple(pieces))
 
 
@@ -586,39 +544,50 @@ def trig_global(triples_per_piece, breaks):
         atoms = []
         for k, ac, bc in triples:
             if k == 0:
-                atoms.append((_ZERO_KEY, (complex(ac),)))
+                atoms.append((_ZERO_KEY, _plain([ac])))
                 continue
             up = np.exp(1j * k * a)
             dn = np.exp(-1j * k * a)
             # a cos(kx) + b sin(kx) in the piece-local coordinate
-            atoms.append(((complex(k), 0), ((ac / 2 - 1j * bc / 2) * up,)))
-            atoms.append(((complex(-k), 0), ((ac / 2 + 1j * bc / 2) * dn,)))
+            atoms.append(((complex(k), 0),
+                          _plain([(ac / 2 - 1j * bc / 2) * up])))
+            atoms.append(((complex(-k), 0),
+                          _plain([(ac / 2 + 1j * bc / 2) * dn])))
         pieces.append(_merge_atoms(atoms))
     return PiecewiseExp(breaks, tuple(pieces))
 
 
-def _osc_kernel(freq, breaks, sin_part):
-    """sin(freq*x) or cos(freq*x) as a PiecewiseExp on the given breaks."""
-    freq = complex(freq)
+def _kernels(freq, up_key, dn_key, breaks, omega=None):
+    """sin(freq*x) and cos(freq*x), freq one entry per member.
+
+    The atoms of +-freq have the keys up_key and dn_key; the objects are
+    blocks on omega, or plain when omega is None.
+    """
     breaks = tuple(breaks)
-    pieces = []
+    sin_pieces, cos_pieces = [], []
     for a in breaks[:-1]:
         up = np.exp(1j * freq * a)
         dn = np.exp(-1j * freq * a)
-        if sin_part:
-            atoms = [((freq, 0), (up / 2j,)), ((-freq, 0), (-dn / 2j,))]
-        else:
-            atoms = [((freq, 0), (up / 2,)), ((-freq, 0), (dn / 2,))]
-        pieces.append(_merge_atoms(atoms))
-    return PiecewiseExp(breaks, tuple(pieces))
+        sin_pieces.append(_merge_atoms([(up_key, (up / 2j,)),
+                                        (dn_key, (-dn / 2j,))]))
+        cos_pieces.append(_merge_atoms([(up_key, (up / 2,)),
+                                        (dn_key, (dn / 2,))]))
+    width, block = len(freq), omega is not None
+    return (PiecewiseExp(breaks, tuple(sin_pieces), width, omega, block),
+            PiecewiseExp(breaks, tuple(cos_pieces), width, omega, block))
+
+
+def _plain_kernels(freq, breaks):
+    freq = complex(freq)
+    return _kernels(np.array([freq]), (freq, 0), (-freq, 0), breaks)
 
 
 def sin_kernel(freq, breaks):
-    return _osc_kernel(freq, breaks, sin_part=True)
+    return _plain_kernels(freq, breaks)[0]
 
 
 def cos_kernel(freq, breaks):
-    return _osc_kernel(freq, breaks, sin_part=False)
+    return _plain_kernels(freq, breaks)[1]
 
 
 def harmonic_kernels(omega, b, breaks):
@@ -629,19 +598,7 @@ def harmonic_kernels(omega, b, breaks):
     kernel frequency vector.
     """
     omega = np.asarray(omega, dtype=complex)
-    breaks = tuple(breaks)
-    freq = b * omega
-    sin_pieces, cos_pieces = [], []
-    for a in breaks[:-1]:
-        up = np.exp(1j * freq * a)
-        dn = np.exp(-1j * freq * a)
-        sin_pieces.append(_merge_atoms([((0j, b), (up / 2j,)),
-                                        ((0j, -b), (-dn / 2j,))]))
-        cos_pieces.append(_merge_atoms([((0j, b), (up / 2,)),
-                                        ((0j, -b), (dn / 2,))]))
-    width = len(omega)
-    return (PiecewiseExp(breaks, tuple(sin_pieces), width, omega),
-            PiecewiseExp(breaks, tuple(cos_pieces), width, omega))
+    return _kernels(b * omega, (0j, b), (0j, -b), breaks, omega)
 
 
 def linear(breaks, slope=1.0, intercept=0.0):

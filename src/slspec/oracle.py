@@ -766,6 +766,9 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     winding count over 16 points of a small circle, evaluated as one batch
     (_winding).  ``iterations`` counts every lambda evaluated, the 16
     contour points included.
+
+    Without a seed the call builds its own m^2 profile for the prediction;
+    for many indices use ``solve_spectrum``, which batches 32 at a time.
     """
     domain = domain or SpectralDomain()
     point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)

@@ -126,11 +126,20 @@ class _CorrectionProfile:
         """int_0^x u cos(2 s t) dt; predictions never read it."""
         return self._u_cos.antiderivative()
 
+    @cached_property
+    def square_sin(self):
+        """int_0^x u^2 sin(2 s t) dt: the leading modulus and the brackets."""
+        return (self.pot.piecewise_sq * self.sin_k).antiderivative()
+
     def terms(self, x) -> CorrectionTerms:
-        """The four terms at x, shape (members,) + shape of x."""
-        s = self.sqrt_lam.reshape((-1,) + (1,) * np.ndim(x))
+        """The four terms at x, shape (members,) + shape of x.
+
+        A 2-D x holds one row of points per member (see PiecewiseExp.eval).
+        """
+        single_sin = self.single_sin.eval(x)
+        s = self.sqrt_lam.reshape((-1,) + (1,) * (single_sin.ndim - 1))
         return CorrectionTerms(
-            term_single_sin=self.single_sin.eval(x),
+            term_single_sin=single_sin,
             term_l2=self.square_plain.eval(x) / (2 * s),
             term_double=2 * self.double.eval(x),
             term_u2_cos=-self.square_cos.eval(x) / (2 * s),
@@ -175,9 +184,7 @@ class _CorrectionProfile:
             # sampling is pointwise: evaluate the new points only, each
             # member's in its own row (padded with pi), and merge them into
             # the member's sorted grid
-            rows = np.full((len(new), max(len(p) for p in new)), PI)
-            for row, p in zip(rows, new):
-                row[:len(p)] = p
+            rows = _rows(new)
             got = sample(rows) if rows.size else rows
             for k, p in enumerate(new):
                 at = np.searchsorted(xs[k], p)
@@ -194,6 +201,14 @@ class _CorrectionProfile:
         upper = best + float(slopes.max() * gaps.max() / 2) if len(xs) > 1 else best
         return GaugeValue(value=best + tail, tail=tail,
                           upper_estimate=upper + tail, sup_grid=int(sup_grid))
+
+
+def _rows(points) -> np.ndarray:
+    """Points of varying number, one row per member, padded with pi."""
+    rows = np.full((len(points), max(len(p) for p in points)), PI)
+    for row, p in zip(rows, points):
+        row[:len(p)] = p
+    return rows
 
 
 def _member(values):

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import asymptotics, oracle
 from .errors import INDEX_FAILURES
-from .oscillatory import SpectralDomain, _CorrectionProfile, remainder_gauge
+from .oscillatory import (SpectralDomain, _CorrectionProfile, _rows,
+                          remainder_gauge)
 from .potential import PI, PotentialSpec
 
 REPORT_SCHEMA = "slspec-report/1"
@@ -376,29 +377,36 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
     |r_oracle - r_leading|, both divided by gamma^2(lambda_n), the gauge
     at its default sampling.  Roots come from oracle.solve_eigenvalue;
     theta and r are read off the quasi-system trajectory at the root
-    (oracle._prufer_from_quasi).  A 0/0 is reported as 0.
+    (oracle._prufer_from_quasi).  A 0/0 is reported as 0.  The leading
+    phase and modulus and the gauges come from one correction profile per
+    block of solved roots, each member on its own grid.
     """
-    ns, th_ratios, r_ratios = [], [], []
-    degraded = []
+    solved, degraded = [], []
     for n in range(n_min, n_max + 1):
         try:
             res = oracle.solve_eigenvalue(pot, n)
-            lam = res.lam
             s = res.sqrt_lambda
             xs = np.union1d(np.linspace(0.0, PI, max(512, int(24 * abs(s)))),
                             np.asarray(pot.breaks))
             traj = oracle._prufer_from_quasi(
-                oracle.integrate_quasi_system(pot, lam, xs))
+                oracle.integrate_quasi_system(pot, res.lam, xs))
         except INDEX_FAILURES as exc:
             degraded.append((n, str(exc)))
             continue
-        theta_lead = asymptotics.prufer_phase_asym(pot, xs, lam)
-        r_lead = asymptotics.prufer_modulus_asym(pot, xs, lam)
-        dth = float(np.abs(traj.theta - theta_lead).max())
-        dr = float(np.abs(np.exp(traj.log_r) - r_lead).max())
-        g2 = remainder_gauge(pot, lam).value ** 2
-        ns.append(n)
-        th_ratios.append(_guarded_ratio(dth, g2))
-        r_ratios.append(_guarded_ratio(dr, g2))
+        solved.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
+    ns, th_ratios, r_ratios = [], [], []
+    for i in range(0, len(solved), asymptotics._BLOCK):
+        block = solved[i:i + asymptotics._BLOCK]
+        prof = _CorrectionProfile(pot, [b[1] for b in block])
+        theta_lead, r_lead = asymptotics._leading(prof,
+                                                  _rows([b[2] for b in block]))
+        for k, ((n, _, xs, theta, r), gauge) in enumerate(
+                zip(block, prof.gauge())):
+            dth = float(np.abs(theta - theta_lead[k, :len(xs)]).max())
+            dr = float(np.abs(r - r_lead[k, :len(xs)]).max())
+            g2 = gauge.value ** 2
+            ns.append(n)
+            th_ratios.append(_guarded_ratio(dth, g2))
+            r_ratios.append(_guarded_ratio(dr, g2))
     return {"n_values": ns, "theta_ratio": th_ratios, "r_ratio": r_ratios,
             "degraded": degraded}

@@ -7,25 +7,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
-from slspec import moments
+from slspec import PotentialSpec, moments
 
 PI = math.pi
 
 
 def _atom_quad(coeffs, nu, h):
     def f(t):
-        return moments._polyval(coeffs, np.asarray([t], dtype=float))[0] \
-            * np.exp(1j * nu * t)
+        return polyval(t, coeffs) * np.exp(1j * nu * t)
     re = quad(lambda t: f(t).real, 0.0, h, limit=400, epsabs=1e-14)[0]
     im = quad(lambda t: f(t).imag, 0.0, h, limit=400, epsabs=1e-14)[0]
     return re + 1j * im
 
 
 def _atom_exact(coeffs, nu, h):
-    anti = moments._mode_antiderivative(nu, coeffs, h)
-    return complex(moments._eval_atoms(anti, np.asarray([h]))[0])
+    atom = ((complex(nu), 0), tuple(np.array([c], dtype=complex) for c in coeffs))
+    return moments.PiecewiseExp((0.0, h), ((atom,),)).antiderivative().eval(h)
 
 
 @pytest.mark.parametrize("nu", [0.0, 1e-7, 1e-4, 3e-3, 0.2, 0.9, 2.7, 17.0, 119.0])
@@ -59,8 +59,8 @@ def test_polyshift(deg, delta, seed):
     coeffs = tuple(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
     shifted = moments._polyshift(coeffs, delta)
     s = np.linspace(-1.0, 1.0, 7)
-    direct = moments._polyval(coeffs, s + delta)
-    via = moments._polyval(shifted, s)
+    direct = polyval(s + delta, coeffs)
+    via = polyval(s, shifted)
     assert np.abs(direct - via).max() < 1e-10 * max(1.0, np.abs(direct).max())
 
 
@@ -164,14 +164,88 @@ def test_integral_series_branch_is_exercised():
 
 @pytest.mark.parametrize("c", [0, 1, -1, 2 + 3j])
 def test_scale_matches_merged_route(c):
-    zero_step = moments.PiecewiseExp((0.0, 1.0, PI), ((((0j, 0), (0j,)),),
-                                                      (((0j, 0), (2.0,)),)))
+    zero_step = moments.step([0.0, 2.0], (0.0, 1.0, PI))
     for f in [*_integral_cases().values(), zero_step, moments.constant(0.0, (0.0, PI))]:
         merged = tuple(
             moments._merge_atoms([(nu, tuple(complex(c) * x for x in coeffs))
                                   for nu, coeffs in pc])
             for pc in f.pieces)
         assert f.scale(c).pieces == merged
+
+
+# -- a plain object is a block of one -------------------------------------------
+
+_PLAIN_POTS = {
+    "step": PotentialSpec.step([(0.0, PI / 2, 0.0), (PI / 2, PI, 2.0)]),
+    "poly": PotentialSpec.poly([(0.0, 1.3, [-1.0, 0.0, 1.0]),
+                                (1.3, PI, [0.5, 0.2])]),
+    "trig": PotentialSpec.trig([(0.0, PI, [0.7, 0.0, 0.4])]),
+    "ctrig": PotentialSpec.trig([(0.0, PI, [1 + 1j, 0.5j, -0.3])]),
+    "cstep": PotentialSpec.step([(0.0, 1.0, 0.5 + 1.0j),
+                                 (1.0, 2.2, -1.0 - 0.5j), (2.2, PI, 2.0)]),
+}
+_WIDTH, _MEMBER = 32, 13
+_OPS = {
+    "scale": lambda g, u: g,
+    "mul": lambda g, u: g * u,
+    "square": lambda g, u: g * g,
+    "add": lambda g, u: g + u,
+    "double": lambda g, u: g + g,
+    "conj": lambda g, u: g.conj(),
+    "antiderivative": lambda g, u: g.antiderivative(),
+    "antiderivative of the square": lambda g, u: (g * g).antiderivative(),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def _member_atoms(f, k):
+    """Keys and coefficient bytes of member k of f, piece by piece."""
+    return [[(key, b"".join(_bits(np.atleast_1d(c)[k]) for c in coeffs))
+             for key, coeffs in pc] for pc in f.pieces]
+
+
+def _branches(f):
+    """The antiderivative branches the atoms of f take."""
+    kinds = set()
+    for i, pc in enumerate(f.pieces):
+        h = f.breaks[i + 1] - f.breaks[i]
+        for (nu, _), coeffs in pc:
+            if nu == 0:
+                kinds.add("nu = 0")
+            elif abs(nu) * h <= moments._series_threshold(len(coeffs) - 1):
+                kinds.add("series")
+            else:
+                kinds.add("recursion")
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_POTS))
+def test_plain_object_is_a_block_of_one(name):
+    # a plain object, the same object as a block of one and member k of a
+    # block of 32 (all three made by scale) compute the same bits
+    u = _PLAIN_POTS[name].piecewise
+    xs = np.linspace(0.0, PI, 33)
+    c = np.linspace(0.5, 1.5, _WIDTH) - 0.35j
+    seen = set()
+    for f in (u, u * moments.sin_kernel(0.95, u.breaks),
+              u * moments.cos_kernel(9.7, u.breaks)):
+        seen |= _branches(f) | _branches(f * f)
+        plain = f.scale(c[_MEMBER])
+        blocks = ((f.scale(c[_MEMBER:_MEMBER + 1]), 0), (f.scale(c), _MEMBER))
+        for op, fn in _OPS.items():
+            ref = fn(plain, u)
+            for block, k in blocks:
+                got = fn(block, u)
+                assert _member_atoms(got, k) == _member_atoms(ref, 0), op
+                assert _bits(got.eval(xs)[k]) == _bits(ref.eval(xs)), op
+                assert _bits(got.eval(1.3)[k]) == _bits(ref.eval(1.3)), op
+                assert _bits(got.integral()[k]) == _bits(ref.integral()), op
+                assert (_bits(got.integral(0.4, 2.9)[k])
+                        == _bits(ref.integral(0.4, 2.9))), op
+    assert seen == {"nu = 0", "series", "recursion"}
 
 
 def test_atom_format_stays_inside_moments():
