@@ -177,12 +177,19 @@ def _leading(prof: _CorrectionProfile, x) -> tuple:
 
 def prufer_phase_asym(pot: PotentialSpec, x, lam):
     """Leading phase sqrt(lam)*x + v(x, lam); x may be an array."""
-    return _member(_leading(_CorrectionProfile(pot, [lam]), x)[0])
+    x = np.asarray(x, dtype=float)
+    return _member(_leading(_CorrectionProfile(pot, [lam]), x.reshape(-1))[0],
+                   x.shape)
 
 
 def prufer_modulus_asym(pot: PotentialSpec, x, lam):
-    """Leading modulus 1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st)."""
-    return _member(_leading(_CorrectionProfile(pot, [lam]), x)[1])
+    """Leading modulus 1 - int_0^x u cos(2st) - (2s)^{-1} int_0^x u^2 sin(2st).
+
+    x may be an array.
+    """
+    x = np.asarray(x, dtype=float)
+    return _member(_leading(_CorrectionProfile(pot, [lam]), x.reshape(-1))[1],
+                   x.shape)
 
 
 # Points per evaluation of a block of brackets: a temporary holds at most

@@ -29,12 +29,18 @@ matrix, like the exact constant cell.  The commutator of two classical
 system matrices, (q1 - q2) diag(1, -1), holds no lambda, so the error of a
 cell does not grow with lambda; the commutator of the quasi-derivative
 matrices carries 2 lambda (a - b), and cells built from those lose accuracy
-as lambda grows.  The characteristic needs only the end state: the cell
-matrices of each smooth piece are multiplied pairwise and the product is
-applied once, for a scalar or a 1-D batch of lambda (the
-argument-principle check evaluates its 16-point contour that way).  States
-at nodes inside a piece (eigenfunctions, Sturm counts) come from a prefix
-scan of the cells and one partial Magnus step per node.
+as lambda grows.  The characteristic needs only the end state and takes
+its own walk (_end_states), which keeps the state at the current break and
+nothing else: the exact step of each constant piece in scalar arithmetic,
+and for each smooth piece the cell matrices multiplied pairwise and the
+product applied once.  It takes a scalar or a 1-D batch of lambda (the
+argument-principle check evaluates its 16-point contour that way); a batch
+forms its cell products at once and steps every member like a lambda
+evaluated alone.  States at nodes (eigenfunctions, Sturm counts) come from
+the node walk for one lambda (_dense_states): inside a smooth piece a
+prefix scan of the cells and one partial Magnus step per node.  A Sturm
+count takes nodes inside smooth pieces only and counts the zeros on each
+constant piece in closed form (_sturm_count).
 
 The walk never lets a numpy warning out: an overflowing state reaches the
 finiteness check at the end of its piece and raises IntegrationBlowupError.
@@ -112,11 +118,10 @@ class SecularResult:
 def _cos_sinc(s, d):
     """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
 
-    A scalar s with a float d (the end state of a piece) takes scalar cmath
-    arithmetic; an array d (the nodes inside a piece) or an array s (a
-    batch of lambda) takes numpy.
+    s is the scalar sqrt(lam).  A float d (the end state of a piece) takes
+    scalar cmath arithmetic; an array d (the nodes inside a piece) numpy.
     """
-    if isinstance(d, float) and not isinstance(s, np.ndarray):
+    if isinstance(d, float):
         z = s * d
         if abs(z) < 1e-6:
             return cmath.cos(z), d * (1 - z * z / 6)
@@ -133,7 +138,7 @@ def _const_advance(y, const, lamc, s, d):
 
     The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
     so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d is a float or an array;
-    lamc and s are scalars or arrays over a batch of lambda.
+    lamc and s are the scalars lam and sqrt(lam).
     """
     cd, sd = _cos_sinc(s, d)
     y1 = cd * y[0] + sd * (const * y[0] + y[1])
@@ -165,23 +170,15 @@ def _chain(mats: np.ndarray) -> np.ndarray:
 
 
 def _apply(p, y):
-    """p @ y for a product matrix p, (2, 2) or (2, 2, batch).
+    """p @ y for a 2x2 product matrix p, in scalar complex arithmetic.
 
-    Applied in scalar complex arithmetic, one lambda at a time: numpy's
-    array products of complex numbers can fuse multiply and add (SIMD loops
-    on FMA hardware) where its scalar products do not, and the scalar form
-    keeps a member of a batch equal to the same lambda evaluated alone.
+    numpy's array products of complex numbers can fuse multiply and add
+    (SIMD loops on FMA hardware) where its scalar products do not; the
+    scalar form keeps a member of a batch equal to the same lambda
+    evaluated alone.
     """
-    if p.ndim == 2:
-        (p00, p01), (p10, p11) = p.tolist()
-        return p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1]
-    n = p.shape[-1]
-    rows = zip(*(x.tolist() for x in p.reshape(4, n)),
-               np.broadcast_to(y[0], n).tolist(),
-               np.broadcast_to(y[1], n).tolist())
-    out = np.array([(p00 * a + p01 * b, p10 * a + p11 * b)
-                    for p00, p01, p10, p11, a, b in rows])
-    return out[:, 0], out[:, 1]
+    (p00, p01), (p10, p11) = p.tolist()
+    return p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1]
 
 
 def _magnus_parts(q, i, lefts, h):
@@ -331,51 +328,90 @@ def _n_sub(span, s_mag, step_scale):
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
-def _regular_root(lam):
-    """sqrt(lam) away from 0, of a scalar or of each member of a 1-D array."""
-    if isinstance(lam, np.ndarray) and lam.ndim:
-        return np.array([_require_regular(v) for v in lam])
-    return _require_regular(lam)
+def _blowup(x) -> IntegrationBlowupError:
+    return IntegrationBlowupError(f"non-finite state at x = {x}",
+                                  location=float(x))
+
+
+def _end_states(pe, lam, step_scale: float, init):
+    """y1(pi), y2(pi) and sqrt(lam); for a 1-D batch two lists and an array.
+
+    The characteristic's walk over the pieces of pe, keeping the state at
+    the current break only.  A constant piece takes the exact step in
+    scalar arithmetic (_const_advance), member by member; a smooth piece
+    takes one product of its Magnus cells (_mesh, _magnus_matrices,
+    _chain), formed for the whole batch at once and applied member by
+    member (_apply).  A member of a batch is therefore the same lambda
+    evaluated alone, bit for bit.  A state that overflows raises
+    IntegrationBlowupError at the end of its piece, without a numpy
+    warning.
+    """
+    batch = isinstance(lam, np.ndarray) and lam.ndim > 0
+    lams = [complex(v) for v in lam.tolist()] if batch else [complex(lam)]
+    roots = [_require_regular(v) for v in lams]
+    if init is None:
+        ys = [(0j, s) for s in roots]
+    else:
+        ys = [(complex(init[0]), complex(init[1]))] * len(roots)
+    breaks = pe.breaks
+    for i in range(len(breaks) - 1):
+        b = breaks[i + 1]
+        const = pe._constant_height(i)
+        if const is not None:
+            d = b - breaks[i]
+            try:
+                ys = [_const_advance(y, const, lc, s, d)
+                      for y, lc, s in zip(ys, lams, roots)]
+            except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
+                raise _blowup(b)
+        else:
+            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                h, parts, _, u_a, u_b = _mesh(pe, i, step_scale)
+                p = _chain(_magnus_matrices(*parts, h, lam))
+            ends = [_apply(p[..., k] if batch else p, (y1, y2 + u_a * y1))
+                    for k, (y1, y2) in enumerate(ys)]
+            ys = [(e1, e2 - u_b * e1) for e1, e2 in ends]
+        for y1, y2 in ys:
+            if not (cmath.isfinite(y1) and cmath.isfinite(y2)):
+                raise _blowup(b)
+    if batch:
+        return [y[0] for y in ys], [y[1] for y in ys], np.array(roots)
+    return ys[0][0], ys[0][1], roots[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
                   norm=False):
-    """(y1, y2) at every node of a sorted unique array in [0, pi].
+    """(y1, y2) at every node of a sorted unique array in [0, pi], one lam.
 
-    lam is a scalar or a 1-D batch.  A batch gives arrays of shape
-    (nodes, batch) and takes states only at 0, at piece ends and at the
-    last node.  A constant piece propagates exactly (_const_advance).  A
-    smooth piece is cut into the cells of a uniform mesh, at most
-    step_scale long, that depends on neither lambda nor the nodes (_mesh);
-    each cell propagates by the exponential of its 4th-order Magnus
-    exponent (_magnus_matrices).  Where only the end state of a piece is
-    needed, its cells are multiplied pairwise in one product (_chain); a
-    node inside a piece takes the state at the start of its cell (_prefix)
-    and one partial Magnus step over the rest.  numpy's overflow and
-    invalid warnings are off for the walk: a state that overflows is
-    caught by the finiteness check at the end of its piece
-    (IntegrationBlowupError), and an overflowing norm comes back
-    non-finite for the caller to reject.
+    A constant piece propagates exactly (_const_advance).  A smooth piece
+    is cut into the cells of a uniform mesh, at most step_scale long, that
+    depends on neither lambda nor the nodes (_mesh); each cell propagates
+    by the exponential of its 4th-order Magnus exponent
+    (_magnus_matrices).  Where a piece holds no node before its end, its
+    cells are multiplied pairwise in one product (_chain); a node inside a
+    piece takes the state at the start of its cell (_prefix) and one
+    partial Magnus step over the rest.  numpy's overflow and invalid
+    warnings are off for the walk: a state that overflows is caught by the
+    finiteness check at the end of its piece (IntegrationBlowupError), and
+    an overflowing norm comes back non-finite for the caller to reject.
 
-    With norm, a scalar lambda and nodes that end at pi, the result gains a
-    third entry: the integral of |y1|^2 over [0, pi], summed in closed form
-    over the cells of the walk (_cell_norms), each constant piece one cell.
-    Every smooth piece then takes the prefix states of its cells, so the
-    states at the nodes do not depend on the other nodes.
+    With norm and nodes that end at pi, the result gains a third entry:
+    the integral of |y1|^2 over [0, pi], summed in closed form over the
+    cells of the walk (_cell_norms), each constant piece one cell.  Every
+    smooth piece then takes the prefix states of its cells, so the states
+    at the nodes do not depend on the other nodes.
     """
-    s = _regular_root(lam)
-    batch = isinstance(s, np.ndarray)
-    lamc = np.asarray(lam, dtype=complex) if batch else complex(lam)
+    s = _require_regular(lam)
+    lamc = complex(lam)
     pe = pot.piecewise
     nodes = np.asarray(nodes, dtype=float)
-    if norm and (batch or nodes[-1] != PI):
-        raise ValueError("norm takes one lambda and a last node at pi")
+    if norm and nodes[-1] != PI:
+        raise ValueError("norm takes a last node at pi")
     cell_terms = []     # (y1 at the cell starts, slopes, z, lengths) per piece
     maxnode = float(nodes[-1])
-    if batch and not np.isin(nodes[nodes > 1e-15], pe.breaks + (maxnode,)).all():
-        raise ValueError("a batch of lambda is integrated to piece ends only")
-    y1 = np.empty((len(nodes),) + (s.shape if batch else ()), dtype=complex)
+    y1 = np.empty(len(nodes), dtype=complex)
     y2 = np.empty_like(y1)
     y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
     pos = 0
@@ -395,8 +431,7 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
             try:
                 y_end = _const_advance(y, const, lamc, s, end - a)
             except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
-                raise IntegrationBlowupError(f"non-finite state at x = {end}",
-                                             location=float(end))
+                raise _blowup(end)
             if norm:
                 d = end - a
                 cell_terms.append(([y[0]], [d * (const * y[0] + y[1])],
@@ -443,10 +478,8 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
                 y_end = (c1[-1], c2[-1] - u_b * c1[-1])
         y1[k:j1], y2[k:j1] = y_end
         y = y_end
-        if not (np.isfinite(y).all() if batch
-                else cmath.isfinite(y[0]) and cmath.isfinite(y[1])):
-            raise IntegrationBlowupError(f"non-finite state at x = {end}",
-                                         location=float(end))
+        if not (cmath.isfinite(y[0]) and cmath.isfinite(y[1])):
+            raise _blowup(end)
         pos = j1
     if not norm:
         return y1, y2
@@ -462,12 +495,19 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     Constant pieces propagate with the exact matrix exponential (the free
     evolution conjugated by the u-shear); smooth pieces by 4th-order
     Magnus cells at most step_scale long, on a mesh that does not depend
-    on lambda or on the grid.  lam may be a 1-D batch when the grid holds
-    only piece ends (the characteristic's [pi]); y1 and y2 then have shape
-    (grid, batch).
+    on lambda or on the grid.  The grid [pi] alone (the characteristic)
+    takes the end-state walk of _end_states, and lam may then be a 1-D
+    batch: y1 and y2 have shape (1, batch).  Any other grid takes one
+    lambda and the node walk of _dense_states.
     """
-    s = _regular_root(lam)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.shape == (1,) and grid[0] == PI:
+        y1, y2, s = _end_states(pot.piecewise, lam, step_scale, init)
+        return QuasiTrajectory(x=grid.copy(), y1=np.array([y1]),
+                               y2=np.array([y2]), sqrt_lambda=s)
+    if np.ndim(lam):
+        raise ValueError("a batch of lambda is integrated to pi only")
+    s = _require_regular(lam)
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be strictly increasing")
     if not (grid.size and grid[0] >= -1e-12 and grid[-1] <= PI + 1e-9):
@@ -486,9 +526,10 @@ def characteristic(pot: PotentialSpec, lam, *,
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
-    Neumann problem.  Only the end state is formed: one product of the
-    Magnus cells of each smooth piece, the exact exponential of each
-    constant piece.  A 1-D batch of lam gives an array, in one call.
+    Neumann problem.  Only the end state is formed (_end_states): one
+    product of the Magnus cells of each smooth piece, the exact exponential
+    of each constant piece.  A 1-D batch of lam gives an array, in one
+    call, whose members equal the same lambdas evaluated alone.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
                                   step_scale=step_scale)
@@ -606,26 +647,60 @@ def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:
 # -- eigenvalue location ------------------------------------------------------
 
 
+def _band(theta: float, odd: bool) -> int:
+    """k of the band [k pi, (k + 1) pi) of parity odd nearest to theta.
+
+    floor(theta / pi) where theta lies well inside a band; at a multiple of
+    pi, where rounding can put theta on either side, the parity of the
+    computed state decides.
+    """
+    return odd + 2 * round((theta / PI - 0.5 - odd) / 2)
+
+
 def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     """(interior zeros of y1, eigenvalues below lam) for real lam and u.
 
-    Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0.  The
-    Prufer angle of (y1, y2) rises through every multiple of pi, so the
-    sign changes of y1 on a grid of about 16 nodes per half-wave count its
-    interior zeros; an eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies
-    below lam exactly once more when the end angle is past it, that is when
-    y1(pi) and y2(pi) differ in sign (far below, their product overflows).
+    Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0, to
+    the breaks and, inside smooth pieces only, to a grid of about 16 nodes
+    per half-wave.  The Prufer angle theta of (y1, y') rises through every
+    multiple of pi; a state lies in the band [k pi, (k + 1) pi) of parity
+    "y1 < 0" (at a zero of y1, "y' < 0").  Inside a smooth piece a zero
+    lies where the parity flips between nodes.  On a constant piece the
+    count is closed form (piecewise-constant Prufer counting, Pryce 1993,
+    SLEDGE): for lam = s^2 > 0, y1 = R sin(s t + phi) with
+    phi = atan2(y1, y'/s) at the left end, so (a, b] holds
+    floor((s d + phi)/pi) - floor(phi/pi) zeros, each floor taken at the
+    parity of the computed state (_band) so that a zero on a break counts
+    once; for lam <= 0 it holds at most one, where the parity flips.  An
+    eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies below lam exactly once
+    more when the end angle is past it, that is when y1(pi) and y2(pi)
+    differ in sign (far below, their product overflows).
     """
     s = abs(principal_sqrt(lam))
-    grid = np.union1d(np.linspace(0.0, PI, int(16 * (s + 2)) + 9),
-                      np.asarray(pot.breaks))
-    tr = integrate_quasi_system(pot, lam, grid, step_scale=_STURM_STEP_SCALE,
+    pe = pot.piecewise
+    breaks = np.asarray(pot.breaks)
+    heights = [pe._constant_height(i) for i in range(len(breaks) - 1)]
+    smooth = np.array([c is None for c in heights])
+    grid = np.linspace(0.0, PI, int(16 * (s + 2)) + 9)
+    piece = np.minimum(np.searchsorted(breaks, grid, side="right") - 1,
+                       len(heights) - 1)
+    nodes = np.union1d(grid[smooth[piece]], breaks)
+    tr = integrate_quasi_system(pot, lam, nodes, step_scale=_STURM_STEP_SCALE,
                                 init=(0.0, 1.0))
-    vals = tr.y1.real[1:]
-    signs = np.sign(vals[vals != 0])
-    zeros = int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
-    return zeros, zeros + int(np.sign(tr.y1[-1].real)
-                              * np.sign(tr.y2[-1].real) < 0)
+    y1, y2 = tr.y1.real, tr.y2.real
+    odd = np.where(y1 != 0, y1 < 0, y2 < 0)     # parity of each node's band
+    flips = np.concatenate(([0], np.cumsum(odd[1:] != odd[:-1]))).tolist()
+    y1, y2, odd = y1.tolist(), y2.tolist(), odd.tolist()
+    at = np.searchsorted(nodes, breaks).tolist()
+    zeros = 0
+    for c, ja, jb, a, b in zip(heights, at, at[1:], pot.breaks, pot.breaks[1:]):
+        if c is None or lam <= 0:
+            zeros += flips[jb] - flips[ja]
+            continue
+        phi = math.atan2(y1[ja], (y2[ja] + c.real * y1[ja]) / s)
+        zeros += _band(phi + s * (b - a), odd[jb]) - _band(phi, odd[ja])
+    zeros -= int(y1[-1] == 0)       # a zero at pi is not interior
+    return zeros, zeros + int(np.sign(y1[-1]) * np.sign(y2[-1]) < 0)
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,

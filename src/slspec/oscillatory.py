@@ -211,16 +211,23 @@ def _rows(points) -> np.ndarray:
     return rows
 
 
-def _member(values):
-    """The first member of a block of one: a complex, or an array over x."""
-    first = values[0]
-    return complex(first) if np.ndim(first) == 0 else first
+def _member(values, shape):
+    """The one member of a block of one, evaluated at x.reshape(-1).
+
+    A single-lambda call flattens x because the block reads a 2-D x as one
+    row of points per member; the values get the shape of x back, and a
+    scalar x gives a complex.
+    """
+    first = values[0].reshape(shape)
+    return complex(first) if first.ndim == 0 else first
 
 
 def correction_terms(pot: PotentialSpec, x, lam) -> CorrectionTerms:
     """Evaluate the four correction terms at coordinate x (scalar or array)."""
-    t = _CorrectionProfile(pot, [lam]).terms(x)
-    return CorrectionTerms(*(_member(getattr(t, f.name)) for f in fields(t)))
+    x = np.asarray(x, dtype=float)
+    t = _CorrectionProfile(pot, [lam]).terms(x.reshape(-1))
+    return CorrectionTerms(*(_member(getattr(t, f.name), x.shape)
+                             for f in fields(t)))
 
 
 def remainder_gauge(pot: PotentialSpec, lam, sup_grid: int = 256) -> GaugeValue:

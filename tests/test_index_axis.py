@@ -15,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from slspec import PotentialSpec, asymptotics, moments, remainder_gauge
+from slspec import (PotentialSpec, asymptotics, correction_terms, moments,
+                    prufer_modulus_asym, prufer_phase_asym, remainder_gauge)
 from slspec.cli import main
 from slspec.oscillatory import _CorrectionProfile
 
@@ -90,6 +91,27 @@ def test_public_single_index_calls_are_blocks_of_one():
         table = asymptotics.eigenfunction_asym(pot, n, _GRID)
         assert _bits(table.values) == _bits(tables[n - 1].values)
         assert remainder_gauge(pot, (n - 0.5) ** 2) == gauges[n - 1]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 4), (4,), ()])
+def test_single_lambda_calls_take_x_of_any_shape(shape):
+    # a 2-D x is points, never one row per member of the block of one
+    pot, lam = _POTS["ctrig"], 30.0 + 2.0j
+    x = np.random.default_rng(3).uniform(0.0, PI, shape)
+    flat = x.reshape(-1)
+    terms, flat_terms = (correction_terms(pot, x, lam),
+                         correction_terms(pot, flat, lam))
+    pairs = [(f(pot, x, lam), f(pot, flat, lam))
+             for f in (prufer_phase_asym, prufer_modulus_asym)]
+    pairs += [(getattr(terms, name), getattr(flat_terms, name))
+              for name in ("term_single_sin", "term_l2", "term_double",
+                           "term_u2_cos")]
+    for got, ref in pairs:
+        if shape:
+            assert got.shape == shape
+        else:
+            assert isinstance(got, complex)
+        assert _bits(np.reshape(got, -1)) == _bits(ref)
 
 
 def test_series_member_keeps_its_own_branch():

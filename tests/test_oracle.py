@@ -291,16 +291,97 @@ def _contour(center, points=16):
 @pytest.mark.parametrize("name", ["trig", "poly", "complex step"])
 def test_batch_matches_scalar_evaluations(name, trig_pot, poly_pot):
     pot = {"trig": trig_pot, "poly": poly_pot, "complex step": COMPLEX_STEP}[name]
-    # the Magnus cells and the exact constant steps never depend on lambda,
-    # so a member of a batch is its own evaluation
+    # every member takes the scalar steps of its lambda evaluated alone
     lam = (16.5 * np.exp(1j * np.linspace(-0.02, 0.02, 5))) ** 2
     for f in (characteristic, _char_reduced):
         batch = f(pot, lam)
         alone = np.array([f(pot, complex(v)) for v in lam])
         assert batch.shape == (5,)
-        assert (np.abs(batch - alone) <= 1e-12 * np.abs(alone)).all(), f
+        assert np.array_equal(batch, alone), f
     with pytest.raises(ValueError):
         integrate_quasi_system(pot, lam, np.linspace(0, PI, 5))
+
+
+# Delta(lam) and the reduced characteristic, real and imaginary parts as
+# float.hex, at PIN_LAMBDAS: the bits the exact steps and Magnus cell
+# products give with numpy 2.4 on x86-64 (constant pieces in scalar cmath
+# arithmetic, one cell product per smooth piece); any change to the
+# rounding of the walk shows here.
+PIN_LAMBDAS = (7.3, 412.9, -3.7, 25 + 4j, 900 - 40j)
+PINNED = {
+    "step": [
+        ("-0x1.cae75b9645f8fp+1", "0x0.0p+0",
+         "-0x1.53b21f43c693fp+0", "0x0.0p+0"),
+        ("0x1.400a41e54cd82p+3", "0x0.0p+0",
+         "0x1.f8006702e7640p-2", "0x0.0p+0"),
+        ("0x0.0p+0", "-0x1.76dd366033928p+4",
+         "-0x1.85c3e06922598p+3", "0x0.0p+0"),
+        ("-0x1.51fbfed735c34p+3", "0x1.6032c75d898fdp+0",
+         "-0x1.0910d9ce56ad8p+1", "0x1.c16fe5cfb9682p-2"),
+        ("0x1.ef0e46d550ca6p+6", "0x1.0333cc8d9788fp+2",
+         "0x1.07a486c9a7d68p+2", "0x1.cfcd10c199728p-3"),
+    ],
+    "poly": [
+        ("-0x1.9a280f3e076e2p+0", "0x0.0p+0",
+         "-0x1.2f9c87f9147e0p-1", "0x0.0p+0"),
+        ("0x1.5c630f3871828p+3", "0x0.0p+0",
+         "0x1.12523c339e572p-1", "0x0.0p+0"),
+        ("0x0.0p+0", "0x1.1e238c10a35a3p+8",
+         "0x1.298354fe6ea8bp+7", "0x0.0p+0"),
+        ("-0x1.33aaed61aff56p+3", "-0x1.240abc096d178p-2",
+         "-0x1.e8c75ca89bbb8p+0", "0x1.84c9fcc8a9458p-4"),
+        ("0x1.ef0fbc54c370ep+6", "0x1.2c4917e9c9ec0p-2",
+         "0x1.07d2d7638ddf9p+2", "0x1.9f0f1200d1f82p-4"),
+    ],
+    "real trig": [
+        ("0x1.bcbefc6152437p+3", "0x1.2b51d51e6098fp-49",
+         "0x1.49373ddec02a1p+2", "0x1.bb21f8d1474e9p-51"),
+        ("0x1.5cf7276154c32p+3", "0x1.a29abe24b07a8p-52",
+         "0x1.12c6d861f5ee5p-1", "0x1.499c5b8db0231p-56"),
+        ("0x1.10d230cee4c27p-44", "-0x1.48e29a9aa7318p+9",
+         "-0x1.55f561737c9cbp+8", "-0x1.1baa73b2b60fdp-45"),
+        ("-0x1.d9e91f5761022p+2", "-0x1.1c1546d95a58cp+2",
+         "-0x1.897399f27c353p+0", "-0x1.868a43614f4eap-1"),
+        ("0x1.ed27343856278p+6", "-0x1.4f9c12a3f87f9p-3",
+         "0x1.06d4065639ba3p+2", "0x1.5f3f4d0acedcdp-4"),
+    ],
+    "complex trig": [
+        ("-0x1.b74b022168ae6p+0", "-0x1.35ad680bbbf32p-4",
+         "-0x1.452de48b01262p-1", "-0x1.ca7789c1daaf7p-6"),
+        ("0x1.5cf069a6dd043p+3", "0x1.cb4f5fed1c139p-7",
+         "0x1.12c1898996d8cp-1", "0x1.69a99a7ebfe50p-11"),
+        ("0x1.03e81d5146594p+6", "0x1.60f9701ab0941p+8",
+         "0x1.6f01596d5b843p+7", "-0x1.0e3cf5297dbebp+5"),
+        ("-0x1.366fbf450e876p+3", "-0x1.0d6225ce434dfp-1",
+         "-0x1.ee23780e6d3a5p+0", "0x1.8db3b16f1c329p-5"),
+        ("0x1.eee0a1e5155bep+6", "0x1.d9540b1fd58afp-4",
+         "0x1.07bbe45c0ebffp+2", "0x1.86ad4d47fa698p-4"),
+    ],
+    "complex step": [
+        ("-0x1.0e09f47da822ap+1", "-0x1.966747222eda6p-1",
+         "-0x1.8fc893bbc135cp-1", "-0x1.2cd55421cf67ep-2"),
+        ("0x1.4ee0aea926395p+3", "-0x1.6c80bb4a4ba01p-2",
+         "0x1.07af18799b646p-1", "-0x1.1f02ce2b67b84p-6"),
+        ("0x1.56c78b73a5243p+7", "0x1.18260f248eb25p+8",
+         "0x1.2348e31b11b0ap+7", "-0x1.6467b62ca9372p+6"),
+        ("-0x1.48553c1e99748p+3", "0x1.59e2b4ce92376p-5",
+         "-0x1.041b120aa0bd7p+1", "0x1.5c122a5e32f1fp-3"),
+        ("0x1.e814e295dc12ep+6", "0x1.0b29000262006p+1",
+         "0x1.0404d077e690ap+2", "0x1.4742e5127fa0dp-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_end_state_walk_keeps_its_bits(name, step_pot, poly_pot, trig_pot):
+    pot = {"step": step_pot, "poly": poly_pot,
+           "real trig": MISBRACKETED["trig"], "complex trig": trig_pot,
+           "complex step": COMPLEX_STEP}[name]
+    for lam, (c_re, c_im, r_re, r_im) in zip(PIN_LAMBDAS, PINNED[name]):
+        pinned = complex(float.fromhex(c_re), float.fromhex(c_im))
+        assert characteristic(pot, lam) == pinned, lam
+        pinned = complex(float.fromhex(r_re), float.fromhex(r_im))
+        assert _char_reduced(pot, lam) == pinned, lam
 
 
 def test_winding_one_kernel_call_on_distinct_points(free_pot):
@@ -804,6 +885,69 @@ def test_sturm_count_free_spectrum(free_pot):
                               (2.0, 1, 1), (2.3, 1, 2), (30.0, 5, 5),
                               (31.0, 5, 6)):
         assert oracle._sturm_count(free_pot, lam) == (zeros, below), lam
+
+
+# Real 6-piece steps of the validate-step bench workload (seeds 2, 3, 7 and
+# 11; seed 1 is TWO_BOUND_STEP), a strong constant, and a poly whose
+# degree-0 pieces sit beside a smooth piece, with a lambda below each
+# spectrum.
+ZERO_COUNT_POTS = {
+    "step-2": (PotentialSpec.step([
+        (0.0, 0.7463070068109916, 1.1826418121900915),
+        (0.7463070068109916, 0.9551667359098953, -0.5326460030731741),
+        (0.9551667359098953, 2.0671140270302497, -1.7930943624784343),
+        (2.0671140270302497, 2.528148697149172, 0.4152177060550555),
+        (2.528148697149172, 2.706194018834139, -0.9712785542426157),
+        (2.706194018834139, PI, 1.6982095745473815)]), -30.0),
+    "step-3": (PotentialSpec.step([
+        (0.0, 0.8125675337506885, -0.4834019086429726),
+        (0.8125675337506885, 1.241071569559486, 0.9119210712271077),
+        (1.241071569559486, 1.8361778249305245, -0.9411477833459136),
+        (1.8361778249305245, 2.156292839213866, -1.5436833025900216),
+        (2.156292839213866, 2.7716933009747287, 1.548386391296399),
+        (2.7716933009747287, PI, 0.07673056155253466)]), -30.0),
+    "step-7": (PotentialSpec.step([
+        (0.0, 0.9555693186745379, 0.11438808340462403),
+        (0.9555693186745379, 1.30075637149404, 1.6757112277512975),
+        (1.30075637149404, 1.7401990999388663, -0.022738927114721363),
+        (1.7401990999388663, 2.0597460036034088, -1.1969417218928218),
+        (2.0597460036034088, 2.825899855127577, 1.3031135844563257),
+        (2.825899855127577, PI, -1.5596941609385526)]), -30.0),
+    "step-11": (PotentialSpec.step([
+        (0.0, 0.8339447776697531, -1.7584853789997912),
+        (0.8339447776697531, 1.1950154116658658, -0.5847759344391243),
+        (1.1950154116658658, 1.728794771514223, 1.8366794079719986),
+        (1.728794771514223, 2.6443969921508335, 0.7702232540951828),
+        (2.6443969921508335, 2.843499160636056, 0.08734842109911423),
+        (2.843499160636056, PI, -0.6856980613724388)]), -30.0),
+    "two-bound step": (TWO_BOUND_STEP, -30.0),
+    "constant 120": (PotentialSpec.constant(120.0), -14500.0),
+    "mixed poly": (PotentialSpec.poly([
+        (0.0, 1.1, [0.7]), (1.1, 2.2, [0.5, -0.3, 0.4]),
+        (2.2, PI, [-1.5])]), -30.0),
+}
+
+
+def _dense_zero_count(pot, lam):
+    """Sign changes of y1 from (0, 1) on 40001 nodes of [0, pi]."""
+    grid = np.linspace(0.0, PI, 40001)
+    y1 = integrate_quasi_system(pot, lam, grid, init=(0.0, 1.0)).y1.real[1:]
+    signs = np.sign(y1[y1 != 0])
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@pytest.mark.parametrize("name", list(ZERO_COUNT_POTS))
+def test_closed_form_zero_count_matches_a_dense_count(name):
+    pot, floor = ZERO_COUNT_POTS[name]
+    assert oracle._sturm_count(pot, floor) == (0, 0)
+    # the first piece is constant, so y1 = sin(s x)/s there and s = k pi/b
+    # puts a zero of y1 on its right end b
+    b = pot.breaks[1]
+    on_break = [(k * PI / b) ** 2 for k in (1, 2, 3)]
+    for lam in [floor, floor / 2, -3.0, -0.3, -1e-10, 1e-10, 0.5, 3.0, 30.0,
+                412.9, 3000.0, 2e4] + on_break:
+        assert oracle._sturm_count(pot, lam)[0] == _dense_zero_count(
+            pot, lam), lam
 
 
 def test_negative_second_eigenvalue_is_indexed():
