@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -353,15 +354,20 @@ class PiecewiseExp:
         """Piece i of a plain object at the local coordinates s, a 1-D array."""
         return _eval_block(self.pieces[i], self.omega, 1, s)[0]
 
-    def _constant_height(self, i):
-        """Height of piece i of a plain object if it is a constant, else None."""
-        atoms = self.pieces[i]
-        if len(atoms) == 0:
-            return 0j
-        if (len(atoms) == 1 and atoms[0][0] == _ZERO_KEY
-                and len(atoms[0][1]) == 1):
-            return atoms[0][1][0].item()
-        return None
+    @cached_property
+    def _constant_heights(self):
+        """Per piece of a plain object: its height if a constant, else None.
+
+        Read once per object; the oracle's walks look every piece up here.
+        """
+        def height(atoms):
+            if len(atoms) == 0:
+                return 0j
+            if (len(atoms) == 1 and atoms[0][0] == _ZERO_KEY
+                    and len(atoms[0][1]) == 1):
+                return atoms[0][1][0].item()
+            return None
+        return tuple(height(atoms) for atoms in self.pieces)
 
     def _derivative(self):
         """The derivative inside every piece (jumps at the breaks dropped)."""

@@ -398,17 +398,43 @@ def test_winding_one_kernel_call_on_distinct_points(free_pot):
 
 
 def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
-    sizes = []
+    sizes, scales = [], []
     real = oracle._char_reduced
 
     def counted(pot, lam, **kw):
         sizes.append(np.size(lam))
+        scales.append(kw.get("step_scale", oracle._DEFAULT_STEP_SCALE))
         return real(pot, lam, **kw)
 
     monkeypatch.setattr(oracle, "_char_reduced", counted)
     res = solve_eigenvalue(trig_pot, 5)
     assert sizes[-1] == 16 and sizes.count(16) == 1
     assert res.iterations == sum(sizes)
+    # the contour alone runs on the count mesh; the secant keeps the default
+    assert scales[-1] == oracle._COUNT_STEP_SCALE
+    assert set(scales[:-1]) == {oracle._DEFAULT_STEP_SCALE}
+
+
+# A complex 2-piece quadratic whose indices 1..20 all solve by the secant
+COMPLEX_POLY = PotentialSpec.poly([(0.0, 1.3, [0.5j, 0.4, -0.2 + 0.3j]),
+                                   (1.3, PI, [0.2 - 0.5j, 0.1j])])
+
+
+@pytest.mark.parametrize("name", ["trig", "poly"])
+def test_contour_on_the_count_mesh_keeps_the_rouche_margin(name, trig_pot):
+    # Rouche: the count mesh counts the zeros of the default mesh inside the
+    # circle while it moves F by less than min |F| there; demand 1e-3 of it
+    pot = {"trig": trig_pot, "poly": COMPLEX_POLY}[name]
+
+    def coarse(s):
+        return _char_reduced(pot, s * s, step_scale=oracle._COUNT_STEP_SCALE)
+
+    for n in range(1, 21):
+        root = solve_eigenvalue(pot, n).sqrt_lambda
+        s = _contour(root)
+        fine = _char_reduced(pot, s * s)
+        assert np.abs(coarse(s) - fine).max() < 1e-3 * np.abs(fine).min(), n
+        assert oracle._winding(coarse, root) == 1, n
 
 
 # -- exact secular function for steps ----------------------------------------------
