@@ -15,7 +15,7 @@ from .asymptotics import (EigenfunctionTable, SpectralPoint, biorthogonal_asym,
                           normalization_factor, prufer_modulus_asym,
                           prufer_phase_asym)
 from .oracle import (PruferTrajectory, QuasiTrajectory, SecularResult,
-                     characteristic, eigenfunction_numeric, integrate_prufer,
+                     characteristic, eigenfunction_numeric,
                      integrate_quasi_system, solve_eigenvalue, solve_spectrum)
 from .validation import (ComparisonReport, RemainderRecord,
                          biorthogonality_check, phase_modulus_ratio_profile,
@@ -31,7 +31,7 @@ __all__ = [
     "default_grid", "eigenfunction_asym", "eigenvalue_asym",
     "normalization_factor", "prufer_modulus_asym", "prufer_phase_asym",
     "PruferTrajectory", "QuasiTrajectory", "SecularResult", "characteristic",
-    "eigenfunction_numeric", "integrate_prufer", "integrate_quasi_system",
+    "eigenfunction_numeric", "integrate_quasi_system",
     "solve_eigenvalue", "solve_spectrum",
     "ComparisonReport", "RemainderRecord", "biorthogonality_check",
     "phase_modulus_ratio_profile", "remainder_sweep",

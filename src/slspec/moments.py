@@ -31,6 +31,15 @@ of any width.  There is one arithmetic, numpy's, so a plain object computes
 exactly what member k of any block computes.  The one difference is at the
 output: a plain object's ``eval`` and ``integral`` drop the member axis and
 give a complex, or an array shaped like x.
+
+The work is paid per row, not per coefficient.  A product takes one
+numpy operation per coefficient of its first factor, against all
+coefficients of the second at once, and adds the terms of every output
+coefficient in the order of the textbook double loop (ascending power of
+the first factor, from zero), so it keeps that loop's bits.  An
+evaluation takes one exponential per conjugate pair of real frequencies:
+the mirror's phase is the conjugate of the first one's, which is exact
+(see ``_eval_block``).
 """
 
 from __future__ import annotations
@@ -76,7 +85,8 @@ def _polyint(coeffs):
 
 
 # Sums below are written out[j] = out[j] + c, never out[j] += c: a
-# coefficient is an array that other atoms may share.
+# coefficient is an array that other atoms may share.  Only an array a
+# function has just made (the output of _polymul) is added into in place.
 
 def _polyadd(a, b):
     if len(a) < len(b):
@@ -88,11 +98,21 @@ def _polyadd(a, b):
 
 
 def _polymul(a, b):
-    out = [0j] * (len(a) + len(b) - 1)
+    """Coefficients of the product, one numpy operation per row of a.
+
+    out[k] sums ca * cb over i + j = k in ascending i, starting from zero
+    (which turns -0.0 into +0.0), so it has the bits of the textbook
+    double loop.  A factor of length one gives one term per coefficient.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _trim([0j + ca * cb for ca in a for cb in b])
+    rows = np.array(b)
+    out = np.zeros((len(a) + len(b) - 1,)
+                   + np.broadcast_shapes(np.shape(a[0]), rows.shape[1:]),
+                   complex)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return _trim(out)
+        out[i:i + len(b)] += ca * rows
+    return _trim(list(out))
 
 
 def _polyshift(coeffs, delta):
@@ -129,7 +149,9 @@ def _series_poly(coeffs, z, h):
                 break
             zk = zk * z / (k + 1)
             hp *= h
-    return _trim(out)
+    while len(out) > 1 and out[-1] == 0:    # Python numbers: no numpy call
+        out.pop()
+    return tuple(out)
 
 
 def _frequency(key, omega):
@@ -233,7 +255,16 @@ def _eval_block(atoms, omega, width, s, rows=None):
     With rows None every member is evaluated at every s, shape
     (width, len(s)); otherwise member rows[p] at s[p], shape (len(s),).
     Each value is computed from its own member's numbers only.
+
+    Atoms of real frequencies mostly come in pairs +-nu, keyed (a, b) and
+    (-a, -b); the second of a pair takes the conjugate of the first one's
+    phase rather than its own exponential.  That is exact: b is an integer and rounding is
+    symmetric, so the argument (i nu) s of the mirror is the exact
+    negation, with real part +-0; exp(+-0) is exactly 1, libm's cos is
+    even and its sin odd.
     """
+    real = omega is None or not omega.imag.any()
+    phases = {}                         # a phase its mirror has yet to use
     if rows is None:
         def pick(v):
             return v[:, None] if np.ndim(v) else v
@@ -264,9 +295,16 @@ def _eval_block(atoms, omega, width, s, rows=None):
         for c in reversed(coeffs):
             term = term * s + pick(c)
         if key != _ZERO_KEY:
-            # named, so that numpy cannot reuse the large temporary and
-            # multiply in the swapped order, which rounds differently
-            phase = np.exp(pick(1j * _frequency(key, omega)) * s)
+            a, b = key
+            mirror = phases.pop((-a, -b), None)
+            if mirror is not None:
+                phase = np.conj(mirror)
+            else:
+                # named, so that numpy cannot reuse the large temporary and
+                # multiply in the swapped order, which rounds differently
+                phase = np.exp(pick(1j * _frequency(key, omega)) * s)
+                if real and a.imag == 0:
+                    phases[key] = phase
             term = term * phase
         val = val + term
     return val

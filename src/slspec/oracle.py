@@ -9,9 +9,9 @@ stays continuous across the point interactions of q = u' (the jumps of a
 step u), so piecewise-constant u is solved exactly with no jump rule.  The
 phase and log-modulus of the modified Prufer substitution
 y = r sin(theta), y' - u y = sqrt(lam) r cos(theta) are read off its
-trajectory (_prufer_from_quasi).  integrate_prufer integrates the
-phase/log-modulus equations themselves by RK4; the library does not call
-it, it is the test suite's independent reference for that reading.
+trajectory (_prufer_from_quasi); the test suite integrates the
+phase/log-modulus equations themselves by RK4, as an independent
+reference for that reading.
 
 Eigenvalues solve Delta(lam) = (y' - u y)(pi) = 0 for the solution vanishing
 at 0.  The classical Neumann condition y'(pi) = 0 is ill-defined for
@@ -67,7 +67,6 @@ from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
 from .potential import PI, PotentialSpec
 
 _DEFAULT_STEP_SCALE = 0.004     # longest Magnus cell of a smooth piece
-_PRUFER_STEP_SCALE = 0.02
 _COUNT_STEP_SCALE = 0.02        # Magnus cell length of a zero count: the
                                 # Sturm count and the winding contour
 _H_MAX = 0.05                   # longest step whatever the phase advance
@@ -210,7 +209,7 @@ def _mesh(u, i: int, step_scale: float):
     read-only because callers share them.
     """
     span = u.breaks[i + 1] - u.breaks[i]
-    ncell = int(_n_sub(span, 1.0, step_scale))
+    ncell = int(_n_sub(span, step_scale))
     h = span / ncell
     q = u._derivative()
     parts = _magnus_parts(q, i, h * np.arange(ncell), h)
@@ -319,13 +318,9 @@ def _prefix(mats: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _n_sub(span, s_mag, step_scale):
-    """Steps per span: phase advance s_mag h <= step_scale, h <= _H_MAX.
-
-    With s_mag = 1 it gives the cells of a smooth piece, which are at most
-    step_scale long whatever lambda; integrate_prufer passes |sqrt(lam)|.
-    """
-    need = np.maximum(span * max(1.0, s_mag) / step_scale, span / _H_MAX)
+def _n_sub(span, step_scale):
+    """Cells of a smooth piece: at most step_scale and _H_MAX long."""
+    need = np.maximum(span / step_scale, span / _H_MAX)
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
@@ -551,68 +546,6 @@ def _end_value(traj: QuasiTrajectory):
     """y2(pi) of a trajectory on [pi]: a complex, or an array over a batch."""
     end = traj.y2[0]
     return end if end.ndim else complex(end)
-
-
-def integrate_prufer(pot: PotentialSpec, lam, grid) -> PruferTrajectory:
-    """Phase and log-modulus trajectories with theta(0) = 0, log r(0) = 0.
-
-    Integrates theta' = s + u^2 sin^2(theta)/s + u sin(2 theta) and
-    (log r)' = -(u cos(2 theta) + u^2 sin(2 theta)/(2 s)) with fixed RK4
-    steps, phase advance at most _PRUFER_STEP_SCALE per step; the
-    log-modulus rather than r itself is integrated so complex lam cannot
-    overflow.  The library does not call it (see _prufer_from_quasi).  It
-    cannot integrate at real lam < 0, where the phase equation blows up.
-    """
-    s = _require_regular(lam)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    nodes = np.union1d(np.union1d(grid, np.asarray([0.0])),
-                       np.asarray([b for b in pot.breaks if b < grid.max()]))
-    pe = pot.piecewise
-    sc = complex(s)
-    th, lr = 0j, 0j
-    i = 0           # the piece of the current node interval
-    rec = {0.0: (0j, 0j)}
-
-    def rhs(u, theta):
-        u2 = u * u
-        c2 = cmath.cos(2 * theta)
-        s2 = cmath.sin(2 * theta)
-        return (sc + (u2 / sc) * (1 - c2) / 2 + u * s2,
-                -(u * c2 + (u2 / (2 * sc)) * s2))
-
-    for x0, x1 in zip(nodes, nodes[1:]):
-        # every break below the last grid point is a node
-        while i + 2 < len(pot.breaks) and x0 >= pot.breaks[i + 1]:
-            i += 1
-        nsub = int(_n_sub(x1 - x0, abs(s), _PRUFER_STEP_SCALE))
-        h = (x1 - x0) / nsub
-        offs = (x0 - pot.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
-        uu = list(pe._local(i, offs))
-        h2, h6 = h / 2, h / 6
-        try:
-            for j in range(nsub):
-                u0, um, u1 = uu[2 * j], uu[2 * j + 1], uu[2 * j + 2]
-                k1t, k1l = rhs(u0, th)
-                k2t, k2l = rhs(um, th + h2 * k1t)
-                k3t, k3l = rhs(um, th + h2 * k2t)
-                k4t, k4l = rhs(u1, th + h * k3t)
-                th = th + h6 * (k1t + 2 * k2t + 2 * k3t + k4t)
-                lr = lr + h6 * (k1l + 2 * k2l + 2 * k3l + k4l)
-        except OverflowError:
-            # the substitution degenerates where y1^2 + y2^2/lam hits a
-            # complex zero; the phase equation then runs away
-            raise IntegrationBlowupError(
-                f"Prufer phase blow-up inside ({x0}, {x1})", location=float(x1))
-        if not (math.isfinite(th.real) and math.isfinite(th.imag)
-                and math.isfinite(lr.real) and math.isfinite(lr.imag)):
-            raise IntegrationBlowupError(f"non-finite Prufer state at x = {x1}",
-                                         location=float(x1))
-        rec[float(x1)] = (th, lr)
-    theta = np.array([rec[float(t)][0] for t in grid], dtype=complex)
-    log_r = np.array([rec[float(t)][1] for t in grid], dtype=complex)
-    return PruferTrajectory(x=grid.copy(), theta=theta, log_r=log_r, sqrt_lambda=s)
 
 
 def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:

@@ -8,15 +8,19 @@ leak across pieces.
 rk4_states is the suite's one fixed-step RK4 propagator for the quasi
 system, the reference the library's exact constant steps and Magnus cells
 are checked against; it shares only the product helpers of slspec.oracle.
+integrate_prufer integrates the Prufer phase and log-modulus equations
+themselves by RK4, the reference for the library's Prufer reading.
 """
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slspec import PotentialSpec, asymptotics, oracle
+from slspec import IntegrationBlowupError, PotentialSpec, asymptotics, oracle
+from slspec.oscillatory import _require_regular
 
 PI = math.pi
 
@@ -225,3 +229,75 @@ def rk4_end(pot, lam, *, step_scale=0.004, init=None):
     """y2(pi) of rk4_states: Delta(lam), or the reduced one from (0, 1)."""
     return complex(rk4_states(pot, lam, np.asarray([0.0, PI]),
                               step_scale=step_scale, init=init)[1][-1])
+
+
+# -- RK4 on the Prufer phase and log-modulus ----------------------------------
+
+_PRUFER_STEP_SCALE = 0.02
+
+
+def integrate_prufer(pot, lam, grid):
+    """Phase and log-modulus trajectories with theta(0) = 0, log r(0) = 0.
+
+    Integrates theta' = s + u^2 sin^2(theta)/s + u sin(2 theta) and
+    (log r)' = -(u cos(2 theta) + u^2 sin(2 theta)/(2 s)) with fixed RK4
+    steps, phase advance at most _PRUFER_STEP_SCALE per step; the
+    log-modulus rather than r itself is integrated so complex lam cannot
+    overflow.  It is the independent reference for the library's reading
+    of the phase off the quasi-derivative trajectory
+    (oracle._prufer_from_quasi).  It cannot integrate at real lam < 0,
+    where the phase equation blows up.
+    """
+    s = _require_regular(lam)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    nodes = np.union1d(np.union1d(grid, np.asarray([0.0])),
+                       np.asarray([b for b in pot.breaks if b < grid.max()]))
+    pe = pot.piecewise
+    sc = complex(s)
+    th, lr = 0j, 0j
+    i = 0           # the piece of the current node interval
+    rec = {0.0: (0j, 0j)}
+
+    def rhs(u, theta):
+        u2 = u * u
+        c2 = cmath.cos(2 * theta)
+        s2 = cmath.sin(2 * theta)
+        return (sc + (u2 / sc) * (1 - c2) / 2 + u * s2,
+                -(u * c2 + (u2 / (2 * sc)) * s2))
+
+    for x0, x1 in zip(nodes, nodes[1:]):
+        # every break below the last grid point is a node
+        while i + 2 < len(pot.breaks) and x0 >= pot.breaks[i + 1]:
+            i += 1
+        need = max((x1 - x0) * max(1.0, abs(s)) / _PRUFER_STEP_SCALE,
+                   (x1 - x0) / oracle._H_MAX)
+        nsub = max(1, math.ceil(need - 1e-12))
+        h = (x1 - x0) / nsub
+        offs = (x0 - pot.breaks[i]) + (h / 2) * np.arange(2 * nsub + 1)
+        uu = list(pe._local(i, offs))
+        h2, h6 = h / 2, h / 6
+        try:
+            for j in range(nsub):
+                u0, um, u1 = uu[2 * j], uu[2 * j + 1], uu[2 * j + 2]
+                k1t, k1l = rhs(u0, th)
+                k2t, k2l = rhs(um, th + h2 * k1t)
+                k3t, k3l = rhs(um, th + h2 * k2t)
+                k4t, k4l = rhs(u1, th + h * k3t)
+                th = th + h6 * (k1t + 2 * k2t + 2 * k3t + k4t)
+                lr = lr + h6 * (k1l + 2 * k2l + 2 * k3l + k4l)
+        except OverflowError:
+            # the substitution degenerates where y1^2 + y2^2/lam hits a
+            # complex zero; the phase equation then runs away
+            raise IntegrationBlowupError(
+                f"Prufer phase blow-up inside ({x0}, {x1})", location=float(x1))
+        if not (math.isfinite(th.real) and math.isfinite(th.imag)
+                and math.isfinite(lr.real) and math.isfinite(lr.imag)):
+            raise IntegrationBlowupError(f"non-finite Prufer state at x = {x1}",
+                                         location=float(x1))
+        rec[float(x1)] = (th, lr)
+    theta = np.array([rec[float(t)][0] for t in grid], dtype=complex)
+    log_r = np.array([rec[float(t)][1] for t in grid], dtype=complex)
+    return oracle.PruferTrajectory(x=grid.copy(), theta=theta, log_r=log_r,
+                                   sqrt_lambda=s)

@@ -14,11 +14,11 @@ from scipy.optimize import brentq
 
 from slspec import (PotentialSpec, biorthogonal_asym, biorthogonality_check,
                     correction_terms, default_grid, eigenfunction_asym,
-                    eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
+                    eigenfunction_numeric, eigenvalue_asym,
                     integrate_quasi_system, phase_modulus_ratio_profile, moments,
                     remainder_sweep, solve_eigenvalue,
                     solve_spectrum)
-from conftest import RAW_PIECES, piecewise_quad, rk4_end
+from conftest import RAW_PIECES, integrate_prufer, piecewise_quad, rk4_end
 
 PI = math.pi
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import quad
 
-from slspec import PotentialSpec, moments
+from slspec import PotentialSpec, moments, oscillatory
 
 PI = math.pi
 
@@ -268,3 +268,108 @@ def test_atom_format_stays_inside_moments():
                         and node.value.id == "moments")):
                 offences.append((path.name, node.lineno, node.attr))
     assert offences == []
+
+
+# -- bit pins of the row-wise kernels -------------------------------------------
+
+
+def _same_bits(got, ref):
+    """Coefficient tuples or arrays equal byte for byte, signed zeros too."""
+    got, ref = list(map(np.asarray, got)), list(map(np.asarray, ref))
+    return (len(got) == len(ref)
+            and all(g.shape == r.shape
+                    and np.array_equal(g.view(np.uint8), r.view(np.uint8))
+                    for g, r in zip(got, ref)))
+
+
+def _polymul_loop(a, b):
+    """The textbook double loop, from zero, trailing zero rows trimmed."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = out[i + j] + ca * cb
+    while len(out) > 1 and not np.any(out[-1]):
+        out.pop()
+    return out
+
+
+def _coefficients(rng, degree, width):
+    """Random complex coefficients with exact and negative zeros among them."""
+    table = (rng.standard_normal((degree + 1, width))
+             + 1j * rng.standard_normal((degree + 1, width)))
+    zero = rng.random(table.shape)
+    table.real[zero < 0.1] = 0.0
+    table.imag[(zero > 0.1) & (zero < 0.2)] = -0.0
+    table[(zero > 0.2) & (zero < 0.3)] = complex(-0.0, -0.0)
+    table[(zero > 0.3) & (zero < 0.35)] = complex(0.0, -0.0)
+    if rng.random() < 0.3:
+        table[-1] = complex(-0.0, 0.0)      # a trailing zero row to trim
+    return tuple(table)
+
+
+@pytest.mark.parametrize("width", [2, 32])
+@pytest.mark.parametrize("shapes", ["plain x plain", "plain x block",
+                                    "block x plain", "block x block"])
+def test_polymul_keeps_the_double_loop_bits(width, shapes):
+    rng = np.random.default_rng(width)
+    wa, wb = (1 if s == "plain" else width for s in shapes.split(" x "))
+    pairs = [(d, int(rng.integers(0, 43))) for d in range(43)]
+    pairs += [(int(rng.integers(0, 43)), d) for d in range(43)]
+    for da, db in pairs:
+        a = _coefficients(rng, da, wa)
+        b = _coefficients(rng, db, wb)
+        assert _same_bits(moments._polymul(a, b), _polymul_loop(a, b)), (da, db)
+
+
+def _mirrored(atoms):
+    """Keys of atoms whose mirror (-a, -b) is an atom too."""
+    keys = {key for key, _ in atoms}
+    return {(a, b) for a, b in keys if (-a, -b) in keys and b != 0}
+
+
+def _eval_atom_by_atom(atoms, omega, width, s, rows=None):
+    """The atoms' sum with one exponential per atom: each evaluated alone.
+
+    Adding the parts in the atoms' order from zero gives the bits of one
+    pass, because a sum from +0 never holds -0.
+    """
+    val = 0
+    for atom in atoms:
+        val = val + moments._eval_block((atom,), omega, width, s, rows)
+    return val
+
+
+@pytest.mark.parametrize("lam_shift", [0.0, 3j])
+def test_shared_phases_keep_the_bits_of_one_exponential_per_atom(lam_shift):
+    # real m^2 of a real step: conjugate pairs share a phase, on the 1-D and
+    # on the per-member path; at complex lambda (a complex omega) none may
+    pot = PotentialSpec.step([(0.0, 0.9, 1.3), (0.9, 2.1, -0.4),
+                              (2.1, PI, 0.8)])
+    ns = range(1, 21)
+    prof = oscillatory._CorrectionProfile(
+        pot, [(n - 0.5) ** 2 + lam_shift for n in ns])
+    rng = np.random.default_rng(5)
+    paired = 0
+    for f in (prof.single_sin, prof.double, prof.square_cos,
+              prof.single_sin * prof.single_sin.conj()
+              if lam_shift == 0 else prof.single_sin * prof.double):
+        for i, atoms in enumerate(f.pieces):
+            h = f.breaks[i + 1] - f.breaks[i]
+            paired += len(_mirrored(atoms))
+            s = np.concatenate(([0.0, h], rng.uniform(0.0, h, 200)))
+            rows = rng.integers(0, f.width, len(s))
+            for r in (None, rows):
+                got = moments._eval_block(atoms, f.omega, f.width, s, r)
+                ref = _eval_atom_by_atom(atoms, f.omega, f.width, s, r)
+                assert _same_bits([got], [ref]), (i, r is None)
+    assert paired > 0
+
+
+def test_libm_exp_of_a_negated_imaginary_argument_is_the_conjugate():
+    # the exactness of shared phases rests on this: cexp(+-0 + iy) is
+    # (cos y, sin y) with cos even and sin odd, bit for bit
+    y = np.random.default_rng(11).uniform(-2000.0, 2000.0, 100_000)
+    y[:4] = (0.0, -0.0, 2000.0, -2000.0)
+    z = np.zeros(len(y), complex)
+    z.imag = y
+    assert _same_bits([np.exp(-z)], [np.conj(np.exp(z))])

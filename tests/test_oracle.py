@@ -13,13 +13,13 @@ from scipy.optimize import brentq
 from slspec import (DomainError, IndexingError, IntegrationBlowupError,
                     NonconvergenceError, PotentialSpec, SingularArgumentError,
                     characteristic, default_grid, eigenfunction_asym,
-                    eigenfunction_numeric, eigenvalue_asym, integrate_prufer,
+                    eigenfunction_numeric, eigenvalue_asym,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
 from slspec import oracle, validation
 from slspec.oracle import _char_reduced
 
-from conftest import rk4_end, rk4_states
+from conftest import integrate_prufer, rk4_end, rk4_states
 
 PI = math.pi
 
