@@ -30,17 +30,21 @@ system matrices, (q1 - q2) diag(1, -1), holds no lambda, so the error of a
 cell does not grow with lambda; the commutator of the quasi-derivative
 matrices carries 2 lambda (a - b), and cells built from those lose accuracy
 as lambda grows.  The characteristic needs only the end state and takes
-its own walk (_end_states), which keeps the state at the current break and
-nothing else: the exact step of each constant piece in scalar arithmetic,
-and for each smooth piece the cell matrices multiplied pairwise and the
-product applied once.  It takes a scalar or a 1-D batch of lambda (the
-argument-principle check evaluates its 16-point contour that way); a batch
-forms its cell products at once and steps every member like a lambda
-evaluated alone.  States at nodes (eigenfunctions, Sturm counts) come from
-the node walk for one lambda (_dense_states): inside a smooth piece a
-prefix scan of the cells and one partial Magnus step per node.  A Sturm
-count takes nodes inside smooth pieces only and counts the zeros on each
-constant piece in closed form (_sturm_count).
+its own walk (_break_states), which carries the state from break to break
+and nothing else: the exact step of each constant piece in scalar
+arithmetic, and for each smooth piece the cell matrices multiplied
+pairwise and the product applied once.  It takes a scalar or a 1-D batch
+of lambda (the argument-principle check evaluates its 16-point contour
+that way); a batch forms its cell products at once and steps every member
+like a lambda evaluated alone.  States at nodes (eigenfunctions, Sturm
+counts on smooth pieces) come from the node walk (_dense_states): inside a
+smooth piece a prefix scan of the cells and one partial Magnus step per
+node.  It too takes a scalar or a 1-D batch: a block of lambdas shares
+one walk with a leading member axis, and each member equals its lambda
+walked alone, bit for bit.  A Sturm count takes nodes inside smooth pieces
+only, reads the breaks of an all-constant potential from the
+characteristic's walk, and counts the zeros on each constant piece in
+closed form (_sturm_count).
 
 The walk never lets a numpy warning out: an overflowing state reaches the
 finiteness check at the end of its piece and raises IntegrationBlowupError.
@@ -73,6 +77,8 @@ _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 _WALK_COUNTS = 64               # Sturm counts one count walk may spend
+_WALK_CELLS = 2048              # smooth-piece cells times members of one
+                                # node walk
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -118,8 +124,9 @@ class SecularResult:
 def _cos_sinc(s, d):
     """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
 
-    s is the scalar sqrt(lam).  A float d (the end state of a piece) takes
-    scalar cmath arithmetic; an array d (the nodes inside a piece) numpy.
+    A float d (the end state of a piece) takes scalar cmath arithmetic with
+    the scalar sqrt(lam) s; an array d (the nodes inside a piece) numpy,
+    with s a scalar or a (members, 1) column.
     """
     if isinstance(d, float):
         z = s * d
@@ -129,21 +136,37 @@ def _cos_sinc(s, d):
     d = np.asarray(d, dtype=complex)
     z = s * d
     small = np.abs(z) < 1e-6
-    return np.cos(z), np.where(small, d * (1 - z * z / 6),
+    # a named factor: numpy would multiply a large temporary right operand
+    # in place with the operands swapped (temporary elision), which rounds
+    # complex products differently, and a member's bits must not depend
+    # on the size of its block
+    series = 1 - z * z / 6
+    return np.cos(z), np.where(small, d * series,
                                np.sin(np.where(small, 1.0, z)) / s)
 
 
-def _const_advance(y, const, lamc, s, d):
+def _const_mix(y, const, lamc):
+    """The start-state terms of the exact step on u == const, as scalars.
+
+    With A = [[c, 1], [-lam - c^2, -c]], A y = (c y1 + y2,
+    (-lam - c^2) y1 - c y2).  They are formed in CPython scalar arithmetic
+    even when a block of members shares the step: numpy's array products
+    of complex numbers can fuse multiply and add, and a member must equal
+    its lambda walked alone.
+    """
+    return const * y[0] + y[1], (-lamc - const * const) * y[0] - const * y[1]
+
+
+def _const_advance(y, mix, s, d):
     """Exact propagation over distance d in a piece where u == const.
 
     The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
-    so exp(A d) = cos(s d) I + (sin(s d)/s) A.  d is a float or an array;
-    lamc and s are the scalars lam and sqrt(lam).
+    so exp(A d) = cos(s d) I + (sin(s d)/s) A; mix is A y (_const_mix).
+    Scalar arithmetic for a float d; for an array d the (members, 1)
+    columns of y, mix and s = sqrt(lam) meet (members, nodes) arrays.
     """
     cd, sd = _cos_sinc(s, d)
-    y1 = cd * y[0] + sd * (const * y[0] + y[1])
-    y2 = sd * ((-lamc - const * const) * y[0] - const * y[1]) + cd * y[1]
-    return y1, y2
+    return cd * y[0] + sd * mix[0], sd * mix[1] + cd * y[1]
 
 
 def _matmul(a, b):
@@ -230,6 +253,12 @@ def _magnus_matrices(delta, gamma, h, lam):
     1-D batch (the middle axis of the result).
     """
     lam = np.asarray(lam, dtype=complex)[..., None]
+    if lam.ndim > 1:
+        # the cell data as rows of the member axis: numpy rounds a complex
+        # product differently where an operand of lower rank meets a
+        # one-element result
+        delta, gamma, h = (v[None] if np.ndim(v) else v
+                           for v in (delta, gamma, h))
     o10 = gamma - lam * h
     z2 = -(delta * delta + h * o10)
     z = np.sqrt(z2)
@@ -298,8 +327,12 @@ def _cell_norms(y0, slope, z):
     i_cc = (sinc[0].real + sinc[1].real) / 2
     i_ss = 2 * (wp * defect[0].real + wq * defect[1].real)
     i_cs = wp * k_sig + wq * k_dlt + 1j * wpq * (k_sig - k_dlt)
+    # a named conjugate: numpy would multiply a large temporary right
+    # operand in place with the operands swapped (temporary elision),
+    # which rounds complex products differently
+    cs = np.conj(slope)
     return (np.abs(y0) ** 2 * i_cc + np.abs(slope) ** 2 * i_ss
-            + 2 * (y0 * np.conj(slope) * i_cs).real)
+            + 2 * (y0 * cs * i_cs).real)
 
 
 def _prefix(mats: np.ndarray) -> np.ndarray:
@@ -329,18 +362,19 @@ def _blowup(x) -> IntegrationBlowupError:
                                   location=float(x))
 
 
-def _end_states(pe, lam, step_scale: float, init):
-    """y1(pi), y2(pi) and sqrt(lam); for a 1-D batch two lists and an array.
+def _break_states(pe, lam, step_scale: float, init):
+    """The characteristic's walk: member states at 0 and at every break.
 
-    The characteristic's walk over the pieces of pe, keeping the state at
-    the current break only.  A constant piece takes the exact step in
-    scalar arithmetic (_const_advance), member by member; a smooth piece
-    takes one product of its Magnus cells (_mesh, _magnus_matrices,
-    _chain), formed for the whole batch at once and applied member by
-    member (_apply).  A member of a batch is therefore the same lambda
-    evaluated alone, bit for bit.  A state that overflows raises
-    IntegrationBlowupError at the end of its piece, without a numpy
-    warning.
+    Returns (trail, roots): trail[j] lists the (y1, y2) of each member at
+    break j of pe, and roots their sqrt(lam); lam is a scalar (one member)
+    or a 1-D batch.  Only the state at the current break is carried.  A
+    constant piece takes the exact step in scalar arithmetic
+    (_const_advance), member by member; a smooth piece takes one product
+    of its Magnus cells (_mesh, _magnus_matrices, _chain), formed for the
+    whole batch at once and applied member by member (_apply).  A member
+    of a batch is therefore the same lambda evaluated alone, bit for bit.
+    A state that overflows raises IntegrationBlowupError at the end of its
+    piece, without a numpy warning.
     """
     batch = isinstance(lam, np.ndarray) and lam.ndim > 0
     lams = [complex(v) for v in lam.tolist()] if batch else [complex(lam)]
@@ -349,13 +383,14 @@ def _end_states(pe, lam, step_scale: float, init):
         ys = [(0j, s) for s in roots]
     else:
         ys = [(complex(init[0]), complex(init[1]))] * len(roots)
+    trail = [ys]
     breaks = pe.breaks
     for i, const in enumerate(pe._constant_heights):
         b = breaks[i + 1]
         if const is not None:
             d = b - breaks[i]
             try:
-                ys = [_const_advance(y, const, lc, s, d)
+                ys = [_const_advance(y, _const_mix(y, const, lc), s, d)
                       for y, lc, s in zip(ys, lams, roots)]
             except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
                 raise _blowup(b)
@@ -370,48 +405,90 @@ def _end_states(pe, lam, step_scale: float, init):
         for y1, y2 in ys:
             if not (cmath.isfinite(y1) and cmath.isfinite(y2)):
                 raise _blowup(b)
-    if batch:
-        return [y[0] for y in ys], [y[1] for y in ys], np.array(roots)
-    return ys[0][0], ys[0][1], roots[0]
+        trail.append(ys)
+    return trail, roots
+
+
+def _columns(pairs):
+    """Two (members, 1) complex columns from a list of scalar pairs."""
+    arr = np.array(pairs, dtype=complex)
+    return arr[:, :1], arr[:, 1:]
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
                   norm=False):
-    """(y1, y2) at every node of a sorted unique array in [0, pi], one lam.
+    """(y1, y2) at every node of a sorted unique array in [0, pi].
 
-    A constant piece propagates exactly (_const_advance).  A smooth piece
-    is cut into the cells of a uniform mesh, at most step_scale long, that
-    depends on neither lambda nor the nodes (_mesh); each cell propagates
-    by the exponential of its 4th-order Magnus exponent
-    (_magnus_matrices).  Where a piece holds no node before its end, its
-    cells are multiplied pairwise in one product (_chain); a node inside a
-    piece takes the state at the start of its cell (_prefix) and one
-    partial Magnus step over the rest.  numpy's overflow and invalid
-    warnings are off for the walk: a state that overflows is caught by the
-    finiteness check at the end of its piece (IntegrationBlowupError), and
-    an overflowing norm comes back non-finite for the caller to reject.
+    lam is a scalar or a 1-D batch, and the walk carries a leading member
+    axis: a batch gives (members, nodes) arrays, a scalar is a block of
+    one and gives 1-D rows.  A constant piece propagates exactly: the
+    state at its end by the scalar step of each member (_const_advance),
+    the nodes inside by the array step (_cos_sinc) with s as a column.  A
+    smooth piece is cut into the cells of a uniform mesh, at most
+    step_scale long, that depends on neither lambda nor the nodes (_mesh);
+    each cell propagates by the exponential of its 4th-order Magnus
+    exponent (_magnus_matrices).  Where a piece holds no node before its
+    end, its cells are multiplied pairwise in one product (_chain); a node
+    inside a piece takes the state at the start of its cell (_prefix) and
+    one partial Magnus step over the rest, whose lambda-free parts serve
+    every member.  The coefficients that mix a member's start state are
+    CPython scalars (_const_mix, the u-shear at a smooth piece's start)
+    and enter the array work as (members, 1) columns, so each member
+    equals its lambda walked alone, bit for bit, in any block.  A batch
+    walks in sub-blocks of at most _WALK_CELLS smooth-piece cells over all
+    its members: the prefix scan and the norm hold a few arrays of that
+    size, and a wider block saves no time.
 
-    With norm and nodes that end at pi, the result gains a third entry:
-    the integral of |y1|^2 over [0, pi], summed in closed form over the
-    cells of the walk (_cell_norms), each constant piece one cell.  Every
-    smooth piece then takes the prefix states of its cells, so the states
-    at the nodes do not depend on the other nodes.
+    numpy's overflow and invalid warnings are off for the walk.  A member
+    whose state overflows is caught by the finiteness check at the end of
+    its piece (IntegrationBlowupError), walks on from a zero state and
+    gets rows of zeros; a scalar raises that error at the end of the walk,
+    a batch returns it in a trailing list with None for the other
+    members.  An overflowing norm comes back non-finite for the caller to
+    reject.
+
+    With norm and nodes that end at pi, the result gains an entry before
+    that list: the integral of |y1|^2 over [0, pi], summed in closed form
+    over the cells of the walk (_cell_norms), each constant piece one
+    cell, one row per member.  Every smooth piece then takes the prefix
+    states of its cells, so the states at the nodes do not depend on the
+    other nodes.
     """
-    s = _require_regular(lam)
-    lamc = complex(lam)
+    batch = isinstance(lam, np.ndarray) and lam.ndim > 0
     pe = pot.piecewise
+    if batch:
+        cells = sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
+            pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
+        rows = max(1, _WALK_CELLS // cells) if cells else len(lam)
+        if rows < len(lam):
+            *arrays, errors = zip(*(
+                _dense_states(pot, lam[r:r + rows], nodes,
+                              step_scale=step_scale, init=init, norm=norm)
+                for r in range(0, len(lam), rows)))
+            return (*(np.concatenate(a) for a in arrays),
+                    [err for errs in errors for err in errs])
+    lams = lam.tolist() if batch else [lam]
+    roots = [_require_regular(v) for v in lams]
+    lamcs = [complex(v) for v in lams]
     nodes = np.asarray(nodes, dtype=float)
     if norm and nodes[-1] != PI:
         raise ValueError("norm takes a last node at pi")
+    members = len(lams)
+    s_col = np.array(roots, dtype=complex)[:, None]
+    lam_row = np.array(lamcs, dtype=complex)
+    errors = [None] * members
     cell_terms = []     # (y1 at the cell starts, slopes, z, lengths) per piece
     maxnode = float(nodes[-1])
-    y1 = np.empty(len(nodes), dtype=complex)
+    y1 = np.empty((members, len(nodes)), dtype=complex)
     y2 = np.empty_like(y1)
-    y = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
+    if init is None:
+        ys = [(0j, s) for s in roots]
+    else:
+        ys = [(complex(init[0]), complex(init[1]))] * members
     pos = 0
     while pos < len(nodes) and nodes[pos] <= 1e-15:
-        y1[pos], y2[pos] = y
+        y1[:, pos:pos + 1], y2[:, pos:pos + 1] = _columns(ys)
         pos += 1
     piece_ends = [min(b, maxnode) for b in pe.breaks[1:]]
     cuts = np.searchsorted(nodes, np.asarray(piece_ends) + 1e-15).tolist()
@@ -422,63 +499,85 @@ def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
         # nodes[pos:k] lie inside the piece, nodes[k:j1] on its end
         k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
         if const is not None:
-            try:
-                y_end = _const_advance(y, const, lamc, s, end - a)
-            except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
-                raise _blowup(end)
+            d = end - a
+            mix = [_const_mix(y, const, lc) for y, lc in zip(ys, lamcs)]
+            ends = []
+            for m, (y, mx, s) in enumerate(zip(ys, mix, roots)):
+                try:
+                    ends.append(_const_advance(y, mx, s, d))
+                except OverflowError:   # cmath past |Im(s d)| ~ 710
+                    errors[m] = errors[m] or _blowup(end)
+                    ends.append((0j, 0j))
             if norm:
-                d = end - a
-                cell_terms.append(([y[0]], [d * (const * y[0] + y[1])],
-                                   [s * d], [d]))
+                y0, slope = _columns([(y[0], d * mx[0])
+                                      for y, mx in zip(ys, mix)])
+                z = np.array([s * d for s in roots])[:, None]
+                cell_terms.append((y0, slope, z, [d]))
             if k > pos:
-                y1[pos:k], y2[pos:k] = _const_advance(y, const, lamc, s,
-                                                      nodes[pos:k] - a)
+                y1[:, pos:k], y2[:, pos:k] = _const_advance(
+                    _columns(ys), _columns(mix), s_col, nodes[None, pos:k] - a)
         else:
             # the cells carry the classical pair (y, y') = (y1, y2 + u y)
             h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
-            cells = _magnus_matrices(*parts, h, lamc)
-            yc = (y[0], y[1] + u_a * y[0])
+            cells = _magnus_matrices(*parts, h, lam_row)
+            ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
             if k == pos and end == b and not norm:
                 # only the end state is needed: one product of the cells
-                e1, e2 = _apply(_chain(cells), yc)
-                y_end = (e1, e2 - u_b * e1)
+                prod = _chain(cells)
+                ends = [_apply(prod[..., m], yc) for m, yc in enumerate(ycs)]
+                ends = [(e1, e2 - u_b * e1) for e1, e2 in ends]
             else:
                 if end < b:
                     k = j1      # the last node stops inside the piece
                 # classical states at the cell starts and the end, then
                 # one partial cell per node
                 (p00, p01), (p10, p11) = _prefix(cells)
-                c1 = np.concatenate(([yc[0]], p00 * yc[0] + p01 * yc[1]))
-                c2 = np.concatenate(([yc[1]], p10 * yc[0] + p11 * yc[1]))
+                yc1, yc2 = _columns(ycs)
+                c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
+                c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
                 if norm:
-                    delta, gamma = parts
-                    z = np.sqrt(-(delta * delta + h * (gamma - lamc * h)))
-                    cell_terms.append((c1[:-1], delta * c1[:-1] + h * c2[:-1],
-                                       z, np.full(len(z), h)))
+                    delta, gamma = (v[None] for v in parts)
+                    o10 = gamma - np.array([lc * h for lc in lamcs])[:, None]
+                    z = np.sqrt(-(delta * delta + h * o10))
+                    cell_terms.append((c1[:, :-1],
+                                       delta * c1[:, :-1] + h * c2[:, :-1],
+                                       z, np.full(delta.shape[1], h)))
                 x = nodes[pos:k] - a
-                cell = np.minimum(np.floor(x / h), len(p00) - 1)
+                cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
                 d = x - cell * h
                 part = _magnus_matrices(*_magnus_parts(q, i, cell * h, d), d,
-                                        lamc)
+                                        lam_row)
                 # named operands: numpy multiplies a large temporary in
                 # place (temporary elision), which rounds complex products
                 # differently, and a node's state must not depend on how
-                # many nodes there are
+                # many nodes or members there are
                 cell = cell.astype(np.int64)
-                g1, g2 = c1[cell], c2[cell]
-                y1[pos:k] = part[0, 0] * g1 + part[0, 1] * g2
-                y2[pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
-                             - pe._local(i, x) * y1[pos:k])
-                y_end = (c1[-1], c2[-1] - u_b * c1[-1])
-        y1[k:j1], y2[k:j1] = y_end
-        y = y_end
-        if not (cmath.isfinite(y[0]) and cmath.isfinite(y[1])):
-            raise _blowup(end)
+                g1, g2 = c1[:, cell], c2[:, cell]
+                y1[:, pos:k] = part[0, 0] * g1 + part[0, 1] * g2
+                y2[:, pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
+                                - pe._local(i, x)[None] * y1[:, pos:k])
+                ends = [(c1[m, -1], c2[m, -1] - u_b * c1[m, -1])
+                        for m in range(members)]
+        for m, (e1, e2) in enumerate(ends):
+            if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
+                errors[m] = errors[m] or _blowup(end)
+                ends[m] = (0j, 0j)
+        y1[:, k:j1], y2[:, k:j1] = _columns(ends)
+        ys = ends
         pos = j1
-    if not norm:
-        return y1, y2
-    y0, slope, z, length = (np.concatenate(c) for c in zip(*cell_terms))
-    return y1, y2, float(np.sum(length * _cell_norms(y0, slope, z)))
+    for m, err in enumerate(errors):
+        if err is not None:
+            y1[m] = y2[m] = 0   # no overflowing values reach the caller
+    out = (y1, y2)
+    if norm:
+        y0, slope, z, length = (np.concatenate(c, axis=-1)
+                                for c in zip(*cell_terms))
+        out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
+    if batch:
+        return out + (errors,)
+    if errors[0] is not None:
+        raise errors[0]
+    return out[0][0], out[1][0], *(float(v[0]) for v in out[2:])
 
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
@@ -490,15 +589,22 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
     evolution conjugated by the u-shear); smooth pieces by 4th-order
     Magnus cells at most step_scale long, on a mesh that does not depend
     on lambda or on the grid.  The grid [pi] alone (the characteristic)
-    takes the end-state walk of _end_states, and lam may then be a 1-D
-    batch: y1 and y2 have shape (1, batch).  Any other grid takes one
-    lambda and the node walk of _dense_states.
+    takes the last states of the break walk of _break_states, and lam may
+    then be a 1-D batch: y1 and y2 have shape (1, batch).  Any other grid
+    takes one lambda and the node walk of _dense_states.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.shape == (1,) and grid[0] == PI:
-        y1, y2, s = _end_states(pot.piecewise, lam, step_scale, init)
+        trail, roots = _break_states(pot.piecewise, lam, step_scale, init)
+        ys = trail[-1]
+        if isinstance(lam, np.ndarray) and lam.ndim > 0:
+            return QuasiTrajectory(x=grid.copy(),
+                                   y1=np.array([[y[0] for y in ys]]),
+                                   y2=np.array([[y[1] for y in ys]]),
+                                   sqrt_lambda=np.array(roots))
+        (y1, y2), = ys
         return QuasiTrajectory(x=grid.copy(), y1=np.array([y1]),
-                               y2=np.array([y2]), sqrt_lambda=s)
+                               y2=np.array([y2]), sqrt_lambda=roots[0])
     if np.ndim(lam):
         raise ValueError("a batch of lambda is integrated to pi only")
     s = _require_regular(lam)
@@ -520,9 +626,9 @@ def characteristic(pot: PotentialSpec, lam, *,
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
-    Neumann problem.  Only the end state is formed (_end_states): one
-    product of the Magnus cells of each smooth piece, the exact exponential
-    of each constant piece.  A 1-D batch of lam gives an array, in one
+    Neumann problem.  Only the states at the breaks are formed
+    (_break_states): one product of the Magnus cells of each smooth piece,
+    the exact exponential of each constant piece.  A 1-D batch of lam gives an array, in one
     call, whose members equal the same lambdas evaluated alone.
     """
     traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
@@ -594,48 +700,59 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
 
     Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0, to
     the breaks and, inside smooth pieces only, to a grid of about 16 nodes
-    per half-wave.  The Prufer angle theta of (y1, y') rises through every
-    multiple of pi; a state lies in the band [k pi, (k + 1) pi) of parity
-    "y1 < 0" (at a zero of y1, "y' < 0").  Inside a smooth piece a zero
-    lies where the parity flips between nodes.  On a constant piece the
-    count is closed form (piecewise-constant Prufer counting, Pryce 1993,
-    SLEDGE): for lam = s^2 > 0, y1 = R sin(s t + phi) with
-    phi = atan2(y1, y'/s) at the left end, so (a, b] holds
-    floor((s d + phi)/pi) - floor(phi/pi) zeros, each floor taken at the
-    parity of the computed state (_band) so that a zero on a break counts
-    once; for lam <= 0 it holds at most one, where the parity flips.  An
-    eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies below lam exactly once
-    more when the end angle is past it, that is when y1(pi) and y2(pi)
-    differ in sign (far below, their product overflows).
+    per half-wave.  On a potential without smooth pieces the nodes are the
+    breaks, and their states are those of the characteristic's walk
+    (_break_states); otherwise they come from the node walk.  The Prufer
+    angle theta of (y1, y') rises through every multiple of pi; a state
+    lies in the band [k pi, (k + 1) pi) of parity "y1 < 0" (at a zero of
+    y1, "y' < 0").  Inside a smooth piece a zero lies where the parity
+    flips between nodes.  On a constant piece the count is closed form
+    (piecewise-constant Prufer counting, Pryce 1993, SLEDGE): for
+    lam = s^2 > 0, y1 = R sin(s t + phi) with phi = atan2(y1, y'/s) at the
+    left end, so (a, b] holds floor((s d + phi)/pi) - floor(phi/pi) zeros,
+    each floor taken at the parity of the computed state (_band) so that a
+    zero on a break counts once; for lam <= 0 it holds at most one, where
+    the parity flips.  An eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies
+    below lam exactly once more when the end angle is past it, that is
+    when y1(pi) and y2(pi) differ in sign (far below, their product
+    overflows).
     """
     s = abs(principal_sqrt(lam))
     pe = pot.piecewise
-    breaks = np.asarray(pot.breaks, dtype=float)
     heights = pe._constant_heights
-    smooth = np.array([c is None for c in heights])
-    if smooth.any():
+    if any(c is None for c in heights):
+        breaks = np.asarray(pot.breaks, dtype=float)
+        smooth = np.array([c is None for c in heights])
         grid = np.linspace(0.0, PI, int(16 * (s + 2)) + 9)
         piece = np.minimum(np.searchsorted(breaks, grid, side="right") - 1,
                            len(heights) - 1)
         nodes = np.union1d(grid[smooth[piece]], breaks)
+        tr = integrate_quasi_system(pot, lam, nodes,
+                                    step_scale=_COUNT_STEP_SCALE,
+                                    init=(0.0, 1.0))
+        y1n, y2n = tr.y1.real, tr.y2.real
+        odd = np.where(y1n != 0, y1n < 0, y2n < 0)  # each node's band parity
+        flips = np.concatenate(([0], np.cumsum(odd[1:] != odd[:-1])))
+        at = np.searchsorted(nodes, breaks)
+        flips, y1, y2 = flips[at].tolist(), y1n[at].tolist(), y2n[at].tolist()
     else:
-        nodes = breaks      # sorted and unique: what the union would give
-    tr = integrate_quasi_system(pot, lam, nodes, step_scale=_COUNT_STEP_SCALE,
-                                init=(0.0, 1.0))
-    y1, y2 = tr.y1.real, tr.y2.real
-    odd = np.where(y1 != 0, y1 < 0, y2 < 0)     # parity of each node's band
-    flips = np.concatenate(([0], np.cumsum(odd[1:] != odd[:-1]))).tolist()
-    y1, y2, odd = y1.tolist(), y2.tolist(), odd.tolist()
-    at = np.searchsorted(nodes, breaks).tolist()
+        trail, _ = _break_states(pe, lam, _COUNT_STEP_SCALE, (0.0, 1.0))
+        y1 = [ys[0][0].real for ys in trail]
+        y2 = [ys[0][1].real for ys in trail]
+    # the parity at the breaks; a constant piece holds no node inside
+    odd = [v < 0 if v != 0 else w < 0 for v, w in zip(y1, y2)]
     zeros = 0
-    for c, ja, jb, a, b in zip(heights, at, at[1:], pot.breaks, pot.breaks[1:]):
-        if c is None or lam <= 0:
-            zeros += flips[jb] - flips[ja]
-            continue
-        phi = math.atan2(y1[ja], (y2[ja] + c.real * y1[ja]) / s)
-        zeros += _band(phi + s * (b - a), odd[jb]) - _band(phi, odd[ja])
+    for j, (c, a, b) in enumerate(zip(heights, pot.breaks, pot.breaks[1:])):
+        if c is None:
+            zeros += flips[j + 1] - flips[j]
+        elif lam <= 0:
+            zeros += odd[j + 1] != odd[j]
+        else:
+            phi = math.atan2(y1[j], (y2[j] + c.real * y1[j]) / s)
+            zeros += _band(phi + s * (b - a), odd[j + 1]) - _band(phi, odd[j])
     zeros -= int(y1[-1] == 0)       # a zero at pi is not interior
-    return zeros, zeros + int(np.sign(y1[-1]) * np.sign(y2[-1]) < 0)
+    # past the eigenvalue's end angle: y1(pi) and y2(pi) of opposite signs
+    return zeros, zeros + int(y1[-1] < 0 < y2[-1] or y2[-1] < 0 < y1[-1])
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
@@ -964,24 +1081,54 @@ def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
 # -- numeric eigenfunctions ---------------------------------------------------
 
 
-def _unit_trajectory(pot: PotentialSpec, lam, grid) -> np.ndarray:
+def _unit_trajectory(pot: PotentialSpec, lam, grid):
     """y1 at each grid point (any order, repeats allowed), unit L2 norm.
 
     The states are taken at the distinct grid points and pi only; the norm
     integrates |y1|^2 over [0, pi] in closed form cell by cell during the
-    same walk (_dense_states with norm).
+    same walk (_dense_states with norm).  A scalar lam gives one row and
+    raises a member's failure.  A 1-D batch gives (rows, errors): rows of
+    shape (members, grid points) in one walk, and per member None or the
+    exception its lambda alone would raise (a non-finite state or norm,
+    a zero norm); a failed member's row holds no values.  No numpy
+    warning escapes.
     """
     if grid.max() > PI:
         raise DomainError("eigenfunction grid reaches past pi")
     nodes, back = np.unique(np.append(grid, PI), return_inverse=True)
-    y1n, _, nrm2 = _dense_states(pot, lam, nodes,
-                                 step_scale=_DEFAULT_STEP_SCALE, norm=True)
-    if not math.isfinite(nrm2):
-        raise IntegrationBlowupError("|y1|^2 overflows on [0, pi]",
-                                     location=PI)
-    if not nrm2 > 0:
-        raise InternalError("zero-norm trajectory cannot be an eigenfunction")
-    return y1n[back[:-1]] / math.sqrt(nrm2)
+    y1n, _, nrm2, errors = _dense_states(
+        pot, np.atleast_1d(lam), nodes, step_scale=_DEFAULT_STEP_SCALE,
+        norm=True)
+    scale = []
+    for m, v in enumerate(nrm2.tolist()):
+        if errors[m] is None and not math.isfinite(v):
+            errors[m] = IntegrationBlowupError("|y1|^2 overflows on [0, pi]",
+                                               location=PI)
+        elif errors[m] is None and not v > 0:
+            errors[m] = InternalError(
+                "zero-norm trajectory cannot be an eigenfunction")
+        scale.append(1.0 if errors[m] else math.sqrt(v))
+    rows = np.take(y1n, back[:-1], axis=1) / np.array(scale)[:, None]
+    if np.ndim(lam):
+        return rows, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return rows[0]
+
+
+def _align(pot: PotentialSpec, ref: np.ndarray, vals: np.ndarray):
+    """vals times the unimodular phase of sum(ref conj(vals)).
+
+    On a real potential a phase within 1e-6 of the real axis snaps to its
+    sign.  A zero sum leaves vals as they are.
+    """
+    z = complex(np.sum(ref * np.conj(vals)))
+    if abs(z) > 0:
+        phase = z / abs(z)
+        if pot.is_real and abs(phase.imag) < 1e-6:
+            phase = math.copysign(1.0, phase.real)
+        vals = vals * phase
+    return vals
 
 
 def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
@@ -998,8 +1145,10 @@ def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
     states by the cell's local error, about 1e-10 of the norm at n = 200
     on the test suite's quadratic.  When the caller passes a table on the
     same grid as align_to, the sign (unimodular phase in the complex case)
-    is aligned to it and the result takes its index; this module never
-    builds such a table itself.
+    is aligned to it (_align) and the result takes its index; this module
+    never builds such a table itself.  This is the block of one of the
+    node walk; the validation sweep calls _unit_trajectory with a block of
+    solved roots and aligns row by row.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if align_to is not None and not np.array_equal(align_to.grid, grid):
@@ -1007,12 +1156,7 @@ def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
     vals = _unit_trajectory(pot, lam, grid)
     note = "unit L2 norm (closed form per cell)"
     if align_to is not None:
-        z = complex(np.sum(align_to.values * np.conj(vals)))
-        if abs(z) > 0:
-            phase = z / abs(z)
-            if pot.is_real and abs(phase.imag) < 1e-6:
-                phase = math.copysign(1.0, phase.real)
-            vals = vals * phase
+        vals = _align(pot, align_to.values, vals)
         note += f"; aligned to {align_to.kind} table"
     return asymptotics.EigenfunctionTable(
         index=align_to.index if align_to is not None else 0, grid=grid,

@@ -14,10 +14,11 @@ index failed.
 
 A sweep walks its indices in the blocks of the closed-form layer
 (asymptotics._blocks): per block one profile gives the predictions, one
-the gauges at the solved eigenvalues and one assembly the eigenfunction
-tables, while the roots and the numeric eigenfunctions are found index by
-index.  The biorthogonality check takes its tables from one assembly per
-block too.  No record depends on how the indices were blocked.
+the gauges at the solved eigenvalues, one assembly the eigenfunction
+tables and one node walk of the oracle the numeric eigenfunctions, while
+the roots are found index by index.  The biorthogonality check takes its
+tables from one assembly per block too.  No record depends on how the
+indices were blocked.
 """
 
 from __future__ import annotations
@@ -152,8 +153,10 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
 
     The predictions, the gauges at the solved lambda_n (at m^2 for an index
     without a root) and the eigenfunction brackets are one profile each
-    for the block; the solves and the numeric eigenfunctions run index by
-    index.
+    for the block, and the numeric eigenfunctions of its solved roots one
+    node walk (oracle._unit_trajectory with a batch), each row aligned and
+    compared as eigenfunction_numeric would; the solves run index by
+    index.  A root whose walk fails flags its own index only.
     """
     points = asymptotics._predictions(pot, ns)
     roots = {}
@@ -173,19 +176,20 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
         lam_prof = _CorrectionProfile(pot, list(roots.values()))
         gammas = {n: g.value for n, g in zip(roots, lam_prof.gauge(sup_grid))}
     sup_errs = dict.fromkeys(ns, 0.0)
-    if any(n in roots and n <= eigfun_up_to for n in ns):
+    want = [k for k, n in enumerate(ns) if n in roots and n <= eigfun_up_to]
+    if want:
         tables = asymptotics._tables(pot, ns, grid, "asymptotic")
-        for point, asym_tab in zip(points, tables):
-            n = point.n
-            if n not in roots or n > eigfun_up_to:
+        rows, errors = oracle._unit_trajectory(
+            pot, np.array([roots[ns[k]] for k in want]), grid)
+        for k, row, exc in zip(want, rows, errors):
+            if exc is not None:
+                if not isinstance(exc, INDEX_FAILURES):
+                    raise exc
+                flags[ns[k]] = points[k].flag = f"degraded: {exc}"
                 continue
-            try:
-                num_tab = oracle.eigenfunction_numeric(pot, roots[n], grid,
-                                                       align_to=asym_tab)
-            except INDEX_FAILURES as exc:
-                flags[n] = point.flag = f"degraded: {exc}"
-                continue
-            sup_errs[n] = asym_tab.sup_distance(num_tab)
+            ref = tables[k].values
+            num = oracle._align(pot, ref, row)
+            sup_errs[ns[k]] = float(np.abs(ref - num).max())
     rootless = [k for k, n in enumerate(ns) if n not in roots]
     if rootless:                    # no root: the gauge at m^2 stands in
         m2_gauges = asymptotics._m2_profile(pot, ns).gauge(sup_grid, rootless)

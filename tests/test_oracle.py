@@ -1,6 +1,7 @@
 """Oracle integrators, secular functions, root location, eigenfunctions."""
 
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -976,6 +977,31 @@ def test_closed_form_zero_count_matches_a_dense_count(name):
             pot, lam), lam
 
 
+@pytest.mark.parametrize("name", [k for k, (pot, _) in ZERO_COUNT_POTS.items()
+                                  if None not in pot.piecewise._constant_heights])
+def test_step_count_reads_the_characteristics_break_states(name, monkeypatch):
+    pot, floor = ZERO_COUNT_POTS[name]
+    b = pot.breaks[1]
+    lams = [floor, -0.3, 1e-10, 3.0, 412.9, 2e4, (PI / b) ** 2]
+    counts = [oracle._sturm_count(pot, lam) for lam in lams]
+    # the states of the characteristic's walk at the breaks are, bit for
+    # bit, those of the node walk with the breaks as nodes
+    for lam in lams:
+        trail, _ = oracle._break_states(pot.piecewise, lam,
+                                        oracle._COUNT_STEP_SCALE, (0.0, 1.0))
+        tr = integrate_quasi_system(pot, lam, pot.breaks,
+                                    step_scale=oracle._COUNT_STEP_SCALE,
+                                    init=(0.0, 1.0))
+        assert [ys[0] for ys in trail] == list(zip(tr.y1.tolist(),
+                                                   tr.y2.tolist())), lam
+
+    def no_node_walk(*args, **kwargs):
+        raise AssertionError("a count on a step took the node walk")
+
+    monkeypatch.setattr(oracle, "_dense_states", no_node_walk)
+    assert [oracle._sturm_count(pot, lam) for lam in lams] == counts
+
+
 def test_negative_second_eigenvalue_is_indexed():
     pts = solve_spectrum(TWO_BOUND_STEP, range(1, 4))
     assert [p.flag for p in pts] == ["", "", ""]
@@ -1259,3 +1285,172 @@ def test_node_states_independent_of_other_nodes(step_pot, poly_pot, trig_pot):
         vals = oracle._unit_trajectory(pot, lam, grid)
         assert np.array_equal(oracle._unit_trajectory(pot, lam, grid[idx]),
                               vals[idx])
+
+
+# -- the node walk by block ---------------------------------------------------
+
+# The closed-form norm of |y1|^2 at lam = 412.9 and 900 - 40j as float.hex,
+# on the nodes [pi] and on default_grid(513) alike: the bits the cell sums
+# give with numpy 2.4 on x86-64 (pairwise summation along the cells, each
+# constant piece one cell); a change in how the norm is summed shows here,
+# and a change in the rounding of the node states shows in STATE_PINS.
+NORM_PINS = {
+    "step": ("0x1.a045ae9e1e5d4p+0", "0x1.8c1b3221c5cb7p+3"),
+    "two-bound step": ("0x1.9afd0f1e220e4p+0", "0x1.97e116aa17ed5p+3"),
+    "poly": ("0x1.9083f568684edp+0", "0x1.8c0e44eec6034p+3"),
+    "real trig": ("0x1.9379bb9327adep+0", "0x1.8d3c36155ad7bp+3"),
+    "complex trig": ("0x1.9002642865a2ep+0", "0x1.91dedcc965780p+3"),
+    "complex step": ("0x1.97bb935171e65p+0", "0x1.93dd8df904aa8p+3"),
+}
+
+
+# The first 16 hex digits of the sha256 of y1 and y2 on default_grid(513)
+# at the same two lambdas, as raw bytes: every node state of the walk.
+STATE_PINS = {
+    "step": "02f6c5e9f3589620",
+    "two-bound step": "ea1767829b88a3d8",
+    "poly": "3fd3c8214c888af3",
+    "real trig": "8955d42ba18ccf6c",
+    "complex trig": "07d9ce341416ac75",
+    "complex step": "80facd1b94179fbe",
+}
+
+
+def _walk_pot(name, step_pot, poly_pot, trig_pot):
+    return {"step": step_pot, "two-bound step": TWO_BOUND_STEP,
+            "poly": poly_pot, "real trig": MISBRACKETED["trig"],
+            "complex trig": trig_pot, "complex step": COMPLEX_STEP}[name]
+
+
+def _bytes(a) -> bytes:
+    return np.ascontiguousarray(a).view(np.uint8).tobytes()
+
+
+def _node_sets(pot) -> dict:
+    return {
+        "grid": default_grid(513),
+        "stops before pi": np.linspace(0.0, 2.9, 400),
+        "node on a break": np.union1d(np.linspace(0.0, PI, 9), pot.breaks),
+        "one node inside a piece": np.array([1.7]),
+    }
+
+
+def _block_lambdas(seed: int) -> np.ndarray:
+    """32 lambdas: PIN_LAMBDAS, 13 real ones from -5 to 3000, 14 complex."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(1.0, 50.0, 14) + 1j * rng.uniform(-1.0, 1.0, 14)
+    return np.concatenate((PIN_LAMBDAS, rng.uniform(-5.0, 3000.0, 13),
+                           s * s)).astype(complex)
+
+
+@pytest.mark.parametrize("cells", [oracle._WALK_CELLS, 10 ** 6])
+@pytest.mark.parametrize("name", sorted(NORM_PINS))
+def test_batched_node_walk_keeps_each_members_bits(name, cells, step_pot,
+                                                   poly_pot, trig_pot,
+                                                   monkeypatch):
+    # the default budget splits a block of 32 on a smooth potential into
+    # sub-blocks of a few members; a wide budget walks all 32 at once
+    monkeypatch.setattr(oracle, "_WALK_CELLS", cells)
+    pot = _walk_pot(name, step_pot, poly_pot, trig_pot)
+    lams = _block_lambdas(len(name))
+    rng = np.random.default_rng(7)
+    for label, nodes in _node_sets(pot).items():
+        for norm in (False, True) if nodes[-1] == PI else (False,):
+            alone = [oracle._dense_states(pot, lam, nodes, step_scale=0.004,
+                                          norm=norm) for lam in lams.tolist()]
+            order = rng.permutation(len(lams))
+            # blocks of 1 and 3 from the shuffled order, and all 32 shuffled
+            blocks = [order[:1], order[1:2], order[2:5], order[5:8], order]
+            for block in blocks:
+                *got, errors = oracle._dense_states(
+                    pot, lams[block], nodes, step_scale=0.004, norm=norm)
+                assert errors == [None] * len(block)
+                for row, k in enumerate(block):
+                    for part, single in zip(got, alone[k]):
+                        assert _bytes(part[row]) == _bytes(single), (
+                            label, norm, len(block), k)
+
+
+@pytest.mark.parametrize("name", sorted(NORM_PINS))
+def test_node_walk_keeps_its_bits(name, step_pot, poly_pot, trig_pot):
+    pot = _walk_pot(name, step_pot, poly_pot, trig_pot)
+    digest = hashlib.sha256()
+    for lam, pin in zip((412.9, 900 - 40j), NORM_PINS[name]):
+        for nodes in (np.asarray([PI]), default_grid(513)):
+            nrm2 = oracle._dense_states(pot, lam, nodes, step_scale=0.004,
+                                        norm=True)[2]
+            assert nrm2.hex() == pin, lam
+        y1, y2 = oracle._dense_states(pot, lam, default_grid(513),
+                                      step_scale=0.004)
+        digest.update(_bytes(y1) + _bytes(y2))
+    assert digest.hexdigest()[:16] == STATE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(NORM_PINS))
+def test_batched_unit_trajectory_keeps_each_members_bits(name, step_pot,
+                                                         poly_pot, trig_pot):
+    pot = _walk_pot(name, step_pot, poly_pot, trig_pot)
+    lams = np.array([solve_eigenvalue(pot, n).lam for n in (3, 4, 9, 40)])
+    grid = default_grid(513)
+    # an unsorted grid with a repeated node maps back node by node too
+    shuffled = grid[np.append(np.random.default_rng(3).permutation(513), 5)]
+    for g in (grid, shuffled):
+        for block in ([2], [3, 0, 1], [1, 3, 2, 0, 0]):
+            rows, errors = oracle._unit_trajectory(pot, lams[block], g)
+            assert errors == [None] * len(block)
+            for row, k in zip(rows, block):
+                assert _bytes(row) == _bytes(
+                    oracle._unit_trajectory(pot, lams[k].item(), g))
+
+
+@pytest.mark.parametrize("name", ["free", "poly", "step"])
+def test_failing_member_keeps_its_failure_to_itself(name, free_pot, poly_pot,
+                                                    step_pot):
+    pot = {"free": free_pot, "poly": poly_pot, "step": step_pot}[name]
+    # (1 + 120j)^2: y1 stays finite but |y1|^2 overflows; (1 + 300j)^2 and
+    # (1 + 500j)^2: the state itself overflows (on the step, at pi/2)
+    good = [solve_eigenvalue(pot, n).lam for n in (1, 2, 3)]
+    bad = [(1 + 120j) ** 2, (1 + 300j) ** 2, (1 + 500j) ** 2]
+    lams = np.array([good[0], bad[0], good[1], bad[1], bad[2], good[2]])
+    grid = default_grid(513)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, errors = oracle._unit_trajectory(pot, lams, grid)
+        for row, err, lam in zip(rows, errors, lams.tolist()):
+            if lam in bad:
+                with pytest.raises(IntegrationBlowupError) as alone:
+                    oracle._unit_trajectory(pot, lam, grid)
+                assert type(err) is IntegrationBlowupError
+                assert str(err) == str(alone.value)
+                assert err.location == alone.value.location
+            else:
+                assert err is None
+                assert _bytes(row) == _bytes(
+                    oracle._unit_trajectory(pot, lam, grid))
+    assert str(errors[1]) == "|y1|^2 overflows on [0, pi]"
+    assert str(errors[3]).startswith("non-finite state at x = ")
+
+
+def test_sweep_flags_only_the_member_whose_walk_fails(step_pot, monkeypatch):
+    clean = validation.remainder_sweep(step_pot, 8, grid_size=129)
+    walk = oracle._dense_states
+
+    def one_member_overflows(pot, lam, nodes, **kw):
+        # the block's eigenfunction walk takes the roots of n = 1..8 in
+        # order; index 3's is replaced by a lambda whose state overflows
+        # at pi/2
+        assert lam.shape == (8,) and kw["norm"]
+        lam = lam.astype(complex)
+        lam[2] = (1 + 500j) ** 2
+        return walk(pot, lam, nodes, **kw)
+
+    monkeypatch.setattr(oracle, "_dense_states", one_member_overflows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = validation.remainder_sweep(step_pot, 8, grid_size=129)
+    assert rep.degraded == [3]
+    assert rep.records[2].flag == ("degraded: non-finite state at x = "
+                                   f"{PI / 2}")
+    for r, c in zip(rep.records, clean.records):
+        if r.n != 3:
+            assert r == c
