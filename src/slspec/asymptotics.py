@@ -243,6 +243,18 @@ class _BracketAssembly:
         return (self.func * self.func.conj()).integral().real
 
 
+def _table_bandwidth(pot: PotentialSpec, ns) -> float:
+    """A bound on |a + b*omega| over the atoms of the tables of ns.
+
+    With m the largest n - 1/2 and K the largest frequency of u's atoms:
+    the double moment of the cos bracket, u cos(2mt) times the
+    antiderivative of u sin(2mt), reaches 4m + 2K, and the kernels sin(mx)
+    and cos(mx) add m.  No other bracket term goes higher, and the
+    conjugated expansion has the same frequencies.
+    """
+    return 5 * (max(ns) - 0.5) + 2 * pot.piecewise.max_frequency()
+
+
 _NORMALIZATIONS = {
     "asymptotic": "unit L2 norm (closed-form integral)",
     "biorthogonal": "pairing with eigenfunction table equals one (closed form)",

@@ -10,7 +10,11 @@ asymptotic formulas exactly computable piece by piece.
 Antiderivatives of an atom are computed by the usual descending recursion in
 the polynomial degree when |nu| * h is large enough for it to be stable, and
 by a truncated power series in (i*nu) otherwise.  The crossover threshold
-grows with the degree so that neither branch loses more than a few ulps.
+grows with the degree, which keeps the recursion stable but lets the series
+run at large |nu| * h, where its terms grow like (|nu| h)^k / k! before they
+fall and cancel: an atom of degree 45 at |nu| * h = 23.4 (a product of two
+eigenfunction brackets on a smooth potential) loses 1.1e-8 on an integral
+of size 2.3e-2, a relative 5e-7.
 
 The index axis.  The asymptotic layer evaluates the same closed forms for
 many indices.  An object serves a block of K indices (its members) at
@@ -377,6 +381,11 @@ class PiecewiseExp:
                 out[:, mask] = _eval_block(pc, self.omega, self.width,
                                            flat[mask] - self.breaks[i])
         return self._output(out.reshape((self.width,) + x.shape))
+
+    def max_frequency(self) -> float:
+        """The largest |a + b*omega| over the atoms of every piece and member."""
+        return max((float(np.abs(_frequency(key, self.omega)).max())
+                    for pc in self.pieces for key, _ in pc), default=0.0)
 
     def take(self, members):
         """The block of the given members (positions along the member axis)."""

@@ -16,14 +16,22 @@ A sweep walks its indices in the blocks of the closed-form layer
 (asymptotics._blocks): per block one profile gives the predictions, one
 the gauges at the solved eigenvalues, one assembly the eigenfunction
 tables and one node walk of the oracle the numeric eigenfunctions, while
-the roots are found index by index.  The biorthogonality check takes its
-tables from one assembly per block too.  No record depends on how the
+the roots are found index by index.  No record depends on how the
 indices were blocked.
+
+The biorthogonality check pairs the asymptotic eigenfunction and
+biorthogonal tables on the nodes of a composite Gauss-Legendre rule, a
+few per radian of the pairing's highest frequency on cells inside each
+piece (about 1.5k nodes at n_max = 20), and at rounding level.  The
+tables come from one assembly per block and are normalized in closed
+form, so the exact diagonal is one and its deviation reads the
+quadrature's defect.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -49,7 +57,8 @@ _THRESHOLDS = {
     "doubling_decrease_factor": 1.5,
     "zero_floor": 1e-12,
 }
-_BIORTH_GRID = 16385            # Simpson nodes of the pairing matrix
+_GAUSS_POINTS = 20              # Gauss-Legendre nodes per cell of the pairing
+_CELL_PHASE = 8.0               # largest phase (rad) of the pairing per cell
 _BIORTH_TOL = 5e-3              # largest deviation from the identity that passes
 BIORTH_N_MAX = 20               # the pairing matrix grows quadratically in n_max
 
@@ -326,39 +335,72 @@ def _verdicts(records, sums, n_max, eigfun_up_to) -> dict:
     }
 
 
+@functools.cache
+def _gauss_rule() -> tuple:
+    """The _GAUSS_POINTS-point Gauss-Legendre nodes and weights on [0, 1].
+
+    Built on the first check of a process: numpy imports np.polynomial on
+    first use, which would otherwise cost every start.
+    """
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    return (x + 1) / 2, w / 2
+
+
+def _cells(h: float, freq: float) -> int:
+    """Cells of a piece of length h: each spans at most _CELL_PHASE of freq."""
+    return max(1, math.ceil(freq * h / _CELL_PHASE))
+
+
+def _pairing_rule(breaks, freq: float) -> tuple:
+    """Nodes and weights of the composite Gauss-Legendre rule on the breaks.
+
+    Every piece is cut into _cells(h, freq) equal cells with one Gauss rule
+    each; no node falls on a break, so an integrand analytic inside each
+    piece converges geometrically in the points per cell.
+    """
+    x, w = _gauss_rule()
+    nodes, weights = [], []
+    for a, b in zip(breaks, breaks[1:]):
+        cells = _cells(b - a, freq)
+        h = (b - a) / cells
+        nodes.append((a + h * np.arange(cells)[:, None] + h * x).ravel())
+        weights.append(np.tile(h * w, cells))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
                           n_min: int = 1) -> dict:
     """Pairing matrix (y_n, w_k) of the asymptotic tables by quadrature.
 
     The pairing is the Hermitian one, integral of y_n * conj(w_k) over
-    [0, pi], evaluated by composite Simpson on a shared uniform grid of
-    _BIORTH_GRID nodes, one weighted matrix-vector product per row; a real
-    potential's tables are built once and serve as both systems.  The
-    verdict passes when no entry deviates from the identity by more than
-    _BIORTH_TOL.  Quadratic cost limits n_max to BIORTH_N_MAX.
+    [0, pi].  Inside a piece the integrand is a sum of polynomial times
+    exponential atoms of frequency at most twice the tables' bandwidth
+    (asymptotics._table_bandwidth), so the composite Gauss-Legendre rule
+    of _pairing_rule reaches rounding level.  The tables are evaluated on
+    its nodes and the matrix is one weighted product; a real potential's
+    tables are built once and serve as both systems.  The tables are
+    normalized in closed form, so the exact diagonal is one and
+    max_diag_deviation reads the quadrature's defect.  The verdict passes
+    when no entry deviates from the identity by more than _BIORTH_TOL.
+    The matrix grows quadratically in n_max, which is limited to
+    BIORTH_N_MAX.
     """
     if n_max > BIORTH_N_MAX:
         raise ValueError("biorthogonality_check is quadratic; "
                          f"n_max <= {BIORTH_N_MAX}")
-    grid = asymptotics.default_grid(_BIORTH_GRID)
     ns = list(range(n_min, n_max + 1))
+    nodes, weights = _pairing_rule(
+        pot.breaks, 2 * asymptotics._table_bandwidth(pot, ns))
 
     def tables(kind):
-        values = asymptotics._table_values(pot, ns, grid, kind)
+        values = asymptotics._table_values(pot, ns, nodes, kind)
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("table contains non-finite values")
         return values
 
     ys = tables("asymptotic")
     ws = ys if pot.is_real else tables("biorthogonal")
-    # composite Simpson weights h/3 * [1, 4, 2, ..., 2, 4, 1]
-    weights = np.full(_BIORTH_GRID, 2.0)
-    weights[1::2] = 4.0
-    weights[[0, -1]] = 1.0
-    weights *= (grid[-1] - grid[0]) / (_BIORTH_GRID - 1) / 3
-    # row n: sum of y_n w conj(w_k) = conj(w_k . conj(y_n w)) for every k,
-    # one matrix-vector product without a conjugated copy of the tables
-    mat = np.array([np.conj(ws @ np.conj(y * weights)) for y in ys])
+    mat = (ys * weights) @ ws.conj().T
     dev = np.abs(mat - np.eye(len(ns)))
     max_offdiag = float((dev - np.diag(np.diag(dev))).max())
     max_diag = float(np.abs(np.diag(mat) - 1).max())

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from slspec import (PotentialSpec, SingularArgumentError, biorthogonal_asym,
-                    default_grid, eigenfunction_asym,
+from slspec import (PotentialSpec, SingularArgumentError, asymptotics,
+                    biorthogonal_asym, default_grid, eigenfunction_asym,
                     eigenvalue_asym, moments, normalization_factor,
                     prufer_modulus_asym, prufer_phase_asym, solve_eigenvalue,
                     eigenfunction_numeric, remainder_gauge)
@@ -212,6 +212,26 @@ def test_eigenfunction_brackets_match_numeric_construction(trig_pot):
     raw /= np.sqrt(np.trapezoid(np.abs(raw) ** 2, t))
     table = eigenfunction_asym(trig_pot, n, t)
     assert np.abs(table.values - raw).max() < 1e-5
+
+
+# complex modes up to sin(3t) on two pieces
+TRIG3 = PotentialSpec.trig([(0.0, 1.1, [1 + 1j, 0.5j, -0.3]),
+                            (1.1, PI, [0.2, -0.4j])])
+
+
+@pytest.mark.parametrize("name", ["free", "const", "step", "trig", "poly",
+                                  "trig3"])
+def test_table_bandwidth_bounds_the_atoms(all_pots, name):
+    # the pairing's cells are sized from this bound: it must hold for both
+    # expansions, and it is attained wherever u is not zero
+    pot = TRIG3 if name == "trig3" else all_pots[name]
+    for ns in [(1, 2, 3), tuple(range(1, 21)), tuple(range(5, 16))]:
+        bound = asymptotics._table_bandwidth(pot, ns)
+        for conjugated in (False, True):
+            asm = asymptotics._BracketAssembly(pot, ns, conjugated)
+            top = asm.func.max_frequency()
+            assert top <= bound
+            assert top == bound or name == "free"
 
 
 # -- normalization factor ----------------------------------------------------------

@@ -248,6 +248,19 @@ def test_plain_object_is_a_block_of_one(name):
     assert seen == {"nu = 0", "series", "recursion"}
 
 
+def test_max_frequency_reads_every_atom():
+    breaks = (0.0, 1.0, PI)
+    trig = moments.trig_global([[(3, 1.0, 0.0)], [(0, 2.0, 0.0), (1, 0.0, 1.0)]],
+                               breaks)
+    assert trig.max_frequency() == 3.0
+    assert moments.constant(2.0, breaks).max_frequency() == 0.0
+    sin_k, _ = moments.harmonic_kernels([1.5, 2.5 + 0.5j], 2, breaks)
+    assert sin_k.max_frequency() == pytest.approx(abs(2 * (2.5 + 0.5j)),
+                                                  rel=1e-15)
+    assert (sin_k * trig).max_frequency() == pytest.approx(
+        abs(3 + 2 * (2.5 + 0.5j)), rel=1e-15)
+
+
 def test_atom_format_stays_inside_moments():
     # the (nu, coeffs) atoms are private to the engine: no other library
     # module names a moments._* helper or reads PiecewiseExp.pieces

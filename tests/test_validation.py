@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from slspec import (NonconvergenceError, biorthogonality_check,
-                    phase_modulus_ratio_profile, remainder_gauge,
-                    remainder_sweep)
+from slspec import (NonconvergenceError, PotentialSpec, asymptotics,
+                    biorthogonality_check, phase_modulus_ratio_profile,
+                    remainder_gauge, remainder_sweep, validation)
 from slspec.validation import CSV_COLUMNS, REPORT_SCHEMA
 
 PI = math.pi
@@ -212,21 +212,93 @@ def test_biorthogonality_free_is_kronecker(free_pot):
     assert out["verdict"]
 
 
+# The seed-7 validate-smooth potential of the benchmark, as literals.  Its
+# break is not a node of a uniform grid, so a uniform rule loses its order
+# there: composite Simpson on 16385 nodes is off by 1.46e-9.
+SEED7_POLY = PotentialSpec.poly([
+    (0.0, 1.9533546081185296,
+     [0.2055351366199076, -0.13153790927596964, 0.10625250475800369]),
+    (1.9533546081185296, PI,
+     [0.14251366389676398, 0.004375522878521763, 0.1361493501628234])])
+
+
+def _matrix(out):
+    return np.asarray(out["matrix_re"]) + 1j * np.asarray(out["matrix_im"])
+
+
+def _pointwise_tables(pot, ns, kind):
+    """x -> the tables of ns at the point x, one value per index.
+
+    The assembly's closed-form brackets times the normalization
+    _table_values gives them, read off at two probe points: the reference
+    shares the tables with the check, not its quadrature.
+    """
+    asm = asymptotics._BracketAssembly(
+        pot, ns, conjugated=kind == "biorthogonal" and not pot.is_real)
+    probe = np.array([0.7, 2.3])
+    scale = asymptotics._table_values(pot, ns, probe, kind) / asm.values(probe)
+    assert np.abs(scale[:, 1] - scale[:, 0]).max() <= 1e-14 * np.abs(scale).max()
+    return lambda x: scale[:, 0] * asm.func.eval(x)
+
+
+def _quad_pairing(pot, ns):
+    """(y_n, w_k) for every n, k of ns by scipy's adaptive Gauss-Kronrod
+    quadrature of the whole matrix, piece by piece."""
+    from scipy.integrate import quad_vec
+
+    y = _pointwise_tables(pot, ns, "asymptotic")
+    w = _pointwise_tables(pot, ns, "biorthogonal")
+    return sum(quad_vec(lambda x: np.outer(y(x), np.conj(w(x))), a, b,
+                        epsabs=1e-15, epsrel=1e-15, norm="max", limit=2000)[0]
+               for a, b in zip(pot.breaks, pot.breaks[1:]))
+
+
 @pytest.mark.parametrize("name", ["poly", "trig"])
-def test_biorthogonality_matrix_is_simpson_pairing(all_pots, name):
-    from scipy.integrate import simpson
-
-    from slspec import biorthogonal_asym, default_grid, eigenfunction_asym
-
+def test_biorthogonality_matrix_is_the_pairing(all_pots, name, monkeypatch):
+    # the composite Gauss rule against scipy's quadrature, then against
+    # itself on twice as many cells
     pot = all_pots[name]
-    out = biorthogonality_check(pot, 6, n_min=2)
-    mat = np.asarray(out["matrix_re"]) + 1j * np.asarray(out["matrix_im"])
-    grid = default_grid(16385)
-    for i, n in enumerate(out["n_values"]):
-        y = eigenfunction_asym(pot, n, grid).values
-        for j, k in enumerate(out["n_values"]):
-            w = biorthogonal_asym(pot, k, grid).values
-            assert abs(mat[i, j] - simpson(y * np.conj(w), x=grid)) <= 1e-14
+    coarse = {n_min: _matrix(biorthogonality_check(pot, 6 if n_min == 2 else 20,
+                                                   n_min=n_min))
+              for n_min in (2, 1)}
+    assert (np.abs(coarse[2] - _quad_pairing(pot, tuple(range(2, 7)))).max()
+            <= 1e-12)
+    cells = validation._cells
+    monkeypatch.setattr(validation, "_cells", lambda h, f: 2 * cells(h, f))
+    for n_min, mat in coarse.items():
+        finer = _matrix(biorthogonality_check(pot, 6 if n_min == 2 else 20,
+                                              n_min=n_min))
+        assert np.abs(mat - finer).max() <= 1e-13
+
+
+def test_biorthogonality_off_grid_break_matches_quad():
+    out = biorthogonality_check(SEED7_POLY, 20)
+    ref = _quad_pairing(SEED7_POLY, tuple(range(1, 21)))
+    assert np.abs(_matrix(out) - ref).max() <= 1e-12
+    assert out["max_diag_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["step", "poly", "trig"])
+def test_biorthogonality_diagonal_reads_the_quadrature_defect(all_pots, name):
+    # the tables are normalized in closed form: the exact diagonal is one
+    for n_min, n_max in ((1, 20), (5, 15)):
+        out = biorthogonality_check(all_pots[name], n_max, n_min=n_min)
+        assert out["max_diag_deviation"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["free", "const", "step", "poly", "trig"])
+def test_biorthogonality_evaluates_few_nodes(all_pots, name, monkeypatch):
+    # a dense grid must not come back unnoticed
+    seen = []
+    table_values = asymptotics._table_values
+
+    def counting(pot, ns, grid, kind):
+        seen.append(len(grid))
+        return table_values(pot, ns, grid, kind)
+
+    monkeypatch.setattr(asymptotics, "_table_values", counting)
+    biorthogonality_check(all_pots[name], 20)
+    assert seen and max(seen) < 4096
 
 
 def test_biorthogonality_real_step(step_pot):
