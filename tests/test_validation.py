@@ -258,16 +258,14 @@ def test_biorthogonality_matrix_is_the_pairing(all_pots, name, monkeypatch):
     # the composite Gauss rule against scipy's quadrature, then against
     # itself on twice as many cells
     pot = all_pots[name]
-    coarse = {n_min: _matrix(biorthogonality_check(pot, 6 if n_min == 2 else 20,
-                                                   n_min=n_min))
-              for n_min in (2, 1)}
-    assert (np.abs(coarse[2] - _quad_pairing(pot, tuple(range(2, 7)))).max()
-            <= 1e-12)
+    coarse = {(lo, hi): _matrix(biorthogonality_check(pot, hi, n_min=lo))
+              for lo, hi in ((2, 6), (1, 20))}
+    ref = _quad_pairing(pot, tuple(range(2, 7)))
+    assert np.abs(coarse[2, 6] - ref).max() <= 1e-12
     cells = validation._cells
     monkeypatch.setattr(validation, "_cells", lambda h, f: 2 * cells(h, f))
-    for n_min, mat in coarse.items():
-        finer = _matrix(biorthogonality_check(pot, 6 if n_min == 2 else 20,
-                                              n_min=n_min))
+    for (lo, hi), mat in coarse.items():
+        finer = _matrix(biorthogonality_check(pot, hi, n_min=lo))
         assert np.abs(mat - finer).max() <= 1e-13
 
 
