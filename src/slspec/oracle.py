@@ -29,25 +29,29 @@ matrix, like the exact constant cell.  The commutator of two classical
 system matrices, (q1 - q2) diag(1, -1), holds no lambda, so the error of a
 cell does not grow with lambda; the commutator of the quasi-derivative
 matrices carries 2 lambda (a - b), and cells built from those lose accuracy
-as lambda grows.  The characteristic needs only the end state and takes
-its own walk (_break_states), which carries the state from break to break
-and nothing else: the exact step of each constant piece in scalar
-arithmetic, and for each smooth piece the cell matrices multiplied
-pairwise and the product applied once.  It takes a scalar or a 1-D batch
-of lambda (the argument-principle check evaluates its 16-point contour
-that way); a batch forms its cell products at once and steps every member
-like a lambda evaluated alone.  States at nodes (eigenfunctions, Sturm
-counts on smooth pieces) come from the node walk (_dense_states): inside a
-smooth piece a prefix scan of the cells and one partial Magnus step per
-node.  It too takes a scalar or a 1-D batch: a block of lambdas shares
-one walk with a leading member axis, and each member equals its lambda
-walked alone, bit for bit.  A Sturm count takes nodes inside smooth pieces
-only, reads the breaks of an all-constant potential from the
-characteristic's walk, and counts the zeros on each constant piece in
-closed form (_sturm_count).
+as lambda grows.
+
+Every reading comes from one walk over the pieces (_walk).  For each
+piece it advances every member once: the exact step of a constant piece
+in scalar arithmetic, and for a smooth piece one product of its cells or,
+where a reader needs states inside it, the prefix states of its cells.
+It applies the u-shear at a smooth piece's ends, turns an overflowing
+state into that member's IntegrationBlowupError and records the state at
+the break.  lambda is a scalar or a 1-D batch, and each member equals its
+lambda walked alone, bit for bit.  Thin readers take what they need:
+the characteristic, scalar or batch (the argument-principle check
+evaluates its 16-point contour as one), reads the end state and forms no
+node array (_end_value); node states (integrate_quasi_system, numeric
+eigenfunctions) take one array step inside a constant piece and one
+partial Magnus step inside a cell (_node_states); the norm of an
+eigenfunction sums closed-form integrals over the cells of the same walk;
+a Sturm count reads the break states, takes nodes inside smooth pieces
+only, and counts the zeros on each constant piece in closed form
+(_sturm_count).
 
 The walk never lets a numpy warning out: an overflowing state reaches the
-finiteness check at the end of its piece and raises IntegrationBlowupError.
+finiteness check at the end of its piece, and a reader raises the member's
+IntegrationBlowupError (a batch characteristic, the earliest break's).
 Deterministic meshes keep cross-method and step-halving comparisons exact;
 the test suite holds the fixed-step RK4 reference the cells are checked
 against.
@@ -78,7 +82,7 @@ _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 _WALK_COUNTS = 64               # Sturm counts one count walk may spend
 _WALK_CELLS = 2048              # smooth-piece cells times members of one
-                                # node walk
+                                # walk with prefix states or the norm
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -125,14 +129,18 @@ def _cos_sinc(s, d):
     """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
 
     A float d (the end state of a piece) takes scalar cmath arithmetic with
-    the scalar sqrt(lam) s; an array d (the nodes inside a piece) numpy,
-    with s a scalar or a (members, 1) column.
+    the scalar sqrt(lam) s, and NaNs where cmath overflows, for the walk's
+    finiteness check; an array d (the nodes inside a piece) numpy, with s
+    a scalar or a (members, 1) column.
     """
     if isinstance(d, float):
         z = s * d
         if abs(z) < 1e-6:
             return cmath.cos(z), d * (1 - z * z / 6)
-        return cmath.cos(z), cmath.sin(z) / s
+        try:
+            return cmath.cos(z), cmath.sin(z) / s
+        except OverflowError:   # past |Im(s d)| ~ 710
+            return cmath.nan, cmath.nan
     d = np.asarray(d, dtype=complex)
     z = s * d
     small = np.abs(z) < 1e-6
@@ -249,16 +257,16 @@ def _magnus_matrices(delta, gamma, h, lam):
     Omega^2 = -z^2 I with z^2 = -(delta^2 + h (gamma - lam h)), and
     exp(Omega) = cos(z) I + (sin(z)/z) Omega; both are even in z, so the
     branch of the square root does not matter, and an imaginary z (a
-    cell below its potential) gives cosh and sinh.  lam is a scalar or a
-    1-D batch (the middle axis of the result).
+    cell below its potential) gives cosh and sinh.  lam is a 1-D array of
+    members (the middle axis of the result).
     """
-    lam = np.asarray(lam, dtype=complex)[..., None]
-    if lam.ndim > 1:
-        # the cell data as rows of the member axis: numpy rounds a complex
-        # product differently where an operand of lower rank meets a
-        # one-element result
-        delta, gamma, h = (v[None] if np.ndim(v) else v
-                           for v in (delta, gamma, h))
+    lam = np.asarray(lam, dtype=complex)[:, None]
+    # the cell data as rows of the member axis: numpy rounds a complex
+    # product differently where an operand of lower rank meets a
+    # one-element result
+    delta, gamma = delta[None], gamma[None]
+    if isinstance(h, np.ndarray):       # a length per cell
+        h = h[None]
     o10 = gamma - lam * h
     z2 = -(delta * delta + h * o10)
     z = np.sqrt(z2)
@@ -362,51 +370,11 @@ def _blowup(x) -> IntegrationBlowupError:
                                   location=float(x))
 
 
-def _break_states(pe, lam, step_scale: float, init):
-    """The characteristic's walk: member states at 0 and at every break.
-
-    Returns (trail, roots): trail[j] lists the (y1, y2) of each member at
-    break j of pe, and roots their sqrt(lam); lam is a scalar (one member)
-    or a 1-D batch.  Only the state at the current break is carried.  A
-    constant piece takes the exact step in scalar arithmetic
-    (_const_advance), member by member; a smooth piece takes one product
-    of its Magnus cells (_mesh, _magnus_matrices, _chain), formed for the
-    whole batch at once and applied member by member (_apply).  A member
-    of a batch is therefore the same lambda evaluated alone, bit for bit.
-    A state that overflows raises IntegrationBlowupError at the end of its
-    piece, without a numpy warning.
-    """
-    batch = isinstance(lam, np.ndarray) and lam.ndim > 0
-    lams = [complex(v) for v in lam.tolist()] if batch else [complex(lam)]
-    roots = [_require_regular(v) for v in lams]
-    if init is None:
-        ys = [(0j, s) for s in roots]
-    else:
-        ys = [(complex(init[0]), complex(init[1]))] * len(roots)
-    trail = [ys]
-    breaks = pe.breaks
-    for i, const in enumerate(pe._constant_heights):
-        b = breaks[i + 1]
-        if const is not None:
-            d = b - breaks[i]
-            try:
-                ys = [_const_advance(y, _const_mix(y, const, lc), s, d)
-                      for y, lc, s in zip(ys, lams, roots)]
-            except OverflowError:   # cmath's cos and sin past |Im(s d)| ~ 710
-                raise _blowup(b)
-        else:
-            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                h, parts, _, u_a, u_b = _mesh(pe, i, step_scale)
-                p = _chain(_magnus_matrices(*parts, h, lam))
-            ends = [_apply(p[..., k] if batch else p, (y1, y2 + u_a * y1))
-                    for k, (y1, y2) in enumerate(ys)]
-            ys = [(e1, e2 - u_b * e1) for e1, e2 in ends]
-        for y1, y2 in ys:
-            if not (cmath.isfinite(y1) and cmath.isfinite(y2)):
-                raise _blowup(b)
-        trail.append(ys)
-    return trail, roots
+def _raise_first(errors) -> None:
+    """Raise the failure at the earliest break among the members, if any."""
+    if any(errors):
+        raise min((err for err in errors if err),
+                  key=lambda err: err.location)
 
 
 def _columns(pairs):
@@ -415,169 +383,177 @@ def _columns(pairs):
     return arr[:, :1], arr[:, 1:]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _dense_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
-                  norm=False):
-    """(y1, y2) at every node of a sorted unique array in [0, pi].
+def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
+    """The one walk over the pieces of pe; every reading comes from it.
 
-    lam is a scalar or a 1-D batch, and the walk carries a leading member
-    axis: a batch gives (members, nodes) arrays, a scalar is a block of
-    one and gives 1-D rows.  A constant piece propagates exactly: the
-    state at its end by the scalar step of each member (_const_advance),
-    the nodes inside by the array step (_cos_sinc) with s as a column.  A
-    smooth piece is cut into the cells of a uniform mesh, at most
-    step_scale long, that depends on neither lambda nor the nodes (_mesh);
-    each cell propagates by the exponential of its 4th-order Magnus
-    exponent (_magnus_matrices).  Where a piece holds no node before its
-    end, its cells are multiplied pairwise in one product (_chain); a node
-    inside a piece takes the state at the start of its cell (_prefix) and
-    one partial Magnus step over the rest, whose lambda-free parts serve
-    every member.  The coefficients that mix a member's start state are
-    CPython scalars (_const_mix, the u-shear at a smooth piece's start)
-    and enter the array work as (members, 1) columns, so each member
-    equals its lambda walked alone, bit for bit, in any block.  A batch
-    walks in sub-blocks of at most _WALK_CELLS smooth-piece cells over all
-    its members: the prefix scan and the norm hold a few arrays of that
-    size, and a wider block saves no time.
+    lam is a scalar (one member) or a 1-D batch, and each member starts
+    from (0, sqrt(lam)), or from init.  Each piece is walked once for all
+    members.  A constant piece takes the exact step in scalar arithmetic
+    (_const_mix, _const_advance).  A smooth piece is cut into the cells of
+    a uniform mesh, at most step_scale long, that depends on neither
+    lambda nor the nodes (_mesh); each cell propagates by the exponential
+    of its 4th-order Magnus exponent (_magnus_matrices), formed for the
+    whole batch at once, and the cells carry the classical pair, sheared
+    from and back to (y1, y2) at the ends of the piece.  Where the piece
+    holds no node and there is no norm, its cells are multiplied pairwise
+    in one product (_chain) applied member by member (_apply); otherwise
+    it takes the prefix states of its cells (_prefix), and a node inside
+    it one partial Magnus step over the rest of its cell, whose
+    lambda-free parts serve every member.  The coefficients that mix a
+    member's start state are CPython scalars and enter the array work as
+    (members, 1) columns, so each member equals its lambda walked alone,
+    bit for bit, in any block.
 
-    numpy's overflow and invalid warnings are off for the walk.  A member
-    whose state overflows is caught by the finiteness check at the end of
-    its piece (IntegrationBlowupError), walks on from a zero state and
-    gets rows of zeros; a scalar raises that error at the end of the walk,
-    a batch returns it in a trailing list with None for the other
-    members.  An overflowing norm comes back non-finite for the caller to
-    reject.
+    A member whose state at the end of a piece is not finite (an
+    overflow of cmath comes back as NaN, _cos_sinc) gets the
+    IntegrationBlowupError of that break and walks on from a zero state.
+    The states at the breaks are CPython complex numbers, so only the
+    array work can overflow in numpy, and its overflow and invalid
+    warnings are off.
 
-    With norm and nodes that end at pi, the result gains an entry before
-    that list: the integral of |y1|^2 over [0, pi], summed in closed form
-    over the cells of the walk (_cell_norms), each constant piece one
-    cell, one row per member.  Every smooth piece then takes the prefix
-    states of its cells, so the states at the nodes do not depend on the
-    other nodes.
+    Returns (trail, errors, out): trail[j] lists the members' (y1, y2) at
+    break j and errors their failures (None or the first error).  out is
+    empty without nodes; with nodes, a sorted array, it holds y1 and y2 at
+    the nodes as (members, nodes) arrays, a node on a break taking the
+    state of the trail and a node before 0 or past pi the state there.
+    With norm, out ends with the integral of |y1|^2 over [0, pi] per
+    member, summed in closed form over the cells of the walk
+    (_cell_norms), each constant piece one cell.
     """
-    batch = isinstance(lam, np.ndarray) and lam.ndim > 0
+    lams = ([complex(v) for v in lam.tolist()] if getattr(lam, "ndim", 0)
+            else [complex(lam)])
+    roots = [_require_regular(v) for v in lams]
+    members = len(lams)
+    if init is None:
+        ys = [(0j, s) for s in roots]
+    else:
+        ys = [(complex(init[0]), complex(init[1]))] * members
+    trail, errors, cell_terms = [ys], [None] * members, []
+    # nodes[left[j]:right[j]] lie on break j, nodes[right[i]:left[i + 1]]
+    # inside piece i
+    left = right = [0] * len(pe.breaks)
+    if nodes is not None:
+        left = np.searchsorted(nodes, pe.breaks).tolist()
+        right = np.searchsorted(nodes, pe.breaks, side="right").tolist()
+        left[0], right[-1] = 0, len(nodes)  # the ends take nodes beyond
+        y1 = np.empty((members, len(nodes)), dtype=complex)
+        y2 = np.empty_like(y1)
+        s_col = np.array(roots)[:, None]
+    for i, (a, b, const, lo, hi) in enumerate(zip(
+            pe.breaks, pe.breaks[1:], pe._constant_heights, right, left[1:])):
+        if const is not None:
+            d = b - a
+            mix, ends = [], []
+            for y, lc, s in zip(ys, lams, roots):
+                mix.append(_const_mix(y, const, lc))
+                ends.append(_const_advance(y, mix[-1], s, d))
+            if norm:
+                y0, slope = _columns([(y[0], d * mx[0])
+                                      for y, mx in zip(ys, mix)])
+                z = np.array([s * d for s in roots])[:, None]
+                cell_terms.append((y0, slope, z, [d]))
+            if hi > lo:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y1[:, lo:hi], y2[:, lo:hi] = _const_advance(
+                        _columns(ys), _columns(mix), s_col,
+                        nodes[None, lo:hi] - a)
+        else:   # the cells carry the classical pair (y, y') = (y1, y2 + u y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
+                lam_row = np.array(lams)
+                cells = _magnus_matrices(*parts, h, lam_row)
+                ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
+                if hi == lo and not norm:
+                    prod = _chain(cells)
+                    ends = [_apply(prod[..., m], yc)
+                            for m, yc in enumerate(ycs)]
+                else:
+                    # classical states at the cell starts and the end
+                    (p00, p01), (p10, p11) = _prefix(cells)
+                    yc1, yc2 = _columns(ycs)
+                    c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
+                    c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
+                    ends = list(zip(c1[:, -1].tolist(), c2[:, -1].tolist()))
+                    if norm:
+                        delta, gamma = (v[None] for v in parts)
+                        o10 = gamma - np.array([lc * h
+                                                for lc in lams])[:, None]
+                        z = np.sqrt(-(delta * delta + h * o10))
+                        cell_terms.append((c1[:, :-1],
+                                           delta * c1[:, :-1] + h * c2[:, :-1],
+                                           z, np.full(delta.shape[1], h)))
+                    if hi > lo:     # one partial cell per node
+                        x = nodes[lo:hi] - a
+                        cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
+                        d = x - cell * h
+                        part = _magnus_matrices(
+                            *_magnus_parts(q, i, cell * h, d), d, lam_row)
+                        # named operands: numpy multiplies a large temporary
+                        # in place (temporary elision), which rounds complex
+                        # products differently, and a node's state must not
+                        # depend on how many nodes or members there are
+                        cell = cell.astype(np.int64)
+                        g1, g2 = c1[:, cell], c2[:, cell]
+                        y1[:, lo:hi] = part[0, 0] * g1 + part[0, 1] * g2
+                        y2[:, lo:hi] = (part[1, 0] * g1 + part[1, 1] * g2
+                                        - pe._local(i, x)[None] * y1[:, lo:hi])
+                ends = [(e1, e2 - u_b * e1) for e1, e2 in ends]
+        for m, (e1, e2) in enumerate(ends):
+            if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
+                errors[m] = errors[m] or _blowup(b)
+                ends[m] = (0j, 0j)
+        ys = ends
+        trail.append(ys)
+    out = ()
+    if nodes is not None:
+        for j, ys in enumerate(trail):
+            if right[j] > left[j]:
+                y1[:, left[j]:right[j]], y2[:, left[j]:right[j]] = _columns(ys)
+        out = (y1, y2)
+    if norm:
+        y0, slope, z, length = (np.concatenate(c, axis=-1)
+                                for c in zip(*cell_terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
+    return trail, errors, out
+
+
+def _node_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
+                 norm=False):
+    """(y1, y2) at every node of a sorted array: the walk's node reader.
+
+    lam is a scalar or a 1-D batch, walked once with the nodes (_walk).
+    A batch gives (members, nodes) arrays and a trailing list of
+    per-member failures, None or the IntegrationBlowupError of its walk,
+    and a failed member's rows are zero; a scalar gives 1-D rows and
+    raises its failure.  With norm the result gains, before that list,
+    the integral of |y1|^2 over [0, pi] per member (a float for a
+    scalar), non-finite where it overflows, for the caller to reject.  A
+    batch walks in sub-blocks of at most _WALK_CELLS smooth-piece cells
+    over all its members.
+    """
     pe = pot.piecewise
+    batch = np.ndim(lam) > 0
     if batch:
         cells = sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
             pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
         rows = max(1, _WALK_CELLS // cells) if cells else len(lam)
         if rows < len(lam):
             *arrays, errors = zip(*(
-                _dense_states(pot, lam[r:r + rows], nodes,
-                              step_scale=step_scale, init=init, norm=norm)
+                _node_states(pot, lam[r:r + rows], nodes,
+                             step_scale=step_scale, init=init, norm=norm)
                 for r in range(0, len(lam), rows)))
             return (*(np.concatenate(a) for a in arrays),
                     [err for errs in errors for err in errs])
-    lams = lam.tolist() if batch else [lam]
-    roots = [_require_regular(v) for v in lams]
-    lamcs = [complex(v) for v in lams]
-    nodes = np.asarray(nodes, dtype=float)
-    if norm and nodes[-1] != PI:
-        raise ValueError("norm takes a last node at pi")
-    members = len(lams)
-    s_col = np.array(roots, dtype=complex)[:, None]
-    lam_row = np.array(lamcs, dtype=complex)
-    errors = [None] * members
-    cell_terms = []     # (y1 at the cell starts, slopes, z, lengths) per piece
-    maxnode = float(nodes[-1])
-    y1 = np.empty((members, len(nodes)), dtype=complex)
-    y2 = np.empty_like(y1)
-    if init is None:
-        ys = [(0j, s) for s in roots]
-    else:
-        ys = [(complex(init[0]), complex(init[1]))] * members
-    pos = 0
-    while pos < len(nodes) and nodes[pos] <= 1e-15:
-        y1[:, pos:pos + 1], y2[:, pos:pos + 1] = _columns(ys)
-        pos += 1
-    piece_ends = [min(b, maxnode) for b in pe.breaks[1:]]
-    cuts = np.searchsorted(nodes, np.asarray(piece_ends) + 1e-15).tolist()
-    for i, (a, b, end, j1, const) in enumerate(zip(
-            pe.breaks, pe.breaks[1:], piece_ends, cuts, pe._constant_heights)):
-        if pos >= len(nodes) or a >= maxnode - 1e-15:
-            break
-        # nodes[pos:k] lie inside the piece, nodes[k:j1] on its end
-        k = j1 - 1 if j1 > pos and nodes[j1 - 1] == end else j1
-        if const is not None:
-            d = end - a
-            mix = [_const_mix(y, const, lc) for y, lc in zip(ys, lamcs)]
-            ends = []
-            for m, (y, mx, s) in enumerate(zip(ys, mix, roots)):
-                try:
-                    ends.append(_const_advance(y, mx, s, d))
-                except OverflowError:   # cmath past |Im(s d)| ~ 710
-                    errors[m] = errors[m] or _blowup(end)
-                    ends.append((0j, 0j))
-            if norm:
-                y0, slope = _columns([(y[0], d * mx[0])
-                                      for y, mx in zip(ys, mix)])
-                z = np.array([s * d for s in roots])[:, None]
-                cell_terms.append((y0, slope, z, [d]))
-            if k > pos:
-                y1[:, pos:k], y2[:, pos:k] = _const_advance(
-                    _columns(ys), _columns(mix), s_col, nodes[None, pos:k] - a)
-        else:
-            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
-            h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
-            cells = _magnus_matrices(*parts, h, lam_row)
-            ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
-            if k == pos and end == b and not norm:
-                # only the end state is needed: one product of the cells
-                prod = _chain(cells)
-                ends = [_apply(prod[..., m], yc) for m, yc in enumerate(ycs)]
-                ends = [(e1, e2 - u_b * e1) for e1, e2 in ends]
-            else:
-                if end < b:
-                    k = j1      # the last node stops inside the piece
-                # classical states at the cell starts and the end, then
-                # one partial cell per node
-                (p00, p01), (p10, p11) = _prefix(cells)
-                yc1, yc2 = _columns(ycs)
-                c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
-                c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
-                if norm:
-                    delta, gamma = (v[None] for v in parts)
-                    o10 = gamma - np.array([lc * h for lc in lamcs])[:, None]
-                    z = np.sqrt(-(delta * delta + h * o10))
-                    cell_terms.append((c1[:, :-1],
-                                       delta * c1[:, :-1] + h * c2[:, :-1],
-                                       z, np.full(delta.shape[1], h)))
-                x = nodes[pos:k] - a
-                cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
-                d = x - cell * h
-                part = _magnus_matrices(*_magnus_parts(q, i, cell * h, d), d,
-                                        lam_row)
-                # named operands: numpy multiplies a large temporary in
-                # place (temporary elision), which rounds complex products
-                # differently, and a node's state must not depend on how
-                # many nodes or members there are
-                cell = cell.astype(np.int64)
-                g1, g2 = c1[:, cell], c2[:, cell]
-                y1[:, pos:k] = part[0, 0] * g1 + part[0, 1] * g2
-                y2[:, pos:k] = (part[1, 0] * g1 + part[1, 1] * g2
-                                - pe._local(i, x)[None] * y1[:, pos:k])
-                ends = [(c1[m, -1], c2[m, -1] - u_b * c1[m, -1])
-                        for m in range(members)]
-        for m, (e1, e2) in enumerate(ends):
-            if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
-                errors[m] = errors[m] or _blowup(end)
-                ends[m] = (0j, 0j)
-        y1[:, k:j1], y2[:, k:j1] = _columns(ends)
-        ys = ends
-        pos = j1
+    _, errors, (y1, y2, *nrm2) = _walk(pe, lam, step_scale, init, nodes,
+                                       norm)
     for m, err in enumerate(errors):
         if err is not None:
             y1[m] = y2[m] = 0   # no overflowing values reach the caller
-    out = (y1, y2)
-    if norm:
-        y0, slope, z, length = (np.concatenate(c, axis=-1)
-                                for c in zip(*cell_terms))
-        out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
     if batch:
-        return out + (errors,)
-    if errors[0] is not None:
-        raise errors[0]
-    return out[0][0], out[1][0], *(float(v[0]) for v in out[2:])
+        return y1, y2, *nrm2, errors
+    _raise_first(errors)
+    return y1[0], y2[0], *(float(v[0]) for v in nrm2)
 
 
 def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
@@ -585,40 +561,24 @@ def integrate_quasi_system(pot: PotentialSpec, lam, grid, *,
                            init=None) -> QuasiTrajectory:
     """Trajectory of (y1, y2) = (y, y' - u y) from (0, sqrt(lam)) at x = 0.
 
-    Constant pieces propagate with the exact matrix exponential (the free
-    evolution conjugated by the u-shear); smooth pieces by 4th-order
-    Magnus cells at most step_scale long, on a mesh that does not depend
-    on lambda or on the grid.  The grid [pi] alone (the characteristic)
-    takes the last states of the break walk of _break_states, and lam may
-    then be a 1-D batch: y1 and y2 have shape (1, batch).  Any other grid
-    takes one lambda and the node walk of _dense_states.
+    One lambda on a strictly increasing grid in [0, pi]; init replaces
+    the start state.  The states come from the node reader of the walk
+    (_node_states): constant pieces propagate with the exact matrix
+    exponential (the free evolution conjugated by the u-shear), smooth
+    pieces by 4th-order Magnus cells at most step_scale long, on a mesh
+    that depends on neither lambda nor the grid, and a node inside a cell
+    by one partial Magnus step.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.shape == (1,) and grid[0] == PI:
-        trail, roots = _break_states(pot.piecewise, lam, step_scale, init)
-        ys = trail[-1]
-        if isinstance(lam, np.ndarray) and lam.ndim > 0:
-            return QuasiTrajectory(x=grid.copy(),
-                                   y1=np.array([[y[0] for y in ys]]),
-                                   y2=np.array([[y[1] for y in ys]]),
-                                   sqrt_lambda=np.array(roots))
-        (y1, y2), = ys
-        return QuasiTrajectory(x=grid.copy(), y1=np.array([y1]),
-                               y2=np.array([y2]), sqrt_lambda=roots[0])
     if np.ndim(lam):
-        raise ValueError("a batch of lambda is integrated to pi only")
+        raise ValueError("integrate_quasi_system takes one lambda")
     s = _require_regular(lam)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if (grid[1:] <= grid[:-1]).any():
         raise ValueError("grid must be strictly increasing")
     if not (grid.size and grid[0] >= -1e-12 and grid[-1] <= PI + 1e-9):
         raise ValueError("grid must be a nonempty subset of [0, pi]")
-    c = int(grid.searchsorted(0.0))     # the initial state is a node too
-    nodes = grid if c < grid.size and grid[c] == 0.0 else np.concatenate(
-        (grid[:c], [0.0], grid[c:]))
-    y1n, y2n = _dense_states(pot, lam, nodes, step_scale=step_scale,
-                             init=init)
-    idx = np.searchsorted(nodes, grid)
-    return QuasiTrajectory(x=grid.copy(), y1=y1n[idx], y2=y2n[idx], sqrt_lambda=s)
+    y1, y2 = _node_states(pot, lam, grid, step_scale=step_scale, init=init)
+    return QuasiTrajectory(x=grid.copy(), y1=y1, y2=y2, sqrt_lambda=s)
 
 
 def characteristic(pot: PotentialSpec, lam, *,
@@ -626,14 +586,11 @@ def characteristic(pot: PotentialSpec, lam, *,
     """Delta(lam) = y2(pi) for the solution with (y1, y2)(0) = (0, sqrt(lam)).
 
     Zeros of Delta are exactly the eigenvalues of the Dirichlet/regularized
-    Neumann problem.  Only the states at the breaks are formed
-    (_break_states): one product of the Magnus cells of each smooth piece,
-    the exact exponential of each constant piece.  A 1-D batch of lam gives an array, in one
-    call, whose members equal the same lambdas evaluated alone.
+    Neumann problem.  It reads the end state of the walk (_end_value).  A
+    1-D batch of lam gives an array, in one call, whose members equal the
+    same lambdas evaluated alone.
     """
-    traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
-                                  step_scale=step_scale)
-    return _end_value(traj)
+    return _end_value(pot, lam, step_scale, None)
 
 
 def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE):
@@ -643,15 +600,21 @@ def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE):
     including lam <= 0, which makes it the right object for sign brackets.
     A 1-D batch of lam gives an array, in one call.
     """
-    traj = integrate_quasi_system(pot, lam, np.asarray([PI]),
-                                  step_scale=step_scale, init=(0.0, 1.0))
-    return _end_value(traj)
+    return _end_value(pot, lam, step_scale, (0.0, 1.0))
 
 
-def _end_value(traj: QuasiTrajectory):
-    """y2(pi) of a trajectory on [pi]: a complex, or an array over a batch."""
-    end = traj.y2[0]
-    return end if end.ndim else complex(end)
+def _end_value(pot: PotentialSpec, lam, step_scale, init):
+    """y2(pi) of the walk: a complex, or an array over a 1-D batch.
+
+    The walk takes no nodes: it forms the state at each break only, with
+    one product of the Magnus cells of each smooth piece, and a batch is
+    not split.  A batch raises the IntegrationBlowupError of the earliest
+    break where any member fails (_raise_first).
+    """
+    trail, errors, _ = _walk(pot.piecewise, lam, step_scale, init)
+    _raise_first(errors)
+    ends = [y2 for _, y2 in trail[-1]]
+    return np.array(ends) if getattr(lam, "ndim", 0) else complex(ends[0])
 
 
 def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:
@@ -698,15 +661,14 @@ def _band(theta: float, odd: bool) -> int:
 def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     """(interior zeros of y1, eigenvalues below lam) for real lam and u.
 
-    Integrates from (y1, y2)(0) = (0, 1), which stays real for lam < 0, to
-    the breaks and, inside smooth pieces only, to a grid of about 16 nodes
-    per half-wave.  On a potential without smooth pieces the nodes are the
-    breaks, and their states are those of the characteristic's walk
-    (_break_states); otherwise they come from the node walk.  The Prufer
-    angle theta of (y1, y') rises through every multiple of pi; a state
-    lies in the band [k pi, (k + 1) pi) of parity "y1 < 0" (at a zero of
-    y1, "y' < 0").  Inside a smooth piece a zero lies where the parity
-    flips between nodes.  On a constant piece the count is closed form
+    Reads the walk from (y1, y2)(0) = (0, 1), which stays real for
+    lam < 0, on the count mesh (_COUNT_STEP_SCALE): the states at the
+    breaks on every potential, and inside smooth pieces only, the states
+    at a grid of about 16 nodes per half-wave.  The Prufer angle theta of
+    (y1, y') rises through every multiple of pi; a state lies in the band
+    [k pi, (k + 1) pi) of parity "y1 < 0" (at a zero of y1, "y' < 0").
+    Inside a smooth piece a zero lies where the parity flips between
+    nodes.  On a constant piece the count is closed form
     (piecewise-constant Prufer counting, Pryce 1993, SLEDGE): for
     lam = s^2 > 0, y1 = R sin(s t + phi) with phi = atan2(y1, y'/s) at the
     left end, so (a, b] holds floor((s d + phi)/pi) - floor(phi/pi) zeros,
@@ -719,32 +681,30 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     """
     s = abs(principal_sqrt(lam))
     pe = pot.piecewise
-    heights = pe._constant_heights
-    if any(c is None for c in heights):
-        breaks = np.asarray(pot.breaks, dtype=float)
-        smooth = np.array([c is None for c in heights])
+    heights, breaks = pe._constant_heights, pe.breaks
+    nodes = None
+    if None in heights:     # the grid nodes strictly inside smooth pieces
         grid = np.linspace(0.0, PI, int(16 * (s + 2)) + 9)
-        piece = np.minimum(np.searchsorted(breaks, grid, side="right") - 1,
-                           len(heights) - 1)
-        nodes = np.union1d(grid[smooth[piece]], breaks)
-        tr = integrate_quasi_system(pot, lam, nodes,
-                                    step_scale=_COUNT_STEP_SCALE,
-                                    init=(0.0, 1.0))
-        y1n, y2n = tr.y1.real, tr.y2.real
-        odd = np.where(y1n != 0, y1n < 0, y2n < 0)  # each node's band parity
-        flips = np.concatenate(([0], np.cumsum(odd[1:] != odd[:-1])))
-        at = np.searchsorted(nodes, breaks)
-        flips, y1, y2 = flips[at].tolist(), y1n[at].tolist(), y2n[at].tolist()
-    else:
-        trail, _ = _break_states(pe, lam, _COUNT_STEP_SCALE, (0.0, 1.0))
-        y1 = [ys[0][0].real for ys in trail]
-        y2 = [ys[0][1].real for ys in trail]
-    # the parity at the breaks; a constant piece holds no node inside
+        piece = np.searchsorted(breaks, grid, side="right") - 1
+        smooth = np.array([c is None for c in heights] + [False])
+        nodes = grid[smooth[piece] & (grid > np.take(breaks, piece))]
+    trail, errors, states = _walk(pe, lam, _COUNT_STEP_SCALE, (0.0, 1.0),
+                                  nodes)
+    _raise_first(errors)
+    y1 = [ys[0][0].real for ys in trail]
+    y2 = [ys[0][1].real for ys in trail]
+    # the parity of each state's band
     odd = [v < 0 if v != 0 else w < 0 for v, w in zip(y1, y2)]
+    if nodes is not None:
+        y1n, y2n = (v[0].real for v in states)
+        odd_n = np.where(y1n != 0, y1n < 0, y2n < 0)
+        at = np.searchsorted(nodes, breaks).tolist()
     zeros = 0
-    for j, (c, a, b) in enumerate(zip(heights, pot.breaks, pot.breaks[1:])):
+    for j, (c, a, b) in enumerate(zip(heights, breaks, breaks[1:])):
         if c is None:
-            zeros += flips[j + 1] - flips[j]
+            seq = np.concatenate(([odd[j]], odd_n[at[j]:at[j + 1]],
+                                  [odd[j + 1]]))
+            zeros += int(np.count_nonzero(seq[1:] != seq[:-1]))
         elif lam <= 0:
             zeros += odd[j + 1] != odd[j]
         else:
@@ -1084,9 +1044,9 @@ def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
 def _unit_trajectory(pot: PotentialSpec, lam, grid):
     """y1 at each grid point (any order, repeats allowed), unit L2 norm.
 
-    The states are taken at the distinct grid points and pi only; the norm
+    The states are taken at the distinct grid points only; the norm
     integrates |y1|^2 over [0, pi] in closed form cell by cell during the
-    same walk (_dense_states with norm).  A scalar lam gives one row and
+    same walk (_node_states with norm).  A scalar lam gives one row and
     raises a member's failure.  A 1-D batch gives (rows, errors): rows of
     shape (members, grid points) in one walk, and per member None or the
     exception its lambda alone would raise (a non-finite state or norm,
@@ -1095,8 +1055,8 @@ def _unit_trajectory(pot: PotentialSpec, lam, grid):
     """
     if grid.max() > PI:
         raise DomainError("eigenfunction grid reaches past pi")
-    nodes, back = np.unique(np.append(grid, PI), return_inverse=True)
-    y1n, _, nrm2, errors = _dense_states(
+    nodes, back = np.unique(grid, return_inverse=True)
+    y1, _, nrm2, errors = _node_states(
         pot, np.atleast_1d(lam), nodes, step_scale=_DEFAULT_STEP_SCALE,
         norm=True)
     scale = []
@@ -1108,7 +1068,7 @@ def _unit_trajectory(pot: PotentialSpec, lam, grid):
             errors[m] = InternalError(
                 "zero-norm trajectory cannot be an eigenfunction")
         scale.append(1.0 if errors[m] else math.sqrt(v))
-    rows = np.take(y1n, back[:-1], axis=1) / np.array(scale)[:, None]
+    rows = np.take(y1, back, axis=1) / np.array(scale)[:, None]
     if np.ndim(lam):
         return rows, errors
     if errors[0] is not None:
@@ -1146,9 +1106,9 @@ def eigenfunction_numeric(pot: PotentialSpec, lam, grid, *,
     on the test suite's quadratic.  When the caller passes a table on the
     same grid as align_to, the sign (unimodular phase in the complex case)
     is aligned to it (_align) and the result takes its index; this module
-    never builds such a table itself.  This is the block of one of the
-    node walk; the validation sweep calls _unit_trajectory with a block of
-    solved roots and aligns row by row.
+    never builds such a table itself.  This is a block of one of the
+    walk's node reader; the validation sweep calls _unit_trajectory with a
+    block of solved roots and aligns row by row.
     """
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if align_to is not None and not np.array_equal(align_to.grid, grid):

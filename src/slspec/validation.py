@@ -15,7 +15,7 @@ index failed.
 A sweep walks its indices in the blocks of the closed-form layer
 (asymptotics._blocks): per block one profile gives the predictions, one
 the gauges at the solved eigenvalues, one assembly the eigenfunction
-tables and one node walk of the oracle the numeric eigenfunctions, while
+tables and one walk of the oracle the numeric eigenfunctions, while
 the roots are found index by index.  No record depends on how the
 indices were blocked.
 
@@ -163,7 +163,7 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
     The predictions, the gauges at the solved lambda_n (at m^2 for an index
     without a root) and the eigenfunction brackets are one profile each
     for the block, and the numeric eigenfunctions of its solved roots one
-    node walk (oracle._unit_trajectory with a batch), each row aligned and
+    oracle walk (oracle._unit_trajectory with a batch), each row aligned and
     compared as eigenfunction_numeric would; the solves run index by
     index.  A root whose walk fails flags its own index only.
     """

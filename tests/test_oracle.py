@@ -977,29 +977,48 @@ def test_closed_form_zero_count_matches_a_dense_count(name):
             pot, lam), lam
 
 
-@pytest.mark.parametrize("name", [k for k, (pot, _) in ZERO_COUNT_POTS.items()
-                                  if None not in pot.piecewise._constant_heights])
-def test_step_count_reads_the_characteristics_break_states(name, monkeypatch):
-    pot, floor = ZERO_COUNT_POTS[name]
+@pytest.mark.parametrize("name", list(ZERO_COUNT_POTS) + ["poly", "trig"])
+def test_step_count_reads_the_characteristics_break_states(name, poly_pot,
+                                                           trig_pot,
+                                                           monkeypatch):
+    pot, floor = ZERO_COUNT_POTS.get(name) or (
+        {"poly": poly_pot, "trig": trig_pot}[name], -30.0)
     b = pot.breaks[1]
     lams = [floor, -0.3, 1e-10, 3.0, 412.9, 2e4, (PI / b) ** 2]
-    counts = [oracle._sturm_count(pot, lam) for lam in lams]
     # the states of the characteristic's walk at the breaks are, bit for
-    # bit, those of the node walk with the breaks as nodes
+    # bit, those of the node reader with the breaks as nodes
     for lam in lams:
-        trail, _ = oracle._break_states(pot.piecewise, lam,
-                                        oracle._COUNT_STEP_SCALE, (0.0, 1.0))
+        trail, _, _ = oracle._walk(pot.piecewise, lam,
+                                   oracle._COUNT_STEP_SCALE, (0.0, 1.0))
         tr = integrate_quasi_system(pot, lam, pot.breaks,
                                     step_scale=oracle._COUNT_STEP_SCALE,
                                     init=(0.0, 1.0))
         assert [ys[0] for ys in trail] == list(zip(tr.y1.tolist(),
                                                    tr.y2.tolist())), lam
+        assert _char_reduced(pot, lam, step_scale=oracle._COUNT_STEP_SCALE
+                             ) == trail[-1][0][1], lam
+    if not pot.is_real:
+        return
+    counts = [oracle._sturm_count(pot, lam) for lam in lams]
+    asked = []
+    walk = oracle._walk
 
-    def no_node_walk(*args, **kwargs):
-        raise AssertionError("a count on a step took the node walk")
+    def recorded(pe, lam, step_scale, init=None, nodes=None, norm=False):
+        asked.append(nodes)
+        return walk(pe, lam, step_scale, init, nodes, norm)
 
-    monkeypatch.setattr(oracle, "_dense_states", no_node_walk)
+    # a count asks for nodes strictly inside smooth pieces only: on a step,
+    # for no node at all
+    monkeypatch.setattr(oracle, "_walk", recorded)
     assert [oracle._sturm_count(pot, lam) for lam in lams] == counts
+    spans = [(a, b) for a, b, c in zip(pot.breaks, pot.breaks[1:],
+                                       pot.piecewise._constant_heights)
+             if c is None]
+    assert len(asked) == len(lams)
+    for nodes in asked:
+        assert (nodes is None) == (not spans)
+        for x in [] if nodes is None else nodes.tolist():
+            assert any(a < x < b for a, b in spans), x
 
 
 def test_negative_second_eigenvalue_is_indexed():
@@ -1122,6 +1141,53 @@ def test_constant_too_strong_for_the_exact_step_flags_its_bound_state(c):
     assert exc.value.location == PI
 
 
+MIXED_POLY = ZERO_COUNT_POTS["mixed poly"][0]
+
+
+@pytest.mark.parametrize("name", ["step", "mixed poly", "poly"])
+def test_batch_raises_the_failure_at_the_earliest_break(name, step_pot,
+                                                        poly_pot):
+    # alone, "late" fails at a later break than "early"; a batch raises the
+    # error of the earliest break where any member fails, in any order,
+    # and lets no numpy warning out
+    pot = {"step": step_pot, "mixed poly": MIXED_POLY, "poly": poly_pot}[name]
+    good, early = 4.0, -1e6
+    late = (1 + 300j) ** 2 if name == "step" else (1 + 500j) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (characteristic, _char_reduced):
+            where = {}
+            for lam in (late, early):
+                with pytest.raises(IntegrationBlowupError) as exc:
+                    f(pot, lam)
+                where[lam] = exc.value.location
+            assert where[early] < where[late]
+            for batch in ([good, late, early], [early, good, late],
+                          [late, good], [good, late, early, late]):
+                with pytest.raises(IntegrationBlowupError) as exc:
+                    f(pot, np.array(batch))
+                x = min(where[lam] for lam in batch if lam != good)
+                assert exc.value.location == x
+                assert str(exc.value) == f"non-finite state at x = {x}"
+    if name == "mixed poly":
+        with pytest.raises(IntegrationBlowupError,
+                           match=r"non-finite state at x = 1\.1$"):
+            _char_reduced(pot, np.array([4, (1 + 500j) ** 2, -1e6]))
+
+
+def test_state_grown_on_a_smooth_piece_overflows_quietly():
+    # at lam = -1e5 the state leaves the smooth piece (1.1, 2.2) finite
+    # near 1e302 and overflows on the constant piece after it; with nodes
+    # inside the smooth piece its end state comes from the prefix scan
+    grid = np.linspace(0.0, PI, 65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lam in (-9e4, -1e5):
+            with pytest.raises(IntegrationBlowupError) as exc:
+                integrate_quasi_system(MIXED_POLY, lam, grid)
+            assert exc.value.location == PI
+
+
 def test_exact_step_overflow_is_a_blowup_error():
     # cmath.cos(sqrt(-1e5) pi) overflows: a SpectralError, not OverflowError
     with pytest.raises(IntegrationBlowupError) as exc:
@@ -1193,9 +1259,9 @@ def test_numeric_alignment_to_asymptotic_table(step_pot):
 
 
 def _closed_form_norm(pot, lam):
-    return oracle._dense_states(pot, lam, np.asarray([PI]),
-                                step_scale=oracle._DEFAULT_STEP_SCALE,
-                                norm=True)[2]
+    return oracle._node_states(pot, lam, np.asarray([PI]),
+                               step_scale=oracle._DEFAULT_STEP_SCALE,
+                               norm=True)[2]
 
 
 def _piecewise_simpson_norm(pot, lam, intervals=2 ** 17):
@@ -1248,6 +1314,18 @@ def test_closed_form_norm_small_and_large_cells(poly_pot):
     assert abs(got - ref) <= 1e-9 * ref
 
 
+def test_trajectory_nodes_just_outside_take_the_end_states(step_pot,
+                                                           poly_pot):
+    # a trajectory grid may start 1e-12 below 0 and end 1e-9 past pi; those
+    # nodes take the states at 0 and at pi
+    for pot in (step_pot, poly_pot):
+        inner = integrate_quasi_system(pot, 4.0, np.array([0.0, 1.0, PI]))
+        outer = integrate_quasi_system(pot, 4.0,
+                                       np.array([-1e-13, 1.0, PI + 5e-10]))
+        assert _bytes(outer.y1) == _bytes(inner.y1)
+        assert _bytes(outer.y2) == _bytes(inner.y2)
+
+
 def test_numeric_grid_past_pi_rejected(step_pot):
     # a table takes a last node within 1e-9 of pi; the trajectory stops at pi
     grid = default_grid(65)
@@ -1273,10 +1351,10 @@ def test_node_states_independent_of_other_nodes(step_pot, poly_pot, trig_pot):
     for pot, n in ((step_pot, 7), (poly_pot, 5), (trig_pot, 4), (cstep, 6)):
         lam = solve_eigenvalue(pot, n).lam
         for norm in (False, True):
-            few = oracle._dense_states(pot, lam, grid, step_scale=0.004,
+            few = oracle._node_states(pot, lam, grid, step_scale=0.004,
+                                      norm=norm)
+            many = oracle._node_states(pot, lam, nodes, step_scale=0.004,
                                        norm=norm)
-            many = oracle._dense_states(pot, lam, nodes, step_scale=0.004,
-                                        norm=norm)
             assert np.array_equal(few[0], many[0][at]), (n, norm)
             assert np.array_equal(few[1], many[1][at]), (n, norm)
         # an unsorted grid with a repeated node maps back node by node
@@ -1356,13 +1434,13 @@ def test_batched_node_walk_keeps_each_members_bits(name, cells, step_pot,
     rng = np.random.default_rng(7)
     for label, nodes in _node_sets(pot).items():
         for norm in (False, True) if nodes[-1] == PI else (False,):
-            alone = [oracle._dense_states(pot, lam, nodes, step_scale=0.004,
-                                          norm=norm) for lam in lams.tolist()]
+            alone = [oracle._node_states(pot, lam, nodes, step_scale=0.004,
+                                         norm=norm) for lam in lams.tolist()]
             order = rng.permutation(len(lams))
             # blocks of 1 and 3 from the shuffled order, and all 32 shuffled
             blocks = [order[:1], order[1:2], order[2:5], order[5:8], order]
             for block in blocks:
-                *got, errors = oracle._dense_states(
+                *got, errors = oracle._node_states(
                     pot, lams[block], nodes, step_scale=0.004, norm=norm)
                 assert errors == [None] * len(block)
                 for row, k in enumerate(block):
@@ -1377,11 +1455,11 @@ def test_node_walk_keeps_its_bits(name, step_pot, poly_pot, trig_pot):
     digest = hashlib.sha256()
     for lam, pin in zip((412.9, 900 - 40j), NORM_PINS[name]):
         for nodes in (np.asarray([PI]), default_grid(513)):
-            nrm2 = oracle._dense_states(pot, lam, nodes, step_scale=0.004,
-                                        norm=True)[2]
+            nrm2 = oracle._node_states(pot, lam, nodes, step_scale=0.004,
+                                       norm=True)[2]
             assert nrm2.hex() == pin, lam
-        y1, y2 = oracle._dense_states(pot, lam, default_grid(513),
-                                      step_scale=0.004)
+        y1, y2 = oracle._node_states(pot, lam, default_grid(513),
+                                     step_scale=0.004)
         digest.update(_bytes(y1) + _bytes(y2))
     assert digest.hexdigest()[:16] == STATE_PINS[name]
 
@@ -1433,7 +1511,7 @@ def test_failing_member_keeps_its_failure_to_itself(name, free_pot, poly_pot,
 
 def test_sweep_flags_only_the_member_whose_walk_fails(step_pot, monkeypatch):
     clean = validation.remainder_sweep(step_pot, 8, grid_size=129)
-    walk = oracle._dense_states
+    walk = oracle._node_states
 
     def one_member_overflows(pot, lam, nodes, **kw):
         # the block's eigenfunction walk takes the roots of n = 1..8 in
@@ -1444,7 +1522,7 @@ def test_sweep_flags_only_the_member_whose_walk_fails(step_pot, monkeypatch):
         lam[2] = (1 + 500j) ** 2
         return walk(pot, lam, nodes, **kw)
 
-    monkeypatch.setattr(oracle, "_dense_states", one_member_overflows)
+    monkeypatch.setattr(oracle, "_node_states", one_member_overflows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = validation.remainder_sweep(step_pot, 8, grid_size=129)
