@@ -261,34 +261,58 @@ _NORMALIZATIONS = {
 }
 
 
-def _table_values(pot: PotentialSpec, ns, grid, kind: str) -> np.ndarray:
+def _normalized(pot: PotentialSpec, block: tuple, kind: str,
+                store: dict | None) -> tuple:
+    """(assembly, scale) of one block: its tables are the rows of
+    assembly.values(grid) / scale[:, None], on any grid.
+
+    The scale is the closed-form norm of the eigenfunction ("asymptotic")
+    expansion, or for a complex potential's "biorthogonal" partners the
+    conjugated closed-form pairing with the normalized eigenfunctions; a
+    real potential's partners are its eigenfunctions, one assembly for
+    both.  store, a dict that one caller keeps for one potential, holds
+    each pair it builds under (kind, block), so that tables of the same
+    block on another grid reuse the assembly and its norm; None keeps
+    nothing.
+    """
+    store = {} if store is None else store
+    key = ("asymptotic" if pot.is_real else kind, block)
+    if key not in store:
+        if key[0] == "asymptotic":
+            asm_y = _BracketAssembly(pot, block, conjugated=False)
+            store[key] = asm_y, np.sqrt(asm_y.norm_sq())
+        else:
+            asm_y, nrm_y = _normalized(pot, block, "asymptotic", store)
+            asm_w = _BracketAssembly(pot, block, conjugated=True)
+            pairing = (asm_y.func * asm_w.func.conj()).integral() / nrm_y
+            store[key] = asm_w, np.conj(pairing)
+    return store[key]
+
+
+def _table_values(pot: PotentialSpec, ns, grid, kind: str,
+                  store: dict | None = None) -> np.ndarray:
     """Rows of the eigenfunction ("asymptotic") or "biorthogonal" tables of ns.
 
-    One assembly (two for a complex potential's partners) per block; the
-    normalizations are those of eigenfunction_asym and biorthogonal_asym.
+    One assembly (two for a complex potential's partners) per block, built
+    by _normalized unless store holds it; the normalizations are those of
+    eigenfunction_asym and biorthogonal_asym.
     """
     parts = []
     for block in _blocks(ns):
-        asm_y = _BracketAssembly(pot, block, conjugated=False)
-        nrm_y = np.sqrt(asm_y.norm_sq())
-        if kind == "asymptotic" or pot.is_real:
-            values = asm_y.values(grid)
-            values /= nrm_y[:, None]
-        else:
-            asm_w = _BracketAssembly(pot, block, conjugated=True)
-            pairing = (asm_y.func * asm_w.func.conj()).integral() / nrm_y
-            values = asm_w.values(grid)
-            values /= np.conj(pairing)[:, None]
+        asm, scale = _normalized(pot, block, kind, store)
+        values = asm.values(grid)
+        values /= scale[:, None]
         parts.append(values)
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _tables(pot: PotentialSpec, ns, grid, kind: str) -> list:
+def _tables(pot: PotentialSpec, ns, grid, kind: str,
+            store: dict | None = None) -> list:
     """The tables of _table_values, one per n; their values share one array."""
     grid = np.asarray(grid, dtype=float)
     return [EigenfunctionTable(index=n, grid=grid, values=row, kind=kind,
                                normalization=_NORMALIZATIONS[kind])
-            for n, row in zip(ns, _table_values(pot, ns, grid, kind))]
+            for n, row in zip(ns, _table_values(pot, ns, grid, kind, store))]
 
 
 def eigenfunction_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:

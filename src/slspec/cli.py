@@ -197,12 +197,16 @@ def cmd_eigenfunction(cfg: RunConfig, pot: PotentialSpec) -> int:
 
 
 def cmd_validate(cfg: RunConfig, pot: PotentialSpec) -> int:
+    # the sweep's block assemblies and norms, kept for the check only
+    biorth = cfg.n_max <= validation.BIORTH_N_MAX
+    store = {} if biorth else None
     report = validation.remainder_sweep(
         pot, cfg.n_max, grid_size=cfg.grid, n_min=cfg.n_min,
-        jobs=cfg.effective_jobs(), domain=SpectralDomain(alpha=cfg.alpha))
-    if cfg.n_max <= validation.BIORTH_N_MAX:
+        jobs=cfg.effective_jobs(), domain=SpectralDomain(alpha=cfg.alpha),
+        store=store)
+    if biorth:
         report.biorthogonality = validation.biorthogonality_check(
-            pot, cfg.n_max, n_min=cfg.n_min)
+            pot, cfg.n_max, n_min=cfg.n_min, store=store)
     base = cfg.out or "slspec_report"
     if base.endswith(".json") or base.endswith(".csv"):
         base = base.rsplit(".", 1)[0]

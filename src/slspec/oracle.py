@@ -62,7 +62,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -897,7 +896,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
 
     # complex potential: damped secant in the sqrt(lam) plane
     def F(s, step_scale=_DEFAULT_STEP_SCALE):
-        calls[0] += np.size(s)
+        calls[0] += 1 if isinstance(s, complex) else len(s)
         return _char_reduced(pot, s * s, step_scale=step_scale)
 
     def clamp(s):
@@ -999,6 +998,9 @@ def _pmap_chunks(fn, items: list, jobs: int, *args) -> list:
     jobs = max(1, int(jobs))
     if jobs == 1 or len(items) < 4:
         return fn(items, *args)
+    # imported here: the pool module pulls in multiprocessing, which no
+    # in-process call needs
+    from concurrent.futures import ProcessPoolExecutor
     chunks = [c for c in (items[i::jobs] for i in range(jobs)) if c]
     try:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:

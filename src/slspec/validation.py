@@ -25,7 +25,8 @@ few per radian of the pairing's highest frequency on cells inside each
 piece (about 1.5k nodes at n_max = 20), and at rounding level.  The
 tables come from one assembly per block and are normalized in closed
 form, so the exact diagonal is one and its deviation reads the
-quadrature's defect.
+quadrature's defect.  Within one validate call the check reads the
+assemblies and norms the sweep built (the store of remainder_sweep).
 """
 
 from __future__ import annotations
@@ -157,7 +158,8 @@ def _guarded_ratio(err: float, gamma_sq: float) -> float:
 
 
 def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
-                 sup_grid: int, domain: SpectralDomain | None) -> list:
+                 sup_grid: int, domain: SpectralDomain | None,
+                 store: dict | None) -> list:
     """(record, point) of each index of one block of the closed-form layer.
 
     The predictions, the gauges at the solved lambda_n (at m^2 for an index
@@ -165,7 +167,8 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
     for the block, and the numeric eigenfunctions of its solved roots one
     oracle walk (oracle._unit_trajectory with a batch), each row aligned and
     compared as eigenfunction_numeric would; the solves run index by
-    index.  A root whose walk fails flags its own index only.
+    index.  A root whose walk fails flags its own index only.  The
+    block's assembly and norm go to store (asymptotics._normalized).
     """
     points = asymptotics._predictions(pot, ns)
     roots = {}
@@ -187,7 +190,7 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
     sup_errs = dict.fromkeys(ns, 0.0)
     want = [k for k, n in enumerate(ns) if n in roots and n <= eigfun_up_to]
     if want:
-        tables = asymptotics._tables(pot, ns, grid, "asymptotic")
+        tables = asymptotics._tables(pot, ns, grid, "asymptotic", store)
         rows, errors = oracle._unit_trajectory(
             pot, np.array([roots[ns[k]] for k in want]), grid)
         for k, row, exc in zip(want, rows, errors):
@@ -216,11 +219,11 @@ def _record(n: int, gamma: float, eig_err: float, sup_err: float,
                            flag=flag)
 
 
-def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain):
+def _sweep_chunk(ns, pot, grid_size, eigfun_up_to, sup_grid, domain, store):
     grid = asymptotics.default_grid(grid_size)
     return [pair for block in asymptotics._blocks(ns)
             for pair in _sweep_block(pot, block, grid, eigfun_up_to,
-                                     sup_grid, domain)]
+                                     sup_grid, domain, store)]
 
 
 def _cumulative(values) -> list:
@@ -243,7 +246,8 @@ def _partial(sums: list, n_values: list, at: int) -> float:
 def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
                     n_min: int = 1, eigfun_up_to: int | None = None,
                     sup_grid: int = 256, jobs: int = 1,
-                    domain: SpectralDomain | None = None) -> ComparisonReport:
+                    domain: SpectralDomain | None = None,
+                    store: dict | None = None) -> ComparisonReport:
     """Asymptotic-versus-oracle sweep over n_min..n_max with verdicts.
 
     For each index: eigenvalue remainder |rho_n|, eigenfunction sup error on
@@ -255,14 +259,17 @@ def remainder_sweep(pot: PotentialSpec, n_max: int, grid_size: int = 513, *,
     because it is part of the report bytes.  jobs > 1 sweeps strided
     chunks of the indices in worker processes (oracle._pmap_chunks) with
     the same result.  domain is the search region of the complex root
-    finder (default SpectralDomain()).
+    finder (default SpectralDomain()).  store, a dict, receives each
+    block's eigenfunction assembly and norm, which a biorthogonality_check
+    of the same potential and indices then reuses; a worker process fills
+    its own copy, so a sweep that runs in workers leaves it empty.
     """
     if n_max < max(n_min, 2):
         raise ValueError("n_max too small for a sweep")
     eigfun_up_to = n_max if eigfun_up_to is None else int(eigfun_up_to)
     ns = list(range(n_min, n_max + 1))
     results = oracle._pmap_chunks(_sweep_chunk, ns, jobs, pot, grid_size,
-                                  eigfun_up_to, sup_grid, domain)
+                                  eigfun_up_to, sup_grid, domain, store)
     points = [p for _, p in results]
     # indices that converged to one root are degraded like a failed solve
     shared = {p.n for p in oracle._flag_shared_roots(points)}
@@ -369,7 +376,7 @@ def _pairing_rule(breaks, freq: float) -> tuple:
 
 
 def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
-                          n_min: int = 1) -> dict:
+                          n_min: int = 1, store: dict | None = None) -> dict:
     """Pairing matrix (y_n, w_k) of the asymptotic tables by quadrature.
 
     The pairing is the Hermitian one, integral of y_n * conj(w_k) over
@@ -378,7 +385,9 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
     (asymptotics._table_bandwidth), so the composite Gauss-Legendre rule
     of _pairing_rule reaches rounding level.  The tables are evaluated on
     its nodes and the matrix is one weighted product; a real potential's
-    tables are built once and serve as both systems.  The tables are
+    tables are built once and serve as both systems.  Blocks whose
+    assembly and norm store holds (remainder_sweep fills it) are not
+    rebuilt, and the evaluations are the same bits.  The tables are
     normalized in closed form, so the exact diagonal is one and
     max_diag_deviation reads the quadrature's defect.  The verdict passes
     when no entry deviates from the identity by more than _BIORTH_TOL.
@@ -391,9 +400,10 @@ def biorthogonality_check(pot: PotentialSpec, n_max: int, *,
     ns = list(range(n_min, n_max + 1))
     nodes, weights = _pairing_rule(
         pot.breaks, 2 * asymptotics._table_bandwidth(pot, ns))
+    store = {} if store is None else store
 
     def tables(kind):
-        values = asymptotics._table_values(pot, ns, nodes, kind)
+        values = asymptotics._table_values(pot, ns, nodes, kind, store)
         if not np.all(np.isfinite(values.view(float))):
             raise ValueError("table contains non-finite values")
         return values

@@ -171,6 +171,48 @@ def test_validate_jobs_bytes_identical(pot_files, tmp_path, capsys):
     assert texts[0] == texts[1]
 
 
+SMOOTH_POLY = {"kind": "poly", "pieces": [
+    {"from": 0.0, "to": 1.3, "coeffs_re": [0.5, -0.4, 0.3]},
+    {"from": 1.3, "to": PI, "coeffs_re": [0.2, 0.1, -0.05]}]}
+
+
+@pytest.mark.parametrize("doc, extra, builds", [
+    (SMOOTH_POLY, ["--n-max", "20"], 1),
+    # criterion 6: the partners' assembly is the only other one
+    ({"kind": "trig", "pieces": [{"from": 0.0, "to": PI, "coeffs_re": [1.0],
+                                  "coeffs_im": [1.0]}]},
+     ["--n-min", "5", "--n-max", "15"], 2),
+])
+def test_validate_builds_each_assembly_once(doc, extra, builds, tmp_path,
+                                            capsys, monkeypatch):
+    # the biorthogonality check reads the sweep's block assembly and norm
+    from slspec import asymptotics
+
+    count = [0]
+    real_init = asymptotics._BracketAssembly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        real_init(self, *args, **kwargs)
+
+    path = tmp_path / "pot.json"
+    path.write_text(json.dumps(doc))
+    texts = []
+    for jobs in ("1", "2"):
+        base = str(tmp_path / f"rep{jobs}")
+        with monkeypatch.context() as m:
+            m.setattr(asymptotics._BracketAssembly, "__init__", counting_init)
+            code, _, _ = _run(["validate", "--potential", str(path),
+                               "--out", base, "--jobs", jobs] + extra, capsys)
+        assert code == 0
+        if jobs == "1":
+            assert count[0] == builds
+        texts.append((tmp_path / f"rep{jobs}.json").read_bytes()
+                     + (tmp_path / f"rep{jobs}.csv").read_bytes())
+    # under --jobs 2 the sweep runs in workers and the check builds its own
+    assert texts[0] == texts[1]
+
+
 def test_validate_alpha_reaches_root_finder(pot_files, tmp_path, capsys):
     # sqrt(lam_1) of u = (1+i) sin t has imaginary part -0.72: the secant
     # cannot reach it inside |Im sqrt(lam)| < 0.05
@@ -304,9 +346,9 @@ def test_console_script_smoke(pot_files):
     assert proc.stdout.startswith("n,m,")
 
 
-def test_cli_loads_no_scipy():
-    # scipy is a test dependency only: importing the package and running
-    # the command line must not load it
+def _loaded_by_cli(package):
+    """Modules of package loaded by importing slspec and running the CLI."""
+    # the child imports the same slspec tree as this test, installed or not
     src = os.path.dirname(os.path.dirname(slspec.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -316,11 +358,22 @@ def test_cli_loads_no_scipy():
              "except SystemExit:\n"
              "    pass\n"
              "print(sorted(m for m in sys.modules\n"
-             "             if m == 'scipy' or m.startswith('scipy.')))\n")
+             f"             if m == {package!r} or m.startswith({package + '.'!r})))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_loads_no_scipy():
+    # scipy is a test dependency only: importing the package and running
+    # the command line must not load it
+    assert _loaded_by_cli("scipy") == "[]"
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only --jobs > 1 starts a pool; the import does not load its modules
+    assert _loaded_by_cli("multiprocessing") == "[]"
 
 
 # the flags each subcommand registers; every other pair is a usage error
@@ -379,12 +432,12 @@ def _spectrum_bytes(path, n_max, jobs, capsys):
 
 def test_spectrum_default_jobs_in_process(pot_files, capsys, monkeypatch):
     # without --jobs, spectrum solves in this process whatever SLSPEC_JOBS says
-    from slspec import oracle
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("spectrum started a process pool")
     monkeypatch.setenv("SLSPEC_JOBS", "2")
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     code, out, _ = _run(["spectrum", "--potential", pot_files["step"],
                          "--n-max", "8", "--method", "both"], capsys)
     assert code == 0

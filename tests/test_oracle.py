@@ -416,6 +416,12 @@ def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
     assert set(scales[:-1]) == {oracle._DEFAULT_STEP_SCALE}
 
 
+def test_secant_iterations_pinned(trig_pot):
+    # a scalar lambda counts one, the contour batch its length: 16 of these
+    assert solve_eigenvalue(trig_pot, 3).iterations == 22
+    assert solve_eigenvalue(trig_pot, 7).iterations == 21
+
+
 # A complex 2-piece quadratic whose indices 1..20 all solve by the secant
 COMPLEX_POLY = PotentialSpec.poly([(0.0, 1.3, [0.5j, 0.4, -0.2 + 0.3j]),
                                    (1.3, PI, [0.2 - 0.5j, 0.1j])])

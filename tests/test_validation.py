@@ -112,9 +112,9 @@ def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
     real_tables = A._tables
     real_init = _CorrectionProfile.__init__
 
-    def counting_tables(pot, ns, grid, kind):
+    def counting_tables(pot, ns, grid, kind, store=None):
         tables.update(ns)
-        return real_tables(pot, ns, grid, kind)
+        return real_tables(pot, ns, grid, kind, store)
 
     def counting_init(self, pot, lams):
         profile_lams.extend(complex(lam) for lam in lams)
@@ -290,13 +290,32 @@ def test_biorthogonality_evaluates_few_nodes(all_pots, name, monkeypatch):
     seen = []
     table_values = asymptotics._table_values
 
-    def counting(pot, ns, grid, kind):
+    def counting(pot, ns, grid, kind, store=None):
         seen.append(len(grid))
-        return table_values(pot, ns, grid, kind)
+        return table_values(pot, ns, grid, kind, store)
 
     monkeypatch.setattr(asymptotics, "_table_values", counting)
     biorthogonality_check(all_pots[name], 20)
     assert seen and max(seen) < 4096
+
+
+@pytest.mark.parametrize("name, n_min, n_max",
+                         [("poly", 1, 20), ("trig", 5, 15)])
+def test_biorthogonality_from_the_sweeps_tables_is_bit_identical(
+        all_pots, name, n_min, n_max):
+    pot = all_pots[name]
+    store = {}
+    remainder_sweep(pot, n_max, n_min=n_min, jobs=1, store=store)
+    swept = set(store)
+    assert swept == {("asymptotic", block) for block
+                     in asymptotics._blocks(range(n_min, n_max + 1))}
+    shared = biorthogonality_check(pot, n_max, n_min=n_min, store=store)
+    # the check adds the complex partners' assemblies only
+    added = {kind for kind, _ in set(store) - swept}
+    assert added == (set() if pot.is_real else {"biorthogonal"})
+    alone = biorthogonality_check(pot, n_max, n_min=n_min)
+    for key in ("matrix_re", "matrix_im", "max_offdiag", "max_diag_deviation"):
+        assert np.asarray(shared[key]).tobytes() == np.asarray(alone[key]).tobytes()
 
 
 def test_biorthogonality_real_step(step_pot):
