@@ -47,7 +47,9 @@ partial Magnus step inside a cell (_node_states); the norm of an
 eigenfunction sums closed-form integrals over the cells of the same walk;
 a Sturm count reads the break states, takes nodes inside smooth pieces
 only, and counts the zeros on each constant piece in closed form
-(_sturm_count).
+(_sturm_count).  The root finders solve a block of indices in lockstep
+(_solve_block): each round of Brent or of the secant, over all the
+active indices, is one walk of the reduced characteristic.
 
 The walk never lets a numpy warning out: an overflowing state reaches the
 finiteness check at the end of its piece, and a reader raises the member's
@@ -122,6 +124,8 @@ class SecularResult:
     multiplicity_hint: int
     iterations: int
     method: str
+    char_evals: int         # the search's characteristic evaluations and
+    sturm_counts: int       # Sturm counts; their sum is iterations
 
 
 def _cos_sinc(s, d):
@@ -266,7 +270,13 @@ def _magnus_matrices(delta, gamma, h, lam):
     delta, gamma = delta[None], gamma[None]
     if isinstance(h, np.ndarray):       # a length per cell
         h = h[None]
-    o10 = gamma - lam * h
+    # each entry is formed in its place in out, with the operands in the
+    # order of the formulas, and no product writes over one of its
+    # operands (numpy rounds a one-element complex product in place
+    # differently); besides out, a block of members holds z, sin(z)/z
+    # and, briefly, z^2 as (members, cells) arrays
+    out = np.empty((2, 2, lam.shape[0], delta.shape[1]), dtype=complex)
+    o10 = np.subtract(gamma, lam * h, out=out[1, 1])    # until sd replaces it
     z2 = -(delta * delta + h * o10)
     z = np.sqrt(z2)
     small = np.abs(z) < 1e-6
@@ -274,13 +284,13 @@ def _magnus_matrices(delta, gamma, h, lam):
         sz = np.where(small, 1 - z2 / 6, np.sin(z) / np.where(small, 1.0, z))
     else:
         sz = np.sin(z) / z
-    cz = np.cos(z)
-    out = np.empty((2, 2) + o10.shape, dtype=complex)
-    sd = sz * delta
-    out[0, 0] = cz + sd
-    out[0, 1] = sz * h
-    out[1, 0] = sz * o10
-    out[1, 1] = cz - sd
+    del z2
+    cz = np.cos(z, out=z)
+    np.multiply(sz, h, out=out[0, 1])
+    np.multiply(sz, o10, out=out[1, 0])
+    sd = np.multiply(sz, delta, out=out[1, 1])
+    np.add(cz, sd, out=out[0, 0])
+    np.subtract(cz, sd, out=out[1, 1])
     return out
 
 
@@ -608,7 +618,9 @@ def _end_value(pot: PotentialSpec, lam, step_scale, init):
     The walk takes no nodes: it forms the state at each break only, with
     one product of the Magnus cells of each smooth piece, and a batch is
     not split.  A batch raises the IntegrationBlowupError of the earliest
-    break where any member fails (_raise_first).
+    break where any member fails (_raise_first).  The lockstep root finder
+    (_solve_block) reads the same end states off the walk itself, with
+    each member's own failure, so that a failure ends its index only.
     """
     trail, errors, _ = _walk(pot.piecewise, lam, step_scale, init)
     _raise_first(errors)
@@ -714,28 +726,26 @@ def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
     return zeros, zeros + int(y1[-1] < 0 < y2[-1] or y2[-1] < 0 < y1[-1])
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """Root of f on [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _brent_steps(xa: float, xb: float, xtol: float, rtol: float,
+                 maxiter: int):
+    """Brent's method (Brent 1973, ch. 4) as a generator of its iterates.
 
-    A statement-by-statement port of SciPy's C brentq
-    (optimize/Zeros/brentq.c): its iterates, evaluations and result bits
-    are those of SciPy's optimize.brentq with the same xtol, rtol and
-    maxiter, which the test suite checks.  It stops when half the bracket
-    is under (xtol + rtol |x|) / 2 or f(x) == 0; a zero value at an end
-    returns that end.  Ends whose values have the same sign bit, and a NaN
-    value, raise ValueError.  After maxiter iterations without convergence
-    it raises NonconvergenceError whose ``best`` is the last iterate.
+    It yields each x at which it needs f, is sent f(x) and returns the
+    root, so a caller can drive many searches in lockstep (_solve_block);
+    _brentq drives it with one function.  A statement-by-statement port of
+    SciPy's C brentq (optimize/Zeros/brentq.c): its iterates, evaluations
+    and result bits are those of SciPy's optimize.brentq with the same
+    xtol, rtol and maxiter, which the test suite checks.  It stops when
+    half the bracket is under (xtol + rtol |x|) / 2 or f(x) == 0; a zero
+    value at an end returns that end.  Ends whose values have the same sign
+    bit, and a NaN value, raise ValueError.  After maxiter iterations
+    without convergence it raises NonconvergenceError whose ``best`` is the
+    last iterate.
     """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = _brent_value(xpre, (yield xpre))
+    fcur = _brent_value(xcur, (yield xcur))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -776,21 +786,46 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = _brent_value(xcur, (yield xcur))
     raise NonconvergenceError(
         f"Brent's method did not converge in {maxiter} iterations", best=xcur)
 
 
-def _count_walk(n: int, g, below, s0: float) -> float:
-    """n-th root of g, located by below(lam), the eigenvalues under lam.
+def _brent_value(x: float, fx) -> float:
+    fx = float(fx)
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN")
+    return fx
 
-    The ends of the seed bracket s0 -+ 0.35 move in the signed root s
-    (lam = s |s|), so bound states are reached like any other root: the
-    lower end steps down while below reads n or more there, the upper end
-    up while it reads less, by steps from 0.7 that double.  Bisection in s
-    then leaves a cell whose counts n - 1 and n prove that it holds index
-    n alone, and Brent finds the root there.  IndexingError: no such cell
-    after _WALK_COUNTS counts.
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """Root of f on [xa, xb]: the generator _brent_steps driven by f alone.
+
+    The scalar form of the solver's Brent search, with its bits and
+    failures; the solver itself drives the generator, a block of indices
+    in lockstep.
+    """
+    steps = _brent_steps(xa, xb, xtol, rtol, maxiter)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _count_walk(n: int, below, s0: float) -> tuple[float, float]:
+    """The lambda cell (lo, hi) that holds index n alone, by Sturm counts.
+
+    below(lam) counts the eigenvalues under lam.  The ends of the seed
+    bracket s0 -+ 0.35 move in the signed root s (lam = s |s|), so bound
+    states are reached like any other root: the lower end steps down while
+    below reads n or more there, the upper end up while it reads less, by
+    steps from 0.7 that double.  Bisection in s then leaves a cell whose
+    counts n - 1 and n prove that it holds index n alone; the search finds
+    the root there by Brent.  IndexingError: no such cell after
+    _WALK_COUNTS counts.
     """
     budget = iter(range(_WALK_COUNTS))
 
@@ -820,93 +855,79 @@ def _count_walk(n: int, g, below, s0: float) -> float:
             hi, n_hi = mid, c
         else:
             lo, n_lo = mid, c
-    lam_lo, lam_hi = lo * abs(lo), hi * abs(hi)
-    try:
-        return _brentq(g, lam_lo, lam_hi, xtol=1e-13, rtol=8.9e-16,
-                       maxiter=200)
-    except ValueError:
-        raise NonconvergenceError(
-            f"no sign change of the secular function on [{lam_lo:.6g}, "
-            f"{lam_hi:.6g}], where the count puts index {n}", best=None)
+    return lo * abs(lo), hi * abs(hi)
 
 
-def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
-                     domain: SpectralDomain | None = None,
-                     tol_root: float = 1e-12) -> SecularResult:
-    """Locate the n-th eigenvalue starting from the asymptotic seed.
+def _real_search(pot: PotentialSpec, n: int, s0: float):
+    """The search for index n of a real potential, as a block member.
 
-    Real potentials: one Brent call on the seed bracket sqrt(lam) =
-    s0 -+ 0.35 of the reduced secular function ("bracket").  The count of
-    interior zeros of y1 from (0, 1) at that root decides: n - 1 zeros
-    accept it.  A bracket whose ends share a sign, or a root with another
-    count, goes to the "scan" route: the count walk of _count_walk from the
-    same bracket, whose Sturm counts n - 1 and n at the ends of its cell
-    prove the index.  ``iterations`` counts the secular-function
-    evaluations and Sturm counts of the search, not the zero count at the
-    bracket root.  Every characteristic evaluation runs at the default
-    step scale _DEFAULT_STEP_SCALE.
-
-    Complex potentials: damped secant iteration in the sqrt(lam) variable
-    seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
-    clamped to the parabolic domain; verified by an argument-principle
-    winding count over 16 points of a small circle, evaluated as one batch
-    (_winding).  The contour runs on the count mesh (_COUNT_STEP_SCALE),
-    like the Sturm count: its only output is an integer, and by Rouche's
-    theorem the coarser mesh counts as many zeros inside the circle
-    whenever it moves F by less than |F| on the circle (it moved F by at
-    most 2e-6 of min |F| on the test, benchmark and random complex trig
-    and poly potentials, and no count changed).  The secant, its
-    start derivative and the residual stay on the default mesh, so the
-    root does not depend on the contour's mesh.  ``iterations`` counts
-    every lambda evaluated, the 16 contour points included.
-
-    Without a seed the call builds its own m^2 profile for the prediction;
-    for many indices use ``solve_spectrum``, which batches 32 at a time.
+    A generator in the protocol of _solve_block.  Brent on the real part
+    of the reduced characteristic over the seed bracket, then the zero
+    count at its root; the count walk and Brent on its cell where the
+    count disagrees (solve_eigenvalue).  Returns the SecularResult without
+    its residual, which _solve_block reads for the whole block at once.
     """
-    domain = domain or SpectralDomain()
-    point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)
-    s0 = complex(point.sqrt_lambda_asym)
-    calls = [0]
+    evals = counts = 0
 
-    if pot.is_real and abs(s0.imag) < 1e-9:
-        def counted(f):
-            def at(lam):            # lam = 0 is singular for the propagator
-                calls[0] += 1
-                return f(1e-24 if lam == 0.0 else lam)
-            return at
-        g = counted(lambda lam: float(_char_reduced(pot, lam).real))
-        below = counted(lambda lam: _sturm_count(pot, lam)[1])
-        s0r = s0.real
-        lo_s, hi_s = s0r - 0.35, s0r + 0.35
-        how = "bracket"
+    def below(lam):                 # lam = 0 is singular for the propagator
+        nonlocal counts
+        counts += 1
+        return _sturm_count(pot, 1e-24 if lam == 0.0 else lam)[1]
+
+    def root_on(lam_a, lam_b):
+        nonlocal evals
+        steps = _brent_steps(lam_a, lam_b, xtol=1e-13, rtol=8.9e-16,
+                             maxiter=200)
+        value = None
+        while True:
+            try:
+                lam = steps.send(value)
+            except StopIteration as stop:
+                return stop.value
+            evals += 1
+            value = (yield 1e-24 if lam == 0.0 else lam).real
+
+    lo_s, hi_s = s0 - 0.35, s0 + 0.35
+    how = "bracket"
+    try:
+        root = yield from root_on(lo_s * abs(lo_s), hi_s * abs(hi_s))
+    except ValueError:          # the seed bracket does not change sign
+        root = None
+    if root is None or _sturm_count(pot, root)[0] != n - 1:
+        lam_lo, lam_hi = _count_walk(n, below, s0)
+        how = "scan"
         try:
-            root = _brentq(g, lo_s * abs(lo_s), hi_s * abs(hi_s), xtol=1e-13,
-                           rtol=8.9e-16, maxiter=200)
-        except ValueError:      # the seed bracket does not change sign
-            root = None
-        if root is None or _sturm_count(pot, root)[0] != n - 1:
-            root = _count_walk(n, g, below, s0r)
-            how = "scan"
-        lam_root = float(root)
-        s_root = principal_sqrt(lam_root)
-        residual = abs(characteristic(pot, lam_root))
-        return SecularResult(n=n, lam=lam_root, sqrt_lambda=s_root,
-                             residual=float(residual), multiplicity_hint=1,
-                             iterations=calls[0], method=how)
+            root = yield from root_on(lam_lo, lam_hi)
+        except ValueError:
+            raise NonconvergenceError(
+                f"no sign change of the secular function on [{lam_lo:.6g}, "
+                f"{lam_hi:.6g}], where the count puts index {n}", best=None)
+    lam_root = float(root)
+    return SecularResult(n=n, lam=lam_root, sqrt_lambda=principal_sqrt(lam_root),
+                         residual=None, multiplicity_hint=1,
+                         iterations=evals + counts, method=how,
+                         char_evals=evals, sturm_counts=counts)
 
-    # complex potential: damped secant in the sqrt(lam) plane
-    def F(s, step_scale=_DEFAULT_STEP_SCALE):
-        calls[0] += 1 if isinstance(s, complex) else len(s)
-        return _char_reduced(pot, s * s, step_scale=step_scale)
 
+def _secant_search(pot: PotentialSpec, n: int, s0: complex,
+                   domain: SpectralDomain, tol_root: float):
+    """The search for index n of a complex potential, as a block member.
+
+    A generator in the protocol of _solve_block, whose lambdas are s^2:
+    the damped secant in the sqrt(lam) plane from the start value and its
+    +-fd difference quotient, then the drift check and the winding count
+    of its own 16-point contour (solve_eigenvalue).
+    """
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
         return complex(s.real, im)
 
     s_cur = clamp(s0)
-    f_cur = F(s_cur)
+    f_cur = yield s_cur * s_cur
     fd = 1e-6 * max(1.0, abs(s_cur))
-    deriv = (F(s_cur + fd) - F(s_cur - fd)) / (2 * fd)
+    s_up, s_down = s_cur + fd, s_cur - fd
+    deriv = ((yield s_up * s_up) - (yield s_down * s_down)) / (2 * fd)
+    evals = 3
     best = (abs(f_cur), s_cur)
     converged = False
     for _ in range(_MAX_SECANT_ITER):
@@ -916,7 +937,8 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
         if abs(step) > 0.25:
             step *= 0.25 / abs(step)
         s_new = clamp(s_cur + step)
-        f_new = F(s_new)
+        f_new = yield s_new * s_new
+        evals += 1
         if abs(f_new) < best[0]:
             best = (abs(f_new), s_new)
         done = abs(s_new - s_cur) <= tol_root * max(1.0, abs(s_new))
@@ -936,13 +958,129 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     if abs(s_root - s0) > 0.5:
         raise IndexingError(
             f"converged sqrt(lambda) {s_root:.6g} drifted from seed {s0:.6g}")
-    mult = _winding(functools.partial(F, step_scale=_COUNT_STEP_SCALE), s_root)
+    mult = _winding(lambda s: _char_reduced(pot, s * s,
+                                            step_scale=_COUNT_STEP_SCALE),
+                    s_root)
+    evals += _WINDING_POINTS
     if mult < 1:
         raise IndexingError(
             f"argument-principle count {mult} around lambda = {lam_root:.6g}")
     return SecularResult(n=n, lam=complex(lam_root), sqrt_lambda=complex(s_root),
                          residual=float(residual), multiplicity_hint=int(mult),
-                         iterations=calls[0], method="secant")
+                         iterations=evals, method="secant", char_evals=evals,
+                         sturm_counts=0)
+
+
+def _index_search(pot: PotentialSpec, n: int, s0: complex,
+                  domain: SpectralDomain, tol_root: float):
+    """The search generator of index n: real route or complex secant."""
+    if pot.is_real and abs(s0.imag) < 1e-9:
+        return _real_search(pot, n, s0.real)
+    return _secant_search(pot, n, s0, domain, tol_root)
+
+
+def _solve_block(pot: PotentialSpec, ns, seeds, *,
+                 domain: SpectralDomain | None = None,
+                 tol_root: float = 1e-12) -> list:
+    """Indices ns from the seeds sqrt(lam), in lockstep, one walk per round.
+
+    Each index runs as a generator (_index_search): it yields the next
+    lambda at which it reads the reduced characteristic, from (0, 1) on
+    the default mesh, and is sent the value.  Each round walks the pending
+    lambdas of all active members at once (_walk) and sends every member
+    its own value, or throws in its own IntegrationBlowupError.  Every
+    other reading of a member (its Sturm counts, its winding contour) runs
+    inside it, member by member.  Each member sees the values its lambdas
+    give alone, so its result equals the index solved alone, bit for bit;
+    the residuals |Delta| of the real roots come from one characteristic
+    walk after the last round.  Returns, in order, each index's
+    SecularResult or the INDEX_FAILURES error that ended it alone; any
+    other error ends the block.
+    """
+    domain = domain or SpectralDomain()
+    searches = [_index_search(pot, n, complex(s0), domain, tol_root)
+                for n, s0 in zip(ns, seeds)]
+    out, pending = [None] * len(searches), {}
+
+    def advance(m, value=None, error=None):
+        try:
+            pending[m] = (searches[m].send(value) if error is None
+                          else searches[m].throw(error))
+        except StopIteration as stop:
+            out[m] = stop.value
+        except INDEX_FAILURES as exc:
+            # without its traceback, whose frames would hold the block in a
+            # reference cycle
+            out[m] = exc.with_traceback(None)
+
+    for m in range(len(searches)):
+        advance(m)
+    while pending:
+        members, lams = zip(*pending.items())
+        pending.clear()
+        trail, errors, _ = _walk(pot.piecewise, np.array(lams, dtype=complex),
+                                 _DEFAULT_STEP_SCALE, (0.0, 1.0))
+        for m, (_, value), error in zip(members, trail[-1], errors):
+            advance(m, value, error)
+    real = [m for m, res in enumerate(out)
+            if isinstance(res, SecularResult) and res.residual is None]
+    if real:
+        trail, errors, _ = _walk(pot.piecewise,
+                                 np.array([out[m].lam for m in real]),
+                                 _DEFAULT_STEP_SCALE)
+        for m, (_, value), error in zip(real, trail[-1], errors):
+            if error is None:
+                out[m].residual = float(abs(value))
+            else:
+                out[m] = error
+    return out
+
+
+def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
+                     domain: SpectralDomain | None = None,
+                     tol_root: float = 1e-12) -> SecularResult:
+    """Locate the n-th eigenvalue starting from the asymptotic seed.
+
+    This is the lockstep solver (_solve_block) on a block of one, so an
+    index gets the same bits here as inside any block.
+
+    Real potentials: one Brent search on the seed bracket sqrt(lam) =
+    s0 -+ 0.35 of the reduced secular function ("bracket").  The count of
+    interior zeros of y1 from (0, 1) at that root decides: n - 1 zeros
+    accept it.  A bracket whose ends share a sign, or a root with another
+    count, goes to the "scan" route: the count walk of _count_walk from the
+    same bracket, whose Sturm counts n - 1 and n at the ends of its cell
+    prove the index, and a Brent search on that cell.  ``char_evals``
+    counts the secular-function evaluations and ``sturm_counts`` the Sturm
+    counts of the search, not the zero count at the bracket root;
+    ``iterations`` is their sum.  Every characteristic evaluation runs at
+    the default step scale _DEFAULT_STEP_SCALE.
+
+    Complex potentials: damped secant iteration in the sqrt(lam) variable
+    seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
+    clamped to the parabolic domain; verified by an argument-principle
+    winding count over 16 points of a small circle, evaluated as one batch
+    (_winding).  The contour runs on the count mesh (_COUNT_STEP_SCALE),
+    like the Sturm count: its only output is an integer, and by Rouche's
+    theorem the coarser mesh counts as many zeros inside the circle
+    whenever it moves F by less than |F| on the circle (it moved F by at
+    most 2e-6 of min |F| on the test, benchmark and random complex trig
+    and poly potentials, and no count changed).  The secant, its
+    start derivative and the residual stay on the default mesh, so the
+    root does not depend on the contour's mesh.  ``iterations`` and
+    ``char_evals`` count every lambda evaluated, the 16 contour points
+    included; ``sturm_counts`` is 0.
+
+    Without a seed the call builds its own m^2 profile for the prediction;
+    for many indices use ``solve_spectrum``, which predicts and solves 32
+    at a time.
+    """
+    point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)
+    res, = _solve_block(pot, [n], [point.sqrt_lambda_asym], domain=domain,
+                        tol_root=tol_root)
+    if not isinstance(res, SecularResult):
+        raise res
+    return res
 
 
 def _winding(F, center: complex) -> int:
@@ -1014,15 +1152,28 @@ def _pmap_chunks(fn, items: list, jobs: int, *args) -> list:
     return merged
 
 
-def _spectrum_chunk(ns, pot: PotentialSpec, kwargs: dict) -> list:
-    points = asymptotics._predictions(pot, ns)
-    for point in points:
-        try:
-            res = solve_eigenvalue(pot, point.n, seed=point, **kwargs)
+def _solve_points(pot: PotentialSpec, points: list, **kwargs) -> list:
+    """Solve a block of predictions in lockstep (_solve_block).
+
+    Each point takes its root and residual, or the flag of its failure;
+    returns the results, a SecularResult or an error per point.
+    """
+    results = _solve_block(pot, [p.n for p in points],
+                           [p.sqrt_lambda_asym for p in points], **kwargs)
+    for point, res in zip(points, results):
+        if isinstance(res, SecularResult):
             point.sqrt_lambda_numeric = res.sqrt_lambda
             point.residual = res.residual
-        except INDEX_FAILURES as exc:
-            point.flag = f"degraded: {exc}"
+        else:
+            point.flag = f"degraded: {res}"
+    return results
+
+
+def _spectrum_chunk(ns, pot: PotentialSpec, kwargs: dict) -> list:
+    points = []
+    for block in asymptotics._blocks(ns):
+        points += asymptotics._predictions(pot, block)
+        _solve_points(pot, points[-len(block):], **kwargs)
     return points
 
 
@@ -1030,10 +1181,14 @@ def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
                    **kwargs) -> list:
     """solve_eigenvalue over a range, collecting failures as flagged points.
 
-    jobs > 1 solves strided chunks of the indices in worker processes
-    (_pmap_chunks); the points are the same for any jobs.  Indices that
-    converged to one shared root are flagged as well, once, over the
-    merged list, so a pair split across chunks is found.
+    The indices are predicted and solved in the blocks of the closed-form
+    layer (asymptotics._blocks), each block in lockstep (_solve_block): one
+    characteristic walk per round for all its active indices.  A root does
+    not depend on its block, so the points equal those of solve_eigenvalue
+    index by index.  jobs > 1 solves strided chunks of the indices in
+    worker processes (_pmap_chunks); the points are the same for any jobs.
+    Indices that converged to one shared root are flagged as well, once,
+    over the merged list, so a pair split across chunks is found.
     """
     points = _pmap_chunks(_spectrum_chunk, list(n_values), jobs, pot, kwargs)
     _flag_shared_roots(points)

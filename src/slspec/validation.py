@@ -15,9 +15,9 @@ index failed.
 A sweep walks its indices in the blocks of the closed-form layer
 (asymptotics._blocks): per block one profile gives the predictions, one
 the gauges at the solved eigenvalues, one assembly the eigenfunction
-tables and one walk of the oracle the numeric eigenfunctions, while
-the roots are found index by index.  No record depends on how the
-indices were blocked.
+tables, one walk of the oracle the numeric eigenfunctions, and the
+roots are solved in lockstep, one characteristic walk per round of the
+root finders.  No record depends on how the indices were blocked.
 
 The biorthogonality check pairs the asymptotic eigenfunction and
 biorthogonal tables on the nodes of a composite Gauss-Legendre rule, a
@@ -166,23 +166,16 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
     without a root) and the eigenfunction brackets are one profile each
     for the block, and the numeric eigenfunctions of its solved roots one
     oracle walk (oracle._unit_trajectory with a batch), each row aligned and
-    compared as eigenfunction_numeric would; the solves run index by
-    index.  A root whose walk fails flags its own index only.  The
-    block's assembly and norm go to store (asymptotics._normalized).
+    compared as eigenfunction_numeric would.  The block's roots are solved
+    in lockstep (oracle._solve_points), one characteristic walk per round,
+    each root with the bits it has alone.  A failed solve or a root whose
+    walk fails flags its own index only.  The block's assembly and norm go
+    to store (asymptotics._normalized).
     """
     points = asymptotics._predictions(pot, ns)
-    roots = {}
-    flags = dict.fromkeys(ns, "")
-    for point in points:
-        try:
-            res = oracle.solve_eigenvalue(pot, point.n, seed=point,
-                                          domain=domain)
-        except INDEX_FAILURES as exc:
-            flags[point.n] = point.flag = f"degraded: {exc}"
-            continue
-        point.sqrt_lambda_numeric = res.sqrt_lambda
-        point.residual = res.residual
-        roots[point.n] = res.lam
+    results = oracle._solve_points(pot, points, domain=domain)
+    roots = {p.n: res.lam for p, res in zip(points, results) if not p.flag}
+    flags = {p.n: p.flag for p in points}
     gammas = {}
     if roots:
         lam_prof = _CorrectionProfile(pot, list(roots.values()))

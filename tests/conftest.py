@@ -241,7 +241,8 @@ def integrate_prufer(pot, lam, grid):
 
     Integrates theta' = s + u^2 sin^2(theta)/s + u sin(2 theta) and
     (log r)' = -(u cos(2 theta) + u^2 sin(2 theta)/(2 s)) with fixed RK4
-    steps, phase advance at most _PRUFER_STEP_SCALE per step; the
+    steps, each at most _PRUFER_STEP_SCALE over the largest of 1, |s|,
+    |u| and |u|^2/|s| (sup|u| sampled on the node interval); the
     log-modulus rather than r itself is integrated so complex lam cannot
     overflow.  It is the independent reference for the library's reading
     of the phase off the quasi-derivative trajectory
@@ -271,7 +272,12 @@ def integrate_prufer(pot, lam, grid):
         # every break below the last grid point is a node
         while i + 2 < len(pot.breaks) and x0 >= pot.breaks[i + 1]:
             i += 1
-        need = max((x1 - x0) * max(1.0, abs(s)) / _PRUFER_STEP_SCALE,
+        # theta' is at most |s| + |u| + |u|^2/|s|: the step bounds both
+        # the phase advance and u times the step
+        u_sup = float(np.abs(pe._local(
+            i, np.linspace(x0, x1, 9) - pot.breaks[i])).max())
+        rate = max(1.0, abs(s), u_sup, u_sup * u_sup / abs(s))
+        need = max((x1 - x0) * rate / _PRUFER_STEP_SCALE,
                    (x1 - x0) / oracle._H_MAX)
         nsub = max(1, math.ceil(need - 1e-12))
         h = (x1 - x0) / nsub

@@ -17,7 +17,7 @@ from slspec import (DomainError, IndexingError, IntegrationBlowupError,
                     eigenfunction_numeric, eigenvalue_asym,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
-from slspec import oracle, validation
+from slspec import asymptotics, oracle, validation
 from slspec.oracle import _char_reduced
 
 from conftest import integrate_prufer, rk4_end, rk4_states
@@ -400,14 +400,16 @@ def test_winding_one_kernel_call_on_distinct_points(free_pot):
 
 def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
     sizes, scales = [], []
-    real = oracle._char_reduced
+    real = oracle._walk
 
-    def counted(pot, lam, **kw):
+    def counted(pe, lam, step_scale, *args):
         sizes.append(np.size(lam))
-        scales.append(kw.get("step_scale", oracle._DEFAULT_STEP_SCALE))
-        return real(pot, lam, **kw)
+        scales.append(step_scale)
+        return real(pe, lam, step_scale, *args)
 
-    monkeypatch.setattr(oracle, "_char_reduced", counted)
+    # every characteristic of a solve, the lockstep rounds and the contour,
+    # is one walk
+    monkeypatch.setattr(oracle, "_walk", counted)
     res = solve_eigenvalue(trig_pot, 5)
     assert sizes[-1] == 16 and sizes.count(16) == 1
     assert res.iterations == sum(sizes)
@@ -525,7 +527,7 @@ def test_prufer_phase_agrees_at_solved_root(step_pot, const_pot):
     # the Prufer ODE is independent of the root search: at the n-th root
     # y2(pi) = 0, so theta(pi) = pi (n - 1/2) up to the ODE's RK4 error;
     # one Newton step on that condition moves the root by less than 1e-6
-    # (relative on the strong trig, whose theta(pi) is 3e-5 off there)
+    # (relative on the strong trig)
     for pot, n, rel in ((step_pot, 4, False), (const_pot, 6, False),
                         (MISBRACKETED["trig"], 3, True)):
         res = solve_eigenvalue(pot, n)
@@ -537,6 +539,17 @@ def test_prufer_phase_agrees_at_solved_root(step_pot, const_pot):
         slope = (theta(res.lam + h) - theta(res.lam - h)) / (2 * h)
         step = (theta(res.lam) - PI * (n - 0.5)) / slope
         assert abs(step) < 1e-6 * (abs(res.lam) if rel else 1.0), (n, step)
+
+
+def test_prufer_reference_resolves_a_strong_potential():
+    # sup|u| = 10.6 against |s| = 2.9 at the strong trig's n = 3 root
+    # (lam = 8.54): the reference's RK4 step bounds u h and u^2 h / |s| as
+    # well as the phase advance s h, so theta(pi) meets pi (n - 1/2)
+    pot = MISBRACKETED["trig"]
+    res = solve_eigenvalue(pot, 3)
+    assert abs(res.lam - 8.54) < 5e-3
+    theta = integrate_prufer(pot, res.lam, np.asarray([PI])).theta[0]
+    assert abs(theta - 2.5 * PI) < 1e-7
 
 
 def test_solve_complex_potential(trig_pot):
@@ -577,14 +590,14 @@ def test_characteristic_vs_transfer_matrix_roots(step_pot):
 def test_solve_spectrum_flags_instead_of_raising(step_pot, monkeypatch):
     import slspec.oracle as om
 
-    real_solve = om.solve_eigenvalue
+    real_search = om._index_search
 
-    def flaky(pot, n, seed=None, **kw):
+    def flaky(pot, n, *args):      # index 3 fails inside its block
         if n == 3:
             raise om.NonconvergenceError("synthetic failure", best=None)
-        return real_solve(pot, n, seed=seed, **kw)
+        return (yield from real_search(pot, n, *args))
 
-    monkeypatch.setattr(om, "solve_eigenvalue", flaky)
+    monkeypatch.setattr(om, "_index_search", flaky)
     pts = om.solve_spectrum(step_pot, range(2, 6))
     flags = {p.n: p.flag for p in pts}
     assert "degraded" in flags[3]
@@ -593,18 +606,31 @@ def test_solve_spectrum_flags_instead_of_raising(step_pot, monkeypatch):
 
 def _sabotage_index(monkeypatch, k, fake_char):
     """Inside solve_spectrum, index k reads fake_char(lam) as its secular
-    function; every other index reads the real one."""
-    solve, char = oracle.solve_eigenvalue, oracle._char_reduced
+    function, in its search and in its contour; every other index reads
+    the real one."""
+    search, char = oracle._index_search, oracle._char_reduced
     current = [None]
 
-    def solve_one(pot, n, **kw):
-        current[0] = n
-        return solve(pot, n, **kw)
+    def sabotaged(pot, n, *args):
+        inner = search(pot, n, *args)
+        if n != k:
+            return (yield from inner)
+        value = None
+        while True:
+            current[0] = n      # the contour runs while the search runs
+            try:
+                lam = inner.send(value)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                current[0] = None
+            yield lam           # the block's value for lam is not used
+            value = fake_char(lam)
 
     def secular(pot, lam, **kw):
         return fake_char(lam) if current[0] == k else char(pot, lam, **kw)
 
-    monkeypatch.setattr(oracle, "solve_eigenvalue", solve_one)
+    monkeypatch.setattr(oracle, "_index_search", sabotaged)
     monkeypatch.setattr(oracle, "_char_reduced", secular)
 
 
@@ -660,6 +686,82 @@ def test_walk_cell_without_sign_change_flags_its_index(step_pot, monkeypatch):
     assert flags[2].startswith("degraded: no sign change of the secular "
                                "function on [")
     assert flags[2].endswith("where the count puts index 2")
+
+
+# u = -30 x^2: indices 1 and 2 are seeded far below the spectrum, where the
+# propagator overflows; index 3 solves
+DEEP_WELL = PotentialSpec.poly([(0.0, PI, [0.0, 0.0, -30.0])])
+
+
+def _solve_outcome(res):
+    """Everything a solve returns, as bytes: a result's numbers, route and
+    counters, or an error's type and message."""
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
+    lam, s = complex(res.lam), complex(res.sqrt_lambda)
+    return (lam.real.hex(), lam.imag.hex(), s.real.hex(), s.imag.hex(),
+            res.residual.hex(), res.iterations, res.char_evals,
+            res.sturm_counts, res.method, res.multiplicity_hint)
+
+
+@pytest.mark.parametrize("name", ["step", "poly", "trig", "well"])
+def test_block_solve_equals_one_at_a_time(name, poly_pot, trig_pot):
+    pot, ns = {"step": (TWO_BOUND_STEP, range(1, 13)),
+               "poly": (poly_pot, range(1, 13)),
+               "trig": (trig_pot, range(1, 13)),
+               "well": (DEEP_WELL, range(1, 4))}[name]
+    points = asymptotics._predictions(pot, ns)
+    alone = []
+    for p in points:
+        try:
+            alone.append(solve_eigenvalue(pot, p.n, seed=p))
+        except oracle.INDEX_FAILURES as exc:
+            alone.append(exc)
+    # in order and reversed: each round walks other members beside each one
+    for order in (points, points[::-1]):
+        block = oracle._solve_block(pot, [p.n for p in order],
+                                    [p.sqrt_lambda_asym for p in order])
+        if order is not points:
+            block = block[::-1]
+        assert ([_solve_outcome(r) for r in block]
+                == [_solve_outcome(r) for r in alone])
+    methods = [getattr(r, "method", None) for r in alone]
+    if name == "poly":      # u(pi) > 0: index 1 scans inside the block
+        assert methods[0] == "scan" and "bracket" in methods
+    if name == "trig":
+        assert set(methods) == {"secant"}
+    if name == "well":
+        blowup = ("IntegrationBlowupError", f"non-finite state at x = {PI}")
+        assert [_solve_outcome(r) for r in alone[:2]] == [blowup, blowup]
+        assert methods[2] is not None
+
+
+def test_flagged_indices_leave_no_reference_cycles(step_pot, monkeypatch):
+    # a block keeps each failure; one that held its frames would keep the
+    # block alive until the cyclic collector ran
+    import gc
+    for pot, flagged in ((DEEP_WELL, [1, 2]), (step_pot, [2])):
+        if pot is step_pot:     # index 2 fails in its ValueError handler
+            _sabotage_index(monkeypatch, 2, lambda lam: 1.0)
+        solve_spectrum(pot, range(1, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            points = solve_spectrum(pot, range(1, 4))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert list(_flags(points)) == flagged
+
+
+def test_work_counters_split_iterations(step_pot, poly_pot, trig_pot):
+    for pot in (step_pot, poly_pot, trig_pot):
+        for n in range(1, 9):
+            res = solve_eigenvalue(pot, n)
+            assert res.char_evals + res.sturm_counts == res.iterations
+            # only the count walk of the scan route takes Sturm counts
+            assert (res.sturm_counts > 0) == (res.method == "scan"), n
+    assert solve_eigenvalue(poly_pot, 1).method == "scan"
 
 
 def test_grid_ending_inside_a_smooth_piece(poly_pot):
@@ -901,9 +1003,9 @@ def test_brent_exhaustion_is_a_nonconvergence_error():
 
 def test_brent_exhaustion_flags_the_index(step_pot, monkeypatch):
     # an exhausted Brent search degrades its index; the run goes on
-    brent = oracle._brentq
-    monkeypatch.setattr(oracle, "_brentq", lambda f, a, b, xtol, rtol, maxiter:
-                        brent(f, a, b, xtol, rtol, 1))
+    brent = oracle._brent_steps
+    monkeypatch.setattr(oracle, "_brent_steps", lambda a, b, xtol, rtol, maxiter:
+                        brent(a, b, xtol, rtol, 1))
     flags = [p.flag for p in solve_spectrum(step_pot, range(1, 4))]
     flags += [r.flag for r in validation.remainder_sweep(step_pot, 3).records]
     assert len(flags) == 6
@@ -1077,7 +1179,7 @@ def test_scan_cell_holding_two_indices_raises():
 
     for n in (1, 2):
         with pytest.raises(IndexingError, match="not index"):
-            oracle._count_walk(n, lambda lam: lam - 1.0, below, float(n))
+            oracle._count_walk(n, below, float(n))
 
 
 def _robin_beta(c):

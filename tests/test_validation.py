@@ -70,17 +70,17 @@ def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
 
     gauge_lams = []
     real_gauge = _CorrectionProfile.gauge
-    real_solve = om.solve_eigenvalue
+    real_search = om._index_search
 
     def counting_gauge(self, sup_grid=256, members=None):
         lams = self.lam if members is None else self.lam[members]
         gauge_lams.extend(complex(lam) for lam in lams)
         return real_gauge(self, sup_grid, members)
 
-    def flaky(pot, n, seed=None, **kw):
+    def flaky(pot, n, *args):      # index 5 fails inside its block
         if n == 5:
             raise om.NonconvergenceError("synthetic failure", best=None)
-        return real_solve(pot, n, seed=seed, **kw)
+        return (yield from real_search(pot, n, *args))
 
     monkeypatch.setattr(_CorrectionProfile, "gauge", counting_gauge)
     pts = solve_spectrum(step_pot, range(1, 9))
@@ -88,7 +88,7 @@ def test_gauge_at_m2_sampled_only_where_read(step_pot, monkeypatch):
     assert gauge_lams == []
     # a sweep samples the gauge at each solved lambda_n, and at m^2 only
     # for the index that has no root: one block member each
-    monkeypatch.setattr(om, "solve_eigenvalue", flaky)
+    monkeypatch.setattr(om, "_index_search", flaky)
     rep = remainder_sweep(step_pot, 12, jobs=1)
     assert rep.degraded == [5]
     assert len(gauge_lams) == 12
@@ -138,20 +138,20 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
     import slspec.validation as V
     from slspec.oscillatory import _CorrectionProfile
 
-    real_solve = V.oracle.solve_eigenvalue
+    real_search = V.oracle._index_search
     real_init = _CorrectionProfile.__init__
     profiles = []
 
-    def flaky(pot, n, seed=None, **kw):
+    def flaky(pot, n, *args):      # index 3 fails inside its block
         if n == 3:
             raise NonconvergenceError("synthetic", best=None)
-        return real_solve(pot, n, seed=seed, **kw)
+        return (yield from real_search(pot, n, *args))
 
     def counting_init(self, pot, lams):
         profiles.extend(lams)
         real_init(self, pot, lams)
 
-    monkeypatch.setattr(V.oracle, "solve_eigenvalue", flaky)
+    monkeypatch.setattr(V.oracle, "_index_search", flaky)
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
     rep = remainder_sweep(step_pot, 6)
     assert rep.degraded == [3]
@@ -167,8 +167,8 @@ def test_sweep_marks_degraded_and_continues(step_pot, monkeypatch):
 
 
 def test_sweep_flags_shared_root(shared_root_trig):
-    # the secant sends indices 1 and 2 to one root; the sweep solves index
-    # by index and must still flag both, like solve_spectrum; a flagged
+    # the secant sends indices 1 and 2 to one root; the sweep solves them
+    # in one block and must still flag both, like solve_spectrum; a flagged
     # index reads the gauge at m^2 with the sweep's own sample count
     for sup_grid in (256, 128):
         rep = remainder_sweep(shared_root_trig, 3, eigfun_up_to=0,
