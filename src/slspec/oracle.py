@@ -51,6 +51,13 @@ only, and counts the zeros on each constant piece in closed form
 (_solve_block): each round of Brent or of the secant, over all the
 active indices, is one walk of the reduced characteristic.
 
+Where the Magnus parts of a smooth piece are real (a real polynomial
+piece), a member at real lambda forms the piece's cells, their product
+and their prefix states in float64, at about half the cost of
+complex128, bit for bit the real parts of the complex cells
+(_magnus_matrices); the states stay complex.  The choice is each
+member's own (_walk).
+
 The walk never lets a numpy warning out: an overflowing state reaches the
 finiteness check at the end of its piece, and a reader raises the member's
 IntegrationBlowupError (a batch characteristic, the earliest break's).
@@ -83,7 +90,9 @@ _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 _WALK_COUNTS = 64               # Sturm counts one count walk may spend
 _WALK_CELLS = 2048              # smooth-piece cells times members of one
-                                # walk with prefix states or the norm
+                                # walk with prefix states or the norm; a
+                                # real member's cells are float64, bit for
+                                # bit the complex cells (_magnus_matrices)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -236,10 +245,11 @@ def _magnus_parts(q, i, lefts, h):
 def _mesh(u, i: int, step_scale: float):
     """The lambda-free data of the uniform cell mesh of smooth piece i of u.
 
-    Returns (h, parts, q, u_a, u_b): the cell length (at most step_scale
-    and _H_MAX), the Magnus parts of every cell, q = u' and u at both
-    ends of the piece.  The mesh depends on neither lambda nor the nodes,
-    so it is built once per piece and step scale; its arrays are
+    Returns (h, parts, real, q, u_a, u_b): the cell length (at most
+    step_scale and _H_MAX), the Magnus parts of every cell, their real
+    parts where every imaginary part is zero (else None), q = u' and u
+    at both ends of the piece.  The mesh depends on neither lambda nor the
+    nodes, so it is built once per piece and step scale; its arrays are
     read-only because callers share them.
     """
     span = u.breaks[i + 1] - u.breaks[i]
@@ -247,10 +257,18 @@ def _mesh(u, i: int, step_scale: float):
     h = span / ncell
     q = u._derivative()
     parts = _magnus_parts(q, i, h * np.arange(ncell), h)
-    for p in parts:
+    real = _real_parts(parts)
+    for p in parts + (real or ()):
         p.setflags(write=False)
     u_a, u_b = u._local(i, np.array([0.0, span])).tolist()
-    return h, parts, q, u_a, u_b
+    return h, parts, real, q, u_a, u_b
+
+
+def _real_parts(parts):
+    """The real parts (views) of complex Magnus parts, if they are real."""
+    if any(p.imag.any() for p in parts):
+        return None
+    return tuple(p.real for p in parts)
 
 
 def _magnus_matrices(delta, gamma, h, lam):
@@ -262,8 +280,17 @@ def _magnus_matrices(delta, gamma, h, lam):
     branch of the square root does not matter, and an imaginary z (a
     cell below its potential) gives cosh and sinh.  lam is a 1-D array of
     members (the middle axis of the result).
+
+    Real lam, delta and gamma give float64 cells, bit for bit the real
+    parts of the complex ones, whose imaginary parts are zero: numpy's
+    complex product with zero imaginary parts rounds like the real one,
+    and its complex division multiplies by the divisor's reciprocal, so
+    sin(z)/z is sin(z) * (1 / z) and z^2 / 6 is z^2 * (1 / 6).  float64
+    cos and sin agree with the complex ones at real z; cosh and sinh (SIMD
+    loops) do not, so cells with z^2 < 0 take the complex functions at
+    z = i |z|.
     """
-    lam = np.asarray(lam, dtype=complex)[:, None]
+    lam = np.asarray(lam)[:, None]
     # the cell data as rows of the member axis: numpy rounds a complex
     # product differently where an operand of lower rank meets a
     # one-element result
@@ -275,17 +302,34 @@ def _magnus_matrices(delta, gamma, h, lam):
     # operands (numpy rounds a one-element complex product in place
     # differently); besides out, a block of members holds z, sin(z)/z
     # and, briefly, z^2 as (members, cells) arrays
-    out = np.empty((2, 2, lam.shape[0], delta.shape[1]), dtype=complex)
+    real = lam.dtype == delta.dtype == float
+    out = np.empty((2, 2, lam.shape[0], delta.shape[1]),
+                   dtype=float if real else complex)
     o10 = np.subtract(gamma, lam * h, out=out[1, 1])    # until sd replaces it
     z2 = -(delta * delta + h * o10)
-    z = np.sqrt(z2)
-    small = np.abs(z) < 1e-6
-    if small.any():
-        sz = np.where(small, 1 - z2 / 6, np.sin(z) / np.where(small, 1.0, z))
+    if not real:
+        z = np.sqrt(z2)
+        small = np.abs(z) < 1e-6
+        if small.any():
+            sz = np.where(small, 1 - z2 / 6,
+                          np.sin(z) / np.where(small, 1.0, z))
+        else:
+            sz = np.sin(z) / z
+        del z2
+        cz = np.cos(z, out=z)
     else:
-        sz = np.sin(z) / z
-    del z2
-    cz = np.cos(z, out=z)
+        r = np.sqrt(np.abs(z2))                         # |z|
+        small = r < 1e-6
+        big = np.where(small, 1.0, r) if small.any() else r
+        sz = np.sin(big) * (1 / big)
+        cz = np.cos(r)
+        neg = z2 < 0
+        if neg.any():
+            cz[neg] = np.cos(1j * r[neg]).real
+            w = 1j * big[neg]
+            sz[neg] = (np.sin(w) / w).real
+        if small.any():
+            sz = np.where(small, 1 - z2 * (1 / 6), sz)
     np.multiply(sz, h, out=out[0, 1])
     np.multiply(sz, o10, out=out[1, 0])
     sd = np.multiply(sz, delta, out=out[1, 1])
@@ -402,16 +446,19 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
     a uniform mesh, at most step_scale long, that depends on neither
     lambda nor the nodes (_mesh); each cell propagates by the exponential
     of its 4th-order Magnus exponent (_magnus_matrices), formed for the
-    whole batch at once, and the cells carry the classical pair, sheared
-    from and back to (y1, y2) at the ends of the piece.  Where the piece
-    holds no node and there is no norm, its cells are multiplied pairwise
-    in one product (_chain) applied member by member (_apply); otherwise
-    it takes the prefix states of its cells (_prefix), and a node inside
-    it one partial Magnus step over the rest of its cell, whose
-    lambda-free parts serve every member.  The coefficients that mix a
-    member's start state are CPython scalars and enter the array work as
-    (members, 1) columns, so each member equals its lambda walked alone,
-    bit for bit, in any block.
+    whole batch at once, in float64 where the mesh and every lambda are
+    real, and the cells carry the classical pair, sheared from and back
+    to (y1, y2) at the ends of the piece.  Where the piece holds no node
+    and there is no norm, its cells are multiplied pairwise in one
+    product (_chain) applied member by member (_apply); otherwise it
+    takes the prefix states of its cells (_prefix), and a node inside it
+    one partial Magnus step over the rest of its cell, whose lambda-free
+    parts serve every member.  The coefficients that mix a member's start
+    state are CPython scalars and enter the array work as (members, 1)
+    columns, so each member equals its lambda walked alone, bit for bit,
+    in any block.  On a potential with a smooth piece, a batch that mixes
+    real and non-real lambdas walks as two batches, merged in member
+    order, so that each member's cells take its own arithmetic.
 
     A member whose state at the end of a piece is not finite (an
     overflow of cmath comes back as NaN, _cos_sinc) gets the
@@ -433,6 +480,18 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
             else [complex(lam)])
     roots = [_require_regular(v) for v in lams]
     members = len(lams)
+    on_axis = ([v.imag == 0 for v in lams] if None in pe._constant_heights
+               else ())
+    if 0 < sum(on_axis) < members:
+        rows = [[m for m, r in enumerate(on_axis) if r is k]
+                for k in (True, False)]
+        (t1, e1, o1), (t2, e2, o2) = (
+            _walk(pe, lam[r], step_scale, init, nodes, norm) for r in rows)
+        back = np.argsort(rows[0] + rows[1]).tolist()
+        *trail, errors = ([v[k] for k in back] for v in
+                          [a + b for a, b in zip(t1, t2)] + [e1 + e2])
+        return trail, errors, tuple(np.concatenate(v)[back]
+                                    for v in zip(o1, o2))
     if init is None:
         ys = [(0j, s) for s in roots]
     else:
@@ -468,9 +527,12 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                         nodes[None, lo:hi] - a)
         else:   # the cells carry the classical pair (y, y') = (y1, y2 + u y)
             with np.errstate(over="ignore", invalid="ignore"):
-                h, parts, q, u_a, u_b = _mesh(pe, i, step_scale)
+                h, parts, real, q, u_a, u_b = _mesh(pe, i, step_scale)
                 lam_row = np.array(lams)
-                cells = _magnus_matrices(*parts, h, lam_row)
+                cell_parts = parts
+                if real is not None and not lam_row.imag.any():
+                    cell_parts, lam_row = real, lam_row.real.copy()
+                cells = _magnus_matrices(*cell_parts, h, lam_row)
                 ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
                 if hi == lo and not norm:
                     prod = _chain(cells)
@@ -495,8 +557,10 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                         x = nodes[lo:hi] - a
                         cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
                         d = x - cell * h
-                        part = _magnus_matrices(
-                            *_magnus_parts(q, i, cell * h, d), d, lam_row)
+                        node_parts = _magnus_parts(q, i, cell * h, d)
+                        if cell_parts is real:
+                            node_parts = _real_parts(node_parts) or node_parts
+                        part = _magnus_matrices(*node_parts, d, lam_row)
                         # named operands: numpy multiplies a large temporary
                         # in place (temporary elision), which rounds complex
                         # products differently, and a node's state must not

@@ -424,25 +424,32 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
 
     For each n: sup over x of |theta_oracle - (sqrt(lam) x + v)| and of
     |r_oracle - r_leading|, both divided by gamma^2(lambda_n), the gauge
-    at its default sampling.  Roots come from oracle.solve_eigenvalue;
-    theta and r are read off the quasi-system trajectory at the root
-    (oracle._prufer_from_quasi).  A 0/0 is reported as 0.  The leading
-    phase and modulus and the gauges come from one correction profile per
-    block of solved roots, each member on its own grid.
+    at its default sampling.  The roots of each block of the closed-form
+    layer (asymptotics._blocks) are predicted by one profile and solved in
+    lockstep (oracle._solve_points), each with the bits it has alone, as
+    from oracle.solve_eigenvalue; theta and r are read off the
+    quasi-system trajectory at the root (oracle._prufer_from_quasi).  A
+    0/0 is reported as 0.  The leading phase and modulus and the gauges
+    come from one correction profile per block of solved roots, each
+    member on its own grid.
     """
     solved, degraded = [], []
-    for n in range(n_min, n_max + 1):
-        try:
-            res = oracle.solve_eigenvalue(pot, n)
+    for block in asymptotics._blocks(range(n_min, n_max + 1)):
+        points = asymptotics._predictions(pot, block)
+        for n, res in zip(block, oracle._solve_points(pot, points)):
+            if not isinstance(res, oracle.SecularResult):
+                degraded.append((n, str(res)))
+                continue
             s = res.sqrt_lambda
             xs = np.union1d(np.linspace(0.0, PI, max(512, int(24 * abs(s)))),
                             np.asarray(pot.breaks))
-            traj = oracle._prufer_from_quasi(
-                oracle.integrate_quasi_system(pot, res.lam, xs))
-        except INDEX_FAILURES as exc:
-            degraded.append((n, str(exc)))
-            continue
-        solved.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
+            try:
+                traj = oracle._prufer_from_quasi(
+                    oracle.integrate_quasi_system(pot, res.lam, xs))
+            except INDEX_FAILURES as exc:
+                degraded.append((n, str(exc)))
+                continue
+            solved.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
     ns, th_ratios, r_ratios = [], [], []
     for i in range(0, len(solved), asymptotics._BLOCK):
         block = solved[i:i + asymptotics._BLOCK]

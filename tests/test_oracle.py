@@ -1640,3 +1640,113 @@ def test_sweep_flags_only_the_member_whose_walk_fails(step_pot, monkeypatch):
     for r, c in zip(rep.records, clean.records):
         if r.n != 3:
             assert r == c
+
+
+# -- real cells in float64 ----------------------------------------------------
+
+# The seed-7 validate-smooth bench potential and the deep well u = -30 x^2,
+# as literals.
+SMOOTH_POLY_7 = PotentialSpec.poly([
+    (0.0, 1.9533546081185296,
+     [0.2055351366199076, -0.13153790927596964, 0.10625250475800369]),
+    (1.9533546081185296, PI,
+     [0.14251366389676398, 0.004375522878521763, 0.1361493501628234])])
+DEEP_WELL = PotentialSpec.poly([(0.0, PI, [0.0, 0.0, -30.0])])
+REAL_CELL_LAMBDAS = (-1e3, -37.5, -1.0, 1e-24, 0.3, 412.9, 1e4, 2.5e5)
+
+
+@pytest.mark.parametrize("name", ["poly", "real trig", "well", "smooth poly"])
+def test_real_cells_are_the_complex_cells_bit_for_bit(name, poly_pot):
+    pot = {"poly": poly_pot, "real trig": MISBRACKETED["trig"],
+           "well": DEEP_WELL, "smooth poly": SMOOTH_POLY_7}[name]
+    pe = pot.piecewise
+    seen = dict.fromkeys(("z^2 < 0", "mixed signs", "|z| < 1e-6"), False)
+    for i, const in enumerate(pe._constant_heights):
+        if const is not None:
+            continue
+        h, parts, *_ = oracle._mesh(pe, i, oracle._DEFAULT_STEP_SCALE)
+        # the trig's parts carry rounding in their imaginary parts: both
+        # paths take their real parts
+        delta, gamma = (p.real.copy() for p in parts)
+        # a lambda at the average of q over one cell puts it at a turning
+        # point, and a node 1e-9 past a cell start a partial cell of that
+        # length: both take the series for sin(z)/z
+        lams = np.array(REAL_CELL_LAMBDAS + (gamma[len(gamma) // 2] / h,))
+        span = pe.breaks[i + 1] - pe.breaks[i]
+        x = np.append(np.linspace(0.0, span, 101), h * np.arange(1, 6) + 1e-9)
+        cell = np.minimum(np.floor(x / h), len(gamma) - 1)
+        d = x - cell * h
+        node = (p.real.copy() for p in oracle._magnus_parts(
+            pe._derivative(), i, cell * h, d))
+        for (dl, gm), length, whole in (((delta, gamma), h, True),
+                                        (tuple(node), d, False)):
+            real = oracle._magnus_matrices(dl, gm, length, lams)
+            cplx = oracle._magnus_matrices(dl.astype(complex),
+                                           gm.astype(complex), length,
+                                           lams.astype(complex))
+            assert real.dtype == np.float64
+            for f in ((lambda m: m, oracle._chain, oracle._prefix) if whole
+                      else (lambda m: m,)):
+                r, c = f(real), f(cplx)
+                assert not c.imag.any()
+                assert _bytes(r) == _bytes(c.real)
+            z2 = -(dl * dl + length * (gm - lams[:, None] * length))
+            seen["z^2 < 0"] |= bool((z2 < 0).any())
+            seen["mixed signs"] |= bool(((z2 < 0).any(axis=1)
+                                         & (z2 > 0).any(axis=1)).any())
+            seen["|z| < 1e-6"] |= bool((np.abs(z2) < 1e-12).any())
+    assert all(seen.values()), seen
+
+
+def test_a_real_walk_builds_float64_cells(poly_pot, monkeypatch):
+    dtypes = []
+    kernel = oracle._magnus_matrices
+
+    def spy(*args):
+        out = kernel(*args)
+        dtypes.append(str(out.dtype))
+        return out
+
+    monkeypatch.setattr(oracle, "_magnus_matrices", spy)
+    _char_reduced(poly_pot, 412.9)
+    characteristic(poly_pot, np.array([0.3, 412.9]))
+    oracle._sturm_count(poly_pot, 412.9)
+    oracle._node_states(poly_pot, 412.9, default_grid(513), step_scale=0.004,
+                        norm=True)
+    solve_eigenvalue(poly_pot, 5)
+    assert dtypes and set(dtypes) == {"float64"}
+    # a mixed batch walks its real and its complex members apart; complex
+    # lambda, or parts with rounding in their imaginary parts, stay complex
+    for pot, lam, want in (
+            (poly_pot, np.array([412.9, 25 + 4j]), ["complex128", "float64"]),
+            (poly_pot, 25 + 4j, ["complex128"]),
+            (MISBRACKETED["trig"], 412.9, ["complex128"])):
+        dtypes.clear()
+        _char_reduced(pot, lam)
+        assert sorted(set(dtypes)) == want
+
+
+@pytest.mark.parametrize("name", ["poly", "real trig"])
+def test_mixed_batch_end_states_keep_each_members_bits(name, poly_pot):
+    pot = {"poly": poly_pot, "real trig": MISBRACKETED["trig"]}[name]
+    lams = _block_lambdas(len(name))
+    assert 0 < np.count_nonzero(lams.imag) < len(lams)
+    order = np.random.default_rng(11).permutation(len(lams))
+    # blocks of 1 and 3 from the shuffled order, and all 32 shuffled
+    blocks = [order[:1], order[1:2], order[2:5], order[5:8], order]
+    for step_scale in (oracle._DEFAULT_STEP_SCALE, oracle._COUNT_STEP_SCALE):
+        for init in (None, (0.0, 1.0)):
+            alone = [(oracle._end_value(pot, lam, step_scale, init),
+                      oracle._walk(pot.piecewise, lam, step_scale, init)[0])
+                     for lam in lams.tolist()]
+            for block in blocks:
+                ends = oracle._end_value(pot, lams[block], step_scale, init)
+                trail, errors, _ = oracle._walk(pot.piecewise, lams[block],
+                                                step_scale, init)
+                assert errors == [None] * len(block)
+                for row, k in enumerate(block):
+                    end, walk = alone[k]
+                    assert _bytes(ends[row:row + 1]) == _bytes(np.array([end]))
+                    assert _bytes(np.array([ys[row] for ys in trail])) == (
+                        _bytes(np.array([ys[0] for ys in walk]))), (
+                            step_scale, init, len(block), k)

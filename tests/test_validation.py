@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from slspec import (NonconvergenceError, PotentialSpec, asymptotics,
-                    biorthogonality_check, phase_modulus_ratio_profile,
-                    remainder_gauge, remainder_sweep, validation)
+                    biorthogonality_check, oracle,
+                    phase_modulus_ratio_profile, remainder_gauge,
+                    remainder_sweep, validation)
 from slspec.validation import CSV_COLUMNS, REPORT_SCHEMA
 
 PI = math.pi
@@ -354,3 +355,28 @@ def test_phase_modulus_ratio_profile_constant(const_pot):
     assert max(out["theta_ratio"]) < 1.0
     assert max(out["r_ratio"]) < 1.0
     assert out["degraded"] == []
+
+
+@pytest.mark.parametrize("name", ["free", "const", "poly"])
+def test_ratio_profile_blocks_keep_the_per_index_bits(name, all_pots,
+                                                      monkeypatch):
+    pot = all_pots[name]
+    roots = []
+    walk = oracle.integrate_quasi_system
+
+    def spy(p, lam, grid, **kw):
+        roots.append(complex(lam))
+        return walk(p, lam, grid, **kw)
+
+    monkeypatch.setattr(oracle, "integrate_quasi_system", spy)
+    # two blocks of the closed-form layer: 1..32 and 33..40
+    ns = range(1, 41)
+    out = phase_modulus_ratio_profile(pot, 40, n_min=1)
+    monkeypatch.setattr(oracle, "integrate_quasi_system", walk)
+    assert roots == [complex(oracle.solve_eigenvalue(pot, n).lam) for n in ns]
+    alone = [phase_modulus_ratio_profile(pot, n, n_min=n) for n in ns]
+    for key in ("n_values", "degraded"):
+        assert out[key] == [v for one in alone for v in one[key]]
+    for key in ("theta_ratio", "r_ratio"):
+        assert [v.hex() for v in out[key]] == [
+            v.hex() for one in alone for v in one[key]]
