@@ -27,7 +27,7 @@ import numpy as np
 
 from . import moments
 from .errors import DomainError
-from .oscillatory import _CorrectionProfile, _member
+from .oscillatory import _EVAL_CELLS, _CorrectionProfile, _member
 from .potential import PI, PotentialSpec
 
 
@@ -93,25 +93,31 @@ def default_grid(size: int = 513) -> np.ndarray:
     return np.linspace(0.0, PI, int(size))
 
 
-# Indices per block of the closed-form layer.  A block's objects are as
-# wide as its widest member: low indices carry series polynomials of degree
-# 30 and more, so one block per request would widen every member.
+# Indices of a request's head block in the closed-form layer.  A block's
+# objects are as wide as its widest member, and the first indices carry
+# series polynomials of degree 30 and more, so they keep a block of their
+# own; the later ones, of degree 2 or so, share blocks of 4 _BLOCK, whose
+# cost per atom, row and piece is paid once for more members.
 _BLOCK = 32
 
 
 def _blocks(ns) -> list:
-    """Runs of at most _BLOCK consecutive entries of ns, in order."""
+    """A request's layout: its first _BLOCK entries, then runs of at most
+    4 _BLOCK, in order.  Callers lay a request out once and hand each
+    block on whole; no block-level function splits it again."""
     ns = [int(n) for n in ns]
-    return [tuple(ns[i:i + _BLOCK]) for i in range(0, len(ns), _BLOCK)]
+    cuts = [0, *range(_BLOCK, len(ns), 4 * _BLOCK), len(ns)]
+    return [tuple(ns[a:b]) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _m2_profile(pot: PotentialSpec, ns: tuple) -> _CorrectionProfile:
     """The correction profile at m^2 = (n - 1/2)^2 for each n of a block.
 
-    A block's predictions and its eigenfunction brackets read one profile;
-    callers handle one block at a time, so only the latest two (of u and
-    of conj(u)) are kept.
+    A block's predictions, its eigenfunction brackets and the gauges of
+    its rootless indices read one profile; callers handle one block at a
+    time, so only the latest is kept (a complex potential's partners read
+    the profile of conj(u) once per block).
     """
     return _CorrectionProfile(pot, [(n - 0.5) * (n - 0.5) for n in ns])
 
@@ -136,19 +142,18 @@ def _bracket_weights(pot: PotentialSpec, conjugated: bool) -> tuple:
     return w_lin * cos_weight, w_lin * sin_weight
 
 
-def _predictions(pot: PotentialSpec, ns) -> list:
-    """eigenvalue_asym for every n of ns, one m^2 profile per block."""
-    ns = list(ns)
-    if any(n < 1 for n in ns):
+def _predictions(pot: PotentialSpec, block) -> list:
+    """eigenvalue_asym for every n of a block, from one m^2 profile."""
+    block = tuple(int(n) for n in block)
+    if any(n < 1 for n in block):
         raise ValueError("index n must be >= 1")
+    mu = -_m2_profile(pot, block).v(PI) / PI
     points = []
-    for block in _blocks(ns):
-        mu = -_m2_profile(pot, block).v(PI) / PI
-        for n, mu_n in zip(block, mu):
-            m = n - 0.5
-            mu_n = complex(mu_n)
-            points.append(SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu_n,
-                                        phase_correction=mu_n))
+    for n, mu_n in zip(block, mu):
+        m = n - 0.5
+        mu_n = complex(mu_n)
+        points.append(SpectralPoint(n=n, m=m, sqrt_lambda_asym=m + mu_n,
+                                    phase_correction=mu_n))
     return points
 
 
@@ -156,7 +161,8 @@ def eigenvalue_asym(pot: PotentialSpec, n: int) -> SpectralPoint:
     """Asymptotic sqrt(lambda_n) = m - v(pi, m^2)/pi.
 
     Each call builds its own m^2 profile; for many indices use
-    ``oracle.solve_spectrum``, which batches 32 at a time.
+    ``oracle.solve_spectrum``, which predicts a request's blocks
+    (_blocks) with one profile each.
     """
     return _predictions(pot, [n])[0]
 
@@ -190,11 +196,6 @@ def prufer_modulus_asym(pot: PotentialSpec, x, lam):
     x = np.asarray(x, dtype=float)
     return _member(_leading(_CorrectionProfile(pot, [lam]), x.reshape(-1))[1],
                    x.shape)
-
-
-# Points per evaluation of a block of brackets: a temporary holds at most
-# _EVAL_CELLS complex values (256 KB).
-_EVAL_CELLS = 1 << 14
 
 
 class _BracketAssembly:
@@ -231,12 +232,17 @@ class _BracketAssembly:
         sin_m, cos_m = moments.harmonic_kernels(prof.sqrt_lam, 1, breaks)
         self.func = sin_m * sin_bracket + cos_m * cos_bracket
 
-    def values(self, grid):
-        """Every member on grid, shape (members, len(grid)), in chunks."""
-        out = np.empty((len(self.ns), len(grid)), dtype=complex)
-        step = max(1, _EVAL_CELLS // len(self.ns))
+    def values(self, grid, members=None):
+        """Every member, or the members at the given positions, on grid.
+
+        Shape (members, len(grid)); the grid is evaluated in chunks of at
+        most _EVAL_CELLS values.
+        """
+        func = self.func if members is None else self.func.take(members)
+        out = np.empty((func.width, len(grid)), dtype=complex)
+        step = max(1, _EVAL_CELLS // func.width)
         for i in range(0, len(grid), step):
-            out[:, i:i + step] = self.func.eval(grid[i:i + step])
+            out[:, i:i + step] = func.eval(grid[i:i + step])
         return out
 
     def norm_sq(self) -> np.ndarray:
@@ -289,30 +295,50 @@ def _normalized(pot: PotentialSpec, block: tuple, kind: str,
     return store[key]
 
 
-def _table_values(pot: PotentialSpec, ns, grid, kind: str,
+def _table_values(pot: PotentialSpec, block, grid, kind: str,
                   store: dict | None = None) -> np.ndarray:
-    """Rows of the eigenfunction ("asymptotic") or "biorthogonal" tables of ns.
+    """Rows of the eigenfunction ("asymptotic") or "biorthogonal" tables
+    of a block.
 
-    One assembly (two for a complex potential's partners) per block, built
-    by _normalized unless store holds it; the normalizations are those of
+    One assembly (two for a complex potential's partners), built by
+    _normalized unless store holds it; the normalizations are those of
     eigenfunction_asym and biorthogonal_asym.
     """
-    parts = []
-    for block in _blocks(ns):
-        asm, scale = _normalized(pot, block, kind, store)
-        values = asm.values(grid)
-        values /= scale[:, None]
-        parts.append(values)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    asm, scale = _normalized(pot, tuple(block), kind, store)
+    values = asm.values(grid)
+    values /= scale[:, None]
+    return values
 
 
-def _tables(pot: PotentialSpec, ns, grid, kind: str,
+def _table_rows(pot: PotentialSpec, block, grid, kind: str,
+                store: dict | None = None):
+    """The rows of _table_values a chunk of members at a time.
+
+    Yields (start, rows), the rows of block[start:start + len(rows)] in
+    at most _EVAL_CELLS values, evaluated from the block's one assembly
+    as the caller reaches them.  A non-finite row raises ValueError, as
+    an EigenfunctionTable would.
+    """
+    block = tuple(block)
+    asm, scale = _normalized(pot, block, kind, store)
+    step = max(1, _EVAL_CELLS // len(grid))
+    for i in range(0, len(block), step):
+        members = range(i, min(i + step, len(block)))
+        values = asm.values(grid, members if step < len(block) else None)
+        values /= scale[i:i + step, None]
+        if not np.all(np.isfinite(values.view(float))):
+            raise ValueError("table contains non-finite values")
+        yield i, values
+
+
+def _tables(pot: PotentialSpec, block, grid, kind: str,
             store: dict | None = None) -> list:
     """The tables of _table_values, one per n; their values share one array."""
     grid = np.asarray(grid, dtype=float)
     return [EigenfunctionTable(index=n, grid=grid, values=row, kind=kind,
                                normalization=_NORMALIZATIONS[kind])
-            for n, row in zip(ns, _table_values(pot, ns, grid, kind, store))]
+            for n, row in zip(block, _table_values(pot, block, grid, kind,
+                                                   store))]
 
 
 def eigenfunction_asym(pot: PotentialSpec, n: int, grid) -> EigenfunctionTable:

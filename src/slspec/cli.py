@@ -143,7 +143,8 @@ def _json_text(payload: dict) -> str:
 def cmd_spectrum(cfg: RunConfig, pot: PotentialSpec) -> int:
     ns = list(range(cfg.n_min, cfg.n_max + 1))
     if cfg.method == "asym":
-        points = asymptotics._predictions(pot, ns)
+        points = [p for block in asymptotics._blocks(ns)
+                  for p in asymptotics._predictions(pot, block)]
     else:
         points = oracle.solve_spectrum(
             pot, ns, jobs=cfg.effective_jobs(),

@@ -416,6 +416,12 @@ class PiecewiseExp:
             return None
         return tuple(height(atoms) for atoms in self.pieces)
 
+    @cached_property
+    def _meshes(self) -> dict:
+        """The oracle's cell meshes of this object's smooth pieces, by
+        (piece, step scale) (oracle._mesh); they die with the object."""
+        return {}
+
     def _derivative(self):
         """The derivative inside every piece (jumps at the breaks dropped)."""
         pieces = tuple(_derivative_atoms(pc, self.omega) for pc in self.pieces)

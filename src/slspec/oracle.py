@@ -69,7 +69,6 @@ against.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +78,8 @@ from . import asymptotics
 from .errors import (INDEX_FAILURES, DomainError, IndexingError,
                      IntegrationBlowupError, InternalError,
                      NonconvergenceError)
-from .oscillatory import SpectralDomain, _require_regular, principal_sqrt
+from .oscillatory import (_EVAL_CELLS, SpectralDomain, _require_regular,
+                          principal_sqrt)
 from .potential import PI, PotentialSpec
 
 _DEFAULT_STEP_SCALE = 0.004     # longest Magnus cell of a smooth piece
@@ -241,7 +241,6 @@ def _magnus_parts(q, i, lefts, h):
     return _MAGNUS_C * h * h * (q1 - q2), (h / 2) * (q1 + q2)
 
 
-@functools.lru_cache(maxsize=64)
 def _mesh(u, i: int, step_scale: float):
     """The lambda-free data of the uniform cell mesh of smooth piece i of u.
 
@@ -249,9 +248,13 @@ def _mesh(u, i: int, step_scale: float):
     step_scale and _H_MAX), the Magnus parts of every cell, their real
     parts where every imaginary part is zero (else None), q = u' and u
     at both ends of the piece.  The mesh depends on neither lambda nor the
-    nodes, so it is built once per piece and step scale; its arrays are
-    read-only because callers share them.
+    nodes, so it is built once per piece and step scale and held on u
+    (PiecewiseExp._meshes), with which it dies; its arrays are read-only
+    because callers share them.
     """
+    key = (i, step_scale)
+    if key in u._meshes:
+        return u._meshes[key]
     span = u.breaks[i + 1] - u.breaks[i]
     ncell = int(_n_sub(span, step_scale))
     h = span / ncell
@@ -261,7 +264,8 @@ def _mesh(u, i: int, step_scale: float):
     for p in parts + (real or ()):
         p.setflags(write=False)
     u_a, u_b = u._local(i, np.array([0.0, span])).tolist()
-    return h, parts, real, q, u_a, u_b
+    u._meshes[key] = h, parts, real, q, u_a, u_b
+    return u._meshes[key]
 
 
 def _real_parts(parts):
@@ -603,14 +607,15 @@ def _node_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
     the integral of |y1|^2 over [0, pi] per member (a float for a
     scalar), non-finite where it overflows, for the caller to reject.  A
     batch walks in sub-blocks of at most _WALK_CELLS smooth-piece cells
-    over all its members.
+    and at most _EVAL_CELLS node values over all its members.
     """
     pe = pot.piecewise
     batch = np.ndim(lam) > 0
     if batch:
         cells = sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
             pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
-        rows = max(1, _WALK_CELLS // cells) if cells else len(lam)
+        rows = max(1, min(_WALK_CELLS // max(cells, 1),
+                          _EVAL_CELLS // max(len(nodes), 1)))
         if rows < len(lam):
             *arrays, errors = zip(*(
                 _node_states(pot, lam[r:r + rows], nodes,
@@ -1057,9 +1062,11 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     inside it, member by member.  Each member sees the values its lambdas
     give alone, so its result equals the index solved alone, bit for bit;
     the residuals |Delta| of the real roots come from one characteristic
-    walk after the last round.  Returns, in order, each index's
-    SecularResult or the INDEX_FAILURES error that ended it alone; any
-    other error ends the block.
+    walk after the last round.  A walk takes at most asymptotics._BLOCK
+    members (_ends), so the cell arrays of a round do not grow with the
+    block.  Returns, in order, each index's SecularResult or the
+    INDEX_FAILURES error that ended it alone; any other error ends the
+    block.
     """
     domain = domain or SpectralDomain()
     searches = [_index_search(pot, n, complex(s0), domain, tol_root)
@@ -1082,22 +1089,30 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     while pending:
         members, lams = zip(*pending.items())
         pending.clear()
-        trail, errors, _ = _walk(pot.piecewise, np.array(lams, dtype=complex),
-                                 _DEFAULT_STEP_SCALE, (0.0, 1.0))
-        for m, (_, value), error in zip(members, trail[-1], errors):
+        for m, value, error in zip(members, *_ends(pot, lams, (0.0, 1.0))):
             advance(m, value, error)
     real = [m for m, res in enumerate(out)
             if isinstance(res, SecularResult) and res.residual is None]
-    if real:
-        trail, errors, _ = _walk(pot.piecewise,
-                                 np.array([out[m].lam for m in real]),
-                                 _DEFAULT_STEP_SCALE)
-        for m, (_, value), error in zip(real, trail[-1], errors):
-            if error is None:
-                out[m].residual = float(abs(value))
-            else:
-                out[m] = error
+    for m, value, error in zip(real, *_ends(pot, [out[m].lam for m in real],
+                                             None)):
+        if error is None:
+            out[m].residual = float(abs(value))
+        else:
+            out[m] = error
     return out
+
+
+def _ends(pot: PotentialSpec, lams, init) -> tuple:
+    """(y2(pi) of each lambda, the failure of each) on the default mesh,
+    in walks of at most asymptotics._BLOCK members."""
+    values, errors, step = [], [], asymptotics._BLOCK
+    for i in range(0, len(lams), step):
+        batch = np.array(lams[i:i + step], dtype=complex)
+        trail, errs, _ = _walk(pot.piecewise, batch, _DEFAULT_STEP_SCALE,
+                               init)
+        values += [y2 for _, y2 in trail[-1]]
+        errors += errs
+    return values, errors
 
 
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
@@ -1136,8 +1151,8 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     included; ``sturm_counts`` is 0.
 
     Without a seed the call builds its own m^2 profile for the prediction;
-    for many indices use ``solve_spectrum``, which predicts and solves 32
-    at a time.
+    for many indices use ``solve_spectrum``, which predicts and solves a
+    request by the blocks of the closed-form layer (asymptotics._blocks).
     """
     point = seed if seed is not None else asymptotics.eigenvalue_asym(pot, n)
     res, = _solve_block(pot, [n], [point.sqrt_lambda_asym], domain=domain,
@@ -1247,7 +1262,8 @@ def solve_spectrum(pot: PotentialSpec, n_values, *, jobs: int = 1,
 
     The indices are predicted and solved in the blocks of the closed-form
     layer (asymptotics._blocks), each block in lockstep (_solve_block): one
-    characteristic walk per round for all its active indices.  A root does
+    characteristic walk per round for its active indices, at most
+    asymptotics._BLOCK of them per walk.  A root does
     not depend on its block, so the points equal those of solve_eigenvalue
     index by index.  jobs > 1 solves strided chunks of the indices in
     worker processes (_pmap_chunks); the points are the same for any jobs.

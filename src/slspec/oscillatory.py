@@ -37,6 +37,12 @@ from .errors import SingularArgumentError
 from .potential import PI, PotentialSpec
 
 
+# Values per evaluation of a block of closed-form objects: wider blocks
+# are evaluated in chunks, so a temporary holds at most _EVAL_CELLS complex
+# values (256 KB).
+_EVAL_CELLS = 1 << 14
+
+
 def principal_sqrt(lam) -> complex:
     """sqrt(lam) with Re >= 0 (and Im >= 0 on the negative real axis).
 
@@ -153,7 +159,9 @@ class _CorrectionProfile:
         """Sampled remainder gauge of each member (see ``remainder_gauge``).
 
         members (positions in the block) limits the sampling to those
-        members; a member's value does not depend on the others.
+        members; a member's value does not depend on the others.  The first
+        sample, on a grid common to all members, takes chunks of points of
+        at most _EVAL_CELLS values.
         """
         comp = (self.single_sin, self.single_cos, self.double, self.square_cos)
         s, lams = self.sqrt_lam, self.lam
@@ -163,15 +171,23 @@ class _CorrectionProfile:
         s = s[:, None]
 
         def sample(xs):
-            ss, sc, dbl, sqc = (c.eval(xs) for c in comp)
-            # |int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|
-            return (np.abs(ss) + np.abs(sc) + 2 * np.abs(dbl)
-                    + 0.5 * np.abs(sqc / s))
+            # |int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|,
+            # summed in this order with one evaluation alive at a time
+            ss, sc, dbl, sqc = comp
+            total = np.abs(ss.eval(xs))
+            total += np.abs(sc.eval(xs))
+            total += 2 * np.abs(dbl.eval(xs))
+            total += 0.5 * np.abs(sqc.eval(xs) / s)
+            return total
 
         grid = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
                           np.asarray(self.pot.breaks))
         xs = [grid] * len(lams)
-        vals = list(sample(grid))
+        step = max(1, _EVAL_CELLS // len(lams))
+        vals = [np.empty(len(grid)) for _ in lams]
+        for i in range(0, len(grid), step):
+            for row, part in zip(vals, sample(grid[i:i + step])):
+                row[i:i + step] = part
         for _ in range(2):
             new = []
             for x, val in zip(xs, vals):

@@ -13,11 +13,14 @@ statistics, never silently dropped; a sweep does not abort because one
 index failed.
 
 A sweep walks its indices in the blocks of the closed-form layer
-(asymptotics._blocks): per block one profile gives the predictions, one
-the gauges at the solved eigenvalues, one assembly the eigenfunction
-tables, one walk of the oracle the numeric eigenfunctions, and the
-roots are solved in lockstep, one characteristic walk per round of the
-root finders.  No record depends on how the indices were blocked.
+(asymptotics._blocks: a request's first 32 indices, then blocks of up
+to 128): per block one profile gives the predictions, one the gauges at
+the solved eigenvalues and one assembly the eigenfunction tables, and
+the roots are solved in lockstep, one characteristic walk per round of
+the root finders.  The tables meet the numeric eigenfunctions a chunk of
+members at a time, one oracle walk per chunk, so that no array of a wide
+block holds more than _EVAL_CELLS values.  No record depends on how the
+indices were blocked.
 
 The biorthogonality check pairs the asymptotic eigenfunction and
 biorthogonal tables on the nodes of a composite Gauss-Legendre rule, a
@@ -164,43 +167,65 @@ def _sweep_block(pot: PotentialSpec, ns: tuple, grid, eigfun_up_to: int,
 
     The predictions, the gauges at the solved lambda_n (at m^2 for an index
     without a root) and the eigenfunction brackets are one profile each
-    for the block, and the numeric eigenfunctions of its solved roots one
-    oracle walk (oracle._unit_trajectory with a batch), each row aligned and
-    compared as eigenfunction_numeric would.  The block's roots are solved
-    in lockstep (oracle._solve_points), one characteristic walk per round,
-    each root with the bits it has alone.  A failed solve or a root whose
-    walk fails flags its own index only.  The block's assembly and norm go
-    to store (asymptotics._normalized).
+    for the block.  The block's roots are solved in lockstep
+    (oracle._solve_points), one characteristic walk per round, each root
+    with the bits it has alone, and their eigenfunctions compared with the
+    tables (_eigfun_errors).  A failed solve or a root whose walk fails
+    flags its own index only.  The block's assembly and norm go to store
+    (asymptotics._normalized).
     """
     points = asymptotics._predictions(pot, ns)
     results = oracle._solve_points(pot, points, domain=domain)
     roots = {p.n: res.lam for p, res in zip(points, results) if not p.flag}
     flags = {p.n: p.flag for p in points}
     gammas = {}
-    if roots:
-        lam_prof = _CorrectionProfile(pot, list(roots.values()))
-        gammas = {n: g.value for n, g in zip(roots, lam_prof.gauge(sup_grid))}
+    if roots:       # the profile at the roots lives for its gauges only
+        gammas = dict(zip(roots, (g.value for g in _CorrectionProfile(
+            pot, list(roots.values())).gauge(sup_grid))))
     sup_errs = dict.fromkeys(ns, 0.0)
-    want = [k for k, n in enumerate(ns) if n in roots and n <= eigfun_up_to]
-    if want:
-        tables = asymptotics._tables(pot, ns, grid, "asymptotic", store)
-        rows, errors = oracle._unit_trajectory(
-            pot, np.array([roots[ns[k]] for k in want]), grid)
-        for k, row, exc in zip(want, rows, errors):
-            if exc is not None:
-                if not isinstance(exc, INDEX_FAILURES):
-                    raise exc
-                flags[ns[k]] = points[k].flag = f"degraded: {exc}"
-                continue
-            ref = tables[k].values
-            num = oracle._align(pot, ref, row)
-            sup_errs[ns[k]] = float(np.abs(ref - num).max())
+    want = {k: roots[n] for k, n in enumerate(ns)
+            if n in roots and n <= eigfun_up_to}
+    for k, err in _eigfun_errors(pot, ns, want, grid, store).items():
+        if isinstance(err, float):
+            sup_errs[ns[k]] = err
+        else:
+            flags[ns[k]] = points[k].flag = f"degraded: {err}"
     rootless = [k for k, n in enumerate(ns) if n not in roots]
     if rootless:                    # no root: the gauge at m^2 stands in
         m2_gauges = asymptotics._m2_profile(pot, ns).gauge(sup_grid, rootless)
         gammas.update((ns[k], g.value) for k, g in zip(rootless, m2_gauges))
     return [(_record(p.n, gammas[p.n], abs(p.rho) if p.n in roots else 0.0,
                      sup_errs[p.n], flags[p.n]), p) for p in points]
+
+
+def _eigfun_errors(pot: PotentialSpec, ns: tuple, roots: dict, grid,
+                   store: dict | None) -> dict:
+    """{position: sup error or failure} of the roots of a block.
+
+    roots maps positions in the block ns to lambda_n.  The tables meet the
+    numeric eigenfunctions a chunk of members at a time, at most
+    _EVAL_CELLS values per array: the chunk's rows of the block's one
+    assembly (asymptotics._table_rows) and one oracle walk of its roots
+    (oracle._unit_trajectory with a batch), each row aligned and compared
+    as eigenfunction_numeric would.  A root whose walk fails gets its
+    INDEX_FAILURES error; any other error is raised.
+    """
+    out = {}
+    chunks = (asymptotics._table_rows(pot, ns, grid, "asymptotic", store)
+              if roots else ())
+    for start, refs in chunks:
+        chunk = [k for k in range(start, start + len(refs)) if k in roots]
+        if not chunk:
+            continue
+        rows, errors = oracle._unit_trajectory(
+            pot, np.array([roots[k] for k in chunk]), grid)
+        for k, row, exc in zip(chunk, rows, errors):
+            if exc is not None and not isinstance(exc, INDEX_FAILURES):
+                raise exc
+            ref = refs[k - start]
+            out[k] = exc or float(np.abs(
+                ref - oracle._align(pot, ref, row)).max())
+    return out
 
 
 def _record(n: int, gamma: float, eig_err: float, sup_err: float,
@@ -430,12 +455,13 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
     from oracle.solve_eigenvalue; theta and r are read off the
     quasi-system trajectory at the root (oracle._prufer_from_quasi).  A
     0/0 is reported as 0.  The leading phase and modulus and the gauges
-    come from one correction profile per block of solved roots, each
+    come from one correction profile per block, of its solved roots, each
     member on its own grid.
     """
-    solved, degraded = [], []
+    ns, th_ratios, r_ratios, degraded = [], [], [], []
     for block in asymptotics._blocks(range(n_min, n_max + 1)):
         points = asymptotics._predictions(pot, block)
+        solved = []
         for n, res in zip(block, oracle._solve_points(pot, points)):
             if not isinstance(res, oracle.SecularResult):
                 degraded.append((n, str(res)))
@@ -450,14 +476,13 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
                 degraded.append((n, str(exc)))
                 continue
             solved.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
-    ns, th_ratios, r_ratios = [], [], []
-    for i in range(0, len(solved), asymptotics._BLOCK):
-        block = solved[i:i + asymptotics._BLOCK]
-        prof = _CorrectionProfile(pot, [b[1] for b in block])
-        theta_lead, r_lead = asymptotics._leading(prof,
-                                                  _rows([b[2] for b in block]))
+        if not solved:
+            continue
+        prof = _CorrectionProfile(pot, [b[1] for b in solved])
+        theta_lead, r_lead = asymptotics._leading(
+            prof, _rows([b[2] for b in solved]))
         for k, ((n, _, xs, theta, r), gauge) in enumerate(
-                zip(block, prof.gauge())):
+                zip(solved, prof.gauge())):
             dth = float(np.abs(theta - theta_lead[k, :len(xs)]).max())
             dr = float(np.abs(r - r_lead[k, :len(xs)]).max())
             g2 = gauge.value ** 2

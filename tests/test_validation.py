@@ -110,7 +110,7 @@ def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
     from slspec.oscillatory import _CorrectionProfile
 
     tables, profile_lams = Counter(), []
-    real_tables = A._tables
+    real_tables = A._table_rows
     real_init = _CorrectionProfile.__init__
 
     def counting_tables(pot, ns, grid, kind, store=None):
@@ -121,7 +121,7 @@ def test_sweep_builds_each_closed_form_object_once(step_pot, monkeypatch):
         profile_lams.extend(complex(lam) for lam in lams)
         real_init(self, pot, lams)
 
-    monkeypatch.setattr(A, "_tables", counting_tables)
+    monkeypatch.setattr(A, "_table_rows", counting_tables)
     monkeypatch.setattr(_CorrectionProfile, "__init__", counting_init)
     rep = remainder_sweep(step_pot, 12, jobs=1)
     assert rep.degraded == []
