@@ -43,7 +43,8 @@ coefficient in the order of the textbook double loop (ascending power of
 the first factor, from zero), so it keeps that loop's bits.  An
 evaluation takes one exponential per conjugate pair of real frequencies:
 the mirror's phase is the conjugate of the first one's, which is exact
-(see ``_eval_block``).
+(see ``_eval_block``).  Objects on one omega evaluated at the same points
+can share those exponentials through a phase dict (``PiecewiseExp.eval``).
 """
 
 from __future__ import annotations
@@ -253,7 +254,7 @@ def _derivative_atoms(atoms, omega) -> tuple:
     return tuple(out)
 
 
-def _eval_block(atoms, omega, width, s, rows=None):
+def _eval_block(atoms, omega, width, s, rows=None, shared=None):
     """Atoms at the local coordinates s, a 1-D array.
 
     With rows None every member is evaluated at every s, shape
@@ -266,9 +267,17 @@ def _eval_block(atoms, omega, width, s, rows=None):
     symmetric, so the argument (i nu) s of the mirror is the exact
     negation, with real part +-0; exp(+-0) is exactly 1, libm's cos is
     even and its sin odd.
+
+    shared, a dict, carries the phases over to other objects on the same
+    omega, evaluated at the same s and rows: every exponential computed
+    here is kept in it by key, and a key found there (or, where omega and
+    a are real, its mirror, conjugated) is not computed again.  The values
+    are those of separate calls bit for bit.
     """
     real = omega is None or not omega.imag.any()
-    phases = {}                         # a phase its mirror has yet to use
+    # alone, a phase is kept until its mirror uses it; shared, for good
+    phases = {} if shared is None else shared
+    mirror_of = phases.pop if shared is None else phases.get
     if rows is None:
         def pick(v):
             return v[:, None] if np.ndim(v) else v
@@ -300,14 +309,18 @@ def _eval_block(atoms, omega, width, s, rows=None):
             term = term * s + pick(c)
         if key != _ZERO_KEY:
             a, b = key
-            mirror = phases.pop((-a, -b), None)
-            if mirror is not None:
-                phase = np.conj(mirror)
-            else:
+            mirrored = real and a.imag == 0
+            # a piece's keys are distinct: only a shared dict holds this one
+            phase = phases.get(key)
+            if phase is None and mirrored:
+                mirror = mirror_of((-a, -b), None)
+                if mirror is not None:
+                    phase = np.conj(mirror)
+            if phase is None:
                 # named, so that numpy cannot reuse the large temporary and
                 # multiply in the swapped order, which rounds differently
                 phase = np.exp(pick(1j * _frequency(key, omega)) * s)
-                if real and a.imag == 0:
+                if mirrored or shared is not None:
                     phases[key] = phase
             term = term * phase
         val = val + term
@@ -352,15 +365,24 @@ class PiecewiseExp:
             return values
         return values.item() if values.ndim == 1 else values[0]
 
-    def eval(self, x):
+    def eval(self, x, phases=None):
         """Evaluate at scalar or array x (right-continuous at breaks).
 
         A block gives shape (width,) + x.shape, or, for a 2-D x with one
         row per member, each member at its own row of points; a plain
         object gives a complex, or an array shaped like x.
+
+        phases, a dict, lets objects on the same breaks and omega that are
+        evaluated at the same x share their exponentials: pass one fresh
+        dict to each of their calls, and each atom key of each piece pays
+        one exponential for all of them (see ``_eval_block``).  The values
+        are the same bits as without it.
         """
         x = np.asarray(x, dtype=float)
         idx = self._piece_index(x)
+
+        def shared(i):
+            return None if phases is None else phases.setdefault(i, {})
         if self.block and x.ndim == 2:
             if x.shape[0] != self.width:
                 raise ValueError(f"{x.shape[0]} rows of points for a block "
@@ -371,7 +393,7 @@ class PiecewiseExp:
                 if rows.size:
                     out[rows, cols] = _eval_block(
                         pc, self.omega, self.width,
-                        x[rows, cols] - self.breaks[i], rows)
+                        x[rows, cols] - self.breaks[i], rows, shared(i))
             return out
         flat, idx = x.reshape(-1), idx.reshape(-1)
         out = np.zeros((self.width, flat.size), dtype=complex)
@@ -379,7 +401,8 @@ class PiecewiseExp:
             mask = idx == i
             if mask.any():
                 out[:, mask] = _eval_block(pc, self.omega, self.width,
-                                           flat[mask] - self.breaks[i])
+                                           flat[mask] - self.breaks[i],
+                                           shared=shared(i))
         return self._output(out.reshape((self.width,) + x.shape))
 
     def max_frequency(self) -> float:

@@ -95,6 +95,8 @@ _WALK_CELLS = 2048              # smooth-piece cells times members of one
                                 # bit the complex cells (_magnus_matrices)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
+# the contour's points around its center, the same for every contour
+_WINDING_RING = np.exp(2j * PI * np.arange(_WINDING_POINTS) / _WINDING_POINTS)
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
 _GAUSS_HI = 0.5 + math.sqrt(3) / 6
 _MAGNUS_C = math.sqrt(3) / 12           # weight of the Magnus commutator term
@@ -1174,8 +1176,7 @@ def _winding(F, center: complex) -> int:
     the count of the finer mesh's F whenever the two differ by less than
     |F| on the circle.
     """
-    ring = np.exp(2j * PI * np.arange(_WINDING_POINTS) / _WINDING_POINTS)
-    vals = np.asarray(F(center + _WINDING_RADIUS * ring))
+    vals = np.asarray(F(center + _WINDING_RADIUS * _WINDING_RING))
     if np.any(vals == 0):
         return 1
     phases = np.unwrap(np.angle(np.append(vals, vals[0])))

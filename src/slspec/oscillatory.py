@@ -19,9 +19,12 @@ rejected because the formulas are large-lambda statements.
 
 The profile behind v and gamma takes a block of lambdas at once: its
 objects are moments blocks on the kernel frequency vector s = sqrt(lam),
-and its gauge refines each member around that member's own maxima.  A
-member's numbers are those of its lambda alone; the public functions here
-evaluate one lambda as a block of one.
+and its gauge refines each member around that member's own maxima.  The
+gauge works a chunk of members at a time: their grids are the rows of
+one padded array, each refinement pass is whole-array work on it, and
+the four terms it samples at the same points share their exponentials.
+A member's numbers are those of its lambda alone; the public functions
+here evaluate one lambda as a block of one.
 """
 
 from __future__ import annotations
@@ -159,72 +162,137 @@ class _CorrectionProfile:
         """Sampled remainder gauge of each member (see ``remainder_gauge``).
 
         members (positions in the block) limits the sampling to those
-        members; a member's value does not depend on the others.  The first
-        sample, on a grid common to all members, takes chunks of points of
-        at most _EVAL_CELLS values.
+        members; a member's value does not depend on the others.  The
+        members go in chunks whose grids, refined twice, stay within
+        _EVAL_CELLS values (_gauge_chunk); a chunk's first sample takes
+        chunks of points when one member's grid alone exceeds them.
         """
-        comp = (self.single_sin, self.single_cos, self.double, self.square_cos)
-        s, lams = self.sqrt_lam, self.lam
-        if members is not None:
-            comp = tuple(c.take(members) for c in comp)
-            s, lams = s[members], lams[members]
-        s = s[:, None]
+        objects = (self.single_sin, self.single_cos, self.double,
+                   self.square_cos)
+        positions = (np.arange(len(self.lam)) if members is None
+                     else np.asarray(members, int))
+        grid = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
+                          np.asarray(self.pot.breaks))
+        cap = max(1, _EVAL_CELLS // (len(grid) + 2 * _PASS_POINTS))
+        parts = -(-len(positions) // cap)
+        bounds = [len(positions) * i // parts for i in range(parts + 1)]
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = positions[lo:hi]
+            comp = (objects if members is None and parts == 1
+                    else tuple(c.take(chunk) for c in objects))
+            out += self._gauge_chunk(comp, chunk, grid, sup_grid)
+        return out
+
+    def _gauge_chunk(self, comp, chunk, grid, sup_grid) -> list:
+        """The gauges of the members at positions chunk, objects comp.
+
+        Every member's grid is one row, padded on the right (points inf,
+        values 0) to the longest one, and each refinement pass is
+        whole-array work on the chunk (_refine).  The four objects of a
+        sample share their phases (PiecewiseExp.eval).
+        """
+        s = self.sqrt_lam[chunk][:, None]
 
         def sample(xs):
             # |int u sin| + |int u cos| + 2 |double| + (1/2)|int u^2 cos / s|,
             # summed in this order with one evaluation alive at a time
             ss, sc, dbl, sqc = comp
-            total = np.abs(ss.eval(xs))
-            total += np.abs(sc.eval(xs))
-            total += 2 * np.abs(dbl.eval(xs))
-            total += 0.5 * np.abs(sqc.eval(xs) / s)
+            phases = {}
+            total = np.abs(ss.eval(xs, phases))
+            total += np.abs(sc.eval(xs, phases))
+            # the double reads a copy: the phases only it has (4 s) die
+            # with its evaluation
+            total += 2 * np.abs(dbl.eval(
+                xs, {piece: dict(keys) for piece, keys in phases.items()}))
+            total += 0.5 * np.abs(sqc.eval(xs, phases) / s)
             return total
 
-        grid = np.union1d(np.linspace(0.0, PI, max(int(sup_grid), 16)),
-                          np.asarray(self.pot.breaks))
-        xs = [grid] * len(lams)
-        step = max(1, _EVAL_CELLS // len(lams))
-        vals = [np.empty(len(grid)) for _ in lams]
+        vals = np.empty((len(chunk), len(grid)))
+        step = max(1, _EVAL_CELLS // len(chunk))
         for i in range(0, len(grid), step):
-            for row, part in zip(vals, sample(grid[i:i + step])):
-                row[i:i + step] = part
+            vals[:, i:i + step] = sample(grid[i:i + step])
+        xs = np.broadcast_to(grid, vals.shape)
+        count = np.full(len(chunk), len(grid))
         for _ in range(2):
-            new = []
-            for x, val in zip(xs, vals):
-                extra = []
-                for i in np.argsort(val)[-3:]:
-                    lo = x[max(int(i) - 1, 0)]
-                    hi = x[min(int(i) + 1, len(x) - 1)]
-                    extra.append(np.linspace(lo, hi, 15))
-                new.append(np.setdiff1d(np.concatenate(extra), x))
-            # sampling is pointwise: evaluate the new points only, each
-            # member's in its own row (padded with pi), and merge them into
-            # the member's sorted grid
-            rows = _rows(new)
-            got = sample(rows) if rows.size else rows
-            for k, p in enumerate(new):
-                at = np.searchsorted(xs[k], p)
-                vals[k] = np.insert(vals[k], at, got[k, :len(p)])
-                xs[k] = np.insert(xs[k], at, p)
-        return [self._gauge_value(x, val, lam, sup_grid)
-                for x, val, lam in zip(xs, vals, lams)]
+            xs, vals, count = _refine(xs, vals, count, sample)
+        return self._gauge_values(xs, vals, count, self.lam[chunk], sup_grid)
 
-    def _gauge_value(self, xs, vals, lam, sup_grid) -> GaugeValue:
-        tail = float(self.pot.l2_norm_sq / abs(complex(lam)) ** 0.5)
-        best = float(vals.max())
-        gaps = np.diff(xs)
-        slopes = np.abs(np.diff(vals)) / np.maximum(gaps, 1e-300)
-        upper = best + float(slopes.max() * gaps.max() / 2) if len(xs) > 1 else best
-        return GaugeValue(value=best + tail, tail=tail,
-                          upper_estimate=upper + tail, sup_grid=int(sup_grid))
+    def _gauge_values(self, xs, vals, count, lams, sup_grid) -> list:
+        """GaugeValue of each row of a chunk's padded grids and values.
+
+        The sup, the gaps and the slopes are those of the member's own
+        points; the padding takes no part.  The tail is a Python scalar
+        per member: numpy's complex abs may differ from Python's by an ulp.
+        """
+        inner = np.arange(xs.shape[1] - 1) < (count - 1)[:, None]
+        gaps = np.subtract(xs[:, 1:], xs[:, :-1], out=np.zeros(inner.shape),
+                           where=inner)
+        rise = np.subtract(vals[:, 1:], vals[:, :-1],
+                           out=np.zeros(inner.shape), where=inner)
+        slopes = np.abs(rise) / np.maximum(gaps, 1e-300)
+        best = vals.max(axis=1)
+        upper = best + slopes.max(axis=1) * gaps.max(axis=1) / 2
+        out = []
+        for top, up, lam in zip(best.tolist(), upper.tolist(), lams):
+            tail = float(self.pot.l2_norm_sq / abs(complex(lam)) ** 0.5)
+            out.append(GaugeValue(value=top + tail, tail=tail,
+                                  upper_estimate=up + tail,
+                                  sup_grid=int(sup_grid)))
+        return out
 
 
-def _rows(points) -> np.ndarray:
-    """Points of varying number, one row per member, padded with pi."""
-    rows = np.full((len(points), max(len(p) for p in points)), PI)
-    for row, p in zip(rows, points):
-        row[:len(p)] = p
-    return rows
+# A refinement pass adds at most this many points to a member's grid:
+# three windows of 15 points whose ends are grid points already.
+_PASS_POINTS = 3 * 13
+
+
+def _refine(xs, vals, count, sample):
+    """One refinement pass of a chunk of members; new (xs, vals, count).
+
+    Row k holds member k's sorted grid and its values in its first
+    count[k] columns.  Around each of the member's three largest values,
+    at grid position i, the pass samples np.linspace(x[i-1], x[i+1], 15)
+    (ends clamped to the grid), keeps the points its grid lacks, and
+    merges them in.  The three positions are those of
+    np.argsort(row)[-3:]: the same set whenever the third and fourth
+    largest values differ, and otherwise taken from that argsort.
+    """
+    width = len(vals)
+    rows = np.arange(width)[:, None]
+    top = np.argpartition(vals, -4, axis=1)[:, -4:]
+    ranked = np.take_along_axis(vals, top, axis=1)
+    top = top[:, 1:]
+    for k in np.flatnonzero(~(ranked[:, 1:].min(axis=1) > ranked[:, 0])):
+        top[k] = np.argsort(vals[k, :count[k]])[-3:]
+    lo = xs[rows, np.maximum(top - 1, 0)]
+    at = xs[rows, top]
+    hi = xs[rows, np.minimum(top + 1, count[:, None] - 1)]
+    lo, at, hi = (v[..., None] for v in (lo, at, hi))
+    # np.linspace(lo, hi, 15) of each window, in its arithmetic
+    cand = np.arange(15.0) * ((hi - lo) / 14) + lo
+    cand[..., -1:] = hi
+    # the grid is sorted, so a window's point can equal only the window's
+    # own three grid points; the others go last as inf, and so do the
+    # repeats where windows overlap
+    fresh = (cand != lo) & (cand != at) & (cand != hi)
+    new = np.sort(np.where(fresh, cand, np.inf).reshape(width, -1), axis=1)
+    new[:, 1:][new[:, 1:] == new[:, :-1]] = np.inf
+    new = np.sort(new, axis=1)
+    added = np.isfinite(new).sum(axis=1)
+    if not added.any():
+        return xs, vals, count
+    new = new[:, :added.max()]
+    # each member's new points in its own row, padded with pi
+    got = sample(np.minimum(new, PI))
+    got[np.isinf(new)] = 0.0
+    merged = np.concatenate([xs, new], axis=1)
+    order = np.argsort(merged, axis=1)
+    xs = np.take_along_axis(merged, order, axis=1)
+    vals = np.take_along_axis(np.concatenate([vals, got], axis=1), order,
+                              axis=1)
+    count = count + added
+    return xs[:, :count.max()], vals[:, :count.max()], count
 
 
 def _member(values, shape):

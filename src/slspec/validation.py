@@ -45,7 +45,7 @@ import numpy as np
 
 from . import asymptotics, oracle
 from .errors import INDEX_FAILURES
-from .oscillatory import (SpectralDomain, _CorrectionProfile, _rows,
+from .oscillatory import (_EVAL_CELLS, SpectralDomain, _CorrectionProfile,
                           remainder_gauge)
 from .potential import PI, PotentialSpec
 
@@ -453,15 +453,16 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
     layer (asymptotics._blocks) are predicted by one profile and solved in
     lockstep (oracle._solve_points), each with the bits it has alone, as
     from oracle.solve_eigenvalue; theta and r are read off the
-    quasi-system trajectory at the root (oracle._prufer_from_quasi).  A
-    0/0 is reported as 0.  The leading phase and modulus and the gauges
-    come from one correction profile per block, of its solved roots, each
-    member on its own grid.
+    quasi-system trajectory at the root (oracle._prufer_from_quasi), each
+    member on its own grid of max(512, 24 |sqrt(lam)|) points.  A 0/0 is
+    reported as 0.  The solved members are compared a chunk at a time
+    (_ratio_chunk), so that their rows of points, the trajectories and
+    the leading phase and modulus stay within _EVAL_CELLS values.
     """
-    ns, th_ratios, r_ratios, degraded = [], [], [], []
+    ratios, degraded = [], []
     for block in asymptotics._blocks(range(n_min, n_max + 1)):
         points = asymptotics._predictions(pot, block)
-        solved = []
+        chunk = []
         for n, res in zip(block, oracle._solve_points(pot, points)):
             if not isinstance(res, oracle.SecularResult):
                 degraded.append((n, str(res)))
@@ -475,19 +476,40 @@ def phase_modulus_ratio_profile(pot: PotentialSpec, n_max: int, *,
             except INDEX_FAILURES as exc:
                 degraded.append((n, str(exc)))
                 continue
-            solved.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
-        if not solved:
-            continue
-        prof = _CorrectionProfile(pot, [b[1] for b in solved])
-        theta_lead, r_lead = asymptotics._leading(
-            prof, _rows([b[2] for b in solved]))
-        for k, ((n, _, xs, theta, r), gauge) in enumerate(
-                zip(solved, prof.gauge())):
-            dth = float(np.abs(theta - theta_lead[k, :len(xs)]).max())
-            dr = float(np.abs(r - r_lead[k, :len(xs)]).max())
-            g2 = gauge.value ** 2
-            ns.append(n)
-            th_ratios.append(_guarded_ratio(dth, g2))
-            r_ratios.append(_guarded_ratio(dr, g2))
-    return {"n_values": ns, "theta_ratio": th_ratios, "r_ratio": r_ratios,
-            "degraded": degraded}
+            longest = max([len(xs)] + [len(b[2]) for b in chunk])
+            if chunk and (len(chunk) + 1) * longest > _EVAL_CELLS:
+                ratios += _ratio_chunk(pot, chunk)
+                chunk = []
+            chunk.append((n, res.lam, xs, traj.theta, np.exp(traj.log_r)))
+        if chunk:
+            ratios += _ratio_chunk(pot, chunk)
+    return {"n_values": [n for n, _, _ in ratios],
+            "theta_ratio": [th for _, th, _ in ratios],
+            "r_ratio": [r for _, _, r in ratios], "degraded": degraded}
+
+
+def _rows(points) -> np.ndarray:
+    """Points of varying number, one row per member, padded with pi."""
+    rows = np.full((len(points), max(len(p) for p in points)), PI)
+    for row, p in zip(rows, points):
+        row[:len(p)] = p
+    return rows
+
+
+def _ratio_chunk(pot: PotentialSpec, solved) -> list:
+    """[(n, theta ratio, r ratio)] of solved members (n, lam, xs, theta, r).
+
+    One correction profile of their roots gives the leading phase and
+    modulus, each member on its own row of points, and the gauges.
+    """
+    prof = _CorrectionProfile(pot, [b[1] for b in solved])
+    theta_lead, r_lead = asymptotics._leading(prof,
+                                              _rows([b[2] for b in solved]))
+    out = []
+    for k, ((n, _, xs, theta, r), gauge) in enumerate(
+            zip(solved, prof.gauge())):
+        dth = float(np.abs(theta - theta_lead[k, :len(xs)]).max())
+        dr = float(np.abs(r - r_lead[k, :len(xs)]).max())
+        g2 = gauge.value ** 2
+        out.append((n, _guarded_ratio(dth, g2), _guarded_ratio(dr, g2)))
+    return out

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from slspec import PotentialSpec, asymptotics, cli, moments, oracle
 from slspec.asymptotics import _BLOCK, _EVAL_CELLS
 from slspec.oscillatory import _CorrectionProfile
-from slspec.validation import remainder_sweep
+from slspec.validation import phase_modulus_ratio_profile, remainder_sweep
 
 PI = math.pi
 
@@ -211,3 +211,30 @@ def test_meshes_stay_out_of_a_pickled_potential():
     oracle.solve_eigenvalue(pot, 3)
     assert pot.piecewise._meshes
     assert pickle.dumps(pot) == fresh
+
+
+def test_ratio_profile_keeps_its_arrays_within_the_budget(monkeypatch):
+    # the leading phase and modulus of the members' rows of up to
+    # 24 |sqrt(lambda)| points, and the rows themselves, a chunk of
+    # members at a time
+    from slspec import validation
+
+    sizes = {}
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            sizes.setdefault(name, []).append(np.size(out))
+            return out
+
+        monkeypatch.setattr(owner, name, spy)
+
+    record(moments.PiecewiseExp, "eval")
+    record(validation, "_rows")
+    out = phase_modulus_ratio_profile(_POTS["poly"], 60, n_min=10)
+    assert out["n_values"] == list(range(10, 61)) and out["degraded"] == []
+    assert set(sizes) == {"eval", "_rows"}
+    for name, seen in sizes.items():
+        assert max(seen) <= _EVAL_CELLS, name

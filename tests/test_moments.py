@@ -386,3 +386,49 @@ def test_libm_exp_of_a_negated_imaginary_argument_is_the_conjugate():
     z = np.zeros(len(y), complex)
     z.imag = y
     assert _same_bits([np.exp(-z)], [np.conj(np.exp(z))])
+
+
+def _evals(objects, x, shared):
+    """Each object at x: with one phase dict for all of them, or alone."""
+    phases = {} if shared else None
+    return [f.eval(x, phases if shared else None) for f in objects]
+
+
+@pytest.mark.parametrize("lam_shift", [0.0, 3j])
+def test_a_phase_dict_shared_by_the_profile_terms_keeps_their_bits(lam_shift):
+    # the four terms the gauge samples, on a step and on a trig potential
+    # (atoms of frequency a + b omega with a != 0), at real m^2 (a real
+    # omega: mirrors are conjugated across objects) and at complex lambda
+    # (a complex omega: only equal keys are shared)
+    rng = np.random.default_rng(3)
+    for pot in (PotentialSpec.step([(0.0, 0.9, 1.3), (0.9, 2.1, -0.4),
+                                    (2.1, PI, 0.8)]),
+                PotentialSpec.trig([(0.0, 1.2, [0.3, 1.0, -0.5]),
+                                    (1.2, PI, [0.2, 0.0, 0.7])])):
+        prof = oscillatory._CorrectionProfile(
+            pot, [(n - 0.5) ** 2 + lam_shift for n in range(1, 13)])
+        objects = (prof.single_sin, prof.single_cos, prof.double,
+                   prof.square_cos)
+        x = np.concatenate((pot.breaks, rng.uniform(0.0, PI, 300)))
+        rows = np.sort(rng.uniform(0.0, PI, (12, 40)), axis=1)
+        for at in (x, rows):
+            assert _same_bits(_evals(objects, at, True),
+                              _evals(objects, at, False))
+            assert _same_bits(_evals(objects[::-1], at, True),
+                              _evals(objects[::-1], at, False))
+
+
+@pytest.mark.parametrize("omega", [[1.5, 2.5, 7.25], [1.5, 2.5 + 0.5j, 7.25]])
+def test_a_phase_dict_serves_an_object_with_one_atom_of_a_pair(omega):
+    # exp(2i omega x) = cos + i sin holds the +2 omega atom alone; beside
+    # sin(2 omega x), which holds both, it reads the conjugate of the
+    # mirror's phase at a real omega, in either order
+    breaks = (0.0, 1.1, PI)
+    sin_k, cos_k = moments.harmonic_kernels(omega, 2, breaks)
+    up = cos_k + sin_k.scale(1j)
+    assert [[key for key, _ in pc] for pc in up.pieces] == [[(0j, 2)]] * 2
+    x = np.linspace(0.0, PI, 101)
+    for objects in ((sin_k, up), (up, sin_k), (up, cos_k, sin_k)):
+        assert _same_bits(_evals(objects, x, True), _evals(objects, x, False))
+    ref = np.exp(2j * np.asarray(omega)[:, None] * x)
+    assert np.allclose(up.eval(x), ref, rtol=1e-13, atol=1e-13)

@@ -227,3 +227,100 @@ def test_gauge_refinement_equals_whole_grid_sampling(all_pots, name):
         gauges = prof.gauge(sup_grid)
         for k in range(len(lams)):
             assert gauges[k] == _gauge_resampling_whole_grid(prof, k, sup_grid)
+
+
+# The validate-step potential of the benchmark at seed 7; at its solved
+# roots n = 1..32, member n = 8 ties its third and fourth largest values
+# in the second refinement pass.
+SEED7_STEP = PotentialSpec.step([
+    (0.0, 0.9555693186745379, 0.11438808340462403),
+    (0.9555693186745379, 1.30075637149404, 1.6757112277512975),
+    (1.30075637149404, 1.7401990999388663, -0.022738927114721363),
+    (1.7401990999388663, 2.0597460036034088, -1.1969417218928218),
+    (2.0597460036034088, 2.825899855127577, 1.3031135844563257),
+    (2.825899855127577, PI, -1.5596941609385526)])
+
+
+def _gauges_and_tied_rows(monkeypatch, prof):
+    """prof.gauge() and the lengths of the rows whose top three tied.
+
+    The block refinement takes np.argsort of a member's own row only where
+    the third and fourth largest values tie.
+    """
+    from slspec import oscillatory
+
+    tied, real = [], np.argsort
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 1:
+            tied.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(oscillatory.np, "argsort", spy)
+    gauges = prof.gauge()
+    monkeypatch.undo()
+    return gauges, tied
+
+
+def test_block_gauge_equals_whole_grid_sampling_on_a_tied_head_block(
+        monkeypatch):
+    from slspec import asymptotics, oracle
+    from slspec.oscillatory import _CorrectionProfile
+
+    ns = range(1, 33)
+    points = asymptotics._predictions(SEED7_STEP, ns)
+    roots = [res.lam for res in oracle._solve_points(SEED7_STEP, points)]
+    prof = _CorrectionProfile(SEED7_STEP, roots)
+    gauges, tied = _gauges_and_tied_rows(monkeypatch, prof)
+    assert tied
+    for k in range(len(roots)):
+        assert gauges[k] == _gauge_resampling_whole_grid(prof, k), k
+
+
+def test_block_gauge_equals_whole_grid_sampling_where_every_row_ties(
+        free_pot, monkeypatch):
+    from slspec.oscillatory import _CorrectionProfile
+
+    lams = (0.81, 30.25, 4.0e4, 12.0 + 5.0j, 900.0 - 40.0j, -3.0)
+    prof = _CorrectionProfile(free_pot, lams)
+    gauges, tied = _gauges_and_tied_rows(monkeypatch, prof)
+    assert len(tied) == 2 * len(lams)       # both passes, every member
+    for k in range(len(lams)):
+        assert gauges[k] == _gauge_resampling_whole_grid(prof, k)
+        assert gauges[k].value == 0.0
+
+
+def test_gauge_refinement_is_whole_array_work(monkeypatch):
+    # no per-member insert or set difference, and one evaluation per term
+    # and sample whatever the width of the block (one piece, so that each
+    # evaluation is one _eval_block call)
+    from slspec import moments
+    from slspec.oscillatory import _CorrectionProfile
+
+    pot = PotentialSpec.trig([(0.0, PI, [1.0, 0.5, -0.3])])
+    pot.l2_norm_sq                          # the tail's integral, once
+    profs = {}
+    for width in (1, 8, 40):
+        profs[width] = _CorrectionProfile(
+            pot, [(n - 0.5) ** 2 + 0.1 for n in range(1, width + 1)])
+        profs[width].single_cos
+
+    def banned(*args, **kwargs):
+        raise AssertionError("a per-member numpy call in the gauge")
+
+    calls, real = [], moments._eval_block
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "insert", banned)
+    monkeypatch.setattr(np, "setdiff1d", banned)
+    monkeypatch.setattr(moments, "_eval_block", spy)
+    counts = {}
+    for width, prof in profs.items():
+        calls.clear()
+        assert len(prof.gauge()) == width
+        counts[width] = len(calls)
+    # four terms at the first sample and at each of the two passes
+    assert counts == {1: 12, 8: 12, 40: 12}
