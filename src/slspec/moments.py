@@ -263,18 +263,21 @@ def _eval_block(atoms, omega, width, s, rows=None, shared=None):
 
     Atoms of real frequencies mostly come in pairs +-nu, keyed (a, b) and
     (-a, -b); the second of a pair takes the conjugate of the first one's
-    phase rather than its own exponential.  That is exact: b is an integer and rounding is
-    symmetric, so the argument (i nu) s of the mirror is the exact
-    negation, with real part +-0; exp(+-0) is exactly 1, libm's cos is
-    even and its sin odd.
+    phase rather than its own exponential.  That is exact: b is an integer
+    and rounding is symmetric, so the argument (i nu) s of the mirror is
+    the exact negation, with real part +-0; exp(+-0) is exactly 1, libm's
+    cos is even and its sin odd.
+
+    The mirror serves each member whose own omega is real (every member
+    where b = 0); the other members of a block take their own exponential,
+    of the same argument array.
 
     shared, a dict, carries the phases over to other objects on the same
     omega, evaluated at the same s and rows: every exponential computed
-    here is kept in it by key, and a key found there (or, where omega and
-    a are real, its mirror, conjugated) is not computed again.  The values
-    are those of separate calls bit for bit.
+    here is kept in it by key, and a key found there (or its mirror,
+    conjugated, as above) is not computed again.  The values are those of
+    separate calls bit for bit.
     """
-    real = omega is None or not omega.imag.any()
     # alone, a phase is kept until its mirror uses it; shared, for good
     phases = {} if shared is None else shared
     mirror_of = phases.pop if shared is None else phases.get
@@ -290,6 +293,12 @@ def _eval_block(atoms, omega, width, s, rows=None, shared=None):
         def pick(v):
             return v[rows] if np.ndim(v) else v
         val = np.zeros(len(s), complex)
+    # the members a mirror cannot serve where b != 0: True for all of
+    # them, False for none, else a mask of the rows whose omega is complex
+    own = False
+    if omega is not None and omega.imag.any():
+        own = omega.imag != 0
+        own = True if own.all() else pick(own)
     for key, coeffs in atoms:
         term = 0j
         if rows is None and len(coeffs) > _NARROW:
@@ -309,13 +318,18 @@ def _eval_block(atoms, omega, width, s, rows=None, shared=None):
             term = term * s + pick(c)
         if key != _ZERO_KEY:
             a, b = key
-            mirrored = real and a.imag == 0
+            mine = own if b else False
+            mirrored = a.imag == 0 and mine is not True
             # a piece's keys are distinct: only a shared dict holds this one
             phase = phases.get(key)
             if phase is None and mirrored:
                 mirror = mirror_of((-a, -b), None)
                 if mirror is not None:
                     phase = np.conj(mirror)
+                    if mine is not False:
+                        mine = np.broadcast_to(mine, phase.shape)
+                        phase[mine] = np.exp((pick(1j * _frequency(key, omega))
+                                              * s)[mine])
             if phase is None:
                 # named, so that numpy cannot reuse the large temporary and
                 # multiply in the swapped order, which rounds differently

@@ -33,14 +33,14 @@ as lambda grows.
 
 Every reading comes from one walk over the pieces (_walk).  For each
 piece it advances every member once: the exact step of a constant piece
-in scalar arithmetic, and for a smooth piece one product of its cells or,
-where a reader needs states inside it, the prefix states of its cells.
+in scalar arithmetic (for a wide batch, float64 arrays that round like
+it), and for a smooth piece one product of its cells or, where a reader
+needs states inside it, the prefix states of its cells.
 It applies the u-shear at a smooth piece's ends, turns an overflowing
 state into that member's IntegrationBlowupError and records the state at
 the break.  lambda is a scalar or a 1-D batch, and each member equals its
 lambda walked alone, bit for bit.  Thin readers take what they need:
-the characteristic, scalar or batch (the argument-principle check
-evaluates its 16-point contour as one), reads the end state and forms no
+the characteristic, scalar or batch, reads the end state and forms no
 node array (_end_value); node states (integrate_quasi_system, numeric
 eigenfunctions) take one array step inside a constant piece and one
 partial Magnus step inside a cell (_node_states); the norm of an
@@ -49,7 +49,8 @@ a Sturm count reads the break states, takes nodes inside smooth pieces
 only, and counts the zeros on each constant piece in closed form
 (_sturm_count).  The root finders solve a block of indices in lockstep
 (_solve_block): each round of Brent or of the secant, over all the
-active indices, is one walk of the reduced characteristic.
+active indices, is one walk of the reduced characteristic, and the
+block's winding contours walk together after its last round.
 
 Where the Magnus parts of a smooth piece are real (a real polynomial
 piece), a member at real lambda forms the piece's cells, their product
@@ -93,8 +94,12 @@ _WALK_CELLS = 2048              # smooth-piece cells times members of one
                                 # walk with prefix states or the norm; a
                                 # real member's cells are float64, bit for
                                 # bit the complex cells (_magnus_matrices)
+_WIDE_STEP = 144                # members from which a walk steps its
+                                # constant pieces as arrays (_wide_step)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
+_CONTOUR_WALK = 256             # contour points of one walk, all pieces
+                                # constant (_contours)
 # the contour's points around its center, the same for every contour
 _WINDING_RING = np.exp(2j * PI * np.arange(_WINDING_POINTS) / _WINDING_POINTS)
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -139,22 +144,14 @@ class SecularResult:
     sturm_counts: int       # Sturm counts; their sum is iterations
 
 
-def _cos_sinc(s, d):
-    """cos(s d) and sin(s d)/s, the latter stable for small |s d|.
+def _const_advance(y, mix, s, d):
+    """Exact propagation to the nodes d of a piece where u == const.
 
-    A float d (the end state of a piece) takes scalar cmath arithmetic with
-    the scalar sqrt(lam) s, and NaNs where cmath overflows, for the walk's
-    finiteness check; an array d (the nodes inside a piece) numpy, with s
-    a scalar or a (members, 1) column.
+    The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
+    so exp(A d) = cos(s d) I + (sin(s d)/s) A, sin(s d)/s by its series
+    for small |s d|; mix is A y.  The (members, 1) columns of y, mix and
+    s = sqrt(lam) meet (members, nodes) arrays.
     """
-    if isinstance(d, float):
-        z = s * d
-        if abs(z) < 1e-6:
-            return cmath.cos(z), d * (1 - z * z / 6)
-        try:
-            return cmath.cos(z), cmath.sin(z) / s
-        except OverflowError:   # past |Im(s d)| ~ 710
-            return cmath.nan, cmath.nan
     d = np.asarray(d, dtype=complex)
     z = s * d
     small = np.abs(z) < 1e-6
@@ -163,32 +160,71 @@ def _cos_sinc(s, d):
     # complex products differently, and a member's bits must not depend
     # on the size of its block
     series = 1 - z * z / 6
-    return np.cos(z), np.where(small, d * series,
-                               np.sin(np.where(small, 1.0, z)) / s)
-
-
-def _const_mix(y, const, lamc):
-    """The start-state terms of the exact step on u == const, as scalars.
-
-    With A = [[c, 1], [-lam - c^2, -c]], A y = (c y1 + y2,
-    (-lam - c^2) y1 - c y2).  They are formed in CPython scalar arithmetic
-    even when a block of members shares the step: numpy's array products
-    of complex numbers can fuse multiply and add, and a member must equal
-    its lambda walked alone.
-    """
-    return const * y[0] + y[1], (-lamc - const * const) * y[0] - const * y[1]
-
-
-def _const_advance(y, mix, s, d):
-    """Exact propagation over distance d in a piece where u == const.
-
-    The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
-    so exp(A d) = cos(s d) I + (sin(s d)/s) A; mix is A y (_const_mix).
-    Scalar arithmetic for a float d; for an array d the (members, 1)
-    columns of y, mix and s = sqrt(lam) meet (members, nodes) arrays.
-    """
-    cd, sd = _cos_sinc(s, d)
+    cd = np.cos(z)
+    sd = np.where(small, d * series, np.sin(np.where(small, 1.0, z)) / s)
     return cd * y[0] + sd * mix[0], sd * mix[1] + cd * y[1]
+
+
+def _wide_parts(lams, roots):
+    """A wide walk's per-member data: the parts of lambda and s, and the
+    branch, ratio and denominator of a division by s (_Py_c_quot)."""
+    lam, s = np.array(lams), np.array(roots)
+    sr, si = s.real.copy(), s.imag.copy()
+    by_re = np.abs(sr) >= np.abs(si)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_re, si / sr, sr / si)
+    denom = np.where(by_re, sr + si * ratio, sr * ratio + si)
+    return lam.real.copy(), lam.imag.copy(), sr, si, by_re, ratio, denom, roots
+
+
+def _wide_step(state, parts, const, d):
+    """The exact step over d on u == const, as float64 arrays.
+
+    state holds the real and imaginary parts of the members' (y1, y2) as
+    two (2, members) arrays.  Every operation is CPython's in the scalar
+    step of _walk: products and quotients in the formulas of _Py_c_prod
+    and _Py_c_quot, a float as the complex (d, 0.0), and for z = x + iy
+    cmath.cos(z) = (cos x cosh(-y), sin x sinh(-y)) and cmath.sin(z) =
+    (sin x cosh(-y), -(cos x sinh(-y))), with numpy's cos and sin, which
+    round like libm's, and math's cosh and sinh, since numpy's do not.
+    Members with |z| < 1e-6 (the series) or |y| > 708 (cmath's other
+    formula, and its overflow) take cmath itself.  So each member keeps
+    the bits of its scalar step, signs of zeros included.
+    """
+    yr, yi = state
+    lr, li, sr, si, by_re, ratio, denom, roots = parts
+    kr, ki = const.real, const.imag
+    kk = const * const
+    tr, ti = -lr - kk.real, -li - kk.imag
+    cyr, cyi = kr * yr - ki * yi, kr * yi + ki * yr        # c y
+    # A y = (c y1 + y2, (-lam - c^2) y1 - c y2)
+    mr = np.stack((cyr[0] + yr[1], tr * yr[0] - ti * yi[0] - cyr[1]))
+    mi = np.stack((cyi[0] + yi[1], tr * yi[0] + ti * yr[0] - cyi[1]))
+    zr, zi = sr * d - si * 0.0, sr * 0.0 + si * d
+    far = np.abs(zi) > 708.0
+    odd = np.flatnonzero(far | (np.hypot(zr, zi) < 2e-6)).tolist()
+    ch, sh = 1.0, -zi
+    if zi.any():
+        v = np.where(far, 0.0, sh).tolist()
+        ch = np.fromiter(map(math.cosh, v), float, len(v))
+        sh = np.fromiter(map(math.sinh, v), float, len(v))
+    cx, sx = np.cos(zr), np.sin(zr)
+    cdr, cdi, snr, sni = cx * ch, sx * sh, sx * ch, -(cx * sh)
+    sdr = np.where(by_re, snr + sni * ratio, snr * ratio + sni) / denom
+    sdi = np.where(by_re, sni - snr * ratio, sni * ratio - snr) / denom
+    for m in odd:
+        z = roots[m] * d
+        if abs(z) < 1e-6:
+            cd, sd = cmath.cos(z), d * (1 - z * z / 6)
+        else:
+            try:
+                cd, sd = cmath.cos(z), cmath.sin(z) / roots[m]
+            except OverflowError:       # past |Im(s d)| ~ 710
+                cd = sd = complex(cmath.nan, cmath.nan)
+        cdr[m], cdi[m], sdr[m], sdi[m] = cd.real, cd.imag, sd.real, sd.imag
+    # cos(s d) y + (sin(s d)/s) A y
+    return (cdr * yr - cdi * yi + (sdr * mr - sdi * mi),
+            cdr * yi + cdi * yr + (sdr * mi + sdi * mr))
 
 
 def _matmul(a, b):
@@ -429,11 +465,17 @@ def _blowup(x) -> IntegrationBlowupError:
                                   location=float(x))
 
 
+def _first(errors):
+    """The failure at the earliest break among the members, or None."""
+    return min((err for err in errors if err), key=lambda err: err.location,
+               default=None)
+
+
 def _raise_first(errors) -> None:
     """Raise the failure at the earliest break among the members, if any."""
-    if any(errors):
-        raise min((err for err in errors if err),
-                  key=lambda err: err.location)
+    err = _first(errors)
+    if err is not None:
+        raise err
 
 
 def _columns(pairs):
@@ -447,8 +489,10 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
 
     lam is a scalar (one member) or a 1-D batch, and each member starts
     from (0, sqrt(lam)), or from init.  Each piece is walked once for all
-    members.  A constant piece takes the exact step in scalar arithmetic
-    (_const_mix, _const_advance).  A smooth piece is cut into the cells of
+    members.  A constant piece takes the exact step in CPython scalar
+    arithmetic, member by member; from _WIDE_STEP members on, a walk
+    without nodes or norm takes it as float64 arrays that round the same
+    (_wide_step).  A smooth piece is cut into the cells of
     a uniform mesh, at most step_scale long, that depends on neither
     lambda nor the nodes (_mesh); each cell propagates by the exponential
     of its 4th-order Magnus exponent (_magnus_matrices), formed for the
@@ -467,7 +511,7 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
     order, so that each member's cells take its own arithmetic.
 
     A member whose state at the end of a piece is not finite (an
-    overflow of cmath comes back as NaN, _cos_sinc) gets the
+    overflow of cmath comes back as NaN) gets the
     IntegrationBlowupError of that break and walks on from a zero state.
     The states at the breaks are CPython complex numbers, so only the
     array work can overflow in numpy, and its overflow and invalid
@@ -503,6 +547,11 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
     else:
         ys = [(complex(init[0]), complex(init[1]))] * members
     trail, errors, cell_terms = [ys], [None] * members, []
+    # the wide step's per-member data, and its state while current
+    wide = state = None
+    if (members >= _WIDE_STEP and nodes is None and not norm
+            and pe._constant_heights.count(None) < len(pe._constant_heights)):
+        wide = _wide_parts(lams, roots)
     # nodes[left[j]:right[j]] lie on break j, nodes[right[i]:left[i + 1]]
     # inside piece i
     left = right = [0] * len(pe.breaks)
@@ -515,12 +564,47 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
         s_col = np.array(roots)[:, None]
     for i, (a, b, const, lo, hi) in enumerate(zip(
             pe.breaks, pe.breaks[1:], pe._constant_heights, right, left[1:])):
+        if const is not None and wide is not None:
+            if state is None:       # (y1, y2) as (2, members) rows
+                arr = np.broadcast_to(np.array(
+                    ys[:1] if ys is trail[0] and init is not None else ys,
+                    dtype=complex).T, (2, members))
+                state = arr.real.copy(), arr.imag.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = _wide_step(state, wide, const, b - a)
+            bad = ~(np.isfinite(state[0]) & np.isfinite(state[1])).all(0)
+            for m in np.flatnonzero(bad).tolist():
+                errors[m] = errors[m] or _blowup(b)
+                state[0][:, m] = state[1][:, m] = 0.0
+            ends = np.empty((2, members), dtype=complex)
+            ends.real, ends.imag = state
+            ys = list(zip(*ends.tolist()))
+            trail.append(ys)
+            continue
         if const is not None:
+            # the exact step in CPython scalar arithmetic: exp(A d) =
+            # cos(s d) I + (sin(s d)/s) A with A = [[c, 1], [-lam - c^2, -c]]
+            # (A^2 = -lam I), and A y mixes the start state
             d = b - a
-            mix, ends = [], []
-            for y, lc, s in zip(ys, lams, roots):
-                mix.append(_const_mix(y, const, lc))
-                ends.append(_const_advance(y, mix[-1], s, d))
+            mix, ends, cc = [], [], const * const
+            keep = norm or hi > lo
+            for m, ((v1, v2), lc, s) in enumerate(zip(ys, lams, roots)):
+                w1, w2 = const * v1 + v2, (-lc - cc) * v1 - const * v2
+                if keep:
+                    mix.append((w1, w2))
+                z = s * d
+                if abs(z) < 1e-6:
+                    cd, sd = cmath.cos(z), d * (1 - z * z / 6)
+                else:
+                    try:
+                        cd, sd = cmath.cos(z), cmath.sin(z) / s
+                    except OverflowError:   # past |Im(s d)| ~ 710
+                        cd = sd = cmath.nan
+                e1, e2 = cd * v1 + sd * w1, sd * w2 + cd * v2
+                if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
+                    errors[m] = errors[m] or _blowup(b)
+                    e1 = e2 = 0j
+                ends.append((e1, e2))
             if norm:
                 y0, slope = _columns([(y[0], d * mx[0])
                                       for y, mx in zip(ys, mix)])
@@ -577,10 +661,11 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                         y2[:, lo:hi] = (part[1, 0] * g1 + part[1, 1] * g2
                                         - pe._local(i, x)[None] * y1[:, lo:hi])
                 ends = [(e1, e2 - u_b * e1) for e1, e2 in ends]
-        for m, (e1, e2) in enumerate(ends):
-            if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
-                errors[m] = errors[m] or _blowup(b)
-                ends[m] = (0j, 0j)
+            for m, (e1, e2) in enumerate(ends):
+                if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
+                    errors[m] = errors[m] or _blowup(b)
+                    ends[m] = (0j, 0j)
+            state = None
         ys = ends
         trail.append(ys)
     out = ()
@@ -987,7 +1072,8 @@ def _secant_search(pot: PotentialSpec, n: int, s0: complex,
     A generator in the protocol of _solve_block, whose lambdas are s^2:
     the damped secant in the sqrt(lam) plane from the start value and its
     +-fd difference quotient, then the drift check and the winding count
-    of its own 16-point contour (solve_eigenvalue).
+    (_winding_number) of its 16-point contour, yielded as one array of
+    lambdas and sent back as one array of values (solve_eigenvalue).
     """
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
@@ -1029,9 +1115,8 @@ def _secant_search(pot: PotentialSpec, n: int, s0: complex,
     if abs(s_root - s0) > 0.5:
         raise IndexingError(
             f"converged sqrt(lambda) {s_root:.6g} drifted from seed {s0:.6g}")
-    mult = _winding(lambda s: _char_reduced(pot, s * s,
-                                            step_scale=_COUNT_STEP_SCALE),
-                    s_root)
+    s = s_root + _WINDING_RADIUS * _WINDING_RING
+    mult = _winding_number((yield s * s))
     evals += _WINDING_POINTS
     if mult < 1:
         raise IndexingError(
@@ -1059,16 +1144,18 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     lambda at which it reads the reduced characteristic, from (0, 1) on
     the default mesh, and is sent the value.  Each round walks the pending
     lambdas of all active members at once (_walk) and sends every member
-    its own value, or throws in its own IntegrationBlowupError.  Every
-    other reading of a member (its Sturm counts, its winding contour) runs
-    inside it, member by member.  Each member sees the values its lambdas
-    give alone, so its result equals the index solved alone, bit for bit;
-    the residuals |Delta| of the real roots come from one characteristic
-    walk after the last round.  A walk takes at most asymptotics._BLOCK
-    members (_ends), so the cell arrays of a round do not grow with the
-    block.  Returns, in order, each index's SecularResult or the
-    INDEX_FAILURES error that ended it alone; any other error ends the
-    block.
+    its own value, or throws in its own IntegrationBlowupError.  A winding
+    contour, an array of lambdas on the count mesh, is held until no
+    member has a scalar pending; then all held contours are walked
+    (_contours) and each member is sent its values or the failure at its
+    contour's earliest break.  A member's Sturm counts run inside it.
+    Each member sees the values its lambdas give alone, so its result
+    equals the index solved alone, bit for bit; the residuals |Delta| of
+    the real roots come from one characteristic walk after the last round.
+    A round's walk takes at most asymptotics._BLOCK members (_ends), so
+    the cell arrays of a round do not grow with the block.  Returns, in
+    order, each index's SecularResult or the INDEX_FAILURES error that
+    ended it alone; any other error ends the block.
     """
     domain = domain or SpectralDomain()
     searches = [_index_search(pot, n, complex(s0), domain, tol_root)
@@ -1089,9 +1176,13 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     for m in range(len(searches)):
         advance(m)
     while pending:
-        members, lams = zip(*pending.items())
-        pending.clear()
-        for m, value, error in zip(members, *_ends(pot, lams, (0.0, 1.0))):
+        # a contour (an array of lambdas) waits while a scalar is pending
+        rounds = [m for m, lam in pending.items()
+                  if not isinstance(lam, np.ndarray)]
+        members = rounds or list(pending)
+        lams = [pending.pop(m) for m in members]
+        read = _ends(pot, lams, (0.0, 1.0)) if rounds else _contours(pot, lams)
+        for m, value, error in zip(members, *read):
             advance(m, value, error)
     real = [m for m, res in enumerate(out)
             if isinstance(res, SecularResult) and res.residual is None]
@@ -1104,17 +1195,36 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     return out
 
 
-def _ends(pot: PotentialSpec, lams, init) -> tuple:
-    """(y2(pi) of each lambda, the failure of each) on the default mesh,
-    in walks of at most asymptotics._BLOCK members."""
-    values, errors, step = [], [], asymptotics._BLOCK
+def _ends(pot: PotentialSpec, lams, init, step_scale=_DEFAULT_STEP_SCALE,
+          step=asymptotics._BLOCK) -> tuple:
+    """(y2(pi) of each lambda, the failure of each) on the mesh of
+    step_scale, in walks of at most step members."""
+    values, errors = [], []
     for i in range(0, len(lams), step):
         batch = np.array(lams[i:i + step], dtype=complex)
-        trail, errs, _ = _walk(pot.piecewise, batch, _DEFAULT_STEP_SCALE,
-                               init)
+        trail, errs, _ = _walk(pot.piecewise, batch, step_scale, init)
         values += [y2 for _, y2 in trail[-1]]
         errors += errs
     return values, errors
+
+
+def _contours(pot: PotentialSpec, contours) -> tuple:
+    """(the reduced characteristic on each contour, the failure of each).
+
+    A contour is an array of lambdas, walked from (0, 1) on the count mesh;
+    its failure is the one at its earliest break (_first).  On constant
+    pieces only, the contours walk together, at most _CONTOUR_WALK points
+    a walk, so that the walks step as arrays (_wide_step); a smooth
+    piece's cells cost the same per member in any batch, and there each
+    contour walks alone.
+    """
+    k = _WINDING_POINTS
+    step = (k if None in pot.piecewise._constant_heights
+            else _CONTOUR_WALK // k * k)
+    values, errors = _ends(pot, np.concatenate(contours), (0.0, 1.0),
+                           _COUNT_STEP_SCALE, step)
+    return ([np.array(values[i:i + k]) for i in range(0, len(values), k)],
+            [_first(errors[i:i + k]) for i in range(0, len(errors), k)])
 
 
 def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
@@ -1141,16 +1251,17 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
     clamped to the parabolic domain; verified by an argument-principle
     winding count over 16 points of a small circle, evaluated as one batch
-    (_winding).  The contour runs on the count mesh (_COUNT_STEP_SCALE),
-    like the Sturm count: its only output is an integer, and by Rouche's
-    theorem the coarser mesh counts as many zeros inside the circle
-    whenever it moves F by less than |F| on the circle (it moved F by at
-    most 2e-6 of min |F| on the test, benchmark and random complex trig
-    and poly potentials, and no count changed).  The secant, its
-    start derivative and the residual stay on the default mesh, so the
-    root does not depend on the contour's mesh.  ``iterations`` and
-    ``char_evals`` count every lambda evaluated, the 16 contour points
-    included; ``sturm_counts`` is 0.
+    (_winding_number); a block walks the contours of its indices together
+    after its last secant round.  The contour runs on the count mesh
+    (_COUNT_STEP_SCALE), like the Sturm count: its only output is an
+    integer, and by Rouche's theorem the coarser mesh counts as many zeros
+    inside the circle whenever it moves F by less than |F| on the circle
+    (it moved F by at most 2e-6 of min |F| on the test, benchmark and
+    random complex trig and poly potentials, and no count changed).  The
+    secant, its start derivative and the residual stay on the default
+    mesh, so the root does not depend on the contour's mesh.
+    ``iterations`` and ``char_evals`` count every lambda evaluated, the 16
+    contour points included; ``sturm_counts`` is 0.
 
     Without a seed the call builds its own m^2 profile for the prediction;
     for many indices use ``solve_spectrum``, which predicts and solves a
@@ -1169,18 +1280,38 @@ def _winding(F, center: complex) -> int:
 
     The circle has radius _WINDING_RADIUS around center.  F takes the whole
     contour at once: its _WINDING_POINTS distinct points go to the kernel
-    as one batch, and the phase is closed by the first value again.
-    solve_eigenvalue hands it the characteristic on the count mesh
-    (_COUNT_STEP_SCALE), a fifth of the cells of the default mesh on a
-    smooth piece: only the integer is read, and by Rouche's theorem it is
-    the count of the finer mesh's F whenever the two differ by less than
-    |F| on the circle.
+    as one batch (_winding_number counts).  The solver's searches yield
+    the lambdas of their contours to the lockstep driver instead
+    (_secant_search, _solve_block), which walks them on the count mesh.
     """
-    vals = np.asarray(F(center + _WINDING_RADIUS * _WINDING_RING))
+    return _winding_number(F(center + _WINDING_RADIUS * _WINDING_RING))
+
+
+def _winding_number(vals) -> int:
+    """The winding number of the closed polygon through vals about 0.
+
+    The phase is closed by the first value again and unwrapped in the
+    formulas of np.unwrap: each step dd of np.angle is corrected to
+    mod(dd + pi, 2 pi) - pi, a step of exactly -pi whose dd is positive to
+    +pi, and no correction where |dd| < pi; the corrections add up in
+    sequence.  A zero value anywhere counts one root.
+    """
+    vals = np.asarray(vals)
     if np.any(vals == 0):
         return 1
-    phases = np.unwrap(np.angle(np.append(vals, vals[0])))
-    return int(round((phases[-1] - phases[0]) / (2 * PI)))
+    # numpy's arctan2 and libm's differ by an ulp on some values, which
+    # can move a step of exactly pi across the rule
+    phases = np.angle(vals).tolist()
+    phases.append(phases[0])
+    turn = 0.0
+    for a, b in zip(phases, phases[1:]):
+        dd = b - a
+        fix = (dd + PI) % (2 * PI) - PI
+        if fix == -PI and dd > 0:
+            fix = PI
+        if abs(dd) >= PI:
+            turn += fix - dd
+    return int(round((phases[0] + turn - phases[0]) / (2 * PI)))
 
 
 def _flag_shared_roots(points) -> list:

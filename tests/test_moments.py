@@ -378,6 +378,37 @@ def test_shared_phases_keep_the_bits_of_one_exponential_per_atom(lam_shift):
     assert paired > 0
 
 
+def test_mirrors_are_decided_per_member():
+    # a block whose omega is real for some members only (a negative and
+    # some complex lambdas): each value is the one exponential per atom's,
+    # alone or with a shared dict, and a shared dict keeps one phase per
+    # pair of a real a where a member's omega is real
+    pot = PotentialSpec.step([(0.0, 0.9, 1.3), (0.9, 2.1, -0.4),
+                              (2.1, PI, 0.8)])
+    lams = [-1.74] + [(n - 0.5) ** 2 + (3j if n % 3 == 0 else 0.0)
+                      for n in range(2, 21)]
+    prof = oscillatory._CorrectionProfile(pot, lams)
+    objects = (prof.single_sin, prof.single_cos, prof.double,
+               prof.square_cos)
+    omega = objects[0].omega
+    assert 0 < np.count_nonzero(omega.imag == 0) < len(omega)
+    rng = np.random.default_rng(9)
+    for f in objects + (prof.single_sin * prof.double,):
+        for i, atoms in enumerate(f.pieces):
+            h = f.breaks[i + 1] - f.breaks[i]
+            s = np.concatenate(([0.0, h], rng.uniform(0.0, h, 100)))
+            for r in (None, rng.integers(0, f.width, len(s))):
+                got = moments._eval_block(atoms, f.omega, f.width, s, r)
+                ref = _eval_atom_by_atom(atoms, f.omega, f.width, s, r)
+                assert _same_bits([got], [ref]), (i, r is None)
+    x = np.concatenate((pot.breaks, rng.uniform(0.0, PI, 200)))
+    phases = {}
+    shared = [f.eval(x, phases) for f in objects]
+    assert _same_bits(shared, _evals(objects, x, False))
+    for held in phases.values():
+        assert not any((-a, -b) in held for a, b in held if b and a.imag == 0)
+
+
 def test_libm_exp_of_a_negated_imaginary_argument_is_the_conjugate():
     # the exactness of shared phases rests on this: cexp(+-0 + iy) is
     # (cos y, sin y) with cos even and sin odd, bit for bit

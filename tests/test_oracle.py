@@ -398,6 +398,80 @@ def test_winding_one_kernel_call_on_distinct_points(free_pot):
     assert all(len(np.unique(v)) == 16 for v in seen)
 
 
+# A step with a zero height, a complex height and a real one
+ZERO_COMPLEX_STEP = PotentialSpec.step([(0.0, 0.8, 0.0),
+                                        (0.8, 2.0, 1.5 - 2.0j),
+                                        (2.0, PI, -0.7)])
+# lambdas for the wide step: real > 0 and < 0, complex, |s d| < 1e-6, and
+# Im(s d) of 709.2 on the first piece (cmath's formula past 708, finite
+# there, overflowing on the next piece) and of 800 (a cmath overflow)
+WIDE_CASES = [3.7, 412.9, 2.5e4, -0.3, -150.0, 25 + 4j, (40.3 + 0.2j) ** 2,
+              -3 - 7j, 1e-14, 1e-13j, (1 + 886.5j) ** 2, (1 + 1000j) ** 2,
+              (3 + 400j) ** 2]
+
+
+def _state_hex(trail, m):
+    """Member m's states at the breaks, as hex, signs of zeros included."""
+    return [tuple(v.hex() for y in ys[m] for v in (y.real, y.imag))
+            for ys in trail]
+
+
+@pytest.mark.parametrize("name", ["zero and complex heights", "real step"])
+def test_wide_step_keeps_the_scalar_steps_bits(name, monkeypatch):
+    pot = {"zero and complex heights": ZERO_COMPLEX_STEP,
+           "real step": TWO_BOUND_STEP}[name]
+    wide_steps, wide_step = [], oracle._wide_step
+
+    def counted(*args):
+        wide_steps.append(1)
+        return wide_step(*args)
+
+    monkeypatch.setattr(oracle, "_wide_step", counted)
+    rng = np.random.default_rng(23)
+    for width in (oracle._WIDE_STEP - 1, oracle._WIDE_STEP, 300):
+        fill = width - len(WIDE_CASES)
+        lams = np.array(WIDE_CASES + (rng.uniform(-50, 3e4, fill)
+                                      + 1j * rng.normal(0, 20, fill)).tolist())
+        lams = lams[rng.permutation(width)]
+        for init in (None, (0.0, 1.0)):
+            del wide_steps[:]
+            trail, errors, _ = oracle._walk(pot.piecewise, lams,
+                                            oracle._COUNT_STEP_SCALE, init)
+            assert bool(wide_steps) == (width >= oracle._WIDE_STEP)
+            for m, lam in enumerate(lams.tolist()):
+                alone, err, _ = oracle._walk(pot.piecewise, lam,
+                                             oracle._COUNT_STEP_SCALE, init)
+                assert _state_hex(trail, m) == _state_hex(alone, 0), lam
+                assert (repr(errors[m]), getattr(errors[m], "location", None)
+                        ) == (repr(err[0]), getattr(err[0], "location", None))
+            # the overflowing members fail at the same break as alone
+            failed = {lam for lam, err in zip(lams.tolist(), errors) if err}
+            assert {(1 + 886.5j) ** 2, (1 + 1000j) ** 2} <= failed
+
+
+def test_winding_number_follows_np_unwrap():
+    def unwrapped(vals):
+        phases = np.unwrap(np.angle(np.append(vals, vals[0])))
+        return int(round((phases[-1] - phases[0]) / (2 * PI)))
+
+    rng = np.random.default_rng(7)
+    ring = 0.2 * oracle._WINDING_RING
+    for k in range(3000):
+        if k % 3 == 0:      # up to three zeros near the circle
+            zeros = rng.normal(0, 0.3, 3) + 1j * rng.normal(0, 0.3, 3)
+            vals = np.prod([ring - z for z in zeros], axis=0)
+        elif k % 3 == 1:    # phase steps of exactly +-pi among others
+            vals = np.exp(1j * np.cumsum(rng.choice(
+                [-PI, PI, PI / 2, -PI / 2, 0.0, 3.0], 16)))
+        else:               # antipodal pairs, where np.angle and libm differ
+            vals = (np.round(rng.normal(size=16), 1)
+                    + 1j * np.round(rng.normal(size=16), 1))
+        if np.any(vals == 0):
+            continue
+        assert oracle._winding_number(vals) == unwrapped(vals), k
+    assert oracle._winding_number(np.array([1.0, 0.0, 1j])) == 1
+
+
 def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
     sizes, scales = [], []
     real = oracle._walk
@@ -422,6 +496,49 @@ def test_secant_iterations_pinned(trig_pot):
     # a scalar lambda counts one, the contour batch its length: 16 of these
     assert solve_eigenvalue(trig_pot, 3).iterations == 22
     assert solve_eigenvalue(trig_pot, 7).iterations == 21
+
+
+# The complex 3-piece step of CI: n = 1 and 2 drift from their seeds
+CI_CSTEP = PotentialSpec.step([(0.0, 1.0, 0.5 + 1.0j), (1.0, 2.2, -1.0 - 0.5j),
+                               (2.2, PI, 2.0)])
+
+
+@pytest.mark.parametrize("name", ["constant pieces", "smooth"])
+def test_contours_walk_after_the_last_round(name, trig_pot, monkeypatch):
+    pot, ns = {"constant pieces": (CI_CSTEP, range(1, 41)),
+               "smooth": (trig_pot, range(1, 9))}[name]
+    walks, walk = [], oracle._walk
+    wide_steps, wide_step = [], oracle._wide_step
+
+    def counted(pe, lam, step_scale, *args):
+        walks.append((np.size(lam), step_scale))
+        return walk(pe, lam, step_scale, *args)
+
+    def counted_step(*args):
+        wide_steps.append(1)
+        return wide_step(*args)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    monkeypatch.setattr(oracle, "_wide_step", counted_step)
+    points = asymptotics._predictions(pot, ns)
+    out = oracle._solve_block(pot, list(ns),
+                              [p.sqrt_lambda_asym for p in points])
+    scales = [s for _, s in walks]
+    first = scales.index(oracle._COUNT_STEP_SCALE)
+    # every round of the block, then every contour
+    assert set(scales[:first]) == {oracle._DEFAULT_STEP_SCALE}
+    assert set(scales[first:]) == {oracle._COUNT_STEP_SCALE}
+    contours = [size for size, _ in walks[first:]]
+    solved = sum(isinstance(r, oracle.SecularResult) for r in out)
+    assert sum(contours) >= oracle._WINDING_POINTS * solved > 0
+    assert all(size % oracle._WINDING_POINTS == 0 for size in contours)
+    if name == "smooth":        # one contour per walk, no wide step
+        assert set(contours) == {oracle._WINDING_POINTS} and not wide_steps
+    else:
+        # fewer walks than contours, none wider than the budget
+        assert len(contours) < sum(contours) // oracle._WINDING_POINTS
+        assert max(contours) <= oracle._CONTOUR_WALK
+        assert max(contours) >= oracle._WIDE_STEP and wide_steps
 
 
 # A complex 2-piece quadratic whose indices 1..20 all solve by the secant
@@ -704,12 +821,13 @@ def _solve_outcome(res):
             res.sturm_counts, res.method, res.multiplicity_hint)
 
 
-@pytest.mark.parametrize("name", ["step", "poly", "trig", "well"])
+@pytest.mark.parametrize("name", ["step", "poly", "trig", "well", "cstep"])
 def test_block_solve_equals_one_at_a_time(name, poly_pot, trig_pot):
     pot, ns = {"step": (TWO_BOUND_STEP, range(1, 13)),
                "poly": (poly_pot, range(1, 13)),
                "trig": (trig_pot, range(1, 13)),
-               "well": (DEEP_WELL, range(1, 4))}[name]
+               "well": (DEEP_WELL, range(1, 4)),
+               "cstep": (CI_CSTEP, range(1, 13))}[name]
     points = asymptotics._predictions(pot, ns)
     alone = []
     for p in points:
@@ -734,6 +852,11 @@ def test_block_solve_equals_one_at_a_time(name, poly_pot, trig_pot):
         blowup = ("IntegrationBlowupError", f"non-finite state at x = {PI}")
         assert [_solve_outcome(r) for r in alone[:2]] == [blowup, blowup]
         assert methods[2] is not None
+    if name == "cstep":     # ten contours walk together, in the wide step
+        assert all(isinstance(r, IndexingError) and "drifted" in str(r)
+                   for r in alone[:2])
+        assert set(methods[2:]) == {"secant"}
+        assert 10 * oracle._WINDING_POINTS >= oracle._WIDE_STEP
 
 
 def test_flagged_indices_leave_no_reference_cycles(step_pot, monkeypatch):
