@@ -45,12 +45,13 @@ node array (_end_value); node states (integrate_quasi_system, numeric
 eigenfunctions) take one array step inside a constant piece and one
 partial Magnus step inside a cell (_node_states); the norm of an
 eigenfunction sums closed-form integrals over the cells of the same walk;
-a Sturm count reads the break states, takes nodes inside smooth pieces
-only, and counts the zeros on each constant piece in closed form
-(_sturm_count).  The root finders solve a block of indices in lockstep
-(_solve_block): each round of Brent or of the secant, over all the
-active indices, is one walk of the reduced characteristic, and the
-block's winding contours walk together after its last round.
+the Prufer angle at pi counts the zeros of y1 from the same cells, each
+in closed form (_cell_zeros), and reads the end state (_sturm_count).
+The root finders solve a block of indices in lockstep (_solve_block):
+each round walks the reduced characteristic at the pending lambdas of
+Brent and of the secant, and the angle at those of the real searches'
+brackets, over all the active indices; the block's winding contours walk
+together after its last round.
 
 Where the Magnus parts of a smooth piece are real (a real polynomial
 piece), a member at real lambda forms the piece's cells, their product
@@ -84,12 +85,13 @@ from .oscillatory import (_EVAL_CELLS, SpectralDomain, _require_regular,
 from .potential import PI, PotentialSpec
 
 _DEFAULT_STEP_SCALE = 0.004     # longest Magnus cell of a smooth piece
-_COUNT_STEP_SCALE = 0.02        # Magnus cell length of a zero count: the
-                                # Sturm count and the winding contour
+_COUNT_STEP_SCALE = 0.02        # Magnus cell length of the readings whose
+                                # output is a count: the Prufer angle of a
+                                # real bracket and the winding contour
 _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
-_WALK_COUNTS = 64               # Sturm counts one count walk may spend
+_ANGLE_EVALS = 64               # angle readings one real search may spend
 _WALK_CELLS = 2048              # smooth-piece cells times members of one
                                 # walk with prefix states or the norm; a
                                 # real member's cells are float64, bit for
@@ -141,7 +143,7 @@ class SecularResult:
     iterations: int
     method: str
     char_evals: int         # the search's characteristic evaluations and
-    sturm_counts: int       # Sturm counts; their sum is iterations
+    sturm_counts: int       # Prufer angle readings; their sum is iterations
 
 
 def _const_advance(y, mix, s, d):
@@ -460,6 +462,12 @@ def _n_sub(span, step_scale):
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
+def _smooth_cells(pe, step_scale) -> int:
+    """Cells of all the smooth pieces of pe on the mesh of step_scale."""
+    return sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
+        pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
+
+
 def _blowup(x) -> IntegrationBlowupError:
     return IntegrationBlowupError(f"non-finite state at x = {x}",
                                   location=float(x))
@@ -484,7 +492,8 @@ def _columns(pairs):
     return arr[:, :1], arr[:, 1:]
 
 
-def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
+def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False,
+          zeros=False):
     """The one walk over the pieces of pe; every reading comes from it.
 
     lam is a scalar (one member) or a 1-D batch, and each member starts
@@ -522,9 +531,12 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
     empty without nodes; with nodes, a sorted array, it holds y1 and y2 at
     the nodes as (members, nodes) arrays, a node on a break taking the
     state of the trail and a node before 0 or past pi the state there.
-    With norm, out ends with the integral of |y1|^2 over [0, pi] per
+    With norm, out gains the integral of |y1|^2 over [0, pi] per
     member, summed in closed form over the cells of the walk
-    (_cell_norms), each constant piece one cell.
+    (_cell_norms), each constant piece one cell; with zeros (real lambda
+    and u), it ends with the zeros of y1 in (0, pi] per member, counted in
+    closed form over the same cells (_cell_zeros).  Either takes the
+    prefix states of a smooth piece; zeros keeps the wide step.
     """
     lams = ([complex(v) for v in lam.tolist()] if getattr(lam, "ndim", 0)
             else [complex(lam)])
@@ -536,7 +548,8 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
         rows = [[m for m, r in enumerate(on_axis) if r is k]
                 for k in (True, False)]
         (t1, e1, o1), (t2, e2, o2) = (
-            _walk(pe, lam[r], step_scale, init, nodes, norm) for r in rows)
+            _walk(pe, lam[r], step_scale, init, nodes, norm, zeros)
+            for r in rows)
         back = np.argsort(rows[0] + rows[1]).tolist()
         *trail, errors = ([v[k] for k in back] for v in
                           [a + b for a, b in zip(t1, t2)] + [e1 + e2])
@@ -571,6 +584,12 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                     dtype=complex).T, (2, members))
                 state = arr.real.copy(), arr.imag.copy()
             with np.errstate(over="ignore", invalid="ignore"):
+                if zeros:   # the cell's triple, as the scalar step's below
+                    y1, y2 = state[0] + 1j * state[1]
+                    cell_terms.append((y1[:, None],
+                                       (b - a) * (const * y1 + y2)[:, None],
+                                       (b - a) * np.array(roots)[:, None],
+                                       [b - a]))
                 state = _wide_step(state, wide, const, b - a)
             bad = ~(np.isfinite(state[0]) & np.isfinite(state[1])).all(0)
             for m in np.flatnonzero(bad).tolist():
@@ -587,7 +606,7 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
             # (A^2 = -lam I), and A y mixes the start state
             d = b - a
             mix, ends, cc = [], [], const * const
-            keep = norm or hi > lo
+            keep = norm or zeros or hi > lo
             for m, ((v1, v2), lc, s) in enumerate(zip(ys, lams, roots)):
                 w1, w2 = const * v1 + v2, (-lc - cc) * v1 - const * v2
                 if keep:
@@ -605,7 +624,7 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                     errors[m] = errors[m] or _blowup(b)
                     e1 = e2 = 0j
                 ends.append((e1, e2))
-            if norm:
+            if norm or zeros:
                 y0, slope = _columns([(y[0], d * mx[0])
                                       for y, mx in zip(ys, mix)])
                 z = np.array([s * d for s in roots])[:, None]
@@ -624,7 +643,7 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                     cell_parts, lam_row = real, lam_row.real.copy()
                 cells = _magnus_matrices(*cell_parts, h, lam_row)
                 ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
-                if hi == lo and not norm:
+                if hi == lo and not (norm or zeros):
                     prod = _chain(cells)
                     ends = [_apply(prod[..., m], yc)
                             for m, yc in enumerate(ycs)]
@@ -635,7 +654,7 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
                     c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
                     c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
                     ends = list(zip(c1[:, -1].tolist(), c2[:, -1].tolist()))
-                    if norm:
+                    if norm or zeros:
                         delta, gamma = (v[None] for v in parts)
                         o10 = gamma - np.array([lc * h
                                                 for lc in lams])[:, None]
@@ -674,11 +693,14 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False):
             if right[j] > left[j]:
                 y1[:, left[j]:right[j]], y2[:, left[j]:right[j]] = _columns(ys)
         out = (y1, y2)
-    if norm:
+    if norm or zeros:
         y0, slope, z, length = (np.concatenate(c, axis=-1)
                                 for c in zip(*cell_terms))
         with np.errstate(over="ignore", invalid="ignore"):
-            out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
+            if norm:
+                out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
+            if zeros:
+                out += (_cell_zeros(y0, slope, z, trail[-1]),)
     return trail, errors, out
 
 
@@ -699,8 +721,7 @@ def _node_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
     pe = pot.piecewise
     batch = np.ndim(lam) > 0
     if batch:
-        cells = sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
-            pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
+        cells = _smooth_cells(pe, step_scale)
         rows = max(1, min(_WALK_CELLS // max(cells, 1),
                           _EVAL_CELLS // max(len(nodes), 1)))
         if rows < len(lam):
@@ -758,16 +779,6 @@ def characteristic(pot: PotentialSpec, lam, *,
     return _end_value(pot, lam, step_scale, None)
 
 
-def _char_reduced(pot: PotentialSpec, lam, *, step_scale=_DEFAULT_STEP_SCALE):
-    """The characteristic function for initial slope one instead of sqrt(lam).
-
-    Same zeros, but real-valued for real potentials at every real lam
-    including lam <= 0, which makes it the right object for sign brackets.
-    A 1-D batch of lam gives an array, in one call.
-    """
-    return _end_value(pot, lam, step_scale, (0.0, 1.0))
-
-
 def _end_value(pot: PotentialSpec, lam, step_scale, init):
     """y2(pi) of the walk: a complex, or an array over a 1-D batch.
 
@@ -815,71 +826,70 @@ def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:
 # -- eigenvalue location ------------------------------------------------------
 
 
-def _band(theta: float, odd: bool) -> int:
+def _band(theta, odd):
     """k of the band [k pi, (k + 1) pi) of parity odd nearest to theta.
 
     floor(theta / pi) where theta lies well inside a band; at a multiple of
     pi, where rounding can put theta on either side, the parity of the
-    computed state decides.
+    computed state decides.  Elementwise over arrays.
     """
-    return odd + 2 * round((theta / PI - 0.5 - odd) / 2)
+    return odd + 2 * np.round((theta / PI - 0.5 - odd) / 2)
 
 
-def _sturm_count(pot: PotentialSpec, lam) -> tuple[int, int]:
-    """(interior zeros of y1, eigenvalues below lam) for real lam and u.
+def _cell_zeros(y0, slope, z, ends):
+    """The zeros of y1 in (0, pi] per member, counted cell by cell.
 
-    Reads the walk from (y1, y2)(0) = (0, 1), which stays real for
-    lam < 0, on the count mesh (_COUNT_STEP_SCALE): the states at the
-    breaks on every potential, and inside smooth pieces only, the states
-    at a grid of about 16 nodes per half-wave.  The Prufer angle theta of
-    (y1, y') rises through every multiple of pi; a state lies in the band
-    [k pi, (k + 1) pi) of parity "y1 < 0" (at a zero of y1, "y' < 0").
-    Inside a smooth piece a zero lies where the parity flips between
-    nodes.  On a constant piece the count is closed form
-    (piecewise-constant Prufer counting, Pryce 1993, SLEDGE): for
-    lam = s^2 > 0, y1 = R sin(s t + phi) with phi = atan2(y1, y'/s) at the
-    left end, so (a, b] holds floor((s d + phi)/pi) - floor(phi/pi) zeros,
-    each floor taken at the parity of the computed state (_band) so that a
-    zero on a break counts once; for lam <= 0 it holds at most one, where
-    the parity flips.  An eigenvalue (y2(pi) = 0, angle pi/2 mod pi) lies
-    below lam exactly once more when the end angle is past it, that is
-    when y1(pi) and y2(pi) differ in sign (far below, their product
-    overflows).
+    y0, slope and z are the (members, cells) triples of the walk's cells in
+    order (the norm's, _cell_norms), each constant piece one cell, and ends
+    the members' end states; lambda and u are real.  Inside a cell
+    y1(tau) = y0 cos(z tau) + slope sin(z tau)/z, tau in (0, 1], which
+    passes through the computed states at both ends.  A state lies in the
+    band [k pi, (k + 1) pi) of the Prufer angle of parity "y1 < 0" (at a
+    zero of y1, "y1' < 0"; slope has the sign of y1' there).  Where
+    z^2 > 0, y1 = R sin(z tau + phi) with phi = atan2(y0, slope/z), and the
+    cell holds floor((z + phi)/pi) - floor(phi/pi) zeros, each floor taken
+    at the parity of the computed state (_band) so that a zero on a cell
+    end counts once (piecewise-constant Prufer counting, Pryce 1993,
+    SLEDGE).  Where z^2 <= 0 the cell holds at most one zero, where the
+    parity flips.  The cells need no sampling, so no well is too deep.
     """
-    s = abs(principal_sqrt(lam))
+    y0, slope = y0.real, slope.real
+    odd = np.where(y0 != 0, y0 < 0, slope < 0)
+    last = [[y1.real < 0 if y1 != 0 else y2.real < 0] for y1, y2 in ends]
+    odd_end = np.concatenate((odd[:, 1:], last), axis=1)
+    wave = z.real > 0                       # z^2 > 0: z is real
+    zr = np.where(wave, z.real, 1.0)
+    phi = np.arctan2(y0, slope / zr)
+    return np.where(wave, _band(phi + zr, odd_end) - _band(phi, odd),
+                    odd_end != odd).sum(axis=1)
+
+
+def _sturm_count(pot: PotentialSpec, lams) -> tuple:
+    """(the Prufer angle Theta(lam) at pi of each lambda, its failure).
+
+    For real u and real lam: the walk from (y1, y2)(0) = (0, 1) on the
+    count mesh (_COUNT_STEP_SCALE) counts the zeros Z of y1 in (0, pi]
+    cell by cell (_cell_zeros), and Theta = Z pi + atan2(y1(pi), y2(pi))
+    taken in [0, pi] (the signs of both turned where Z is odd).  Theta is
+    continuous and increasing in lam (Pryce 1993, ch. 2), and an
+    eigenvalue, y2(pi) = 0, has Theta = (n - 1/2) pi with n - 1 interior
+    zeros: Theta indexes the spectrum.  lams is a list, walked in batches
+    of at most _WALK_CELLS smooth-piece cells; a failure is the member's
+    IntegrationBlowupError.
+    """
     pe = pot.piecewise
-    heights, breaks = pe._constant_heights, pe.breaks
-    nodes = None
-    if None in heights:     # the grid nodes strictly inside smooth pieces
-        grid = np.linspace(0.0, PI, int(16 * (s + 2)) + 9)
-        piece = np.searchsorted(breaks, grid, side="right") - 1
-        smooth = np.array([c is None for c in heights] + [False])
-        nodes = grid[smooth[piece] & (grid > np.take(breaks, piece))]
-    trail, errors, states = _walk(pe, lam, _COUNT_STEP_SCALE, (0.0, 1.0),
-                                  nodes)
-    _raise_first(errors)
-    y1 = [ys[0][0].real for ys in trail]
-    y2 = [ys[0][1].real for ys in trail]
-    # the parity of each state's band
-    odd = [v < 0 if v != 0 else w < 0 for v, w in zip(y1, y2)]
-    if nodes is not None:
-        y1n, y2n = (v[0].real for v in states)
-        odd_n = np.where(y1n != 0, y1n < 0, y2n < 0)
-        at = np.searchsorted(nodes, breaks).tolist()
-    zeros = 0
-    for j, (c, a, b) in enumerate(zip(heights, breaks, breaks[1:])):
-        if c is None:
-            seq = np.concatenate(([odd[j]], odd_n[at[j]:at[j + 1]],
-                                  [odd[j + 1]]))
-            zeros += int(np.count_nonzero(seq[1:] != seq[:-1]))
-        elif lam <= 0:
-            zeros += odd[j + 1] != odd[j]
-        else:
-            phi = math.atan2(y1[j], (y2[j] + c.real * y1[j]) / s)
-            zeros += _band(phi + s * (b - a), odd[j + 1]) - _band(phi, odd[j])
-    zeros -= int(y1[-1] == 0)       # a zero at pi is not interior
-    # past the eigenvalue's end angle: y1(pi) and y2(pi) of opposite signs
-    return zeros, zeros + int(y1[-1] < 0 < y2[-1] or y2[-1] < 0 < y1[-1])
+    cells = _smooth_cells(pe, _COUNT_STEP_SCALE)
+    rows = max(1, _WALK_CELLS // cells if cells else len(lams))
+    thetas, errors = [], []
+    for i in range(0, len(lams), rows):
+        trail, errs, (zeros,) = _walk(pe, np.array(lams[i:i + rows]),
+                                      _COUNT_STEP_SCALE, (0.0, 1.0),
+                                      zeros=True)
+        for (y1, y2), k in zip(trail[-1], zeros.tolist()):
+            sign = -1.0 if k % 2 else 1.0
+            thetas.append(k * PI + math.atan2(sign * y1.real, sign * y2.real))
+        errors += errs
+    return thetas, errors
 
 
 def _brent_steps(xa: float, xb: float, xtol: float, rtol: float,
@@ -887,9 +897,9 @@ def _brent_steps(xa: float, xb: float, xtol: float, rtol: float,
     """Brent's method (Brent 1973, ch. 4) as a generator of its iterates.
 
     It yields each x at which it needs f, is sent f(x) and returns the
-    root, so a caller can drive many searches in lockstep (_solve_block);
-    _brentq drives it with one function.  A statement-by-statement port of
-    SciPy's C brentq (optimize/Zeros/brentq.c): its iterates, evaluations
+    root, so a caller can drive many searches in lockstep (_solve_block).
+    A statement-by-statement port of SciPy's C brentq
+    (optimize/Zeros/brentq.c): its iterates, evaluations
     and result bits are those of SciPy's optimize.brentq with the same
     xtol, rtol and maxiter, which the test suite checks.  It stops when
     half the bracket is under (xtol + rtol |x|) / 2 or f(x) == 0; a zero
@@ -954,115 +964,79 @@ def _brent_value(x: float, fx) -> float:
     return fx
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """Root of f on [xa, xb]: the generator _brent_steps driven by f alone.
-
-    The scalar form of the solver's Brent search, with its bits and
-    failures; the solver itself drives the generator, a block of indices
-    in lockstep.
-    """
-    steps = _brent_steps(xa, xb, xtol, rtol, maxiter)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as stop:
-        return stop.value
-
-
-def _count_walk(n: int, below, s0: float) -> tuple[float, float]:
-    """The lambda cell (lo, hi) that holds index n alone, by Sturm counts.
-
-    below(lam) counts the eigenvalues under lam.  The ends of the seed
-    bracket s0 -+ 0.35 move in the signed root s (lam = s |s|), so bound
-    states are reached like any other root: the lower end steps down while
-    below reads n or more there, the upper end up while it reads less, by
-    steps from 0.7 that double.  Bisection in s then leaves a cell whose
-    counts n - 1 and n prove that it holds index n alone; the search finds
-    the root there by Brent.  IndexingError: no such cell after
-    _WALK_COUNTS counts.
-    """
-    budget = iter(range(_WALK_COUNTS))
-
-    def count(s):
-        if next(budget, None) is None:
-            raise IndexingError(f"after {_WALK_COUNTS} counts the cell holds "
-                                f"eigenvalues {n_lo + 1} to {n_hi}, not "
-                                f"index {n} alone")
-        return below(s * abs(s))
-
-    lo, hi, step = s0 - 0.35, s0 + 0.35, 0.7
-    n_lo = n_hi = count(lo)
-    while n_lo >= n:
-        hi, n_hi = lo, n_lo
-        lo, step = lo - step, 2 * step
-        n_lo = count(lo)
-    if n_hi < n:
-        n_hi = count(hi)
-    while n_hi < n:
-        lo, n_lo = hi, n_hi
-        hi, step = hi + step, 2 * step
-        n_hi = count(hi)
-    while (n_lo, n_hi) != (n - 1, n):
-        mid = 0.5 * (lo + hi)
-        c = count(mid)
-        if c >= n:
-            hi, n_hi = mid, c
-        else:
-            lo, n_lo = mid, c
-    return lo * abs(lo), hi * abs(hi)
-
-
 def _real_search(pot: PotentialSpec, n: int, s0: float):
     """The search for index n of a real potential, as a block member.
 
-    A generator in the protocol of _solve_block.  Brent on the real part
-    of the reduced characteristic over the seed bracket, then the zero
-    count at its root; the count walk and Brent on its cell where the
-    count disagrees (solve_eigenvalue).  Returns the SecularResult without
-    its residual, which _solve_block reads for the whole block at once.
+    A generator in the protocol of _solve_block.  It reads the Prufer
+    angle Theta (_sturm_count) in the signed root s = sign(lam) sqrt|lam|,
+    asking for a list of lambdas at a time, until it holds ends lo < hi with
+    (n - 3/2) pi < Theta(lo) < (n - 1/2) pi < Theta(hi) < (n + 1/2) pi:
+    Theta is increasing, so [lo, hi] holds index n and no other root.
+    The seed bracket s0 -+ 0.35 is read first ("bracket" where it holds);
+    otherwise ("angle") an end missing below or above steps out by 0.7,
+    doubling, and a bracket too wide is cut by the secant of Theta aimed at
+    -pi/2 or +pi/2 from the target, kept inside the middle three quarters
+    (a bisection when the secant falls outside).  A seed end whose walk
+    overflows (a seed far below the spectrum) restarts the search from
+    s = 0.  Brent then solves the reduced characteristic over [lo, hi].
+    IndexingError: no such bracket within _ANGLE_EVALS readings.  Returns
+    the SecularResult without its residual, which _solve_block reads for
+    the whole block at once.
     """
-    evals = counts = 0
-
-    def below(lam):                 # lam = 0 is singular for the propagator
-        nonlocal counts
-        counts += 1
-        return _sturm_count(pot, 1e-24 if lam == 0.0 else lam)[1]
-
-    def root_on(lam_a, lam_b):
-        nonlocal evals
-        steps = _brent_steps(lam_a, lam_b, xtol=1e-13, rtol=8.9e-16,
-                             maxiter=200)
-        value = None
-        while True:
-            try:
-                lam = steps.send(value)
-            except StopIteration as stop:
-                return stop.value
-            evals += 1
-            value = (yield 1e-24 if lam == 0.0 else lam).real
-
-    lo_s, hi_s = s0 - 0.35, s0 + 0.35
-    how = "bracket"
-    try:
-        root = yield from root_on(lo_s * abs(lo_s), hi_s * abs(hi_s))
-    except ValueError:          # the seed bracket does not change sign
-        root = None
-    if root is None or _sturm_count(pot, root)[0] != n - 1:
-        lam_lo, lam_hi = _count_walk(n, below, s0)
-        how = "scan"
+    target = (n - 0.5) * PI
+    lo = hi = None          # (s, Theta - target) below and above the target
+    angles, step = 0, 0.7
+    probes = [s0 - 0.35, s0 + 0.35]
+    while lo is None or hi is None or lo[1] <= -PI or hi[1] >= PI:
+        if angles >= _ANGLE_EVALS:
+            raise IndexingError(f"after {_ANGLE_EVALS} angle readings no "
+                                f"bracket holds index {n} alone")
+        angles += len(probes)
+        try:                # lam = 0 is singular for the propagator
+            thetas = yield [s * abs(s) or 1e-24 for s in probes]
+        except IntegrationBlowupError:
+            if angles > 2:
+                raise
+            probes = [0.0]
+            continue
+        for s, theta in zip(probes, thetas):
+            g = theta - target
+            if g < 0 and (lo is None or s > lo[0]):
+                lo = (s, g)
+            elif g >= 0 and (hi is None or s < hi[0]):
+                hi = (s, g)
+        if lo is None:
+            probes, step = [hi[0] - step], 2 * step
+        elif hi is None:
+            probes, step = [lo[0] + step], 2 * step
+        else:
+            aim = -PI / 2 if lo[1] <= -PI else PI / 2
+            w = hi[0] - lo[0]
+            s = lo[0] + (aim - lo[1]) * w / (hi[1] - lo[1])
+            if not lo[0] + w / 8 <= s <= hi[0] - w / 8:
+                s = lo[0] + w / 2
+            probes = [s]
+    how = "bracket" if angles == 2 else "angle"
+    lam_lo, lam_hi = lo[0] * abs(lo[0]), hi[0] * abs(hi[0])
+    steps = _brent_steps(lam_lo, lam_hi, xtol=1e-13, rtol=8.9e-16,
+                         maxiter=200)
+    evals, value = 0, None
+    while True:
         try:
-            root = yield from root_on(lam_lo, lam_hi)
+            lam = steps.send(value)
+        except StopIteration as stop:
+            root = float(stop.value)
+            break
         except ValueError:
             raise NonconvergenceError(
                 f"no sign change of the secular function on [{lam_lo:.6g}, "
-                f"{lam_hi:.6g}], where the count puts index {n}", best=None)
-    lam_root = float(root)
-    return SecularResult(n=n, lam=lam_root, sqrt_lambda=principal_sqrt(lam_root),
+                f"{lam_hi:.6g}], where the angle puts index {n}", best=None)
+        evals += 1
+        value = (yield 1e-24 if lam == 0.0 else lam).real
+    return SecularResult(n=n, lam=root, sqrt_lambda=principal_sqrt(root),
                          residual=None, multiplicity_hint=1,
-                         iterations=evals + counts, method=how,
-                         char_evals=evals, sturm_counts=counts)
+                         iterations=evals + angles, method=how,
+                         char_evals=evals, sturm_counts=angles)
 
 
 def _secant_search(pot: PotentialSpec, n: int, s0: complex,
@@ -1140,22 +1114,23 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
                  tol_root: float = 1e-12) -> list:
     """Indices ns from the seeds sqrt(lam), in lockstep, one walk per round.
 
-    Each index runs as a generator (_index_search): it yields the next
-    lambda at which it reads the reduced characteristic, from (0, 1) on
-    the default mesh, and is sent the value.  Each round walks the pending
-    lambdas of all active members at once (_walk) and sends every member
-    its own value, or throws in its own IntegrationBlowupError.  A winding
-    contour, an array of lambdas on the count mesh, is held until no
-    member has a scalar pending; then all held contours are walked
-    (_contours) and each member is sent its values or the failure at its
-    contour's earliest break.  A member's Sturm counts run inside it.
-    Each member sees the values its lambdas give alone, so its result
-    equals the index solved alone, bit for bit; the residuals |Delta| of
-    the real roots come from one characteristic walk after the last round.
-    A round's walk takes at most asymptotics._BLOCK members (_ends), so
-    the cell arrays of a round do not grow with the block.  Returns, in
-    order, each index's SecularResult or the INDEX_FAILURES error that
-    ended it alone; any other error ends the block.
+    Each index runs as a generator (_index_search) and yields what it
+    reads next: a scalar lambda, for the reduced characteristic from
+    (0, 1) on the default mesh; a list of lambdas, for the Prufer angle on
+    the count mesh (_angles); or an array, its winding contour.  Each
+    round walks the pending scalars of all active members at once (_walk)
+    and their lists as one more batch, and sends every member its own
+    values, or throws in its own IntegrationBlowupError (of a list or a
+    contour, the one at its earliest break).  Contours are held until
+    nothing else is pending, then walked together (_contours).  Each
+    member sees the values its lambdas give alone, so its result equals
+    the index solved alone, bit for bit; the residuals |Delta| of the real
+    roots come from one characteristic walk after the last round.  A
+    characteristic walk takes at most asymptotics._BLOCK members (_ends)
+    and an angle walk at most _WALK_CELLS smooth-piece cells, so the cell
+    arrays of a round do not grow with the block.  Returns, in order, each
+    index's SecularResult or the INDEX_FAILURES error that ended it alone;
+    any other error ends the block.
     """
     domain = domain or SpectralDomain()
     searches = [_index_search(pot, n, complex(s0), domain, tol_root)
@@ -1176,14 +1151,18 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     for m in range(len(searches)):
         advance(m)
     while pending:
-        # a contour (an array of lambdas) waits while a scalar is pending
-        rounds = [m for m, lam in pending.items()
-                  if not isinstance(lam, np.ndarray)]
-        members = rounds or list(pending)
-        lams = [pending.pop(m) for m in members]
-        read = _ends(pot, lams, (0.0, 1.0)) if rounds else _contours(pot, lams)
-        for m, value, error in zip(members, *read):
-            advance(m, value, error)
+        groups = {}
+        for m, req in pending.items():
+            reader = (_contours if isinstance(req, np.ndarray) else
+                      _angles if isinstance(req, list) else _ends)
+            groups.setdefault(reader, []).append(m)
+        if len(groups) > 1:     # contours wait while another read is pending
+            groups.pop(_contours, None)
+        reads = [(members, reader(pot, [pending.pop(m) for m in members]))
+                 for reader, members in groups.items()]
+        for members, read in reads:
+            for m, value, error in zip(members, *read):
+                advance(m, value, error)
     real = [m for m, res in enumerate(out)
             if isinstance(res, SecularResult) and res.residual is None]
     for m, value, error in zip(real, *_ends(pot, [out[m].lam for m in real],
@@ -1195,10 +1174,11 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     return out
 
 
-def _ends(pot: PotentialSpec, lams, init, step_scale=_DEFAULT_STEP_SCALE,
-          step=asymptotics._BLOCK) -> tuple:
+def _ends(pot: PotentialSpec, lams, init=(0.0, 1.0),
+          step_scale=_DEFAULT_STEP_SCALE, step=asymptotics._BLOCK) -> tuple:
     """(y2(pi) of each lambda, the failure of each) on the mesh of
-    step_scale, in walks of at most step members."""
+    step_scale, in walks of at most step members; from (0, 1), the
+    reduced characteristic."""
     values, errors = [], []
     for i in range(0, len(lams), step):
         batch = np.array(lams[i:i + step], dtype=complex)
@@ -1206,6 +1186,16 @@ def _ends(pot: PotentialSpec, lams, init, step_scale=_DEFAULT_STEP_SCALE,
         values += [y2 for _, y2 in trail[-1]]
         errors += errs
     return values, errors
+
+
+def _angles(pot: PotentialSpec, requests) -> tuple:
+    """(the angle Theta at each lambda of each list, the failure at the
+    earliest break of each): the lists of a round walk together."""
+    thetas, errors = _sturm_count(pot, [lam for req in requests
+                                        for lam in req])
+    cuts = np.cumsum([0] + [len(req) for req in requests]).tolist()
+    return ([thetas[a:b] for a, b in zip(cuts, cuts[1:])],
+            [_first(errors[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def _contours(pot: PotentialSpec, contours) -> tuple:
@@ -1221,8 +1211,8 @@ def _contours(pot: PotentialSpec, contours) -> tuple:
     k = _WINDING_POINTS
     step = (k if None in pot.piecewise._constant_heights
             else _CONTOUR_WALK // k * k)
-    values, errors = _ends(pot, np.concatenate(contours), (0.0, 1.0),
-                           _COUNT_STEP_SCALE, step)
+    values, errors = _ends(pot, np.concatenate(contours),
+                           step_scale=_COUNT_STEP_SCALE, step=step)
     return ([np.array(values[i:i + k]) for i in range(0, len(values), k)],
             [_first(errors[i:i + k]) for i in range(0, len(errors), k)])
 
@@ -1235,17 +1225,24 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     This is the lockstep solver (_solve_block) on a block of one, so an
     index gets the same bits here as inside any block.
 
-    Real potentials: one Brent search on the seed bracket sqrt(lam) =
-    s0 -+ 0.35 of the reduced secular function ("bracket").  The count of
-    interior zeros of y1 from (0, 1) at that root decides: n - 1 zeros
-    accept it.  A bracket whose ends share a sign, or a root with another
-    count, goes to the "scan" route: the count walk of _count_walk from the
-    same bracket, whose Sturm counts n - 1 and n at the ends of its cell
-    prove the index, and a Brent search on that cell.  ``char_evals``
-    counts the secular-function evaluations and ``sturm_counts`` the Sturm
-    counts of the search, not the zero count at the bracket root;
-    ``iterations`` is their sum.  Every characteristic evaluation runs at
-    the default step scale _DEFAULT_STEP_SCALE.
+    Real potentials: the root is bracketed on the Prufer angle Theta(lam)
+    at pi of the solution from (y1, y2)(0) = (0, 1): pi times the zeros of
+    y1, each Magnus cell's counted in closed form, plus the end angle
+    (_sturm_count, on the count mesh _COUNT_STEP_SCALE).  Theta increases
+    with lam and equals (n - 1/2) pi at the n-th eigenvalue, so ends with
+    (n - 3/2) pi < Theta(lo) < (n - 1/2) pi < Theta(hi) < (n + 1/2) pi hold
+    index n and no other root.  Where the seed bracket sqrt(lam) =
+    s0 -+ 0.35 satisfies this, Brent solves the reduced characteristic over
+    it ("bracket"); otherwise a safeguarded secant and bisection on Theta
+    in the signed root moves the ends until they do, from s = 0 where the
+    seed lies so far below the spectrum that its walk overflows, and Brent
+    solves over them ("angle") (_real_search).  ``char_evals`` counts the
+    characteristic evaluations and ``sturm_counts`` the angle readings, two
+    on the bracket route; ``iterations`` is their sum.  Every
+    characteristic evaluation runs at the default step scale
+    _DEFAULT_STEP_SCALE; the count mesh can misplace Theta by its own
+    error, so an end that close to the root can leave the characteristic
+    without a sign change, a NonconvergenceError.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
@@ -1253,7 +1250,7 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     winding count over 16 points of a small circle, evaluated as one batch
     (_winding_number); a block walks the contours of its indices together
     after its last secant round.  The contour runs on the count mesh
-    (_COUNT_STEP_SCALE), like the Sturm count: its only output is an
+    (_COUNT_STEP_SCALE), like the angle: its only output is an
     integer, and by Rouche's theorem the coarser mesh counts as many zeros
     inside the circle whenever it moves F by less than |F| on the circle
     (it moved F by at most 2e-6 of min |F| on the test, benchmark and
@@ -1273,18 +1270,6 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     if not isinstance(res, SecularResult):
         raise res
     return res
-
-
-def _winding(F, center: complex) -> int:
-    """Zero count of F inside a circle via a trapezoid winding number.
-
-    The circle has radius _WINDING_RADIUS around center.  F takes the whole
-    contour at once: its _WINDING_POINTS distinct points go to the kernel
-    as one batch (_winding_number counts).  The solver's searches yield
-    the lambdas of their contours to the lockstep driver instead
-    (_secant_search, _solve_block), which walks them on the count mesh.
-    """
-    return _winding_number(F(center + _WINDING_RADIUS * _WINDING_RING))
 
 
 def _winding_number(vals) -> int:

@@ -10,6 +10,11 @@ system, the reference the library's exact constant steps and Magnus cells
 are checked against; it shares only the product helpers of slspec.oracle.
 integrate_prufer integrates the Prufer phase and log-modulus equations
 themselves by RK4, the reference for the library's Prufer reading.
+
+char_reduced, brent_root, winding and zero_count are thin drivers of the
+library's kernels that only the tests call: the reduced characteristic
+of any lambda, the Brent generator driven by one function, the winding
+count of one contour and the integer counts of the Prufer angle.
 """
 
 import cmath
@@ -307,3 +312,46 @@ def integrate_prufer(pot, lam, grid):
     log_r = np.array([rec[float(t)][1] for t in grid], dtype=complex)
     return oracle.PruferTrajectory(x=grid.copy(), theta=theta, log_r=log_r,
                                    sqrt_lambda=s)
+
+
+# -- thin drivers of the library's kernels ------------------------------------
+
+
+def char_reduced(pot, lam, *, step_scale=oracle._DEFAULT_STEP_SCALE):
+    """The characteristic function for initial slope one instead of sqrt(lam).
+
+    Same zeros, but real-valued for real potentials at every real lam
+    including lam <= 0.  A 1-D batch of lam gives an array, in one call.
+    """
+    return oracle._end_value(pot, lam, step_scale, (0.0, 1.0))
+
+
+def brent_root(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f on [xa, xb]: the solver's Brent generator driven by f alone,
+    with its bits and failures."""
+    steps = oracle._brent_steps(xa, xb, xtol, rtol, maxiter)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def winding(F, center):
+    """Zero count of F inside the solver's winding circle around center; F
+    takes the whole contour at once."""
+    return oracle._winding_number(
+        F(center + oracle._WINDING_RADIUS * oracle._WINDING_RING))
+
+
+def zero_count(pot, lam):
+    """(interior zeros of y1 from (0, 1), eigenvalues below lam) for real u
+    and lam: the walk's cell count less a zero on pi, and the eigenvalues
+    n whose angle (n - 1/2) pi lies below Theta(lam) (oracle._sturm_count)."""
+    trail, errors, (zeros,) = oracle._walk(
+        pot.piecewise, lam, oracle._COUNT_STEP_SCALE, (0.0, 1.0), zeros=True)
+    (theta,), (err,) = oracle._sturm_count(pot, [lam])
+    if err is not None:
+        raise err
+    return int(zeros[0]) - int(trail[-1][0][0] == 0), int(theta / PI + 0.5)

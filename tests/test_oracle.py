@@ -18,9 +18,9 @@ from slspec import (DomainError, IndexingError, IntegrationBlowupError,
                     integrate_quasi_system, remainder_gauge, solve_eigenvalue,
                     solve_spectrum)
 from slspec import asymptotics, oracle, validation
-from slspec.oracle import _char_reduced
 
-from conftest import integrate_prufer, rk4_end, rk4_states
+from conftest import (brent_root, char_reduced, integrate_prufer, rk4_end,
+                      rk4_states, winding, zero_count)
 
 PI = math.pi
 
@@ -38,7 +38,7 @@ TWO_BOUND_STEP = PotentialSpec.step([
 # Real potentials whose seed bracket s0 -+ 0.35 holds the root of another
 # index at some n <= 12: the validate-step bench potential at seed 29
 # (n = 2), a 3-piece quadratic (n = 3, 4, 6, 10) and a 3-mode sine series
-# (n = 2, 3).  Their zero counts send those indices to the scan.
+# (n = 2, 3).  Their angles send those indices to the angle search.
 MISBRACKETED = {
     "step": PotentialSpec.step([
         (0.0, 0.27490262637385793, 1.9192737057181657),
@@ -55,9 +55,9 @@ MISBRACKETED = {
 }
 
 # Real step whose first eigenvalue is a deep bound state (fuzz steps, numpy
-# default_rng(5), potential 24): the zero count at its root reads 1 from a
-# tail where |y1| is 1e-10 of its peak, so only the scan's cell counts
-# index it.
+# default_rng(5), potential 24): a zero count at its root reads 1 from a
+# tail where |y1| is 1e-10 of its peak, so only the angle at the ends of
+# its bracket indexes it.
 DEEP_BOUND_STEP = PotentialSpec.step([
     (0.0, 0.5142603723773005, 10.770212589547427),
     (0.5142603723773005, 0.7751812050766056, -3.9189785327709488),
@@ -69,8 +69,8 @@ DEEP_BOUND_STEP = PotentialSpec.step([
 # pieces with breaks uniform on (0, pi) and heights N(0, 4^2); polys, seed
 # 9: 1-3 quadratic pieces with coefficients N(0, 1.5^2); trig, seed 11: 3
 # modes N(0, 3^2)), named kind-seed-potential, with the index range the
-# fuzz solved.  On each, some indices take the scan route and the others
-# the seed bracket, so both Brent calls run.
+# fuzz solved.  On each, some indices take the angle route and the others
+# the seed bracket.
 FUZZ_SCANNED = {
     "step-5-27": (PotentialSpec.step([
         (0.0, 0.29147435453598486, -8.417864040342241),
@@ -294,7 +294,7 @@ def test_batch_matches_scalar_evaluations(name, trig_pot, poly_pot):
     pot = {"trig": trig_pot, "poly": poly_pot, "complex step": COMPLEX_STEP}[name]
     # every member takes the scalar steps of its lambda evaluated alone
     lam = (16.5 * np.exp(1j * np.linspace(-0.02, 0.02, 5))) ** 2
-    for f in (characteristic, _char_reduced):
+    for f in (characteristic, char_reduced):
         batch = f(pot, lam)
         alone = np.array([f(pot, complex(v)) for v in lam])
         assert batch.shape == (5,)
@@ -382,7 +382,7 @@ def test_end_state_walk_keeps_its_bits(name, step_pot, poly_pot, trig_pot):
         pinned = complex(float.fromhex(c_re), float.fromhex(c_im))
         assert characteristic(pot, lam) == pinned, lam
         pinned = complex(float.fromhex(r_re), float.fromhex(r_im))
-        assert _char_reduced(pot, lam) == pinned, lam
+        assert char_reduced(pot, lam) == pinned, lam
 
 
 def test_winding_one_kernel_call_on_distinct_points(free_pot):
@@ -390,10 +390,10 @@ def test_winding_one_kernel_call_on_distinct_points(free_pot):
 
     def F(s):
         seen.append(np.asarray(s))
-        return _char_reduced(free_pot, s * s)
+        return char_reduced(free_pot, s * s)
 
-    assert oracle._winding(F, 3.5) == 1        # free root s = k - 1/2
-    assert oracle._winding(F, 3.0) == 0
+    assert winding(F, 3.5) == 1        # free root s = k - 1/2
+    assert winding(F, 3.0) == 0
     assert [v.shape for v in seen] == [(16,), (16,)]
     assert all(len(np.unique(v)) == 16 for v in seen)
 
@@ -553,14 +553,14 @@ def test_contour_on_the_count_mesh_keeps_the_rouche_margin(name, trig_pot):
     pot = {"trig": trig_pot, "poly": COMPLEX_POLY}[name]
 
     def coarse(s):
-        return _char_reduced(pot, s * s, step_scale=oracle._COUNT_STEP_SCALE)
+        return char_reduced(pot, s * s, step_scale=oracle._COUNT_STEP_SCALE)
 
     for n in range(1, 21):
         root = solve_eigenvalue(pot, n).sqrt_lambda
         s = _contour(root)
-        fine = _char_reduced(pot, s * s)
+        fine = char_reduced(pot, s * s)
         assert np.abs(coarse(s) - fine).max() < 1e-3 * np.abs(fine).min(), n
-        assert oracle._winding(coarse, root) == 1, n
+        assert winding(coarse, root) == 1, n
 
 
 # -- exact secular function for steps ----------------------------------------------
@@ -636,7 +636,7 @@ def test_solve_low_index_bound_states(const_pot, step_pot):
     beta = 0.5 * (lo + hi)
     assert abs(res.lam + beta * beta) < 1e-9
     res1 = solve_eigenvalue(step_pot, 1)
-    assert res1.lam.real < 0       # scan finds the bound state
+    assert res1.lam.real < 0       # the angle finds the bound state
     assert res1.residual < 1e-9
 
 
@@ -723,10 +723,9 @@ def test_solve_spectrum_flags_instead_of_raising(step_pot, monkeypatch):
 
 def _sabotage_index(monkeypatch, k, fake_char):
     """Inside solve_spectrum, index k reads fake_char(lam) as its secular
-    function, in its search and in its contour; every other index reads
-    the real one."""
-    search, char = oracle._index_search, oracle._char_reduced
-    current = [None]
+    function, in its search and in its contour; its angle readings and
+    every other index read the real ones."""
+    search = oracle._index_search
 
     def sabotaged(pot, n, *args):
         inner = search(pot, n, *args)
@@ -734,21 +733,15 @@ def _sabotage_index(monkeypatch, k, fake_char):
             return (yield from inner)
         value = None
         while True:
-            current[0] = n      # the contour runs while the search runs
             try:
                 lam = inner.send(value)
             except StopIteration as stop:
                 return stop.value
-            finally:
-                current[0] = None
-            yield lam           # the block's value for lam is not used
-            value = fake_char(lam)
-
-    def secular(pot, lam, **kw):
-        return fake_char(lam) if current[0] == k else char(pot, lam, **kw)
+            value = yield lam
+            if not isinstance(lam, list):   # a list asks for angles
+                value = fake_char(lam)
 
     monkeypatch.setattr(oracle, "_index_search", sabotaged)
-    monkeypatch.setattr(oracle, "_char_reduced", secular)
 
 
 def _flags(points) -> dict:
@@ -795,18 +788,19 @@ def test_contour_value_exactly_zero_counts_one_root(trig_pot, monkeypatch):
 
 
 def test_walk_cell_without_sign_change_flags_its_index(step_pot, monkeypatch):
-    # the Sturm counts still prove a cell for index 2, but the secular
-    # function read there never changes sign
+    # the angle still brackets index 2, but the secular function read
+    # there never changes sign
     _sabotage_index(monkeypatch, 2, lambda lam: 1.0)
     flags = _flags(solve_spectrum(step_pot, range(1, 5)))
     assert list(flags) == [2]
     assert flags[2].startswith("degraded: no sign change of the secular "
                                "function on [")
-    assert flags[2].endswith("where the count puts index 2")
+    assert flags[2].endswith("where the angle puts index 2")
 
 
 # u = -30 x^2: indices 1 and 2 are seeded far below the spectrum, where the
-# propagator overflows; index 3 solves
+# propagator overflows, and the angle search restarts from s = 0; index 3's
+# seed bracket lies below the spectrum too
 DEEP_WELL = PotentialSpec.poly([(0.0, PI, [0.0, 0.0, -30.0])])
 
 
@@ -844,14 +838,13 @@ def test_block_solve_equals_one_at_a_time(name, poly_pot, trig_pot):
         assert ([_solve_outcome(r) for r in block]
                 == [_solve_outcome(r) for r in alone])
     methods = [getattr(r, "method", None) for r in alone]
-    if name == "poly":      # u(pi) > 0: index 1 scans inside the block
-        assert methods[0] == "scan" and "bracket" in methods
+    if name == "poly":      # u(pi) > 0: index 1 searches the angle
+        assert methods[0] == "angle" and "bracket" in methods
     if name == "trig":
         assert set(methods) == {"secant"}
     if name == "well":
-        blowup = ("IntegrationBlowupError", f"non-finite state at x = {PI}")
-        assert [_solve_outcome(r) for r in alone[:2]] == [blowup, blowup]
-        assert methods[2] is not None
+        assert methods == ["angle"] * 3
+        assert [r.lam for r in alone] == sorted(r.lam for r in alone)
     if name == "cstep":     # ten contours walk together, in the wide step
         assert all(isinstance(r, IndexingError) and "drifted" in str(r)
                    for r in alone[:2])
@@ -863,7 +856,7 @@ def test_flagged_indices_leave_no_reference_cycles(step_pot, monkeypatch):
     # a block keeps each failure; one that held its frames would keep the
     # block alive until the cyclic collector ran
     import gc
-    for pot, flagged in ((DEEP_WELL, [1, 2]), (step_pot, [2])):
+    for pot, flagged in ((PotentialSpec.constant(220.0), [1]), (step_pot, [2])):
         if pot is step_pot:     # index 2 fails in its ValueError handler
             _sabotage_index(monkeypatch, 2, lambda lam: 1.0)
         solve_spectrum(pot, range(1, 4))
@@ -882,9 +875,11 @@ def test_work_counters_split_iterations(step_pot, poly_pot, trig_pot):
         for n in range(1, 9):
             res = solve_eigenvalue(pot, n)
             assert res.char_evals + res.sturm_counts == res.iterations
-            # only the count walk of the scan route takes Sturm counts
-            assert (res.sturm_counts > 0) == (res.method == "scan"), n
-    assert solve_eigenvalue(poly_pot, 1).method == "scan"
+            if res.method == "secant":
+                assert res.sturm_counts == 0, n
+            else:   # the angle at the seed ends, more where they miss
+                assert (res.sturm_counts > 2) == (res.method == "angle"), n
+    assert solve_eigenvalue(poly_pot, 1).method == "angle"
 
 
 def test_grid_ending_inside_a_smooth_piece(poly_pot):
@@ -1012,19 +1007,19 @@ def test_cell_node_states_match_fine_rk4(name, poly_pot, trig_pot):
         assert abs(tr.y2[-1] - characteristic(pot, lam)) <= 1e-13 * scale, lam
 
 
-# -- Sturm counts and the scan route --------------------------------------------------
+# -- the Prufer angle and its route ------------------------------------------------
 
 def _reduced_g(pot):
     """The real secular function solve_eigenvalue brackets, as a closure."""
     def g(lam):
         if lam == 0.0:
             lam = 1e-24
-        return float(_char_reduced(pot, lam).real)
+        return float(char_reduced(pot, lam).real)
     return g
 
 
 def _linear_scan_root(pot, n, g, s_seed):
-    """Reference: the linear lambda-grid scan the count bisection replaced."""
+    """Reference: a linear lambda-grid scan for the n-th sign change."""
     sup_u = float(np.abs(pot.eval_u(np.linspace(0.0, PI, 513))).max())
     lam_lo = -4.0 * (1.0 + sup_u) ** 2
     lam_hi = max((abs(s_seed) + 1.5) ** 2, (n + 1.0) ** 2)
@@ -1078,7 +1073,7 @@ def _brent_outcome(solver, f, a, b):
 
 
 def _assert_same_as_reference(f, a, b):
-    outcome = _brent_outcome(oracle._brentq, f, a, b)
+    outcome = _brent_outcome(brent_root, f, a, b)
     assert outcome == _brent_outcome(brentq, f, a, b)
     return outcome[0]
 
@@ -1120,7 +1115,7 @@ def test_brent_exhaustion_is_a_nonconvergence_error():
                         full_output=True, disp=False)
     assert not info.converged
     with pytest.raises(NonconvergenceError) as exc:
-        oracle._brentq(f, 2.0, 3.0, 1e-13, 8.9e-16, 2)
+        brent_root(f, 2.0, 3.0, 1e-13, 8.9e-16, 2)
     assert exc.value.best == last
 
 
@@ -1142,7 +1137,7 @@ def test_sturm_count_free_spectrum(free_pot):
     for lam, zeros, below in ((-3.0, 0, 0), (0.2, 0, 0), (0.3, 0, 1),
                               (2.0, 1, 1), (2.3, 1, 2), (30.0, 5, 5),
                               (31.0, 5, 6)):
-        assert oracle._sturm_count(free_pot, lam) == (zeros, below), lam
+        assert zero_count(free_pot, lam) == (zeros, below), lam
 
 
 # Real 6-piece steps of the validate-step bench workload (seeds 2, 3, 7 and
@@ -1197,14 +1192,14 @@ def _dense_zero_count(pot, lam):
 @pytest.mark.parametrize("name", list(ZERO_COUNT_POTS))
 def test_closed_form_zero_count_matches_a_dense_count(name):
     pot, floor = ZERO_COUNT_POTS[name]
-    assert oracle._sturm_count(pot, floor) == (0, 0)
+    assert zero_count(pot, floor) == (0, 0)
     # the first piece is constant, so y1 = sin(s x)/s there and s = k pi/b
     # puts a zero of y1 on its right end b
     b = pot.breaks[1]
     on_break = [(k * PI / b) ** 2 for k in (1, 2, 3)]
     for lam in [floor, floor / 2, -3.0, -0.3, -1e-10, 1e-10, 0.5, 3.0, 30.0,
                 412.9, 3000.0, 2e4] + on_break:
-        assert oracle._sturm_count(pot, lam)[0] == _dense_zero_count(
+        assert zero_count(pot, lam)[0] == _dense_zero_count(
             pot, lam), lam
 
 
@@ -1226,30 +1221,82 @@ def test_step_count_reads_the_characteristics_break_states(name, poly_pot,
                                     init=(0.0, 1.0))
         assert [ys[0] for ys in trail] == list(zip(tr.y1.tolist(),
                                                    tr.y2.tolist())), lam
-        assert _char_reduced(pot, lam, step_scale=oracle._COUNT_STEP_SCALE
+        assert char_reduced(pot, lam, step_scale=oracle._COUNT_STEP_SCALE
                              ) == trail[-1][0][1], lam
     if not pot.is_real:
         return
-    counts = [oracle._sturm_count(pot, lam) for lam in lams]
+    thetas = oracle._sturm_count(pot, lams)
     asked = []
     walk = oracle._walk
 
-    def recorded(pe, lam, step_scale, init=None, nodes=None, norm=False):
-        asked.append(nodes)
-        return walk(pe, lam, step_scale, init, nodes, norm)
+    def recorded(pe, lam, *args, **kwargs):
+        asked.append((np.shape(lam), args, kwargs))
+        return walk(pe, lam, *args, **kwargs)
 
-    # a count asks for nodes strictly inside smooth pieces only: on a step,
-    # for no node at all
+    # the angle reads one walk of the batch on the count mesh, cell by
+    # cell, and asks for no node at all; each member reads as alone
     monkeypatch.setattr(oracle, "_walk", recorded)
-    assert [oracle._sturm_count(pot, lam) for lam in lams] == counts
-    spans = [(a, b) for a, b, c in zip(pot.breaks, pot.breaks[1:],
-                                       pot.piecewise._constant_heights)
-             if c is None]
-    assert len(asked) == len(lams)
-    for nodes in asked:
-        assert (nodes is None) == (not spans)
-        for x in [] if nodes is None else nodes.tolist():
-            assert any(a < x < b for a, b in spans), x
+    assert oracle._sturm_count(pot, lams) == thetas
+    assert asked == [((len(lams),), (oracle._COUNT_STEP_SCALE, (0.0, 1.0)),
+                      {"zeros": True})]
+    assert [oracle._sturm_count(pot, [lam])[0] for lam in lams] == [
+        [theta] for theta in thetas[0]]
+
+
+def _well(a):
+    """u = -a x^2, whose q = u' = -2 a x is a linear well of depth 2 a pi."""
+    return PotentialSpec.poly([(0.0, PI, [0.0, 0.0, -a])])
+
+
+# the rows a count sampled at a rate set by |sqrt(lam)| alone undersampled:
+# (36, 36), (21, 21) and (63, 63) against the dense counts
+@pytest.mark.parametrize("a, lam, dense", [
+    (1000.0, 0.5, 52), (3000.0, 0.5, 91), (3000.0, 10.0, 91),
+    *((300.0, float(lam), None) for lam in np.linspace(-500.0, 1000.0, 9))])
+def test_cell_count_of_a_deep_well_matches_a_dense_count(a, lam, dense):
+    pot = _well(a)
+    if dense is not None:
+        assert _dense_zero_count(pot, lam) == dense
+    else:
+        dense = _dense_zero_count(pot, lam)
+    assert zero_count(pot, lam)[0] == dense
+
+
+@pytest.mark.parametrize("name", ["step", "poly", "trig", "well"])
+def test_prufer_angle_is_nondecreasing_in_lambda(name, step_pot, poly_pot):
+    pot = {"step": step_pot, "poly": poly_pot, "trig": MISBRACKETED["trig"],
+           "well": DEEP_WELL}[name]
+    lams = np.linspace(-250.0, 400.0, 1300).tolist()     # misses 0
+    thetas, errors = oracle._sturm_count(pot, lams)
+    assert errors == [None] * len(lams)
+    assert all(b >= a for a, b in zip(thetas, thetas[1:]))
+    # each solved root sits on its own angle (n - 1/2) pi, up to the error
+    # of the count mesh, which the small y1(pi) of a bound state magnifies
+    for n in (1, 2, 5):
+        lam = solve_eigenvalue(pot, n).lam
+        theta = oracle._sturm_count(pot, [lam])[0][0]
+        assert abs(theta - (n - 0.5) * PI) < 1e-2, (name, n)
+
+
+def test_deep_well_seeded_below_the_spectrum_restarts_from_zero():
+    # the seeds of n = 1 and 2 lie near -12830 and -801, where the walk
+    # overflows: the angle search restarts from s = 0
+    for n, lam in ((1, -152.8639), (2, -126.0455)):
+        s0 = eigenvalue_asym(DEEP_WELL, n).sqrt_lambda_asym.real
+        with pytest.raises(IntegrationBlowupError):
+            char_reduced(DEEP_WELL, s0 * abs(s0))
+        res = solve_eigenvalue(DEEP_WELL, n)
+        assert res.method == "angle"
+        assert abs(res.lam - lam) < 1e-4
+        assert _dense_zero_count(DEEP_WELL, res.lam) == n - 1
+
+
+@pytest.mark.parametrize("n", [39, 46])
+def test_deep_well_index_solves_with_its_zero_count(n):
+    # u = -1000 x^2 used to flag these indices with IndexingError
+    pot = _well(1000.0)
+    res = solve_eigenvalue(pot, n)
+    assert _dense_zero_count(pot, res.lam) == n - 1
 
 
 def test_negative_second_eigenvalue_is_indexed():
@@ -1265,12 +1312,12 @@ def test_zero_count_decides_the_index(kind):
     pot, n_max = FUZZ_SCANNED.get(kind, (MISBRACKETED.get(kind), 12))
     res = [solve_eigenvalue(pot, n) for n in range(1, n_max + 1)]
     for n, r in enumerate(res, 1):
-        assert oracle._sturm_count(pot, r.lam)[0] == n - 1, n
+        assert zero_count(pot, r.lam)[0] == n - 1, n
     lams = [r.lam for r in res]
     assert lams == sorted(lams) and len(set(lams)) == len(lams)
-    assert {r.method for r in res} == {"bracket", "scan"}
+    assert {r.method for r in res} == {"bracket", "angle"}
     if kind == "step":      # the row n = 2 of validate-step at seed 29
-        assert res[1].method == "scan"
+        assert res[1].method == "angle"
         assert abs(res[1].lam - 0.954149668) < 1e-9
 
 
@@ -1279,30 +1326,34 @@ def test_count_bisection_matches_linear_scan(case, poly_pot):
     kind, n = case.split("-")
     pot, n = (poly_pot if kind == "poly" else TWO_BOUND_STEP), int(n)
     res = solve_eigenvalue(pot, n)
-    assert res.method == "scan"
-    assert res.iterations <= 30            # g and count evaluations together
+    assert res.method == "angle"
+    assert res.iterations <= 30            # g and angle readings together
     s_seed = eigenvalue_asym(pot, n).sqrt_lambda_asym.real
     ref = _linear_scan_root(pot, n, _reduced_g(pot), s_seed)
-    # the walk's cell is not the grid cell, so only Brent's tolerance holds
+    # the angle's bracket is not the grid cell, so only Brent's tolerance holds
     assert abs(res.lam - ref) <= 2 * (1e-13 + 8.9e-16 * abs(ref))
 
 
 def test_deep_bound_state_indexed_by_the_scan_cell_counts():
     res = [solve_eigenvalue(DEEP_BOUND_STEP, n) for n in (1, 2, 3)]
-    assert res[0].method == "scan"
+    assert res[0].method == "angle"
     assert abs(res[0].lam + 53.65030889754281) < 1e-9
     assert abs(res[1].lam + 2.5124318015266556) < 1e-9
     assert abs(res[2].lam - 3.0753004683262386) < 1e-9
 
 
 def test_scan_cell_holding_two_indices_raises():
-    # the count jumps from 0 to 2 at lambda = 1: bisection never parts them
-    def below(lam):
-        return 0 if lam < 1.0 else 2
-
+    # the angle jumps from 0 to 2 pi at lambda = 1: no bracket parts the two
+    # indices there, and the search stops at its budget of readings
     for n in (1, 2):
-        with pytest.raises(IndexingError, match="not index"):
-            oracle._count_walk(n, below, float(n))
+        search = oracle._real_search(PotentialSpec.zero(), n, float(n))
+        lams, readings = next(search), 0
+        with pytest.raises(IndexingError, match=f"holds index {n} alone"):
+            while True:
+                readings += len(lams)
+                lams = search.send([0.0 if lam < 1.0 else 2 * PI
+                                    for lam in lams])
+        assert readings == oracle._ANGLE_EVALS
 
 
 def _robin_beta(c):
@@ -1319,15 +1370,16 @@ def _robin_beta(c):
 
 def test_scan_floor_lowered_past_undersampled_sup(monkeypatch):
     # u = 3 has a Robin bound state lam_1 = -beta^2, beta = 3 tanh(beta pi),
-    # below the floor -4 that a sampled sup|u| of 0 would give
+    # below the floor -4 that a sampled sup|u| of 0 would give; the angle
+    # search needs no floor
     pot = PotentialSpec.constant(3.0)
     seed = eigenvalue_asym(pot, 1)
     monkeypatch.setattr(PotentialSpec, "eval_u",
                         lambda self, x: np.zeros_like(np.asarray(x, float)))
-    assert oracle._sturm_count(pot, -4.0)[1] == 1
+    assert zero_count(pot, -4.0)[1] == 1
     res = solve_eigenvalue(pot, 1, seed=seed)
     beta = _robin_beta(3.0)
-    assert res.method == "scan"
+    assert res.method == "angle"
     assert abs(res.lam + beta * beta) < 1e-9
 
 
@@ -1346,8 +1398,9 @@ def _robin_root(c, k):
 
 @pytest.mark.parametrize("c", [60.0, 120.0, 150.0])
 def test_strong_constant_bound_state_reached_by_the_walk(c):
-    # the walk reaches lam_1 = -beta^2 ~ -c^2 from a seed near 0, and every
-    # count on the way stays finite (RuntimeWarnings are errors here)
+    # the angle search reaches lam_1 = -beta^2 ~ -c^2 from a seed near 0,
+    # and every reading on the way stays finite (RuntimeWarnings are
+    # errors here)
     pot = PotentialSpec.constant(c)
     res = [solve_eigenvalue(pot, n) for n in (1, 2, 3)]
     beta = _robin_beta(c)
@@ -1386,7 +1439,7 @@ def test_batch_raises_the_failure_at_the_earliest_break(name, step_pot,
     late = (1 + 300j) ** 2 if name == "step" else (1 + 500j) ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f in (characteristic, _char_reduced):
+        for f in (characteristic, char_reduced):
             where = {}
             for lam in (late, early):
                 with pytest.raises(IntegrationBlowupError) as exc:
@@ -1403,7 +1456,7 @@ def test_batch_raises_the_failure_at_the_earliest_break(name, step_pot,
     if name == "mixed poly":
         with pytest.raises(IntegrationBlowupError,
                            match=r"non-finite state at x = 1\.1$"):
-            _char_reduced(pot, np.array([4, (1 + 500j) ** 2, -1e6]))
+            char_reduced(pot, np.array([4, (1 + 500j) ** 2, -1e6]))
 
 
 def test_state_grown_on_a_smooth_piece_overflows_quietly():
@@ -1422,7 +1475,7 @@ def test_state_grown_on_a_smooth_piece_overflows_quietly():
 def test_exact_step_overflow_is_a_blowup_error():
     # cmath.cos(sqrt(-1e5) pi) overflows: a SpectralError, not OverflowError
     with pytest.raises(IntegrationBlowupError) as exc:
-        _char_reduced(PotentialSpec.zero(), -1e5)
+        char_reduced(PotentialSpec.zero(), -1e5)
     assert exc.value.location == PI
 
 
@@ -1831,9 +1884,9 @@ def test_a_real_walk_builds_float64_cells(poly_pot, monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "_magnus_matrices", spy)
-    _char_reduced(poly_pot, 412.9)
+    char_reduced(poly_pot, 412.9)
     characteristic(poly_pot, np.array([0.3, 412.9]))
-    oracle._sturm_count(poly_pot, 412.9)
+    zero_count(poly_pot, 412.9)
     oracle._node_states(poly_pot, 412.9, default_grid(513), step_scale=0.004,
                         norm=True)
     solve_eigenvalue(poly_pot, 5)
@@ -1845,7 +1898,7 @@ def test_a_real_walk_builds_float64_cells(poly_pot, monkeypatch):
             (poly_pot, 25 + 4j, ["complex128"]),
             (MISBRACKETED["trig"], 412.9, ["complex128"])):
         dtypes.clear()
-        _char_reduced(pot, lam)
+        char_reduced(pot, lam)
         assert sorted(set(dtypes)) == want
 
 
