@@ -45,6 +45,16 @@ evaluation takes one exponential per conjugate pair of real frequencies:
 the mirror's phase is the conjugate of the first one's, which is exact
 (see ``_eval_block``).  Objects on one omega evaluated at the same points
 can share those exponentials through a phase dict (``PiecewiseExp.eval``).
+
+A piece's primitives and definite integrals are formed on one stacked
+array (``_primitives``): its atoms as one (rows, atoms, members) table,
+and the descending recursion once per row for all of them.  Each atom
+keeps the bits it has when integrated alone, by three rules.  Each atom
+starts at its own top row, with exact +0 rows above it.  An integral adds
+the atoms' values to its total one atom at a time, in the piece's atom
+order.  The primitives are evaluated with ``_eval_block``'s shapes:
+Horner's rule from 0j on (atoms, members, 1) rows, against the point as a
+(1, 1) array.
 """
 
 from __future__ import annotations
@@ -71,9 +81,15 @@ def _series_threshold(degree):
     return np.maximum(_SERIES_BASE, _SERIES_SLOPE * degree + 0.5)
 
 
+try:        # numpy >= 2: the C function np.count_nonzero wraps in Python
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:             # numpy 1.x: the public function
+    _count_nonzero = np.count_nonzero
+
+
 def _vanishes(c) -> bool:
     """c == 0 for every member."""
-    return not np.count_nonzero(c)      # a third of the time of c.any()
+    return not _count_nonzero(c)        # a third of the time of c.any()
 
 
 def _trim(coeffs):
@@ -82,11 +98,6 @@ def _trim(coeffs):
     while n > 1 and _vanishes(coeffs[n - 1]):
         n -= 1
     return tuple(coeffs[:n])
-
-
-def _polyint(coeffs):
-    return (np.zeros_like(coeffs[0]),) + tuple(c / (j + 1)
-                                               for j, c in enumerate(coeffs))
 
 
 # Sums below are written out[j] = out[j] + c, never out[j] += c: a
@@ -138,25 +149,28 @@ def _series_poly(coeffs, z, h):
     """integral_0^s p(t) exp(z t) dt as one polynomial, by the power series.
 
     integral_0^s t^j e^{zt} dt = sum_k z^k s^{j+k+1} / (k! (j+k+1)), summed
-    until a term falls below 1e-20 of the atom's scale on [0, h].
+    until a term falls below 1e-20 of the atom's scale on [0, h].  The
+    term of z^k adds into out[n], n = j + k + 1.
     """
     d = len(coeffs) - 1
     out = [0j] * (d + _SERIES_MAX_TERMS + 2)
-    scale = max(abs(c) for c in coeffs) * max(h, 1e-300)
+    tol = 1e-20 * (max(map(abs, coeffs)) * max(h, 1e-300))
+    end = 1
     for j, c in enumerate(coeffs):
         if c == 0:
             continue
         zk = complex(c)
         hp = h ** (j + 1)
-        for k in range(_SERIES_MAX_TERMS):
-            out[j + k + 1] += zk / (j + k + 1)
-            if abs(zk) * hp < 1e-20 * scale:
+        for n in range(j + 1, j + 1 + _SERIES_MAX_TERMS):
+            out[n] += zk / n
+            if abs(zk) * hp < tol:
                 break
-            zk = zk * z / (k + 1)
+            zk = zk * z / (n - j)
             hp *= h
-    while len(out) > 1 and out[-1] == 0:    # Python numbers: no numpy call
-        out.pop()
-    return tuple(out)
+        end = max(end, n + 1)
+    while end > 1 and out[end - 1] == 0:    # Python numbers: no numpy call
+        end -= 1
+    return tuple(out[:end])
 
 
 def _frequency(key, omega):
@@ -165,61 +179,126 @@ def _frequency(key, omega):
     return a + b * omega if b else a
 
 
-def _block_antiderivative(key, coeffs, h, omega):
-    """Atoms of A(s) = integral_0^s p(t) exp(i nu t) dt on a piece of length h.
+def _primitives(atoms, h, omega):
+    """Primitives A(s) = integral_0^s p(t) exp(i nu t) dt of a piece's atoms.
 
-    nu is the key's frequency; A(0) = 0 exactly.  A member takes nu = 0,
-    the series or the recursion from its own frequency and its own
-    trimmed degree, as it would alone.  The recursion and the nu = 0 rule
-    run on the whole block; the series runs one member at a time on
-    Python scalars, and its polynomial is scattered into the
-    frequency-free atom, whose other members hold the recursion's
-    constant -q_0.  The recursion divides by z of its own members only
-    (1 elsewhere) and its rows are zero outside them.
+    h is the piece's length; each A(0) = 0 exactly.  A member of an atom
+    takes nu = 0, the series or the recursion from its own frequency and
+    its own trimmed degree, as it would alone.  The atoms are stacked as
+    one (rows, atoms, members) table, by descending top row, and the
+    descending recursion runs once per row on the stack, in place: a row
+    reaches the leading run of atoms whose top is at or above it, and
+    each atom starts at its own top row from the exact +0 above it, so
+    it keeps the bits of its own recursion.  The recursion divides by
+    z = i nu of its own members only (1 elsewhere), and its rows are
+    exact +0 outside them.  The series runs one member at a time on
+    Python scalars, and its polynomial goes into the frequency-free
+    rows, whose other members hold the recursion's constant -q_0, or
+    the plain primitive where nu = 0.
+
+    Gives (place, z, q, const, q_len, c_len).  Atom i of the piece is
+    atom place[i] of the stack; z is (atoms, members), the recursion
+    rows q and the frequency-free rows const are (rows, atoms, members).
+    Atom p's primitive is (its key, its first q_len[p] rows of q),
+    absent where q_len[p] is 0, and (_ZERO_KEY, its first c_len[p] rows
+    of const); its rows beyond those are zero.
     """
-    width = len(coeffs[0])
-    top = len(coeffs) - 1
-    if key == _ZERO_KEY:
-        return [(_ZERO_KEY, _polyint(coeffs))]
-    nu = np.broadcast_to(_frequency(key, omega), (width,))
+    count, width = len(atoms), len(atoms[0][1][0])
+    order = sorted(range(count), key=lambda i: -len(atoms[i][1]))
+    place = [0] * count
+    for p, i in enumerate(order):
+        place[i] = p
+    tops = [len(atoms[i][1]) - 1 for i in order]
+    top = tops[0]
+    table = np.zeros((top + 2, count, width), complex)
+    for p, i in enumerate(order):
+        table[:tops[p] + 1, p] = atoms[i][1]
+    a = np.array([atoms[i][0][0] for i in order])[:, None]
+    b = np.array([atoms[i][0][1] for i in order])[:, None]
+    nu = a if omega is None else np.where(b == 0, a, a + b * omega)
+    nu = np.broadcast_to(nu, (count, width))
     z = 1j * nu
-    table = np.array(coeffs)
-    nonzero = table != 0
+    nonzero = table[:top + 1] != 0
     live = nonzero.any(axis=0)
     degree = top - np.argmax(nonzero[::-1], axis=0)
     zero = nu == 0
     series = ~zero & live & (np.abs(z) * h <= _series_threshold(degree))
     rec = ~zero & ~series
-    atoms = []
-    const = [np.zeros(width, complex)]
-    if rec.any():
-        every = bool(rec.all())
-        zr = z if every else np.where(rec, z, 1)
-        q = [None] * (top + 1)
-        q[top] = coeffs[top] / zr
-        for j in range(top - 1, -1, -1):
-            q[j] = (coeffs[j] - (j + 1) * q[j + 1]) / zr
-        if not every:
-            q = [np.where(rec, c, 0) for c in q]
-        atoms.append((key, tuple(q)))
-        const = [-q[0]]
-    if zero.any():
-        prim = _polyint(coeffs)
-        const += [np.zeros(width, complex)] * (len(prim) - len(const))
-        const = [np.where(zero, p, c) for p, c in zip(prim, const)]
-    polys = {k: _series_poly(tuple(complex(c) for c in table[:d + 1, k]),
-                             complex(z[k]), h)
-             for k, d in zip(np.flatnonzero(series), degree[series])}
-    if polys:
-        rows = max(len(const), *(len(p) for p in polys.values()))
-        block = np.zeros((rows, width), complex)
-        block[:len(const)] = const
-        for k, poly in polys.items():
-            block[:, k] = 0
-            block[:len(poly), k] = poly
-        const = list(block)
-    atoms.append((_ZERO_KEY, tuple(const)))
-    return atoms
+    has_q, has_zero = rec.any(axis=1), zero.any(axis=1)
+    q_len = np.where(has_q, np.add(tops, 1), 0)
+    c_len = np.where(has_zero, np.add(tops, 2), 1)
+    polys = [(p, k, _series_poly(table[:d + 1, p, k].tolist(), zk, h))
+             for (p, k), d, zk in zip(np.argwhere(series).tolist(),
+                                      degree[series].tolist(),
+                                      z[series].tolist())]
+    for p, _, poly in polys:
+        c_len[p] = max(c_len[p], len(poly))
+    const = np.zeros((int(c_len.max()), count, width), complex)
+    for p, k, poly in polys:
+        const[:len(poly), p, k] = poly
+    for p in np.flatnonzero(has_zero).tolist():
+        # the plain primitive of the atom's nu = 0 members, c_j / (j + 1)
+        end = tops[p] + 1
+        const[1:end + 1, p] = np.where(
+            zero[p], table[:end, p] / np.arange(1, end + 1)[:, None],
+            const[1:end + 1, p])
+    # row j of the table becomes q_j, from the top; the other members
+    # recur on zeros: exact +0, and no overflow
+    rows = int(q_len.max())
+    q = table[:rows]
+    if rows:
+        np.copyto(table, 0, where=~rec)
+        zr = np.where(rec, z, 1)
+        n = 0
+        for j in range(rows - 1, -1, -1):
+            while n < count and tops[n] >= j:
+                n += 1
+            q[j, :n] = (q[j, :n] - (j + 1) * table[j + 1, :n]) / zr[:n]
+        # -q_0 beside the series and nu = 0 members: -0 where all
+        # coefficients of a member vanish
+        np.negative(q[0], out=const[0],
+                    where=has_q[:, None] & ~zero & ~series)
+    return place, z, q, const, q_len.tolist(), c_len.tolist()
+
+
+def _primitive_atoms(atoms, prims):
+    """The primitives of _primitives as atoms, atom by atom in order.
+
+    Each atom's rows are copied out of the stack: a view would keep the
+    whole padded stack alive as long as the antiderivative.
+    """
+    place, _, q, const, q_len, c_len = prims
+    out = []
+    for (key, _), p in zip(atoms, place):
+        if q_len[p]:
+            out.append((key, tuple(q[:q_len[p], p].copy())))
+        out.append((_ZERO_KEY, tuple(const[:c_len[p], p].copy())))
+    return out
+
+
+def _primitive_values(prims, s):
+    """The primitives of _primitives at the local coordinate s.
+
+    The values have shape (atoms, members), the atoms in stack order.
+    They take _eval_block's shapes: Horner's rule starts at 0j and runs on
+    (atoms, members, 1) rows against s of shape (1, 1), and the value is
+    0 + (recursion rows) * phase + (frequency-free rows), so each atom
+    has the bits of its own primitive evaluated alone.
+    """
+    _, z, q, const, _, _ = prims
+    s = np.array([[s]])
+    val = 0
+    if len(q):
+        term = 0j
+        for c in q[::-1]:
+            term = term * s + c[:, :, None]
+        # named, as in _eval_block: the product keeps its operand order
+        phase = np.exp(z[:, :, None] * s)
+        val = 0 + term * phase
+    term = 0j
+    for c in const[::-1]:
+        term = term * s + c[:, :, None]
+    return (val + term)[:, :, 0]
 
 
 def _merge_atoms(atoms):
@@ -560,8 +639,8 @@ class PiecewiseExp:
         for i, pc in enumerate(self.pieces):
             h = self.breaks[i + 1] - self.breaks[i]
             atoms = []
-            for key, coeffs in pc:
-                atoms.extend(_block_antiderivative(key, coeffs, h, self.omega))
+            if pc:
+                atoms = _primitive_atoms(pc, _primitives(pc, h, self.omega))
             atoms.append((_ZERO_KEY, (offset,)))
             merged = _merge_atoms(atoms)
             pieces.append(merged)
@@ -592,13 +671,17 @@ class PiecewiseExp:
             h = self.breaks[i + 1] - a_i
             s0 = lo - a_i if i == first else 0.0
             s1 = hi - a_i if i == stop else h
-            if s1 == s0:
+            pc = self.pieces[i]
+            if s1 == s0 or not pc:
                 continue
-            for key, coeffs in self.pieces[i]:
-                prim = _block_antiderivative(key, coeffs, h, self.omega)
-                total = total + self._piece_value(prim, s1)
+            prims = _primitives(pc, h, self.omega)
+            at_s1 = _primitive_values(prims, s1)
+            at_s0 = _primitive_values(prims, s0) if s0 != 0 else None
+            # atom by atom, in order, as each atom's integral alone
+            for p in prims[0]:
+                total = total + at_s1[p]
                 if s0 != 0:
-                    total = total - self._piece_value(prim, s0)
+                    total = total - at_s0[p]
         return self._output(total)
 
 

@@ -173,7 +173,7 @@ class PotentialSpec:
         val = (self.piecewise * self.piecewise.conj()).integral()
         return float(val.real)
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
         return all(
             abs(complex(c).imag) == 0.0

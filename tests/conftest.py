@@ -15,8 +15,13 @@ char_reduced, brent_root, winding and zero_count are thin drivers of the
 library's kernels that only the tests call: the reduced characteristic
 of any lambda, the Brent generator driven by one function, the winding
 count of one contour and the integer counts of the Prufer angle.
+
+atom_antiderivative, series_poly, antiderivative_by_atom and
+integral_by_atom are the closed-form layer one atom at a time: the
+reference whose bits the library's stacked primitives must keep.
 """
 
+import bisect
 import cmath
 import math
 
@@ -24,7 +29,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from slspec import IntegrationBlowupError, PotentialSpec, asymptotics, oracle
+from slspec import (IntegrationBlowupError, PotentialSpec, asymptotics,
+                    moments, oracle)
 from slspec.oscillatory import _require_regular
 
 PI = math.pi
@@ -355,3 +361,133 @@ def zero_count(pot, lam):
     if err is not None:
         raise err
     return int(zeros[0]) - int(trail[-1][0][0] == 0), int(theta / PI + 0.5)
+
+
+# -- the closed-form primitives, one atom at a time ---------------------------
+
+
+def series_poly(coeffs, z, h):
+    """integral_0^s p(t) exp(z t) dt as one polynomial, by the power series.
+
+    integral_0^s t^j e^{zt} dt = sum_k z^k s^{j+k+1} / (k! (j+k+1)), summed
+    until a term falls below 1e-20 of the atom's scale on [0, h].
+    """
+    d = len(coeffs) - 1
+    out = [0j] * (d + moments._SERIES_MAX_TERMS + 2)
+    scale = max(abs(c) for c in coeffs) * max(h, 1e-300)
+    for j, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        zk = complex(c)
+        hp = h ** (j + 1)
+        for k in range(moments._SERIES_MAX_TERMS):
+            out[j + k + 1] += zk / (j + k + 1)
+            if abs(zk) * hp < 1e-20 * scale:
+                break
+            zk = zk * z / (k + 1)
+            hp *= h
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _polyint(coeffs):
+    return (np.zeros_like(coeffs[0]),) + tuple(c / (j + 1)
+                                               for j, c in enumerate(coeffs))
+
+
+def atom_antiderivative(key, coeffs, h, omega):
+    """Atoms of A(s) = integral_0^s p(t) exp(i nu t) dt on a piece of length h.
+
+    nu is the key's frequency; A(0) = 0 exactly.  A member takes nu = 0,
+    the series or the recursion from its own frequency and its own
+    trimmed degree.  The series runs one member at a time on Python
+    scalars, and its polynomial is scattered into the frequency-free
+    atom, whose other members hold the recursion's constant -q_0.
+    """
+    zero_key = moments._ZERO_KEY
+    width = len(coeffs[0])
+    top = len(coeffs) - 1
+    if key == zero_key:
+        return [(zero_key, _polyint(coeffs))]
+    nu = np.broadcast_to(moments._frequency(key, omega), (width,))
+    z = 1j * nu
+    table = np.array(coeffs)
+    nonzero = table != 0
+    live = nonzero.any(axis=0)
+    degree = top - np.argmax(nonzero[::-1], axis=0)
+    zero = nu == 0
+    series = ~zero & live & (np.abs(z) * h
+                             <= moments._series_threshold(degree))
+    rec = ~zero & ~series
+    atoms = []
+    const = [np.zeros(width, complex)]
+    if rec.any():
+        every = bool(rec.all())
+        zr = z if every else np.where(rec, z, 1)
+        q = [None] * (top + 1)
+        q[top] = coeffs[top] / zr
+        for j in range(top - 1, -1, -1):
+            q[j] = (coeffs[j] - (j + 1) * q[j + 1]) / zr
+        if not every:
+            q = [np.where(rec, c, 0) for c in q]
+        atoms.append((key, tuple(q)))
+        const = [-q[0]]
+    if zero.any():
+        prim = _polyint(coeffs)
+        const += [np.zeros(width, complex)] * (len(prim) - len(const))
+        const = [np.where(zero, p, c) for p, c in zip(prim, const)]
+    polys = {k: series_poly(tuple(complex(c) for c in table[:d + 1, k]),
+                            complex(z[k]), h)
+             for k, d in zip(np.flatnonzero(series), degree[series])}
+    if polys:
+        rows = max(len(const), *(len(p) for p in polys.values()))
+        block = np.zeros((rows, width), complex)
+        block[:len(const)] = const
+        for k, poly in polys.items():
+            block[:, k] = 0
+            block[:len(poly), k] = poly
+        const = list(block)
+    atoms.append((zero_key, tuple(const)))
+    return atoms
+
+
+def _piece_value(f, atoms, s):
+    return moments._eval_block(atoms, f.omega, f.width, np.array([s]))[:, 0]
+
+
+def antiderivative_by_atom(f):
+    """The pieces of f.antiderivative(), each atom integrated alone."""
+    pieces = []
+    offset = np.zeros(f.width, complex)
+    for i, pc in enumerate(f.pieces):
+        h = f.breaks[i + 1] - f.breaks[i]
+        atoms = []
+        for key, coeffs in pc:
+            atoms.extend(atom_antiderivative(key, coeffs, h, f.omega))
+        atoms.append((moments._ZERO_KEY, (offset,)))
+        merged = moments._merge_atoms(atoms)
+        pieces.append(merged)
+        offset = _piece_value(f, merged, h)
+    return tuple(pieces)
+
+
+def integral_by_atom(f, lo, hi):
+    """f.integral(lo, hi), lo <= hi inside the domain, one atom at a time."""
+    last = len(f.pieces) - 1
+    first = min(max(bisect.bisect_right(f.breaks, lo) - 1, 0), last)
+    stop = min(max(bisect.bisect_left(f.breaks, hi) - 1, first), last)
+    total = np.zeros(f.width, complex)
+    for i in range(first, stop + 1):
+        a_i = f.breaks[i]
+        h = f.breaks[i + 1] - a_i
+        s0 = lo - a_i if i == first else 0.0
+        s1 = hi - a_i if i == stop else h
+        if s1 == s0:
+            continue
+        for key, coeffs in f.pieces[i]:
+            prim = atom_antiderivative(key, coeffs, h, f.omega)
+            total = total + _piece_value(f, prim, s1)
+            if s0 != 0:
+                total = total - _piece_value(f, prim, s0)
+    return total

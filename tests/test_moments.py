@@ -12,6 +12,8 @@ from scipy.integrate import quad
 
 from slspec import PotentialSpec, moments, oscillatory
 
+from conftest import antiderivative_by_atom, integral_by_atom
+
 PI = math.pi
 
 
@@ -463,3 +465,83 @@ def test_a_phase_dict_serves_an_object_with_one_atom_of_a_pair(omega):
         assert _same_bits(_evals(objects, x, True), _evals(objects, x, False))
     ref = np.exp(2j * np.asarray(omega)[:, None] * x)
     assert np.allclose(up.eval(x), ref, rtol=1e-13, atol=1e-13)
+
+
+# -- the stacked primitives keep the per-atom bits ---------------------------
+
+
+def _branch_table(rng, degree, width):
+    """Coefficients whose members end at their own degrees, some dead."""
+    table = np.array(_coefficients(rng, degree, width))
+    for k in range(width):
+        cut = rng.integers(0, degree + 2)
+        if rng.random() < 0.5:
+            table[cut:, k] = 0          # a lower degree, or all zero
+    table[-1, rng.integers(0, width)] = 1.5 - 0.5j   # the top row stays
+    return tuple(table)
+
+
+def _branch_pieces(rng, width, omega, h):
+    """Atoms of one piece whose members take nu = 0, the series and the
+    recursion, within an atom and across its atoms."""
+    degrees = [0, 70] + list(rng.integers(0, 71, 4))
+    keys = [moments._ZERO_KEY, (0j, 1), (0j, -2),
+            (complex(rng.uniform(2, 9)), 0),
+            (complex(rng.uniform(-0.8, 0.8), 0.3), 0)]
+    if omega is not None:
+        keys += [(complex(rng.uniform(-3, 3)), 1), (0.5j, 1)]
+    else:
+        keys = [key for key in keys if key[1] == 0]
+        keys.append((complex(30.0 / h), 0))
+    atoms = [(key, _branch_table(rng, int(degrees[i % len(degrees)]), width))
+             for i, key in enumerate(keys)]
+    rng.shuffle(atoms)
+    return tuple(atoms)
+
+
+def _primitive_cases():
+    rng = np.random.default_rng(32)
+    breaks = (0.0, 0.35, 1.7, 2.05, PI)
+    for width in (1, 3, 32):
+        # nu = b * omega: zero, below the series threshold and above it
+        scale = np.array([0.0, 0.4, 45.0])[np.arange(width) % 3]
+        real = scale * rng.uniform(0.5, 1.5, width)
+        for omega in (None, real, real + 1j * rng.uniform(-2, 2, width)):
+            if omega is None and width > 1:
+                continue
+            pieces = tuple(_branch_pieces(rng, width, omega, b - a)
+                           for a, b in zip(breaks, breaks[1:]))
+            yield moments.PiecewiseExp(breaks, pieces, width, omega,
+                                       omega is not None)
+
+
+def test_stacked_primitives_keep_the_per_atom_bits():
+    branches = set()
+    for f in _primitive_cases():
+        got = f.antiderivative().pieces
+        ref = antiderivative_by_atom(f)
+        assert len(got) == len(ref)
+        for pg, pr in zip(got, ref):
+            assert [key for key, _ in pg] == [key for key, _ in pr]
+            for (_, cg), (_, cr) in zip(pg, pr):
+                assert _same_bits(cg, cr)
+        for a, b in [(None, None), (0.1, 0.3), (0.2, 2.0), (0.35, 2.9),
+                     (1.0, PI), (2.05, 2.06)]:
+            lo = f.lo if a is None else a
+            hi = f.hi if b is None else b
+            value = np.asarray(f.integral(a, b)).reshape(-1)
+            assert _same_bits([value], [integral_by_atom(f, lo, hi)]), (a, b)
+        for i, pc in enumerate(f.pieces):
+            h = f.breaks[i + 1] - f.breaks[i]
+            for key, coeffs in pc:
+                zi = 1j * np.broadcast_to(moments._frequency(key, f.omega),
+                                          (f.width,))
+                table = np.array(coeffs)
+                degree = np.array([np.flatnonzero(col).max(initial=0)
+                                   for col in table.T])
+                series = np.abs(zi) * h <= moments._series_threshold(degree)
+                kinds = np.where(zi == 0, 0, np.where(series, 1, 2))
+                kinds = kinds[table.any(axis=0) | (zi == 0)]
+                branches.add(tuple(sorted(set(kinds.tolist()))))
+    # some atom holds members of all three branches
+    assert (0, 1, 2) in branches

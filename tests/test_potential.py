@@ -84,12 +84,17 @@ def test_conjugation_involution_and_recomposition(kind, seed):
     assert np.abs(rec - vals).max() < 1e-13
 
 
-@settings(max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["step", "poly", "trig"]), seed=st.integers(0, 2**31))
 def test_square_is_pointwise_square(kind, seed):
+    # relative to the square's size: a poly's u^2 reaches 1e4 on [0, pi],
+    # where rounding alone is 1e-12; over 3000 seeds the worst relative
+    # error is 5e-15, and a dropped cross term is of the square's order
     p = _random_spec(kind, seed)
     xs = np.linspace(0.0, PI, 37)
-    assert np.abs(p.piecewise_sq.eval(xs) - p.eval_u(xs) ** 2).max() < 5e-12
+    u = p.eval_u(xs)
+    size = max(1.0, float(np.abs(u).max()) ** 2)
+    assert np.abs(p.piecewise_sq.eval(xs) - u ** 2).max() < 1e-13 * size
 
 
 def test_real_potential_has_zero_imag_part(step_pot):
