@@ -37,24 +37,29 @@ output: a plain object's ``eval`` and ``integral`` drop the member axis and
 give a complex, or an array shaped like x.
 
 The work is paid per row, not per coefficient.  A product takes one
-numpy operation per coefficient of its first factor, against all
-coefficients of the second at once, and adds the terms of every output
-coefficient in the order of the textbook double loop (ascending power of
-the first factor, from zero), so it keeps that loop's bits.  An
-evaluation takes one exponential per conjugate pair of real frequencies:
-the mirror's phase is the conjugate of the first one's, which is exact
-(see ``_eval_block``).  Objects on one omega evaluated at the same points
-can share those exponentials through a phase dict (``PiecewiseExp.eval``).
+numpy operation per coefficient of its first factor (of its second, where
+that has two), against all coefficients of the other at once, and adds
+the terms of every output coefficient as the textbook double loop does
+(ascending power of the first factor, from zero), so it keeps that
+loop's bits.  An evaluation takes one exponential per conjugate pair of
+real frequencies: the mirror's phase is the conjugate of the first
+one's, which is exact (see ``_eval_block``).  Objects on one omega
+evaluated at the same points can share those exponentials through a
+phase dict (``PiecewiseExp.eval``).
 
-A piece's primitives and definite integrals are formed on one stacked
-array (``_primitives``): its atoms as one (rows, atoms, members) table,
-and the descending recursion once per row for all of them.  Each atom
-keeps the bits it has when integrated alone, by three rules.  Each atom
-starts at its own top row, with exact +0 rows above it.  An integral adds
-the atoms' values to its total one atom at a time, in the piece's atom
-order.  The primitives are evaluated with ``_eval_block``'s shapes:
-Horner's rule from 0j on (atoms, members, 1) rows, against the point as a
-(1, 1) array.
+An object's primitives and definite integrals are formed on at most two
+stacked arrays (``_stacks``): the atoms of all its pieces, grouped by top
+row, atoms of at most _SHORT_ROWS rows in one stack and longer ones in
+the other, so that short atoms are not padded to a series atom's rows.  Each
+stack is one (rows, atoms, members) table (``_primitives``), and the
+descending recursion runs once per row for all of its atoms; each atom
+carries its piece's length and, when evaluated, its own coordinate.
+Each atom keeps the bits it has when integrated alone, by three rules.
+Each atom starts at its own top row, with exact +0 rows above it.  An
+integral adds the atoms' values to its total one atom at a time, in
+piece and atom order.  The primitives are evaluated with
+``_eval_block``'s shapes: Horner's rule from 0j on (atoms, members, 1)
+rows, against each atom's coordinate as a (1, 1) slice.
 """
 
 from __future__ import annotations
@@ -74,6 +79,10 @@ _SERIES_MAX_TERMS = 90
 
 _ZERO_KEY = (0j, 0)             # the frequency-free atom: a = 0, b = 0
 _NARROW = 8                     # coefficients every block member evaluates
+# Atoms of at most this many rows share a primitive stack (_stacks), longer
+# ones the other: any split from about 2 to 67 rows keeps validate-step's
+# head-block series atoms (68 rows) apart from its one-row atoms.
+_SHORT_ROWS = 8
 
 
 def _series_threshold(degree):
@@ -118,16 +127,31 @@ def _polymul(a, b):
 
     out[k] sums ca * cb over i + j = k in ascending i, starting from zero
     (which turns -0.0 into +0.0), so it has the bits of the textbook
-    double loop.  A factor of length one gives one term per coefficient.
+    double loop.  A factor of one row gives one broadcast product (two
+    single rows one product of the rows: numpy multiplies a (1, 1) array
+    by a (1,) one in a loop that rounds unlike the others).  A b of two
+    rows takes one operation per row of b instead: out[k] = 0 + a[k] b[0]
+    + a[k-1] b[1] adds the double loop's two terms in the other order,
+    and a sum of two terms from zero has the same bits either way.  Every
+    product keeps the operand order ca * cb.
     """
-    if len(a) == 1 or len(b) == 1:
-        return _trim([0j + ca * cb for ca in a for cb in b])
-    rows = np.array(b)
+    if len(a) == 1 and len(b) == 1:
+        return _trim([0j + a[0] * b[0]])
+    if len(a) == 1:
+        return _trim(list(0j + a[0] * np.array(b)))
+    if len(b) == 1:
+        return _trim(list(0j + np.array(a) * b[0]))
+    by_b = len(b) == 2
+    rows = np.array(a if by_b else b)
     out = np.zeros((len(a) + len(b) - 1,)
-                   + np.broadcast_shapes(np.shape(a[0]), rows.shape[1:]),
+                   + np.broadcast_shapes(np.shape(a[0]), np.shape(b[0])),
                    complex)
-    for i, ca in enumerate(a):
-        out[i:i + len(b)] += ca * rows
+    if by_b:
+        for j, cb in enumerate(b):
+            out[j:j + len(a)] += rows * cb
+    else:
+        for i, ca in enumerate(a):
+            out[i:i + len(b)] += ca * rows
     return _trim(list(out))
 
 
@@ -179,29 +203,29 @@ def _frequency(key, omega):
     return a + b * omega if b else a
 
 
-def _primitives(atoms, h, omega):
-    """Primitives A(s) = integral_0^s p(t) exp(i nu t) dt of a piece's atoms.
+def _primitives(atoms, lengths, omega):
+    """Primitives A(s) = integral_0^s p(t) exp(i nu t) dt of a list of atoms.
 
-    h is the piece's length; each A(0) = 0 exactly.  A member of an atom
-    takes nu = 0, the series or the recursion from its own frequency and
-    its own trimmed degree, as it would alone.  The atoms are stacked as
-    one (rows, atoms, members) table, by descending top row, and the
-    descending recursion runs once per row on the stack, in place: a row
-    reaches the leading run of atoms whose top is at or above it, and
-    each atom starts at its own top row from the exact +0 above it, so
-    it keeps the bits of its own recursion.  The recursion divides by
-    z = i nu of its own members only (1 elsewhere), and its rows are
-    exact +0 outside them.  The series runs one member at a time on
-    Python scalars, and its polynomial goes into the frequency-free
-    rows, whose other members hold the recursion's constant -q_0, or
-    the plain primitive where nu = 0.
+    lengths[i] is the length h of atom i's piece; each A(0) = 0 exactly.
+    A member of an atom takes nu = 0, the series or the recursion from its
+    own frequency, its own trimmed degree and its piece's h, as it would
+    alone.  The atoms are stacked as one (rows, atoms, members) table, by
+    descending top row, and the descending recursion runs once per row on
+    the stack, in place: a row reaches the leading run of atoms whose top
+    is at or above it, and each atom starts at its own top row from the
+    exact +0 above it, so it keeps the bits of its own recursion.  The
+    recursion divides by z = i nu of its own members only (1 elsewhere),
+    and its rows are exact +0 outside them.  The series runs one member at
+    a time on Python scalars, and its polynomial goes into the
+    frequency-free rows, whose other members hold the recursion's
+    constant -q_0, or the plain primitive where nu = 0.
 
-    Gives (place, z, q, const, q_len, c_len).  Atom i of the piece is
-    atom place[i] of the stack; z is (atoms, members), the recursion
-    rows q and the frequency-free rows const are (rows, atoms, members).
-    Atom p's primitive is (its key, its first q_len[p] rows of q),
-    absent where q_len[p] is 0, and (_ZERO_KEY, its first c_len[p] rows
-    of const); its rows beyond those are zero.
+    Gives (place, z, q, const, q_len, c_len).  Atom i of the list is atom
+    place[i] of the stack; z is (atoms, members), the recursion rows q
+    and the frequency-free rows const are (rows, atoms, members).  Atom
+    p's primitive is (its key, its first q_len[p] rows of q), absent
+    where q_len[p] is 0, and (_ZERO_KEY, its first c_len[p] rows of
+    const); its rows beyond those are zero.
     """
     count, width = len(atoms), len(atoms[0][1][0])
     order = sorted(range(count), key=lambda i: -len(atoms[i][1]))
@@ -209,6 +233,7 @@ def _primitives(atoms, h, omega):
     for p, i in enumerate(order):
         place[i] = p
     tops = [len(atoms[i][1]) - 1 for i in order]
+    hs = [lengths[i] for i in order]
     top = tops[0]
     table = np.zeros((top + 2, count, width), complex)
     for p, i in enumerate(order):
@@ -222,12 +247,13 @@ def _primitives(atoms, h, omega):
     live = nonzero.any(axis=0)
     degree = top - np.argmax(nonzero[::-1], axis=0)
     zero = nu == 0
-    series = ~zero & live & (np.abs(z) * h <= _series_threshold(degree))
+    series = ~zero & live & (np.abs(z) * np.array(hs)[:, None]
+                             <= _series_threshold(degree))
     rec = ~zero & ~series
     has_q, has_zero = rec.any(axis=1), zero.any(axis=1)
     q_len = np.where(has_q, np.add(tops, 1), 0)
     c_len = np.where(has_zero, np.add(tops, 2), 1)
-    polys = [(p, k, _series_poly(table[:d + 1, p, k].tolist(), zk, h))
+    polys = [(p, k, _series_poly(table[:d + 1, p, k].tolist(), zk, hs[p]))
              for (p, k), d, zk in zip(np.argwhere(series).tolist(),
                                       degree[series].tolist(),
                                       z[series].tolist())]
@@ -261,15 +287,41 @@ def _primitives(atoms, h, omega):
     return place, z, q, const, q_len.tolist(), c_len.tolist()
 
 
-def _primitive_atoms(atoms, prims):
-    """The primitives of _primitives as atoms, atom by atom in order.
+def _stacks(pieces, lengths, omega):
+    """The primitives of the atoms of several pieces, in at most two stacks.
 
-    Each atom's rows are copied out of the stack: a view would keep the
+    pieces[i] lies on a piece of length lengths[i].  Atoms of at most
+    _SHORT_ROWS rows go to one _primitives stack and longer ones to the
+    other, so that the many short atoms are not padded to the rows of a
+    long one (a series atom's).  Gives (stacks, spots): stacks maps
+    "long" (False or True) to its stack, and spots[i] lists the (long,
+    position in that stack) of each atom of pieces[i].
+    """
+    groups, spots = {}, []
+    for pc, h in zip(pieces, lengths):
+        row = []
+        for atom in pc:
+            long = len(atom[1]) > _SHORT_ROWS
+            atoms, hs = groups.setdefault(long, ([], []))
+            row.append((long, len(atoms)))
+            atoms.append(atom)
+            hs.append(h)
+        spots.append(row)
+    stacks = {long: _primitives(atoms, hs, omega)
+              for long, (atoms, hs) in groups.items()}
+    return stacks, [[(long, stacks[long][0][i]) for long, i in row]
+                    for row in spots]
+
+
+def _primitive_atoms(atoms, spots, stacks):
+    """The primitives of a piece's atoms, from their spots in the stacks.
+
+    Each atom's rows are copied out of its stack: a view would keep the
     whole padded stack alive as long as the antiderivative.
     """
-    place, _, q, const, q_len, c_len = prims
     out = []
-    for (key, _), p in zip(atoms, place):
+    for (key, _), (g, p) in zip(atoms, spots):
+        _, _, q, const, q_len, c_len = stacks[g]
         if q_len[p]:
             out.append((key, tuple(q[:q_len[p], p].copy())))
         out.append((_ZERO_KEY, tuple(const[:c_len[p], p].copy())))
@@ -277,16 +329,17 @@ def _primitive_atoms(atoms, prims):
 
 
 def _primitive_values(prims, s):
-    """The primitives of _primitives at the local coordinate s.
+    """The primitives of _primitives, atom p at the local coordinate s[p].
 
-    The values have shape (atoms, members), the atoms in stack order.
-    They take _eval_block's shapes: Horner's rule starts at 0j and runs on
-    (atoms, members, 1) rows against s of shape (1, 1), and the value is
-    0 + (recursion rows) * phase + (frequency-free rows), so each atom
-    has the bits of its own primitive evaluated alone.
+    s and the values, of shape (atoms, members), take the atoms in stack
+    order.  The values take _eval_block's shapes: Horner's rule starts at
+    0j and runs on (atoms, members, 1) rows against each atom's
+    coordinate as a (1, 1) slice, and the value is 0 + (recursion rows) *
+    phase + (frequency-free rows), so each atom has the bits of its own
+    primitive evaluated alone.
     """
     _, z, q, const, _, _ = prims
-    s = np.array([[s]])
+    s = np.asarray(s, dtype=float)[:, None, None]
     val = 0
     if len(q):
         term = 0j
@@ -632,15 +685,23 @@ class PiecewiseExp:
         """Atoms of one piece at the local coordinate s, per member."""
         return _eval_block(atoms, self.omega, self.width, np.array([s]))[:, 0]
 
+    def _lengths(self):
+        """The length of each piece."""
+        return [b - a for a, b in zip(self.breaks, self.breaks[1:])]
+
     def antiderivative(self):
-        """F with F' = self and F(breaks[0]) = 0, continuous across breaks."""
+        """F with F' = self and F(breaks[0]) = 0, continuous across breaks.
+
+        The primitives of every piece's atoms come from at most two stacks
+        (_stacks); each piece adds the value of the pieces before it at
+        its left end.
+        """
+        lengths = self._lengths()
+        stacks, spots = _stacks(self.pieces, lengths, self.omega)
         pieces = []
         offset = np.zeros(self.width, complex)
-        for i, pc in enumerate(self.pieces):
-            h = self.breaks[i + 1] - self.breaks[i]
-            atoms = []
-            if pc:
-                atoms = _primitive_atoms(pc, _primitives(pc, h, self.omega))
+        for pc, row, h in zip(self.pieces, spots, lengths):
+            atoms = _primitive_atoms(pc, row, stacks)
             atoms.append((_ZERO_KEY, (offset,)))
             merged = _merge_atoms(atoms)
             pieces.append(merged)
@@ -652,8 +713,11 @@ class PiecewiseExp:
         """Exact integral over [a, b] (defaults to the full domain).
 
         Sums the definite integrals of the atoms over each piece that
-        [a, b] meets; no antiderivative object is built.  A block gives
-        one value per member, a plain object a complex.
+        [a, b] meets; no antiderivative object is built.  Their primitives
+        come from at most two stacks (_stacks), each evaluated once at its
+        atoms' upper ends, and once more at the lower ends where [a, b]
+        starts inside a piece (that piece's atoms alone).  A block gives one
+        value per member, a plain object a complex.
         """
         lo = self.lo if a is None else float(a)
         hi = self.hi if b is None else float(b)
@@ -665,23 +729,37 @@ class PiecewiseExp:
         last = len(self.pieces) - 1
         first = min(max(bisect.bisect_right(self.breaks, lo) - 1, 0), last)
         stop = min(max(bisect.bisect_left(self.breaks, hi) - 1, first), last)
-        total = np.zeros(self.width, complex)
+        lengths = self._lengths()
+        spans = []              # (piece, s0, s1) of each piece to integrate
         for i in range(first, stop + 1):
-            a_i = self.breaks[i]
-            h = self.breaks[i + 1] - a_i
-            s0 = lo - a_i if i == first else 0.0
-            s1 = hi - a_i if i == stop else h
-            pc = self.pieces[i]
-            if s1 == s0 or not pc:
-                continue
-            prims = _primitives(pc, h, self.omega)
-            at_s1 = _primitive_values(prims, s1)
-            at_s0 = _primitive_values(prims, s0) if s0 != 0 else None
-            # atom by atom, in order, as each atom's integral alone
-            for p in prims[0]:
-                total = total + at_s1[p]
+            s0 = lo - self.breaks[i] if i == first else 0.0
+            s1 = hi - self.breaks[i] if i == stop else lengths[i]
+            if s1 != s0 and self.pieces[i]:
+                spans.append((i, s0, s1))
+        stacks, spots = _stacks([self.pieces[i] for i, _, _ in spans],
+                                [lengths[i] for i, _, _ in spans], self.omega)
+        ends = {g: np.zeros(len(prims[0])) for g, prims in stacks.items()}
+        for (_, _, s1), row in zip(spans, spots):
+            for g, p in row:
+                ends[g][p] = s1
+        at_s1 = {g: _primitive_values(prims, ends[g])
+                 for g, prims in stacks.items()}
+        at_s0 = {}              # only the first piece can start inside
+        if spans and spans[0][1] != 0:
+            for g, (_, z, q, const, _, _) in stacks.items():
+                ps = [p for h, p in spots[0] if h == g]
+                if ps:
+                    values = _primitive_values(
+                        (None, z[ps], q[:, ps], const[:, ps], None, None),
+                        np.full(len(ps), spans[0][1]))
+                    at_s0.update(zip([(g, p) for p in ps], values))
+        # atom by atom, in order, as each atom's integral alone
+        total = np.zeros(self.width, complex)
+        for (_, s0, _), row in zip(spans, spots):
+            for g, p in row:
+                total = total + at_s1[g][p]
                 if s0 != 0:
-                    total = total - at_s0[p]
+                    total = total - at_s0[g, p]
         return self._output(total)
 
 

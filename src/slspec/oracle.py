@@ -979,7 +979,11 @@ def _real_search(pot: PotentialSpec, n: int, s0: float):
     (a bisection when the secant falls outside).  A seed end whose walk
     overflows (a seed far below the spectrum) restarts the search from
     s = 0.  Brent then solves the reduced characteristic over [lo, hi].
-    IndexingError: no such bracket within _ANGLE_EVALS readings.  Returns
+    Where it finds no sign change there, the end nearer the target steps
+    out by one more reading and Brent runs again; a second failure, a
+    step-out whose walk overflows and a NaN value are a
+    NonconvergenceError.  IndexingError: no such bracket within
+    _ANGLE_EVALS readings.  Returns
     the SecularResult without its residual, which _solve_block reads for
     the whole block at once.
     """
@@ -1016,23 +1020,50 @@ def _real_search(pot: PotentialSpec, n: int, s0: float):
             if not lo[0] + w / 8 <= s <= hi[0] - w / 8:
                 s = lo[0] + w / 2
             probes = [s]
-    how = "bracket" if angles == 2 else "angle"
-    lam_lo, lam_hi = lo[0] * abs(lo[0]), hi[0] * abs(hi[0])
-    steps = _brent_steps(lam_lo, lam_hi, xtol=1e-13, rtol=8.9e-16,
-                         maxiter=200)
-    evals, value = 0, None
+    evals, stepped = 0, False
     while True:
-        try:
-            lam = steps.send(value)
-        except StopIteration as stop:
-            root = float(stop.value)
+        lam_lo, lam_hi = lo[0] * abs(lo[0]), hi[0] * abs(hi[0])
+        steps = _brent_steps(lam_lo, lam_hi, xtol=1e-13, rtol=8.9e-16,
+                             maxiter=200)
+        value = root = None
+        while True:
+            try:
+                lam = steps.send(value)
+            except StopIteration as stop:
+                root = float(stop.value)
+                break
+            except ValueError:      # no sign change, or a NaN value
+                break
+            evals += 1
+            value = (yield 1e-24 if lam == 0.0 else lam).real
+        if root is not None:
             break
-        except ValueError:
-            raise NonconvergenceError(
-                f"no sign change of the secular function on [{lam_lo:.6g}, "
-                f"{lam_hi:.6g}], where the angle puts index {n}", best=None)
-        evals += 1
-        value = (yield 1e-24 if lam == 0.0 else lam).real
+        if not stepped and not math.isnan(value):
+            # Theta (count mesh) and the characteristic (default mesh) can
+            # put the root on opposite sides of the end nearer the target:
+            # that end steps out once, by the secant of Theta aimed at
+            # -+pi/2, at most one bracket width
+            stepped = True
+            w, near_lo = hi[0] - lo[0], -lo[1] < hi[1]
+            aim = -PI / 2 if near_lo else PI / 2
+            s = lo[0] + (aim - lo[1]) * w / (hi[1] - lo[1])
+            s = max(s, lo[0] - w) if near_lo else min(s, hi[0] + w)
+            angles += 1
+            try:
+                (theta,) = yield [s * abs(s) or 1e-24]
+            except IntegrationBlowupError:
+                theta = math.nan    # no end there: the index flags
+            g = theta - target
+            if near_lo and -PI < g < 0:
+                lo = (s, g)
+                continue
+            if not near_lo and 0 <= g < PI:
+                hi = (s, g)
+                continue
+        raise NonconvergenceError(
+            f"no sign change of the secular function on [{lam_lo:.6g}, "
+            f"{lam_hi:.6g}], where the angle puts index {n}", best=None)
+    how = "bracket" if angles == 2 else "angle"
     return SecularResult(n=n, lam=root, sqrt_lambda=principal_sqrt(root),
                          residual=None, multiplicity_hint=1,
                          iterations=evals + angles, method=how,
@@ -1242,7 +1273,9 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     characteristic evaluation runs at the default step scale
     _DEFAULT_STEP_SCALE; the count mesh can misplace Theta by its own
     error, so an end that close to the root can leave the characteristic
-    without a sign change, a NonconvergenceError.
+    without a sign change.  That end then steps out by one more reading,
+    and only a second bracket without a sign change is a
+    NonconvergenceError.
 
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates

@@ -322,7 +322,7 @@ def _coefficients(rng, degree, width):
     return tuple(table)
 
 
-@pytest.mark.parametrize("width", [2, 32])
+@pytest.mark.parametrize("width", [1, 2, 3, 32])
 @pytest.mark.parametrize("shapes", ["plain x plain", "plain x block",
                                     "block x plain", "block x block"])
 def test_polymul_keeps_the_double_loop_bits(width, shapes):
@@ -330,6 +330,11 @@ def test_polymul_keeps_the_double_loop_bits(width, shapes):
     wa, wb = (1 if s == "plain" else width for s in shapes.split(" x "))
     pairs = [(d, int(rng.integers(0, 43))) for d in range(43)]
     pairs += [(int(rng.integers(0, 43)), d) for d in range(43)]
+    # a factor of one or two rows takes its own path; a product's
+    # rounding shows in about half of the pairs of single rows
+    pairs += [(k, d) for k in (0, 1) for d in range(43)]
+    pairs += [(d, k) for k in (0, 1) for d in range(43)]
+    pairs += [(da, db) for da in range(3) for db in range(3)] * 20
     for da, db in pairs:
         a = _coefficients(rng, da, wa)
         b = _coefficients(rng, db, wb)
@@ -545,3 +550,138 @@ def test_stacked_primitives_keep_the_per_atom_bits():
                 branches.add(tuple(sorted(set(kinds.tolist()))))
     # some atom holds members of all three branches
     assert (0, 1, 2) in branches
+
+
+# -- one stack per object, grouped by top row ---------------------------------
+
+
+_POOL = [moments._ZERO_KEY, (0j, 1), (0j, -1), (0j, -2), (2.5 + 0j, 0),
+         (-2.5 + 0j, 0), (0.3 + 0.2j, 0), (-1.5 + 0j, 1)]
+
+
+def _mixed_pieces(rng, width, omega, breaks):
+    """Pieces of their own key sets: constants beside pieces of several
+    atoms, short (at most _SHORT_ROWS rows) and long ones."""
+    pool = [key for key in _POOL if omega is not None or key[1] == 0]
+    pieces = []
+    for i, (a, b) in enumerate(zip(breaks, breaks[1:])):
+        if i % 3 == 1 or len(breaks) == 2 and rng.random() < 0.3:
+            height = rng.standard_normal(width) + 1j * rng.standard_normal(width)
+            pieces.append(((moments._ZERO_KEY, (height,)),))
+            continue
+        count = int(rng.integers(1, len(pool) + 1))
+        keys = [pool[k] for k in rng.choice(len(pool), count, replace=False)]
+        if omega is None:
+            keys.append((complex(30.0 / (b - a)), 0))   # the recursion
+        atoms = [(key, _branch_table(rng, int(rng.choice([0, 1, 6, 7, 8, 20,
+                                                         45])), width))
+                 for key in keys]
+        pieces.append(moments._merge_atoms(atoms))
+    return tuple(pieces)
+
+
+def _object_cases():
+    """Whole objects: steps of 1, 3 and 6 pieces times harmonic kernels,
+    as the asymptotic layer forms them, and mixed pieces; widths 1, 3 and
+    32 on no, a real and a complex omega, some members on the series."""
+    rng = np.random.default_rng(33)
+    for count in (1, 3, 6):
+        inner = np.sort(rng.uniform(0.1, PI - 0.1, count - 1)).tolist()
+        breaks = (0.0, *inner, PI)
+        u = moments.step((rng.standard_normal(count) * 2).tolist(), breaks)
+        for width in (1, 3, 32):
+            scale = np.array([0.0, 0.4, 45.0, 3.0])[np.arange(width) % 4]
+            real = scale * rng.uniform(0.5, 1.5, width)
+            for omega in (None, real, real + 1j * rng.uniform(-2, 2, width)):
+                if omega is None and width > 1:
+                    continue
+                f = moments.PiecewiseExp(
+                    breaks, _mixed_pieces(rng, width, omega, breaks), width,
+                    omega, omega is not None)
+                yield f"mixed {count}/{width}", f
+                if omega is None:
+                    continue
+                sin_k, cos_k = moments.harmonic_kernels(omega, 2, breaks)
+                single = (u * sin_k).antiderivative()
+                yield f"u sin {count}/{width}", u * sin_k
+                yield f"double {count}/{width}", (u * cos_k) * single
+                yield f"squared {count}/{width}", single * single.scale(1j)
+
+
+def _spy_primitives(monkeypatch):
+    calls = []
+    real = moments._primitives
+
+    def spy(atoms, lengths, omega):
+        calls.append([len(c) for _, c in atoms])
+        return real(atoms, lengths, omega)
+
+    monkeypatch.setattr(moments, "_primitives", spy)
+    return calls
+
+
+def _member_branches(f):
+    """The branches its members take: 0 nu = 0, 1 series, 2 recursion."""
+    kinds = set()
+    for i, pc in enumerate(f.pieces):
+        h = f.breaks[i + 1] - f.breaks[i]
+        for key, coeffs in pc:
+            zi = 1j * np.broadcast_to(moments._frequency(key, f.omega),
+                                      (f.width,))
+            degree = np.array([np.flatnonzero(col).max(initial=0)
+                               for col in np.array(coeffs).T])
+            series = np.abs(zi) * h <= moments._series_threshold(degree)
+            kinds.update(np.where(zi == 0, 0, np.where(series, 1, 2)).tolist())
+    return kinds
+
+
+def test_whole_objects_keep_the_per_atom_bits(monkeypatch):
+    calls = _spy_primitives(monkeypatch)
+    grouped, kinds = set(), set()
+    for name, f in _object_cases():
+        kinds |= _member_branches(f)
+        calls.clear()
+        got = f.antiderivative().pieces
+        assert len(calls) <= 2, name
+        grouped.add(len(calls))
+        for stack in calls:     # short atoms and long ones apart
+            assert len({rows > moments._SHORT_ROWS for rows in stack}) == 1
+        ref = antiderivative_by_atom(f)
+        assert len(got) == len(ref)
+        for pg, pr in zip(got, ref):
+            assert [key for key, _ in pg] == [key for key, _ in pr], name
+            for (_, cg), (_, cr) in zip(pg, pr):
+                assert _same_bits(cg, cr), name
+        for a, b in [(None, None), (0.0, PI), (0.05, 3.1), (0.7, 0.9),
+                     (1.2, PI), (0.0, 2.0), (2.5, 2.5)]:
+            calls.clear()
+            value = np.asarray(f.integral(a, b)).reshape(-1)
+            assert len(calls) <= 2, (name, a, b)
+            lo = f.lo if a is None else a
+            hi = f.hi if b is None else b
+            assert _same_bits([value], [integral_by_atom(f, lo, hi)]), \
+                (name, a, b)
+    assert {1, 2} <= grouped and kinds == {0, 1, 2}
+
+
+def test_one_object_takes_at_most_two_stacks(monkeypatch):
+    # the closed-form objects of a block of indices on a 6-piece step
+    from slspec import asymptotics
+    calls = _spy_primitives(monkeypatch)
+    per_call = []
+    for name in ("antiderivative", "integral"):
+        real = getattr(moments.PiecewiseExp, name)
+
+        def counted(self, *args, _real=real):
+            start = len(calls)
+            out = _real(self, *args)
+            per_call.append(len(calls) - start)
+            return out
+
+        monkeypatch.setattr(moments.PiecewiseExp, name, counted)
+    pot = PotentialSpec.step([(0.0, 0.4, 1.3), (0.4, 0.9, -0.7),
+                              (0.9, 1.5, 1.9), (1.5, 2.1, -1.6),
+                              (2.1, 2.7, 0.4), (2.7, PI, -1.1)])
+    asymptotics._predictions(pot, range(1, 40))
+    assert per_call and max(per_call) <= 2
+    assert len(calls) <= 2 * len(per_call)

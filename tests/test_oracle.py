@@ -798,6 +798,94 @@ def test_walk_cell_without_sign_change_flags_its_index(step_pot, monkeypatch):
     assert flags[2].endswith("where the angle puts index 2")
 
 
+def _sabotage_angle(monkeypatch, k, shift=0.0, step_out=False):
+    """Index k reads its Prufer angles moved by shift, as a count mesh that
+    misplaces Theta would give; with step_out, an angle reading after its
+    first characteristic value overflows, as a walk far below the spectrum
+    would.  Its characteristic and every other index read the real ones.
+    Returns the list of index k's angle readings."""
+    search = oracle._index_search
+    readings = []
+
+    def sabotaged(pot, n, *args):
+        inner = search(pot, n, *args)
+        if n != k:
+            return (yield from inner)
+        value, error, brent = None, None, False
+        while True:
+            try:
+                lam = (inner.send(value) if error is None
+                       else inner.throw(error))
+            except StopIteration as stop:
+                return stop.value
+            value = error = None
+            if not isinstance(lam, list):
+                brent = True
+                value = yield lam
+                continue
+            readings.append(lam)
+            if step_out and brent:
+                error = IntegrationBlowupError("overflow", location=0.0)
+                continue
+            value = [theta + shift for theta in (yield lam)]
+
+    monkeypatch.setattr(oracle, "_index_search", sabotaged)
+    return readings
+
+
+def _wrong_side_seed(pot, n, side):
+    """A seed whose bracket end lies 0.004 short of index n's root, on the
+    side -side of it, and the root."""
+    true = solve_eigenvalue(pot, n)
+    return math.sqrt(true.lam) - side * (0.35 + 0.004), true
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_an_end_on_the_wrong_side_of_the_root_steps_out(step_pot, side,
+                                                        monkeypatch):
+    # Theta moved by 0.05 rad toward the target: the seed bracket's end
+    # 0.004 short of the root passes for an end beyond it, and the
+    # characteristic changes no sign on the bracket; that end steps out
+    # by one more reading, and Brent finds the root
+    n = 3
+    seed, true = _wrong_side_seed(step_pot, n, side)
+    assert oracle._solve_block(step_pot, [n], [seed])[0].method == "angle"
+    _sabotage_angle(monkeypatch, n, 0.05 * side)
+    (res,) = oracle._solve_block(step_pot, [n], [seed])
+    assert isinstance(res, oracle.SecularResult), res
+    assert res.method == "angle" and res.sturm_counts == 3
+    assert abs(res.lam - true.lam) <= 1e-12 * true.lam
+    assert res.residual is not None and res.residual < 1e-9
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_step_out_whose_walk_overflows_flags_its_index(step_pot, side,
+                                                         monkeypatch):
+    n = 3
+    seed, _ = _wrong_side_seed(step_pot, n, side)
+    readings = _sabotage_angle(monkeypatch, n, 0.05 * side, step_out=True)
+    (res,) = oracle._solve_block(step_pot, [n], [seed])
+    assert isinstance(res, NonconvergenceError), res
+    assert str(res).startswith("no sign change of the secular function")
+    assert len(readings) == 2       # the seed bracket and the step-out
+
+
+@pytest.mark.parametrize("value, step_outs", [(1.0, 1), (math.nan, 0)])
+def test_only_a_missing_sign_change_steps_out(step_pot, value, step_outs,
+                                              monkeypatch):
+    # the characteristic reads one value everywhere: a constant steps one
+    # end out before the flag, a NaN flags at once
+    n = 2
+    seed = math.sqrt(solve_eigenvalue(step_pot, n).lam)
+    assert oracle._solve_block(step_pot, [n], [seed])[0].method == "bracket"
+    readings = _sabotage_angle(monkeypatch, n)
+    _sabotage_index(monkeypatch, n, lambda lam: value)
+    (flag,) = oracle._solve_block(step_pot, [n], [seed])
+    assert isinstance(flag, NonconvergenceError), flag
+    assert str(flag).endswith(f"where the angle puts index {n}")
+    assert len(readings) == 1 + step_outs   # the seed bracket, one round
+
+
 # u = -30 x^2: indices 1 and 2 are seeded far below the spectrum, where the
 # propagator overflows, and the angle search restarts from s = 0; index 3's
 # seed bracket lies below the spectrum too
