@@ -31,11 +31,11 @@ cell does not grow with lambda; the commutator of the quasi-derivative
 matrices carries 2 lambda (a - b), and cells built from those lose accuracy
 as lambda grows.
 
-Every reading comes from one walk over the pieces (_walk).  For each
-piece it advances every member once: the exact step of a constant piece
-in scalar arithmetic (for a wide batch, float64 arrays that round like
-it), and for a smooth piece one product of its cells or, where a reader
-needs states inside it, the prefix states of its cells.
+Every reading but the winding contours comes from one walk over the
+pieces (_walk).  For each piece it advances every member once: the exact
+step of a constant piece in scalar arithmetic (for a wide batch, float64
+arrays that round like it), and for a smooth piece one product of its
+cells or, where a reader needs states inside it, their prefix states.
 It applies the u-shear at a smooth piece's ends, turns an overflowing
 state into that member's IntegrationBlowupError and records the state at
 the break.  lambda is a scalar or a 1-D batch, and each member equals its
@@ -50,8 +50,9 @@ in closed form (_cell_zeros), and reads the end state (_sturm_count).
 The root finders solve a block of indices in lockstep (_solve_block):
 each round walks the reduced characteristic at the pending lambdas of
 Brent and of the secant, and the angle at those of the real searches'
-brackets, over all the active indices; the block's winding contours walk
-together after its last round.
+brackets, over all the active indices.  After its last round the
+block's winding contours, whose only output is an integer, go to a
+count-only reader that walks them as complex arrays (_contour_values).
 
 Where the Magnus parts of a smooth piece are real (a real polynomial
 piece), a member at real lambda forms the piece's cells, their product
@@ -79,7 +80,7 @@ import numpy as np
 from . import asymptotics
 from .errors import (INDEX_FAILURES, DomainError, IndexingError,
                      IntegrationBlowupError, InternalError,
-                     NonconvergenceError)
+                     NonconvergenceError, SingularArgumentError)
 from .oscillatory import (_EVAL_CELLS, SpectralDomain, _require_regular,
                           principal_sqrt)
 from .potential import PI, PotentialSpec
@@ -100,8 +101,6 @@ _WIDE_STEP = 144                # members from which a walk steps its
                                 # constant pieces as arrays (_wide_step)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
-_CONTOUR_WALK = 256             # contour points of one walk, all pieces
-                                # constant (_contours)
 # the contour's points around its center, the same for every contour
 _WINDING_RING = np.exp(2j * PI * np.arange(_WINDING_POINTS) / _WINDING_POINTS)
 _GAUSS_LO = 0.5 - math.sqrt(3) / 6     # Gauss points of a cell, as fractions
@@ -152,7 +151,7 @@ def _const_advance(y, mix, s, d):
     The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
     so exp(A d) = cos(s d) I + (sin(s d)/s) A, sin(s d)/s by its series
     for small |s d|; mix is A y.  The (members, 1) columns of y, mix and
-    s = sqrt(lam) meet (members, nodes) arrays.
+    s = sqrt(lam) meet (members, nodes) arrays, or one length d.
     """
     d = np.asarray(d, dtype=complex)
     z = s * d
@@ -494,30 +493,30 @@ def _columns(pairs):
 
 def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False,
           zeros=False):
-    """The one walk over the pieces of pe; every reading comes from it.
+    """The walk over the pieces of pe behind every reading but contours.
 
     lam is a scalar (one member) or a 1-D batch, and each member starts
     from (0, sqrt(lam)), or from init.  Each piece is walked once for all
     members.  A constant piece takes the exact step in CPython scalar
     arithmetic, member by member; from _WIDE_STEP members on, a walk
-    without nodes or norm takes it as float64 arrays that round the same
-    (_wide_step).  A smooth piece is cut into the cells of
+    without nodes or norm (an angle round) takes it as float64 arrays that
+    round the same (_wide_step).  A smooth piece is cut into the cells of
     a uniform mesh, at most step_scale long, that depends on neither
     lambda nor the nodes (_mesh); each cell propagates by the exponential
     of its 4th-order Magnus exponent (_magnus_matrices), formed for the
     whole batch at once, in float64 where the mesh and every lambda are
-    real, and the cells carry the classical pair, sheared from and back
-    to (y1, y2) at the ends of the piece.  Where the piece holds no node
-    and there is no norm, its cells are multiplied pairwise in one
-    product (_chain) applied member by member (_apply); otherwise it
-    takes the prefix states of its cells (_prefix), and a node inside it
-    one partial Magnus step over the rest of its cell, whose lambda-free
-    parts serve every member.  The coefficients that mix a member's start
-    state are CPython scalars and enter the array work as (members, 1)
-    columns, so each member equals its lambda walked alone, bit for bit,
-    in any block.  On a potential with a smooth piece, a batch that mixes
-    real and non-real lambdas walks as two batches, merged in member
-    order, so that each member's cells take its own arithmetic.
+    real, and the cells carry the classical pair, sheared from and back to
+    (y1, y2) at the ends of the piece.  Where the piece holds no node and
+    there is no norm, its cells are multiplied pairwise in one product
+    (_chain) applied member by member (_apply); otherwise it takes the
+    prefix states of its cells (_prefix), and a node inside it one partial
+    Magnus step over the rest of its cell, whose lambda-free parts serve
+    every member.  The coefficients that mix a member's start state are
+    CPython scalars and enter the array work as (members, 1) columns, so
+    each member equals its lambda walked alone, bit for bit, in any block.
+    On a potential with a smooth piece, a batch that mixes real and
+    non-real lambdas walks as two batches, merged in member order, so that
+    each member's cells take its own arithmetic.
 
     A member whose state at the end of a piece is not finite (an
     overflow of cmath comes back as NaN) gets the
@@ -1078,7 +1077,8 @@ def _secant_search(pot: PotentialSpec, n: int, s0: complex,
     the damped secant in the sqrt(lam) plane from the start value and its
     +-fd difference quotient, then the drift check and the winding count
     (_winding_number) of its 16-point contour, yielded as one array of
-    lambdas and sent back as one array of values (solve_eigenvalue).
+    lambdas and sent back as one array of values, which the count-only
+    reader forms with the block's other contours (_contours).
     """
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
@@ -1153,8 +1153,9 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     and their lists as one more batch, and sends every member its own
     values, or throws in its own IntegrationBlowupError (of a list or a
     contour, the one at its earliest break).  Contours are held until
-    nothing else is pending, then walked together (_contours).  Each
-    member sees the values its lambdas give alone, so its result equals
+    nothing else is pending, then read together (_contours).  Each
+    member sees the values its lambdas give alone (a contour's up to
+    rounding: only its winding number is used), so its result equals
     the index solved alone, bit for bit; the residuals |Delta| of the real
     roots come from one characteristic walk after the last round.  A
     characteristic walk takes at most asymptotics._BLOCK members (_ends)
@@ -1205,15 +1206,14 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     return out
 
 
-def _ends(pot: PotentialSpec, lams, init=(0.0, 1.0),
-          step_scale=_DEFAULT_STEP_SCALE, step=asymptotics._BLOCK) -> tuple:
-    """(y2(pi) of each lambda, the failure of each) on the mesh of
-    step_scale, in walks of at most step members; from (0, 1), the
+def _ends(pot: PotentialSpec, lams, init=(0.0, 1.0)) -> tuple:
+    """(y2(pi) of each lambda, the failure of each) on the default mesh,
+    in walks of at most asymptotics._BLOCK members; from (0, 1), the
     reduced characteristic."""
-    values, errors = [], []
+    values, errors, step = [], [], asymptotics._BLOCK
     for i in range(0, len(lams), step):
         batch = np.array(lams[i:i + step], dtype=complex)
-        trail, errs, _ = _walk(pot.piecewise, batch, step_scale, init)
+        trail, errs, _ = _walk(pot.piecewise, batch, _DEFAULT_STEP_SCALE, init)
         values += [y2 for _, y2 in trail[-1]]
         errors += errs
     return values, errors
@@ -1229,22 +1229,51 @@ def _angles(pot: PotentialSpec, requests) -> tuple:
             [_first(errors[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
-def _contours(pot: PotentialSpec, contours) -> tuple:
-    """(the reduced characteristic on each contour, the failure of each).
+def _contour_values(pe, lams) -> tuple:
+    """(y2(pi) from (0, 1) at each lambda of a 1-D batch, the failure of
+    each) on the count mesh: the count-only reader of winding contours.
 
-    A contour is an array of lambdas, walked from (0, 1) on the count mesh;
-    its failure is the one at its earliest break (_first).  On constant
-    pieces only, the contours walk together, at most _CONTOUR_WALK points
-    a walk, so that the walks step as arrays (_wide_step); a smooth
-    piece's cells cost the same per member in any batch, and there each
-    contour walks alone.
-    """
-    k = _WINDING_POINTS
-    step = (k if None in pot.piecewise._constant_heights
-            else _CONTOUR_WALK // k * k)
-    values, errors = _ends(pot, np.concatenate(contours),
-                           step_scale=_COUNT_STEP_SCALE, step=step)
-    return ([np.array(values[i:i + k]) for i in range(0, len(values), k)],
+    The batch walks as (members, 1) columns: constant pieces by the exact
+    step (_const_advance), smooth ones by the product of their Magnus
+    cells.  Failures are _walk's.  The values are not _walk's bits (array
+    arithmetic; numpy's sqrt, as the walk is even in it): only the
+    winding number read from them is output."""
+    lam = np.asarray(lams, dtype=complex)[:, None]
+    s = np.sqrt(lam)
+    if (np.abs(s) < 1e-12).any():
+        raise SingularArgumentError("lambda = 0 is a singular argument")
+    y1, y2, errors = np.zeros_like(lam), np.ones_like(lam), [None] * len(lam)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (a, b, c) in enumerate(zip(pe.breaks, pe.breaks[1:],
+                                          pe._constant_heights)):
+            if c is not None:
+                mix = (c * y1 + y2, (-lam - c * c) * y1 - c * y2)
+                y1, y2 = _const_advance((y1, y2), mix, s, b - a)
+            else:   # the cells carry the classical pair (y1, y2 + u y1)
+                h, parts, _, _, u_a, u_b = _mesh(pe, i, _COUNT_STEP_SCALE)
+                p = _chain(_magnus_matrices(*parts, h, lam[:, 0]))[..., None]
+                yc2 = y2 + u_a * y1
+                y1, y2 = p[0, 0] * y1 + p[0, 1] * yc2, p[1, 0] * y1 + p[1, 1] * yc2
+                y2 = y2 - u_b * y1
+            bad = ~(np.isfinite(y1) & np.isfinite(y2))[:, 0]
+            for m in np.flatnonzero(bad).tolist():
+                errors[m] = errors[m] or _blowup(b)
+            y1[bad] = y2[bad] = 0
+    return y2[:, 0], errors
+
+
+def _contours(pot: PotentialSpec, contours) -> tuple:
+    """(the reduced characteristic on each contour, the failure of each
+    at its earliest break), by the count-only reader (_contour_values):
+    in one walk where all pieces are constant, else one walk a contour,
+    as a smooth piece's cells cost the same per member in any batch."""
+    k, lams = _WINDING_POINTS, np.concatenate(contours)
+    step = k if None in pot.piecewise._constant_heights else len(lams)
+    reads = [_contour_values(pot.piecewise, lams[i:i + step])
+             for i in range(0, len(lams), step)]
+    values = np.concatenate([vals for vals, _ in reads])
+    errors = [err for _, errs in reads for err in errs]
+    return ([values[i:i + k] for i in range(0, len(values), k)],
             [_first(errors[i:i + k]) for i in range(0, len(errors), k)])
 
 
@@ -1280,9 +1309,10 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     Complex potentials: damped secant iteration in the sqrt(lam) variable
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
     clamped to the parabolic domain; verified by an argument-principle
-    winding count over 16 points of a small circle, evaluated as one batch
-    (_winding_number); a block walks the contours of its indices together
-    after its last secant round.  The contour runs on the count mesh
+    winding count over 16 points of a small circle (_winding_number),
+    whose values a count-only reader of complex arrays forms after the
+    block's last secant round (_contour_values; one walk for the block
+    where every piece is constant).  The contour runs on the count mesh
     (_COUNT_STEP_SCALE), like the angle: its only output is an
     integer, and by Rouche's theorem the coarser mesh counts as many zeros
     inside the circle whenever it moves F by less than |F| on the circle

@@ -472,24 +472,44 @@ def test_winding_number_follows_np_unwrap():
     assert oracle._winding_number(np.array([1.0, 0.0, 1j])) == 1
 
 
+def _spy_reads(monkeypatch):
+    """Record every walk, as ("walk", members, step scale), and every call
+    of the count reader, as ("contour", members, the step scales of the
+    meshes it read)."""
+    reads, meshes = [], []
+    walk, mesh, values = oracle._walk, oracle._mesh, oracle._contour_values
+
+    def walked(pe, lam, step_scale, *args, **kwargs):
+        reads.append(("walk", np.size(lam), step_scale))
+        return walk(pe, lam, step_scale, *args, **kwargs)
+
+    def meshed(u, i, step_scale):
+        meshes.append(step_scale)
+        return mesh(u, i, step_scale)
+
+    def counted(pe, lams):
+        del meshes[:]
+        out = values(pe, lams)
+        reads.append(("contour", len(lams), set(meshes)))
+        return out
+
+    for name, spy in (("_walk", walked), ("_mesh", meshed),
+                      ("_contour_values", counted)):
+        monkeypatch.setattr(oracle, name, spy)
+    return reads
+
+
 def test_secant_iterations_count_every_contour_value(trig_pot, monkeypatch):
-    sizes, scales = [], []
-    real = oracle._walk
-
-    def counted(pe, lam, step_scale, *args):
-        sizes.append(np.size(lam))
-        scales.append(step_scale)
-        return real(pe, lam, step_scale, *args)
-
-    # every characteristic of a solve, the lockstep rounds and the contour,
-    # is one walk
-    monkeypatch.setattr(oracle, "_walk", counted)
+    reads = _spy_reads(monkeypatch)
     res = solve_eigenvalue(trig_pot, 5)
-    assert sizes[-1] == 16 and sizes.count(16) == 1
-    assert res.iterations == sum(sizes)
-    # the contour alone runs on the count mesh; the secant keeps the default
-    assert scales[-1] == oracle._COUNT_STEP_SCALE
-    assert set(scales[:-1]) == {oracle._DEFAULT_STEP_SCALE}
+    # the lockstep rounds walk the default mesh; the contour comes last,
+    # its 16 points read by the count reader on the count mesh
+    assert [kind for kind, _, _ in reads] == (["walk"] * (len(reads) - 1)
+                                              + ["contour"])
+    assert reads[-1][1:] == (16, {oracle._COUNT_STEP_SCALE})
+    assert {scale for _, _, scale in reads[:-1]} == {
+        oracle._DEFAULT_STEP_SCALE}
+    assert res.iterations == sum(size for _, size, _ in reads)
 
 
 def test_secant_iterations_pinned(trig_pot):
@@ -507,38 +527,28 @@ CI_CSTEP = PotentialSpec.step([(0.0, 1.0, 0.5 + 1.0j), (1.0, 2.2, -1.0 - 0.5j),
 def test_contours_walk_after_the_last_round(name, trig_pot, monkeypatch):
     pot, ns = {"constant pieces": (CI_CSTEP, range(1, 41)),
                "smooth": (trig_pot, range(1, 9))}[name]
-    walks, walk = [], oracle._walk
-    wide_steps, wide_step = [], oracle._wide_step
-
-    def counted(pe, lam, step_scale, *args):
-        walks.append((np.size(lam), step_scale))
-        return walk(pe, lam, step_scale, *args)
-
-    def counted_step(*args):
-        wide_steps.append(1)
-        return wide_step(*args)
-
-    monkeypatch.setattr(oracle, "_walk", counted)
-    monkeypatch.setattr(oracle, "_wide_step", counted_step)
+    reads = _spy_reads(monkeypatch)
     points = asymptotics._predictions(pot, ns)
     out = oracle._solve_block(pot, list(ns),
                               [p.sqrt_lambda_asym for p in points])
-    scales = [s for _, s in walks]
-    first = scales.index(oracle._COUNT_STEP_SCALE)
-    # every round of the block, then every contour
-    assert set(scales[:first]) == {oracle._DEFAULT_STEP_SCALE}
-    assert set(scales[first:]) == {oracle._COUNT_STEP_SCALE}
-    contours = [size for size, _ in walks[first:]]
+    first = [kind for kind, _, _ in reads].index("contour")
+    # every round of the block walks the default mesh, then the count
+    # reader reads every contour: _walk walks none
+    assert {kind for kind, _, _ in reads[:first]} == {"walk"}
+    assert {scale for _, _, scale in reads[:first]} == {
+        oracle._DEFAULT_STEP_SCALE}
+    assert {kind for kind, _, _ in reads[first:]} == {"contour"}
+    contours = [size for _, size, _ in reads[first:]]
     solved = sum(isinstance(r, oracle.SecularResult) for r in out)
     assert sum(contours) >= oracle._WINDING_POINTS * solved > 0
-    assert all(size % oracle._WINDING_POINTS == 0 for size in contours)
-    if name == "smooth":        # one contour per walk, no wide step
-        assert set(contours) == {oracle._WINDING_POINTS} and not wide_steps
-    else:
-        # fewer walks than contours, none wider than the budget
-        assert len(contours) < sum(contours) // oracle._WINDING_POINTS
-        assert max(contours) <= oracle._CONTOUR_WALK
-        assert max(contours) >= oracle._WIDE_STEP and wide_steps
+    if name == "smooth":        # one contour per walk, on the count mesh
+        assert set(contours) == {oracle._WINDING_POINTS}
+        assert all(scales == {oracle._COUNT_STEP_SCALE}
+                   for _, _, scales in reads[first:])
+    else:                       # the block's contours in one walk
+        assert len(contours) == 1
+        assert contours[0] % oracle._WINDING_POINTS == 0
+        assert contours[0] > oracle._WINDING_POINTS
 
 
 # A complex 2-piece quadratic whose indices 1..20 all solve by the secant
@@ -561,6 +571,78 @@ def test_contour_on_the_count_mesh_keeps_the_rouche_margin(name, trig_pot):
         fine = char_reduced(pot, s * s)
         assert np.abs(coarse(s) - fine).max() < 1e-3 * np.abs(fine).min(), n
         assert winding(coarse, root) == 1, n
+
+
+# A complex poly with constant and smooth pieces
+COMPLEX_MIXED_POLY = PotentialSpec.poly([(0.0, 1.0, [0.5 + 1.0j]),
+                                         (1.0, 2.2, [0.3j, -0.4, 0.2 + 0.1j]),
+                                         (2.2, PI, [-1.0 + 0.2j])])
+# the exact walk's contour values and the count reader's differ by at most
+# 9.5e-16 relative on the cases below (array against scalar rounding)
+_CONTOUR_RTOL = 1e-14
+
+
+def _exact_contour(pot, lams):
+    """y2(pi) from (0, 1) on the count mesh and the failures, by _walk."""
+    trail, errors, _ = oracle._walk(pot.piecewise, lams,
+                                    oracle._COUNT_STEP_SCALE, (0.0, 1.0))
+    return np.array([y2 for _, y2 in trail[-1]]), errors
+
+
+def _failures(errors):
+    return [(type(e).__name__, str(e), e.location) if e else None
+            for e in errors]
+
+
+@pytest.mark.parametrize("name, n_max", [
+    ("ci step", 200), ("zero and complex heights", 40), ("+-3i step", 40),
+    ("trig", 20), ("complex poly", 20), ("mixed poly", 20)])
+def test_count_reader_keeps_the_exact_walks_winding_numbers(name, n_max,
+                                                            trig_pot,
+                                                            monkeypatch):
+    pot = {"ci step": CI_CSTEP, "zero and complex heights": ZERO_COMPLEX_STEP,
+           "+-3i step": PotentialSpec.step([(0.0, 1.0, 3j), (1.0, PI, -3j)]),
+           "trig": trig_pot, "complex poly": COMPLEX_POLY,
+           "mixed poly": COMPLEX_MIXED_POLY}[name]
+    contours, read = [], oracle._contours
+
+    def kept(p, requests):
+        contours.extend(requests)
+        return read(p, requests)
+
+    monkeypatch.setattr(oracle, "_contours", kept)
+    solve_spectrum(pot, range(1, n_max + 1))
+    assert len(contours) >= n_max - 3
+    for lams in contours:
+        vals, errors = oracle._contour_values(pot.piecewise, lams)
+        exact, exact_errors = _exact_contour(pot, lams)
+        assert _failures(errors) == _failures(exact_errors)
+        assert oracle._winding_number(vals) == oracle._winding_number(exact)
+        assert np.abs(vals - exact).max() <= _CONTOUR_RTOL * np.abs(exact).min()
+
+
+@pytest.mark.parametrize("name", ["zero and complex heights", "mixed poly"])
+def test_count_reader_fails_where_the_exact_walk_does(name):
+    pot = {"zero and complex heights": ZERO_COMPLEX_STEP,
+           "mixed poly": COMPLEX_MIXED_POLY}[name]
+    lams = np.array(WIDE_CASES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, errors = oracle._contour_values(pot.piecewise, lams)
+    exact, exact_errors = _exact_contour(pot, lams)
+    # each overflowing member at the same break, the others finite
+    assert _failures(errors) == _failures(exact_errors)
+    failed = {lam for lam, err in zip(WIDE_CASES, errors) if err}
+    assert {(1 + 886.5j) ** 2, (1 + 1000j) ** 2} <= failed
+    ok = [err is None for err in errors]
+    assert np.isfinite(vals[ok]).all() and (vals[~np.array(ok)] == 0).all()
+    for m in np.flatnonzero(ok):
+        assert abs(vals[m] - exact[m]) <= _CONTOUR_RTOL * abs(exact[m]), m
+    # lambda = 0 is singular for both
+    with pytest.raises(SingularArgumentError):
+        oracle._contour_values(pot.piecewise, np.array([4.0, 0.0]))
+    with pytest.raises(SingularArgumentError):
+        _exact_contour(pot, np.array([4.0, 0.0]))
 
 
 # -- exact secular function for steps ----------------------------------------------
@@ -933,11 +1015,10 @@ def test_block_solve_equals_one_at_a_time(name, poly_pot, trig_pot):
     if name == "well":
         assert methods == ["angle"] * 3
         assert [r.lam for r in alone] == sorted(r.lam for r in alone)
-    if name == "cstep":     # ten contours walk together, in the wide step
+    if name == "cstep":     # n = 1, 2 drift; ten contours read as one batch
         assert all(isinstance(r, IndexingError) and "drifted" in str(r)
                    for r in alone[:2])
         assert set(methods[2:]) == {"secant"}
-        assert 10 * oracle._WINDING_POINTS >= oracle._WIDE_STEP
 
 
 def test_flagged_indices_leave_no_reference_cycles(step_pot, monkeypatch):
