@@ -93,10 +93,10 @@ _H_MAX = 0.05                   # longest step whatever the phase advance
 _MAX_SECANT_ITER = 80
 _SHARED_ROOT_RTOL = 1e-6        # sqrt(lam) of two indices this close: one root
 _ANGLE_EVALS = 64               # angle readings one real search may spend
-_WALK_CELLS = 2048              # smooth-piece cells times members of one
-                                # walk with prefix states or the norm; a
-                                # real member's cells are float64, bit for
-                                # bit the complex cells (_magnus_matrices)
+# one array budget, _EVAL_CELLS values, as in the closed-form layer: a walk
+# with prefix states, the norm or the zeros takes few enough members that
+# its 2x2 prefix stack and the norm's four-row stack fit (_walk_rows), and
+# a node walk few enough that its node arrays fit too
 _WIDE_STEP = 144                # members from which a walk steps its
                                 # constant pieces as arrays (_wide_step)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
@@ -389,17 +389,29 @@ def _sinc_defect(w):
     """sin(w)/w and the defect (1 - sin(w)/w)/w^2 of a complex array w.
 
     Below |w| = 1 the defect is its Taylor series (nine terms, truncation
-    below one ulp); above, the closed forms, whose cancellation then costs
-    a few ulps at most.  Each branch is evaluated on masked arguments only.
+    below one ulp) and sin(w)/w = 1 - w^2 times it; from |w| = 1 on, the
+    closed forms, whose cancellation then costs a few ulps at most.  Each
+    branch is formed on its own elements only, and where every |w| < 1,
+    as on a walk's Magnus cells, only the series is formed.
     """
     small = np.abs(w) < 1.0
-    w2 = np.where(small, w * w, 0.0)
+    if small.all():
+        return _defect_series(w)
+    sinc, defect = np.empty_like(w), np.empty_like(w)
+    sinc[small], defect[small] = _defect_series(w[small])
+    big = w[~small]
+    closed = np.sin(big) / big
+    sinc[~small], defect[~small] = closed, (1 - closed) / (big * big)
+    return sinc, defect
+
+
+def _defect_series(w):
+    """The series branch of _sinc_defect: (1 - w^2 series, series)."""
+    w2 = w * w
     series = np.zeros_like(w2)
     for c in reversed(_DEFECT_SERIES):
         series = series * w2 + c
-    big = np.where(small, 1.0, w)
-    sinc = np.where(small, 1 - w2 * series, np.sin(big) / big)
-    return sinc, np.where(small, series, (1 - sinc) / (big * big))
+    return 1 - w2 * series, series
 
 
 def _cell_norms(y0, slope, z):
@@ -461,10 +473,18 @@ def _n_sub(span, step_scale):
     return np.maximum(1, np.ceil(need - 1e-12)).astype(np.int64)
 
 
-def _smooth_cells(pe, step_scale) -> int:
-    """Cells of all the smooth pieces of pe on the mesh of step_scale."""
-    return sum(int(_n_sub(b - a, step_scale)) for a, b, c in zip(
-        pe.breaks, pe.breaks[1:], pe._constant_heights) if c is None)
+def _walk_rows(pe, step_scale) -> int:
+    """Members per walk of pe with prefix states, the norm or the zeros.
+
+    Such a walk's largest arrays, the 2x2 prefix stack of a smooth piece
+    and the norm's four-row stack (_cell_norms), hold 4 values per member
+    and cell, each constant piece one cell, on the mesh of step_scale;
+    this many members keep them within _EVAL_CELLS values.
+    """
+    cells = sum(1 if c is not None else int(_n_sub(b - a, step_scale))
+                for a, b, c in zip(pe.breaks, pe.breaks[1:],
+                                   pe._constant_heights))
+    return max(1, _EVAL_CELLS // (4 * cells))
 
 
 def _blowup(x) -> IntegrationBlowupError:
@@ -516,7 +536,9 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False,
     each member equals its lambda walked alone, bit for bit, in any block.
     On a potential with a smooth piece, a batch that mixes real and
     non-real lambdas walks as two batches, merged in member order, so that
-    each member's cells take its own arithmetic.
+    each member's cells take its own arithmetic.  The walk takes its batch
+    whole; its readers size it to the one array budget, _EVAL_CELLS values
+    per array (_walk_rows for prefix states, the norm and the zeros).
 
     A member whose state at the end of a piece is not finite (an
     overflow of cmath comes back as NaN) gets the
@@ -714,15 +736,14 @@ def _node_states(pot: PotentialSpec, lam, nodes, *, step_scale, init=None,
     raises its failure.  With norm the result gains, before that list,
     the integral of |y1|^2 over [0, pi] per member (a float for a
     scalar), non-finite where it overflows, for the caller to reject.  A
-    batch walks in sub-blocks of at most _WALK_CELLS smooth-piece cells
-    and at most _EVAL_CELLS node values over all its members.
+    batch walks in sub-blocks whose prefix and norm stacks (_walk_rows)
+    and node arrays each hold at most _EVAL_CELLS values.
     """
     pe = pot.piecewise
     batch = np.ndim(lam) > 0
     if batch:
-        cells = _smooth_cells(pe, step_scale)
-        rows = max(1, min(_WALK_CELLS // max(cells, 1),
-                          _EVAL_CELLS // max(len(nodes), 1)))
+        rows = min(_walk_rows(pe, step_scale),
+                   max(1, _EVAL_CELLS // max(len(nodes), 1)))
         if rows < len(lam):
             *arrays, errors = zip(*(
                 _node_states(pot, lam[r:r + rows], nodes,
@@ -873,12 +894,11 @@ def _sturm_count(pot: PotentialSpec, lams) -> tuple:
     continuous and increasing in lam (Pryce 1993, ch. 2), and an
     eigenvalue, y2(pi) = 0, has Theta = (n - 1/2) pi with n - 1 interior
     zeros: Theta indexes the spectrum.  lams is a list, walked in batches
-    of at most _WALK_CELLS smooth-piece cells; a failure is the member's
-    IntegrationBlowupError.
+    whose prefix stacks and zero triples hold at most _EVAL_CELLS values
+    (_walk_rows); a failure is the member's IntegrationBlowupError.
     """
     pe = pot.piecewise
-    cells = _smooth_cells(pe, _COUNT_STEP_SCALE)
-    rows = max(1, _WALK_CELLS // cells if cells else len(lams))
+    rows = _walk_rows(pe, _COUNT_STEP_SCALE)
     thetas, errors = [], []
     for i in range(0, len(lams), rows):
         trail, errs, (zeros,) = _walk(pe, np.array(lams[i:i + rows]),
@@ -1159,10 +1179,10 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     the index solved alone, bit for bit; the residuals |Delta| of the real
     roots come from one characteristic walk after the last round.  A
     characteristic walk takes at most asymptotics._BLOCK members (_ends)
-    and an angle walk at most _WALK_CELLS smooth-piece cells, so the cell
-    arrays of a round do not grow with the block.  Returns, in order, each
-    index's SecularResult or the INDEX_FAILURES error that ended it alone;
-    any other error ends the block.
+    and an angle walk at most _EVAL_CELLS values per array (_walk_rows),
+    so the cell arrays of a round do not grow with the block.  Returns, in
+    order, each index's SecularResult or the INDEX_FAILURES error that
+    ended it alone; any other error ends the block.
     """
     domain = domain or SpectralDomain()
     searches = [_index_search(pot, n, complex(s0), domain, tol_root)

@@ -19,6 +19,9 @@ count of one contour and the integer counts of the Prufer angle.
 atom_antiderivative, series_poly, antiderivative_by_atom and
 integral_by_atom are the closed-form layer one atom at a time: the
 reference whose bits the library's stacked primitives must keep.
+sinc_defect_both_branches forms both branches of the closed-form norm's
+sinc and defect on every element and picks one: the reference whose bits
+the library's one-branch-per-element form must keep.
 """
 
 import bisect
@@ -361,6 +364,22 @@ def zero_count(pot, lam):
     if err is not None:
         raise err
     return int(zeros[0]) - int(trail[-1][0][0] == 0), int(theta / PI + 0.5)
+
+
+def sinc_defect_both_branches(w):
+    """sin(w)/w and (1 - sin(w)/w)/w^2, both branches formed everywhere.
+
+    The series of oracle._DEFECT_SERIES below |w| = 1, the closed forms
+    from there on, picked elementwise with np.where.
+    """
+    small = np.abs(w) < 1.0
+    w2 = np.where(small, w * w, 0.0)
+    series = np.zeros_like(w2)
+    for c in reversed(oracle._DEFECT_SERIES):
+        series = series * w2 + c
+    big = np.where(small, 1.0, w)
+    sinc = np.where(small, 1 - w2 * series, np.sin(big) / big)
+    return sinc, np.where(small, series, (1 - sinc) / (big * big))
 
 
 # -- the closed-form primitives, one atom at a time ---------------------------

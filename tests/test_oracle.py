@@ -20,7 +20,8 @@ from slspec import (DomainError, IndexingError, IntegrationBlowupError,
 from slspec import asymptotics, oracle, validation
 
 from conftest import (brent_root, char_reduced, integrate_prufer, rk4_end,
-                      rk4_states, winding, zero_count)
+                      rk4_states, sinc_defect_both_branches, winding,
+                      zero_count)
 
 PI = math.pi
 
@@ -1767,6 +1768,111 @@ def test_closed_form_norm_small_and_large_cells(poly_pot):
     assert abs(got - ref) <= 1e-9 * ref
 
 
+def _sinc_arguments() -> dict:
+    rng = np.random.default_rng(35)
+    w = (rng.normal(size=400) + 1j * rng.normal(size=400)) * 0.4
+    small = w[np.abs(w) < 1.0]
+    w = (rng.normal(size=400) + 1j * rng.normal(size=400)) * 30.0
+    large = w[np.abs(w) >= 1.0]
+    mixed = rng.permutation(np.concatenate((small[:70], large[:70])))
+    unit = np.array([1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 + 0.6j,
+                     np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                     1j * np.nextafter(1.0, 0.0)], dtype=complex)
+    zeros = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                      complex(-0.0, -0.0)])
+    return {
+        "all small": small,
+        "all large": large,
+        "mixed": mixed,
+        "mixed, three axes": mixed.reshape(4, 5, 7),
+        "exact zeros": zeros,
+        "zeros among large": np.concatenate((zeros, large[:6])),
+        "|w| = 1": unit,
+        "|w| = 1 among small": np.concatenate((unit, small[:9])),
+        "imaginary": 1j * np.linspace(-300.0, 300.0, 601),
+        "strongly complex": np.array([5 + 150j, -80 - 120j, 250 + 250j,
+                                      0.5 - 200j, 1e-3 + 40j, -3 + 0.2j,
+                                      0.1 + 0.9j, -0.7 - 0.7j]),
+    }
+
+
+def _assert_sinc_bits(w, label):
+    got = oracle._sinc_defect(w)
+    ref = sinc_defect_both_branches(w)
+    for part, g, r in zip(("sinc", "defect"), got, ref):
+        assert g.shape == r.shape and g.dtype == r.dtype, (label, part)
+        assert _bytes(g) == _bytes(r), (label, part)
+
+
+def test_sinc_defect_forms_one_branch_per_element_with_the_same_bits():
+    for label, w in _sinc_arguments().items():
+        _assert_sinc_bits(w, label)
+
+
+def test_sinc_defect_keeps_the_bits_of_the_norms_stacks(poly_pot, trig_pot,
+                                                        monkeypatch):
+    # the (2p, 2iq, p, iq) stacks the closed-form norm forms on the poly
+    # fixture, the deep well and the complex trig: negative, positive and
+    # complex lambdas, up to cells whose |w| passes 1 at lambda = 2.5e5
+    real = oracle._sinc_defect
+    stacks = []
+
+    def keep(w):
+        stacks.append(w.copy())
+        return real(w)
+
+    monkeypatch.setattr(oracle, "_sinc_defect", keep)
+    lams = np.array([-152.8639, -126.0455, 3.7, 412.9, 900 - 40j, 2.5e5],
+                    dtype=complex)
+    for pot in (poly_pot, DEEP_WELL, trig_pot):
+        oracle._unit_trajectory(pot, lams, default_grid(65))
+    monkeypatch.setattr(oracle, "_sinc_defect", real)
+    small = [bool((np.abs(w) < 1.0).all()) for w in stacks]
+    assert any(small) and not all(small)    # both forms are taken
+    for k, w in enumerate(stacks):
+        _assert_sinc_bits(w, k)
+
+
+# the 2-piece poly of the CI validation with its biorthogonality block
+CI_POLY = PotentialSpec.poly([(0.0, 1.3, [0.5, -0.4, 0.3]),
+                              (1.3, PI, [0.2, 0.1, -0.05])])
+
+
+def test_smooth_walks_keep_the_one_array_budget(monkeypatch):
+    real_prefix, real_norms, real_walk = (oracle._prefix, oracle._cell_norms,
+                                          oracle._walk)
+    prefix, norms, node_walks = [], [], []
+
+    def spy_prefix(mats):
+        prefix.append(mats.size)
+        return real_prefix(mats)
+
+    def spy_norms(y0, slope, z):
+        norms.append(4 * np.broadcast(y0, slope, z).size)
+        return real_norms(y0, slope, z)
+
+    def spy_walk(pe, lam, step_scale, init=None, nodes=None, norm=False,
+                 zeros=False):
+        if nodes is not None:
+            node_walks.append(np.size(lam))
+        return real_walk(pe, lam, step_scale, init, nodes, norm, zeros)
+
+    monkeypatch.setattr(oracle, "_prefix", spy_prefix)
+    monkeypatch.setattr(oracle, "_cell_norms", spy_norms)
+    monkeypatch.setattr(oracle, "_walk", spy_walk)
+    store = {}
+    report = validation.remainder_sweep(CI_POLY, 20, store=store)
+    assert store and not any(r.flag for r in report.records)
+    assert prefix and max(prefix) <= oracle._EVAL_CELLS
+    assert norms and max(norms) <= oracle._EVAL_CELLS
+    cells = sum(int(oracle._n_sub(b - a, oracle._DEFAULT_STEP_SCALE))
+                for a, b in zip(CI_POLY.breaks, CI_POLY.breaks[1:]))
+    members = oracle._EVAL_CELLS // (4 * cells)
+    assert (cells, members) == (786, 5)
+    assert len(node_walks) == math.ceil(20 / members) == 4
+    assert sum(node_walks) == 20
+
+
 def test_trajectory_nodes_just_outside_take_the_end_states(step_pot,
                                                            poly_pot):
     # a trajectory grid may start 1e-12 below 0 and end 1e-9 past pi; those
@@ -1874,14 +1980,15 @@ def _block_lambdas(seed: int) -> np.ndarray:
                            s * s)).astype(complex)
 
 
-@pytest.mark.parametrize("cells", [oracle._WALK_CELLS, 10 ** 6])
+@pytest.mark.parametrize("cells", [oracle._EVAL_CELLS, 10 ** 6])
 @pytest.mark.parametrize("name", sorted(NORM_PINS))
 def test_batched_node_walk_keeps_each_members_bits(name, cells, step_pot,
                                                    poly_pot, trig_pot,
                                                    monkeypatch):
-    # the default budget splits a block of 32 on a smooth potential into
-    # sub-blocks of a few members; a wide budget walks all 32 at once
-    monkeypatch.setattr(oracle, "_WALK_CELLS", cells)
+    # the default budget splits a block of 32 into sub-blocks: of 5 members
+    # on the poly's 786 cells, of 31 on 513 nodes; a wide budget walks all
+    # 32 at once
+    monkeypatch.setattr(oracle, "_EVAL_CELLS", cells)
     pot = _walk_pot(name, step_pot, poly_pot, trig_pot)
     lams = _block_lambdas(len(name))
     rng = np.random.default_rng(7)
