@@ -31,18 +31,19 @@ cell does not grow with lambda; the commutator of the quasi-derivative
 matrices carries 2 lambda (a - b), and cells built from those lose accuracy
 as lambda grows.
 
-Every reading but the winding contours comes from one walk over the
-pieces (_walk).  For each piece it advances every member once: the exact
-step of a constant piece in scalar arithmetic (for a wide batch, float64
-arrays that round like it), and for a smooth piece one product of its
-cells or, where a reader needs states inside it, their prefix states.
-It applies the u-shear at a smooth piece's ends, turns an overflowing
-state into that member's IntegrationBlowupError and records the state at
-the break.  lambda is a scalar or a 1-D batch, and each member equals its
-lambda walked alone, bit for bit.  Thin readers take what they need:
-the characteristic, scalar or batch, reads the end state and forms no
-node array (_end_value); node states (integrate_quasi_system, numeric
-eigenfunctions) take one array step inside a constant piece and one
+Every reading comes from one walk over the pieces (_walk), whose state
+is a (2, members) complex array of (y1, y2) for its whole life.  For each
+piece it advances every member at once: a constant piece by one exact
+cell, cos(s d) I + (sin(s d)/s) A, formed for the whole batch
+(_const_cells), and a smooth piece by one product of its cells or,
+where a reader needs states inside it, their prefix states.  It applies
+the u-shear at a smooth piece's ends, turns an overflowing state into
+that member's IntegrationBlowupError and records the state at the break.
+lambda is a scalar or a 1-D batch, and each member equals its lambda
+walked alone, bit for bit.  Thin readers take what they need: the
+characteristic, scalar or batch, reads the end state and forms no node
+array (_end_value); node states (integrate_quasi_system, numeric
+eigenfunctions) take one exact cell inside a constant piece and one
 partial Magnus step inside a cell (_node_states); the norm of an
 eigenfunction sums closed-form integrals over the cells of the same walk;
 the Prufer angle at pi counts the zeros of y1 from the same cells, each
@@ -51,8 +52,8 @@ The root finders solve a block of indices in lockstep (_solve_block):
 each round walks the reduced characteristic at the pending lambdas of
 Brent and of the secant, and the angle at those of the real searches'
 brackets, over all the active indices.  After its last round the
-block's winding contours, whose only output is an integer, go to a
-count-only reader that walks them as complex arrays (_contour_values).
+block's winding contours, whose only output is an integer, are walked
+on the count mesh (_contours).
 
 Where the Magnus parts of a smooth piece are real (a real polynomial
 piece), a member at real lambda forms the piece's cells, their product
@@ -61,9 +62,10 @@ complex128, bit for bit the real parts of the complex cells
 (_magnus_matrices); the states stay complex.  The choice is each
 member's own (_walk).
 
-The walk never lets a numpy warning out: an overflowing state reaches the
-finiteness check at the end of its piece, and a reader raises the member's
-IntegrationBlowupError (a batch characteristic, the earliest break's).
+The walk never lets a numpy warning out: an overflowing state stays
+non-finite to the end of the walk, whose one finiteness check gives the
+member the IntegrationBlowupError of its first non-finite break, and a
+reader raises it (a batch characteristic, the earliest break's).
 Deterministic meshes keep cross-method and step-halving comparisons exact;
 the test suite holds the fixed-step RK4 reference the cells are checked
 against.
@@ -71,7 +73,6 @@ against.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -97,8 +98,6 @@ _ANGLE_EVALS = 64               # angle readings one real search may spend
 # with prefix states, the norm or the zeros takes few enough members that
 # its 2x2 prefix stack and the norm's four-row stack fit (_walk_rows), and
 # a node walk few enough that its node arrays fit too
-_WIDE_STEP = 144                # members from which a walk steps its
-                                # constant pieces as arrays (_wide_step)
 _WINDING_RADIUS = 0.2           # circle around a complex root, sqrt(lam) plane
 _WINDING_POINTS = 16
 # the contour's points around its center, the same for every contour
@@ -145,87 +144,55 @@ class SecularResult:
     sturm_counts: int       # Prufer angle readings; their sum is iterations
 
 
-def _const_advance(y, mix, s, d):
-    """Exact propagation to the nodes d of a piece where u == const.
+def _exact_cell(s, d, near):
+    """(cos(s d), sin(s d)/s) of the exact cell of a piece where u == const.
 
-    The system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies A^2 = -lam I,
-    so exp(A d) = cos(s d) I + (sin(s d)/s) A, sin(s d)/s by its series
-    for small |s d|; mix is A y.  The (members, 1) columns of y, mix and
-    s = sqrt(lam) meet (members, nodes) arrays, or one length d.
+    Its system matrix A = [[c, 1], [-lam - c^2, -c]] satisfies
+    A^2 = -lam I, so exp(A d) = cos(s d) I + (sin(s d)/s) A with
+    s = sqrt(lam); s and d meet elementwise, as arrays of equal rank.
+    Where near (the caller's bound: some |s d| may lie below 1e-6),
+    sin(s d)/s takes its series at |s d| < 1e-6; elsewhere both forms
+    give each element the same bits.
     """
-    d = np.asarray(d, dtype=complex)
     z = s * d
-    small = np.abs(z) < 1e-6
-    # a named factor: numpy would multiply a large temporary right operand
-    # in place with the operands swapped (temporary elision), which rounds
-    # complex products differently, and a member's bits must not depend
-    # on the size of its block
-    series = 1 - z * z / 6
-    cd = np.cos(z)
-    sd = np.where(small, d * series, np.sin(np.where(small, 1.0, z)) / s)
-    return cd * y[0] + sd * mix[0], sd * mix[1] + cd * y[1]
+    sd = np.sin(z) / s
+    if near:
+        # a named factor: numpy would multiply a large temporary right
+        # operand in place with the operands swapped (temporary elision),
+        # which rounds complex products differently, and a member's bits
+        # must not depend on the size of its block
+        series = 1 - z * z / 6
+        sd = np.where(np.abs(z) < 1e-6, d * series, sd)
+    return np.cos(z), sd
 
 
-def _wide_parts(lams, roots):
-    """A wide walk's per-member data: the parts of lambda and s, and the
-    branch, ratio and denominator of a division by s (_Py_c_quot)."""
-    lam, s = np.array(lams), np.array(roots)
-    sr, si = s.real.copy(), s.imag.copy()
-    by_re = np.abs(sr) >= np.abs(si)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_re, si / sr, sr / si)
-    denom = np.where(by_re, sr + si * ratio, sr * ratio + si)
-    return lam.real.copy(), lam.imag.copy(), sr, si, by_re, ratio, denom, roots
+def _const_cells(lam, s, least, d, c):
+    """exp(A d) of constant pieces of lengths d and heights c (lists) for
+    each member, shape (2, 2, pieces, members) (_exact_cell)."""
+    near = least * min(d) < 2e-6
+    d, c = np.array(d)[:, None], np.array(c)[:, None]
+    cd, sd = _exact_cell(s[None], d, near)
+    csd = c * sd
+    out = np.empty((2, 2) + sd.shape, dtype=complex)
+    np.add(cd, csd, out=out[0, 0])
+    out[0, 1] = sd
+    np.multiply(-lam[None] - c * c, sd, out=out[1, 0])
+    np.subtract(cd, csd, out=out[1, 1])
+    return out
 
 
-def _wide_step(state, parts, const, d):
-    """The exact step over d on u == const, as float64 arrays.
-
-    state holds the real and imaginary parts of the members' (y1, y2) as
-    two (2, members) arrays.  Every operation is CPython's in the scalar
-    step of _walk: products and quotients in the formulas of _Py_c_prod
-    and _Py_c_quot, a float as the complex (d, 0.0), and for z = x + iy
-    cmath.cos(z) = (cos x cosh(-y), sin x sinh(-y)) and cmath.sin(z) =
-    (sin x cosh(-y), -(cos x sinh(-y))), with numpy's cos and sin, which
-    round like libm's, and math's cosh and sinh, since numpy's do not.
-    Members with |z| < 1e-6 (the series) or |y| > 708 (cmath's other
-    formula, and its overflow) take cmath itself.  So each member keeps
-    the bits of its scalar step, signs of zeros included.
-    """
-    yr, yi = state
-    lr, li, sr, si, by_re, ratio, denom, roots = parts
-    kr, ki = const.real, const.imag
-    kk = const * const
-    tr, ti = -lr - kk.real, -li - kk.imag
-    cyr, cyi = kr * yr - ki * yi, kr * yi + ki * yr        # c y
-    # A y = (c y1 + y2, (-lam - c^2) y1 - c y2)
-    mr = np.stack((cyr[0] + yr[1], tr * yr[0] - ti * yi[0] - cyr[1]))
-    mi = np.stack((cyi[0] + yi[1], tr * yi[0] + ti * yr[0] - cyi[1]))
-    zr, zi = sr * d - si * 0.0, sr * 0.0 + si * d
-    far = np.abs(zi) > 708.0
-    odd = np.flatnonzero(far | (np.hypot(zr, zi) < 2e-6)).tolist()
-    ch, sh = 1.0, -zi
-    if zi.any():
-        v = np.where(far, 0.0, sh).tolist()
-        ch = np.fromiter(map(math.cosh, v), float, len(v))
-        sh = np.fromiter(map(math.sinh, v), float, len(v))
-    cx, sx = np.cos(zr), np.sin(zr)
-    cdr, cdi, snr, sni = cx * ch, sx * sh, sx * ch, -(cx * sh)
-    sdr = np.where(by_re, snr + sni * ratio, snr * ratio + sni) / denom
-    sdi = np.where(by_re, sni - snr * ratio, sni * ratio - snr) / denom
-    for m in odd:
-        z = roots[m] * d
-        if abs(z) < 1e-6:
-            cd, sd = cmath.cos(z), d * (1 - z * z / 6)
-        else:
-            try:
-                cd, sd = cmath.cos(z), cmath.sin(z) / roots[m]
-            except OverflowError:       # past |Im(s d)| ~ 710
-                cd = sd = complex(cmath.nan, cmath.nan)
-        cdr[m], cdi[m], sdr[m], sdi[m] = cd.real, cd.imag, sd.real, sd.imag
-    # cos(s d) y + (sin(s d)/s) A y
-    return (cdr * yr - cdi * yi + (sdr * mr - sdi * mi),
-            cdr * yi + cdi * yr + (sdr * mi + sdi * mr))
+def _regular_roots(lam):
+    """(the principal sqrt(lam) of each member of a 1-D complex array, the
+    least |sqrt(lam)|): Re >= 0, and Im >= 0 on the negative real axis, as
+    principal_sqrt, with the singular check of _require_regular."""
+    s = np.sqrt(lam)
+    if s.real.min() == 0:
+        flip = (s.real == 0) & (s.imag < 0)
+        s[flip] = s[flip].conj()
+    least = np.abs(s).min()
+    if least < 1e-12:
+        raise SingularArgumentError("lambda = 0 is a singular argument")
+    return s, least
 
 
 def _matmul(a, b):
@@ -249,18 +216,6 @@ def _chain(mats: np.ndarray) -> np.ndarray:
             prod = np.concatenate((prod, cur[..., -1:]), axis=-1)
         cur = prod
     return cur[..., 0]
-
-
-def _apply(p, y):
-    """p @ y for a 2x2 product matrix p, in scalar complex arithmetic.
-
-    numpy's array products of complex numbers can fuse multiply and add
-    (SIMD loops on FMA hardware) where its scalar products do not; the
-    scalar form keeps a member of a batch equal to the same lambda
-    evaluated alone.
-    """
-    (p00, p01), (p10, p11) = p.tolist()
-    return p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1]
 
 
 def _magnus_parts(q, i, lefts, h):
@@ -505,87 +460,88 @@ def _raise_first(errors) -> None:
         raise err
 
 
-def _columns(pairs):
-    """Two (members, 1) complex columns from a list of scalar pairs."""
-    arr = np.array(pairs, dtype=complex)
-    return arr[:, :1], arr[:, 1:]
-
-
 def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False,
           zeros=False):
-    """The walk over the pieces of pe behind every reading but contours.
+    """The one walk over the pieces of pe behind every reading.
 
     lam is a scalar (one member) or a 1-D batch, and each member starts
-    from (0, sqrt(lam)), or from init.  Each piece is walked once for all
-    members.  A constant piece takes the exact step in CPython scalar
-    arithmetic, member by member; from _WIDE_STEP members on, a walk
-    without nodes or norm (an angle round) takes it as float64 arrays that
-    round the same (_wide_step).  A smooth piece is cut into the cells of
+    from (0, sqrt(lam)), or from init.  The state is a (2, members) complex
+    array of (y1, y2) for the whole walk, and each piece advances it once
+    for all members.  A constant piece is one exact 2x2 cell, formed for
+    the whole batch with the cells of the constant pieces after it, as
+    many as keep their stack within _EVAL_CELLS values (_const_cells), and
+    a node inside it takes the exact cell over its own length
+    (_exact_cell).  A smooth piece is cut into the cells of
     a uniform mesh, at most step_scale long, that depends on neither
     lambda nor the nodes (_mesh); each cell propagates by the exponential
     of its 4th-order Magnus exponent (_magnus_matrices), formed for the
     whole batch at once, in float64 where the mesh and every lambda are
     real, and the cells carry the classical pair, sheared from and back to
     (y1, y2) at the ends of the piece.  Where the piece holds no node and
-    there is no norm, its cells are multiplied pairwise in one product
-    (_chain) applied member by member (_apply); otherwise it takes the
+    there is neither norm nor zeros, its cells are multiplied pairwise in
+    one product (_chain) applied to the state; otherwise it takes the
     prefix states of its cells (_prefix), and a node inside it one partial
     Magnus step over the rest of its cell, whose lambda-free parts serve
-    every member.  The coefficients that mix a member's start state are
-    CPython scalars and enter the array work as (members, 1) columns, so
-    each member equals its lambda walked alone, bit for bit, in any block.
-    On a potential with a smooth piece, a batch that mixes real and
-    non-real lambdas walks as two batches, merged in member order, so that
-    each member's cells take its own arithmetic.  The walk takes its batch
-    whole; its readers size it to the one array budget, _EVAL_CELLS values
-    per array (_walk_rows for prefix states, the norm and the zeros).
+    every member.  On a potential with a smooth piece, a batch that mixes
+    real and non-real lambdas walks as two batches, merged in member
+    order, so that each member's cells take its own arithmetic.  The walk
+    takes its batch whole; its readers size it to the one array budget,
+    _EVAL_CELLS values per array (_walk_rows for prefix states, the norm
+    and the zeros).
 
-    A member whose state at the end of a piece is not finite (an
-    overflow of cmath comes back as NaN) gets the
-    IntegrationBlowupError of that break and walks on from a zero state.
-    The states at the breaks are CPython complex numbers, so only the
-    array work can overflow in numpy, and its overflow and invalid
-    warnings are off.
+    Each member equals its lambda walked alone, bit for bit, in any block:
+    every operation is elementwise along the member axis, and numpy's
+    complex product rounds alike at every position of a flat array, and
+    where a (members,) row or a (members, 1) column meets (2, members) or
+    (members, cells) operands.  numpy takes a loop of its own, which
+    rounds like CPython, for a (1, 1) by (1,) broadcast, so a row never
+    meets a column: a walk of one member has the operand shapes of a wide
+    one.
 
-    Returns (trail, errors, out): trail[j] lists the members' (y1, y2) at
-    break j and errors their failures (None or the first error).  out is
-    empty without nodes; with nodes, a sorted array, it holds y1 and y2 at
-    the nodes as (members, nodes) arrays, a node on a break taking the
-    state of the trail and a node before 0 or past pi the state there.
-    With norm, out gains the integral of |y1|^2 over [0, pi] per
-    member, summed in closed form over the cells of the walk
-    (_cell_norms), each constant piece one cell; with zeros (real lambda
-    and u), it ends with the zeros of y1 in (0, pi] per member, counted in
-    closed form over the same cells (_cell_zeros).  Either takes the
-    prefix states of a smooth piece; zeros keeps the wide step.
+    A member whose state at a break is not finite gets the
+    IntegrationBlowupError of the first such break, and its states from
+    there on are zero, as if it walked on from a zero state.  A state
+    that is not finite stays so, since every product and sum with an
+    infinite or NaN entry is one, so the batch is tested once, at its end
+    states, and only failed members are visited one by one.  The walk's
+    overflow and invalid warnings are off.
+
+    Returns (trail, errors, out): trail, shape (breaks, 2, members), holds
+    the members' (y1, y2) at each break, and errors their failures (None
+    or the first error).  out is empty without nodes; with nodes, a sorted
+    array, it holds y1 and y2 at the nodes as (members, nodes) arrays, a
+    node on a break taking the state of the trail and a node before 0 or
+    past pi the state there.  With norm, out gains the integral of |y1|^2
+    over [0, pi] per member, summed in closed form over the cells of the
+    walk (_cell_norms), each constant piece one cell; with zeros (real
+    lambda and u), it ends with the zeros of y1 in (0, pi] per member,
+    counted in closed form over the same cells (_cell_zeros).  Either
+    takes the prefix states of a smooth piece.
     """
-    lams = ([complex(v) for v in lam.tolist()] if getattr(lam, "ndim", 0)
-            else [complex(lam)])
-    roots = [_require_regular(v) for v in lams]
-    members = len(lams)
-    on_axis = ([v.imag == 0 for v in lams] if None in pe._constant_heights
-               else ())
-    if 0 < sum(on_axis) < members:
-        rows = [[m for m, r in enumerate(on_axis) if r is k]
-                for k in (True, False)]
-        (t1, e1, o1), (t2, e2, o2) = (
-            _walk(pe, lam[r], step_scale, init, nodes, norm, zeros)
-            for r in rows)
-        back = np.argsort(rows[0] + rows[1]).tolist()
-        *trail, errors = ([v[k] for k in back] for v in
-                          [a + b for a, b in zip(t1, t2)] + [e1 + e2])
-        return trail, errors, tuple(np.concatenate(v)[back]
-                                    for v in zip(o1, o2))
-    if init is None:
-        ys = [(0j, s) for s in roots]
-    else:
-        ys = [(complex(init[0]), complex(init[1]))] * members
-    trail, errors, cell_terms = [ys], [None] * members, []
-    # the wide step's per-member data, and its state while current
-    wide = state = None
-    if (members >= _WIDE_STEP and nodes is None and not norm
-            and pe._constant_heights.count(None) < len(pe._constant_heights)):
-        wide = _wide_parts(lams, roots)
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    members = len(lam)
+    if None in pe._constant_heights:
+        on_axis = lam.imag == 0
+        if 0 < on_axis.sum() < members:
+            rows = [np.flatnonzero(on_axis), np.flatnonzero(~on_axis)]
+            (t1, e1, o1), (t2, e2, o2) = (
+                _walk(pe, lam[r], step_scale, init, nodes, norm, zeros)
+                for r in rows)
+            back = np.argsort(np.concatenate(rows))
+            errors = e1 + e2
+            return (np.concatenate((t1, t2), axis=-1)[..., back],
+                    [errors[k] for k in back.tolist()],
+                    tuple(np.concatenate(v)[back] for v in zip(o1, o2)))
+    s, least = _regular_roots(lam)
+    trail = np.empty((len(pe.breaks), 2, members), dtype=complex)
+    trail[0, 0], trail[0, 1] = (0, s) if init is None else init
+    errors, cell_terms = [None] * members, []
+    # the exact cells of the constant pieces, formed a run of them at a
+    # time, as many as keep the stack within _EVAL_CELLS values
+    heights = pe._constant_heights
+    consts = [i for i, c in enumerate(heights) if c is not None]
+    run = max(1, _EVAL_CELLS // (4 * members))
+    runs, exact = iter(range(0, len(consts), run)), {}
     # nodes[left[j]:right[j]] lie on break j, nodes[right[i]:left[i + 1]]
     # inside piece i
     left = right = [0] * len(pe.breaks)
@@ -595,133 +551,99 @@ def _walk(pe, lam, step_scale: float, init=None, nodes=None, norm=False,
         left[0], right[-1] = 0, len(nodes)  # the ends take nodes beyond
         y1 = np.empty((members, len(nodes)), dtype=complex)
         y2 = np.empty_like(y1)
-        s_col = np.array(roots)[:, None]
-    for i, (a, b, const, lo, hi) in enumerate(zip(
-            pe.breaks, pe.breaks[1:], pe._constant_heights, right, left[1:])):
-        if const is not None and wide is not None:
-            if state is None:       # (y1, y2) as (2, members) rows
-                arr = np.broadcast_to(np.array(
-                    ys[:1] if ys is trail[0] and init is not None else ys,
-                    dtype=complex).T, (2, members))
-                state = arr.real.copy(), arr.imag.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                if zeros:   # the cell's triple, as the scalar step's below
-                    y1, y2 = state[0] + 1j * state[1]
-                    cell_terms.append((y1[:, None],
-                                       (b - a) * (const * y1 + y2)[:, None],
-                                       (b - a) * np.array(roots)[:, None],
-                                       [b - a]))
-                state = _wide_step(state, wide, const, b - a)
-            bad = ~(np.isfinite(state[0]) & np.isfinite(state[1])).all(0)
-            for m in np.flatnonzero(bad).tolist():
-                errors[m] = errors[m] or _blowup(b)
-                state[0][:, m] = state[1][:, m] = 0.0
-            ends = np.empty((2, members), dtype=complex)
-            ends.real, ends.imag = state
-            ys = list(zip(*ends.tolist()))
-            trail.append(ys)
-            continue
-        if const is not None:
-            # the exact step in CPython scalar arithmetic: exp(A d) =
-            # cos(s d) I + (sin(s d)/s) A with A = [[c, 1], [-lam - c^2, -c]]
-            # (A^2 = -lam I), and A y mixes the start state
-            d = b - a
-            mix, ends, cc = [], [], const * const
-            keep = norm or zeros or hi > lo
-            for m, ((v1, v2), lc, s) in enumerate(zip(ys, lams, roots)):
-                w1, w2 = const * v1 + v2, (-lc - cc) * v1 - const * v2
-                if keep:
-                    mix.append((w1, w2))
-                z = s * d
-                if abs(z) < 1e-6:
-                    cd, sd = cmath.cos(z), d * (1 - z * z / 6)
-                else:
-                    try:
-                        cd, sd = cmath.cos(z), cmath.sin(z) / s
-                    except OverflowError:   # past |Im(s d)| ~ 710
-                        cd = sd = cmath.nan
-                e1, e2 = cd * v1 + sd * w1, sd * w2 + cd * v2
-                if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
-                    errors[m] = errors[m] or _blowup(b)
-                    e1 = e2 = 0j
-                ends.append((e1, e2))
-            if norm or zeros:
-                y0, slope = _columns([(y[0], d * mx[0])
-                                      for y, mx in zip(ys, mix)])
-                z = np.array([s * d for s in roots])[:, None]
-                cell_terms.append((y0, slope, z, [d]))
-            if hi > lo:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    y1[:, lo:hi], y2[:, lo:hi] = _const_advance(
-                        _columns(ys), _columns(mix), s_col,
-                        nodes[None, lo:hi] - a)
-        else:   # the cells carry the classical pair (y, y') = (y1, y2 + u y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                h, parts, real, q, u_a, u_b = _mesh(pe, i, step_scale)
-                lam_row = np.array(lams)
-                cell_parts = parts
-                if real is not None and not lam_row.imag.any():
-                    cell_parts, lam_row = real, lam_row.real.copy()
-                cells = _magnus_matrices(*cell_parts, h, lam_row)
-                ycs = [(y[0], y[1] + u_a * y[0]) for y in ys]
-                if hi == lo and not (norm or zeros):
-                    prod = _chain(cells)
-                    ends = [_apply(prod[..., m], yc)
-                            for m, yc in enumerate(ycs)]
-                else:
-                    # classical states at the cell starts and the end
-                    (p00, p01), (p10, p11) = _prefix(cells)
-                    yc1, yc2 = _columns(ycs)
-                    c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
-                    c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
-                    ends = list(zip(c1[:, -1].tolist(), c2[:, -1].tolist()))
-                    if norm or zeros:
-                        delta, gamma = (v[None] for v in parts)
-                        o10 = gamma - np.array([lc * h
-                                                for lc in lams])[:, None]
-                        z = np.sqrt(-(delta * delta + h * o10))
-                        cell_terms.append((c1[:, :-1],
-                                           delta * c1[:, :-1] + h * c2[:, :-1],
-                                           z, np.full(delta.shape[1], h)))
-                    if hi > lo:     # one partial cell per node
-                        x = nodes[lo:hi] - a
-                        cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
-                        d = x - cell * h
-                        node_parts = _magnus_parts(q, i, cell * h, d)
-                        if cell_parts is real:
-                            node_parts = _real_parts(node_parts) or node_parts
-                        part = _magnus_matrices(*node_parts, d, lam_row)
-                        # named operands: numpy multiplies a large temporary
-                        # in place (temporary elision), which rounds complex
-                        # products differently, and a node's state must not
-                        # depend on how many nodes or members there are
-                        cell = cell.astype(np.int64)
-                        g1, g2 = c1[:, cell], c2[:, cell]
-                        y1[:, lo:hi] = part[0, 0] * g1 + part[0, 1] * g2
-                        y2[:, lo:hi] = (part[1, 0] * g1 + part[1, 1] * g2
-                                        - pe._local(i, x)[None] * y1[:, lo:hi])
-                ends = [(e1, e2 - u_b * e1) for e1, e2 in ends]
-            for m, (e1, e2) in enumerate(ends):
-                if not (cmath.isfinite(e1) and cmath.isfinite(e2)):
-                    errors[m] = errors[m] or _blowup(b)
-                    ends[m] = (0j, 0j)
-            state = None
-        ys = ends
-        trail.append(ys)
-    out = ()
-    if nodes is not None:
-        for j, ys in enumerate(trail):
-            if right[j] > left[j]:
-                y1[:, left[j]:right[j]], y2[:, left[j]:right[j]] = _columns(ys)
-        out = (y1, y2)
-    if norm or zeros:
-        y0, slope, z, length = (np.concatenate(c, axis=-1)
-                                for c in zip(*cell_terms))
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (a, b, const, lo, hi) in enumerate(zip(
+                pe.breaks, pe.breaks[1:], heights, right, left[1:])):
+            y, end = trail[i], trail[i + 1]
+            if const is not None:
+                if i not in exact:
+                    k = next(runs)
+                    ahead = consts[k:k + run]
+                    mats = _const_cells(
+                        lam, s, least,
+                        [pe.breaks[j + 1] - pe.breaks[j] for j in ahead],
+                        [heights[j] for j in ahead])
+                    exact = {j: mats[:, :, n] for n, j in enumerate(ahead)}
+                cell = exact[i]
+                np.multiply(cell[:, 0], y[0], out=end)
+                end += cell[:, 1] * y[1]
+                if norm or zeros or hi > lo:
+                    d = b - a
+                    mix = (const * y[0] + y[1],     # A y
+                           (-lam - const * const) * y[0] - const * y[1])
+                if norm or zeros:
+                    cell_terms.append((y[0][:, None], d * mix[0][:, None],
+                                       (s * d)[:, None], [d]))
+                if hi > lo:
+                    x = nodes[None, lo:hi] - a
+                    cd, sd = _exact_cell(s[:, None], x,
+                                         least * x[0, 0] < 2e-6)
+                    y1[:, lo:hi] = cd * y[0][:, None] + sd * mix[0][:, None]
+                    y2[:, lo:hi] = cd * y[1][:, None] + sd * mix[1][:, None]
+                continue
+            # the cells carry the classical pair (y, y') = (y1, y2 + u y)
+            h, parts, real, q, u_a, u_b = _mesh(pe, i, step_scale)
+            cell_parts, lam_row = parts, lam
+            if real is not None and not lam.imag.any():
+                cell_parts, lam_row = real, lam.real.copy()
+            cells = _magnus_matrices(*cell_parts, h, lam_row)
+            yc1, yc2 = y[0], y[1] + u_a * y[0]
+            if hi == lo and not (norm or zeros):
+                prod = _chain(cells)
+                np.multiply(prod[:, 0], yc1, out=end)
+                end += prod[:, 1] * yc2
+            else:
+                # classical states at the cell starts and the end
+                (p00, p01), (p10, p11) = _prefix(cells)
+                yc1, yc2 = yc1[:, None], yc2[:, None]
+                c1 = np.concatenate((yc1, p00 * yc1 + p01 * yc2), axis=1)
+                c2 = np.concatenate((yc2, p10 * yc1 + p11 * yc2), axis=1)
+                end[0], end[1] = c1[:, -1], c2[:, -1]
+                if norm or zeros:
+                    delta, gamma = (v[None] for v in parts)
+                    o10 = gamma - (lam * h)[:, None]
+                    z = np.sqrt(-(delta * delta + h * o10))
+                    cell_terms.append((c1[:, :-1],
+                                       delta * c1[:, :-1] + h * c2[:, :-1],
+                                       z, np.full(delta.shape[1], h)))
+                if hi > lo:     # one partial cell per node
+                    x = nodes[lo:hi] - a
+                    cell = np.minimum(np.floor(x / h), p00.shape[-1] - 1)
+                    d = x - cell * h
+                    node_parts = _magnus_parts(q, i, cell * h, d)
+                    if cell_parts is real:
+                        node_parts = _real_parts(node_parts) or node_parts
+                    part = _magnus_matrices(*node_parts, d, lam_row)
+                    # named operands: numpy multiplies a large temporary
+                    # in place (temporary elision), which rounds complex
+                    # products differently, and a node's state must not
+                    # depend on how many nodes or members there are
+                    cell = cell.astype(np.int64)
+                    g1, g2 = c1[:, cell], c2[:, cell]
+                    y1[:, lo:hi] = part[0, 0] * g1 + part[0, 1] * g2
+                    y2[:, lo:hi] = (part[1, 0] * g1 + part[1, 1] * g2
+                                    - pe._local(i, x)[None] * y1[:, lo:hi])
+            end[1] -= u_b * end[0]
+        out = ()
+        if nodes is not None:
+            for j, (lo, hi) in enumerate(zip(left, right)):
+                if hi > lo:
+                    y1[:, lo:hi], y2[:, lo:hi] = trail[j][..., None]
+            out = (y1, y2)
+        if norm or zeros:
+            y0, slope, z, length = (np.concatenate(c, axis=-1)
+                                    for c in zip(*cell_terms))
             if norm:
                 out += (np.sum(length * _cell_norms(y0, slope, z), axis=-1),)
             if zeros:
                 out += (_cell_zeros(y0, slope, z, trail[-1]),)
+    # a member that failed has a non-finite end state
+    if not np.isfinite(trail[-1]).all():
+        bad = np.flatnonzero(~np.isfinite(trail[-1]).all(axis=0))
+        first = np.isfinite(trail[:, :, bad]).all(axis=1).argmin(axis=0)
+        for m, j in zip(bad.tolist(), first.tolist()):
+            errors[m] = _blowup(pe.breaks[j])
+            trail[j:, :, m] = 0
     return trail, errors, out
 
 
@@ -811,8 +733,8 @@ def _end_value(pot: PotentialSpec, lam, step_scale, init):
     """
     trail, errors, _ = _walk(pot.piecewise, lam, step_scale, init)
     _raise_first(errors)
-    ends = [y2 for _, y2 in trail[-1]]
-    return np.array(ends) if getattr(lam, "ndim", 0) else complex(ends[0])
+    ends = trail[-1, 1]
+    return ends if np.ndim(lam) else complex(ends[0])
 
 
 def _prufer_from_quasi(traj: QuasiTrajectory) -> PruferTrajectory:
@@ -861,8 +783,8 @@ def _cell_zeros(y0, slope, z, ends):
 
     y0, slope and z are the (members, cells) triples of the walk's cells in
     order (the norm's, _cell_norms), each constant piece one cell, and ends
-    the members' end states; lambda and u are real.  Inside a cell
-    y1(tau) = y0 cos(z tau) + slope sin(z tau)/z, tau in (0, 1], which
+    the members' end states, (2, members); lambda and u are real.  Inside a
+    cell y1(tau) = y0 cos(z tau) + slope sin(z tau)/z, tau in (0, 1], which
     passes through the computed states at both ends.  A state lies in the
     band [k pi, (k + 1) pi) of the Prufer angle of parity "y1 < 0" (at a
     zero of y1, "y1' < 0"; slope has the sign of y1' there).  Where
@@ -875,8 +797,9 @@ def _cell_zeros(y0, slope, z, ends):
     """
     y0, slope = y0.real, slope.real
     odd = np.where(y0 != 0, y0 < 0, slope < 0)
-    last = [[y1.real < 0 if y1 != 0 else y2.real < 0] for y1, y2 in ends]
-    odd_end = np.concatenate((odd[:, 1:], last), axis=1)
+    e1, e2 = ends
+    last = np.where(e1 != 0, e1.real < 0, e2.real < 0)
+    odd_end = np.concatenate((odd[:, 1:], last[:, None]), axis=1)
     wave = z.real > 0                       # z^2 > 0: z is real
     zr = np.where(wave, z.real, 1.0)
     phi = np.arctan2(y0, slope / zr)
@@ -904,7 +827,7 @@ def _sturm_count(pot: PotentialSpec, lams) -> tuple:
         trail, errs, (zeros,) = _walk(pe, np.array(lams[i:i + rows]),
                                       _COUNT_STEP_SCALE, (0.0, 1.0),
                                       zeros=True)
-        for (y1, y2), k in zip(trail[-1], zeros.tolist()):
+        for (y1, y2), k in zip(trail[-1].T.tolist(), zeros.tolist()):
             sign = -1.0 if k % 2 else 1.0
             thetas.append(k * PI + math.atan2(sign * y1.real, sign * y2.real))
         errors += errs
@@ -1097,8 +1020,8 @@ def _secant_search(pot: PotentialSpec, n: int, s0: complex,
     the damped secant in the sqrt(lam) plane from the start value and its
     +-fd difference quotient, then the drift check and the winding count
     (_winding_number) of its 16-point contour, yielded as one array of
-    lambdas and sent back as one array of values, which the count-only
-    reader forms with the block's other contours (_contours).
+    lambdas and sent back as one array of values, which the walk forms
+    with the block's other contours (_contours).
     """
     def clamp(s):
         im = min(max(s.imag, -domain.alpha + 1e-9), domain.alpha - 1e-9)
@@ -1174,8 +1097,7 @@ def _solve_block(pot: PotentialSpec, ns, seeds, *,
     values, or throws in its own IntegrationBlowupError (of a list or a
     contour, the one at its earliest break).  Contours are held until
     nothing else is pending, then read together (_contours).  Each
-    member sees the values its lambdas give alone (a contour's up to
-    rounding: only its winding number is used), so its result equals
+    member sees the values its lambdas give alone, so its result equals
     the index solved alone, bit for bit; the residuals |Delta| of the real
     roots come from one characteristic walk after the last round.  A
     characteristic walk takes at most asymptotics._BLOCK members (_ends)
@@ -1234,7 +1156,7 @@ def _ends(pot: PotentialSpec, lams, init=(0.0, 1.0)) -> tuple:
     for i in range(0, len(lams), step):
         batch = np.array(lams[i:i + step], dtype=complex)
         trail, errs, _ = _walk(pot.piecewise, batch, _DEFAULT_STEP_SCALE, init)
-        values += [y2 for _, y2 in trail[-1]]
+        values += trail[-1, 1].tolist()
         errors += errs
     return values, errors
 
@@ -1249,50 +1171,20 @@ def _angles(pot: PotentialSpec, requests) -> tuple:
             [_first(errors[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
-def _contour_values(pe, lams) -> tuple:
-    """(y2(pi) from (0, 1) at each lambda of a 1-D batch, the failure of
-    each) on the count mesh: the count-only reader of winding contours.
-
-    The batch walks as (members, 1) columns: constant pieces by the exact
-    step (_const_advance), smooth ones by the product of their Magnus
-    cells.  Failures are _walk's.  The values are not _walk's bits (array
-    arithmetic; numpy's sqrt, as the walk is even in it): only the
-    winding number read from them is output."""
-    lam = np.asarray(lams, dtype=complex)[:, None]
-    s = np.sqrt(lam)
-    if (np.abs(s) < 1e-12).any():
-        raise SingularArgumentError("lambda = 0 is a singular argument")
-    y1, y2, errors = np.zeros_like(lam), np.ones_like(lam), [None] * len(lam)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, (a, b, c) in enumerate(zip(pe.breaks, pe.breaks[1:],
-                                          pe._constant_heights)):
-            if c is not None:
-                mix = (c * y1 + y2, (-lam - c * c) * y1 - c * y2)
-                y1, y2 = _const_advance((y1, y2), mix, s, b - a)
-            else:   # the cells carry the classical pair (y1, y2 + u y1)
-                h, parts, _, _, u_a, u_b = _mesh(pe, i, _COUNT_STEP_SCALE)
-                p = _chain(_magnus_matrices(*parts, h, lam[:, 0]))[..., None]
-                yc2 = y2 + u_a * y1
-                y1, y2 = p[0, 0] * y1 + p[0, 1] * yc2, p[1, 0] * y1 + p[1, 1] * yc2
-                y2 = y2 - u_b * y1
-            bad = ~(np.isfinite(y1) & np.isfinite(y2))[:, 0]
-            for m in np.flatnonzero(bad).tolist():
-                errors[m] = errors[m] or _blowup(b)
-            y1[bad] = y2[bad] = 0
-    return y2[:, 0], errors
-
-
 def _contours(pot: PotentialSpec, contours) -> tuple:
     """(the reduced characteristic on each contour, the failure of each
-    at its earliest break), by the count-only reader (_contour_values):
+    at its earliest break), walked from (0, 1) on the count mesh (_walk):
     in one walk where all pieces are constant, else one walk a contour,
     as a smooth piece's cells cost the same per member in any batch."""
     k, lams = _WINDING_POINTS, np.concatenate(contours)
     step = k if None in pot.piecewise._constant_heights else len(lams)
-    reads = [_contour_values(pot.piecewise, lams[i:i + step])
-             for i in range(0, len(lams), step)]
-    values = np.concatenate([vals for vals, _ in reads])
-    errors = [err for _, errs in reads for err in errs]
+    values, errors = [], []
+    for i in range(0, len(lams), step):
+        trail, errs, _ = _walk(pot.piecewise, lams[i:i + step],
+                               _COUNT_STEP_SCALE, (0.0, 1.0))
+        values.append(trail[-1, 1])
+        errors += errs
+    values = np.concatenate(values)
     return ([values[i:i + k] for i in range(0, len(values), k)],
             [_first(errors[i:i + k]) for i in range(0, len(errors), k)])
 
@@ -1330,11 +1222,10 @@ def solve_eigenvalue(pot: PotentialSpec, n: int, seed=None, *,
     seeded at the asymptotic prediction, steps clamped to 0.25 and iterates
     clamped to the parabolic domain; verified by an argument-principle
     winding count over 16 points of a small circle (_winding_number),
-    whose values a count-only reader of complex arrays forms after the
-    block's last secant round (_contour_values; one walk for the block
-    where every piece is constant).  The contour runs on the count mesh
-    (_COUNT_STEP_SCALE), like the angle: its only output is an
-    integer, and by Rouche's theorem the coarser mesh counts as many zeros
+    whose values the walk forms after the block's last secant round
+    (_contours; one walk for the block where every piece is constant).
+    The contour runs on the count mesh (_COUNT_STEP_SCALE), like the
+    angle: its only output is an integer, and by Rouche's theorem the coarser mesh counts as many zeros
     inside the circle whenever it moves F by less than |F| on the circle
     (it moved F by at most 2e-6 of min |F| on the test, benchmark and
     random complex trig and poly potentials, and no count changed).  The

@@ -7,7 +7,10 @@ leak across pieces.
 
 rk4_states is the suite's one fixed-step RK4 propagator for the quasi
 system, the reference the library's exact constant steps and Magnus cells
-are checked against; it shares only the product helpers of slspec.oracle.
+are checked against; it shares only the pairwise product of slspec.oracle.
+exact_step_end walks a step potential by the exact constant step in
+scalar complex arithmetic, the reference for the array walk on many
+pieces.
 integrate_prufer integrates the Prufer phase and log-modulus equations
 themselves by RK4, the reference for the library's Prufer reading.
 
@@ -223,7 +226,9 @@ def rk4_states(pot, lam, nodes, *, step_scale=0.004, init=None):
         if len(stops) == 1:
             blocks = [oracle._chain(mats(lo, lo + RK4_CHUNK))
                       for lo in range(0, count, RK4_CHUNK)]
-            y = oracle._apply(oracle._chain(np.stack(blocks, axis=-1)), y)
+            (p00, p01), (p10, p11) = oracle._chain(
+                np.stack(blocks, axis=-1)).tolist()
+            y = (p00 * y[0] + p01 * y[1], p10 * y[0] + p11 * y[1])
             y1[pos:j1], y2[pos:j1] = y
         else:
             marks = {e - 1: k for k, e in enumerate(bnd) if record[k]}
@@ -243,6 +248,29 @@ def rk4_end(pot, lam, *, step_scale=0.004, init=None):
     """y2(pi) of rk4_states: Delta(lam), or the reduced one from (0, 1)."""
     return complex(rk4_states(pot, lam, np.asarray([0.0, PI]),
                               step_scale=step_scale, init=init)[1][-1])
+
+
+def exact_step_end(pot, lam, *, init=None):
+    """y2(pi) of a step potential by the exact step in scalar arithmetic.
+
+    Each piece of height c and length d advances (y1, y2) by
+    exp(A d) = cos(s d) I + (sin(s d)/s) A, A = [[c, 1], [-lam - c^2, -c]],
+    in CPython complex numbers, one piece at a time, from (0, sqrt(lam))
+    or from init: the reference the library's array walk is checked
+    against on many pieces.
+    """
+    s = oracle.principal_sqrt(lam)
+    y1, y2 = (0j, s) if init is None else (complex(init[0]), complex(init[1]))
+    for a, b, (c,) in zip(pot.breaks, pot.breaks[1:], pot.coeffs):
+        d = b - a
+        w1, w2 = c * y1 + y2, (-lam - c * c) * y1 - c * y2
+        z = s * d
+        if abs(z) < 1e-6:
+            cd, sd = cmath.cos(z), d * (1 - z * z / 6)
+        else:
+            cd, sd = cmath.cos(z), cmath.sin(z) / s
+        y1, y2 = cd * y1 + sd * w1, sd * w2 + cd * y2
+    return y2
 
 
 # -- RK4 on the Prufer phase and log-modulus ----------------------------------
@@ -363,7 +391,7 @@ def zero_count(pot, lam):
     (theta,), (err,) = oracle._sturm_count(pot, [lam])
     if err is not None:
         raise err
-    return int(zeros[0]) - int(trail[-1][0][0] == 0), int(theta / PI + 0.5)
+    return int(zeros[0]) - int(trail[-1, 0, 0] == 0), int(theta / PI + 0.5)
 
 
 def sinc_defect_both_branches(w):
